@@ -37,7 +37,6 @@ from .functional import (
     FnSampler,
     PolyFit,
     check_fz_residual,
-    compute_fn,
     extract_fbar,
     fz_coefficients,
     lambda_bar_coefficients,

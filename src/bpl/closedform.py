@@ -120,21 +120,53 @@ class PdeCoefficients:
     """Closed-form coefficient data for a fixed problem instance.
 
     The potential is stored as the affine map ``v_const + v_slope * sum(x)``;
-    the derivative coefficients are evaluated on demand (they are rational in
-    the x's).  ``psi_table[l, d]`` caches the q-weights on the full index
-    rectangle 0 <= l <= n-1, 0 <= d <= L.
+    the derivative coefficients are rational in the x's and are evaluated on
+    demand from the point-independent parts stored here: ``psi_table[l, d]``
+    holds the q-weights on the full index rectangle 0 <= l <= n-1,
+    0 <= d <= L, ``e_ys[m]`` the elementary symmetric sums of the y's, and
+    ``q_prefactor`` the constant factor shared by every Q_i.
     """
 
     cfg: SpectralConfig
     v_const: complex
     v_slope: complex
     psi_table: np.ndarray
+    e_ys: tuple[complex, ...]
+    q_prefactor: complex
 
     def potential(self, xs) -> complex:
         return self.v_const + self.v_slope * complex(np.sum(xs))
 
     def derivative_coeff(self, i: int, xs) -> complex:
-        return eval_q(self.cfg, i, xs)
+        """Derivative coefficient Q_i at a point with pairwise-distinct
+        coordinates.
+
+        Assembled from G_m(x_i; other x's) paired with the elementary
+        symmetric sums of the y's, where G_{L-d} = x_i^d sum_l x_i^l
+        psi(l, d) e_{n-1-l} over the other x's; the exterior factor carries
+        the single pole set prod_{j != i} (x_j - x_i).
+        """
+        n, L = self.cfg.n, self.cfg.L
+        xs = [complex(x) for x in xs]
+        if len(xs) != n:
+            raise ValueError(f"expected {n} coordinates, got {len(xs)}")
+        others = [x for j, x in enumerate(xs) if j != i]
+        den = 1.0 + 0.0j
+        for x in others:
+            diff = x - xs[i]
+            if abs(diff) < X_SEPARATION_GUARD:
+                raise CoincidentRapiditiesError((x, xs[i]), abs(diff))
+            den *= diff
+        prefactor = self.q_prefactor / den
+        e_others = [elementary_symmetric(others, n - 1 - l) for l in range(n)]
+        total = 0.0 + 0.0j
+        for m in range(L + 1):
+            d = L - m
+            g = xs[i] ** d * sum(
+                xs[i] ** l * complex(self.psi_table[l, d]) * e_others[l] for l in range(n)
+            )
+            total += g * self.e_ys[m]
+        return complex(prefactor * total)
 
 
 def pde_coefficients(cfg: SpectralConfig) -> PdeCoefficients:
@@ -145,7 +177,11 @@ def pde_coefficients(cfg: SpectralConfig) -> PdeCoefficients:
     for l in range(n):
         for d in range(L + 1):
             table[l, d] = psi_value(l, d, cfg)
-    return PdeCoefficients(cfg, pref * v1, pref * slope, table)
+    e_ys = tuple(elementary_symmetric(ys, m) for m in range(L + 1))
+    q_prefactor = (
+        (q - 1) ** 2 * (q + 1) / (2.0**L * q ** (L + n) * factorial(L - 1)) / cfg.sqrt_y_prod
+    )
+    return PdeCoefficients(cfg, pref * v1, pref * slope, table, e_ys, q_prefactor)
 
 
 def eval_v(cfg: SpectralConfig, xs) -> complex:
@@ -156,40 +192,12 @@ def eval_v(cfg: SpectralConfig, xs) -> complex:
 
 
 def eval_q(cfg: SpectralConfig, i: int, xs) -> complex:
-    """Derivative coefficient Q_i at a point with pairwise-distinct coordinates.
+    """Derivative coefficient Q_i at one point, for a single evaluation.
 
-    Assembled from G_m(x_i; other x's) paired with the elementary symmetric
-    sums of the y's, where G_{L-d} = x_i^d sum_l x_i^l psi(l, d) e_{n-1-l}
-    over the other x's; the exterior factor carries the single pole set
-    prod_{j != i} (x_j - x_i).
+    Builds the instance's ``PdeCoefficients`` each call; code that evaluates
+    many points builds them once and calls ``derivative_coeff``.
     """
-    n, L, q, ys = cfg.n, cfg.L, cfg.q, cfg.ys
-    xs = [complex(x) for x in xs]
-    if len(xs) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(xs)}")
-    others = [x for j, x in enumerate(xs) if j != i]
-    den = 1.0 + 0.0j
-    for x in others:
-        diff = x - xs[i]
-        if abs(diff) < X_SEPARATION_GUARD:
-            raise CoincidentRapiditiesError((x, xs[i]), abs(diff))
-        den *= diff
-    prefactor = (
-        (q - 1) ** 2
-        * (q + 1)
-        / (2.0**L * q ** (L + n) * factorial(L - 1))
-        / cfg.sqrt_y_prod
-        / den
-    )
-    total = 0.0 + 0.0j
-    for m in range(L + 1):
-        d = L - m
-        g = xs[i] ** d * sum(
-            xs[i] ** l * psi_value(l, d, cfg) * elementary_symmetric(others, n - 1 - l)
-            for l in range(n)
-        )
-        total += g * elementary_symmetric(ys, m)
-    return complex(prefactor * total)
+    return pde_coefficients(cfg).derivative_coeff(i, xs)
 
 
 # -- residuals and operator comparison --------------------------------------------

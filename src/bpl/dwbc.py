@@ -45,20 +45,29 @@ def bbar(x: complex, y: complex) -> complex:
 
 # -- partition function oracles ---------------------------------------------------
 
+def _check_partition_capacity(cfg: SpectralConfig):
+    if cfg.L > MAX_PARTITION_L:
+        raise CapacityError(
+            f"dense partition oracle capped at L = {MAX_PARTITION_L}, got {cfg.L}"
+        )
+
+
+def _corner(b_ops) -> complex:
+    """<all-down| B_1 ... B_L |all-up> from the B blocks in rapidity order."""
+    v = np.zeros(b_ops[0].shape[0], dtype=complex)
+    v[0] = 1.0
+    for b in reversed(b_ops):
+        v = b @ v
+    return complex(v[-1])
+
+
 def dwbc_partition(lams, cfg: SpectralConfig) -> complex:
     """<all-down| B(lambda_1) ... B(lambda_L) |all-up> via dense B-products."""
     lams = list(lams)
     if len(lams) != cfg.L:
         raise ValueError(f"need exactly L = {cfg.L} rapidities, got {len(lams)}")
-    if cfg.L > MAX_PARTITION_L:
-        raise CapacityError(
-            f"dense partition oracle capped at L = {MAX_PARTITION_L}, got {cfg.L}"
-        )
-    v = np.zeros(cfg.quantum_dim, dtype=complex)
-    v[0] = 1.0
-    for lam in reversed(lams):
-        v = monodromy(lam, cfg).b.entries @ v
-    return complex(v[-1])
+    _check_partition_capacity(cfg)
+    return _corner([monodromy(lam, cfg).b.entries for lam in lams])
 
 
 def dwbc_configuration_sum(lams, cfg: SpectralConfig) -> complex:
@@ -153,14 +162,21 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
     defect compares coefficients across variable swaps, and the top
     coefficient certifies the per-variable degree bound L-1 (fitting with one
     extra node per axis would put mass there otherwise).
+
+    B is built once at each interpolation node; every sample on both grids
+    reads those blocks, which are dropped when the function returns.
     """
     L = cfg.L
+    _check_partition_capacity(cfg)
     grids = _zbar_grids(cfg)
+    extra = circle_grid(L + 1, slot=L, nslots=L + 1)
+    b_grids = [[monodromy(lam, cfg).b.entries for lam in g] for g in grids]
+    b_extra = [monodromy(lam, cfg).b.entries for lam in extra]
     x_grids = [np.exp(2 * g) for g in grids]
     vals = np.zeros((L,) * L, dtype=complex)
     for tup in iproduct(range(L), repeat=L):
         lams = [grids[i][tup[i]] for i in range(L)]
-        vals[tup] = np.exp((L - 1) * sum(lams)) * dwbc_partition(lams, cfg)
+        vals[tup] = np.exp((L - 1) * sum(lams)) * _corner([b_grids[i][tup[i]] for i in range(L)])
     poly = MultiPoly(tensor_interpolate(vals, x_grids))
 
     rng = cfg.rng("zbar-holdout")
@@ -176,11 +192,11 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
         sym_defect = max(sym_defect, float(np.max(np.abs(swapped - poly.coeffs)) / scale))
 
     # degree certification: refit axis 0 with one extra node
-    extra = circle_grid(L + 1, slot=L, nslots=L + 1)
     vals_ext = np.zeros((L + 1,) + (L,) * (L - 1), dtype=complex)
     for tup in iproduct(range(L + 1), *[range(L)] * (L - 1)):
         lams = [extra[tup[0]]] + [grids[i][tup[i]] for i in range(1, L)]
-        vals_ext[tup] = np.exp((L - 1) * sum(lams)) * dwbc_partition(lams, cfg)
+        b_ops = [b_extra[tup[0]]] + [b_grids[i][tup[i]] for i in range(1, L)]
+        vals_ext[tup] = np.exp((L - 1) * sum(lams)) * _corner(b_ops)
     ext_coeffs = tensor_interpolate(vals_ext, [np.exp(2 * extra)] + x_grids[1:])
     top = float(np.max(np.abs(ext_coeffs[L])) / scale)
 

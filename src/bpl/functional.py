@@ -37,8 +37,8 @@ __all__ = [
     "PolyFit",
     "check_fz_residual",
     "circle_grid",
-    "compute_fn",
     "extract_fbar",
+    "fbar_b_ops",
     "fz_coefficients",
     "lambda_bar_coefficients",
     "lambda_grid",
@@ -77,26 +77,32 @@ def circle_grid(count: int, slot: int = 0, nslots: int = 1) -> np.ndarray:
 
 # -- overlap sampler -------------------------------------------------------------
 
+def _b_table(cfg: SpectralConfig, lams) -> dict[complex, np.ndarray]:
+    """B(lambda) at each distinct rapidity, each built once."""
+    distinct = dict.fromkeys(complex(l) for l in lams)
+    return {lam: monodromy(lam, cfg).b.entries for lam in distinct}
+
+
 @dataclass
 class FnSampler:
-    """Evaluates F_n for one eigenpair, caching B-operators and the partial
-    products of repeated rapidity suffixes.
+    """Evaluates F_n for one eigenpair.
 
-    The caches are filled on first use and only read afterwards, so sampling
-    is safe to share once warmed up.
+    ``b_ops`` holds B(lambda) blocks built beforehand, keyed by rapidity;
+    the samplers of one sector's fits share one such table (``fbar_b_ops``).
+    A rapidity missing from it is built afresh at each use and not kept, so
+    one-off draws never accumulate.  Partial products of repeated rapidity
+    suffixes are cached on the sampler.  Both live exactly as long as the
+    sampler, and the blocks are read-only, so sharing them is safe.
     """
 
     cfg: SpectralConfig
     eig: EigenChoice
-    _b_cache: dict = field(default_factory=dict, repr=False)
+    b_ops: dict = field(default_factory=dict, repr=False)
     _chain_cache: dict = field(default_factory=dict, repr=False)
 
     def _b(self, lam: complex) -> np.ndarray:
-        op = self._b_cache.get(lam)
-        if op is None:
-            op = monodromy(lam, self.cfg).b.entries
-            self._b_cache[lam] = op
-        return op
+        op = self.b_ops.get(lam)
+        return monodromy(lam, self.cfg).b.entries if op is None else op
 
     def _chain(self, lams: tuple[complex, ...]) -> np.ndarray:
         """B(lams[0]) ... B(lams[-1]) |0>, cached on suffixes."""
@@ -126,10 +132,6 @@ class FnSampler:
             )
             return 0.0
         return complex(self.eig.left @ self._chain(lams))
-
-
-def compute_fn(sampler: FnSampler, lams) -> complex:
-    return sampler.value(lams)
 
 
 # -- the linear functional relation ----------------------------------------------
@@ -162,14 +164,18 @@ def check_fz_residual(sampler: FnSampler, lam0: complex, lams) -> float:
     cfg = sampler.cfg
     lams = [complex(l) for l in lams]
     j0, ks = fz_coefficients(lam0, lams, cfg)
-    f_here = sampler.value(lams)
-    lam_val = sampler.eig.eigenvalue(lam0)
+    # every rapidity of the relation is built once: T(lam0) and B(lam0) come
+    # from one monodromy, and the swapped overlaps reuse the B(lams)
+    m0 = monodromy(lam0, cfg)
+    local = FnSampler(cfg, sampler.eig, {complex(lam0): m0.b.entries, **_b_table(cfg, lams)})
+    f_here = local.value(lams)
+    lam_val = sampler.eig.eigenvalue_from(m0.a.entries + m0.d.entries)
     total = j0 * f_here - lam_val * f_here
     scale = max(abs(j0 * f_here), abs(lam_val * f_here))
     for i, k in enumerate(ks):
         swapped = list(lams)
         swapped[i] = lam0
-        term = k * sampler.value(swapped)
+        term = k * local.value(swapped)
         total -= term
         scale = max(scale, abs(term))
     return float(abs(total) / max(scale, 1e-300))
@@ -188,6 +194,25 @@ class PolyFit:
 
 def _default_fbar_grids(cfg: SpectralConfig, n: int) -> list[np.ndarray]:
     return [lambda_grid(cfg.L, slot=i, nslots=n) for i in range(n)]
+
+
+def _fbar_holdout_point(cfg: SpectralConfig, n: int) -> list[complex]:
+    """The validation point of ``extract_fbar``; the same for every
+    eigenpair of a sector."""
+    rng = cfg.rng("fbar-holdout")
+    return [random_complex(rng) for _ in range(n)]
+
+
+def fbar_b_ops(cfg: SpectralConfig, n: int) -> dict[complex, np.ndarray]:
+    """B(lambda) at the nodes and holdout point of the default
+    ``extract_fbar`` fit in sector n, each built once.
+
+    Every eigenpair of the sector samples the same rapidities, so the
+    samplers of all of them take this one table instead of each rebuilding
+    it.  It lives as long as the caller keeps it.
+    """
+    nodes = [lam for grid in _default_fbar_grids(cfg, n) for lam in grid]
+    return _b_table(cfg, nodes + _fbar_holdout_point(cfg, n))
 
 
 def extract_fbar(sampler: FnSampler, grids: list[np.ndarray] | None = None) -> PolyFit:
@@ -214,8 +239,7 @@ def extract_fbar(sampler: FnSampler, grids: list[np.ndarray] | None = None) -> P
     coeffs = tensor_interpolate(vals, xgrids)
     poly = MultiPoly(coeffs)
 
-    rng = cfg.rng("fbar-holdout")
-    test = [random_complex(rng) for _ in range(n)]
+    test = _fbar_holdout_point(cfg, n)
     direct = np.exp((cfg.L - 1) * sum(test)) * sampler.value(test)
     fitted = poly.eval_many(np.exp(2 * np.array([test])))[0]
     holdout = abs(direct - fitted) / max(abs(direct), poly.max_abs(), 1e-300)

@@ -33,6 +33,7 @@ from .functional import (
     PolyFit,
     circle_grid,
     extract_fbar,
+    fbar_b_ops,
     fz_coefficients,
     lambda_bar_coefficients,
     spectrum,
@@ -381,9 +382,10 @@ def check_eigk(cfg: SpectralConfig, family: OmegaFamily | None = None, probes=No
     lam_bars = lambda_bar_coefficients(eigs, cfg, nodes=family.lbar.x0_nodes)
     basis = family.basis
 
+    b_ops = fbar_b_ops(cfg, cfg.n)
     records = []
     for eig, deltas in zip(eigs, lam_bars):
-        fit = extract_fbar(FnSampler(cfg, eig))
+        fit = extract_fbar(FnSampler(cfg, eig, b_ops))
         if cfg.n == 0:
             vec = np.array([complex(fit.poly.coeffs)])
         else:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closedform import eval_q, eval_v
+from .closedform import eval_v, pde_coefficients
 from .config import SpectralConfig
 from .errors import UnsupportedShapeError
 from .polyengine import MultiPoly, partial_derivative
@@ -136,7 +136,7 @@ def spectral_reduction(cfg: SpectralConfig) -> ReductionSystem:
         length=cfg.L,
         nvars=cfg.n,
         potential=lambda xs: eval_v(cfg, xs),
-        derivative_coeff=lambda i, xs: eval_q(cfg, i, xs),
+        derivative_coeff=pde_coefficients(cfg).derivative_coeff,
     )
 
 

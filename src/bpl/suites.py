@@ -15,7 +15,14 @@ import numpy as np
 
 from . import closedform, dwbc, omega, reduction, ybcore
 from .config import SpectralConfig, random_complex
-from .functional import FnSampler, check_fz_residual, extract_fbar, lambda_bar_coefficients, spectrum
+from .functional import (
+    FnSampler,
+    check_fz_residual,
+    extract_fbar,
+    fbar_b_ops,
+    lambda_bar_coefficients,
+    spectrum,
+)
 from .polyengine import MultiPoly
 
 
@@ -132,8 +139,9 @@ def suite_spectrum(cfg: SpectralConfig) -> list[CheckRecord]:
     rng = cfg.rng("spectrum-extra")
     worst = 0.0
     for lam in [random_complex(rng) for _ in range(3)]:
+        t = ybcore.transfer(lam, cfg).entries
         for eig in eigs:
-            worst = max(worst, *eig.residuals(lam))
+            worst = max(worst, *eig.residuals_from(t))
     rec.add("eigenpair-residuals-extra-probes", worst, 1e-8, t0, sector=cfg.n)
     return rec.records
 
@@ -151,8 +159,9 @@ def suite_fz(cfg: SpectralConfig) -> list[CheckRecord]:
 
     t0 = time.perf_counter()
     worst = 0.0
+    b_ops = fbar_b_ops(cfg, cfg.n)
     for eig in eigs:
-        fit = extract_fbar(FnSampler(cfg, eig))
+        fit = extract_fbar(FnSampler(cfg, eig, b_ops))
         worst = max(worst, fit.holdout_residual)
     rec.add("overlap-polynomial-holdout", worst, 1e-9, t0)
     return rec.records
@@ -222,8 +231,9 @@ def suite_pde_residual(cfg: SpectralConfig) -> list[CheckRecord]:
     lam_bars = lambda_bar_coefficients(eigs, cfg)
     worst = 0.0
     used = 0
+    b_ops = fbar_b_ops(cfg, cfg.n)
     for eig, coeffs in zip(eigs, lam_bars):
-        fit = extract_fbar(FnSampler(cfg, eig))
+        fit = extract_fbar(FnSampler(cfg, eig, b_ops))
         if fit.poly.max_abs() < 1e-12:
             continue
         used += 1

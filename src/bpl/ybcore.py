@@ -3,13 +3,27 @@ identities they satisfy.
 
 Everything is dense ``complex128``.  The quantum space is ``(C^2)^{tensor L}``
 with basis states indexed by bitstrings (bit 1 = down spin), so the number of
-set bits is the S^z-sector label.  The monodromy is assembled as a 2x2 block
-matrix over the auxiliary space,
+set bits is the S^z-sector label.  The monodromy is the ordered product of
+one permuted R-matrix P R(lambda - mu_j) per site, held as a 2x2 block matrix
+over the auxiliary space,
 
-    M(lambda) = [[A, B], [C, D]],
+    M(lambda) = [[A, B], [C, D]];
 
-by multiplying one permuted R-matrix per site; A and D preserve the down-spin
-count, B raises it by one and C lowers it by one.
+A and D preserve the down-spin count, B raises it by one and C lowers it by
+one.  Appending a site makes each new block a sum of two Kronecker
+products of an old block with a 2x2 site block of P R, e.g.
+A' = A (x) A_j + B (x) C_j, whose (i s, j t) entry, with i, j the old
+quantum indices and s, t the new site's, is A[i, j] A_j[s, t] +
+B[i, j] C_j[s, t].  The site blocks are diagonal (A_j, D_j) or hold a single
+entry (B_j, C_j), so for every (s, t) at most one of the two terms is
+non-zero: each new block has three non-zero (s, t) slices, each one old
+block times one Boltzmann weight, and they are written straight into
+strided views of the new block.  This is the Kronecker recursion with its
+exact-zero terms left out: every surviving entry is the same single
+product, and adding a zero to a finite non-zero number returns it
+unchanged, so every entry equals the Kronecker form's exactly; at most the
+sign of a zero entry differs (``tests/test_ybcore.py`` keeps the Kronecker
+form as the reference).
 """
 
 from __future__ import annotations
@@ -129,57 +143,60 @@ def check_ybe(x: complex, y: complex, gamma: complex) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _site_blocks(x: complex, gamma: complex):
-    """Auxiliary 2x2 blocks of P R(x) acting on one site."""
-    rs = permutation_matrix() @ r_matrix(x, gamma).entries
-    return rs[0:2, 0:2], rs[0:2, 2:4], rs[2:4, 0:2], rs[2:4, 2:4]
-
-
 def monodromy(lam: complex, cfg: SpectralConfig) -> MonodromyEntries:
     """Ordered product of P R(lambda - mu_j) over the lattice, sliced into
     its auxiliary-space blocks A, B, C, D.
 
-    The product is accumulated as a 2x2 block recursion: appending a site
-    Kronecker-extends each block by the site-local blocks of P R.
+    Site j contributes the weights a = sinh(lambda - mu_j + gamma),
+    b = sinh(lambda - mu_j) and c = sinh(gamma), with site blocks
+    A_j = diag(a, b), B_j = c at (1, 0), C_j = c at (0, 1) and
+    D_j = diag(b, a).  Each step writes the three non-zero slices of every
+    new block into a zeroed ``(k, 2, k, 2)`` array (see the module
+    docstring for why this equals the Kronecker recursion exactly).
+
+    The blocks are returned read-only, so a caller that keeps one for reuse
+    cannot be corrupted by another caller writing into it.
     """
     _require_finite(lam)
     cfg.check_dense_capacity()
-    a = np.eye(1, dtype=complex)
+    c = weight_c(cfg.gamma)
+    a = np.ones((1, 1), dtype=complex)
     b = np.zeros((1, 1), dtype=complex)
-    c = np.zeros((1, 1), dtype=complex)
-    d = np.eye(1, dtype=complex)
+    cc = np.zeros((1, 1), dtype=complex)
+    d = np.ones((1, 1), dtype=complex)
     for m in cfg.mu:
-        aj, bj, cj, dj = _site_blocks(lam - m, cfg.gamma)
-        a, b, c, d = (
-            np.kron(a, aj) + np.kron(b, cj),
-            np.kron(a, bj) + np.kron(b, dj),
-            np.kron(c, aj) + np.kron(d, cj),
-            np.kron(c, bj) + np.kron(d, dj),
-        )
-    return MonodromyEntries(
+        x = lam - m
+        _require_finite(x, cfg.gamma)
+        wa, wb = weight_a(x, cfg.gamma), weight_b(x)
+        k = a.shape[0]
+        na, nb, nc, nd = (np.zeros((k, 2, k, 2), dtype=complex) for _ in range(4))
+        # non-zero (s, t) slices of A' = A (x) A_j + B (x) C_j,
+        # B' = A (x) B_j + B (x) D_j, C' = C (x) A_j + D (x) C_j and
+        # D' = C (x) B_j + D (x) D_j
+        for new, terms in (
+            (na, ((0, 0, a, wa), (0, 1, b, c), (1, 1, a, wb))),
+            (nb, ((0, 0, b, wb), (1, 0, a, c), (1, 1, b, wa))),
+            (nc, ((0, 0, cc, wa), (0, 1, d, c), (1, 1, cc, wb))),
+            (nd, ((0, 0, d, wb), (1, 0, cc, c), (1, 1, d, wa))),
+        ):
+            for s, t, old, w in terms:
+                np.multiply(old, w, out=new[:, s, :, t])
+        a, b, cc, d = (blk.reshape(2 * k, 2 * k) for blk in (na, nb, nc, nd))
+    out = MonodromyEntries(
         DenseOperator(a, sector=0),
         DenseOperator(b, sector=+1),
-        DenseOperator(c, sector=-1),
+        DenseOperator(cc, sector=-1),
         DenseOperator(d, sector=0),
     )
+    for op in out:
+        op.entries.setflags(write=False)
+    return out
 
 
 def transfer(lam: complex, cfg: SpectralConfig) -> DenseOperator:
     """Transfer matrix T(lambda) = A(lambda) + D(lambda)."""
     m = monodromy(lam, cfg)
     return DenseOperator(m.a.entries + m.d.entries, sector=0)
-
-
-def full_monodromy_matrix(lam: complex, cfg: SpectralConfig) -> np.ndarray:
-    """Monodromy as one dense matrix on (auxiliary) (x) (quantum)."""
-    m = monodromy(lam, cfg)
-    d = cfg.quantum_dim
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[0:d, 0:d] = m.a.entries
-    out[0:d, d:] = m.b.entries
-    out[d:, 0:d] = m.c.entries
-    out[d:, d:] = m.d.entries
-    return out
 
 
 def _aux_product(m1: np.ndarray, m2: np.ndarray, d: int) -> np.ndarray:
@@ -200,8 +217,11 @@ def check_rtt(x: complex, y: complex, cfg: SpectralConfig) -> float:
     """
     _require_finite(x, y)
     d = cfg.quantum_dim
-    mx = full_monodromy_matrix(x, cfg)
-    my = full_monodromy_matrix(y, cfg)
+    # each monodromy as one dense matrix on (auxiliary) (x) (quantum)
+    mx, my = (
+        np.block([[m.a.entries, m.b.entries], [m.c.entries, m.d.entries]])
+        for m in (monodromy(lam, cfg) for lam in (x, y))
+    )
     r = np.kron(r_matrix(x - y, cfg.gamma).entries, np.eye(d))
     lhs = r @ _aux_product(mx, my, d)
     rhs = _aux_product(my, mx, d) @ r
@@ -348,13 +368,19 @@ class EigenChoice:
     probes: tuple[complex, complex]
 
     def eigenvalue(self, lam: complex) -> complex:
-        t = transfer(lam, self.cfg).entries
+        return self.eigenvalue_from(transfer(lam, self.cfg).entries)
+
+    def eigenvalue_from(self, t: np.ndarray) -> complex:
+        """Lambda read off a transfer matrix the caller has already built."""
         return complex((self.left @ t @ self.right) / (self.left @ self.right))
 
     def residuals(self, lam: complex) -> tuple[float, float]:
         """Right and left eigen-residuals at one rapidity (2-norms)."""
-        t = transfer(lam, self.cfg).entries
-        val = self.eigenvalue(lam)
+        return self.residuals_from(transfer(lam, self.cfg).entries)
+
+    def residuals_from(self, t: np.ndarray) -> tuple[float, float]:
+        """Right and left eigen-residuals against a prebuilt transfer matrix."""
+        val = self.eigenvalue_from(t)
         r = np.linalg.norm(t @ self.right - val * self.right)
         l = np.linalg.norm(self.left @ t - val * self.left)
         scale = max(np.max(np.abs(t)), 1e-300)
@@ -370,6 +396,11 @@ def spectrum(cfg: SpectralConfig, sector: int, probes=None) -> list[EigenChoice]
     eigenvectors come from the inverse of the refined right-eigenvector
     matrix.  If residuals at either probe stay above tolerance the pair of
     probes did not resolve the spectrum and a DegeneracyError is raised.
+
+    The transfer matrix is built once per probe.  The decomposition, the
+    residual check and the eigenvalue sort key all read those two matrices,
+    which are dropped when the function returns; the returned eigenpairs
+    keep no operator.
     """
     if not 0 <= sector <= cfg.L:
         raise ValueError(f"sector must lie in [0, {cfg.L}], got {sector}")
@@ -380,8 +411,9 @@ def spectrum(cfg: SpectralConfig, sector: int, probes=None) -> list[EigenChoice]
             complex(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)),
         )
     idx = sector_indices(cfg.L, sector)
-    t1 = transfer(probes[0], cfg).entries[np.ix_(idx, idx)]
-    t2 = transfer(probes[1], cfg).entries[np.ix_(idx, idx)]
+    t_probes = [transfer(p, cfg).entries for p in probes]
+    t1 = t_probes[0][np.ix_(idx, idx)]
+    t2 = t_probes[1][np.ix_(idx, idx)]
     ev, vec = np.linalg.eig(t1)
     scale = max(np.max(np.abs(ev)), 1.0)
     used = np.zeros(len(ev), dtype=bool)
@@ -416,15 +448,19 @@ def spectrum(cfg: SpectralConfig, sector: int, probes=None) -> list[EigenChoice]
 
     worst = 0.0
     for eig in out:
-        for p in probes:
-            worst = max(worst, *eig.residuals(p))
+        for t in t_probes:
+            worst = max(worst, *eig.residuals_from(t))
     if worst > max(cfg.tol, 1e-9):
         raise DegeneracyError(
             f"eigenpair residual {worst:.3g} above tolerance at the probe points; "
             "the sector may be degenerate there, try other probes"
         )
-    out.sort(key=lambda e: (round(e.eigenvalue(probes[0]).real, 9),
-                            round(e.eigenvalue(probes[0]).imag, 9)))
+
+    def sort_key(e: EigenChoice):
+        val = e.eigenvalue_from(t_probes[0])
+        return round(val.real, 9), round(val.imag, 9)
+
+    out.sort(key=sort_key)
     for k, eig in enumerate(out):
         eig.index = k
     return out

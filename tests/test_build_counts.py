@@ -1,0 +1,77 @@
+"""Each artifact builds the monodromy once per distinct rapidity it uses,
+and no cache outlives the call that made it."""
+
+import sys
+
+import pytest
+
+import bpl.ybcore
+from bpl.cli import run_suite
+from bpl.config import SpectralConfig
+from bpl.dwbc import extract_zbar
+from bpl.functional import FnSampler, check_fz_residual, extract_fbar, fbar_b_ops, spectrum
+
+ORIGINAL = bpl.ybcore.monodromy
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Rapidities of every monodromy build, in call order, counted at every
+    module attribute that holds the function."""
+    seen = []
+
+    def counting(lam, cfg):
+        seen.append(complex(lam))
+        return ORIGINAL(lam, cfg)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bpl") and getattr(module, "monodromy", None) is ORIGINAL:
+            monkeypatch.setattr(module, "monodromy", counting)
+            patched.add(name)
+    assert {"bpl.ybcore", "bpl.functional", "bpl.dwbc"} <= patched
+    return seen
+
+
+def test_extract_zbar_builds_each_node_once(builds):
+    cfg = SpectralConfig.random_instance(4, 0, seed=2)
+    extract_zbar(cfg)
+    # 4 grids of 4 nodes, the 5-node degree grid, and the 4 holdout draws
+    assert len(builds) == len(set(builds)) == 16 + 5 + 4
+
+
+def test_spectrum_builds_each_probe_once(builds):
+    cfg = SpectralConfig.random_instance(4, 2, seed=2)
+    eigs = spectrum(cfg, 2)
+    assert len(eigs) == 6
+    assert len(builds) == len(set(builds)) == 2
+
+
+def test_sector_overlap_fits_share_their_operators(builds):
+    cfg = SpectralConfig.random_instance(4, 2, seed=2)
+    eigs = spectrum(cfg, 2)
+    builds.clear()
+    b_ops = fbar_b_ops(cfg, 2)
+    fits = [extract_fbar(FnSampler(cfg, eig, b_ops)) for eig in eigs]
+    assert len(fits) == 6
+    # two 4-node grids plus the two-variable holdout point, for all six fits
+    assert len(builds) == len(set(builds)) == 4 * 2 + 2
+
+
+def test_functional_relation_builds_each_rapidity_once(builds):
+    cfg = SpectralConfig.random_instance(4, 2, seed=2)
+    sampler = FnSampler(cfg, spectrum(cfg, 2)[0])
+    builds.clear()
+    check_fz_residual(sampler, 0.3 + 0.1j, [-0.2 + 0.05j, 0.5 - 0.2j])
+    assert len(builds) == len(set(builds)) == 3
+
+
+def test_back_to_back_runs_build_alike(builds):
+    counts, residuals = [], []
+    for _ in range(2):
+        builds.clear()
+        report = run_suite(None, "all", overrides={"L": 3, "n": 1, "seed": 4})
+        counts.append(len(builds))
+        residuals.append([c.residual for c in report.checks])
+    assert counts[0] == counts[1] > 0
+    assert residuals[0] == residuals[1]

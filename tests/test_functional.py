@@ -8,7 +8,6 @@ from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import (
     FnSampler,
     check_fz_residual,
-    compute_fn,
     extract_fbar,
     fz_coefficients,
     lambda_bar_coefficients,
@@ -40,11 +39,11 @@ class TestOverlaps:
     def test_vacuum_overlap_sector_selection(self, cfg2):
         eig0 = spectrum(cfg2, 0)[0]
         s0 = FnSampler(cfg2, eig0)
-        assert abs(compute_fn(s0, []) - eig0.left[0]) < 1e-14
+        assert abs(s0.value([]) - eig0.left[0]) < 1e-14
         eig1 = spectrum(cfg2, 1)[0]
         s1 = FnSampler(cfg2, eig1)
         with pytest.warns(UserWarning, match="identically zero"):
-            assert compute_fn(s1, []) == 0.0
+            assert s1.value([]) == 0.0
 
     def test_permutation_symmetry(self, cfg3, rng):
         eig = spectrum(cfg3, 2)[0]

@@ -26,6 +26,23 @@ from bpl.ybcore import (
 from conftest import draw_complex
 
 
+def kron_monodromy(lam, cfg):
+    """Reference build: Kronecker-extend every block by the site blocks of
+    P R(lambda - mu_j), one site at a time."""
+    a, b = np.eye(1, dtype=complex), np.zeros((1, 1), dtype=complex)
+    c, d = np.zeros((1, 1), dtype=complex), np.eye(1, dtype=complex)
+    for mu in cfg.mu:
+        rs = permutation_matrix() @ r_matrix(lam - mu, cfg.gamma).entries
+        aj, bj, cj, dj = rs[0:2, 0:2], rs[0:2, 2:4], rs[2:4, 0:2], rs[2:4, 2:4]
+        a, b, c, d = (
+            np.kron(a, aj) + np.kron(b, cj),
+            np.kron(a, bj) + np.kron(b, dj),
+            np.kron(c, aj) + np.kron(d, cj),
+            np.kron(c, bj) + np.kron(d, dj),
+        )
+    return a, b, c, d
+
+
 class TestRMatrix:
     def test_zero_argument_is_scalar_identity(self, rng):
         g = draw_complex(rng)
@@ -97,6 +114,22 @@ class TestMonodromy:
         m = monodromy(draw_complex(rng), cfg3)
         for op in (m.a, m.b, m.c, m.d):
             assert sector_block_residual(op, cfg3.L) < 1e-12
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_equals_kronecker_reference_exactly(self, L, rng):
+        cfg = SpectralConfig.random_instance(L, 0, seed=L)
+        homogeneous = [cfg.replace(mu=(0.0,) * L, gamma=g) for g in (0.4, 0.7j)]
+        for case in [cfg] + homogeneous:
+            for lam in (draw_complex(rng), draw_complex(rng), 0.0):
+                built = monodromy(lam, case)
+                for block, ref in zip(built, kron_monodromy(lam, case)):
+                    assert np.array_equal(block.entries, ref)
+
+    def test_blocks_are_read_only(self, cfg3, rng):
+        m = monodromy(draw_complex(rng), cfg3)
+        for op in m:
+            with pytest.raises(ValueError, match="read-only"):
+                op.entries[0, 0] = 1.0
 
     def test_capacity_cap(self, monkeypatch):
         monkeypatch.setenv("BPL_MAX_L", "4")
