@@ -14,9 +14,8 @@ from .errors import (
 )
 from .polyengine import (
     MultiPoly,
-    PolyOperator,
+    PdeSpec,
     partial_derivative,
-    poly_eval,
     substitute,
     taylor_substitution,
 )
@@ -50,7 +49,7 @@ from .closedform import (
     eval_v,
     special_solutions,
 )
-from .reduction import ReductionSystem, build_psi, spectral_reduction, upsilon_residual
+from .reduction import build_psi, spectral_reduction, upsilon_apply, upsilon_residual
 from .dwbc import (
     DwbcInstance,
     dwbc_configuration_sum,

@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .config import SpectralConfig, max_dense_length
+from .config import SpectralConfig, check_dense_length, max_dense_length
 from .errors import CapacityError, ConfigError, UnsupportedShapeError
 from .suites import SUITES, CheckRecord, run_checks
 
@@ -78,7 +78,8 @@ def load_config(path: str | None, overrides: dict) -> SpectralConfig:
 
     Flags override file values.  Parameters not pinned by either source are
     drawn from the seed; a mu list of the wrong length is rejected with the
-    field named.
+    field named.  A lattice beyond the dense capacity cap is rejected before
+    anything is drawn; the remaining field checks are ``SpectralConfig``'s.
     """
     data: dict = {}
     if path is not None:
@@ -106,10 +107,7 @@ def load_config(path: str | None, overrides: dict) -> SpectralConfig:
             raise ConfigError(key, f"must be an integer, got {val!r}")
     if not isinstance(tol, (int, float)):
         raise ConfigError("tol", f"must be a number, got {tol!r}")
-    if L < 1:
-        raise ConfigError("L", f"must be positive, got {L}")
-    if not 0 <= n <= L:
-        raise ConfigError("n", f"must satisfy 0 <= n <= L, got n={n}, L={L}")
+    check_dense_length(L)
 
     drawn = SpectralConfig.random_instance(L, n, seed, tol=float(tol))
 
@@ -217,7 +215,6 @@ def run_suite(config_path: str | None, suite: str, out_path: str | None = None,
     if suite != "all" and suite not in SUITES:
         raise ConfigError("suite", f"unknown suite {suite!r}")
     cfg = load_config(config_path, overrides or {})
-    cfg.check_dense_capacity()
     checks = run_checks(suite, cfg)
     report = RunReport(suite=suite, config=_config_echo(cfg), checks=checks)
     if out_path:

@@ -10,6 +10,10 @@ y's and of the x's excluding x_i, with a two-index table psi(l, d) of
 q-dependent weights.  This module evaluates those formulas exactly as
 printed, reproduces the small-lattice solvable cases, and compares the
 resulting operator against the independently extracted family member.
+
+``PdeCoefficients`` holds the coefficient data; ``spectral_pde`` wraps it
+in the ``polyengine.PdeSpec`` through which the residual, the operator and
+the first-order reduction (``reduction``) all evaluate the equation.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from math import factorial
 
 import numpy as np
 
-from .config import SpectralConfig, random_complex
+from .config import SpectralConfig
 from .errors import CoincidentRapiditiesError
 from .functional import circle_grid
 from .omega import OmegaFamily, SymmetricBasis, extract_omegas
-from .polyengine import MultiPoly, partial_derivative, tensor_interpolate
+from .polyengine import MultiPoly, PdeSpec, tensor_interpolate
 
 #: minimum |x_i - x_j| accepted when evaluating the rational coefficients
 X_SEPARATION_GUARD = 1e-7
@@ -40,15 +44,6 @@ def geometric_sum(q: complex, top: int) -> complex:
         out += power
         power *= q
     return out
-
-
-def geometric_sum_closed(q: complex, top: int) -> complex:
-    """Closed form (1 - q^{top+1}) / (1 - q) of the same sum."""
-    if top < 0:
-        return 0.0 + 0.0j
-    if abs(q - 1.0) < 1e-12:
-        return complex(top + 1)
-    return (1 - q ** (top + 1)) / (1 - q)
 
 
 def _parity_sign(p: int) -> float:
@@ -184,11 +179,16 @@ def pde_coefficients(cfg: SpectralConfig) -> PdeCoefficients:
     return PdeCoefficients(cfg, pref * v1, pref * slope, table, e_ys, q_prefactor)
 
 
+def spectral_pde(cfg: SpectralConfig) -> PdeSpec:
+    """The closed-form PDE of the instance, with V and Q_i from one
+    ``PdeCoefficients``."""
+    coeffs = pde_coefficients(cfg)
+    return PdeSpec(cfg.L, cfg.n, coeffs.potential, coeffs.derivative_coeff)
+
+
 def eval_v(cfg: SpectralConfig, xs) -> complex:
-    """Potential V at a point (affine in sum_i x_i)."""
-    q, ys = cfg.q, cfg.ys
-    v1, slope = potential_split(q, ys, cfg.n, cfg.L)
-    return complex(-(2.0**-cfg.L) / cfg.sqrt_y_prod * (v1 + slope * np.sum(xs)))
+    """Potential V at one point, for a single evaluation (see ``eval_q``)."""
+    return pde_coefficients(cfg).potential(xs)
 
 
 def eval_q(cfg: SpectralConfig, i: int, xs) -> complex:
@@ -218,27 +218,11 @@ def closedform_residual(
     cfg: SpectralConfig, fbar: MultiPoly, delta: complex, points: np.ndarray | None = None
 ) -> float:
     """Max residual of the closed-form PDE on a candidate eigenfunction,
-    normalised by the largest participating term."""
-    if cfg.n == 0:
-        v = eval_v(cfg, [])
-        val = complex(fbar.coeffs) if fbar.nvars == 0 else fbar((0.0,) * fbar.nvars)
-        return abs(v * val - delta * val) / max(abs(v * val), abs(delta * val), 1e-300)
+    normalised by the largest participating term (``PdeSpec.residual``).
+    At n = 0 every point is the empty tuple and the equation is V f = Delta f."""
     if points is None:
         points = _distinct_sample_points(cfg, 12, "closedform-points")
-    coeffs = pde_coefficients(cfg)
-    dparts = [partial_derivative(fbar, i, cfg.L - 1) for i in range(cfg.n)]
-    worst = 0.0
-    for xs in points:
-        val = coeffs.potential(xs) * fbar(xs)
-        scale = abs(val)
-        for i in range(cfg.n):
-            term = coeffs.derivative_coeff(i, xs) * dparts[i](xs)
-            val += term
-            scale = max(scale, abs(term))
-        rhs = delta * fbar(xs)
-        scale = max(scale, abs(rhs), 1e-300)
-        worst = max(worst, abs(val - rhs) / scale)
-    return float(worst)
+    return spectral_pde(cfg).residual(fbar, delta, points)
 
 
 def closedform_operator(cfg: SpectralConfig, grids=None) -> tuple[np.ndarray, SymmetricBasis]:
@@ -259,9 +243,9 @@ def closedform_operator(cfg: SpectralConfig, grids=None) -> tuple[np.ndarray, Sy
     tuples = list(iproduct(range(L), repeat=n))
     x_tuples = np.array([[x_grids[i][t[i]] for i in range(n)] for t in tuples])
 
-    coeffs = pde_coefficients(cfg)
-    v_vals = np.array([coeffs.potential(xs) for xs in x_tuples])
-    q_vals = np.array([[coeffs.derivative_coeff(i, xs) for i in range(n)] for xs in x_tuples])
+    spec = spectral_pde(cfg)
+    # column k of the table: V (k = 0) or Q_{k-1} at every grid point
+    coeff_table = np.array([spec.coefficients(xs) for xs in x_tuples])
 
     basis = SymmetricBasis(n, L - 1)
     ns = basis.dim
@@ -270,10 +254,8 @@ def closedform_operator(cfg: SpectralConfig, grids=None) -> tuple[np.ndarray, Sy
         unit = np.zeros(ns)
         unit[col] = 1.0
         p = basis.embed(unit)
-        vals = v_vals * p.eval_many(x_tuples)
-        for i in range(n):
-            dvals = partial_derivative(p, i, L - 1).eval_many(x_tuples)
-            vals += q_vals[:, i] * dvals
+        parts = [p] + spec.derivatives(p)
+        vals = sum(c * g.eval_many(x_tuples) for c, g in zip(coeff_table.T, parts))
         table = tensor_interpolate(vals.reshape((L,) * n), x_grids)
         vec, _ = basis.project(MultiPoly(table))
         mat[:, col] = vec

@@ -36,6 +36,16 @@ def max_dense_length() -> int:
         raise ConfigError("BPL_MAX_L", f"not an integer: {raw!r}") from exc
 
 
+def check_dense_length(L: int):
+    """Raise ``CapacityError`` if dense operators on L sites exceed the cap."""
+    cap = max_dense_length()
+    if L > cap:
+        raise CapacityError(
+            f"lattice length {L} exceeds the dense capacity cap {cap} "
+            "(set BPL_MAX_L to override)"
+        )
+
+
 def random_complex(rng: np.random.Generator, shape=()) -> np.ndarray | complex:
     """Seeded parameter draw: real part in [-1, 1], imaginary in [-0.5, 0.5]."""
     z = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
@@ -112,14 +122,8 @@ class SpectralConfig:
             return np.random.default_rng([self.seed & 0x7FFFFFFF, zlib.crc32(tag.encode())])
         return np.random.default_rng(self.seed & 0x7FFFFFFF)
 
-    def check_dense_capacity(self, length: int | None = None):
-        L = self.L if length is None else length
-        cap = max_dense_length()
-        if L > cap:
-            raise CapacityError(
-                f"lattice length {L} exceeds the dense capacity cap {cap} "
-                "(set BPL_MAX_L to override)"
-            )
+    def check_dense_capacity(self):
+        check_dense_length(self.L)
 
     def replace(self, **kwargs) -> "SpectralConfig":
         data = {

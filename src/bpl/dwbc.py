@@ -10,7 +10,10 @@ symmetric of per-variable degree <= L-1 and satisfies
       - 1/(L-1)! sum_i prod_j abar(x_i, y_j)
           prod_{j != i} abar(x_j, x_i)/bbar(x_j, x_i) d^{L-1}/dx_i^{L-1} ] Zbar = 0
 
-with abar(x, y) = x q - y / q and bbar(x, y) = x - y.
+with abar(x, y) = x q - y / q and bbar(x, y) = x - y.  ``dwbc_upsilon``
+states it as a ``polyengine.PdeSpec`` (Delta = 0), the description the
+spectral PDE also uses; its residual and first-order reduction are the
+shared ones.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import numpy as np
 
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError, CoincidentRapiditiesError
-from .functional import PolyFit, circle_grid
-from .polyengine import MultiPoly, partial_derivative, tensor_interpolate
-from .reduction import ReductionSystem, build_psi, upsilon_residual
+from .functional import PolyFit, circle_grid, fit_grid
+from .polyengine import MultiPoly, PdeSpec, tensor_interpolate
+from .reduction import upsilon_residual
 from .ybcore import monodromy, weight_a, weight_b, weight_c
 
 #: dense-oracle cap for the partition function itself
@@ -177,13 +180,11 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
     for tup in iproduct(range(L), repeat=L):
         lams = [grids[i][tup[i]] for i in range(L)]
         vals[tup] = np.exp((L - 1) * sum(lams)) * _corner([b_grids[i][tup[i]] for i in range(L)])
-    poly = MultiPoly(tensor_interpolate(vals, x_grids))
-
     rng = cfg.rng("zbar-holdout")
     test = [random_complex(rng) for _ in range(L)]
     direct = np.exp((L - 1) * sum(test)) * dwbc_partition(test, cfg)
-    fitted = poly.eval_many(np.exp(2 * np.array([test])))[0]
-    holdout = float(abs(direct - fitted) / max(abs(direct), poly.max_abs(), 1e-300))
+    fit = fit_grid(vals, x_grids, np.exp(2 * np.array(test)), direct)
+    poly = fit.poly
 
     sym_defect = 0.0
     scale = max(poly.max_abs(), 1e-300)
@@ -199,9 +200,6 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
         vals_ext[tup] = np.exp((L - 1) * sum(lams)) * _corner(b_ops)
     ext_coeffs = tensor_interpolate(vals_ext, [np.exp(2 * extra)] + x_grids[1:])
     top = float(np.max(np.abs(ext_coeffs[L])) / scale)
-
-    cond = max(np.linalg.cond(np.vander(xg, L, increasing=True)) for xg in x_grids)
-    fit = PolyFit(poly, float(cond), holdout)
     return DwbcInstance(cfg, poly, fit, sym_defect, top)
 
 
@@ -230,6 +228,22 @@ def dwbc_derivative_coeff(i: int, xs, cfg: SpectralConfig) -> complex:
     return complex(out)
 
 
+def _annulus_points(cfg: SpectralConfig, tag: str, count: int) -> list[np.ndarray]:
+    """Random x-tuples with coordinate i on its own thin annulus, so every
+    pair of coordinates stays separated."""
+    rng = cfg.rng(tag)
+    L = cfg.L
+    return [
+        np.array(
+            [
+                np.exp(0.4 * (i / L - 0.5) + 0.05 * rng.uniform(-1, 1) + 1j * rng.uniform(0, 2 * np.pi))
+                for i in range(L)
+            ]
+        )
+        for _ in range(count)
+    ]
+
+
 def dwbc_pde_residual(
     cfg: SpectralConfig, instance: DwbcInstance | None = None, npoints: int = 10
 ) -> float:
@@ -240,38 +254,19 @@ def dwbc_pde_residual(
     """
     if instance is None:
         instance = extract_zbar(cfg)
-    zbar = instance.zbar
-    L = cfg.L
-    rng = cfg.rng("dwbc-points")
-    dparts = [partial_derivative(zbar, i, L - 1) for i in range(L)]
-    worst = 0.0
-    for _ in range(npoints):
-        # disjoint annuli keep all coordinate pairs separated
-        xs = np.array(
-            [
-                np.exp(0.4 * (i / L - 0.5) + 0.05 * rng.uniform(-1, 1) + 1j * rng.uniform(0, 2 * np.pi))
-                for i in range(L)
-            ]
-        )
-        val = dwbc_potential(xs, cfg) * zbar(xs)
-        scale = abs(val)
-        for i in range(L):
-            term = dwbc_derivative_coeff(i, xs, cfg) * dparts[i](xs)
-            val += term
-            scale = max(scale, abs(term))
-        worst = max(worst, abs(val) / max(scale, 1e-300))
-    return float(worst)
+    points = _annulus_points(cfg, "dwbc-points", npoints)
+    return dwbc_upsilon(cfg).residual(instance.zbar, 0.0, points)
 
 
-def dwbc_upsilon(cfg: SpectralConfig) -> ReductionSystem:
-    """First-order reduction of the domain-wall PDE.
+def dwbc_upsilon(cfg: SpectralConfig) -> PdeSpec:
+    """The domain-wall PDE, whose first-order reduction is Upsilon_DW.
 
     Same block layout as the spectral reduction under the replacements
     eigenvalue -> 0, potential -> sum_i abar(x_i, y_i), derivative
     coefficients -> the domain-wall ones, and n -> L; the block vector has
     dimension L(L-2) + 1.
     """
-    return ReductionSystem(
+    return PdeSpec(
         length=cfg.L,
         nvars=cfg.L,
         potential=lambda xs: dwbc_potential(xs, cfg),
@@ -286,15 +281,7 @@ def dwbc_upsilon_residual(
     if instance is None:
         instance = extract_zbar(cfg)
     system = dwbc_upsilon(cfg)
-    rng = cfg.rng("dwbc-upsilon-points")
-    L = cfg.L
     worst = 0.0
-    for _ in range(npoints):
-        xs = np.array(
-            [
-                np.exp(0.4 * (i / L - 0.5) + 0.05 * rng.uniform(-1, 1) + 1j * rng.uniform(0, 2 * np.pi))
-                for i in range(L)
-            ]
-        )
+    for xs in _annulus_points(cfg, "dwbc-upsilon-points", npoints):
         worst = max(worst, upsilon_residual(system, instance.zbar, 0.0, xs))
     return float(worst)

@@ -39,6 +39,7 @@ __all__ = [
     "circle_grid",
     "extract_fbar",
     "fbar_b_ops",
+    "fit_grid",
     "fz_coefficients",
     "lambda_bar_coefficients",
     "lambda_grid",
@@ -192,6 +193,22 @@ class PolyFit:
     holdout_residual: float
 
 
+def fit_grid(values: np.ndarray, x_grids, held_x, held_value: complex) -> PolyFit:
+    """Interpolate tensor-grid samples and validate the fit at one held-out
+    point.
+
+    ``values`` holds the samples on the grid spanned by the per-variable
+    nodes ``x_grids``; ``held_value`` is the sampled function at ``held_x``.
+    The holdout residual is |direct - fitted| / max(|direct|, max |coeff|),
+    and the condition number is the largest per-axis Vandermonde one.
+    """
+    poly = MultiPoly(tensor_interpolate(values, x_grids))
+    fitted = poly.eval_many(np.asarray(held_x)[None, :])[0]
+    holdout = abs(held_value - fitted) / max(abs(held_value), poly.max_abs(), 1e-300)
+    cond = max(grid_condition(xg) for xg in x_grids)
+    return PolyFit(poly, cond, float(holdout))
+
+
 def _default_fbar_grids(cfg: SpectralConfig, n: int) -> list[np.ndarray]:
     return [lambda_grid(cfg.L, slot=i, nslots=n) for i in range(n)]
 
@@ -236,15 +253,9 @@ def extract_fbar(sampler: FnSampler, grids: list[np.ndarray] | None = None) -> P
     for tup in iproduct(range(cfg.L), repeat=n):
         lams = [grids[i][tup[i]] for i in range(n)]
         vals[tup] = np.exp((cfg.L - 1) * sum(lams)) * sampler.value(lams)
-    coeffs = tensor_interpolate(vals, xgrids)
-    poly = MultiPoly(coeffs)
-
     test = _fbar_holdout_point(cfg, n)
     direct = np.exp((cfg.L - 1) * sum(test)) * sampler.value(test)
-    fitted = poly.eval_many(np.exp(2 * np.array([test])))[0]
-    holdout = abs(direct - fitted) / max(abs(direct), poly.max_abs(), 1e-300)
-    cond = max(grid_condition(xg) for xg in xgrids)
-    return PolyFit(poly, cond, float(holdout))
+    return fit_grid(vals, xgrids, np.exp(2 * np.array(test)), direct)
 
 
 def lambda_bar_coefficients(

@@ -34,6 +34,7 @@ from .functional import (
     circle_grid,
     extract_fbar,
     fbar_b_ops,
+    fit_grid,
     fz_coefficients,
     lambda_bar_coefficients,
     spectrum,
@@ -119,10 +120,6 @@ class LbarOperator:
 
     def omega(self, k: int) -> np.ndarray:
         return self.coefficient_matrices[k]
-
-    def apply(self, vec: np.ndarray, x0: complex) -> np.ndarray:
-        powers = x0 ** np.arange(self.cfg.L + 1)
-        return np.tensordot(powers, self.coefficient_matrices, axes=(0, 0)) @ vec
 
 
 def _lbar_grids(cfg: SpectralConfig, n: int):
@@ -253,13 +250,9 @@ def action_polynomiality_residual(cfg: SpectralConfig, exponents, symmetrize: bo
     vals = np.zeros((L,) * n, dtype=complex)
     for tup in iproduct(range(L), repeat=n):
         vals[tup] = act(probe, [lam_grids[i][tup[i]] for i in range(n)])
-    fit = MultiPoly(tensor_interpolate(vals, x_grids))
-
     rng = cfg.rng("monomial-holdout")
     held = np.array([random_complex(rng) for _ in range(n)])
-    direct = act(probe, held)
-    fitted = fit.eval_many(np.exp(2 * held[None, :]))[0]
-    return float(abs(direct - fitted) / max(abs(direct), fit.max_abs(), 1e-300))
+    return fit_grid(vals, x_grids, np.exp(2 * held), act(probe, held)).holdout_residual
 
 
 # -- the family and its spectra ----------------------------------------------------

@@ -1,14 +1,16 @@
 """Dense multivariate polynomial arithmetic on degree-bounded spaces.
 
 A polynomial in ``n`` variables with per-variable degree bound ``m`` is a
-coefficient tensor of shape ``(m+1,)*n``; flattening that tensor in C order
-is the lexicographic monomial order used by every operator matrix here.
+coefficient tensor of shape ``(m+1,)*n``.  ``PdeSpec`` is the
+one description of the order-(L-1) linear PDE that the closed form, its
+first-order reduction and the domain-wall equation share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +56,17 @@ class MultiPoly:
         return p
 
     def __call__(self, point) -> complex:
-        return poly_eval(self, point)
+        """Evaluate by Horner recursion over one variable at a time."""
+        point = [complex(z) for z in (point if np.ndim(point) else [point])] if self.nvars else []
+        if len(point) != self.nvars:
+            raise ValueError(f"point must have {self.nvars} coordinates")
+        acc = self.coeffs
+        for z in reversed(point):
+            out = acc[..., -1]
+            for k in range(acc.shape[-1] - 2, -1, -1):
+                out = out * z + acc[..., k]
+            acc = out
+        return complex(acc)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorised evaluation; ``points`` has shape (npoints, nvars)."""
@@ -82,20 +94,6 @@ class MultiPoly:
         return MultiPoly(self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-
-def poly_eval(p: MultiPoly, point) -> complex:
-    """Evaluate by Horner recursion over one variable at a time."""
-    point = [complex(z) for z in (point if np.ndim(point) else [point])] if p.nvars else []
-    if len(point) != p.nvars:
-        raise ValueError(f"point must have {p.nvars} coordinates")
-    acc = p.coeffs
-    for z in reversed(point):
-        out = acc[..., -1]
-        for k in range(acc.shape[-1] - 2, -1, -1):
-            out = out * z + acc[..., k]
-        acc = out
-    return complex(acc)
 
 
 def partial_derivative(p: MultiPoly, i: int, order: int = 1) -> MultiPoly:
@@ -167,93 +165,70 @@ def taylor_substitution(p: MultiPoly, i: int, alpha: complex) -> MultiPoly:
     return MultiPoly(acc)
 
 
-# -- linear maps in the monomial basis ----------------------------------------
+# -- the order-(L-1) linear PDE ---------------------------------------------------
 
 @dataclass(frozen=True)
-class PolyOperator:
-    """Linear map on the bounded polynomial space, stored in the
-    lexicographic monomial basis."""
+class PdeSpec:
+    """The equation [ V + sum_i Q_i d^{L-1}/dx_i^{L-1} ] F = Delta F.
 
-    nvars: int
-    degree_bound: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = (self.degree_bound + 1) ** self.nvars
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim}, got {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return (self.degree_bound + 1) ** self.nvars
-
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        if p.nvars != self.nvars or p.degree_bound != self.degree_bound:
-            raise ValueError("operator and polynomial live on different spaces")
-        out = self.matrix @ p.coeffs.ravel()
-        return MultiPoly(out.reshape(p.coeffs.shape))
-
-    @classmethod
-    def identity(cls, nvars: int, degree_bound: int) -> "PolyOperator":
-        dim = (degree_bound + 1) ** nvars
-        return cls(nvars, degree_bound, np.eye(dim, dtype=complex))
-
-    @classmethod
-    def from_action(cls, nvars: int, degree_bound: int, action) -> "PolyOperator":
-        """Assemble the matrix column by column from a MultiPoly -> MultiPoly map."""
-        dim = (degree_bound + 1) ** nvars
-        mat = np.zeros((dim, dim), dtype=complex)
-        shape = (degree_bound + 1,) * nvars
-        for col in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[col] = 1.0
-            mat[:, col] = action(MultiPoly(e.reshape(shape))).coeffs.ravel()
-        return cls(nvars, degree_bound, mat)
-
-
-def derivative_operator(nvars: int, degree_bound: int, i: int, order: int = 1) -> PolyOperator:
-    return PolyOperator.from_action(
-        nvars, degree_bound, lambda p: partial_derivative(p, i, order)
-    )
-
-
-def substitution_operator_poly(nvars: int, degree_bound: int, i: int) -> list[PolyOperator]:
-    """Variable replacement with a symbolic target, as an operator-valued
-    polynomial: returns [S_0, ..., S_m] with  D = sum_j alpha^j S_j  for any
-    replacement value alpha.
-
-    Obtained by expanding (alpha - z_i)^k in the differential realization and
-    collecting powers of alpha.
+    The closed-form spectral PDE, its first-order reduction and the
+    domain-wall equation (Delta = 0) differ only in their coefficients, so
+    this is the one description all of them evaluate.  ``nvars`` is the
+    number of variables (n for the spectral problem, L for domain walls),
+    ``length`` the lattice length L fixing the derivative order L-1, and
+    ``potential(xs)`` and ``derivative_coeff(i, xs)`` evaluate V and Q_i at
+    a point.
     """
-    m = degree_bound
-    shape = (m + 1,) * nvars
-    dim = (m + 1) ** nvars
 
-    def shift_mul(coeffs: np.ndarray, power: int) -> np.ndarray:
-        # multiply by z_i^power (exact here: inputs were differentiated first)
-        out = np.zeros_like(coeffs)
-        if power == 0:
-            return coeffs.copy()
-        idx_src = [slice(None)] * nvars
-        idx_dst = [slice(None)] * nvars
-        idx_src[i] = slice(0, m + 1 - power)
-        idx_dst[i] = slice(power, m + 1)
-        out[tuple(idx_dst)] = coeffs[tuple(idx_src)]
-        return out
+    length: int
+    nvars: int
+    potential: Callable[[np.ndarray], complex]
+    derivative_coeff: Callable[[int, np.ndarray], complex]
 
-    mats = [np.zeros((dim, dim), dtype=complex) for _ in range(m + 1)]
-    for col in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[col] = 1.0
-        p = MultiPoly(e.reshape(shape))
-        for k in range(m + 1):
-            dk = partial_derivative(p, i, k).coeffs
-            for j in range(k + 1):
-                coef = comb(k, j) * (-1.0) ** (k - j) / factorial(k)
-                mats[j][:, col] += coef * shift_mul(dk, k - j).ravel()
-    return [PolyOperator(nvars, m, mat) for mat in mats]
+    def derivatives(self, f: MultiPoly) -> list[MultiPoly]:
+        """d^{L-1} f / dx_i^{L-1} for every variable, in order."""
+        return [partial_derivative(f, i, self.length - 1) for i in range(self.nvars)]
+
+    def coefficients(self, point) -> list[complex]:
+        """[V, Q_0, ..., Q_{nvars-1}] at one point."""
+        point = np.asarray(point, dtype=complex)
+        return [self.potential(point)] + [
+            self.derivative_coeff(i, point) for i in range(self.nvars)
+        ]
+
+    def terms(self, f: MultiPoly, point, derivs=None) -> list[complex]:
+        """The left-hand-side terms [V f, Q_0 d_0^{L-1} f, ...] at one point.
+
+        ``derivs`` takes ``derivatives(f)`` when many points share them.
+        """
+        point = np.asarray(point, dtype=complex)
+        if derivs is None:
+            derivs = self.derivatives(f)
+        return [c * g(point) for c, g in zip(self.coefficients(point), [f] + derivs)]
+
+    def balance(self, f: MultiPoly, delta: complex, point, derivs=None) -> tuple[complex, float]:
+        """``(V f + sum_i Q_i d_i^{L-1} f - Delta f, scale)`` at one point,
+        where the scale is the largest magnitude among the terms and
+        Delta f (floored at 1e-300) and normalises every residual."""
+        point = np.asarray(point, dtype=complex)
+        terms = self.terms(f, point, derivs)
+        rhs = delta * f(point)
+        scale = max(*(abs(t) for t in terms), abs(rhs), 1e-300)
+        return sum(terms) - rhs, scale
+
+    def pde_row(self, f: MultiPoly, delta: complex, point) -> complex:
+        """The unreduced equation's value at one point (the equivalence
+        handle for the first-order reduction's top row)."""
+        return complex(self.balance(f, delta, point)[0])
+
+    def residual(self, f: MultiPoly, delta: complex, points) -> float:
+        """Largest normalised defect ``|balance| / scale`` over the points."""
+        derivs = self.derivatives(f)
+        worst = 0.0
+        for point in points:
+            defect, scale = self.balance(f, delta, point, derivs)
+            worst = max(worst, abs(defect) / scale)
+        return float(worst)
 
 
 # -- tensor-grid interpolation ---------------------------------------------------

@@ -14,19 +14,22 @@ and defining rows d_i psi_i^(k-1) - psi_i^(k) = 0 arranged block-bidiagonally
 multiplies the scalar head and the derivative coefficients sit in the top row;
 the same layout, with remapped coefficients, also serves the domain-wall
 system.
+
+The PDE itself (its order, variable count and coefficients V, Q_i) is the
+``polyengine.PdeSpec`` shared with ``closedform`` and ``dwbc``; this module
+adds only the block rows built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .closedform import eval_v, pde_coefficients
+from .closedform import spectral_pde
 from .config import SpectralConfig
 from .errors import UnsupportedShapeError
-from .polyengine import MultiPoly, partial_derivative
+from .polyengine import MultiPoly, PdeSpec, partial_derivative
 
 
 @dataclass
@@ -71,96 +74,46 @@ def build_psi(fbar: MultiPoly, cfg: SpectralConfig) -> PsiVector:
     return _derivative_chain(fbar, cfg.L)
 
 
-@dataclass
-class ReductionSystem:
-    """The block system for one coefficient assignment.
+def upsilon_apply(system: PdeSpec, psi: PsiVector, delta: complex, point) -> np.ndarray:
+    """All rows of Upsilon psi at one sample point.
 
-    ``potential`` and ``derivative_coeff`` evaluate the PDE coefficients at a
-    point; ``nvars`` is the number of variables (n for the spectral problem,
-    L for domain walls) and ``length`` the lattice length fixing the block
-    count.
+    Row 0 is the PDE row; the remaining rows are the defining relations
+    in block order.  For a chain built by ``build_psi`` the defining rows
+    vanish identically and only roundoff survives.
     """
-
-    length: int
-    nvars: int
-    potential: Callable[[np.ndarray], complex]
-    derivative_coeff: Callable[[int, np.ndarray], complex]
-
-    @property
-    def dim(self) -> int:
-        return block_dimensions(self.length, self.nvars)[0]
-
-    def upsilon_apply(self, psi: PsiVector, delta: complex, point) -> np.ndarray:
-        """All rows of Upsilon psi at one sample point.
-
-        Row 0 is the PDE row; the remaining rows are the defining relations
-        in block order.  For a chain built by ``build_psi`` the defining rows
-        vanish identically and only roundoff survives.
-        """
-        point = np.asarray(point, dtype=complex)
-        if psi.dim != self.dim:
-            raise UnsupportedShapeError(
-                f"psi has dimension {psi.dim}, system expects {self.dim}"
-            )
-        n = self.nvars
-        rows = np.zeros(self.dim, dtype=complex)
-        top = psi.top_block()
-        rows[0] = (self.potential(point) - delta) * psi.head(point)
+    point = np.asarray(point, dtype=complex)
+    dim = block_dimensions(system.length, system.nvars)[0]
+    if psi.dim != dim:
+        raise UnsupportedShapeError(
+            f"psi has dimension {psi.dim}, system expects {dim}"
+        )
+    n = system.nvars
+    rows = np.zeros(dim, dtype=complex)
+    top = psi.top_block()
+    rows[0] = (system.potential(point) - delta) * psi.head(point)
+    for i in range(n):
+        rows[0] += system.derivative_coeff(i, point) * partial_derivative(top[i], i, 1)(point)
+    r = 1
+    prev: list[MultiPoly] = [psi.head] * n
+    for block in psi.blocks:
         for i in range(n):
-            rows[0] += self.derivative_coeff(i, point) * partial_derivative(top[i], i, 1)(point)
-        r = 1
-        prev: list[MultiPoly] = [psi.head] * n
-        for block in psi.blocks:
-            for i in range(n):
-                rows[r] = partial_derivative(prev[i], i, 1)(point) - block[i](point)
-                r += 1
-            prev = block
-        return rows
-
-    def pde_row(self, fbar: MultiPoly, delta: complex, point) -> complex:
-        """Top-row value computed directly from the unknown (the equivalence
-        handle against the unreduced equation)."""
-        point = np.asarray(point, dtype=complex)
-        val = (self.potential(point) - delta) * fbar(point)
-        for i in range(self.nvars):
-            val += self.derivative_coeff(i, point) * partial_derivative(
-                fbar, i, self.length - 1
-            )(point)
-        return complex(val)
+            rows[r] = partial_derivative(prev[i], i, 1)(point) - block[i](point)
+            r += 1
+        prev = block
+    return rows
 
 
-def spectral_reduction(cfg: SpectralConfig) -> ReductionSystem:
-    """Reduction system with the spectral-problem coefficients."""
+def spectral_reduction(cfg: SpectralConfig) -> PdeSpec:
+    """The closed-form spectral PDE, after checking that its reduction
+    exists (L >= 3)."""
     block_dimensions(cfg.L, cfg.n)
-    return ReductionSystem(
-        length=cfg.L,
-        nvars=cfg.n,
-        potential=lambda xs: eval_v(cfg, xs),
-        derivative_coeff=pde_coefficients(cfg).derivative_coeff,
-    )
+    return spectral_pde(cfg)
 
 
-def upsilon_residual(
-    system: ReductionSystem, fbar: MultiPoly, delta: complex, point
-) -> float:
+def upsilon_residual(system: PdeSpec, fbar: MultiPoly, delta: complex, point) -> float:
     """Max row magnitude of Upsilon psi at a point, normalised by the
     largest term entering the PDE row."""
     psi = _derivative_chain(fbar, system.length)
-    rows = system.upsilon_apply(psi, delta, point)
-    point = np.asarray(point, dtype=complex)
-    scale = max(
-        abs(system.potential(point) * fbar(point)),
-        abs(delta * fbar(point)),
-        max(
-            (
-                abs(
-                    system.derivative_coeff(i, point)
-                    * partial_derivative(fbar, i, system.length - 1)(point)
-                )
-                for i in range(system.nvars)
-            ),
-            default=0.0,
-        ),
-        1e-300,
-    )
+    rows = upsilon_apply(system, psi, delta, point)
+    _, scale = system.balance(fbar, delta, point)
     return float(np.max(np.abs(rows)) / scale)

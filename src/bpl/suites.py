@@ -294,7 +294,7 @@ def suite_reduce(cfg: SpectralConfig) -> list[CheckRecord]:
         delta = random_complex(rng)
         point = closedform._distinct_sample_points(cfg, 1, "reduce-equivalence")[0]
         psi = reduction.build_psi(fbar, cfg)
-        row = system.upsilon_apply(psi, delta, point)[0]
+        row = reduction.upsilon_apply(system, psi, delta, point)[0]
         direct = system.pde_row(fbar, delta, point)
         worst = max(worst, abs(row - direct) / max(abs(direct), 1e-300))
     rec.add("pde-row-equivalence", worst, 1e-12, t0)
@@ -341,7 +341,7 @@ def suite_dwbc_upsilon(cfg: SpectralConfig) -> list[CheckRecord]:
     t0 = time.perf_counter()
     instance = dwbc.extract_zbar(cfg)
     rec.add("dwbc-upsilon-residual", dwbc.dwbc_upsilon_residual(cfg, instance), 1e-8, t0,
-            dimension=dwbc.dwbc_upsilon(cfg).dim)
+            dimension=reduction.block_dimensions(cfg.L, cfg.L)[0])
     return rec.records
 
 

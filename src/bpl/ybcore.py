@@ -66,15 +66,10 @@ def _require_finite(*vals: complex):
 
 @dataclass
 class DenseOperator:
-    """Dense complex square matrix, optionally tagged with its S^z behaviour.
-
-    ``sector`` is the change in down-spin count the operator induces: 0 for
-    operators preserving S^z, +1 for one spin lowered (B), -1 for one raised
-    (C).  ``None`` means no sector bookkeeping.
-    """
+    """Dense complex square matrix of power-of-two dimension with finite
+    entries."""
 
     entries: np.ndarray
-    sector: int | None = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -183,10 +178,7 @@ def monodromy(lam: complex, cfg: SpectralConfig) -> MonodromyEntries:
                 np.multiply(old, w, out=new[:, s, :, t])
         a, b, cc, d = (blk.reshape(2 * k, 2 * k) for blk in (na, nb, nc, nd))
     out = MonodromyEntries(
-        DenseOperator(a, sector=0),
-        DenseOperator(b, sector=+1),
-        DenseOperator(cc, sector=-1),
-        DenseOperator(d, sector=0),
+        DenseOperator(a), DenseOperator(b), DenseOperator(cc), DenseOperator(d)
     )
     for op in out:
         op.entries.setflags(write=False)
@@ -196,7 +188,7 @@ def monodromy(lam: complex, cfg: SpectralConfig) -> MonodromyEntries:
 def transfer(lam: complex, cfg: SpectralConfig) -> DenseOperator:
     """Transfer matrix T(lambda) = A(lambda) + D(lambda)."""
     m = monodromy(lam, cfg)
-    return DenseOperator(m.a.entries + m.d.entries, sector=0)
+    return DenseOperator(m.a.entries + m.d.entries)
 
 
 def _aux_product(m1: np.ndarray, m2: np.ndarray, d: int) -> np.ndarray:
@@ -243,7 +235,7 @@ def b_product(lams, cfg: SpectralConfig) -> DenseOperator:
     out = np.eye(cfg.quantum_dim, dtype=complex)
     for lam in lams:
         out = out @ monodromy(lam, cfg).b.entries
-    return DenseOperator(out, sector=len(lams))
+    return DenseOperator(out)
 
 
 # -- higher-degree exchange relations ------------------------------------------
@@ -303,30 +295,33 @@ def check_off_relations(lam0: complex, lams, cfg: SpectralConfig) -> OffRelation
         ops.setdefault(l, monodromy(l, cfg))
 
     def bprod(ls):
-        out = np.eye(cfg.quantum_dim, dtype=complex)
-        for l in ls:
+        out = ops[ls[0]].b.entries
+        for l in ls[1:]:
             out = out @ ops[l].b.entries
         return out
 
-    x_full = bprod(lams)
+    x_full = bprod(lams) if lams else np.eye(cfg.quantum_dim, dtype=complex)
+    m0 = {"a": ma0, "d": md0}
+    mlist = {"a": ma, "d": md}
+    lhs = {k: getattr(ops[lam0], k).entries @ x_full for k in "ad"}
+    rhs = {k: m0[k] * (x_full @ getattr(ops[lam0], k).entries) for k in "ad"}
+    # each product B(lam0) prod_{t != i} B(l_t) is built once, serves both
+    # lines, and is dropped before the next one is built
+    for i, l in enumerate(lams):
+        swapped = bprod([lam0] + lams[:i] + lams[i + 1:])
+        for k in "ad":
+            rhs[k] = rhs[k] - mlist[k][i] * (swapped @ getattr(ops[l], k).entries)
+        del swapped
 
-    def one_line(block: str, m0, mlist):
-        op0 = getattr(ops[lam0], block).entries
-        lhs = op0 @ x_full
-        rhs = m0 * (x_full @ op0)
-        for i, l in enumerate(lams):
-            rest = [t for j, t in enumerate(lams) if j != i]
-            rhs = rhs - mlist[i] * (bprod([lam0] + rest) @ getattr(ops[l], block).entries)
-        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-        return lhs, rhs, float(np.max(np.abs(lhs - rhs)) / scale)
+    def relative(left, right) -> float:
+        scale = max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300)
+        return float(np.max(np.abs(left - right)) / scale)
 
-    lhs_a, rhs_a, res_a = one_line("a", ma0, ma)
-    lhs_d, rhs_d, res_d = one_line("d", md0, md)
-    lhs_t = lhs_a + lhs_d
-    rhs_t = rhs_a + rhs_d
-    scale_t = max(np.max(np.abs(lhs_t)), np.max(np.abs(rhs_t)), 1e-300)
-    res_t = float(np.max(np.abs(lhs_t - rhs_t)) / scale_t)
-    return OffRelationResiduals(res_a, res_d, res_t)
+    return OffRelationResiduals(
+        relative(lhs["a"], rhs["a"]),
+        relative(lhs["d"], rhs["d"]),
+        relative(lhs["a"] + lhs["d"], rhs["a"] + rhs["d"]),
+    )
 
 
 # -- S^z sectors and spectra -----------------------------------------------------
@@ -336,12 +331,12 @@ def sector_indices(L: int, sector: int) -> np.ndarray:
     return np.array([i for i in range(2**L) if bin(i).count("1") == sector], dtype=int)
 
 
-def sector_block_residual(op: DenseOperator, L: int) -> float:
-    """Largest entry outside the declared S^z block structure, relative."""
-    if op.sector is None:
-        raise ValueError("operator carries no sector metadata")
+def sector_block_residual(op: DenseOperator, L: int, shift: int) -> float:
+    """Largest entry outside the S^z block structure of an operator that
+    changes the down-spin count by ``shift`` (0 for A, D and T, +1 for B,
+    -1 for C), relative to the largest entry."""
     pop = np.array([bin(i).count("1") for i in range(2**L)])
-    mask = pop[:, None] != pop[None, :] + op.sector
+    mask = pop[:, None] != pop[None, :] + shift
     scale = max(np.max(np.abs(op.entries)), 1e-300)
     leak = np.max(np.abs(op.entries[mask])) if mask.any() else 0.0
     return float(leak / scale)

@@ -17,6 +17,7 @@ from bpl.dwbc import (
 )
 from bpl.errors import CapacityError
 from bpl.polyengine import partial_derivative
+from bpl.reduction import block_dimensions
 from bpl.ybcore import weight_c
 
 from conftest import draw_complex
@@ -151,15 +152,16 @@ class TestReduction:
     def test_vector_dimension(self):
         for L in (3, 4, 5):
             cfg = SpectralConfig.random_instance(L, 0, seed=45 + L)
-            assert dwbc_upsilon(cfg).dim == L * (L - 2) + 1
+            system = dwbc_upsilon(cfg)
+            assert block_dimensions(system.length, system.nvars)[0] == L * (L - 2) + 1
 
     def test_defining_rows_vanish(self, rng):
-        from bpl.reduction import build_psi
+        from bpl.reduction import build_psi, upsilon_apply
 
         cfg = SpectralConfig.random_instance(3, 0, seed=50)
         inst = extract_zbar(cfg)
         system = dwbc_upsilon(cfg)
         psi = build_psi(inst.zbar, cfg)
         xs = np.exp(2 * np.array([0.1, 0.4 + 0.2j, -0.3 + 0.1j]))
-        rows = system.upsilon_apply(psi, 0.0, xs)
+        rows = upsilon_apply(system, psi, 0.0, xs)
         assert np.max(np.abs(rows[1:])) < 1e-12 * max(1, inst.zbar.max_abs())

@@ -50,7 +50,8 @@ class TestLbar:
         for _ in range(4):
             lam0 = draw_complex(rng)
             x0 = np.exp(2 * lam0)
-            lhs = lbar.apply(vec, x0)
+            powers = x0 ** np.arange(cfg.L + 1)
+            lhs = np.tensordot(powers, lbar.coefficient_matrices, axes=(0, 0)) @ vec
             lam_bar = np.polyval(deltas[::-1], x0)
             assert np.max(np.abs(lhs - lam_bar * vec)) < 1e-9 * max(
                 abs(lam_bar) * np.max(np.abs(vec)), 1e-30

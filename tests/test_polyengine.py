@@ -1,18 +1,15 @@
-"""Polynomial engine: evaluation, derivatives, and the two realizations of
-variable substitution."""
+"""Polynomial engine: evaluation, derivatives, the two realizations of
+variable substitution, and the shared PDE description."""
 
 import numpy as np
 import pytest
 
 from bpl.polyengine import (
     MultiPoly,
-    PolyOperator,
-    derivative_operator,
+    PdeSpec,
     grid_condition,
     partial_derivative,
-    poly_eval,
     substitute,
-    substitution_operator_poly,
     taylor_substitution,
     tensor_interpolate,
 )
@@ -39,24 +36,24 @@ def naive_eval(p, point):
 class TestEvaluation:
     def test_constant(self):
         p = MultiPoly.constant(3, 2, 1.0)
-        assert poly_eval(p, (4.0, -2.0, 1j)) == 1.0
+        assert p((4.0, -2.0, 1j)) == 1.0
 
     def test_bilinear_monomial(self):
         p = MultiPoly.monomial(2, 1, (1, 1))
-        assert poly_eval(p, (2.0, 3.0)) == pytest.approx(6.0)
+        assert p((2.0, 3.0)) == pytest.approx(6.0)
 
     def test_matches_naive_monomial_sum(self, rng):
         for _ in range(20):
             p = random_poly(rng, 3, 3)
             pt = draw_complex(rng, 3)
-            assert abs(poly_eval(p, pt) - naive_eval(p, pt)) < 1e-13 * max(1, abs(naive_eval(p, pt)))
+            assert abs(p(pt) - naive_eval(p, pt)) < 1e-13 * max(1, abs(naive_eval(p, pt)))
 
     def test_eval_many_matches_scalar(self, rng):
         p = random_poly(rng, 2, 4)
         pts = draw_complex(rng, (7, 2))
         many = p.eval_many(pts)
         for k in range(7):
-            assert abs(many[k] - poly_eval(p, pts[k])) < 1e-12
+            assert abs(many[k] - p(pts[k])) < 1e-12
 
 
 class TestDerivative:
@@ -78,8 +75,8 @@ class TestDerivative:
             for i in range(2):
                 step = np.zeros(2, dtype=complex)
                 step[i] = h
-                fd = (poly_eval(p, pt + step) - poly_eval(p, pt - step)) / (2 * h)
-                assert abs(fd - poly_eval(partial_derivative(p, i), pt)) < 1e-8
+                fd = (p(pt + step) - p(pt - step)) / (2 * h)
+                assert abs(fd - partial_derivative(p, i)(pt)) < 1e-8
 
     def test_degree_bound_preserved(self, rng):
         p = random_poly(rng, 2, 3)
@@ -98,7 +95,7 @@ class TestSubstitution:
         p = random_poly(rng, 2, 3)
         pt = draw_complex(rng, 2)
         s = substitute(p, 0, pt[0])
-        assert abs(poly_eval(s, pt) - poly_eval(p, pt)) < 1e-12 * max(1, abs(poly_eval(p, pt)))
+        assert abs(s(pt) - p(pt)) < 1e-12 * max(1, abs(p(pt)))
 
     def test_matches_pinned_evaluation(self, rng):
         for _ in range(10):
@@ -108,8 +105,8 @@ class TestSubstitution:
             s = substitute(p, 1, alpha)
             pinned = np.array(pt, dtype=complex)
             pinned[1] = alpha
-            assert abs(poly_eval(s, pt) - poly_eval(p, pinned)) < 1e-13 * max(
-                1, abs(poly_eval(p, pinned))
+            assert abs(s(pt) - p(pinned)) < 1e-13 * max(
+                1, abs(p(pinned))
             )
 
     def test_collapses_degree(self, rng):
@@ -131,7 +128,7 @@ class TestTaylorRealization:
         p = random_poly(rng, 2, 2)
         pt = draw_complex(rng, 2)
         t = taylor_substitution(p, 0, pt[0])
-        assert abs(poly_eval(t, pt) - poly_eval(p, pt)) < 1e-12
+        assert abs(t(pt) - p(pt)) < 1e-12
 
     def test_agrees_with_substitute(self, rng):
         for _ in range(200):
@@ -162,37 +159,27 @@ class TestTaylorRealization:
         assert np.max(np.abs(lhs_t.coeffs - rhs.coeffs)) < 1e-11 * max(1, rhs.max_abs())
 
 
-class TestOperators:
-    def test_derivative_operator_matches_function(self, rng):
-        p = random_poly(rng, 2, 3)
-        op = derivative_operator(2, 3, 0, order=2)
-        assert np.allclose(op.apply(p).coeffs, partial_derivative(p, 0, 2).coeffs)
+class TestPdeSpec:
+    def test_terms_and_balance_follow_the_equation(self, rng):
+        # [V + sum_i Q_i d_i^2] f = Delta f with V = x_0 + x_1, Q_i = x_i^2 + i
+        spec = PdeSpec(3, 2, lambda xs: complex(np.sum(xs)), lambda i, xs: xs[i] ** 2 + i)
+        f = random_poly(rng, 2, 2)
+        pt, delta = draw_complex(rng, 2), draw_complex(rng)
+        d2 = [partial_derivative(f, i, 2) for i in range(2)]
+        expect = [(pt[0] + pt[1]) * f(pt), pt[0] ** 2 * d2[0](pt), (pt[1] ** 2 + 1) * d2[1](pt)]
+        assert np.allclose(spec.terms(f, pt), expect, rtol=1e-14, atol=0)
+        row, scale = spec.balance(f, delta, pt)
+        assert scale == pytest.approx(max(*(abs(t) for t in expect), abs(delta * f(pt))))
+        assert abs(row - (sum(expect) - delta * f(pt))) < 1e-13 * scale
+        assert spec.pde_row(f, delta, pt) == row
 
-    def test_matrix_vector_consistency(self, rng):
-        # applying through the matrix equals evaluating the mapped polynomial
-        op = derivative_operator(2, 2, 1)
-        p = random_poly(rng, 2, 2)
-        pt = draw_complex(rng, 2)
-        assert abs(poly_eval(op.apply(p), pt) - poly_eval(partial_derivative(p, 1), pt)) < 1e-12
-
-    def test_substitution_operator_polynomial_in_target(self, rng):
-        # D as an operator-valued polynomial: sum_j alpha^j S_j equals the
-        # direct differential realization at any alpha
-        nvars, m = 2, 3
-        ops = substitution_operator_poly(nvars, m, 0)
-        p = random_poly(rng, nvars, m)
-        for _ in range(5):
-            alpha = draw_complex(rng)
-            acc = np.zeros_like(p.coeffs)
-            for j, s in enumerate(ops):
-                acc += alpha**j * s.apply(p).coeffs
-            expect = taylor_substitution(p, 0, alpha)
-            assert np.max(np.abs(acc - expect.coeffs)) < 1e-11 * max(1, expect.max_abs())
-
-    def test_identity(self):
-        ident = PolyOperator.identity(2, 2)
-        p = MultiPoly.monomial(2, 2, (2, 1))
-        assert np.allclose(ident.apply(p).coeffs, p.coeffs)
+    def test_residual_vanishes_only_on_a_solution(self, rng):
+        # first order (L = 2): -x f + x^2 f' = 0 holds for f = x
+        spec = PdeSpec(2, 1, lambda xs: -xs[0], lambda i, xs: xs[0] ** 2)
+        f = MultiPoly.monomial(1, 1, (1,))
+        points = draw_complex(rng, (6, 1))
+        assert spec.residual(f, 0.0, points) < 1e-15
+        assert spec.residual(f, 1.0, points) > 0.1
 
 
 class TestInterpolation:
@@ -200,7 +187,7 @@ class TestInterpolation:
         p = random_poly(rng, 2, 3)
         nodes = [draw_complex(rng, 4) + np.arange(4) for _ in range(2)]
         vals = np.array(
-            [[poly_eval(p, (a, b)) for b in nodes[1]] for a in nodes[0]]
+            [[p((a, b)) for b in nodes[1]] for a in nodes[0]]
         )
         coeffs = tensor_interpolate(vals, nodes)
         assert np.max(np.abs(coeffs - p.coeffs)) < 1e-9 * max(1, p.max_abs())

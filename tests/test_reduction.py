@@ -13,6 +13,7 @@ from bpl.reduction import (
     block_dimensions,
     build_psi,
     spectral_reduction,
+    upsilon_apply,
     upsilon_residual,
 )
 
@@ -81,7 +82,7 @@ class TestUpsilon:
         psi = build_psi(f, cfg)
         for _ in range(5):
             pt = distinct_point(rng, 2)
-            rows = system.upsilon_apply(psi, draw_complex(rng), pt)
+            rows = upsilon_apply(system, psi, draw_complex(rng), pt)
             assert np.max(np.abs(rows[1:])) < 1e-12 * max(1, f.max_abs())
 
     def test_residual_on_extracted_eigenfunctions(self):
@@ -122,7 +123,7 @@ class TestUpsilon:
                 delta = draw_complex(rng)
                 pt = distinct_point(rng, n)
                 psi = build_psi(f, cfg)
-                row = system.upsilon_apply(psi, delta, pt)[0]
+                row = upsilon_apply(system, psi, delta, pt)[0]
                 direct = system.pde_row(f, delta, pt)
                 assert abs(row - direct) < 1e-12 * max(1, abs(direct))
 
@@ -138,4 +139,4 @@ class TestUpsilon:
         system = spectral_reduction(cfg)
         shorter = build_psi(random_poly(rng, 2, 2), SpectralConfig.random_instance(3, 2, seed=9))
         with pytest.raises(UnsupportedShapeError):
-            system.upsilon_apply(shorter, 0.0, distinct_point(rng, 2))
+            upsilon_apply(system, shorter, 0.0, distinct_point(rng, 2))

@@ -10,6 +10,7 @@ from bpl.ybcore import (
     b_product,
     check_off_relations,
     check_rtt,
+    exchange_m_factors,
     check_ybe,
     monodromy,
     permutation_matrix,
@@ -41,6 +42,40 @@ def kron_monodromy(lam, cfg):
             np.kron(c, bj) + np.kron(d, dj),
         )
     return a, b, c, d
+
+
+def two_pass_off_relations(lam0, lams, cfg):
+    """Reference formulation of ``check_off_relations``: each line builds its
+    own B-products, every product starting from the identity."""
+    lams = list(lams)
+    ma0, md0, ma, md = exchange_m_factors(lam0, lams, cfg.gamma)
+    ops = {lam0: monodromy(lam0, cfg)}
+    for l in lams:
+        ops.setdefault(l, monodromy(l, cfg))
+
+    def bprod(ls):
+        out = np.eye(cfg.quantum_dim, dtype=complex)
+        for l in ls:
+            out = out @ ops[l].b.entries
+        return out
+
+    x_full = bprod(lams)
+
+    def one_line(block, m0, mlist):
+        op0 = getattr(ops[lam0], block).entries
+        lhs = op0 @ x_full
+        rhs = m0 * (x_full @ op0)
+        for i, l in enumerate(lams):
+            rest = [t for j, t in enumerate(lams) if j != i]
+            rhs = rhs - mlist[i] * (bprod([lam0] + rest) @ getattr(ops[l], block).entries)
+        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
+        return lhs, rhs, float(np.max(np.abs(lhs - rhs)) / scale)
+
+    lhs_a, rhs_a, res_a = one_line("a", ma0, ma)
+    lhs_d, rhs_d, res_d = one_line("d", md0, md)
+    lhs_t, rhs_t = lhs_a + lhs_d, rhs_a + rhs_d
+    scale_t = max(np.max(np.abs(lhs_t)), np.max(np.abs(rhs_t)), 1e-300)
+    return res_a, res_d, float(np.max(np.abs(lhs_t - rhs_t)) / scale_t)
 
 
 class TestRMatrix:
@@ -112,8 +147,8 @@ class TestMonodromy:
 
     def test_sector_block_structure(self, cfg3, rng):
         m = monodromy(draw_complex(rng), cfg3)
-        for op in (m.a, m.b, m.c, m.d):
-            assert sector_block_residual(op, cfg3.L) < 1e-12
+        for op, shift in ((m.a, 0), (m.b, +1), (m.c, -1), (m.d, 0)):
+            assert sector_block_residual(op, cfg3.L, shift) < 1e-12
 
     @pytest.mark.parametrize("L", range(1, 7))
     def test_equals_kronecker_reference_exactly(self, L, rng):
@@ -233,6 +268,16 @@ class TestOffRelations:
         assert res.a_relation < 1e-10
         assert res.d_relation < 1e-10
         assert res.transfer_identity < 1e-10
+
+    @pytest.mark.parametrize("L,n", [(4, 0), (4, 2), (5, 3)])
+    def test_equals_two_pass_reference_exactly(self, L, n, rng):
+        cfg = SpectralConfig.random_instance(L, n, seed=L * 10 + n)
+        for _ in range(3):
+            lam0 = draw_complex(rng)
+            lams = [draw_complex(rng) for _ in range(n)]
+            assert tuple(check_off_relations(lam0, lams, cfg)) == two_pass_off_relations(
+                lam0, lams, cfg
+            )
 
     def test_empty_set_trivial(self, cfg3, rng):
         res = check_off_relations(draw_complex(rng), [], cfg3)
