@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import SpectralConfig, check_dense_length, max_dense_length
 from .errors import CapacityError, ConfigError, UnsupportedShapeError
-from .suites import SUITES, CheckRecord, run_checks
+from .suites import SUITES, CheckRecord, run_checks_timed
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -23,11 +23,14 @@ EXIT_CAPACITY = 3
 
 @dataclass
 class RunReport:
-    """Structured result of one suite run."""
+    """Structured result of one suite run.  ``artifacts`` maps each pipeline
+    artifact the run built to its build seconds, which no check's time
+    includes."""
 
     suite: str
     config: dict
     checks: list[CheckRecord]
+    artifacts: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -38,6 +41,7 @@ class RunReport:
             "suite": self.suite,
             "config": self.config,
             "checks": [c.as_dict() for c in self.checks],
+            "artifacts": {name: round(sec, 4) for name, sec in self.artifacts.items()},
             "summary": {
                 "total": len(self.checks),
                 "passed": sum(c.passed for c in self.checks),
@@ -206,6 +210,9 @@ def _print_table(report: RunReport, stream=None):
             f"{status:6}  {c.seconds:6.2f}s",
             file=stream,
         )
+    if report.artifacts:
+        built = ", ".join(f"{name} {sec:.2f}s" for name, sec in report.artifacts.items())
+        print(f"artifacts: {built}", file=stream)
     print(f"overall: {'pass' if report.passed else 'FAIL'}", file=stream)
 
 
@@ -215,8 +222,8 @@ def run_suite(config_path: str | None, suite: str, out_path: str | None = None,
     if suite != "all" and suite not in SUITES:
         raise ConfigError("suite", f"unknown suite {suite!r}")
     cfg = load_config(config_path, overrides or {})
-    checks = run_checks(suite, cfg)
-    report = RunReport(suite=suite, config=_config_echo(cfg), checks=checks)
+    checks, artifacts = run_checks_timed(suite, cfg)
+    report = RunReport(suite=suite, config=_config_echo(cfg), checks=checks, artifacts=artifacts)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")

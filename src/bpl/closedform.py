@@ -26,8 +26,7 @@ import numpy as np
 
 from .config import SpectralConfig
 from .errors import CoincidentRapiditiesError
-from .functional import circle_grid
-from .omega import OmegaFamily, SymmetricBasis, extract_omegas
+from .omega import OmegaFamily, SymmetricBasis, _lbar_grids
 from .polyengine import MultiPoly, PdeSpec, tensor_interpolate
 
 #: minimum |x_i - x_j| accepted when evaluating the rational coefficients
@@ -214,31 +213,27 @@ def _distinct_sample_points(cfg: SpectralConfig, count: int, tag: str) -> np.nda
     return pts
 
 
-def closedform_residual(
-    cfg: SpectralConfig, fbar: MultiPoly, delta: complex, points: np.ndarray | None = None
-) -> float:
-    """Max residual of the closed-form PDE on a candidate eigenfunction,
-    normalised by the largest participating term (``PdeSpec.residual``).
-    At n = 0 every point is the empty tuple and the equation is V f = Delta f."""
-    if points is None:
-        points = _distinct_sample_points(cfg, 12, "closedform-points")
+def closedform_residual(cfg: SpectralConfig, fbar: MultiPoly, delta: complex) -> float:
+    """Max residual of the closed-form PDE on a candidate eigenfunction over
+    12 sample points, normalised by the largest participating term
+    (``PdeSpec.residual``).  At n = 0 every point is the empty tuple and the
+    equation is V f = Delta f."""
+    points = _distinct_sample_points(cfg, 12, "closedform-points")
     return spectral_pde(cfg).residual(fbar, delta, points)
 
 
-def closedform_operator(cfg: SpectralConfig, grids=None) -> tuple[np.ndarray, SymmetricBasis]:
+def closedform_operator(cfg: SpectralConfig) -> tuple[np.ndarray, SymmetricBasis]:
     """Matrix of V + sum_i Q_i d^{L-1}/dx_i^{L-1} on the symmetric basis.
 
     Like the extraction layer, the action is sampled on per-variable node
     circles and interpolated; the individual terms leave the bounded space
-    and only their sum returns to it.
+    and only their sum returns to it.  The nodes are the extraction's own
+    (``omega._lbar_grids``).
     """
     n, L = cfg.n, cfg.L
     if n < 1:
         raise ValueError("the operator form needs n >= 1")
-    if grids is None:
-        lam_grids = [circle_grid(L, slot=i + 1, nslots=n + 1) for i in range(n)]
-    else:
-        lam_grids = grids
+    lam_grids, _ = _lbar_grids(cfg, n)
     x_grids = [np.exp(2 * g) for g in lam_grids]
     tuples = list(iproduct(range(L), repeat=n))
     x_tuples = np.array([[x_grids[i][t[i]] for i in range(n)] for t in tuples])
@@ -262,13 +257,12 @@ def closedform_operator(cfg: SpectralConfig, grids=None) -> tuple[np.ndarray, Sy
     return mat, basis
 
 
-def compare_omega_closedform(cfg: SpectralConfig, family: OmegaFamily | None = None) -> float:
+def compare_omega_closedform(family: OmegaFamily) -> float:
     """Normalised max-norm distance between the closed-form operator and the
     extracted x0^{L-1} family member.  This is the decisive validation of
     every coefficient formula and of the multiplicative conventions
     q = e^gamma, x = e^{2 lambda}, y = e^{2 mu}."""
-    if family is None:
-        family = extract_omegas(cfg)
+    cfg = family.cfg
     closed, _ = closedform_operator(cfg)
     extracted = family.omega(cfg.L - 1)
     scale = max(np.max(np.abs(closed)), np.max(np.abs(extracted)), 1e-300)

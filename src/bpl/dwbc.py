@@ -244,17 +244,15 @@ def _annulus_points(cfg: SpectralConfig, tag: str, count: int) -> list[np.ndarra
     ]
 
 
-def dwbc_pde_residual(
-    cfg: SpectralConfig, instance: DwbcInstance | None = None, npoints: int = 10
-) -> float:
-    """Normalised residual of the homogeneous equation on the extracted Zbar.
+def dwbc_pde_residual(instance: DwbcInstance) -> float:
+    """Normalised residual of the homogeneous equation on the extracted Zbar,
+    over 10 sample points.
 
     The equation is linear and homogeneous, so the overall normalisation of
     Zbar drops out of the figure reported.
     """
-    if instance is None:
-        instance = extract_zbar(cfg)
-    points = _annulus_points(cfg, "dwbc-points", npoints)
+    cfg = instance.cfg
+    points = _annulus_points(cfg, "dwbc-points", 10)
     return dwbc_upsilon(cfg).residual(instance.zbar, 0.0, points)
 
 
@@ -274,14 +272,9 @@ def dwbc_upsilon(cfg: SpectralConfig) -> PdeSpec:
     )
 
 
-def dwbc_upsilon_residual(
-    cfg: SpectralConfig, instance: DwbcInstance | None = None, npoints: int = 5
-) -> float:
-    """Max residual of Upsilon_DW applied to the chain built from Zbar."""
-    if instance is None:
-        instance = extract_zbar(cfg)
-    system = dwbc_upsilon(cfg)
-    worst = 0.0
-    for xs in _annulus_points(cfg, "dwbc-upsilon-points", npoints):
-        worst = max(worst, upsilon_residual(system, instance.zbar, 0.0, xs))
-    return float(worst)
+def dwbc_upsilon_residual(instance: DwbcInstance) -> float:
+    """Max residual of Upsilon_DW applied to the chain built from Zbar, over
+    5 sample points."""
+    cfg = instance.cfg
+    points = _annulus_points(cfg, "dwbc-upsilon-points", 5)
+    return upsilon_residual(dwbc_upsilon(cfg), instance.zbar, 0.0, points)

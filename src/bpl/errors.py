@@ -26,7 +26,7 @@ class CoincidentRapiditiesError(ValueError):
 
 
 class DegeneracyError(RuntimeError):
-    """Two probe points did not split a degenerate cluster; try other probes."""
+    """Two probe points did not split a degenerate cluster; try another seed."""
 
 
 class UnsupportedShapeError(ValueError):

@@ -209,7 +209,7 @@ def fit_grid(values: np.ndarray, x_grids, held_x, held_value: complex) -> PolyFi
     return PolyFit(poly, cond, float(holdout))
 
 
-def _default_fbar_grids(cfg: SpectralConfig, n: int) -> list[np.ndarray]:
+def _fbar_grids(cfg: SpectralConfig, n: int) -> list[np.ndarray]:
     return [lambda_grid(cfg.L, slot=i, nslots=n) for i in range(n)]
 
 
@@ -228,11 +228,11 @@ def fbar_b_ops(cfg: SpectralConfig, n: int) -> dict[complex, np.ndarray]:
     samplers of all of them take this one table instead of each rebuilding
     it.  It lives as long as the caller keeps it.
     """
-    nodes = [lam for grid in _default_fbar_grids(cfg, n) for lam in grid]
+    nodes = [lam for grid in _fbar_grids(cfg, n) for lam in grid]
     return _b_table(cfg, nodes + _fbar_holdout_point(cfg, n))
 
 
-def extract_fbar(sampler: FnSampler, grids: list[np.ndarray] | None = None) -> PolyFit:
+def extract_fbar(sampler: FnSampler) -> PolyFit:
     """Polynomial part of F_n in the variables x_i = e^{2 lambda_i}.
 
     Samples the overlap on a tensor grid of rapidities (one disjoint node
@@ -246,8 +246,7 @@ def extract_fbar(sampler: FnSampler, grids: list[np.ndarray] | None = None) -> P
     if n == 0:
         val = complex(sampler.eig.left[0])
         return PolyFit(MultiPoly(np.array(val)), 1.0, 0.0)
-    if grids is None:
-        grids = _default_fbar_grids(cfg, n)
+    grids = _fbar_grids(cfg, n)
     xgrids = [np.exp(2 * g) for g in grids]
     vals = np.zeros((cfg.L,) * n, dtype=complex)
     for tup in iproduct(range(cfg.L), repeat=n):
@@ -262,20 +261,17 @@ def lambda_bar_coefficients(
     eigs, cfg: SpectralConfig, nodes: np.ndarray | None = None
 ) -> np.ndarray:
     """Coefficients of Lambda_bar(x0) = Lambda(lam0) e^{L lam0} as a degree-L
-    polynomial in x0 = e^{2 lam0}, for one eigenpair or a list of them.
+    polynomial in x0 = e^{2 lam0}, one row per eigenpair of ``eigs``.
 
     The transfer matrix at each node is built once and shared across all the
     requested eigenpairs.
     """
-    single = isinstance(eigs, EigenChoice)
-    eig_list = [eigs] if single else list(eigs)
     if nodes is None:
         nodes = circle_grid(cfg.L + 1, slot=0, nslots=1)
-    values = np.zeros((len(eig_list), len(nodes)), dtype=complex)
+    values = np.zeros((len(eigs), len(nodes)), dtype=complex)
     for j, lam0 in enumerate(nodes):
         t = transfer(lam0, cfg).entries
-        for i, eig in enumerate(eig_list):
+        for i, eig in enumerate(eigs):
             val = (eig.left @ t @ eig.right) / (eig.left @ eig.right)
             values[i, j] = val * np.exp(cfg.L * lam0)
-    coeffs = tensor_interpolate(values, [np.exp(2 * np.asarray(nodes))])
-    return coeffs[0] if single else coeffs
+    return tensor_interpolate(values, [np.exp(2 * np.asarray(nodes))])

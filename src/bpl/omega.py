@@ -22,22 +22,19 @@ explicitly.  For a single variable the symmetric space is the whole space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from functools import cached_property
+from itertools import combinations_with_replacement, permutations, product as iproduct
 
 import numpy as np
 
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError
 from .functional import (
-    FnSampler,
     PolyFit,
     circle_grid,
-    extract_fbar,
-    fbar_b_ops,
     fit_grid,
     fz_coefficients,
     lambda_bar_coefficients,
-    spectrum,
 )
 from .polyengine import MultiPoly, tensor_interpolate
 
@@ -58,19 +55,12 @@ class SymmetricBasis:
     nvars: int
     degree_bound: int
 
-    @property
+    @cached_property
     def labels(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-
-        def rec(prefix, ceiling):
-            if len(prefix) == self.nvars:
-                out.append(tuple(prefix))
-                return
-            for v in range(min(ceiling, self.degree_bound), -1, -1):
-                rec(prefix + [v], v)
-
-        rec([], self.degree_bound)
-        return tuple(out)
+        """Weakly decreasing exponent tuples, lexicographically descending."""
+        return tuple(
+            combinations_with_replacement(range(self.degree_bound, -1, -1), self.nvars)
+        )
 
     @property
     def dim(self) -> int:
@@ -128,7 +118,7 @@ def _lbar_grids(cfg: SpectralConfig, n: int):
     return lam_grids, lam0_nodes
 
 
-def build_lbar(cfg: SpectralConfig, grids=None) -> LbarOperator:
+def build_lbar(cfg: SpectralConfig) -> LbarOperator:
     """Assemble Lbar(x0) by sampling its action on the symmetric basis.
 
     The multipliers are only polynomial-preserving in combination, so the
@@ -142,7 +132,7 @@ def build_lbar(cfg: SpectralConfig, grids=None) -> LbarOperator:
         raise ValueError("operator extraction needs at least one variable (n >= 1)")
     if L**n > MAX_TENSOR_DIM:
         raise CapacityError(f"tensor space L^n = {L**n} exceeds cap {MAX_TENSOR_DIM}")
-    lam_grids, lam0_nodes = grids if grids is not None else _lbar_grids(cfg, n)
+    lam_grids, lam0_nodes = _lbar_grids(cfg, n)
     x_grids = [np.exp(2 * g) for g in lam_grids]
     x0_nodes = np.exp(2 * lam0_nodes)
 
@@ -173,6 +163,7 @@ def build_lbar(cfg: SpectralConfig, grids=None) -> LbarOperator:
     rng = cfg.rng("lbar-holdout")
     held_lams = np.array([random_complex(rng) for _ in range(n)])
     held_x = np.exp(2 * held_lams)
+    j0h, ksh = fz_coefficients(lam0_nodes[0], held_lams, cfg)
 
     for col in range(ns):
         unit = np.zeros(ns)
@@ -191,7 +182,6 @@ def build_lbar(cfg: SpectralConfig, grids=None) -> LbarOperator:
         )
 
         # held-out polynomiality check at a random x-tuple, one x0 node
-        j0h, ksh = fz_coefficients(lam0_nodes[0], held_lams, cfg)
         direct = j0h * np.exp(L * lam0_nodes[0]) * p(held_x)
         for i in range(n):
             sub = held_x.copy()
@@ -287,9 +277,9 @@ class OmegaFamily:
         return self.omegas[k]
 
 
-def extract_omegas(cfg: SpectralConfig, grids=None) -> OmegaFamily:
+def extract_omegas(cfg: SpectralConfig) -> OmegaFamily:
     """Slice Lbar by powers of x0 and fill in the family diagnostics."""
-    lbar = build_lbar(cfg, grids=grids)
+    lbar = build_lbar(cfg)
     omegas = lbar.coefficient_matrices
     L = cfg.L
     ns = lbar.basis.dim
@@ -339,7 +329,6 @@ class EigkRecord:
 
 @dataclass
 class EigkReport:
-    cfg: SpectralConfig
     family: OmegaFamily
     records: list[EigkRecord]
 
@@ -360,30 +349,24 @@ class EigkReport:
         return self.family.basis.dim - realized
 
 
-def check_eigk(cfg: SpectralConfig, family: OmegaFamily | None = None, probes=None) -> EigkReport:
+def check_eigk(family: OmegaFamily, eigs, fits) -> EigkReport:
     """Verify Omega_k Fbar = Delta_k Fbar for every sector-n eigenpair.
 
-    The Delta_k are read off the degree-L polynomial form of the transfer
+    ``eigs`` is the sector-n spectrum of the family's instance and ``fits``
+    the overlap fit of each of those eigenpairs, in the same order.  The
+    Delta_k are read off the degree-L polynomial form of the transfer
     eigenvalue, independently of the operator extraction.  Eigenpairs whose
     overlap polynomial vanishes identically are reported as such rather than
     asserted against.  Each record also carries the distance from its Delta
     vector to the nearest row of the family's joint-spectrum table.
     """
-    if family is None:
-        family = extract_omegas(cfg)
-    eigs = spectrum(cfg, cfg.n, probes=probes)
+    cfg = family.cfg
     lam_bars = lambda_bar_coefficients(eigs, cfg, nodes=family.lbar.x0_nodes)
-    basis = family.basis
 
-    b_ops = fbar_b_ops(cfg, cfg.n)
     records = []
-    for eig, deltas in zip(eigs, lam_bars):
-        fit = extract_fbar(FnSampler(cfg, eig, b_ops))
-        if cfg.n == 0:
-            vec = np.array([complex(fit.poly.coeffs)])
-        else:
-            vec, _ = basis.project(fit.poly)
-        norm = np.max(np.abs(vec)) if len(vec) else 0.0
+    for eig, fit, deltas in zip(eigs, fits, lam_bars):
+        vec, _ = family.basis.project(fit.poly)
+        norm = np.max(np.abs(vec))
         if norm < 1e-12:
             records.append(EigkRecord(eig.index, True, fit, None, 0.0, np.inf))
             continue
@@ -397,4 +380,4 @@ def check_eigk(cfg: SpectralConfig, family: OmegaFamily | None = None, probes=No
             / (1.0 + np.max(np.abs(deltas)))
         )
         records.append(EigkRecord(eig.index, False, fit, np.asarray(deltas), float(resid), float(dist)))
-    return EigkReport(cfg, family, records)
+    return EigkReport(family, records)

@@ -110,10 +110,15 @@ def spectral_reduction(cfg: SpectralConfig) -> PdeSpec:
     return spectral_pde(cfg)
 
 
-def upsilon_residual(system: PdeSpec, fbar: MultiPoly, delta: complex, point) -> float:
-    """Max row magnitude of Upsilon psi at a point, normalised by the
-    largest term entering the PDE row."""
+def upsilon_residual(system: PdeSpec, fbar: MultiPoly, delta: complex, points) -> float:
+    """Max row magnitude of Upsilon psi over the points, each point's rows
+    normalised by the largest term entering its PDE row.  The chain and the
+    order-(L-1) derivatives are built once for all the points."""
     psi = _derivative_chain(fbar, system.length)
-    rows = upsilon_apply(system, psi, delta, point)
-    _, scale = system.balance(fbar, delta, point)
-    return float(np.max(np.abs(rows)) / scale)
+    derivs = system.derivatives(fbar)
+    worst = 0.0
+    for point in points:
+        rows = upsilon_apply(system, psi, delta, point)
+        _, scale = system.balance(fbar, delta, point, derivs)
+        worst = max(worst, float(np.max(np.abs(rows)) / scale))
+    return worst

@@ -4,12 +4,22 @@ Each suite maps a problem instance to a list of named checks with residuals,
 tolerances and wall times.  Random draws are derived deterministically from
 the instance seed and the check name, so a fixed config reproduces identical
 numbers.
+
+The pipeline's artifacts -- the sector spectrum, its overlap fits, the Omega
+family, the joint spectral problems and Zbar -- live in one ``Artifacts``
+store per instance.  Each is built the first time a suite reads it and then
+shared, so a run of every suite builds each once, and a run of one suite
+builds only what that suite reads.  ``run_checks_timed`` (and
+``run_checks``, which drops the build times) makes a fresh store per call,
+so nothing outlives the call.  The store times each build apart from
+the checks, and every check's clock starts after its artifacts are read.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,20 +59,27 @@ class CheckRecord:
 
 
 class _Recorder:
+    """Check records, each timed from the one before it; the first is timed
+    from the recorder's creation, so a suite makes its recorder after
+    reading its artifacts."""
+
     def __init__(self):
         self.records: list[CheckRecord] = []
+        self._clock = time.perf_counter()
 
-    def add(self, name: str, residual: float, tolerance: float, started: float, **extra):
+    def add(self, name: str, residual: float, tolerance: float, **extra):
+        now = time.perf_counter()
         self.records.append(
             CheckRecord(
                 name=name,
                 residual=float(residual),
                 tolerance=float(tolerance),
                 passed=bool(residual < tolerance),
-                seconds=time.perf_counter() - started,
+                seconds=now - self._clock,
                 extra=extra,
             )
         )
+        self._clock = now
 
 
 def _draws(cfg: SpectralConfig, tag: str, count: int, width: int = 1):
@@ -71,188 +88,191 @@ def _draws(cfg: SpectralConfig, tag: str, count: int, width: int = 1):
         yield [random_complex(rng) for _ in range(width)]
 
 
+def _commutator(op1, op2) -> float:
+    """max |[A, B]| / (max |A| max |B|) of two dense operators."""
+    a, b = op1.entries, op2.entries
+    return np.max(np.abs(a @ b - b @ a)) / max(np.max(np.abs(a)) * np.max(np.abs(b)), 1e-300)
+
+
+def _sector_fits(cfg: SpectralConfig, eigs) -> list:
+    """The overlap fit of every eigenpair, all sampling one B table."""
+    b_ops = fbar_b_ops(cfg, cfg.n)
+    return [extract_fbar(FnSampler(cfg, eig, b_ops)) for eig in eigs]
+
+
+class Artifacts:
+    """The pipeline artifacts of one instance, each built on first read.
+
+    ``seconds`` maps each artifact built so far to its build time, which
+    excludes the artifacts it reads.
+    """
+
+    def __init__(self, cfg: SpectralConfig):
+        self.cfg = cfg
+        self.seconds: dict[str, float] = {}
+
+    def _build(self, name: str, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.seconds[name] = time.perf_counter() - t0
+        return out
+
+    @cached_property
+    def eigs(self) -> list:
+        """Sector-n eigenpairs of the transfer matrix."""
+        return self._build("eigs", spectrum, self.cfg, self.cfg.n)
+
+    @cached_property
+    def fits(self) -> list:
+        """Overlap fit of each eigenpair, in ``eigs`` order."""
+        return self._build("fits", _sector_fits, self.cfg, self.eigs)
+
+    @cached_property
+    def family(self) -> omega.OmegaFamily:
+        return self._build("family", omega.extract_omegas, self.cfg)
+
+    @cached_property
+    def eigk(self) -> omega.EigkReport:
+        return self._build("eigk", omega.check_eigk, self.family, self.eigs, self.fits)
+
+    @cached_property
+    def zbar(self) -> dwbc.DwbcInstance:
+        return self._build("zbar", dwbc.extract_zbar, self.cfg)
+
+
 # -- individual suites ---------------------------------------------------------------
 
-def suite_verify_ybe(cfg: SpectralConfig) -> list[CheckRecord]:
-    rec = _Recorder()
-    t0 = time.perf_counter()
+def suite_verify_ybe(art: Artifacts) -> list[CheckRecord]:
+    cfg, rec = art.cfg, _Recorder()
     rng = cfg.rng("ybe")
     worst = 0.0
     for _ in range(100):
         x, y, g = (random_complex(rng) for _ in range(3))
         worst = max(worst, ybcore.check_ybe(x, y, g))
-    rec.add("ybe-random-draws", worst, 1e-11, t0, draws=100)
-    t0 = time.perf_counter()
-    rec.add("ybe-at-origin", ybcore.check_ybe(0.0, 0.0, cfg.gamma), 1e-14, t0)
+    rec.add("ybe-random-draws", worst, 1e-11, draws=100)
+    rec.add("ybe-at-origin", ybcore.check_ybe(0.0, 0.0, cfg.gamma), 1e-14)
     return rec.records
 
 
-def suite_verify_rtt(cfg: SpectralConfig) -> list[CheckRecord]:
-    rec = _Recorder()
+def suite_verify_rtt(art: Artifacts) -> list[CheckRecord]:
+    cfg, rec = art.cfg, _Recorder()
     rtt_cfg = cfg if cfg.L <= 5 else SpectralConfig.random_instance(5, 0, cfg.seed)
-    t0 = time.perf_counter()
     worst = 0.0
     for x, y in _draws(rtt_cfg, "rtt", 20, width=2):
         worst = max(worst, ybcore.check_rtt(x, y, rtt_cfg))
-    rec.add("rtt-random-draws", worst, 1e-10, t0, L=rtt_cfg.L, draws=20)
+    rec.add("rtt-random-draws", worst, 1e-10, L=rtt_cfg.L, draws=20)
 
     comm_cfg = cfg if cfg.L <= 8 else SpectralConfig.random_instance(8, 0, cfg.seed)
-    t0 = time.perf_counter()
     worst = 0.0
     for x, y in _draws(comm_cfg, "commutator", 5, width=2):
-        t1 = ybcore.transfer(x, comm_cfg).entries
-        t2 = ybcore.transfer(y, comm_cfg).entries
-        num = np.max(np.abs(t1 @ t2 - t2 @ t1))
-        worst = max(worst, num / max(np.max(np.abs(t1)) * np.max(np.abs(t2)), 1e-300))
-    rec.add("transfer-commutator", worst, 1e-10, t0, L=comm_cfg.L, draws=5)
+        worst = max(worst, _commutator(ybcore.transfer(x, comm_cfg), ybcore.transfer(y, comm_cfg)))
+    rec.add("transfer-commutator", worst, 1e-10, L=comm_cfg.L, draws=5)
 
-    t0 = time.perf_counter()
     worst = 0.0
     for x, y in _draws(rtt_cfg, "bb-commute", 5, width=2):
-        b1 = ybcore.monodromy(x, rtt_cfg).b.entries
-        b2 = ybcore.monodromy(y, rtt_cfg).b.entries
-        num = np.max(np.abs(b1 @ b2 - b2 @ b1))
-        worst = max(worst, num / max(np.max(np.abs(b1)) * np.max(np.abs(b2)), 1e-300))
-    rec.add("b-operators-commute", worst, 1e-12, t0, L=rtt_cfg.L)
+        b1, b2 = ybcore.monodromy(x, rtt_cfg).b, ybcore.monodromy(y, rtt_cfg).b
+        worst = max(worst, _commutator(b1, b2))
+    rec.add("b-operators-commute", worst, 1e-12, L=rtt_cfg.L)
     return rec.records
 
 
-def suite_verify_off(cfg: SpectralConfig) -> list[CheckRecord]:
-    rec = _Recorder()
-    t0 = time.perf_counter()
+def suite_verify_off(art: Artifacts) -> list[CheckRecord]:
+    cfg, rec = art.cfg, _Recorder()
     worst = 0.0
     for draw in _draws(cfg, "off", 10, width=cfg.n + 1):
         res = ybcore.check_off_relations(draw[0], draw[1:], cfg)
         worst = max(worst, res.a_relation, res.d_relation, res.transfer_identity)
-    rec.add("exchange-relations", worst, 1e-9, t0, n=cfg.n, L=cfg.L, draws=10)
+    rec.add("exchange-relations", worst, 1e-9, n=cfg.n, L=cfg.L, draws=10)
     return rec.records
 
 
-def suite_spectrum(cfg: SpectralConfig) -> list[CheckRecord]:
+def suite_spectrum(art: Artifacts) -> list[CheckRecord]:
+    cfg, eigs = art.cfg, art.eigs
     rec = _Recorder()
-    t0 = time.perf_counter()
     total = sum(len(ybcore.sector_indices(cfg.L, s)) for s in range(cfg.L + 1))
-    rec.add("sector-dimensions-sum", abs(total - cfg.quantum_dim), 0.5, t0)
+    rec.add("sector-dimensions-sum", abs(total - cfg.quantum_dim), 0.5)
 
-    t0 = time.perf_counter()
-    eigs = spectrum(cfg, cfg.n)
     rng = cfg.rng("spectrum-extra")
     worst = 0.0
     for lam in [random_complex(rng) for _ in range(3)]:
         t = ybcore.transfer(lam, cfg).entries
         for eig in eigs:
             worst = max(worst, *eig.residuals_from(t))
-    rec.add("eigenpair-residuals-extra-probes", worst, 1e-8, t0, sector=cfg.n)
+    rec.add("eigenpair-residuals-extra-probes", worst, 1e-8, sector=cfg.n)
     return rec.records
 
 
-def suite_fz(cfg: SpectralConfig) -> list[CheckRecord]:
+def suite_fz(art: Artifacts) -> list[CheckRecord]:
+    cfg, eigs, fits = art.cfg, art.eigs, art.fits
     rec = _Recorder()
-    t0 = time.perf_counter()
-    eigs = spectrum(cfg, cfg.n)
     worst = 0.0
     for eig in eigs:
         sampler = FnSampler(cfg, eig)
         for draw in _draws(cfg, f"fz-{eig.index}", 5, width=cfg.n + 1):
             worst = max(worst, check_fz_residual(sampler, draw[0], draw[1:]))
-    rec.add("functional-relation", worst, 1e-8, t0, n=cfg.n, L=cfg.L, eigenvectors=len(eigs))
+    rec.add("functional-relation", worst, 1e-8, n=cfg.n, L=cfg.L, eigenvectors=len(eigs))
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    b_ops = fbar_b_ops(cfg, cfg.n)
-    for eig in eigs:
-        fit = extract_fbar(FnSampler(cfg, eig, b_ops))
-        worst = max(worst, fit.holdout_residual)
-    rec.add("overlap-polynomial-holdout", worst, 1e-9, t0)
+    rec.add("overlap-polynomial-holdout", max(fit.holdout_residual for fit in fits), 1e-9)
     return rec.records
 
 
-def suite_omega_extract(cfg: SpectralConfig) -> list[CheckRecord]:
+def suite_omega_extract(art: Artifacts) -> list[CheckRecord]:
+    family = art.family
     rec = _Recorder()
-    t0 = time.perf_counter()
-    family = omega.extract_omegas(cfg)
-    comm = float(np.max(family.commutator_norms))
-    rec.add(
-        "omega-commutators",
-        comm,
-        1e-9,
-        t0,
-        commutator_norms=[[float(v) for v in row] for row in family.commutator_norms],
-    )
-    t0 = time.perf_counter()
-    rec.add(
-        "omega-top-scalar",
-        family.omega_top_identity_residual,
-        1e-9,
-        t0,
-        scalar=[family.omega_top_scalar.real, family.omega_top_scalar.imag],
-    )
-    t0 = time.perf_counter()
-    rec.add("lbar-polynomiality-holdout", family.lbar.polynomiality_residual, 1e-9, t0)
-    t0 = time.perf_counter()
-    rec.add("lbar-symmetry-defect", family.lbar.symmetry_defect, 1e-8, t0)
+    rec.add("omega-commutators", float(np.max(family.commutator_norms)), 1e-9,
+            commutator_norms=[[float(v) for v in row] for row in family.commutator_norms])
+    rec.add("omega-top-scalar", family.omega_top_identity_residual, 1e-9,
+            scalar=[family.omega_top_scalar.real, family.omega_top_scalar.imag])
+    rec.add("lbar-polynomiality-holdout", family.lbar.polynomiality_residual, 1e-9)
+    rec.add("lbar-symmetry-defect", family.lbar.symmetry_defect, 1e-8)
     return rec.records
 
 
-def suite_omega_eigk(cfg: SpectralConfig) -> list[CheckRecord]:
+def suite_omega_eigk(art: Artifacts) -> list[CheckRecord]:
+    report = art.eigk
     rec = _Recorder()
-    t0 = time.perf_counter()
-    report = omega.check_eigk(cfg)
     delta_tables = [
         {"eig": r.eig_index, "vanishing": r.vanishing,
          "delta": None if r.delta is None else [[d.real, d.imag] for d in r.delta]}
         for r in report.records
     ]
-    rec.add(
-        "joint-eigenvalue-problems",
-        report.max_residual,
-        1e-8,
-        t0,
-        deltas=delta_tables,
-        surplus_dimension=report.surplus_dimension,
-    )
-    t0 = time.perf_counter()
-    rec.add("joint-spectrum-containment", report.max_containment_distance, 1e-7, t0)
+    rec.add("joint-eigenvalue-problems", report.max_residual, 1e-8,
+            deltas=delta_tables, surplus_dimension=report.surplus_dimension)
+    rec.add("joint-spectrum-containment", report.max_containment_distance, 1e-7)
     return rec.records
 
 
-def suite_omega_compare(cfg: SpectralConfig) -> list[CheckRecord]:
+def suite_omega_compare(art: Artifacts) -> list[CheckRecord]:
+    cfg, family = art.cfg, art.family
     rec = _Recorder()
-    t0 = time.perf_counter()
-    rec.add("closedform-vs-extracted", closedform.compare_omega_closedform(cfg), 1e-7, t0,
+    rec.add("closedform-vs-extracted", closedform.compare_omega_closedform(family), 1e-7,
             n=cfg.n, L=cfg.L)
     return rec.records
 
 
-def suite_pde_residual(cfg: SpectralConfig) -> list[CheckRecord]:
+def suite_pde_residual(art: Artifacts) -> list[CheckRecord]:
+    cfg, eigs, fits = art.cfg, art.eigs, art.fits
     rec = _Recorder()
-    t0 = time.perf_counter()
-    eigs = spectrum(cfg, cfg.n)
     lam_bars = lambda_bar_coefficients(eigs, cfg)
     worst = 0.0
     used = 0
-    b_ops = fbar_b_ops(cfg, cfg.n)
-    for eig, coeffs in zip(eigs, lam_bars):
-        fit = extract_fbar(FnSampler(cfg, eig, b_ops))
+    for fit, coeffs in zip(fits, lam_bars):
         if fit.poly.max_abs() < 1e-12:
             continue
         used += 1
         worst = max(worst, closedform.closedform_residual(cfg, fit.poly, coeffs[cfg.L - 1]))
-    rec.add("closedform-pde-on-eigenfunctions", worst, 1e-8, t0, eigenfunctions=used)
+    rec.add("closedform-pde-on-eigenfunctions", worst, 1e-8, eigenfunctions=used)
     return rec.records
 
 
-def suite_pde_special(cfg: SpectralConfig) -> list[CheckRecord]:
-    rec = _Recorder()
-
-    t0 = time.perf_counter()
+def suite_pde_special(art: Artifacts) -> list[CheckRecord]:
+    cfg, rec = art.cfg, _Recorder()
     n0_cfg = cfg.replace(n=0)
     sol = closedform.special_solutions("n0", n0_cfg)
     resid = closedform.closedform_residual(n0_cfg, sol.eigenfunctions[0], sol.deltas[0])
-    rec.add("special-n0", resid, 1e-10, t0, L=cfg.L)
+    rec.add("special-n0", resid, 1e-10, L=cfg.L)
 
     for case, nn in (("n1L2", 1), ("n2L2", 2)):
-        t0 = time.perf_counter()
         case_cfg = (
             cfg.replace(n=nn)
             if cfg.L == 2
@@ -262,31 +282,29 @@ def suite_pde_special(cfg: SpectralConfig) -> list[CheckRecord]:
         worst = 0.0
         for f, d in zip(sol.eigenfunctions, sol.deltas):
             worst = max(worst, closedform.closedform_residual(case_cfg, f, d))
-        rec.add(f"special-{case}", worst, 1e-10, t0)
+        rec.add(f"special-{case}", worst, 1e-10)
     return rec.records
 
 
-def suite_reduce(cfg: SpectralConfig) -> list[CheckRecord]:
-    rec = _Recorder()
-    t0 = time.perf_counter()
+def suite_reduce(art: Artifacts) -> list[CheckRecord]:
+    cfg = art.cfg
     system = reduction.spectral_reduction(cfg)
-    report = omega.check_eigk(cfg)
-    rng = cfg.rng("reduce-points")
+    report = art.eigk
+    rec = _Recorder()
     worst = 0.0
     used = 0
     for r in report.records:
         if r.vanishing:
             continue
         used += 1
-        for _ in range(3):
-            point = closedform._distinct_sample_points(cfg, 1, f"reduce-{r.eig_index}-{used}")[0]
-            worst = max(
-                worst,
-                reduction.upsilon_residual(system, r.fbar_fit.poly, r.delta[cfg.L - 1], point),
-            )
-    rec.add("upsilon-on-eigenfunctions", worst, 1e-8, t0, eigenfunctions=used)
+        points = closedform._distinct_sample_points(cfg, 3, f"reduce-{r.eig_index}-{used}")
+        worst = max(
+            worst,
+            reduction.upsilon_residual(system, r.fbar_fit.poly, r.delta[cfg.L - 1], points),
+        )
+    rec.add("upsilon-on-eigenfunctions", worst, 1e-8, eigenfunctions=used)
 
-    t0 = time.perf_counter()
+    rng = cfg.rng("reduce-points")
     worst = 0.0
     for _ in range(5):
         coeffs = rng.standard_normal((cfg.L,) * cfg.n) + 1j * rng.standard_normal((cfg.L,) * cfg.n)
@@ -297,14 +315,13 @@ def suite_reduce(cfg: SpectralConfig) -> list[CheckRecord]:
         row = reduction.upsilon_apply(system, psi, delta, point)[0]
         direct = system.pde_row(fbar, delta, point)
         worst = max(worst, abs(row - direct) / max(abs(direct), 1e-300))
-    rec.add("pde-row-equivalence", worst, 1e-12, t0)
+    rec.add("pde-row-equivalence", worst, 1e-12)
     return rec.records
 
 
-def suite_dwbc_partition(cfg: SpectralConfig) -> list[CheckRecord]:
-    rec = _Recorder()
+def suite_dwbc_partition(art: Artifacts) -> list[CheckRecord]:
+    cfg, rec = art.cfg, _Recorder()
     enum_cfg = cfg if cfg.L <= 3 else SpectralConfig.random_instance(3, 0, cfg.seed)
-    t0 = time.perf_counter()
     rng = enum_cfg.rng("dwbc-oracles")
     worst = 0.0
     for _ in range(3):
@@ -312,35 +329,29 @@ def suite_dwbc_partition(cfg: SpectralConfig) -> list[CheckRecord]:
         zb = dwbc.dwbc_partition(lams, enum_cfg)
         zc = dwbc.dwbc_configuration_sum(lams, enum_cfg)
         worst = max(worst, abs(zb - zc) / max(abs(zb), 1e-300))
-    rec.add("configuration-sum-vs-b-product", worst, 1e-10, t0, L=enum_cfg.L)
+    rec.add("configuration-sum-vs-b-product", worst, 1e-10, L=enum_cfg.L)
 
-    t0 = time.perf_counter()
     lams = [random_complex(rng) for _ in range(enum_cfg.L)]
     z1 = dwbc.dwbc_partition(lams, enum_cfg)
     z2 = dwbc.dwbc_partition(list(reversed(lams)), enum_cfg)
-    rec.add("permutation-symmetry", abs(z1 - z2) / max(abs(z1), 1e-300), 1e-12, t0)
+    rec.add("permutation-symmetry", abs(z1 - z2) / max(abs(z1), 1e-300), 1e-12)
     return rec.records
 
 
-def suite_dwbc_pde(cfg: SpectralConfig) -> list[CheckRecord]:
+def suite_dwbc_pde(art: Artifacts) -> list[CheckRecord]:
+    cfg, instance = art.cfg, art.zbar
     rec = _Recorder()
-    t0 = time.perf_counter()
-    instance = dwbc.extract_zbar(cfg)
-    rec.add("zbar-holdout", instance.fit.holdout_residual, 1e-9, t0)
-    t0 = time.perf_counter()
-    rec.add("zbar-symmetry", instance.symmetry_defect, 1e-9, t0)
-    t0 = time.perf_counter()
-    rec.add("zbar-degree-bound", instance.top_coefficient, 1e-9, t0)
-    t0 = time.perf_counter()
-    rec.add("dwbc-pde-residual", dwbc.dwbc_pde_residual(cfg, instance), 1e-8, t0, L=cfg.L)
+    rec.add("zbar-holdout", instance.fit.holdout_residual, 1e-9)
+    rec.add("zbar-symmetry", instance.symmetry_defect, 1e-9)
+    rec.add("zbar-degree-bound", instance.top_coefficient, 1e-9)
+    rec.add("dwbc-pde-residual", dwbc.dwbc_pde_residual(instance), 1e-8, L=cfg.L)
     return rec.records
 
 
-def suite_dwbc_upsilon(cfg: SpectralConfig) -> list[CheckRecord]:
+def suite_dwbc_upsilon(art: Artifacts) -> list[CheckRecord]:
+    cfg, instance = art.cfg, art.zbar
     rec = _Recorder()
-    t0 = time.perf_counter()
-    instance = dwbc.extract_zbar(cfg)
-    rec.add("dwbc-upsilon-residual", dwbc.dwbc_upsilon_residual(cfg, instance), 1e-8, t0,
+    rec.add("dwbc-upsilon-residual", dwbc.dwbc_upsilon_residual(instance), 1e-8,
             dimension=reduction.block_dimensions(cfg.L, cfg.L)[0])
     return rec.records
 
@@ -363,10 +374,16 @@ SUITES = {
 }
 
 
+def run_checks_timed(suite: str, cfg: SpectralConfig) -> tuple[list[CheckRecord], dict]:
+    """Run one suite, or every suite for ``"all"``, on one instance through
+    one fresh ``Artifacts`` store.  Returns the check records and the build
+    seconds of each artifact the run built."""
+    art = Artifacts(cfg)
+    names = SUITES if suite == "all" else [suite]
+    records = [record for name in names for record in SUITES[name](art)]
+    return records, dict(art.seconds)
+
+
 def run_checks(suite: str, cfg: SpectralConfig) -> list[CheckRecord]:
-    if suite == "all":
-        records = []
-        for name, fn in SUITES.items():
-            records.extend(fn(cfg))
-        return records
-    return SUITES[suite](cfg)
+    """The check records of ``run_checks_timed``."""
+    return run_checks_timed(suite, cfg)[0]

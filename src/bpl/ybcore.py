@@ -382,7 +382,7 @@ class EigenChoice:
         return float(r / scale), float(l / scale)
 
 
-def spectrum(cfg: SpectralConfig, sector: int, probes=None) -> list[EigenChoice]:
+def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
     """Eigen-decomposition of the transfer matrix on one S^z sector.
 
     Degenerate clusters at the first probe rapidity are split by
@@ -399,12 +399,11 @@ def spectrum(cfg: SpectralConfig, sector: int, probes=None) -> list[EigenChoice]
     """
     if not 0 <= sector <= cfg.L:
         raise ValueError(f"sector must lie in [0, {cfg.L}], got {sector}")
-    if probes is None:
-        rng = cfg.rng("spectrum-probes")
-        probes = (
-            complex(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)),
-            complex(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)),
-        )
+    rng = cfg.rng("spectrum-probes")
+    probes = (
+        complex(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)),
+        complex(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)),
+    )
     idx = sector_indices(cfg.L, sector)
     t_probes = [transfer(p, cfg).entries for p in probes]
     t1 = t_probes[0][np.ix_(idx, idx)]
@@ -428,7 +427,7 @@ def spectrum(cfg: SpectralConfig, sector: int, probes=None) -> list[EigenChoice]
         left_rows = np.linalg.inv(vec)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(
-            "right eigenvectors are not independent; try different probe points"
+            "right eigenvectors are not independent at the probe points; try another seed"
         ) from exc
 
     dim = cfg.quantum_dim
@@ -448,7 +447,7 @@ def spectrum(cfg: SpectralConfig, sector: int, probes=None) -> list[EigenChoice]
     if worst > max(cfg.tol, 1e-9):
         raise DegeneracyError(
             f"eigenpair residual {worst:.3g} above tolerance at the probe points; "
-            "the sector may be degenerate there, try other probes"
+            "the sector may be degenerate there; try another seed"
         )
 
     def sort_key(e: EigenChoice):

@@ -1,5 +1,7 @@
 """Command-line front-end: configuration validation and exit codes."""
 
+import json
+
 import pytest
 
 from bpl import cli
@@ -20,3 +22,9 @@ def test_over_capacity_length_exits_before_any_draw(monkeypatch, capsys):
 def test_out_of_range_fields_exit_as_usage_errors(argv, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+def test_all_report_carries_artifact_times(capsys):
+    assert cli.main(["all", "--L", "3", "--n", "1", "--json"]) == cli.EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["artifacts"]) == {"eigs", "fits", "family", "eigk", "zbar"}

@@ -21,8 +21,9 @@ from bpl.closedform import (
 from bpl.config import SpectralConfig
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import FnSampler, extract_fbar, lambda_bar_coefficients, spectrum
-from bpl.omega import check_eigk, extract_omegas
+from bpl.omega import extract_omegas
 from bpl.polyengine import MultiPoly
+from bpl.suites import Artifacts
 
 from conftest import draw_complex
 
@@ -137,9 +138,10 @@ class TestDerivativeCoefficients:
         # the ODE reconstructed from the extracted operator fixes the ratio
         # (Delta - V)/Q1, which the formulas must reproduce
         cfg = SpectralConfig.random_instance(2, 1, seed=17)
-        family = extract_omegas(cfg)
+        store = Artifacts(cfg)
+        family = store.family
         omega_top_m1 = family.omega(cfg.L - 1)
-        report = check_eigk(cfg, family)
+        report = store.eigk
         rec = next(r for r in report.records if not r.vanishing)
         fbar = rec.fbar_fit.poly
         delta = rec.delta[cfg.L - 1]
@@ -229,13 +231,13 @@ class TestOperatorComparison:
     )
     def test_small_grid(self, L, n):
         cfg = SpectralConfig.random_instance(L, n, seed=1000 + 10 * L + n)
-        assert compare_omega_closedform(cfg) < 1e-7
+        assert compare_omega_closedform(extract_omegas(cfg)) < 1e-7
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_longer_lattice_branch(self, n):
         # L = 5 exercises the large-L boundary branch of the psi table
         cfg = SpectralConfig.random_instance(5, n, seed=2000 + n)
-        assert compare_omega_closedform(cfg) < 1e-7
+        assert compare_omega_closedform(extract_omegas(cfg)) < 1e-7
 
     def test_eigenfunctions_satisfy_pde(self):
         cfg = SpectralConfig.random_instance(3, 2, seed=53)

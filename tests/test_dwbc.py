@@ -113,7 +113,7 @@ class TestHomogeneousPde:
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_residual(self, L):
         cfg = SpectralConfig.random_instance(L, 0, seed=30 + L)
-        assert dwbc_pde_residual(cfg, npoints=10) < 1e-8
+        assert dwbc_pde_residual(extract_zbar(cfg)) < 1e-8
 
     def test_scale_invariance(self, rng):
         # the equation is linear homogeneous: rescaling the polynomial part
@@ -123,8 +123,8 @@ class TestHomogeneousPde:
         scaled = type(inst)(
             cfg, inst.zbar * 7.0, inst.fit, inst.symmetry_defect, inst.top_coefficient
         )
-        r1 = dwbc_pde_residual(cfg, inst)
-        r2 = dwbc_pde_residual(cfg, scaled)
+        r1 = dwbc_pde_residual(inst)
+        r2 = dwbc_pde_residual(scaled)
         assert abs(r1 - r2) < 1e-12
 
     def test_coefficients_at_a_point(self, rng):
@@ -147,7 +147,7 @@ class TestReduction:
     @pytest.mark.parametrize("L", [3, 4])
     def test_upsilon_residual(self, L):
         cfg = SpectralConfig.random_instance(L, 0, seed=40 + L)
-        assert dwbc_upsilon_residual(cfg, npoints=3) < 1e-8
+        assert dwbc_upsilon_residual(extract_zbar(cfg)) < 1e-8
 
     def test_vector_dimension(self):
         for L in (3, 4, 5):

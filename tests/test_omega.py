@@ -9,10 +9,10 @@ from bpl.omega import (
     SymmetricBasis,
     action_polynomiality_residual,
     build_lbar,
-    check_eigk,
     extract_omegas,
 )
 from bpl.polyengine import MultiPoly
+from bpl.suites import Artifacts
 
 from conftest import draw_complex
 
@@ -22,6 +22,26 @@ class TestSymmetricBasis:
         assert SymmetricBasis(1, 2).dim == 3
         assert SymmetricBasis(2, 2).dim == 6   # partitions in a 2x2 box
         assert SymmetricBasis(3, 2).dim == 10
+
+    @pytest.mark.parametrize("nvars", range(5))
+    def test_labels_match_recursive_enumeration(self, nvars):
+        # reference: weakly decreasing tuples, each entry counting down from
+        # the previous one (the first from the degree bound)
+        def reference(bound):
+            out = []
+
+            def rec(prefix, ceiling):
+                if len(prefix) == nvars:
+                    out.append(tuple(prefix))
+                    return
+                for v in range(ceiling, -1, -1):
+                    rec(prefix + [v], v)
+
+            rec([], bound)
+            return tuple(out)
+
+        for bound in range(7):
+            assert SymmetricBasis(nvars, bound).labels == reference(bound)
 
     def test_embed_project_round_trip(self, rng):
         basis = SymmetricBasis(2, 3)
@@ -46,7 +66,7 @@ class TestLbar:
         eig = spectrum(cfg, 1)[0]
         fit = extract_fbar(FnSampler(cfg, eig))
         vec, _ = lbar.basis.project(fit.poly)
-        deltas = lambda_bar_coefficients(eig, cfg, nodes=lbar.x0_nodes)
+        deltas = lambda_bar_coefficients([eig], cfg, nodes=lbar.x0_nodes)[0]
         for _ in range(4):
             lam0 = draw_complex(rng)
             x0 = np.exp(2 * lam0)
@@ -140,14 +160,14 @@ class TestJointSpectralProblems:
     @pytest.mark.parametrize("L,n,tol", [(2, 1, 1e-9), (4, 2, 1e-8)])
     def test_eigenfunction_residuals(self, L, n, tol):
         cfg = SpectralConfig.random_instance(L, n, seed=100 + L * 10 + n)
-        report = check_eigk(cfg)
+        report = Artifacts(cfg).eigk
         realized = [r for r in report.records if not r.vanishing]
         assert realized, "no nonvanishing overlap polynomials found"
         assert report.max_residual < tol
 
     def test_top_delta_constant_across_sector(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=53)
-        report = check_eigk(cfg)
+        report = Artifacts(cfg).eigk
         tops = [r.delta[cfg.L] for r in report.records if not r.vanishing]
         assert len(tops) >= 2
         for t in tops[1:]:
@@ -155,7 +175,7 @@ class TestJointSpectralProblems:
 
     def test_containment_and_surplus_reported(self):
         cfg = SpectralConfig.random_instance(3, 2, seed=59)
-        report = check_eigk(cfg)
+        report = Artifacts(cfg).eigk
         assert report.max_containment_distance < 1e-7
         # the symmetric space is larger than the sector: surplus spectrum
         assert report.surplus_dimension == report.family.basis.dim - len(

@@ -7,7 +7,6 @@ import pytest
 from bpl.closedform import closedform_residual
 from bpl.config import SpectralConfig
 from bpl.errors import UnsupportedShapeError
-from bpl.omega import check_eigk
 from bpl.polyengine import MultiPoly, partial_derivative
 from bpl.reduction import (
     block_dimensions,
@@ -16,6 +15,7 @@ from bpl.reduction import (
     upsilon_apply,
     upsilon_residual,
 )
+from bpl.suites import Artifacts
 
 from conftest import draw_complex
 
@@ -88,7 +88,7 @@ class TestUpsilon:
     def test_residual_on_extracted_eigenfunctions(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=6)
         system = spectral_reduction(cfg)
-        report = check_eigk(cfg)
+        report = Artifacts(cfg).eigk
         rng = np.random.default_rng(3)
         checked = 0
         for rec in report.records:
@@ -97,18 +97,28 @@ class TestUpsilon:
             checked += 1
             for _ in range(4):
                 pt = distinct_point(rng, 1)
-                assert upsilon_residual(system, rec.fbar_fit.poly, rec.delta[cfg.L - 1], pt) < 1e-8
+                delta = rec.delta[cfg.L - 1]
+                assert upsilon_residual(system, rec.fbar_fit.poly, delta, [pt]) < 1e-8
         assert checked > 0
+
+    def test_several_points_give_the_worst_single_point(self, rng):
+        cfg = SpectralConfig.random_instance(4, 2, seed=5)
+        system = spectral_reduction(cfg)
+        f = random_poly(rng, 2, 3)
+        delta = draw_complex(rng)
+        pts = [distinct_point(rng, 2) for _ in range(4)]
+        single = [upsilon_residual(system, f, delta, [pt]) for pt in pts]
+        assert upsilon_residual(system, f, delta, pts) == max(single)
 
     def test_wrong_eigenvalue_detected(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=7)
         system = spectral_reduction(cfg)
-        report = check_eigk(cfg)
+        report = Artifacts(cfg).eigk
         rec = next(r for r in report.records if not r.vanishing)
         rng = np.random.default_rng(4)
         pt = distinct_point(rng, 1)
-        good = upsilon_residual(system, rec.fbar_fit.poly, rec.delta[cfg.L - 1], pt)
-        bad = upsilon_residual(system, rec.fbar_fit.poly, rec.delta[cfg.L - 1] + 1.0, pt)
+        good = upsilon_residual(system, rec.fbar_fit.poly, rec.delta[cfg.L - 1], [pt])
+        bad = upsilon_residual(system, rec.fbar_fit.poly, rec.delta[cfg.L - 1] + 1.0, [pt])
         assert good < 1e-8
         assert bad > 1e-3
 
@@ -130,7 +140,7 @@ class TestUpsilon:
     def test_pde_row_matches_closedform_residual_scale(self, rng):
         # consistency with the direct residual checker on an eigenfunction
         cfg = SpectralConfig.random_instance(3, 2, seed=8)
-        report = check_eigk(cfg)
+        report = Artifacts(cfg).eigk
         rec = next(r for r in report.records if not r.vanishing)
         assert closedform_residual(cfg, rec.fbar_fit.poly, rec.delta[cfg.L - 1]) < 1e-8
 

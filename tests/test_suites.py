@@ -1,0 +1,93 @@
+"""The per-instance artifact store: under ``run_checks("all")`` each artifact
+is built once, a single suite builds only what it reads, and sharing the
+store changes no residual."""
+
+import sys
+
+import pytest
+
+import bpl.dwbc
+import bpl.omega
+import bpl.ybcore
+from bpl.config import SpectralConfig
+from bpl.suites import SUITES, run_checks, run_checks_timed
+
+CFG = SpectralConfig.random_instance(4, 2, seed=0)
+
+COUNTED = {
+    "spectrum": bpl.ybcore.spectrum,
+    "extract_omegas": bpl.omega.extract_omegas,
+    "build_lbar": bpl.omega.build_lbar,
+    "extract_zbar": bpl.dwbc.extract_zbar,
+}
+
+#: the artifacts each suite reads from the store
+READS = {
+    "verify-ybe": set(),
+    "verify-rtt": set(),
+    "verify-off": set(),
+    "spectrum": {"eigs"},
+    "fz": {"eigs", "fits"},
+    "omega-extract": {"family"},
+    "omega-eigk": {"family", "eigs", "fits", "eigk"},
+    "omega-compare": {"family"},
+    "pde-residual": {"eigs", "fits"},
+    "pde-special": set(),
+    "reduce": {"family", "eigs", "fits", "eigk"},
+    "dwbc-partition": set(),
+    "dwbc-pde": {"zbar"},
+    "dwbc-upsilon": {"zbar"},
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Arguments of every call to the counted builders, per builder, counted
+    at every module attribute that holds one."""
+    seen = {name: [] for name in COUNTED}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for modname, module in list(sys.modules.items()):
+        if not modname.startswith("bpl"):
+            continue
+        for name, fn in COUNTED.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    return seen
+
+
+def test_all_builds_each_artifact_once(calls):
+    run_checks("all", CFG)
+    assert sum(1 for args in calls["spectrum"] if args[1] == CFG.n) == 1
+    assert len(calls["extract_omegas"]) == 1
+    assert len(calls["build_lbar"]) == 1
+    assert len(calls["extract_zbar"]) == 1
+
+
+def test_spectrum_suite_builds_no_family(calls):
+    run_checks("spectrum", CFG)
+    assert len(calls["spectrum"]) == 1
+    assert calls["extract_omegas"] == calls["build_lbar"] == calls["extract_zbar"] == []
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_single_suite_builds_only_what_it_reads(suite):
+    _, built = run_checks_timed(suite, CFG)
+    assert set(built) == READS[suite]
+
+
+def test_all_reports_every_artifact_time():
+    _, built = run_checks_timed("all", CFG)
+    assert set(built) == set().union(*READS.values())
+    assert all(sec >= 0.0 for sec in built.values())
+
+
+def test_shared_store_leaves_residuals_unchanged():
+    alone = [(c.name, c.residual.hex()) for suite in SUITES for c in run_checks(suite, CFG)]
+    together = [(c.name, c.residual.hex()) for c in run_checks("all", CFG)]
+    assert together == alone
