@@ -23,7 +23,6 @@ from .ybcore import (
     DenseOperator,
     EigenChoice,
     MonodromyEntries,
-    b_product,
     check_off_relations,
     check_rtt,
     check_ybe,

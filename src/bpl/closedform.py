@@ -19,15 +19,14 @@ the first-order reduction (``reduction``) all evaluate the equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import factorial
 
 import numpy as np
 
 from .config import SpectralConfig
 from .errors import CoincidentRapiditiesError
-from .omega import OmegaFamily, SymmetricBasis, _lbar_grids
-from .polyengine import MultiPoly, PdeSpec, tensor_interpolate
+from .omega import OmegaFamily, SymmetricBasis, _lbar_grids, symmetric_operator
+from .polyengine import MultiPoly, PdeSpec, derivative_tensor, eval_tensors, grid_points
 
 #: minimum |x_i - x_j| accepted when evaluating the rational coefficients
 X_SEPARATION_GUARD = 1e-7
@@ -222,51 +221,46 @@ def closedform_residual(cfg: SpectralConfig, fbar: MultiPoly, delta: complex) ->
     return spectral_pde(cfg).residual(fbar, delta, points)
 
 
-def closedform_operator(cfg: SpectralConfig) -> tuple[np.ndarray, SymmetricBasis]:
+def closedform_operator(cfg: SpectralConfig) -> np.ndarray:
     """Matrix of V + sum_i Q_i d^{L-1}/dx_i^{L-1} on the symmetric basis.
 
     Like the extraction layer, the action is sampled on per-variable node
-    circles and interpolated; the individual terms leave the bounded space
-    and only their sum returns to it.  The nodes are the extraction's own
-    (``omega._lbar_grids``).
+    circles and interpolated (``omega.symmetric_operator``); the individual
+    terms leave the bounded space and only their sum returns to it.  The
+    nodes are the extraction's own (``omega._lbar_grids``).
     """
     n, L = cfg.n, cfg.L
     if n < 1:
         raise ValueError("the operator form needs n >= 1")
-    lam_grids, _ = _lbar_grids(cfg, n)
+    lam_grids, _ = _lbar_grids(cfg)
     x_grids = [np.exp(2 * g) for g in lam_grids]
-    tuples = list(iproduct(range(L), repeat=n))
-    x_tuples = np.array([[x_grids[i][t[i]] for i in range(n)] for t in tuples])
+    x_points = grid_points(x_grids)
 
     spec = spectral_pde(cfg)
     # column k of the table: V (k = 0) or Q_{k-1} at every grid point
-    coeff_table = np.array([spec.coefficients(xs) for xs in x_tuples])
+    coeff_table = np.array([spec.coefficients(xs) for xs in x_points])
 
     basis = SymmetricBasis(n, L - 1)
-    ns = basis.dim
-    mat = np.zeros((ns, ns), dtype=complex)
-    for col in range(ns):
-        unit = np.zeros(ns)
-        unit[col] = 1.0
-        p = basis.embed(unit)
-        parts = [p] + spec.derivatives(p)
-        vals = sum(c * g.eval_many(x_tuples) for c, g in zip(coeff_table.T, parts))
-        table = tensor_interpolate(vals.reshape((L,) * n), x_grids)
-        vec, _ = basis.project(MultiPoly(table))
-        mat[:, col] = vec
-    return mat, basis
+    parts = [basis.tensors] + [
+        derivative_tensor(basis.tensors, 1 + i, spec.length - 1) for i in range(n)
+    ]
+    images = sum(c * eval_tensors(g, x_points) for c, g in zip(coeff_table.T, parts))
+    mat, _ = symmetric_operator(basis, images.reshape((basis.dim,) + (L,) * n), x_grids)
+    return mat
 
 
-def compare_omega_closedform(family: OmegaFamily) -> float:
-    """Normalised max-norm distance between the closed-form operator and the
-    extracted x0^{L-1} family member.  This is the decisive validation of
-    every coefficient formula and of the multiplicative conventions
-    q = e^gamma, x = e^{2 lambda}, y = e^{2 mu}."""
+def compare_omega_closedform(family: OmegaFamily) -> np.ndarray:
+    """Max-norm distance between the closed-form operator and the extracted
+    x0^{L-1} family member, per symmetric-basis column (in ``basis.labels``
+    order), all normalised by the larger of the two operators' max-norms.
+    Its maximum is the decisive validation of every coefficient formula and
+    of the multiplicative conventions q = e^gamma, x = e^{2 lambda},
+    y = e^{2 mu}; the columns that disagree locate a fault."""
     cfg = family.cfg
-    closed, _ = closedform_operator(cfg)
+    closed = closedform_operator(cfg)
     extracted = family.omega(cfg.L - 1)
     scale = max(np.max(np.abs(closed)), np.max(np.abs(extracted)), 1e-300)
-    return float(np.max(np.abs(closed - extracted)) / scale)
+    return np.max(np.abs(closed - extracted), axis=0) / scale
 
 
 # -- solvable small cases -----------------------------------------------------------

@@ -19,15 +19,14 @@ shared ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import factorial
 
 import numpy as np
 
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError, CoincidentRapiditiesError
-from .functional import PolyFit, circle_grid, fit_grid
-from .polyengine import MultiPoly, PdeSpec, tensor_interpolate
+from .functional import PolyFit, b_table, circle_grid, fit_grid
+from .polyengine import MultiPoly, PdeSpec, grid_points, tensor_interpolate
 from .reduction import upsilon_residual
 from .ybcore import monodromy, weight_a, weight_b, weight_c
 
@@ -173,13 +172,18 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
     _check_partition_capacity(cfg)
     grids = _zbar_grids(cfg)
     extra = circle_grid(L + 1, slot=L, nslots=L + 1)
-    b_grids = [[monodromy(lam, cfg).b.entries for lam in g] for g in grids]
-    b_extra = [monodromy(lam, cfg).b.entries for lam in extra]
+    b_ops = b_table(cfg, np.concatenate(grids + [extra]))
+
+    def sample(lam_grids) -> np.ndarray:
+        """The stripped partition function on the tensor grid of the rapidity nodes."""
+        vals = [
+            np.exp((L - 1) * sum(lams)) * _corner([b_ops[complex(lam)] for lam in lams])
+            for lams in grid_points(lam_grids)
+        ]
+        return np.reshape(vals, [len(g) for g in lam_grids])
+
     x_grids = [np.exp(2 * g) for g in grids]
-    vals = np.zeros((L,) * L, dtype=complex)
-    for tup in iproduct(range(L), repeat=L):
-        lams = [grids[i][tup[i]] for i in range(L)]
-        vals[tup] = np.exp((L - 1) * sum(lams)) * _corner([b_grids[i][tup[i]] for i in range(L)])
+    vals = sample(grids)
     rng = cfg.rng("zbar-holdout")
     test = [random_complex(rng) for _ in range(L)]
     direct = np.exp((L - 1) * sum(test)) * dwbc_partition(test, cfg)
@@ -193,11 +197,7 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
         sym_defect = max(sym_defect, float(np.max(np.abs(swapped - poly.coeffs)) / scale))
 
     # degree certification: refit axis 0 with one extra node
-    vals_ext = np.zeros((L + 1,) + (L,) * (L - 1), dtype=complex)
-    for tup in iproduct(range(L + 1), *[range(L)] * (L - 1)):
-        lams = [extra[tup[0]]] + [grids[i][tup[i]] for i in range(1, L)]
-        b_ops = [b_extra[tup[0]]] + [b_grids[i][tup[i]] for i in range(1, L)]
-        vals_ext[tup] = np.exp((L - 1) * sum(lams)) * _corner(b_ops)
+    vals_ext = sample([extra] + grids[1:])
     ext_coeffs = tensor_interpolate(vals_ext, [np.exp(2 * extra)] + x_grids[1:])
     top = float(np.max(np.abs(ext_coeffs[L])) / scale)
     return DwbcInstance(cfg, poly, fit, sym_defect, top)

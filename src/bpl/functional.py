@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 import numpy as np
 
 from .config import SpectralConfig, random_complex
-from .polyengine import MultiPoly, grid_condition, tensor_interpolate
+from .polyengine import MultiPoly, grid_condition, grid_points, tensor_interpolate
 from .ybcore import (
     EigenChoice,
     exchange_m_factors,
@@ -35,6 +34,7 @@ __all__ = [
     "EigenChoice",
     "FnSampler",
     "PolyFit",
+    "b_table",
     "check_fz_residual",
     "circle_grid",
     "extract_fbar",
@@ -43,6 +43,7 @@ __all__ = [
     "fz_coefficients",
     "lambda_bar_coefficients",
     "lambda_grid",
+    "lbar_x0_nodes",
     "spectrum",
 ]
 
@@ -76,9 +77,16 @@ def circle_grid(count: int, slot: int = 0, nslots: int = 1) -> np.ndarray:
     return rho / 2 + 1j * theta / 2
 
 
+def lbar_x0_nodes(cfg: SpectralConfig) -> np.ndarray:
+    """Rapidities of the x0 = e^{2 lambda_0} interpolation nodes of Lbar(x0)
+    and of Lambda_bar(x0): slot 0 of the n+1 node circles whose other slots
+    carry the x_i (``omega._lbar_grids``)."""
+    return circle_grid(cfg.L + 1, slot=0, nslots=cfg.n + 1)
+
+
 # -- overlap sampler -------------------------------------------------------------
 
-def _b_table(cfg: SpectralConfig, lams) -> dict[complex, np.ndarray]:
+def b_table(cfg: SpectralConfig, lams) -> dict[complex, np.ndarray]:
     """B(lambda) at each distinct rapidity, each built once."""
     distinct = dict.fromkeys(complex(l) for l in lams)
     return {lam: monodromy(lam, cfg).b.entries for lam in distinct}
@@ -168,7 +176,7 @@ def check_fz_residual(sampler: FnSampler, lam0: complex, lams) -> float:
     # every rapidity of the relation is built once: T(lam0) and B(lam0) come
     # from one monodromy, and the swapped overlaps reuse the B(lams)
     m0 = monodromy(lam0, cfg)
-    local = FnSampler(cfg, sampler.eig, {complex(lam0): m0.b.entries, **_b_table(cfg, lams)})
+    local = FnSampler(cfg, sampler.eig, {complex(lam0): m0.b.entries, **b_table(cfg, lams)})
     f_here = local.value(lams)
     lam_val = sampler.eig.eigenvalue_from(m0.a.entries + m0.d.entries)
     total = j0 * f_here - lam_val * f_here
@@ -229,7 +237,7 @@ def fbar_b_ops(cfg: SpectralConfig, n: int) -> dict[complex, np.ndarray]:
     it.  It lives as long as the caller keeps it.
     """
     nodes = [lam for grid in _fbar_grids(cfg, n) for lam in grid]
-    return _b_table(cfg, nodes + _fbar_holdout_point(cfg, n))
+    return b_table(cfg, nodes + _fbar_holdout_point(cfg, n))
 
 
 def extract_fbar(sampler: FnSampler) -> PolyFit:
@@ -248,30 +256,27 @@ def extract_fbar(sampler: FnSampler) -> PolyFit:
         return PolyFit(MultiPoly(np.array(val)), 1.0, 0.0)
     grids = _fbar_grids(cfg, n)
     xgrids = [np.exp(2 * g) for g in grids]
-    vals = np.zeros((cfg.L,) * n, dtype=complex)
-    for tup in iproduct(range(cfg.L), repeat=n):
-        lams = [grids[i][tup[i]] for i in range(n)]
-        vals[tup] = np.exp((cfg.L - 1) * sum(lams)) * sampler.value(lams)
+    vals = np.array(
+        [np.exp((cfg.L - 1) * sum(lams)) * sampler.value(lams) for lams in grid_points(grids)]
+    ).reshape((cfg.L,) * n)
     test = _fbar_holdout_point(cfg, n)
     direct = np.exp((cfg.L - 1) * sum(test)) * sampler.value(test)
     return fit_grid(vals, xgrids, np.exp(2 * np.array(test)), direct)
 
 
-def lambda_bar_coefficients(
-    eigs, cfg: SpectralConfig, nodes: np.ndarray | None = None
-) -> np.ndarray:
+def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> np.ndarray:
     """Coefficients of Lambda_bar(x0) = Lambda(lam0) e^{L lam0} as a degree-L
-    polynomial in x0 = e^{2 lam0}, one row per eigenpair of ``eigs``.
+    polynomial in x0 = e^{2 lam0}, one row per eigenpair of ``eigs``,
+    interpolated on the x0 nodes of Lbar (``lbar_x0_nodes``).
 
     The transfer matrix at each node is built once and shared across all the
     requested eigenpairs.
     """
-    if nodes is None:
-        nodes = circle_grid(cfg.L + 1, slot=0, nslots=1)
+    nodes = lbar_x0_nodes(cfg)
     values = np.zeros((len(eigs), len(nodes)), dtype=complex)
     for j, lam0 in enumerate(nodes):
         t = transfer(lam0, cfg).entries
         for i, eig in enumerate(eigs):
             val = (eig.left @ t @ eig.right) / (eig.left @ eig.right)
             values[i, j] = val * np.exp(cfg.L * lam0)
-    return tensor_interpolate(values, [np.exp(2 * np.asarray(nodes))])
+    return tensor_interpolate(values, [np.exp(2 * nodes)])

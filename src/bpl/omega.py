@@ -15,15 +15,21 @@ x_i = x_j and x_i = x0; the poles cancel only in the full combination and
 only on symmetric inputs (the overlaps Fbar are symmetric because the
 B-operators commute).  The family is therefore realised as matrices on the
 symmetric part of the degree-bounded space; on the full monomial space the
-action is rational, which ``symmetrized_action_is_polynomial`` checks
+action is rational, which ``action_polynomiality_residual`` checks
 explicitly.  For a single variable the symmetric space is the whole space.
+
+Lbar and the closed-form operator of ``closedform`` are assembled alike:
+the action is sampled on all the stacked basis tensors at once
+(``SymmetricBasis.tensors``; ``lbar_action`` is the one writing of the Lbar
+action), and ``symmetric_operator`` interpolates and projects every column
+in one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations_with_replacement, permutations, product as iproduct
+from functools import cached_property, partial
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -35,8 +41,9 @@ from .functional import (
     fit_grid,
     fz_coefficients,
     lambda_bar_coefficients,
+    lbar_x0_nodes,
 )
-from .polyengine import MultiPoly, tensor_interpolate
+from .polyengine import MultiPoly, eval_tensors, grid_points, tensor_interpolate
 
 #: default ceiling on the full tensor space used during sampling
 MAX_TENSOR_DIM = 4096
@@ -50,6 +57,9 @@ class SymmetricBasis:
 
     Basis labels are the weakly decreasing exponent tuples; m_mu is the sum
     of the distinct permutations of the label with unit coefficients.
+    Coefficient arrays put the basis index (``embed``'s input, ``project``'s
+    output) on the last axis and the box on the trailing ``nvars`` axes;
+    leading axes are a batch.
     """
 
     nvars: int
@@ -66,26 +76,32 @@ class SymmetricBasis:
     def dim(self) -> int:
         return len(self.labels)
 
-    def embed(self, vec: np.ndarray) -> MultiPoly:
-        """Symmetric-basis coefficients -> full coefficient tensor."""
-        c = np.zeros((self.degree_bound + 1,) * self.nvars, dtype=complex)
-        for val, label in zip(vec, self.labels):
+    @cached_property
+    def tensors(self) -> np.ndarray:
+        """The 0/1 coefficient tensors of every m_mu, stacked along axis 0."""
+        out = np.zeros((self.dim,) + (self.degree_bound + 1,) * self.nvars)
+        for k, label in enumerate(self.labels):
             for perm in set(permutations(label)):
-                c[perm] += val
-        return MultiPoly(c)
+                out[(k,) + perm] = 1.0
+        return out
 
-    def project(self, poly: MultiPoly) -> tuple[np.ndarray, float]:
-        """Full tensor -> symmetric-basis coefficients.
+    def embed(self, vecs: np.ndarray) -> np.ndarray:
+        """Symmetric-basis coefficients -> full coefficient tensors."""
+        return np.tensordot(vecs, self.tensors, axes=(-1, 0))
+
+    def project(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Full coefficient tensors -> symmetric-basis coefficients.
 
         Reads off the coefficient at each decreasing representative and
-        reports how much of the input violates permutation symmetry
-        (relative max-norm of input minus re-embedded projection).
+        reports, per tensor, how much of the input violates permutation
+        symmetry (relative max-norm of input minus re-embedded projection).
         """
-        vec = np.array([poly.coeffs[label] for label in self.labels])
-        recon = self.embed(vec)
-        scale = max(poly.max_abs(), 1e-300)
-        defect = float(np.max(np.abs(recon.coeffs - poly.coeffs)) / scale)
-        return vec, defect
+        coeffs = np.asarray(coeffs)
+        box = tuple(range(coeffs.ndim - self.nvars, coeffs.ndim))
+        vecs = coeffs[(...,) + tuple(zip(*self.labels))]
+        scale = np.maximum(np.max(np.abs(coeffs), axis=box), 1e-300)
+        defect = np.max(np.abs(self.embed(vecs) - coeffs), axis=box) / scale
+        return vecs, defect
 
 
 # -- the operator-valued polynomial in x0 -----------------------------------------
@@ -95,27 +111,64 @@ class LbarOperator:
     """Coefficient matrices of Lbar(x0) on the symmetric basis.
 
     ``coefficient_matrices[k]`` is Omega_k.  ``polynomiality_residual`` is the
-    largest held-out interpolation error seen while assembling the action
-    (the claim that Lbar maps the bounded symmetric space to itself is
-    verified, not assumed), and ``symmetry_defect`` bounds how far any image
-    was from being symmetric.
+    largest error of the assembled matrices against the direct action at a
+    held-out point (the claim that Lbar maps the bounded symmetric space to
+    itself is verified, not assumed), and ``symmetry_defect`` bounds how far
+    any image was from being symmetric.
     """
 
-    cfg: SpectralConfig
     basis: SymmetricBasis
     coefficient_matrices: np.ndarray
-    x0_nodes: np.ndarray
     polynomiality_residual: float
     symmetry_defect: float
 
-    def omega(self, k: int) -> np.ndarray:
-        return self.coefficient_matrices[k]
+
+def _lbar_grids(cfg: SpectralConfig):
+    """Rapidity nodes of the x_i (slots 1..n) and of x0 (slot 0)."""
+    lam_grids = [circle_grid(cfg.L, slot=i + 1, nslots=cfg.n + 1) for i in range(cfg.n)]
+    return lam_grids, lbar_x0_nodes(cfg)
 
 
-def _lbar_grids(cfg: SpectralConfig, n: int):
-    lam_grids = [circle_grid(cfg.L, slot=i + 1, nslots=n + 1) for i in range(n)]
-    lam0_nodes = circle_grid(cfg.L + 1, slot=0, nslots=n + 1)
-    return lam_grids, lam0_nodes
+def lbar_action(cfg: SpectralConfig, lam0: complex, lam_points, evaluate) -> np.ndarray:
+    """(Lbar(x0) p)(x) = Jbar0 p(x) - sum_i Kbar_i p(x with x_i -> x0) at
+    x0 = e^{2 lam0} and at x = e^{2 lam} for every row lam of ``lam_points``.
+
+    ``evaluate`` maps an array of x-points (P, n) to the values of p there,
+    shape batch + (P,), so one call acts on a whole batch of polynomials.
+    Jbar0 and Kbar_i are the coefficients of the functional relation with
+    the prefactors e^{L lam0} and e^{lam0} e^{(L-1) lam_i} (per-variable
+    x^{(L-1)/2}, branch-free) multiplied in.
+    """
+    L = cfg.L
+    lam_points = np.asarray(lam_points, dtype=complex)
+    xs = np.exp(2 * lam_points)
+    coeffs = [fz_coefficients(lam0, lams, cfg) for lams in lam_points]
+    jbar = np.array([j0 for j0, _ in coeffs]) * np.exp(L * lam0)
+    kbar = np.array([ks for _, ks in coeffs]) * np.exp(lam0) * np.exp((L - 1) * lam_points)
+    out = jbar * evaluate(xs)
+    for i in range(lam_points.shape[1]):
+        subbed = xs.copy()
+        subbed[:, i] = np.exp(2 * lam0)
+        out = out - kbar[:, i] * evaluate(subbed)
+    return out
+
+
+def symmetric_operator(
+    basis: SymmetricBasis, images: np.ndarray, node_sets
+) -> tuple[np.ndarray, float]:
+    """Matrices on ``basis`` of a linear map sampled on its basis elements.
+
+    ``images[col]`` holds the image of basis element ``col`` sampled on the
+    tensor grid of ``node_sets``.  The last ``basis.nvars`` node sets belong
+    to the polynomial's variables; any before them (the x0 of Lbar) are
+    further variables, whose coefficients index the leading axes of the
+    result.  One interpolation and one projection serve every column.
+    Returns the matrices, shape (extra..., dim, dim), and the largest
+    symmetry defect of any image.
+    """
+    table = tensor_interpolate(images, node_sets)
+    vecs, defect = basis.project(table)
+    return np.moveaxis(vecs, 0, -1), float(np.max(defect))
 
 
 def build_lbar(cfg: SpectralConfig) -> LbarOperator:
@@ -125,83 +178,37 @@ def build_lbar(cfg: SpectralConfig) -> LbarOperator:
     action is evaluated pointwise on per-variable disjoint node circles
     (keeping every coefficient denominator away from zero) and interpolated:
     degree L-1 per variable, then degree L in x0.  Nothing is ever composed
-    from the rational pieces individually.
+    from the rational pieces individually.  A random x-tuple at the first
+    x0 node checks every column of the result against the direct action.
     """
     n, L = cfg.n, cfg.L
     if n < 1:
         raise ValueError("operator extraction needs at least one variable (n >= 1)")
     if L**n > MAX_TENSOR_DIM:
         raise CapacityError(f"tensor space L^n = {L**n} exceeds cap {MAX_TENSOR_DIM}")
-    lam_grids, lam0_nodes = _lbar_grids(cfg, n)
+    lam_grids, lam0_nodes = _lbar_grids(cfg)
     x_grids = [np.exp(2 * g) for g in lam_grids]
     x0_nodes = np.exp(2 * lam0_nodes)
-
-    tuples = list(iproduct(range(L), repeat=n))
-    lam_tuples = np.array(
-        [[lam_grids[i][t[i]] for i in range(n)] for t in tuples], dtype=complex
-    )
-    x_tuples = np.exp(2 * lam_tuples)
-    prefac = np.exp((L - 1) * lam_tuples)  # per-variable x^{(L-1)/2}, branch-free
-
-    # coefficient tables, shared by every basis element
-    ntup = len(tuples)
-    jbar = np.zeros((L + 1, ntup), dtype=complex)
-    kbar = np.zeros((L + 1, ntup, n), dtype=complex)
-    for a0, lam0 in enumerate(lam0_nodes):
-        for t in range(ntup):
-            j0, ks = fz_coefficients(lam0, lam_tuples[t], cfg)
-            jbar[a0, t] = j0 * np.exp(L * lam0)
-            for i in range(n):
-                kbar[a0, t, i] = ks[i] * np.exp(lam0) * prefac[t, i]
+    lam_points = grid_points(lam_grids)
 
     basis = SymmetricBasis(n, L - 1)
-    ns = basis.dim
-    coeff_mats = np.zeros((L + 1, ns, ns), dtype=complex)
-    worst_holdout = 0.0
-    worst_sym = 0.0
+    evaluate = partial(eval_tensors, basis.tensors)
+    images = np.stack(
+        [lbar_action(cfg, lam0, lam_points, evaluate) for lam0 in lam0_nodes], axis=1
+    )
+    coeff_mats, worst_sym = symmetric_operator(
+        basis, images.reshape((basis.dim, L + 1) + (L,) * n), [x0_nodes] + x_grids
+    )
 
     rng = cfg.rng("lbar-holdout")
-    held_lams = np.array([random_complex(rng) for _ in range(n)])
-    held_x = np.exp(2 * held_lams)
-    j0h, ksh = fz_coefficients(lam0_nodes[0], held_lams, cfg)
+    held_lams = np.array([[random_complex(rng) for _ in range(n)]])
+    direct = lbar_action(cfg, lam0_nodes[0], held_lams, evaluate)[:, 0]
+    at_held = evaluate(np.exp(2 * held_lams))[:, 0]
+    fitted = x0_nodes[0] ** np.arange(L + 1) @ (at_held @ coeff_mats)
+    scale = np.maximum(np.abs(direct), np.max(np.abs(coeff_mats), axis=(0, 1)))
+    worst_holdout = np.max(np.abs(direct - fitted) / np.maximum(scale, 1e-300))
 
-    for col in range(ns):
-        unit = np.zeros(ns)
-        unit[col] = 1.0
-        p = basis.embed(unit)
-        base_vals = p.eval_many(x_tuples)
-        images = np.zeros((L + 1, ntup), dtype=complex)
-        for a0 in range(L + 1):
-            images[a0] = jbar[a0] * base_vals
-            for i in range(n):
-                subbed = x_tuples.copy()
-                subbed[:, i] = x0_nodes[a0]
-                images[a0] -= kbar[a0, :, i] * p.eval_many(subbed)
-        table = tensor_interpolate(
-            images.reshape((L + 1,) + (L,) * n), [x0_nodes] + x_grids
-        )
-
-        # held-out polynomiality check at a random x-tuple, one x0 node
-        direct = j0h * np.exp(L * lam0_nodes[0]) * p(held_x)
-        for i in range(n):
-            sub = held_x.copy()
-            sub[i] = x0_nodes[0]
-            direct -= ksh[i] * np.exp(lam0_nodes[0]) * np.exp((L - 1) * held_lams[i]) * p(sub)
-        fitted = sum(
-            x0_nodes[0] ** k * MultiPoly(table[k]).eval_many(held_x[None, :])[0]
-            for k in range(L + 1)
-        )
-        scale = max(abs(direct), float(np.max(np.abs(table))), 1e-300)
-        worst_holdout = max(worst_holdout, abs(direct - fitted) / scale)
-
-        for k in range(L + 1):
-            vec, defect = basis.project(MultiPoly(table[k]))
-            coeff_mats[k, :, col] = vec
-            worst_sym = max(worst_sym, defect)
-
-    return LbarOperator(
-        cfg, basis, coeff_mats, lam0_nodes, float(worst_holdout), float(worst_sym)
-    )
+    return LbarOperator(basis, coeff_mats, float(worst_holdout), worst_sym)
 
 
 def action_polynomiality_residual(cfg: SpectralConfig, exponents, symmetrize: bool = True) -> float:
@@ -214,35 +221,20 @@ def action_polynomiality_residual(cfg: SpectralConfig, exponents, symmetrize: bo
     rather than doctrine.
     """
     n, L = cfg.n, cfg.L
-    exponents = tuple(exponents)
     if symmetrize:
-        probe = MultiPoly.zero(n, L - 1)
-        for perm in set(permutations(exponents)):
-            probe = probe + MultiPoly.monomial(n, L - 1, perm)
+        basis = SymmetricBasis(n, L - 1)
+        label = tuple(sorted(exponents, reverse=True))
+        probe = MultiPoly(basis.tensors[basis.labels.index(label)])
     else:
         probe = MultiPoly.monomial(n, L - 1, exponents)
 
-    lam_grids, lam0_nodes = _lbar_grids(cfg, n)
-    x_grids = [np.exp(2 * g) for g in lam_grids]
-    lam0 = lam0_nodes[0]
-    x0 = np.exp(2 * lam0)
-
-    def act(p, lam_tuple):
-        xs = np.exp(2 * np.asarray(lam_tuple))
-        j0, ks = fz_coefficients(lam0, lam_tuple, cfg)
-        val = j0 * np.exp(L * lam0) * p(xs)
-        for i in range(n):
-            sub = xs.copy()
-            sub[i] = x0
-            val -= ks[i] * np.exp(lam0) * np.exp((L - 1) * lam_tuple[i]) * p(sub)
-        return val
-
-    vals = np.zeros((L,) * n, dtype=complex)
-    for tup in iproduct(range(L), repeat=n):
-        vals[tup] = act(probe, [lam_grids[i][tup[i]] for i in range(n)])
+    lam_grids, lam0_nodes = _lbar_grids(cfg)
+    vals = lbar_action(cfg, lam0_nodes[0], grid_points(lam_grids), probe.eval_many)
     rng = cfg.rng("monomial-holdout")
-    held = np.array([random_complex(rng) for _ in range(n)])
-    return fit_grid(vals, x_grids, np.exp(2 * held), act(probe, held)).holdout_residual
+    held = np.array([[random_complex(rng) for _ in range(n)]])
+    direct = lbar_action(cfg, lam0_nodes[0], held, probe.eval_many)[0]
+    x_grids = [np.exp(2 * g) for g in lam_grids]
+    return fit_grid(vals.reshape((L,) * n), x_grids, np.exp(2 * held[0]), direct).holdout_residual
 
 
 # -- the family and its spectra ----------------------------------------------------
@@ -361,11 +353,11 @@ def check_eigk(family: OmegaFamily, eigs, fits) -> EigkReport:
     vector to the nearest row of the family's joint-spectrum table.
     """
     cfg = family.cfg
-    lam_bars = lambda_bar_coefficients(eigs, cfg, nodes=family.lbar.x0_nodes)
+    lam_bars = lambda_bar_coefficients(eigs, cfg)
 
     records = []
     for eig, fit, deltas in zip(eigs, fits, lam_bars):
-        vec, _ = family.basis.project(fit.poly)
+        vec, _ = family.basis.project(fit.poly.coeffs)
         norm = np.max(np.abs(vec))
         if norm < 1e-12:
             records.append(EigkRecord(eig.index, True, fit, None, 0.0, np.inf))

@@ -14,8 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-_EINSUM_LETTERS = "abcdefghijkl"
-
 
 @dataclass(frozen=True)
 class MultiPoly:
@@ -71,15 +69,9 @@ class MultiPoly:
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorised evaluation; ``points`` has shape (npoints, nvars)."""
         points = np.asarray(points, dtype=complex)
-        if self.nvars == 0:
-            return np.full(len(points), complex(self.coeffs))
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise ValueError(f"expected points of shape (P, {self.nvars})")
-        m = self.degree_bound
-        letters = _EINSUM_LETTERS[: self.nvars]
-        spec = ",".join(f"p{c}" for c in letters) + f",{letters}->p"
-        powers = [np.vander(points[:, i], m + 1, increasing=True) for i in range(self.nvars)]
-        return np.einsum(spec, *powers, self.coeffs)
+        return eval_tensors(self.coeffs, points)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
@@ -96,26 +88,59 @@ class MultiPoly:
     __rmul__ = __mul__
 
 
-def partial_derivative(p: MultiPoly, i: int, order: int = 1) -> MultiPoly:
-    """Exact coefficient-shift differentiation; the degree bound is kept and
-    the vacated top coefficients are zero."""
+def eval_tensors(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Values of stacked coefficient tensors at points.
+
+    The trailing nvars axes of ``coeffs`` are the variables and any leading
+    axes a batch; ``points`` has shape (P, nvars).  The box monomials are
+    evaluated once, as a (P, (m+1)^nvars) table, and one matrix product
+    with the flattened tensors gives the values, shape batch + (P,).
+    """
+    points = np.asarray(points, dtype=complex)
+    nvars = points.shape[1]
+    monomials = np.ones((len(points), 1), dtype=complex)
+    for i in range(nvars):
+        powers = np.vander(points[:, i], coeffs.shape[-1], increasing=True)
+        monomials = (monomials[:, :, None] * powers[:, None, :]).reshape(len(points), -1)
+    batch = coeffs.shape[: coeffs.ndim - nvars]
+    return coeffs.reshape(batch + (-1,)) @ monomials.T
+
+
+def grid_points(grids) -> np.ndarray:
+    """Every tuple of the tensor grid spanned by the per-axis node arrays,
+    one row each, with the last axis running fastest, so a vector of
+    per-row values reshapes to the grid's shape."""
+    mesh = np.meshgrid(*grids, indexing="ij")
+    return np.stack([axis.ravel() for axis in mesh], axis=-1)
+
+
+def derivative_tensor(coeffs: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
+    """Exact coefficient-shift differentiation of coefficient tensors along
+    one axis; any other axes, batch ones included, ride along.  The length
+    of the axis is kept and the vacated top coefficients are zero."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    c = p.coeffs
-    m = p.degree_bound
+    c = coeffs
+    m = c.shape[axis] - 1
     for _ in range(order):
         shifted = np.zeros_like(c)
         if m >= 1:
-            idx_src = [slice(None)] * p.nvars
-            idx_dst = [slice(None)] * p.nvars
-            idx_src[i] = slice(1, m + 1)
-            idx_dst[i] = slice(0, m)
+            idx_src = [slice(None)] * c.ndim
+            idx_dst = [slice(None)] * c.ndim
+            idx_src[axis] = slice(1, m + 1)
+            idx_dst[axis] = slice(0, m)
             factors = np.arange(1, m + 1).reshape(
-                [-1 if ax == i else 1 for ax in range(p.nvars)]
+                [-1 if ax == axis else 1 for ax in range(c.ndim)]
             )
             shifted[tuple(idx_dst)] = c[tuple(idx_src)] * factors
         c = shifted
-    return MultiPoly(c)
+    return c
+
+
+def partial_derivative(p: MultiPoly, i: int, order: int = 1) -> MultiPoly:
+    """Exact differentiation in variable i; the degree bound is kept and
+    the vacated top coefficients are zero."""
+    return MultiPoly(derivative_tensor(p.coeffs, i, order))
 
 
 def substitute(p: MultiPoly, i: int, alpha: complex) -> MultiPoly:

@@ -245,8 +245,11 @@ def suite_omega_eigk(art: Artifacts) -> list[CheckRecord]:
 def suite_omega_compare(art: Artifacts) -> list[CheckRecord]:
     cfg, family = art.cfg, art.family
     rec = _Recorder()
-    rec.add("closedform-vs-extracted", closedform.compare_omega_closedform(family), 1e-7,
-            n=cfg.n, L=cfg.L)
+    tol = 1e-7
+    deviations = closedform.compare_omega_closedform(family)
+    columns = [list(label) for label, d in zip(family.basis.labels, deviations) if d > tol]
+    rec.add("closedform-vs-extracted", np.max(deviations), tol, n=cfg.n, L=cfg.L,
+            columns=columns)
     return rec.records
 
 
@@ -306,11 +309,10 @@ def suite_reduce(art: Artifacts) -> list[CheckRecord]:
 
     rng = cfg.rng("reduce-points")
     worst = 0.0
-    for _ in range(5):
+    for point in closedform._distinct_sample_points(cfg, 5, "reduce-equivalence"):
         coeffs = rng.standard_normal((cfg.L,) * cfg.n) + 1j * rng.standard_normal((cfg.L,) * cfg.n)
         fbar = MultiPoly(coeffs)
         delta = random_complex(rng)
-        point = closedform._distinct_sample_points(cfg, 1, "reduce-equivalence")[0]
         psi = reduction.build_psi(fbar, cfg)
         row = reduction.upsilon_apply(system, psi, delta, point)[0]
         direct = system.pde_row(fbar, delta, point)

@@ -28,7 +28,6 @@ form as the reference).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -219,23 +218,6 @@ def check_rtt(x: complex, y: complex, cfg: SpectralConfig) -> float:
     rhs = _aux_product(my, mx, d) @ r
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
     return float(np.max(np.abs(lhs - rhs)) / scale)
-
-
-def b_product(lams, cfg: SpectralConfig) -> DenseOperator:
-    """Product B(lambda_1) ... B(lambda_n); maps the vacuum sector into the
-    n-down sector.  More factors than sites annihilate the vacuum; the zero
-    operator is returned with a warning.
-    """
-    lams = list(lams)
-    if len(lams) > cfg.L:
-        warnings.warn(
-            f"{len(lams)} B-factors on {cfg.L} sites annihilate the reference state",
-            stacklevel=2,
-        )
-    out = np.eye(cfg.quantum_dim, dtype=complex)
-    for lam in lams:
-        out = out @ monodromy(lam, cfg).b.entries
-    return DenseOperator(out)
 
 
 # -- higher-degree exchange relations ------------------------------------------

@@ -1,20 +1,117 @@
 """Extraction of the commuting operator family and its joint spectra."""
 
+from itertools import permutations, product as iproduct
+
 import numpy as np
 import pytest
 
+from bpl.closedform import closedform_operator, spectral_pde
 from bpl.config import SpectralConfig
-from bpl.functional import FnSampler, extract_fbar, lambda_bar_coefficients, spectrum
+from bpl.functional import (
+    FnSampler,
+    circle_grid,
+    extract_fbar,
+    fz_coefficients,
+    lambda_bar_coefficients,
+    spectrum,
+)
 from bpl.omega import (
     SymmetricBasis,
+    _lbar_grids,
     action_polynomiality_residual,
     build_lbar,
     extract_omegas,
+    lbar_action,
 )
-from bpl.polyengine import MultiPoly
+from bpl.polyengine import MultiPoly, tensor_interpolate
 from bpl.suites import Artifacts
 
 from conftest import draw_complex
+
+
+# -- the former column-by-column assembly, kept as the reference ----------------
+
+def _einsum_eval(coeffs, points):
+    """One polynomial at many points, by one einsum over per-variable powers."""
+    n = coeffs.ndim
+    letters = "abcdefghijkl"[:n]
+    spec = ",".join(f"p{c}" for c in letters) + f",{letters}->p"
+    powers = [np.vander(points[:, i], coeffs.shape[0], increasing=True) for i in range(n)]
+    return np.einsum(spec, *powers, coeffs)
+
+
+def _unit_tensor(basis, col):
+    c = np.zeros((basis.degree_bound + 1,) * basis.nvars, dtype=complex)
+    for perm in set(permutations(basis.labels[col])):
+        c[perm] += 1.0
+    return c
+
+
+def _grid_tuples(grids):
+    n = len(grids)
+    return np.array([[grids[i][t[i]] for i in range(n)] for t in iproduct(range(len(grids[0])), repeat=n)])
+
+
+def reference_lbar(cfg):
+    """Omega_0..Omega_L, one basis column and one x0 node at a time."""
+    n, L = cfg.n, cfg.L
+    lam_grids, lam0_nodes = _lbar_grids(cfg)
+    x_grids = [np.exp(2 * g) for g in lam_grids]
+    x0_nodes = np.exp(2 * lam0_nodes)
+    lam_tuples = _grid_tuples(lam_grids)
+    x_tuples = np.exp(2 * lam_tuples)
+    jbar = np.zeros((L + 1, len(lam_tuples)), dtype=complex)
+    kbar = np.zeros((L + 1, len(lam_tuples), n), dtype=complex)
+    for a0, lam0 in enumerate(lam0_nodes):
+        for t, lams in enumerate(lam_tuples):
+            j0, ks = fz_coefficients(lam0, lams, cfg)
+            jbar[a0, t] = j0 * np.exp(L * lam0)
+            for i in range(n):
+                kbar[a0, t, i] = ks[i] * np.exp(lam0) * np.exp((L - 1) * lams[i])
+    basis = SymmetricBasis(n, L - 1)
+    mats = np.zeros((L + 1, basis.dim, basis.dim), dtype=complex)
+    for col in range(basis.dim):
+        p = _unit_tensor(basis, col)
+        images = np.zeros((L + 1, len(lam_tuples)), dtype=complex)
+        for a0 in range(L + 1):
+            images[a0] = jbar[a0] * _einsum_eval(p, x_tuples)
+            for i in range(n):
+                subbed = x_tuples.copy()
+                subbed[:, i] = x0_nodes[a0]
+                images[a0] -= kbar[a0, :, i] * _einsum_eval(p, subbed)
+        table = tensor_interpolate(images.reshape((L + 1,) + (L,) * n), [x0_nodes] + x_grids)
+        for k in range(L + 1):
+            mats[k, :, col] = [table[k][label] for label in basis.labels]
+    return mats
+
+
+def reference_closedform(cfg):
+    """The closed-form operator matrix, one basis column at a time."""
+    n, L = cfg.n, cfg.L
+    x_grids = [np.exp(2 * g) for g in _lbar_grids(cfg)[0]]
+    x_tuples = _grid_tuples(x_grids)
+    spec = spectral_pde(cfg)
+    coeff_table = np.array([spec.coefficients(xs) for xs in x_tuples])
+    basis = SymmetricBasis(n, L - 1)
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for col in range(basis.dim):
+        p = MultiPoly(_unit_tensor(basis, col))
+        parts = [p] + spec.derivatives(p)
+        vals = sum(c * _einsum_eval(g.coeffs, x_tuples) for c, g in zip(coeff_table.T, parts))
+        table = tensor_interpolate(vals.reshape((L,) * n), x_grids)
+        mat[:, col] = [table[label] for label in basis.labels]
+    return mat
+
+
+@pytest.mark.parametrize("L,n", [(3, 2), (4, 3), (5, 2)])
+def test_batched_assembly_matches_per_column_reference(L, n):
+    cfg = SpectralConfig.random_instance(L, n, seed=300 + 10 * L + n)
+    for new, ref in (
+        (build_lbar(cfg).coefficient_matrices, reference_lbar(cfg)),
+        (closedform_operator(cfg), reference_closedform(cfg)),
+    ):
+        assert new.shape == ref.shape
+        assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSymmetricBasis:
@@ -50,10 +147,21 @@ class TestSymmetricBasis:
         assert np.max(np.abs(back - vec)) < 1e-14
         assert defect < 1e-14
 
+    def test_batched_embed_project_round_trip(self, rng):
+        basis = SymmetricBasis(3, 2)
+        vecs = draw_complex(rng, (4, 2, basis.dim))
+        tensors = basis.embed(vecs)
+        assert tensors.shape == (4, 2, 3, 3, 3)
+        for idx in np.ndindex(4, 2):
+            assert np.array_equal(tensors[idx], basis.embed(vecs[idx]))
+        back, defect = basis.project(tensors)
+        assert np.array_equal(back, vecs)
+        assert defect.shape == (4, 2) and np.max(defect) == 0.0
+
     def test_project_flags_asymmetric_input(self):
         basis = SymmetricBasis(2, 1)
         lopsided = MultiPoly.monomial(2, 1, (1, 0))
-        _, defect = basis.project(lopsided)
+        _, defect = basis.project(lopsided.coeffs)
         assert defect > 0.5
 
 
@@ -65,8 +173,8 @@ class TestLbar:
         lbar = build_lbar(cfg)
         eig = spectrum(cfg, 1)[0]
         fit = extract_fbar(FnSampler(cfg, eig))
-        vec, _ = lbar.basis.project(fit.poly)
-        deltas = lambda_bar_coefficients([eig], cfg, nodes=lbar.x0_nodes)[0]
+        vec, _ = lbar.basis.project(fit.poly.coeffs)
+        deltas = lambda_bar_coefficients([eig], cfg)[0]
         for _ in range(4):
             lam0 = draw_complex(rng)
             x0 = np.exp(2 * lam0)
@@ -79,24 +187,13 @@ class TestLbar:
 
     def test_degree_bound_in_x0(self):
         # sampling at two extra x0 nodes: coefficients above degree L vanish
-        from bpl.functional import circle_grid
-        from bpl.polyengine import tensor_interpolate
-        from bpl.functional import fz_coefficients
-
         cfg = SpectralConfig.random_instance(2, 1, seed=13)
-        L, n = cfg.L, cfg.n
+        L = cfg.L
         lam0s = circle_grid(L + 3, slot=0, nslots=2)
         lams = circle_grid(L, slot=1, nslots=2)
-        xs = np.exp(2 * lams)
         p = MultiPoly(np.array([0.3 - 0.2j, 1.1 + 0.4j], dtype=complex))
-        vals = np.zeros((L + 3, L), dtype=complex)
-        for a0, lam0 in enumerate(lam0s):
-            x0 = np.exp(2 * lam0)
-            for t, lam in enumerate(lams):
-                j0, ks = fz_coefficients(lam0, [lam], cfg)
-                vals[a0, t] = j0 * np.exp(L * lam0) * p((xs[t],))
-                vals[a0, t] -= ks[0] * np.exp(lam0) * np.exp((L - 1) * lam) * p((x0,))
-        coeffs = tensor_interpolate(vals, [np.exp(2 * lam0s), xs])
+        vals = np.array([lbar_action(cfg, lam0, lams[:, None], p.eval_many) for lam0 in lam0s])
+        coeffs = tensor_interpolate(vals, [np.exp(2 * lam0s), np.exp(2 * lams)])
         scale = np.max(np.abs(coeffs))
         assert np.max(np.abs(coeffs[L + 1 :])) < 1e-9 * scale
 
@@ -115,8 +212,6 @@ class TestLbar:
 
     def test_vacuum_coefficient_equals_eigenvalue(self, cfg2, rng):
         # with no variables the relation collapses to its J-part
-        from bpl.functional import fz_coefficients
-
         eig = spectrum(cfg2, 0)[0]
         lam0 = draw_complex(rng)
         j0, _ = fz_coefficients(lam0, [], cfg2)
@@ -138,7 +233,7 @@ class TestOmegaFamily:
         # the scalar equals the leading eigenvalue coefficient for every
         # eigenvector in the sector
         eigs = spectrum(cfg, 1)
-        coeffs = lambda_bar_coefficients(eigs, cfg, nodes=family.lbar.x0_nodes)
+        coeffs = lambda_bar_coefficients(eigs, cfg)
         for row in coeffs:
             assert abs(row[cfg.L] - family.omega_top_scalar) < 1e-9 * abs(row[cfg.L])
 

@@ -7,6 +7,7 @@ import pytest
 from bpl.polyengine import (
     MultiPoly,
     PdeSpec,
+    eval_tensors,
     grid_condition,
     partial_derivative,
     substitute,
@@ -54,6 +55,16 @@ class TestEvaluation:
         many = p.eval_many(pts)
         for k in range(7):
             assert abs(many[k] - p(pts[k])) < 1e-12
+
+    def test_batched_evaluation_matches_scalar_per_polynomial(self, rng):
+        coeffs = draw_complex(rng, (2, 3, 4, 4, 4))
+        pts = draw_complex(rng, (5, 3))
+        many = eval_tensors(coeffs, pts)
+        assert many.shape == (2, 3, 5)
+        for idx in np.ndindex(2, 3):
+            p = MultiPoly(coeffs[idx])
+            for k, pt in enumerate(pts):
+                assert abs(many[idx + (k,)] - p(pt)) < 1e-12 * max(1, abs(p(pt)))
 
 
 class TestDerivative:

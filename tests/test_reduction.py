@@ -7,7 +7,7 @@ import pytest
 from bpl.closedform import closedform_residual
 from bpl.config import SpectralConfig
 from bpl.errors import UnsupportedShapeError
-from bpl.polyengine import MultiPoly, partial_derivative
+from bpl.polyengine import MultiPoly, PdeSpec, partial_derivative
 from bpl.reduction import (
     block_dimensions,
     build_psi,
@@ -15,7 +15,7 @@ from bpl.reduction import (
     upsilon_apply,
     upsilon_residual,
 )
-from bpl.suites import Artifacts
+from bpl.suites import Artifacts, run_checks
 
 from conftest import draw_complex
 
@@ -136,6 +136,21 @@ class TestUpsilon:
                 row = upsilon_apply(system, psi, delta, pt)[0]
                 direct = system.pde_row(f, delta, pt)
                 assert abs(row - direct) < 1e-12 * max(1, abs(direct))
+
+    def test_suite_equivalence_check_uses_a_point_per_polynomial(self, monkeypatch):
+        # pde-row-equivalence compares each of its 5 random polynomials at
+        # its own sample point
+        seen = []
+        original = PdeSpec.pde_row
+
+        def recording(self, f, delta, point):
+            seen.append(tuple(np.asarray(point)))
+            return original(self, f, delta, point)
+
+        monkeypatch.setattr(PdeSpec, "pde_row", recording)
+        records = run_checks("reduce", SpectralConfig.random_instance(3, 1, seed=0))
+        assert records[-1].name == "pde-row-equivalence"
+        assert len(seen) == len(set(seen)) == 5
 
     def test_pde_row_matches_closedform_residual_scale(self, rng):
         # consistency with the direct residual checker on an eigenfunction

@@ -7,7 +7,6 @@ import pytest
 from bpl.config import SpectralConfig
 from bpl.errors import CapacityError, CoincidentRapiditiesError
 from bpl.ybcore import (
-    b_product,
     check_off_relations,
     check_rtt,
     exchange_m_factors,
@@ -172,6 +171,21 @@ class TestMonodromy:
         with pytest.raises(CapacityError):
             monodromy(0.1, cfg)
 
+    def test_entries_are_degree_Lm1_polynomials(self, rng):
+        # e^{(L-1) lam} B(lam) interpolates at degree L-1 in x = e^{2 lam}
+        cfg = SpectralConfig.random_instance(3, 0, seed=9)
+        L = cfg.L
+        nodes = 0.33 * np.arange(L) + 0.19j * np.arange(L)
+        samples = np.array(
+            [np.exp((L - 1) * lam) * monodromy(lam, cfg).b.entries for lam in nodes]
+        )
+        vand = np.vander(np.exp(2 * nodes), L, increasing=True)
+        coeffs = np.linalg.solve(vand, samples.reshape(L, -1))
+        extra = draw_complex(rng)
+        direct = np.exp((L - 1) * extra) * monodromy(extra, cfg).b.entries
+        fitted = ((np.exp(2 * extra) ** np.arange(L)) @ coeffs).reshape(direct.shape)
+        assert np.max(np.abs(fitted - direct)) / max(np.max(np.abs(direct)), 1) < 1e-9
+
 
 class TestTransfer:
     def test_commuting_family(self, rng):
@@ -221,41 +235,6 @@ class TestRtt:
         by = monodromy(y, cfg3).b.entries
         num = np.max(np.abs(bx @ by - by @ bx))
         assert num / (np.max(np.abs(bx)) * np.max(np.abs(by))) < 1e-12
-
-
-class TestBProduct:
-    def test_order_independence(self, cfg3, rng):
-        lams = [draw_complex(rng), draw_complex(rng)]
-        p1 = b_product(lams, cfg3).entries
-        p2 = b_product(lams[::-1], cfg3).entries
-        assert np.max(np.abs(p1 - p2)) < 1e-12 * max(np.max(np.abs(p1)), 1)
-
-    def test_empty_product_is_identity(self, cfg3):
-        assert np.allclose(b_product([], cfg3).entries, np.eye(cfg3.quantum_dim))
-
-    def test_too_many_factors_warn_and_vanish(self, rng):
-        cfg = SpectralConfig.random_instance(2, 0, seed=5)
-        lams = [draw_complex(rng) for _ in range(3)]
-        with pytest.warns(UserWarning, match="annihilate"):
-            op = b_product(lams, cfg)
-        vac = np.zeros(cfg.quantum_dim, dtype=complex)
-        vac[0] = 1.0
-        assert np.max(np.abs(op.entries @ vac)) == 0.0
-
-    def test_entries_are_degree_Lm1_polynomials(self, rng):
-        # e^{(L-1) lam} B(lam) interpolates at degree L-1 in x = e^{2 lam}
-        cfg = SpectralConfig.random_instance(3, 0, seed=9)
-        L = cfg.L
-        nodes = 0.33 * np.arange(L) + 0.19j * np.arange(L)
-        samples = np.array(
-            [np.exp((L - 1) * lam) * monodromy(lam, cfg).b.entries for lam in nodes]
-        )
-        vand = np.vander(np.exp(2 * nodes), L, increasing=True)
-        coeffs = np.linalg.solve(vand, samples.reshape(L, -1))
-        extra = draw_complex(rng)
-        direct = np.exp((L - 1) * extra) * monodromy(extra, cfg).b.entries
-        fitted = ((np.exp(2 * extra) ** np.arange(L)) @ coeffs).reshape(direct.shape)
-        assert np.max(np.abs(fitted - direct)) / max(np.max(np.abs(direct)), 1) < 1e-9
 
 
 class TestOffRelations:
