@@ -20,7 +20,6 @@ from .polyengine import (
     taylor_substitution,
 )
 from .ybcore import (
-    DenseOperator,
     EigenChoice,
     MonodromyEntries,
     check_off_relations,

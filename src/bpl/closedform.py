@@ -7,8 +7,9 @@ The x0^{L-1} member of the extracted operator family acts as
 with closed-form coefficients: a potential V affine in sum_i x_i, and
 rational coefficients Q_i assembled from elementary symmetric sums of the
 y's and of the x's excluding x_i, with a two-index table psi(l, d) of
-q-dependent weights.  This module evaluates those formulas exactly as
-printed, reproduces the small-lattice solvable cases, and compares the
+q-dependent weights.  This module evaluates those formulas (with the
+geometric sums in psi continued to negative upper limits; see
+``psi_value``), reproduces the small-lattice solvable cases, and compares the
 resulting operator against the independently extracted family member.
 
 ``PdeCoefficients`` holds the coefficient data; ``spectral_pde`` wraps it
@@ -33,14 +34,23 @@ X_SEPARATION_GUARD = 1e-7
 
 
 def geometric_sum(q: complex, top: int) -> complex:
-    """sum_{k=0}^{top} q^k, which is empty (zero) for top < 0."""
-    if top < 0:
-        return 0.0 + 0.0j
+    """sum_{k=0}^{top} q^k, continued to every integer upper limit as
+    (1 - q^{top+1}) / (1 - q): zero at top = -1 and
+    -sum_{k=1}^{-top-1} q^{-k} for top <= -2.
+
+    Both branches are summed term by term rather than through the quotient,
+    so they stay exact near q = 1.
+    """
     out = 0.0 + 0.0j
     power = 1.0 + 0.0j
-    for _ in range(top + 1):
-        out += power
-        power *= q
+    if top >= 0:
+        for _ in range(top + 1):
+            out += power
+            power *= q
+        return out
+    for _ in range(-top - 1):
+        power /= q
+        out -= power
     return out
 
 
@@ -76,8 +86,14 @@ def psi_value(l: int, d: int, cfg: SpectralConfig) -> complex:
     """q-weight psi(l, d) entering the derivative coefficients.
 
     The four branches partition the (l, d) grid by the sign of
-    d - (L - (n+1) + 2l), with the boundary case split at L = 5; the
-    geometric sums vanish when their upper limit is negative.
+    d - (L - (n+1) + 2l), with the boundary case split at L = 5.  Each
+    geometric sum is continued in its upper limit (``geometric_sum``): it
+    vanishes at -1 only, and below that it is minus a sum of negative
+    powers of q.  The extracted Omega_{L-1} confirms this convention: at
+    n = 1 its top-exponent column gives every psi(0, d), and the "below"
+    branch, whose upper limit L - 2d - 2n + 1 + 4l reaches -2 from L = 7 on
+    (psi(0, 4) at L = 7, psi(0, 5) at L = 8), matches it only with the
+    continued sum, not with an empty one.
     """
     n, L, q = cfg.n, cfg.L, cfg.q
     branch = psi_branch(l, d, n, L)

@@ -55,21 +55,22 @@ def _check_partition_capacity(cfg: SpectralConfig):
 
 
 def _corner(b_ops) -> complex:
-    """<all-down| B_1 ... B_L |all-up> from the B blocks in rapidity order."""
-    v = np.zeros(b_ops[0].shape[0], dtype=complex)
-    v[0] = 1.0
-    for b in reversed(b_ops):
-        v = b @ v
-    return complex(v[-1])
+    """<all-down| B_1 ... B_L |all-up> from the sector blocks of B in
+    rapidity order; all-up and all-down are the one states of sectors 0
+    and L."""
+    v = np.ones(1, dtype=complex)
+    for k, b in enumerate(reversed(b_ops)):
+        v = b[k] @ v
+    return complex(v[0])
 
 
 def dwbc_partition(lams, cfg: SpectralConfig) -> complex:
-    """<all-down| B(lambda_1) ... B(lambda_L) |all-up> via dense B-products."""
+    """<all-down| B(lambda_1) ... B(lambda_L) |all-up> via B-products."""
     lams = list(lams)
     if len(lams) != cfg.L:
         raise ValueError(f"need exactly L = {cfg.L} rapidities, got {len(lams)}")
     _check_partition_capacity(cfg)
-    return _corner([monodromy(lam, cfg).b.entries for lam in lams])
+    return _corner([monodromy(lam, cfg).b for lam in lams])
 
 
 def dwbc_configuration_sum(lams, cfg: SpectralConfig) -> complex:

@@ -45,6 +45,7 @@ __all__ = [
     "lambda_grid",
     "lbar_x0_nodes",
     "spectrum",
+    "vacuum_products",
 ]
 
 
@@ -86,18 +87,20 @@ def lbar_x0_nodes(cfg: SpectralConfig) -> np.ndarray:
 
 # -- overlap sampler -------------------------------------------------------------
 
-def b_table(cfg: SpectralConfig, lams) -> dict[complex, np.ndarray]:
-    """B(lambda) at each distinct rapidity, each built once."""
+def b_table(cfg: SpectralConfig, lams) -> dict[complex, tuple[np.ndarray, ...]]:
+    """The sector blocks of B(lambda) at each distinct rapidity, each built
+    once."""
     distinct = dict.fromkeys(complex(l) for l in lams)
-    return {lam: monodromy(lam, cfg).b.entries for lam in distinct}
+    return {lam: monodromy(lam, cfg).b for lam in distinct}
 
 
 @dataclass
 class FnSampler:
     """Evaluates F_n for one eigenpair.
 
-    ``b_ops`` holds B(lambda) blocks built beforehand, keyed by rapidity;
-    the samplers of one sector's fits share one such table (``fbar_b_ops``).
+    ``b_ops`` holds the sector blocks of B(lambda) built beforehand, keyed
+    by rapidity; the samplers of one sector's fits share one such table
+    (``fbar_b_ops``).
     A rapidity missing from it is built afresh at each use and not kept, so
     one-off draws never accumulate.  Partial products of repeated rapidity
     suffixes are cached on the sampler.  Both live exactly as long as the
@@ -109,19 +112,18 @@ class FnSampler:
     b_ops: dict = field(default_factory=dict, repr=False)
     _chain_cache: dict = field(default_factory=dict, repr=False)
 
-    def _b(self, lam: complex) -> np.ndarray:
+    def _b(self, lam: complex) -> tuple[np.ndarray, ...]:
         op = self.b_ops.get(lam)
-        return monodromy(lam, self.cfg).b.entries if op is None else op
+        return monodromy(lam, self.cfg).b if op is None else op
 
     def _chain(self, lams: tuple[complex, ...]) -> np.ndarray:
-        """B(lams[0]) ... B(lams[-1]) |0>, cached on suffixes."""
+        """B(lams[0]) ... B(lams[-1]) |0> in sector len(lams), cached on
+        suffixes; the vacuum |0> is the one state of sector 0."""
         if not lams:
-            v = np.zeros(self.cfg.quantum_dim, dtype=complex)
-            v[0] = 1.0
-            return v
+            return np.ones(1, dtype=complex)
         cached = self._chain_cache.get(lams)
         if cached is None:
-            cached = self._b(lams[0]) @ self._chain(lams[1:])
+            cached = self._b(lams[0])[len(lams) - 1] @ self._chain(lams[1:])
             self._chain_cache[lams] = cached
         return cached
 
@@ -145,7 +147,15 @@ class FnSampler:
 
 # -- the linear functional relation ----------------------------------------------
 
-def fz_coefficients(lam0: complex, lams, cfg: SpectralConfig):
+def vacuum_products(lam: complex, cfg: SpectralConfig) -> tuple[complex, complex]:
+    """prod_j a(lam - mu_j) and prod_j b(lam - mu_j), the eigenvalues of
+    A(lam) and D(lam) on the vacuum."""
+    pa = np.prod([weight_a(lam - m, cfg.gamma) for m in cfg.mu])
+    pb = np.prod([weight_b(lam - m) for m in cfg.mu])
+    return pa, pb
+
+
+def fz_coefficients(lam0: complex, lams, cfg: SpectralConfig, vacuum=None):
     """Coefficients (J0, [K_1..K_n]) of the relation
 
         J0 F_n(lams) - sum_i K_i F_n(lams with lams[i] -> lam0)
@@ -153,17 +163,24 @@ def fz_coefficients(lam0: complex, lams, cfg: SpectralConfig):
 
     J0 multiplies the vacuum eigenvalue factors prod a(lam0 - mu_j) and
     prod b(lam0 - mu_j) by the exchange coefficients; each K_i does the same
-    at the exchanged rapidity.  Raises on coincident rapidities.
+    at the exchanged rapidity.  ``vacuum`` maps rapidities to their
+    ``vacuum_products`` when the caller has computed them already; any
+    other rapidity gets them computed here.  Raises on coincident
+    rapidities.
     """
     lams = list(lams)
+    vacuum = vacuum or {}
+
+    def products(lam):
+        known = vacuum.get(complex(lam))
+        return vacuum_products(lam, cfg) if known is None else known
+
     ma0, md0, ma, md = exchange_m_factors(lam0, lams, cfg.gamma)
-    pa0 = np.prod([weight_a(lam0 - m, cfg.gamma) for m in cfg.mu])
-    pb0 = np.prod([weight_b(lam0 - m) for m in cfg.mu])
+    pa0, pb0 = products(lam0)
     j0 = complex(pa0 * ma0 + pb0 * md0)
     ks = []
     for i, lam in enumerate(lams):
-        pal = np.prod([weight_a(lam - m, cfg.gamma) for m in cfg.mu])
-        pbl = np.prod([weight_b(lam - m) for m in cfg.mu])
+        pal, pbl = products(lam)
         ks.append(complex(pal * ma[i] + pbl * md[i]))
     return j0, ks
 
@@ -176,9 +193,9 @@ def check_fz_residual(sampler: FnSampler, lam0: complex, lams) -> float:
     # every rapidity of the relation is built once: T(lam0) and B(lam0) come
     # from one monodromy, and the swapped overlaps reuse the B(lams)
     m0 = monodromy(lam0, cfg)
-    local = FnSampler(cfg, sampler.eig, {complex(lam0): m0.b.entries, **b_table(cfg, lams)})
+    local = FnSampler(cfg, sampler.eig, {complex(lam0): m0.b, **b_table(cfg, lams)})
     f_here = local.value(lams)
-    lam_val = sampler.eig.eigenvalue_from(m0.a.entries + m0.d.entries)
+    lam_val = sampler.eig.eigenvalue_from(m0.transfer())
     total = j0 * f_here - lam_val * f_here
     scale = max(abs(j0 * f_here), abs(lam_val * f_here))
     for i, k in enumerate(ks):
@@ -228,7 +245,7 @@ def _fbar_holdout_point(cfg: SpectralConfig, n: int) -> list[complex]:
     return [random_complex(rng) for _ in range(n)]
 
 
-def fbar_b_ops(cfg: SpectralConfig, n: int) -> dict[complex, np.ndarray]:
+def fbar_b_ops(cfg: SpectralConfig, n: int) -> dict[complex, tuple[np.ndarray, ...]]:
     """B(lambda) at the nodes and holdout point of the default
     ``extract_fbar`` fit in sector n, each built once.
 
@@ -275,8 +292,7 @@ def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> np.ndarray:
     nodes = lbar_x0_nodes(cfg)
     values = np.zeros((len(eigs), len(nodes)), dtype=complex)
     for j, lam0 in enumerate(nodes):
-        t = transfer(lam0, cfg).entries
+        t = transfer(lam0, cfg)
         for i, eig in enumerate(eigs):
-            val = (eig.left @ t @ eig.right) / (eig.left @ eig.right)
-            values[i, j] = val * np.exp(cfg.L * lam0)
+            values[i, j] = eig.eigenvalue_from(t) * np.exp(cfg.L * lam0)
     return tensor_interpolate(values, [np.exp(2 * nodes)])

@@ -42,6 +42,7 @@ from .functional import (
     fz_coefficients,
     lambda_bar_coefficients,
     lbar_x0_nodes,
+    vacuum_products,
 )
 from .polyengine import MultiPoly, eval_tensors, grid_points, tensor_interpolate
 
@@ -137,12 +138,15 @@ def lbar_action(cfg: SpectralConfig, lam0: complex, lam_points, evaluate) -> np.
     shape batch + (P,), so one call acts on a whole batch of polynomials.
     Jbar0 and Kbar_i are the coefficients of the functional relation with
     the prefactors e^{L lam0} and e^{lam0} e^{(L-1) lam_i} (per-variable
-    x^{(L-1)/2}, branch-free) multiplied in.
+    x^{(L-1)/2}, branch-free) multiplied in.  The vacuum products of each
+    distinct rapidity are computed once for all the points.
     """
     L = cfg.L
     lam_points = np.asarray(lam_points, dtype=complex)
     xs = np.exp(2 * lam_points)
-    coeffs = [fz_coefficients(lam0, lams, cfg) for lams in lam_points]
+    distinct = dict.fromkeys([complex(lam0)] + [complex(l) for l in lam_points.ravel()])
+    vacuum = {lam: vacuum_products(lam, cfg) for lam in distinct}
+    coeffs = [fz_coefficients(lam0, lams, cfg, vacuum) for lams in lam_points]
     jbar = np.array([j0 for j0, _ in coeffs]) * np.exp(L * lam0)
     kbar = np.array([ks for _, ks in coeffs]) * np.exp(lam0) * np.exp((L - 1) * lam_points)
     out = jbar * evaluate(xs)

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import closedform, dwbc, omega, reduction, ybcore
 from .config import SpectralConfig, random_complex
+from .errors import CapacityError
 from .functional import (
     FnSampler,
     check_fz_residual,
@@ -88,10 +89,16 @@ def _draws(cfg: SpectralConfig, tag: str, count: int, width: int = 1):
         yield [random_complex(rng) for _ in range(width)]
 
 
-def _commutator(op1, op2) -> float:
-    """max |[A, B]| / (max |A| max |B|) of two dense operators."""
-    a, b = op1.entries, op2.entries
-    return np.max(np.abs(a @ b - b @ a)) / max(np.max(np.abs(a)) * np.max(np.abs(b)), 1e-300)
+def _commutator(x, y, shift: int) -> float:
+    """max |[X, Y]| / (max |X| max |Y|) of two operators given as sector
+    blocks that both move the down-spin count by ``shift`` (0 or 1); the
+    commutator maps sector k to k + 2 shift, one sector at a time."""
+    num = max(
+        (np.max(np.abs(x[k + shift] @ y[k] - y[k + shift] @ x[k]))
+         for k in range(len(x) - 2 * shift)),
+        default=0.0,
+    )
+    return num / max(ybcore.max_abs(x) * ybcore.max_abs(y), 1e-300)
 
 
 def _sector_fits(cfg: SpectralConfig, eigs) -> list:
@@ -165,13 +172,13 @@ def suite_verify_rtt(art: Artifacts) -> list[CheckRecord]:
     comm_cfg = cfg if cfg.L <= 8 else SpectralConfig.random_instance(8, 0, cfg.seed)
     worst = 0.0
     for x, y in _draws(comm_cfg, "commutator", 5, width=2):
-        worst = max(worst, _commutator(ybcore.transfer(x, comm_cfg), ybcore.transfer(y, comm_cfg)))
+        worst = max(worst, _commutator(ybcore.transfer(x, comm_cfg), ybcore.transfer(y, comm_cfg), 0))
     rec.add("transfer-commutator", worst, 1e-10, L=comm_cfg.L, draws=5)
 
     worst = 0.0
     for x, y in _draws(rtt_cfg, "bb-commute", 5, width=2):
         b1, b2 = ybcore.monodromy(x, rtt_cfg).b, ybcore.monodromy(y, rtt_cfg).b
-        worst = max(worst, _commutator(b1, b2))
+        worst = max(worst, _commutator(b1, b2, 1))
     rec.add("b-operators-commute", worst, 1e-12, L=rtt_cfg.L)
     return rec.records
 
@@ -195,9 +202,10 @@ def suite_spectrum(art: Artifacts) -> list[CheckRecord]:
     rng = cfg.rng("spectrum-extra")
     worst = 0.0
     for lam in [random_complex(rng) for _ in range(3)]:
-        t = ybcore.transfer(lam, cfg).entries
+        t = ybcore.transfer(lam, cfg)
+        norm = ybcore.max_abs(t)
         for eig in eigs:
-            worst = max(worst, *eig.residuals_from(t))
+            worst = max(worst, *eig.residuals_from(t, norm))
     rec.add("eigenpair-residuals-extra-probes", worst, 1e-8, sector=cfg.n)
     return rec.records
 
@@ -376,12 +384,27 @@ SUITES = {
 }
 
 
+#: suites that read Zbar, which ``dwbc`` builds up to ``MAX_PARTITION_L`` only
+ZBAR_SUITES = ("dwbc-pde", "dwbc-upsilon")
+
+
 def run_checks_timed(suite: str, cfg: SpectralConfig) -> tuple[list[CheckRecord], dict]:
     """Run one suite, or every suite for ``"all"``, on one instance through
     one fresh ``Artifacts`` store.  Returns the check records and the build
-    seconds of each artifact the run built."""
+    seconds of each artifact the run built.
+
+    A run that includes a Zbar suite beyond the partition-function cap is
+    rejected with ``CapacityError`` before anything is built.
+    """
+    names = list(SUITES) if suite == "all" else [suite]
+    capped = [name for name in names if name in ZBAR_SUITES]
+    if capped and cfg.L > dwbc.MAX_PARTITION_L:
+        raise CapacityError(
+            f"{' and '.join(capped)} read Zbar, which is built up to "
+            f"L = {dwbc.MAX_PARTITION_L} only; got L = {cfg.L} "
+            "(run the other suites one at a time)"
+        )
     art = Artifacts(cfg)
-    names = SUITES if suite == "all" else [suite]
     records = [record for name in names for record in SUITES[name](art)]
     return records, dict(art.seconds)
 

@@ -1,35 +1,57 @@
 """Six-vertex R-matrix, monodromy and transfer operators, and the algebraic
 identities they satisfy.
 
-Everything is dense ``complex128``.  The quantum space is ``(C^2)^{tensor L}``
-with basis states indexed by bitstrings (bit 1 = down spin), so the number of
-set bits is the S^z-sector label.  The monodromy is the ordered product of
-one permuted R-matrix P R(lambda - mu_j) per site, held as a 2x2 block matrix
-over the auxiliary space,
+Everything is ``complex128``.  The quantum space is ``(C^2)^{tensor L}``
+with basis states indexed by bitstrings (bit 1 = down spin, the last site
+in the lowest bit), so the number of set bits is the S^z-sector label.  The
+monodromy is the ordered product of one permuted R-matrix P R(lambda - mu_j)
+per site, held as a 2x2 block matrix over the auxiliary space,
 
     M(lambda) = [[A, B], [C, D]];
 
 A and D preserve the down-spin count, B raises it by one and C lowers it by
-one.  Appending a site makes each new block a sum of two Kronecker
-products of an old block with a 2x2 site block of P R, e.g.
-A' = A (x) A_j + B (x) C_j, whose (i s, j t) entry, with i, j the old
-quantum indices and s, t the new site's, is A[i, j] A_j[s, t] +
-B[i, j] C_j[s, t].  The site blocks are diagonal (A_j, D_j) or hold a single
-entry (B_j, C_j), so for every (s, t) at most one of the two terms is
-non-zero: each new block has three non-zero (s, t) slices, each one old
-block times one Boltzmann weight, and they are written straight into
-strided views of the new block.  This is the Kronecker recursion with its
-exact-zero terms left out: every surviving entry is the same single
-product, and adding a zero to a finite non-zero number returns it
-unchanged, so every entry equals the Kronecker form's exactly; at most the
-sign of a zero entry differs (``tests/test_ybcore.py`` keeps the Kronecker
-form as the reference).
+one, so each is held as its S^z blocks only, a tuple indexed by the source
+sector k = 0..L:
+
+* ``a[k]`` and ``d[k]`` map sector k to itself, C(L,k) x C(L,k);
+* ``b[k]`` maps sector k to k+1 and ``c[k]`` maps sector k to k-1, so
+  ``b[L]`` and ``c[0]`` have no rows.
+
+Rows and columns follow ``sector_indices`` (ascending basis index), so
+``a[k]`` is the dense A at ``np.ix_(idx_k, idx_k)`` and ``b[k]`` the dense B
+at ``np.ix_(idx_{k+1}, idx_k)``; every dense entry outside these blocks is
+zero.  Products and residuals therefore run block by block and never touch
+the zeros.
+
+Appending a site makes each new dense block a sum of two Kronecker products
+of an old block with a 2x2 site block of P R, e.g. A' = A (x) A_j + B (x) C_j,
+whose (i s, j t) entry, with i, j the old quantum indices and s, t the new
+site's, is A[i, j] A_j[s, t] + B[i, j] C_j[s, t].  The site blocks are
+diagonal (A_j, D_j) or hold a single entry (B_j, C_j), so for every (s, t)
+at most one of the two terms is non-zero: each new block has three non-zero
+(s, t) slices, each one old block times one Boltzmann weight.  New sector k
+splits into old sector k (new spin up, s = 0) and old sector k-1 (new spin
+down, s = 1), so each non-zero slice of a new sector block is a single old
+sector block times one weight, written into a sub-block of a zeroed array.
+During the build the states of sector k stay in that split order (old
+sector k, then old sector k-1); one permutation per sector at the end puts
+them in ascending order.  Every entry is thus the same single product as in
+the Kronecker form, whose second term only adds an exact zero, so each block
+equals the matching slice of the Kronecker form exactly
+(``tests/test_ybcore.py`` keeps that form as the reference).
+
+Which old entry feeds which new entry depends on L alone, so
+``_build_plan`` compiles the recursion once per L into flat index arrays,
+and a build appends each site with one gather, multiply and scatter per
+weight instead of one small array operation per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import cache
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,48 +83,68 @@ def _require_finite(*vals: complex):
             raise ValueError(f"non-finite parameter {v!r}")
 
 
+# -- S^z sectors ------------------------------------------------------------------
+
+@cache
+def sector_indices(L: int, sector: int) -> np.ndarray:
+    """Basis indices of the fixed down-spin-count sector, ascending
+    (read-only, built once per (L, sector))."""
+    out = np.array([i for i in range(2**L) if bin(i).count("1") == sector], dtype=int)
+    out.setflags(write=False)
+    return out
+
+
+def max_abs(blocks) -> float:
+    """Largest entry modulus over a sequence of blocks: the max-norm of the
+    operator they make up."""
+    return max((float(np.max(np.abs(b))) for b in blocks if b.size), default=0.0)
+
+
+def _dense(blocks, shift: int) -> np.ndarray:
+    """The 2^L x 2^L operator whose sector blocks (source sector k to
+    k + shift) are ``blocks``."""
+    L = len(blocks) - 1
+    idx = [sector_indices(L, k) for k in range(L + 1)]
+    out = np.zeros((2**L, 2**L), dtype=complex)
+    for k, blk in enumerate(blocks):
+        if blk.size:
+            out[np.ix_(idx[k + shift], idx[k])] = blk
+    return out
+
+
 # -- operators ----------------------------------------------------------------
 
-@dataclass
-class DenseOperator:
-    """Dense complex square matrix of power-of-two dimension with finite
-    entries."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        d = self.entries.shape[0]
-        if self.entries.shape != (d, d) or d & (d - 1):
-            raise ValueError(f"entries must be square with power-of-two dim, got {self.entries.shape}")
-        if not (np.isfinite(self.entries.real).all() and np.isfinite(self.entries.imag).all()):
-            raise ValueError("operator entries must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
 class MonodromyEntries(NamedTuple):
-    """Auxiliary-space blocks of the monodromy matrix at one rapidity."""
+    """Auxiliary-space blocks of the monodromy matrix at one rapidity, each
+    a tuple of S^z blocks indexed by source sector (see the module
+    docstring)."""
 
-    a: DenseOperator
-    b: DenseOperator
-    c: DenseOperator
-    d: DenseOperator
+    a: tuple[np.ndarray, ...]
+    b: tuple[np.ndarray, ...]
+    c: tuple[np.ndarray, ...]
+    d: tuple[np.ndarray, ...]
+
+    def transfer(self) -> tuple[np.ndarray, ...]:
+        """Sector blocks of T = A + D."""
+        return tuple(a + d for a, d in zip(self.a, self.d))
 
 
-def permutation_matrix() -> np.ndarray:
-    """The 4x4 swap P of two C^2 factors."""
-    p = np.zeros((4, 4), dtype=complex)
-    p[0, 0] = p[1, 2] = p[2, 1] = p[3, 3] = 1.0
-    return p
+#: down-spin count change of A, B, C and D
+_SHIFTS = (0, 1, -1, 0)
+
+#: non-zero (s, t) slices of A' = A (x) A_j + B (x) C_j,
+#: B' = A (x) B_j + B (x) D_j, C' = C (x) A_j + D (x) C_j and
+#: D' = C (x) B_j + D (x) D_j, as (s, t, old block, weight): the old block
+#: is 0..3 for A..D, the weight a, b or c of the new site
+_SITE_TERMS = (
+    ((0, 0, 0, "a"), (0, 1, 1, "c"), (1, 1, 0, "b")),
+    ((0, 0, 1, "b"), (1, 0, 0, "c"), (1, 1, 1, "a")),
+    ((0, 0, 2, "a"), (0, 1, 3, "c"), (1, 1, 2, "b")),
+    ((0, 0, 3, "b"), (1, 0, 2, "c"), (1, 1, 3, "a")),
+)
 
 
-def r_matrix(x: complex, gamma: complex) -> DenseOperator:
+def r_matrix(x: complex, gamma: complex) -> np.ndarray:
     """Trigonometric six-vertex R-matrix on C^2 (x) C^2.
 
     Corner entries carry a(x) = sinh(x + gamma); the middle block has
@@ -112,7 +154,7 @@ def r_matrix(x: complex, gamma: complex) -> DenseOperator:
     """
     _require_finite(x, gamma)
     a, b, c = weight_a(x, gamma), weight_b(x), weight_c(gamma)
-    m = np.array(
+    return np.array(
         [
             [a, 0, 0, 0],
             [0, c, b, 0],
@@ -121,7 +163,6 @@ def r_matrix(x: complex, gamma: complex) -> DenseOperator:
         ],
         dtype=complex,
     )
-    return DenseOperator(m)
 
 
 def check_ybe(x: complex, y: complex, gamma: complex) -> float:
@@ -131,22 +172,107 @@ def check_ybe(x: complex, y: complex, gamma: complex) -> float:
     [1 (x) R(y)][R(x+y) (x) 1][1 (x) R(x)].
     """
     eye = np.eye(2)
-    r = lambda z: r_matrix(z, gamma).entries
+    r = lambda z: r_matrix(z, gamma)
     lhs = np.kron(r(x), eye) @ np.kron(eye, r(x + y)) @ np.kron(r(y), eye)
     rhs = np.kron(eye, r(y)) @ np.kron(r(x + y), eye) @ np.kron(eye, r(x))
     return float(np.max(np.abs(lhs - rhs)))
 
 
+@cache
+def _ascending_orders(L: int) -> tuple[np.ndarray, ...]:
+    """Per sector of L sites, the permutation from build order (module
+    docstring) to ascending basis index."""
+    states = [np.zeros(1, dtype=int)]
+    for sites in range(L):
+        part = lambda k: states[k] if 0 <= k <= sites else np.zeros(0, dtype=int)
+        states = [np.concatenate([2 * part(k), 2 * part(k - 1) + 1]) for k in range(sites + 2)]
+    position = np.empty(2**L, dtype=int)
+    for s in states:
+        position[s] = np.arange(len(s))
+    return tuple(position[sector_indices(L, k)] for k in range(L + 1))
+
+
+class _Write(NamedTuple):
+    """One zeroed buffer of ``size`` entries filled as
+    new[dst[w]] = old[src[w]] * (a, b, c)[w] for each weight w."""
+
+    src: tuple[np.ndarray, np.ndarray, np.ndarray]
+    dst: tuple[np.ndarray, np.ndarray, np.ndarray]
+    size: int
+
+
+def _flat_write(src, dst, size: int) -> _Write:
+    """A ``_Write`` from per-weight lists of source and destination index
+    blocks."""
+    cat = lambda parts: tuple(np.concatenate([np.zeros(0, dtype=np.int32), *p]).astype(np.int32) for p in parts)
+    return _Write(cat(src), cat(dst), size)
+
+
+@cache
+def _build_plan(L: int):
+    """The sector-block recursion on L sites, compiled to flat index arrays.
+
+    Every block lives in a flat buffer.  Appending site j is a tuple of
+    ``_Write``s from the buffer on j sites.  Before the last site one write
+    fills one buffer with every block in build order; the last site writes
+    one buffer per operator with each block in ascending order, the sorting
+    permutation folded into ``dst``.  Returns the steps and, per operator,
+    the (offset, shape) of each sector block in its final buffer.  The
+    buffer on zero sites is [1, 1]: A = D = 1 on sector 0, B and C empty.
+    Plans stay cached for the process; the one for L = 12, the default
+    capacity cap, holds 84 MB of int32 indices.
+    """
+    orders = _ascending_orders(L)
+    empty = np.zeros((0, 1), dtype=np.int32)
+    old = [[np.array([[0]], dtype=np.int32)], [empty], [empty], [np.array([[1]], dtype=np.int32)]]
+    steps = []
+    for sites in range(L):
+        last = sites == L - 1
+        dim = lambda k: comb(sites, k) if k >= 0 else 0
+        new, writes, layout, start = [], [], [], 0
+        src, dst = ([], [], []), ([], [], [])
+        for shift, terms in zip(_SHIFTS, _SITE_TERMS):
+            blocks, offsets = [], []
+            for k in range(sites + 2):
+                rows = (dim(k + shift), dim(k + shift - 1))
+                cols = (dim(k), dim(k - 1))
+                pos = np.arange(start, start + sum(rows) * sum(cols)).reshape(sum(rows), sum(cols))
+                offsets.append((start, pos.shape))
+                start += pos.size
+                if last and pos.size:
+                    pos_built = np.empty_like(pos)
+                    pos_built[np.ix_(orders[k + shift], orders[k])] = pos
+                    pos = pos_built
+                for s, t, old_op, name in terms:
+                    view = pos[rows[0] * s : rows[0] + rows[1] * s, cols[0] * t : cols[0] + cols[1] * t]
+                    if view.size:
+                        w = "abc".index(name)
+                        src[w].append(old[old_op][k - t].ravel())
+                        dst[w].append(view.ravel())
+                blocks.append(pos)
+            new.append(blocks)
+            if last:
+                writes.append(_flat_write(src, dst, start))
+                layout.append(tuple(offsets))
+                src, dst, start = ([], [], []), ([], [], []), 0
+        if not last:
+            writes.append(_flat_write(src, dst, start))
+        steps.append(tuple(writes))
+        old = new
+    return tuple(steps), tuple(layout)
+
+
 def monodromy(lam: complex, cfg: SpectralConfig) -> MonodromyEntries:
-    """Ordered product of P R(lambda - mu_j) over the lattice, sliced into
-    its auxiliary-space blocks A, B, C, D.
+    """Ordered product of P R(lambda - mu_j) over the lattice, as the S^z
+    blocks of its auxiliary-space blocks A, B, C, D.
 
     Site j contributes the weights a = sinh(lambda - mu_j + gamma),
     b = sinh(lambda - mu_j) and c = sinh(gamma), with site blocks
     A_j = diag(a, b), B_j = c at (1, 0), C_j = c at (0, 1) and
-    D_j = diag(b, a).  Each step writes the three non-zero slices of every
-    new block into a zeroed ``(k, 2, k, 2)`` array (see the module
-    docstring for why this equals the Kronecker recursion exactly).
+    D_j = diag(b, a).  Each step writes the non-zero slices of every new
+    sector block through the precompiled index arrays of ``_build_plan``
+    (see the module docstring for why the blocks equal slices of the
+    Kronecker recursion exactly).
 
     The blocks are returned read-only, so a caller that keeps one for reuse
     cannot be corrupted by another caller writing into it.
@@ -154,40 +280,32 @@ def monodromy(lam: complex, cfg: SpectralConfig) -> MonodromyEntries:
     _require_finite(lam)
     cfg.check_dense_capacity()
     c = weight_c(cfg.gamma)
-    a = np.ones((1, 1), dtype=complex)
-    b = np.zeros((1, 1), dtype=complex)
-    cc = np.zeros((1, 1), dtype=complex)
-    d = np.ones((1, 1), dtype=complex)
-    for m in cfg.mu:
+    steps, layout = _build_plan(cfg.L)
+    flat = np.ones(2, dtype=complex)
+    for m, writes in zip(cfg.mu, steps):
         x = lam - m
         _require_finite(x, cfg.gamma)
-        wa, wb = weight_a(x, cfg.gamma), weight_b(x)
-        k = a.shape[0]
-        na, nb, nc, nd = (np.zeros((k, 2, k, 2), dtype=complex) for _ in range(4))
-        # non-zero (s, t) slices of A' = A (x) A_j + B (x) C_j,
-        # B' = A (x) B_j + B (x) D_j, C' = C (x) A_j + D (x) C_j and
-        # D' = C (x) B_j + D (x) D_j
-        for new, terms in (
-            (na, ((0, 0, a, wa), (0, 1, b, c), (1, 1, a, wb))),
-            (nb, ((0, 0, b, wb), (1, 0, a, c), (1, 1, b, wa))),
-            (nc, ((0, 0, cc, wa), (0, 1, d, c), (1, 1, cc, wb))),
-            (nd, ((0, 0, d, wb), (1, 0, cc, c), (1, 1, d, wa))),
-        ):
-            for s, t, old, w in terms:
-                np.multiply(old, w, out=new[:, s, :, t])
-        a, b, cc, d = (blk.reshape(2 * k, 2 * k) for blk in (na, nb, nc, nd))
-    out = MonodromyEntries(
-        DenseOperator(a), DenseOperator(b), DenseOperator(cc), DenseOperator(d)
-    )
-    for op in out:
-        op.entries.setflags(write=False)
-    return out
+        weights = (weight_a(x, cfg.gamma), weight_b(x), c)
+        bufs = []
+        for write in writes:
+            buf = np.zeros(write.size, dtype=complex)
+            for src, dst, w in zip(write.src, write.dst, weights):
+                buf[dst] = flat[src] * w
+            bufs.append(buf)
+        flat = bufs[0]
+    for buf in bufs:
+        if not (np.isfinite(buf.real).all() and np.isfinite(buf.imag).all()):
+            raise ValueError("monodromy entries must be finite")
+        buf.setflags(write=False)
+    return MonodromyEntries(*(
+        tuple(buf[start : start + shape[0] * shape[1]].reshape(shape) for start, shape in offsets)
+        for buf, offsets in zip(bufs, layout)
+    ))
 
 
-def transfer(lam: complex, cfg: SpectralConfig) -> DenseOperator:
-    """Transfer matrix T(lambda) = A(lambda) + D(lambda)."""
-    m = monodromy(lam, cfg)
-    return DenseOperator(m.a.entries + m.d.entries)
+def transfer(lam: complex, cfg: SpectralConfig) -> tuple[np.ndarray, ...]:
+    """Sector blocks of the transfer matrix T(lambda) = A(lambda) + D(lambda)."""
+    return monodromy(lam, cfg).transfer()
 
 
 def _aux_product(m1: np.ndarray, m2: np.ndarray, d: int) -> np.ndarray:
@@ -203,17 +321,18 @@ def check_rtt(x: complex, y: complex, cfg: SpectralConfig) -> float:
 
         R(x-y) [M(x) (x) M(y)] = [M(y) (x) M(x)] R(x-y)
 
-    on the 4 * 2^L dimensional space.  Normalised by the operand norms so the
-    figure is meaningful at any lattice length.
+    on the 4 * 2^L dimensional space, with each monodromy assembled densely
+    from its sector blocks (the suites call it at L <= 5).  Normalised by
+    the operand norms so the figure is meaningful at any lattice length.
     """
     _require_finite(x, y)
     d = cfg.quantum_dim
     # each monodromy as one dense matrix on (auxiliary) (x) (quantum)
     mx, my = (
-        np.block([[m.a.entries, m.b.entries], [m.c.entries, m.d.entries]])
+        np.block([[_dense(m.a, 0), _dense(m.b, 1)], [_dense(m.c, -1), _dense(m.d, 0)]])
         for m in (monodromy(lam, cfg) for lam in (x, y))
     )
-    r = np.kron(r_matrix(x - y, cfg.gamma).entries, np.eye(d))
+    r = np.kron(r_matrix(x - y, cfg.gamma), np.eye(d))
     lhs = r @ _aux_product(mx, my, d)
     rhs = _aux_product(my, mx, d) @ r
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
@@ -263,78 +382,69 @@ class OffRelationResiduals(NamedTuple):
 
 
 def check_off_relations(lam0: complex, lams, cfg: SpectralConfig) -> OffRelationResiduals:
-    """Dense residuals of the two degree-(n+1) exchange relations moving
+    """Residuals of the two degree-(n+1) exchange relations moving
     A(lambda_0) and D(lambda_0) through a B-product, plus their sum (the
     transfer-matrix identity obtained by adding both lines).
 
-    Residuals are max-norm differences normalised by operand norms.  Raises
-    on coincident rapidities, which make the coefficients singular.
+    Both sides map sector k to k + n, so they are formed one source sector
+    k = 0..L-n at a time; every other block of either side is zero.
+    Residuals are max-norm differences over all sectors, normalised by the
+    operand max-norms.  Raises on coincident rapidities, which make the
+    coefficients singular.
     """
     lams = list(lams)
+    n = len(lams)
     ma0, md0, ma, md = exchange_m_factors(lam0, lams, cfg.gamma)
     ops = {lam0: monodromy(lam0, cfg)}
     for l in lams:
         ops.setdefault(l, monodromy(l, cfg))
 
-    def bprod(ls):
-        out = ops[ls[0]].b.entries
-        for l in ls[1:]:
-            out = out @ ops[l].b.entries
+    def bprod(ls, k):
+        """B(ls[0]) ... B(ls[-1]) on source sector k."""
+        out = ops[ls[-1]].b[k]
+        for j, l in enumerate(reversed(ls[:-1]), 1):
+            out = ops[l].b[k + j] @ out
         return out
 
-    x_full = bprod(lams) if lams else np.eye(cfg.quantum_dim, dtype=complex)
     m0 = {"a": ma0, "d": md0}
     mlist = {"a": ma, "d": md}
-    lhs = {k: getattr(ops[lam0], k).entries @ x_full for k in "ad"}
-    rhs = {k: m0[k] * (x_full @ getattr(ops[lam0], k).entries) for k in "ad"}
-    # each product B(lam0) prod_{t != i} B(l_t) is built once, serves both
-    # lines, and is dropped before the next one is built
-    for i, l in enumerate(lams):
-        swapped = bprod([lam0] + lams[:i] + lams[i + 1:])
-        for k in "ad":
-            rhs[k] = rhs[k] - mlist[k][i] * (swapped @ getattr(ops[l], k).entries)
-        del swapped
-
-    def relative(left, right) -> float:
-        scale = max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300)
-        return float(np.max(np.abs(left - right)) / scale)
-
+    # per relation (A line, D line, their sum): max |lhs - rhs|, |lhs|, |rhs|
+    stats = np.zeros((3, 3))
+    for k in range(cfg.L - n + 1):
+        x_full = bprod(lams, k) if lams else np.eye(len(ops[lam0].a[k]), dtype=complex)
+        lhs = {key: getattr(ops[lam0], key)[k + n] @ x_full for key in "ad"}
+        rhs = {key: m0[key] * (x_full @ getattr(ops[lam0], key)[k]) for key in "ad"}
+        # each product B(lam0) prod_{t != i} B(l_t) is built once and serves
+        # both lines
+        for i, l in enumerate(lams):
+            swapped = bprod([lam0] + lams[:i] + lams[i + 1:], k)
+            for key in "ad":
+                rhs[key] = rhs[key] - mlist[key][i] * (swapped @ getattr(ops[l], key)[k])
+        sides = ((lhs["a"], rhs["a"]), (lhs["d"], rhs["d"]),
+                 (lhs["a"] + lhs["d"], rhs["a"] + rhs["d"]))
+        for row, (left, right) in enumerate(sides):
+            stats[row] = np.maximum(stats[row], [np.max(np.abs(left - right)),
+                                                 np.max(np.abs(left)), np.max(np.abs(right))])
     return OffRelationResiduals(
-        relative(lhs["a"], rhs["a"]),
-        relative(lhs["d"], rhs["d"]),
-        relative(lhs["a"] + lhs["d"], rhs["a"] + rhs["d"]),
+        *(float(diff / max(left, right, 1e-300)) for diff, left, right in stats)
     )
 
 
-# -- S^z sectors and spectra -----------------------------------------------------
-
-def sector_indices(L: int, sector: int) -> np.ndarray:
-    """Basis indices of the fixed down-spin-count sector."""
-    return np.array([i for i in range(2**L) if bin(i).count("1") == sector], dtype=int)
-
-
-def sector_block_residual(op: DenseOperator, L: int, shift: int) -> float:
-    """Largest entry outside the S^z block structure of an operator that
-    changes the down-spin count by ``shift`` (0 for A, D and T, +1 for B,
-    -1 for C), relative to the largest entry."""
-    pop = np.array([bin(i).count("1") for i in range(2**L)])
-    mask = pop[:, None] != pop[None, :] + shift
-    scale = max(np.max(np.abs(op.entries)), 1e-300)
-    leak = np.max(np.abs(op.entries[mask])) if mask.any() else 0.0
-    return float(leak / scale)
-
+# -- spectra -----------------------------------------------------------------------
 
 @dataclass
 class EigenChoice:
     """One transfer-matrix eigenpair, with left and right eigenvectors.
 
     * ``sector``: down-spin count of the invariant block.
-    * ``right``/``left``: full 2^L-dimensional vectors (zero outside the
-      sector), matched so both are eigenvectors of T / T^t with the same
+    * ``right``/``left``: vectors in that sector, in ``sector_indices``
+      order, matched so both are eigenvectors of T / T^t with the same
       eigenvalue function.
-    * ``eigenvalue(lam)`` evaluates Lambda at any rapidity through the
-      bilinear form <left| T(lam) |right> / <left|right>; the left vector is
-      rapidity-independent because the transfer matrices commute.
+
+    ``eigenvalue_from`` evaluates Lambda through the bilinear form
+    <left| T |right> / <left|right>; the left vector is
+    rapidity-independent because the transfer matrices commute.  Both
+    methods take T as the sector blocks ``transfer`` returns.
     """
 
     cfg: SpectralConfig
@@ -344,23 +454,21 @@ class EigenChoice:
     left: np.ndarray
     probes: tuple[complex, complex]
 
-    def eigenvalue(self, lam: complex) -> complex:
-        return self.eigenvalue_from(transfer(lam, self.cfg).entries)
-
-    def eigenvalue_from(self, t: np.ndarray) -> complex:
+    def eigenvalue_from(self, t) -> complex:
         """Lambda read off a transfer matrix the caller has already built."""
-        return complex((self.left @ t @ self.right) / (self.left @ self.right))
+        blk = t[self.sector]
+        return complex((self.left @ blk @ self.right) / (self.left @ self.right))
 
-    def residuals(self, lam: complex) -> tuple[float, float]:
-        """Right and left eigen-residuals at one rapidity (2-norms)."""
-        return self.residuals_from(transfer(lam, self.cfg).entries)
-
-    def residuals_from(self, t: np.ndarray) -> tuple[float, float]:
-        """Right and left eigen-residuals against a prebuilt transfer matrix."""
+    def residuals_from(self, t, norm: float | None = None) -> tuple[float, float]:
+        """Right and left eigen-residuals (2-norms) against a prebuilt
+        transfer matrix, relative to its max-norm over all sectors.  A caller
+        that checks many eigenpairs against one T passes that max-norm
+        (``max_abs(t)``) as ``norm`` instead of having it recomputed."""
         val = self.eigenvalue_from(t)
-        r = np.linalg.norm(t @ self.right - val * self.right)
-        l = np.linalg.norm(self.left @ t - val * self.left)
-        scale = max(np.max(np.abs(t)), 1e-300)
+        blk = t[self.sector]
+        r = np.linalg.norm(blk @ self.right - val * self.right)
+        l = np.linalg.norm(self.left @ blk - val * self.left)
+        scale = max(max_abs(t) if norm is None else norm, 1e-300)
         return float(r / scale), float(l / scale)
 
 
@@ -386,10 +494,8 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
         complex(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)),
         complex(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)),
     )
-    idx = sector_indices(cfg.L, sector)
-    t_probes = [transfer(p, cfg).entries for p in probes]
-    t1 = t_probes[0][np.ix_(idx, idx)]
-    t2 = t_probes[1][np.ix_(idx, idx)]
+    t_probes = [transfer(p, cfg) for p in probes]
+    t1, t2 = (t[sector] for t in t_probes)
     ev, vec = np.linalg.eig(t1)
     scale = max(np.max(np.abs(ev)), 1.0)
     used = np.zeros(len(ev), dtype=bool)
@@ -412,20 +518,18 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
             "right eigenvectors are not independent at the probe points; try another seed"
         ) from exc
 
-    dim = cfg.quantum_dim
     out = []
     for k in range(len(ev)):
-        right = np.zeros(dim, dtype=complex)
-        left = np.zeros(dim, dtype=complex)
-        right[idx] = vec[:, k]
         lrow = left_rows[k]
-        left[idx] = lrow / np.linalg.norm(lrow)
-        out.append(EigenChoice(cfg, sector, k, right, left, tuple(probes)))
+        out.append(EigenChoice(
+            cfg, sector, k, vec[:, k].copy(), lrow / np.linalg.norm(lrow), tuple(probes)
+        ))
 
     worst = 0.0
-    for eig in out:
-        for t in t_probes:
-            worst = max(worst, *eig.residuals_from(t))
+    for t in t_probes:
+        norm = max_abs(t)
+        for eig in out:
+            worst = max(worst, *eig.residuals_from(t, norm))
     if worst > max(cfg.tol, 1e-9):
         raise DegeneracyError(
             f"eigenpair residual {worst:.3g} above tolerance at the probe points; "

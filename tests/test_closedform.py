@@ -29,9 +29,8 @@ from conftest import draw_complex
 
 
 def geometric_sum_closed(q: complex, top: int) -> complex:
-    """Closed form (1 - q^{top+1}) / (1 - q) of the geometric sum."""
-    if top < 0:
-        return 0.0 + 0.0j
+    """Closed form (1 - q^{top+1}) / (1 - q) of the geometric sum, for every
+    integer upper limit."""
     if abs(q - 1.0) < 1e-12:
         return complex(top + 1)
     return (1 - q ** (top + 1)) / (1 - q)
@@ -46,9 +45,13 @@ class TestElementaryPieces:
                 1, abs(geometric_sum(q, top))
             )
 
-    def test_geometric_sum_vanishes_below_zero(self):
-        assert geometric_sum(2.0 + 1.0j, -1) == 0.0
-        assert geometric_sum(2.0 + 1.0j, -5) == 0.0
+    def test_geometric_sum_continues_below_zero(self):
+        q = 2.0 + 1.0j
+        assert geometric_sum(q, -1) == 0.0
+        assert geometric_sum(q, -2) == pytest.approx(-1 / q, rel=1e-15)
+        assert geometric_sum(q, -3) == pytest.approx(-(1 / q + 1 / q**2), rel=1e-15)
+        # summed term by term, so exact at q = 1: -(top + 1) terms of -1
+        assert geometric_sum(1.0, -4) == -3.0
 
     def test_elementary_symmetric(self):
         vals = [2.0, 3.0, 5.0]
@@ -240,17 +243,22 @@ class TestOperatorComparison:
         assert compare_omega_closedform(extract_omegas(cfg)).max() < 1e-7
 
     def test_failing_columns_are_named(self):
-        # the known L >= 7 defect of the derivative coefficients: only the
-        # column carrying the top exponent L-1 disagrees, and the check's
-        # report names it
+        # at L = 7 the "below" branch of psi reaches a geometric sum with
+        # upper limit -2 in the top-exponent column; with the continued sum
+        # the check passes and names no column
         cfg = SpectralConfig.random_instance(7, 1, seed=0)
         art = Artifacts(cfg)
         [record] = SUITES["omega-compare"](art)
-        assert not record.passed
-        assert [tuple(c) for c in record.extra["columns"]] == [(6,)]
-        deviations = compare_omega_closedform(art.family)
-        labels = art.family.basis.labels
-        assert max(d for label, d in zip(labels, deviations) if label[0] != cfg.L - 1) <= 1e-12
+        assert record.passed
+        assert record.extra["columns"] == []
+        assert compare_omega_closedform(art.family).max() <= 1e-12
+
+    @pytest.mark.parametrize("L,n", [(7, 1), (7, 2), (8, 1), (8, 2), (9, 1)])
+    def test_long_lattices_agree(self, L, n):
+        # from L = 7 on, the "below" branch of psi reaches geometric sums
+        # with upper limits of -2 and lower
+        cfg = SpectralConfig.random_instance(L, n, seed=3000 + 10 * L + n)
+        assert compare_omega_closedform(extract_omegas(cfg)).max() < 1e-7
 
     def test_eigenfunctions_satisfy_pde(self):
         cfg = SpectralConfig.random_instance(3, 2, seed=53)

@@ -25,6 +25,7 @@ from bpl.omega import (
 )
 from bpl.polyengine import MultiPoly, tensor_interpolate
 from bpl.suites import Artifacts
+from bpl.ybcore import transfer
 
 from conftest import draw_complex
 
@@ -185,6 +186,27 @@ class TestLbar:
                 abs(lam_bar) * np.max(np.abs(vec)), 1e-30
             )
 
+    def test_shared_vacuum_products_are_bit_identical(self, rng):
+        # lbar_action computes the vacuum products once per distinct
+        # rapidity; the action equals the one built from per-call
+        # fz_coefficients exactly
+        cfg = SpectralConfig.random_instance(4, 2, seed=41)
+        L = cfg.L
+        lam_grids, lam0_nodes = _lbar_grids(cfg)
+        points = _grid_tuples(lam_grids)
+        xs = np.exp(2 * points)
+        p = MultiPoly(draw_complex(rng, (L, L)))
+        for lam0 in lam0_nodes[:2]:
+            coeffs = [fz_coefficients(lam0, lams, cfg) for lams in points]
+            jbar = np.array([j0 for j0, _ in coeffs]) * np.exp(L * lam0)
+            kbar = np.array([ks for _, ks in coeffs]) * np.exp(lam0) * np.exp((L - 1) * points)
+            ref = jbar * p.eval_many(xs)
+            for i in range(cfg.n):
+                subbed = xs.copy()
+                subbed[:, i] = np.exp(2 * lam0)
+                ref = ref - kbar[:, i] * p.eval_many(subbed)
+            assert np.array_equal(lbar_action(cfg, lam0, points, p.eval_many), ref)
+
     def test_degree_bound_in_x0(self):
         # sampling at two extra x0 nodes: coefficients above degree L vanish
         cfg = SpectralConfig.random_instance(2, 1, seed=13)
@@ -216,7 +238,7 @@ class TestLbar:
         lam0 = draw_complex(rng)
         j0, _ = fz_coefficients(lam0, [], cfg2)
         jbar = j0 * np.exp(cfg2.L * lam0)
-        lam_bar = eig.eigenvalue(lam0) * np.exp(cfg2.L * lam0)
+        lam_bar = eig.eigenvalue_from(transfer(lam0, cfg2)) * np.exp(cfg2.L * lam0)
         assert abs(jbar - lam_bar) < 1e-11 * abs(lam_bar)
 
 
