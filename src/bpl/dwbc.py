@@ -28,7 +28,7 @@ from .errors import CapacityError, CoincidentRapiditiesError
 from .functional import PolyFit, b_table, circle_grid, fit_grid
 from .polyengine import MultiPoly, PdeSpec, grid_points, tensor_interpolate
 from .reduction import upsilon_residual
-from .ybcore import monodromy, weight_a, weight_b, weight_c
+from .ybcore import monodromies, weight_a, weight_b, weight_c
 
 #: dense-oracle cap for the partition function itself
 MAX_PARTITION_L = 6
@@ -70,7 +70,7 @@ def dwbc_partition(lams, cfg: SpectralConfig) -> complex:
     if len(lams) != cfg.L:
         raise ValueError(f"need exactly L = {cfg.L} rapidities, got {len(lams)}")
     _check_partition_capacity(cfg)
-    return _corner([monodromy(lam, cfg).b for lam in lams])
+    return _corner([m.b for m in monodromies(lams, cfg)])
 
 
 def dwbc_configuration_sum(lams, cfg: SpectralConfig) -> complex:
@@ -166,14 +166,15 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
     coefficient certifies the per-variable degree bound L-1 (fitting with one
     extra node per axis would put mass there otherwise).
 
-    B is built once at each interpolation node; every sample on both grids
-    reads those blocks, which are dropped when the function returns.
+    B is built once at each interpolation node, all nodes in one batched
+    call; every sample on both grids reads those blocks, which are dropped
+    when the function returns.
     """
     L = cfg.L
     _check_partition_capacity(cfg)
     grids = _zbar_grids(cfg)
     extra = circle_grid(L + 1, slot=L, nslots=L + 1)
-    b_ops = b_table(cfg, np.concatenate(grids + [extra]))
+    b_ops = b_table(cfg, np.concatenate(grids + [extra]), top=L)
 
     def sample(lam_grids) -> np.ndarray:
         """The stripped partition function on the tensor grid of the rapidity nodes."""

@@ -26,7 +26,21 @@ class CoincidentRapiditiesError(ValueError):
 
 
 class DegeneracyError(RuntimeError):
-    """Two probe points did not split a degenerate cluster; try another seed."""
+    """Two probe points did not split a degenerate cluster; try another seed.
+
+    ``probes`` holds the two probe rapidities and ``cluster_sizes`` the size
+    of each eigenvalue cluster with more than one member at the first probe
+    (empty if there was none); both are also in the message.
+    """
+
+    def __init__(self, reason: str, probes, cluster_sizes):
+        self.probes = tuple(complex(p) for p in probes)
+        self.cluster_sizes = tuple(int(c) for c in cluster_sizes)
+        points = ", ".join(f"{p:.6g}" for p in self.probes)
+        super().__init__(
+            f"{reason} at the probe points {points} "
+            f"(degenerate cluster sizes {list(self.cluster_sizes)}); try another seed"
+        )
 
 
 class UnsupportedShapeError(ValueError):

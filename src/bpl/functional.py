@@ -23,9 +23,9 @@ from .polyengine import MultiPoly, grid_condition, grid_points, tensor_interpola
 from .ybcore import (
     EigenChoice,
     exchange_m_factors,
+    monodromies,
     monodromy,
     spectrum,
-    transfer,
     weight_a,
     weight_b,
 )
@@ -87,11 +87,11 @@ def lbar_x0_nodes(cfg: SpectralConfig) -> np.ndarray:
 
 # -- overlap sampler -------------------------------------------------------------
 
-def b_table(cfg: SpectralConfig, lams) -> dict[complex, tuple[np.ndarray, ...]]:
-    """The sector blocks of B(lambda) at each distinct rapidity, each built
-    once."""
-    distinct = dict.fromkeys(complex(l) for l in lams)
-    return {lam: monodromy(lam, cfg).b for lam in distinct}
+def b_table(cfg: SpectralConfig, lams, top: int) -> dict[complex, tuple[np.ndarray, ...]]:
+    """The sector blocks of B(lambda) up to sector ``top`` at each distinct
+    rapidity, all built in one batched call, each once."""
+    distinct = list(dict.fromkeys(complex(l) for l in lams))
+    return {lam: m.b for lam, m in zip(distinct, monodromies(distinct, cfg, top))}
 
 
 @dataclass
@@ -101,10 +101,11 @@ class FnSampler:
     ``b_ops`` holds the sector blocks of B(lambda) built beforehand, keyed
     by rapidity; the samplers of one sector's fits share one such table
     (``fbar_b_ops``).
-    A rapidity missing from it is built afresh at each use and not kept, so
-    one-off draws never accumulate.  Partial products of repeated rapidity
-    suffixes are cached on the sampler.  Both live exactly as long as the
-    sampler, and the blocks are read-only, so sharing them is safe.
+    A rapidity missing from it is built afresh at each use, up to the
+    eigenpair's sector, and not kept, so one-off draws never accumulate.
+    Partial products of repeated rapidity suffixes are cached on the
+    sampler.  Both live exactly as long as the sampler, and the blocks are
+    read-only, so sharing them is safe.
     """
 
     cfg: SpectralConfig
@@ -114,7 +115,7 @@ class FnSampler:
 
     def _b(self, lam: complex) -> tuple[np.ndarray, ...]:
         op = self.b_ops.get(lam)
-        return monodromy(lam, self.cfg).b if op is None else op
+        return monodromy(lam, self.cfg, top=self.eig.sector).b if op is None else op
 
     def _chain(self, lams: tuple[complex, ...]) -> np.ndarray:
         """B(lams[0]) ... B(lams[-1]) |0> in sector len(lams), cached on
@@ -185,26 +186,35 @@ def fz_coefficients(lam0: complex, lams, cfg: SpectralConfig, vacuum=None):
     return j0, ks
 
 
-def check_fz_residual(sampler: FnSampler, lam0: complex, lams) -> float:
-    """Residual of the functional relation, normalised by the largest term."""
-    cfg = sampler.cfg
-    lams = [complex(l) for l in lams]
-    j0, ks = fz_coefficients(lam0, lams, cfg)
-    # every rapidity of the relation is built once: T(lam0) and B(lam0) come
-    # from one monodromy, and the swapped overlaps reuse the B(lams)
-    m0 = monodromy(lam0, cfg)
-    local = FnSampler(cfg, sampler.eig, {complex(lam0): m0.b, **b_table(cfg, lams)})
-    f_here = local.value(lams)
-    lam_val = sampler.eig.eigenvalue_from(m0.transfer())
-    total = j0 * f_here - lam_val * f_here
-    scale = max(abs(j0 * f_here), abs(lam_val * f_here))
-    for i, k in enumerate(ks):
-        swapped = list(lams)
-        swapped[i] = lam0
-        term = k * local.value(swapped)
-        total -= term
-        scale = max(scale, abs(term))
-    return float(abs(total) / max(scale, 1e-300))
+def check_fz_residual(sampler: FnSampler, draws) -> float:
+    """Worst residual of the functional relation over ``draws``, each a
+    sequence (lam0, lam_1, ..., lam_n), every residual normalised by its
+    largest term.
+
+    Every distinct rapidity of all the draws is built once, in one batched
+    call capped at the eigenpair's sector: T(lam0) and B(lam0) come from one
+    monodromy, and the swapped overlaps reuse the B(lams).
+    """
+    cfg, eig = sampler.cfg, sampler.eig
+    draws = [[complex(l) for l in draw] for draw in draws]
+    distinct = list(dict.fromkeys(l for draw in draws for l in draw))
+    ops = dict(zip(distinct, monodromies(distinct, cfg, top=eig.sector)))
+    local = FnSampler(cfg, eig, {lam: m.b for lam, m in ops.items()})
+    worst = 0.0
+    for lam0, *lams in draws:
+        j0, ks = fz_coefficients(lam0, lams, cfg)
+        f_here = local.value(lams)
+        lam_val = eig.eigenvalue_from(ops[lam0].transfer())
+        total = j0 * f_here - lam_val * f_here
+        scale = max(abs(j0 * f_here), abs(lam_val * f_here))
+        for i, k in enumerate(ks):
+            swapped = list(lams)
+            swapped[i] = lam0
+            term = k * local.value(swapped)
+            total -= term
+            scale = max(scale, abs(term))
+        worst = max(worst, float(abs(total) / max(scale, 1e-300)))
+    return worst
 
 
 # -- polynomial parts --------------------------------------------------------------
@@ -254,7 +264,7 @@ def fbar_b_ops(cfg: SpectralConfig, n: int) -> dict[complex, tuple[np.ndarray, .
     it.  It lives as long as the caller keeps it.
     """
     nodes = [lam for grid in _fbar_grids(cfg, n) for lam in grid]
-    return b_table(cfg, nodes + _fbar_holdout_point(cfg, n))
+    return b_table(cfg, nodes + _fbar_holdout_point(cfg, n), top=n)
 
 
 def extract_fbar(sampler: FnSampler) -> PolyFit:
@@ -286,13 +296,15 @@ def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> np.ndarray:
     polynomial in x0 = e^{2 lam0}, one row per eigenpair of ``eigs``,
     interpolated on the x0 nodes of Lbar (``lbar_x0_nodes``).
 
-    The transfer matrix at each node is built once and shared across all the
+    The transfer matrix at each node is built once, all nodes in one batched
+    call capped at the highest sector of ``eigs``, and shared across all the
     requested eigenpairs.
     """
     nodes = lbar_x0_nodes(cfg)
+    top = max((eig.sector for eig in eigs), default=0)
     values = np.zeros((len(eigs), len(nodes)), dtype=complex)
-    for j, lam0 in enumerate(nodes):
-        t = transfer(lam0, cfg)
+    for j, (lam0, m) in enumerate(zip(nodes, monodromies(nodes, cfg, top))):
+        t = m.transfer()
         for i, eig in enumerate(eigs):
             values[i, j] = eig.eigenvalue_from(t) * np.exp(cfg.L * lam0)
     return tensor_interpolate(values, [np.exp(2 * nodes)])

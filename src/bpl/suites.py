@@ -172,12 +172,13 @@ def suite_verify_rtt(art: Artifacts) -> list[CheckRecord]:
     comm_cfg = cfg if cfg.L <= 8 else SpectralConfig.random_instance(8, 0, cfg.seed)
     worst = 0.0
     for x, y in _draws(comm_cfg, "commutator", 5, width=2):
-        worst = max(worst, _commutator(ybcore.transfer(x, comm_cfg), ybcore.transfer(y, comm_cfg), 0))
+        tx, ty = (m.transfer() for m in ybcore.monodromies([x, y], comm_cfg))
+        worst = max(worst, _commutator(tx, ty, 0))
     rec.add("transfer-commutator", worst, 1e-10, L=comm_cfg.L, draws=5)
 
     worst = 0.0
     for x, y in _draws(rtt_cfg, "bb-commute", 5, width=2):
-        b1, b2 = ybcore.monodromy(x, rtt_cfg).b, ybcore.monodromy(y, rtt_cfg).b
+        b1, b2 = (m.b for m in ybcore.monodromies([x, y], rtt_cfg))
         worst = max(worst, _commutator(b1, b2, 1))
     rec.add("b-operators-commute", worst, 1e-12, L=rtt_cfg.L)
     return rec.records
@@ -215,9 +216,8 @@ def suite_fz(art: Artifacts) -> list[CheckRecord]:
     rec = _Recorder()
     worst = 0.0
     for eig in eigs:
-        sampler = FnSampler(cfg, eig)
-        for draw in _draws(cfg, f"fz-{eig.index}", 5, width=cfg.n + 1):
-            worst = max(worst, check_fz_residual(sampler, draw[0], draw[1:]))
+        draws = _draws(cfg, f"fz-{eig.index}", 5, width=cfg.n + 1)
+        worst = max(worst, check_fz_residual(FnSampler(cfg, eig), draws))
     rec.add("functional-relation", worst, 1e-8, n=cfg.n, L=cfg.L, eigenvectors=len(eigs))
 
     rec.add("overlap-polynomial-holdout", max(fit.holdout_residual for fit in fits), 1e-9)

@@ -41,17 +41,42 @@ equals the matching slice of the Kronecker form exactly
 (``tests/test_ybcore.py`` keeps that form as the reference).
 
 Which old entry feeds which new entry depends on L alone, so
-``_build_plan`` compiles the recursion once per L into flat index arrays,
-and a build appends each site with one gather, multiply and scatter per
-weight instead of one small array operation per block.
+``_build_plan`` compiles the recursion once per L and cap into flat index
+arrays, and a build appends each site with one gather, multiply and scatter
+per weight instead of one small array operation per block.
+
+Two things keep a build to what its caller reads:
+
+* **A cap.**  New sector k reads old sectors k and k-1 only, so the blocks
+  whose source and target sectors are <= ``top`` are closed under the
+  recursion: A'[k] reads A[k], A[k-1] and B[k-1], B'[k] reads A[k], B[k] and
+  B[k-1], C'[k] reads C[k], C[k-1] and D[k-1], and D'[k] reads C[k], D[k]
+  and D[k-1].  A build capped at ``top`` computes those blocks and nothing
+  else, on every partial lattice.  Each operator then holds top + 1 blocks;
+  ``b[top]``, whose target lies past the cap, has no rows, and indexing
+  past ``top`` raises ``IndexError`` rather than returning zeros.  F_n and
+  Lambda(lambda_0) in sector n read only the B blocks into sectors 1..n
+  and T's sector-n block, so the spectral layer builds with ``top = n``;
+  ``top = L`` is the full build.
+* **A batch.**  ``monodromies`` builds many rapidities in one pass of the
+  plan, every buffer of shape (batch, entries): one row per rapidity, so
+  each block of each rapidity is a contiguous slice of its row.  Batches
+  are bounded by ``BATCH_ENTRIES``.
+
+Neither changes any arithmetic: every entry is still the one product of an
+old entry and a weight, through the same multiplication of an entry array
+by one weight per rapidity, and the cap only drops blocks no kept block
+reads.  So each block of a capped or batched build equals the full single
+build's block bit for bit (``tests/test_ybcore.py`` asserts it at every
+cap for L = 1..6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
-from typing import NamedTuple
+from math import comb, isfinite
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,11 +101,18 @@ def weight_c(gamma: complex) -> complex:
     return np.sinh(gamma)
 
 
-def _require_finite(*vals: complex):
+def _require_finite(*vals):
+    """Raise ``ValueError`` naming the first non-finite value; each argument
+    is a number or an array of them."""
     for v in vals:
-        v = complex(v)
-        if not np.isfinite([v.real, v.imag]).all():
-            raise ValueError(f"non-finite parameter {v!r}")
+        if isinstance(v, np.ndarray):
+            bad = v[~np.isfinite(v)]
+            if bad.size:
+                raise ValueError(f"non-finite parameter {complex(bad[0])!r}")
+        else:
+            v = complex(v)
+            if not (isfinite(v.real) and isfinite(v.imag)):
+                raise ValueError(f"non-finite parameter {v!r}")
 
 
 # -- S^z sectors ------------------------------------------------------------------
@@ -208,24 +240,41 @@ def _flat_write(src, dst, size: int) -> _Write:
     return _Write(cat(src), cat(dst), size)
 
 
+class _Plan(NamedTuple):
+    """A compiled build: per site the ``_Write``s that append it, per
+    operator the (slice, shape) of each sector block in its final buffer,
+    and the most entries one rapidity holds in the buffers of one step."""
+
+    steps: tuple[tuple[_Write, ...], ...]
+    layout: tuple[tuple[tuple[slice, tuple[int, int]], ...], ...]
+    entries: int
+
+
 @cache
-def _build_plan(L: int):
-    """The sector-block recursion on L sites, compiled to flat index arrays.
+def _build_plan(L: int, top: int) -> _Plan:
+    """The sector-block recursion on L sites, capped at sector ``top`` and
+    compiled to flat index arrays.
 
     Every block lives in a flat buffer.  Appending site j is a tuple of
     ``_Write``s from the buffer on j sites.  Before the last site one write
     fills one buffer with every block in build order; the last site writes
     one buffer per operator with each block in ascending order, the sorting
-    permutation folded into ``dst``.  Returns the steps and, per operator,
-    the (offset, shape) of each sector block in its final buffer.  The
-    buffer on zero sites is [1, 1]: A = D = 1 on sector 0, B and C empty.
-    Plans stay cached for the process; the one for L = 12, the default
-    capacity cap, holds 84 MB of int32 indices.
+    permutation folded into ``dst``.  The buffer on zero sites is [1, 1]:
+    A = D = 1 on sector 0, B and C empty.
+
+    Only blocks whose source and target sectors are <= top are kept, on
+    every partial lattice; the recursion never reads any other (module
+    docstring).  So each operator has top + 1 blocks, and ``b[top]``, whose
+    target lies past the cap, has no rows.  ``top = L`` keeps every block.
+
+    Plans are cached per (L, top) for the process; the full one for L = 12,
+    the default capacity cap, holds 84 MB of int32 indices, and one capped
+    at a low sector a small fraction of that.
     """
     orders = _ascending_orders(L)
     empty = np.zeros((0, 1), dtype=np.int32)
     old = [[np.array([[0]], dtype=np.int32)], [empty], [empty], [np.array([[1]], dtype=np.int32)]]
-    steps = []
+    steps, entries = [], 0
     for sites in range(L):
         last = sites == L - 1
         dim = lambda k: comb(sites, k) if k >= 0 else 0
@@ -233,11 +282,11 @@ def _build_plan(L: int):
         src, dst = ([], [], []), ([], [], [])
         for shift, terms in zip(_SHIFTS, _SITE_TERMS):
             blocks, offsets = [], []
-            for k in range(sites + 2):
-                rows = (dim(k + shift), dim(k + shift - 1))
+            for k in range(min(sites + 1, top) + 1):
+                rows = (dim(k + shift), dim(k + shift - 1)) if k + shift <= top else (0, 0)
                 cols = (dim(k), dim(k - 1))
                 pos = np.arange(start, start + sum(rows) * sum(cols)).reshape(sum(rows), sum(cols))
-                offsets.append((start, pos.shape))
+                offsets.append((slice(start, start + pos.size), pos.shape))
                 start += pos.size
                 if last and pos.size:
                     pos_built = np.empty_like(pos)
@@ -258,49 +307,88 @@ def _build_plan(L: int):
         if not last:
             writes.append(_flat_write(src, dst, start))
         steps.append(tuple(writes))
+        entries = max(entries, sum(write.size for write in writes))
         old = new
-    return tuple(steps), tuple(layout)
+    return _Plan(tuple(steps), tuple(layout), entries)
 
 
-def monodromy(lam: complex, cfg: SpectralConfig) -> MonodromyEntries:
-    """Ordered product of P R(lambda - mu_j) over the lattice, as the S^z
-    blocks of its auxiliary-space blocks A, B, C, D.
+#: Entries (rapidities times a plan step's entries per rapidity) one batched
+#: build holds in a buffer.  A batch shares a build's fixed cost (about
+#: 0.25 ms), but its gathers cost more per entry, most in batches of 2 or 3:
+#: per rapidity, 1,290 entries (L=7 capped at 2) took 0.28 ms alone and
+#: 0.06 ms in batches of 12, 12,870 (full L=7) 0.49 ms alone and 0.55 ms in
+#: pairs (2-vCPU x86_64 VM).  So plans up to ~5,000 entries go by 3 or more
+#: and larger ones, every full build from L = 7 on, one at a time.
+BATCH_ENTRIES = 2**14
+
+
+def _build_batch(x: np.ndarray, gamma: complex, plan: _Plan) -> list[MonodromyEntries]:
+    """One monodromy per row of ``x``, the site arguments lambda - mu_j of
+    a batch of rapidities (shape (batch, L)), through buffers of shape
+    (batch, entries)."""
+    wa, wb, c = weight_a(x, gamma), weight_b(x), weight_c(gamma)
+    flat = np.ones((len(x), 2), dtype=complex)
+    for j, writes in enumerate(plan.steps):
+        weights = (wa[:, j, None], wb[:, j, None], c)
+        bufs = []
+        for write in writes:
+            buf = np.zeros((len(x), write.size), dtype=complex)
+            for src, dst, w in zip(write.src, write.dst, weights):
+                buf[:, dst] = flat[:, src] * w
+            bufs.append(buf)
+        flat = bufs[0]
+    for buf in bufs:
+        if not np.isfinite(buf).all():
+            raise ValueError("monodromy entries must be finite")
+        buf.setflags(write=False)
+    return [
+        MonodromyEntries(*(
+            tuple(buf[i, span].reshape(shape) for span, shape in offsets)
+            for buf, offsets in zip(bufs, plan.layout)
+        ))
+        for i in range(len(x))
+    ]
+
+
+def monodromies(lams, cfg: SpectralConfig, top: int | None = None) -> Iterator[MonodromyEntries]:
+    """The monodromy at each of ``lams``, in order, capped at sector ``top``
+    (default L): the ordered product of P R(lambda - mu_j) over the lattice,
+    as the S^z blocks of its auxiliary-space blocks A, B, C, D whose source
+    and target sectors are <= top.
 
     Site j contributes the weights a = sinh(lambda - mu_j + gamma),
     b = sinh(lambda - mu_j) and c = sinh(gamma), with site blocks
     A_j = diag(a, b), B_j = c at (1, 0), C_j = c at (0, 1) and
     D_j = diag(b, a).  Each step writes the non-zero slices of every new
-    sector block through the precompiled index arrays of ``_build_plan``
-    (see the module docstring for why the blocks equal slices of the
-    Kronecker recursion exactly).
+    sector block through the precompiled index arrays of ``_build_plan``,
+    for a whole batch of rapidities at once; batches hold at most
+    ``BATCH_ENTRIES`` entries (see the module docstring for why the blocks
+    equal slices of the Kronecker recursion exactly, at any cap and batch).
 
-    The blocks are returned read-only, so a caller that keeps one for reuse
-    cannot be corrupted by another caller writing into it.
+    The arguments are checked here, before anything is built; the builds
+    run as the result is iterated.  The blocks are read-only, so a caller
+    that keeps one for reuse cannot be corrupted by another caller writing
+    into it.
     """
-    _require_finite(lam)
+    lams = np.array([complex(lam) for lam in lams], dtype=complex)
+    top = cfg.L if top is None else top
+    if not 0 <= top <= cfg.L:
+        raise ValueError(f"top must lie in [0, {cfg.L}], got {top}")
+    _require_finite(lams)
     cfg.check_dense_capacity()
-    c = weight_c(cfg.gamma)
-    steps, layout = _build_plan(cfg.L)
-    flat = np.ones(2, dtype=complex)
-    for m, writes in zip(cfg.mu, steps):
-        x = lam - m
-        _require_finite(x, cfg.gamma)
-        weights = (weight_a(x, cfg.gamma), weight_b(x), c)
-        bufs = []
-        for write in writes:
-            buf = np.zeros(write.size, dtype=complex)
-            for src, dst, w in zip(write.src, write.dst, weights):
-                buf[dst] = flat[src] * w
-            bufs.append(buf)
-        flat = bufs[0]
-    for buf in bufs:
-        if not (np.isfinite(buf.real).all() and np.isfinite(buf.imag).all()):
-            raise ValueError("monodromy entries must be finite")
-        buf.setflags(write=False)
-    return MonodromyEntries(*(
-        tuple(buf[start : start + shape[0] * shape[1]].reshape(shape) for start, shape in offsets)
-        for buf, offsets in zip(bufs, layout)
-    ))
+    x = lams[:, None] - np.array(cfg.mu, dtype=complex)
+    _require_finite(x)
+    plan = _build_plan(cfg.L, top)
+    size = max(1, BATCH_ENTRIES // plan.entries)
+    return (
+        m for start in range(0, len(x), size)
+        for m in _build_batch(x[start : start + size], cfg.gamma, plan)
+    )
+
+
+def monodromy(lam: complex, cfg: SpectralConfig, top: int | None = None) -> MonodromyEntries:
+    """The monodromy at one rapidity: ``monodromies`` on a batch of one."""
+    return next(monodromies([lam], cfg, top))
 
 
 def transfer(lam: complex, cfg: SpectralConfig) -> tuple[np.ndarray, ...]:
@@ -330,7 +418,7 @@ def check_rtt(x: complex, y: complex, cfg: SpectralConfig) -> float:
     # each monodromy as one dense matrix on (auxiliary) (x) (quantum)
     mx, my = (
         np.block([[_dense(m.a, 0), _dense(m.b, 1)], [_dense(m.c, -1), _dense(m.d, 0)]])
-        for m in (monodromy(lam, cfg) for lam in (x, y))
+        for m in monodromies([x, y], cfg)
     )
     r = np.kron(r_matrix(x - y, cfg.gamma), np.eye(d))
     lhs = r @ _aux_product(mx, my, d)
@@ -395,9 +483,8 @@ def check_off_relations(lam0: complex, lams, cfg: SpectralConfig) -> OffRelation
     lams = list(lams)
     n = len(lams)
     ma0, md0, ma, md = exchange_m_factors(lam0, lams, cfg.gamma)
-    ops = {lam0: monodromy(lam0, cfg)}
-    for l in lams:
-        ops.setdefault(l, monodromy(l, cfg))
+    distinct = list(dict.fromkeys([lam0] + lams))
+    ops = dict(zip(distinct, monodromies(distinct, cfg)))
 
     def bprod(ls, k):
         """B(ls[0]) ... B(ls[-1]) on source sector k."""
@@ -480,7 +567,8 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
     invariant subspace (simultaneous-diagonalisation refinement).  Left
     eigenvectors come from the inverse of the refined right-eigenvector
     matrix.  If residuals at either probe stay above tolerance the pair of
-    probes did not resolve the spectrum and a DegeneracyError is raised.
+    probes did not resolve the spectrum and a DegeneracyError, carrying the
+    probes and the sizes of the degenerate clusters, is raised.
 
     The transfer matrix is built once per probe.  The decomposition, the
     residual check and the eigenvalue sort key all read those two matrices,
@@ -499,6 +587,7 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
     ev, vec = np.linalg.eig(t1)
     scale = max(np.max(np.abs(ev)), 1.0)
     used = np.zeros(len(ev), dtype=bool)
+    clusters = []
     for i in range(len(ev)):
         if used[i]:
             continue
@@ -506,6 +595,7 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
         for j in cluster:
             used[j] = True
         if len(cluster) > 1:
+            clusters.append(len(cluster))
             sub = vec[:, cluster]
             small = np.linalg.pinv(sub) @ t2 @ sub
             _, w = np.linalg.eig(small)
@@ -515,7 +605,7 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
         left_rows = np.linalg.inv(vec)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(
-            "right eigenvectors are not independent at the probe points; try another seed"
+            "right eigenvectors are not independent", probes, clusters
         ) from exc
 
     out = []
@@ -532,8 +622,8 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
             worst = max(worst, *eig.residuals_from(t, norm))
     if worst > max(cfg.tol, 1e-9):
         raise DegeneracyError(
-            f"eigenpair residual {worst:.3g} above tolerance at the probe points; "
-            "the sector may be degenerate there; try another seed"
+            f"eigenpair residual {worst:.3g} above tolerance; the sector may be degenerate",
+            probes, clusters,
         )
 
     def sort_key(e: EigenChoice):

@@ -1,5 +1,6 @@
 """Each artifact builds the monodromy once per distinct rapidity it uses,
-and no cache outlives the call that made it."""
+capped at the highest sector it reads, and no cache outlives the call that
+made it."""
 
 import sys
 
@@ -9,42 +10,61 @@ import bpl.ybcore
 from bpl.cli import run_suite
 from bpl.config import SpectralConfig
 from bpl.dwbc import extract_zbar
-from bpl.functional import FnSampler, check_fz_residual, extract_fbar, fbar_b_ops, spectrum
+from bpl.functional import (
+    FnSampler,
+    check_fz_residual,
+    extract_fbar,
+    fbar_b_ops,
+    lambda_bar_coefficients,
+    spectrum,
+)
 
-ORIGINAL = bpl.ybcore.monodromy
+ORIGINAL = bpl.ybcore.monodromies
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Rapidities of every monodromy build, in call order, counted at every
-    module attribute that holds the function."""
+    """(rapidity, top) of every monodromy build, in call order, counted at
+    every module attribute that holds the batched builder (``monodromy`` is
+    its batch of one)."""
     seen = []
 
-    def counting(lam, cfg):
-        seen.append(complex(lam))
-        return ORIGINAL(lam, cfg)
+    def counting(lams, cfg, top=None):
+        lams = [complex(lam) for lam in lams]
+        seen.extend((lam, cfg.L if top is None else top) for lam in lams)
+        return ORIGINAL(lams, cfg, top)
 
     patched = set()
     for name, module in list(sys.modules.items()):
-        if name.startswith("bpl") and getattr(module, "monodromy", None) is ORIGINAL:
-            monkeypatch.setattr(module, "monodromy", counting)
+        if name.startswith("bpl") and getattr(module, "monodromies", None) is ORIGINAL:
+            monkeypatch.setattr(module, "monodromies", counting)
             patched.add(name)
     assert {"bpl.ybcore", "bpl.functional", "bpl.dwbc"} <= patched
     return seen
+
+
+def rapidities(builds):
+    return [lam for lam, _ in builds]
+
+
+def tops(builds):
+    return {top for _, top in builds}
 
 
 def test_extract_zbar_builds_each_node_once(builds):
     cfg = SpectralConfig.random_instance(4, 0, seed=2)
     extract_zbar(cfg)
     # 4 grids of 4 nodes, the 5-node degree grid, and the 4 holdout draws
-    assert len(builds) == len(set(builds)) == 16 + 5 + 4
+    assert len(builds) == len(set(rapidities(builds))) == 16 + 5 + 4
+    assert tops(builds) == {4}
 
 
 def test_spectrum_builds_each_probe_once(builds):
     cfg = SpectralConfig.random_instance(4, 2, seed=2)
     eigs = spectrum(cfg, 2)
     assert len(eigs) == 6
-    assert len(builds) == len(set(builds)) == 2
+    assert len(builds) == len(set(rapidities(builds))) == 2
+    assert tops(builds) == {4}
 
 
 def test_sector_overlap_fits_share_their_operators(builds):
@@ -55,15 +75,37 @@ def test_sector_overlap_fits_share_their_operators(builds):
     fits = [extract_fbar(FnSampler(cfg, eig, b_ops)) for eig in eigs]
     assert len(fits) == 6
     # two 4-node grids plus the two-variable holdout point, for all six fits
-    assert len(builds) == len(set(builds)) == 4 * 2 + 2
+    assert len(builds) == len(set(rapidities(builds))) == 4 * 2 + 2
+    assert tops(builds) == {2}
+
+
+def test_lambda_bar_nodes_build_once_up_to_the_sector(builds):
+    cfg = SpectralConfig.random_instance(4, 2, seed=2)
+    eigs = spectrum(cfg, 2)
+    builds.clear()
+    lambda_bar_coefficients(eigs, cfg)
+    assert len(builds) == len(set(rapidities(builds))) == cfg.L + 1
+    assert tops(builds) == {2}
 
 
 def test_functional_relation_builds_each_rapidity_once(builds):
     cfg = SpectralConfig.random_instance(4, 2, seed=2)
     sampler = FnSampler(cfg, spectrum(cfg, 2)[0])
     builds.clear()
-    check_fz_residual(sampler, 0.3 + 0.1j, [-0.2 + 0.05j, 0.5 - 0.2j])
-    assert len(builds) == len(set(builds)) == 3
+    check_fz_residual(sampler, [[0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.2j]])
+    assert len(builds) == len(set(rapidities(builds))) == 3
+    assert tops(builds) == {2}
+
+
+def test_functional_relation_over_draws_builds_each_rapidity_once(builds):
+    cfg = SpectralConfig.random_instance(4, 2, seed=2)
+    sampler = FnSampler(cfg, spectrum(cfg, 2)[0])
+    builds.clear()
+    draws = [[0.1 * i + 0.3j, 0.1 * i - 0.2j, 0.1 * i + 0.45 + 0.1j] for i in range(5)]
+    # one draw repeated: its rapidities are not built again
+    check_fz_residual(sampler, draws + draws[:1])
+    assert len(builds) == len(set(rapidities(builds))) == 5 * 3
+    assert tops(builds) == {2}
 
 
 def test_back_to_back_runs_build_alike(builds):

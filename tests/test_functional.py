@@ -106,7 +106,7 @@ class TestFunctionalRelation:
         lam0 = draw_complex(rng)
         j0, _ = fz_coefficients(lam0, [], cfg2)
         assert abs(eig.eigenvalue_from(transfer(lam0, cfg2)) - j0) < 1e-11 * abs(j0)
-        assert check_fz_residual(sampler, lam0, []) < 1e-12
+        assert check_fz_residual(sampler, [[lam0]]) < 1e-12
 
     @pytest.mark.parametrize("L,n", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
     def test_full_grid(self, L, n):
@@ -114,10 +114,8 @@ class TestFunctionalRelation:
         rng = np.random.default_rng(L * 7 + n)
         for eig in spectrum(cfg, n):
             sampler = FnSampler(cfg, eig)
-            for _ in range(5):
-                lam0 = draw_complex(rng)
-                lams = [draw_complex(rng) for _ in range(n)]
-                assert check_fz_residual(sampler, lam0, lams) < 1e-8
+            draws = [[draw_complex(rng) for _ in range(n + 1)] for _ in range(5)]
+            assert check_fz_residual(sampler, draws) < 1e-8
 
 
 class TestPolynomialPart:

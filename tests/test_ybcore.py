@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from bpl.config import SpectralConfig
-from bpl.errors import CapacityError, CoincidentRapiditiesError
+import bpl.ybcore
+from bpl.errors import CapacityError, CoincidentRapiditiesError, DegeneracyError
 from bpl.ybcore import (
     check_off_relations,
     check_rtt,
     exchange_m_factors,
     check_ybe,
+    monodromies,
     monodromy,
     r_matrix,
     sector_indices,
@@ -181,6 +183,80 @@ class TestMonodromy:
                     with pytest.raises(ValueError, match="read-only"):
                         blk[0, 0] = 1.0
 
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_capped_batches_equal_the_full_build_exactly(self, L, rng):
+        cfg = SpectralConfig.random_instance(L, 0, seed=L)
+        homogeneous = [cfg.replace(mu=(0.0,) * L, gamma=g) for g in (0.4, 0.7j)]
+        for case in [cfg] + homogeneous:
+            lams = [draw_complex(rng), draw_complex(rng), 0.0]
+            full = [monodromy(lam, case) for lam in lams]
+            for top in range(L + 1):
+                for batch in ([lams[0]], lams):
+                    built = list(monodromies(batch, case, top))
+                    assert len(built) == len(batch)
+                    for ref, got in zip(full, built):
+                        for ref_blocks, blocks in zip(ref, got):
+                            assert len(blocks) == top + 1
+                            for k, blk in enumerate(blocks[:top]):
+                                assert np.array_equal(blk, ref_blocks[k])
+                        # b[top] maps past the cap: no rows; the others are whole
+                        for name in "acd":
+                            assert np.array_equal(getattr(got, name)[top], getattr(ref, name)[top])
+                        assert got.b[top].shape == (0, comb(L, top))
+                        if top < L:
+                            assert ref.b[top].shape[0] > 0
+
+    def test_capped_build_has_no_blocks_past_the_cap(self, cfg3):
+        m = monodromy(0.2 + 0.1j, cfg3, top=1)
+        for blocks in m:
+            assert len(blocks) == 2
+            with pytest.raises(IndexError):
+                blocks[2]
+        assert m.b[1].shape == (0, 3)
+        with pytest.raises(ValueError, match="top"):
+            monodromy(0.2, cfg3, top=cfg3.L + 1)
+
+    def test_non_finite_rapidity_in_a_batch_rejected(self, cfg3):
+        for lams in ([np.inf, 0.1], [0.1, 0.2, complex(0.3, np.nan)]):
+            with pytest.raises(ValueError, match="non-finite parameter"):
+                monodromies(lams, cfg3, top=1)
+        with pytest.raises(ValueError, match="non-finite parameter"):
+            monodromy(np.inf, cfg3)
+
+    def test_batched_blocks_are_read_only(self, cfg3, rng):
+        for m in monodromies([draw_complex(rng) for _ in range(3)], cfg3, top=2):
+            for blocks in m:
+                for blk in blocks:
+                    if blk.size:
+                        with pytest.raises(ValueError, match="read-only"):
+                            blk[0, 0] = 1.0
+
+    def test_long_batch_splits_under_the_entry_budget(self, monkeypatch):
+        cfg = SpectralConfig.random_instance(4, 0, seed=6)
+        lams = [0.1 * k + 0.05j for k in range(7)]
+        full = [monodromy(lam, cfg, top=2) for lam in lams]
+        entries = bpl.ybcore._build_plan(4, 2).entries
+        batches = []
+        original = bpl.ybcore._build_batch
+
+        def recording(x, gamma, plan):
+            batches.append(len(x))
+            return original(x, gamma, plan)
+
+        monkeypatch.setattr(bpl.ybcore, "BATCH_ENTRIES", 3 * entries)
+        monkeypatch.setattr(bpl.ybcore, "_build_batch", recording)
+        built = list(monodromies(lams, cfg, top=2))
+        assert batches == [3, 3, 1]
+        for ref, got in zip(full, built):
+            for ref_blocks, blocks in zip(ref, got):
+                for r, g in zip(ref_blocks, blocks):
+                    assert np.array_equal(r, g)
+        # a budget below one rapidity's entries still builds one at a time
+        batches.clear()
+        monkeypatch.setattr(bpl.ybcore, "BATCH_ENTRIES", 1)
+        assert len(list(monodromies(lams[:2], cfg, top=2))) == 2
+        assert batches == [1, 1]
+
     def test_capacity_cap(self, monkeypatch):
         monkeypatch.setenv("BPL_MAX_L", "4")
         cfg = SpectralConfig.random_instance(5, 0, seed=1)
@@ -317,3 +393,27 @@ class TestSpectrum:
             for eig in eigs:
                 _, left_resid = eig.residuals_from(transfer(lam, cfg3))
                 assert left_resid < 1e-10
+
+    def test_unresolved_probes_raise_with_probes_and_cluster_sizes(self, monkeypatch):
+        # the first probe's sector block is swapped for one with a doubly
+        # degenerate eigenvalue that does not commute with the second
+        # probe's, so the refined eigenpairs fail at the second probe however
+        # loose the tolerance
+        cfg = SpectralConfig.random_instance(4, 1, seed=0, tol=1e-3)
+        seen = []
+
+        def broken(lam, cfg):
+            t = transfer(lam, cfg)
+            seen.append(lam)
+            if len(seen) == 1:
+                t = t[:1] + (np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex),) + t[2:]
+            return t
+
+        monkeypatch.setattr(bpl.ybcore, "transfer", broken)
+        with pytest.raises(DegeneracyError, match="residual") as info:
+            spectrum(cfg, 1)
+        err = info.value
+        assert err.probes == tuple(seen) and len(seen) == 2
+        assert err.cluster_sizes == (2,)
+        assert "[2]" in str(err)
+        assert f"{err.probes[0]:.6g}" in str(err) and f"{err.probes[1]:.6g}" in str(err)
