@@ -12,13 +12,7 @@ from .errors import (
     DegeneracyError,
     UnsupportedShapeError,
 )
-from .polyengine import (
-    MultiPoly,
-    PdeSpec,
-    partial_derivative,
-    substitute,
-    taylor_substitution,
-)
+from .polyengine import MultiPoly, PdeSpec, partial_derivative
 from .ybcore import (
     EigenChoice,
     MonodromyEntries,

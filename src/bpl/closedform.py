@@ -26,7 +26,8 @@ import numpy as np
 
 from .config import SpectralConfig
 from .errors import CoincidentRapiditiesError
-from .omega import OmegaFamily, SymmetricBasis, _lbar_grids, symmetric_operator
+from .functional import annulus_points, spectral_grids
+from .omega import OmegaFamily, SymmetricBasis, symmetric_operator
 from .polyengine import MultiPoly, PdeSpec, derivative_tensor, eval_tensors, grid_points
 
 #: minimum |x_i - x_j| accepted when evaluating the rational coefficients
@@ -216,24 +217,12 @@ def eval_q(cfg: SpectralConfig, i: int, xs) -> complex:
 
 # -- residuals and operator comparison --------------------------------------------
 
-def _distinct_sample_points(cfg: SpectralConfig, count: int, tag: str) -> np.ndarray:
-    """Random x-tuples with coordinates drawn from disjoint annuli."""
-    rng = cfg.rng(tag)
-    n = max(cfg.n, 1)
-    pts = np.zeros((count, cfg.n), dtype=complex)
-    for i in range(cfg.n):
-        rho = 0.5 * (i / n - 0.5) + 0.05 * rng.uniform(-1, 1, count)
-        theta = rng.uniform(0, 2 * np.pi, count)
-        pts[:, i] = np.exp(rho + 1j * theta)
-    return pts
-
-
 def closedform_residual(cfg: SpectralConfig, fbar: MultiPoly, delta: complex) -> float:
     """Max residual of the closed-form PDE on a candidate eigenfunction over
     12 sample points, normalised by the largest participating term
     (``PdeSpec.residual``).  At n = 0 every point is the empty tuple and the
     equation is V f = Delta f."""
-    points = _distinct_sample_points(cfg, 12, "closedform-points")
+    points = annulus_points(cfg, cfg.n, 12, "closedform-points")
     return spectral_pde(cfg).residual(fbar, delta, points)
 
 
@@ -243,13 +232,13 @@ def closedform_operator(cfg: SpectralConfig) -> np.ndarray:
     Like the extraction layer, the action is sampled on per-variable node
     circles and interpolated (``omega.symmetric_operator``); the individual
     terms leave the bounded space and only their sum returns to it.  The
-    nodes are the extraction's own (``omega._lbar_grids``).
+    nodes are the x-nodes of Lbar and of the overlap fits
+    (``functional.spectral_grids``).
     """
     n, L = cfg.n, cfg.L
     if n < 1:
         raise ValueError("the operator form needs n >= 1")
-    lam_grids, _ = _lbar_grids(cfg)
-    x_grids = [np.exp(2 * g) for g in lam_grids]
+    x_grids = [np.exp(2 * g) for g in spectral_grids(L, n)]
     x_points = grid_points(x_grids)
 
     spec = spectral_pde(cfg)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError, CoincidentRapiditiesError
-from .functional import PolyFit, b_table, circle_grid, fit_grid
+from .functional import PolyFit, annulus_points, b_table, circle_grid, fit_grid
 from .polyengine import MultiPoly, PdeSpec, grid_points, tensor_interpolate
 from .reduction import upsilon_residual
 from .ybcore import monodromies, weight_a, weight_b, weight_c
@@ -230,22 +230,6 @@ def dwbc_derivative_coeff(i: int, xs, cfg: SpectralConfig) -> complex:
     return complex(out)
 
 
-def _annulus_points(cfg: SpectralConfig, tag: str, count: int) -> list[np.ndarray]:
-    """Random x-tuples with coordinate i on its own thin annulus, so every
-    pair of coordinates stays separated."""
-    rng = cfg.rng(tag)
-    L = cfg.L
-    return [
-        np.array(
-            [
-                np.exp(0.4 * (i / L - 0.5) + 0.05 * rng.uniform(-1, 1) + 1j * rng.uniform(0, 2 * np.pi))
-                for i in range(L)
-            ]
-        )
-        for _ in range(count)
-    ]
-
-
 def dwbc_pde_residual(instance: DwbcInstance) -> float:
     """Normalised residual of the homogeneous equation on the extracted Zbar,
     over 10 sample points.
@@ -254,7 +238,7 @@ def dwbc_pde_residual(instance: DwbcInstance) -> float:
     Zbar drops out of the figure reported.
     """
     cfg = instance.cfg
-    points = _annulus_points(cfg, "dwbc-points", 10)
+    points = annulus_points(cfg, cfg.L, 10, "dwbc-points")
     return dwbc_upsilon(cfg).residual(instance.zbar, 0.0, points)
 
 
@@ -278,5 +262,5 @@ def dwbc_upsilon_residual(instance: DwbcInstance) -> float:
     """Max residual of Upsilon_DW applied to the chain built from Zbar, over
     5 sample points."""
     cfg = instance.cfg
-    points = _annulus_points(cfg, "dwbc-upsilon-points", 5)
+    points = annulus_points(cfg, cfg.L, 5, "dwbc-upsilon-points")
     return upsilon_residual(dwbc_upsilon(cfg), instance.zbar, 0.0, points)

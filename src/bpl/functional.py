@@ -1,6 +1,7 @@
 """Functional-equation layer: overlaps of dual transfer eigenvectors with
-B-operator products, the linear relation those overlaps satisfy, and their
-polynomial parts in the multiplicative variables.
+B-operator products, the linear relation those overlaps satisfy, their
+polynomial parts in the multiplicative variables, and the one description of
+where the spectral layer samples.
 
 For a dual eigenvector <Lambda| and rapidities lambda_1..lambda_n,
 
@@ -9,6 +10,12 @@ For a dual eigenvector <Lambda| and rapidities lambda_1..lambda_n,
 is symmetric in its arguments and, after stripping the prefactor
 ``prod_i e^{(1-L) lambda_i}``, is a polynomial of degree L-1 in each
 ``x_i = e^{2 lambda_i}``.
+
+Sampling geometry.  Every n-variable spectral fit -- the overlap polynomials
+F_n, the operator-valued Lbar(x0) and the closed-form operator -- samples
+x_1..x_n on slots 1..n of n+1 node circles (``spectral_grids``) and x0 on
+slot 0 (``lbar_x0_nodes``), so they share one node set.  Every PDE residual
+evaluates at the random points of ``annulus_points``.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
     "EigenChoice",
     "FnSampler",
     "PolyFit",
+    "annulus_points",
     "b_table",
     "check_fz_residual",
     "circle_grid",
@@ -42,28 +50,14 @@ __all__ = [
     "fit_grid",
     "fz_coefficients",
     "lambda_bar_coefficients",
-    "lambda_grid",
     "lbar_x0_nodes",
+    "spectral_grids",
     "spectrum",
     "vacuum_products",
 ]
 
 
-# -- interpolation grids in the rapidity plane ---------------------------------
-
-def lambda_grid(count: int, slot: int = 0, nslots: int = 1, spacing: float = 0.35) -> np.ndarray:
-    """Rapidity nodes with real spacing >= 0.3 and a slot-dependent offset.
-
-    Distinct slots give disjoint node sets, so tensor grids built from them
-    never place two equal x-values in one sample tuple.  A mild imaginary
-    tilt spreads the phases of x = e^{2 lambda} to help the Vandermonde
-    conditioning.
-    """
-    k = np.arange(count)
-    re = spacing * (k - (count - 1) / 2) + spacing * (slot + 1) / (nslots + 2)
-    im = 0.27 * k / max(count, 1) + 0.13 * slot
-    return re + 1j * im
-
+# -- sampling geometry -------------------------------------------------------------
 
 def circle_grid(count: int, slot: int = 0, nslots: int = 1) -> np.ndarray:
     """Rapidity nodes whose x = e^{2 lambda} form a scaled circle.
@@ -71,18 +65,43 @@ def circle_grid(count: int, slot: int = 0, nslots: int = 1) -> np.ndarray:
     Scaled roots of unity give near-unit Vandermonde condition numbers, and
     the slot-dependent radius keeps different variables' nodes (and their
     pairwise differences, which appear in coefficient denominators) well
-    separated.  Used by the operator-extraction layers.
+    separated.  The spectral fits take their slots from ``spectral_grids``
+    and ``lbar_x0_nodes``; Zbar lays out its own (``dwbc``).
     """
     rho = 0.66 * (slot / (nslots - 1) - 0.5) if nslots > 1 else 0.0
     theta = 2 * np.pi * np.arange(count) / count + 0.37 * slot + 0.19
     return rho / 2 + 1j * theta / 2
 
 
+def spectral_grids(L: int, n: int) -> list[np.ndarray]:
+    """Rapidity nodes of x_1..x_n, L per variable: slots 1..n of the n+1
+    node circles whose slot 0 carries x0.  The overlap fits of sector n,
+    Lbar and the closed-form operator all sample here."""
+    return [circle_grid(L, slot=i, nslots=n + 1) for i in range(1, n + 1)]
+
+
 def lbar_x0_nodes(cfg: SpectralConfig) -> np.ndarray:
     """Rapidities of the x0 = e^{2 lambda_0} interpolation nodes of Lbar(x0)
     and of Lambda_bar(x0): slot 0 of the n+1 node circles whose other slots
-    carry the x_i (``omega._lbar_grids``)."""
+    carry the x_i (``spectral_grids``)."""
     return circle_grid(cfg.L + 1, slot=0, nslots=cfg.n + 1)
+
+
+def annulus_points(cfg: SpectralConfig, nvars: int, count: int, tag: str) -> np.ndarray:
+    """``count`` random x-tuples of ``nvars`` coordinates, shape
+    (count, nvars), drawn from the generator of ``tag``.  Coordinate i lies
+    on its own thin annulus of log-radius 0.5 (i / nvars - 0.5) +- 0.05 at
+    a uniform angle, which keeps pairs of coordinates apart, as the rational
+    PDE coefficients need (the annuli touch from 5 variables on, where the
+    independent angles still separate them).  The spectral residuals take
+    nvars = n, the domain-wall ones nvars = L."""
+    rng = cfg.rng(tag)
+    pts = np.zeros((count, nvars), dtype=complex)
+    for i in range(nvars):
+        rho = 0.5 * (i / nvars - 0.5) + 0.05 * rng.uniform(-1, 1, count)
+        theta = rng.uniform(0, 2 * np.pi, count)
+        pts[:, i] = np.exp(rho + 1j * theta)
+    return pts
 
 
 # -- overlap sampler -------------------------------------------------------------
@@ -244,10 +263,6 @@ def fit_grid(values: np.ndarray, x_grids, held_x, held_value: complex) -> PolyFi
     return PolyFit(poly, cond, float(holdout))
 
 
-def _fbar_grids(cfg: SpectralConfig, n: int) -> list[np.ndarray]:
-    return [lambda_grid(cfg.L, slot=i, nslots=n) for i in range(n)]
-
-
 def _fbar_holdout_point(cfg: SpectralConfig, n: int) -> list[complex]:
     """The validation point of ``extract_fbar``; the same for every
     eigenpair of a sector."""
@@ -263,16 +278,17 @@ def fbar_b_ops(cfg: SpectralConfig, n: int) -> dict[complex, tuple[np.ndarray, .
     samplers of all of them take this one table instead of each rebuilding
     it.  It lives as long as the caller keeps it.
     """
-    nodes = [lam for grid in _fbar_grids(cfg, n) for lam in grid]
+    nodes = [lam for grid in spectral_grids(cfg.L, n) for lam in grid]
     return b_table(cfg, nodes + _fbar_holdout_point(cfg, n), top=n)
 
 
 def extract_fbar(sampler: FnSampler) -> PolyFit:
     """Polynomial part of F_n in the variables x_i = e^{2 lambda_i}.
 
-    Samples the overlap on a tensor grid of rapidities (one disjoint node
-    set per variable), multiplies off the prefactor e^{(L-1) lambda_i} per
-    variable, and interpolates at per-variable degree L-1.  A fresh random
+    Samples the overlap on the tensor grid of ``spectral_grids`` (one node
+    circle per variable, the x-nodes of Lbar), multiplies off the prefactor
+    e^{(L-1) lambda_i} per variable, and interpolates at per-variable degree
+    L-1.  A fresh random
     point validates the fit; its relative error is returned alongside the
     largest per-axis Vandermonde condition number.
     """
@@ -281,7 +297,7 @@ def extract_fbar(sampler: FnSampler) -> PolyFit:
     if n == 0:
         val = complex(sampler.eig.left[0])
         return PolyFit(MultiPoly(np.array(val)), 1.0, 0.0)
-    grids = _fbar_grids(cfg, n)
+    grids = spectral_grids(cfg.L, n)
     xgrids = [np.exp(2 * g) for g in grids]
     vals = np.array(
         [np.exp((cfg.L - 1) * sum(lams)) * sampler.value(lams) for lams in grid_points(grids)]

@@ -15,14 +15,16 @@ x_i = x_j and x_i = x0; the poles cancel only in the full combination and
 only on symmetric inputs (the overlaps Fbar are symmetric because the
 B-operators commute).  The family is therefore realised as matrices on the
 symmetric part of the degree-bounded space; on the full monomial space the
-action is rational, which ``action_polynomiality_residual`` checks
-explicitly.  For a single variable the symmetric space is the whole space.
+action is rational, and a fit of it on a bare non-symmetric monomial misses
+a held-out point by many orders more than on a symmetric input.  For a
+single variable the symmetric space is the whole space.
 
 Lbar and the closed-form operator of ``closedform`` are assembled alike:
 the action is sampled on all the stacked basis tensors at once
 (``SymmetricBasis.tensors``; ``lbar_action`` is the one writing of the Lbar
 action), and ``symmetric_operator`` interpolates and projects every column
-in one batch.
+in one batch.  Both sample the x_i on ``functional.spectral_grids``, the
+nodes of the overlap fits, and Lbar samples x0 on ``lbar_x0_nodes``.
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ from .config import SpectralConfig, random_complex
 from .errors import CapacityError
 from .functional import (
     PolyFit,
-    circle_grid,
-    fit_grid,
     fz_coefficients,
     lambda_bar_coefficients,
     lbar_x0_nodes,
+    spectral_grids,
     vacuum_products,
 )
-from .polyengine import MultiPoly, eval_tensors, grid_points, tensor_interpolate
+from .polyengine import eval_tensors, grid_condition, grid_points, tensor_interpolate
 
 #: default ceiling on the full tensor space used during sampling
 MAX_TENSOR_DIM = 4096
@@ -114,20 +115,16 @@ class LbarOperator:
     ``coefficient_matrices[k]`` is Omega_k.  ``polynomiality_residual`` is the
     largest error of the assembled matrices against the direct action at a
     held-out point (the claim that Lbar maps the bounded symmetric space to
-    itself is verified, not assumed), and ``symmetry_defect`` bounds how far
-    any image was from being symmetric.
+    itself is verified, not assumed), ``symmetry_defect`` bounds how far
+    any image was from being symmetric, and ``grid_condition`` is the
+    largest per-axis Vandermonde condition number of the x and x0 nodes.
     """
 
     basis: SymmetricBasis
     coefficient_matrices: np.ndarray
     polynomiality_residual: float
     symmetry_defect: float
-
-
-def _lbar_grids(cfg: SpectralConfig):
-    """Rapidity nodes of the x_i (slots 1..n) and of x0 (slot 0)."""
-    lam_grids = [circle_grid(cfg.L, slot=i + 1, nslots=cfg.n + 1) for i in range(cfg.n)]
-    return lam_grids, lbar_x0_nodes(cfg)
+    grid_condition: float
 
 
 def lbar_action(cfg: SpectralConfig, lam0: complex, lam_points, evaluate) -> np.ndarray:
@@ -190,7 +187,7 @@ def build_lbar(cfg: SpectralConfig) -> LbarOperator:
         raise ValueError("operator extraction needs at least one variable (n >= 1)")
     if L**n > MAX_TENSOR_DIM:
         raise CapacityError(f"tensor space L^n = {L**n} exceeds cap {MAX_TENSOR_DIM}")
-    lam_grids, lam0_nodes = _lbar_grids(cfg)
+    lam_grids, lam0_nodes = spectral_grids(L, n), lbar_x0_nodes(cfg)
     x_grids = [np.exp(2 * g) for g in lam_grids]
     x0_nodes = np.exp(2 * lam0_nodes)
     lam_points = grid_points(lam_grids)
@@ -211,34 +208,9 @@ def build_lbar(cfg: SpectralConfig) -> LbarOperator:
     fitted = x0_nodes[0] ** np.arange(L + 1) @ (at_held @ coeff_mats)
     scale = np.maximum(np.abs(direct), np.max(np.abs(coeff_mats), axis=(0, 1)))
     worst_holdout = np.max(np.abs(direct - fitted) / np.maximum(scale, 1e-300))
+    cond = max(grid_condition(nodes) for nodes in [x0_nodes] + x_grids)
 
-    return LbarOperator(basis, coeff_mats, float(worst_holdout), worst_sym)
-
-
-def action_polynomiality_residual(cfg: SpectralConfig, exponents, symmetrize: bool = True) -> float:
-    """Held-out interpolation residual of the Lbar action on one probe input.
-
-    With ``symmetrize`` the probe is the monomial symmetric function built on
-    the exponents and the residual sits at roundoff; on a bare non-symmetric
-    monomial (n >= 2) the action is genuinely rational and the residual is
-    large.  Exposed so the symmetric-subspace restriction is a measured fact
-    rather than doctrine.
-    """
-    n, L = cfg.n, cfg.L
-    if symmetrize:
-        basis = SymmetricBasis(n, L - 1)
-        label = tuple(sorted(exponents, reverse=True))
-        probe = MultiPoly(basis.tensors[basis.labels.index(label)])
-    else:
-        probe = MultiPoly.monomial(n, L - 1, exponents)
-
-    lam_grids, lam0_nodes = _lbar_grids(cfg)
-    vals = lbar_action(cfg, lam0_nodes[0], grid_points(lam_grids), probe.eval_many)
-    rng = cfg.rng("monomial-holdout")
-    held = np.array([[random_complex(rng) for _ in range(n)]])
-    direct = lbar_action(cfg, lam0_nodes[0], held, probe.eval_many)[0]
-    x_grids = [np.exp(2 * g) for g in lam_grids]
-    return fit_grid(vals.reshape((L,) * n), x_grids, np.exp(2 * held[0]), direct).holdout_residual
+    return LbarOperator(basis, coeff_mats, float(worst_holdout), worst_sym, cond)
 
 
 # -- the family and its spectra ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense multivariate polynomial arithmetic on degree-bounded spaces.
+"""Dense multivariate polynomials on degree-bounded spaces.
 
 A polynomial in ``n`` variables with per-variable degree bound ``m`` is a
 coefficient tensor of shape ``(m+1,)*n``.  ``PdeSpec`` is the
@@ -9,7 +9,6 @@ first-order reduction and the domain-wall equation share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
 from typing import Callable
 
 import numpy as np
@@ -37,22 +36,6 @@ class MultiPoly:
     def degree_bound(self) -> int:
         return 0 if self.coeffs.ndim == 0 else self.coeffs.shape[0] - 1
 
-    @classmethod
-    def zero(cls, nvars: int, degree_bound: int) -> "MultiPoly":
-        return cls(np.zeros((degree_bound + 1,) * nvars, dtype=complex))
-
-    @classmethod
-    def constant(cls, nvars: int, degree_bound: int, value: complex) -> "MultiPoly":
-        p = cls.zero(nvars, degree_bound)
-        p.coeffs[(0,) * nvars] = value
-        return p
-
-    @classmethod
-    def monomial(cls, nvars: int, degree_bound: int, exponents) -> "MultiPoly":
-        p = cls.zero(nvars, degree_bound)
-        p.coeffs[tuple(exponents)] = 1.0
-        return p
-
     def __call__(self, point) -> complex:
         """Evaluate by Horner recursion over one variable at a time."""
         point = [complex(z) for z in (point if np.ndim(point) else [point])] if self.nvars else []
@@ -75,17 +58,6 @@ class MultiPoly:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return MultiPoly(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return MultiPoly(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: complex) -> "MultiPoly":
-        return MultiPoly(self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
 
 def eval_tensors(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -141,53 +113,6 @@ def partial_derivative(p: MultiPoly, i: int, order: int = 1) -> MultiPoly:
     """Exact differentiation in variable i; the degree bound is kept and
     the vacated top coefficients are zero."""
     return MultiPoly(derivative_tensor(p.coeffs, i, order))
-
-
-def substitute(p: MultiPoly, i: int, alpha: complex) -> MultiPoly:
-    """Pin variable i to the value alpha.
-
-    The arity is kept: the result has degree 0 in the substituted variable,
-    which keeps it directly comparable with the differential realization.
-    """
-    c = p.coeffs
-    m = p.degree_bound
-    moved = np.moveaxis(c, i, -1)
-    out = moved[..., -1]
-    for k in range(m - 1, -1, -1):
-        out = out * alpha + moved[..., k]
-    res = np.zeros_like(c)
-    res_view = np.moveaxis(res, i, -1)
-    res_view[..., 0] = out
-    return MultiPoly(res)
-
-
-def taylor_substitution(p: MultiPoly, i: int, alpha: complex) -> MultiPoly:
-    """Differential realization of variable replacement on the bounded space:
-
-        sum_{k=0}^{m} (alpha - z_i)^k / k!  d^k/dz_i^k
-
-    Exact (up to roundoff) on polynomials within the degree bound; every term
-    stays inside the bound because the k-th derivative loses k degrees before
-    the degree-k prefactor multiplies back in.
-    """
-    m = p.degree_bound
-    acc = np.zeros_like(p.coeffs)
-    for k in range(m + 1):
-        dk = partial_derivative(p, i, k).coeffs
-        # multiply by (alpha - z_i)^k, expanded along axis i
-        term = np.zeros_like(dk)
-        for j in range(k + 1):
-            coef = comb(k, j) * alpha ** (k - j) * (-1.0) ** j / factorial(k)
-            if j == 0:
-                term += coef * dk
-            else:
-                idx_src = [slice(None)] * p.nvars
-                idx_dst = [slice(None)] * p.nvars
-                idx_src[i] = slice(0, m + 1 - j)
-                idx_dst[i] = slice(j, m + 1)
-                term[tuple(idx_dst)] += coef * dk[tuple(idx_src)]
-        acc += term
-    return MultiPoly(acc)
 
 
 # -- the order-(L-1) linear PDE ---------------------------------------------------

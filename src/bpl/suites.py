@@ -28,6 +28,7 @@ from .config import SpectralConfig, random_complex
 from .errors import CapacityError
 from .functional import (
     FnSampler,
+    annulus_points,
     check_fz_residual,
     extract_fbar,
     fbar_b_ops,
@@ -220,7 +221,8 @@ def suite_fz(art: Artifacts) -> list[CheckRecord]:
         worst = max(worst, check_fz_residual(FnSampler(cfg, eig), draws))
     rec.add("functional-relation", worst, 1e-8, n=cfg.n, L=cfg.L, eigenvectors=len(eigs))
 
-    rec.add("overlap-polynomial-holdout", max(fit.holdout_residual for fit in fits), 1e-9)
+    rec.add("overlap-polynomial-holdout", max(fit.holdout_residual for fit in fits), 1e-9,
+            grid_condition=max(fit.grid_condition for fit in fits))
     return rec.records
 
 
@@ -231,7 +233,8 @@ def suite_omega_extract(art: Artifacts) -> list[CheckRecord]:
             commutator_norms=[[float(v) for v in row] for row in family.commutator_norms])
     rec.add("omega-top-scalar", family.omega_top_identity_residual, 1e-9,
             scalar=[family.omega_top_scalar.real, family.omega_top_scalar.imag])
-    rec.add("lbar-polynomiality-holdout", family.lbar.polynomiality_residual, 1e-9)
+    rec.add("lbar-polynomiality-holdout", family.lbar.polynomiality_residual, 1e-9,
+            grid_condition=family.lbar.grid_condition)
     rec.add("lbar-symmetry-defect", family.lbar.symmetry_defect, 1e-8)
     return rec.records
 
@@ -308,7 +311,7 @@ def suite_reduce(art: Artifacts) -> list[CheckRecord]:
         if r.vanishing:
             continue
         used += 1
-        points = closedform._distinct_sample_points(cfg, 3, f"reduce-{r.eig_index}-{used}")
+        points = annulus_points(cfg, cfg.n, 3, f"reduce-{r.eig_index}-{used}")
         worst = max(
             worst,
             reduction.upsilon_residual(system, r.fbar_fit.poly, r.delta[cfg.L - 1], points),
@@ -317,7 +320,7 @@ def suite_reduce(art: Artifacts) -> list[CheckRecord]:
 
     rng = cfg.rng("reduce-points")
     worst = 0.0
-    for point in closedform._distinct_sample_points(cfg, 5, "reduce-equivalence"):
+    for point in annulus_points(cfg, cfg.n, 5, "reduce-equivalence"):
         coeffs = rng.standard_normal((cfg.L,) * cfg.n) + 1j * rng.standard_normal((cfg.L,) * cfg.n)
         fbar = MultiPoly(coeffs)
         delta = random_complex(rng)
@@ -351,7 +354,8 @@ def suite_dwbc_partition(art: Artifacts) -> list[CheckRecord]:
 def suite_dwbc_pde(art: Artifacts) -> list[CheckRecord]:
     cfg, instance = art.cfg, art.zbar
     rec = _Recorder()
-    rec.add("zbar-holdout", instance.fit.holdout_residual, 1e-9)
+    rec.add("zbar-holdout", instance.fit.holdout_residual, 1e-9,
+            grid_condition=instance.fit.grid_condition)
     rec.add("zbar-symmetry", instance.symmetry_defect, 1e-9)
     rec.add("zbar-degree-bound", instance.top_coefficient, 1e-9)
     rec.add("dwbc-pde-residual", dwbc.dwbc_pde_residual(instance), 1e-8, L=cfg.L)

@@ -23,7 +23,7 @@ from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import FnSampler, extract_fbar, lambda_bar_coefficients, spectrum
 from bpl.omega import extract_omegas
 from bpl.polyengine import MultiPoly
-from bpl.suites import SUITES, Artifacts
+from bpl.suites import SUITES, Artifacts, run_checks
 
 from conftest import draw_complex
 
@@ -177,6 +177,13 @@ class TestClosedFormResidual:
         # the eigenvalue collapses to -(y1+y2)/(2 sqrt(y1 y2))
         ys = cfg.ys
         assert abs(d + (ys[0] + ys[1]) / (2 * cfg.sqrt_y_prod)) < 1e-13 * abs(d)
+
+    def test_pde_holds_on_fits_at_l9(self):
+        # the PDE is evaluated on the overlap fits, so at L=9 it passes only
+        # when the fits are exact to near roundoff
+        [record] = run_checks("pde-residual", SpectralConfig.random_instance(9, 2, seed=0))
+        assert record.name == "closedform-pde-on-eigenfunctions"
+        assert record.passed, record.residual
 
 
 class TestSpecialSolutionStructure:

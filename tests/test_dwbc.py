@@ -16,7 +16,7 @@ from bpl.dwbc import (
     extract_zbar,
 )
 from bpl.errors import CapacityError
-from bpl.polyengine import partial_derivative
+from bpl.polyengine import MultiPoly, partial_derivative
 from bpl.reduction import block_dimensions
 from bpl.ybcore import weight_c
 
@@ -121,7 +121,8 @@ class TestHomogeneousPde:
         cfg = SpectralConfig.random_instance(2, 0, seed=35)
         inst = extract_zbar(cfg)
         scaled = type(inst)(
-            cfg, inst.zbar * 7.0, inst.fit, inst.symmetry_defect, inst.top_coefficient
+            cfg, MultiPoly(7.0 * inst.zbar.coeffs), inst.fit, inst.symmetry_defect,
+            inst.top_coefficient,
         )
         r1 = dwbc_pde_residual(inst)
         r2 = dwbc_pde_residual(scaled)

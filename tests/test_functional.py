@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from bpl import omega
+from bpl.closedform import X_SEPARATION_GUARD
 from bpl.config import SpectralConfig
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import (
     FnSampler,
+    annulus_points,
     check_fz_residual,
     extract_fbar,
     fz_coefficients,
     lambda_bar_coefficients,
     spectrum,
 )
+from bpl.suites import run_checks
 from bpl.ybcore import r_matrix, sector_indices, transfer, weight_a, weight_b, weight_c
 
 from conftest import SWAP, draw_complex
@@ -154,3 +158,58 @@ class TestPolynomialPart:
             direct = eig.eigenvalue_from(transfer(lam, cfg3)) * np.exp(cfg3.L * lam)
             fitted = np.polyval(row[::-1], x0)
             assert abs(direct - fitted) < 1e-9 * max(1, abs(direct))
+
+    @pytest.mark.parametrize("L,n", [(9, 2), (10, 2), (12, 1)])
+    def test_holdout_passes_where_the_real_line_grid_failed(self, L, n):
+        # the largest sizes the CLI accepts, where a fit grid whose Vandermonde
+        # condition number grows with L loses the holdout first
+        [_, record] = run_checks("fz", SpectralConfig.random_instance(L, n, seed=0))
+        assert record.name == "overlap-polynomial-holdout"
+        assert record.passed, record.residual
+        assert record.extra["grid_condition"] < 1e3
+
+
+class TestSamplingGeometry:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_overlap_fit_samples_on_the_lbar_x_nodes(self, n, monkeypatch):
+        cfg = SpectralConfig.random_instance(3, n, seed=60 + n)
+        lbar_points = []
+        action = omega.lbar_action
+
+        def recording_action(cfg_, lam0, lam_points, evaluate):
+            lbar_points.append(np.asarray(lam_points))
+            return action(cfg_, lam0, lam_points, evaluate)
+
+        monkeypatch.setattr(omega, "lbar_action", recording_action)
+        omega.build_lbar(cfg)
+
+        fit_points = []
+
+        class RecordingSampler(FnSampler):
+            def value(self, lams):
+                fit_points.append(list(lams))
+                return super().value(lams)
+
+        extract_fbar(RecordingSampler(cfg, spectrum(cfg, n)[0]))
+        # the last sample of each is its held-out point
+        assert np.array_equal(np.array(fit_points[:-1]), lbar_points[0])
+
+    def test_spectral_points_keep_their_formula_and_draw_order(self):
+        for L, n in ((3, 1), (4, 2), (7, 3)):
+            cfg = SpectralConfig.random_instance(L, n, seed=5)
+            rng = cfg.rng("closedform-points")
+            expect = np.zeros((12, n), dtype=complex)
+            for i in range(n):
+                rho = 0.5 * (i / n - 0.5) + 0.05 * rng.uniform(-1, 1, 12)
+                theta = rng.uniform(0, 2 * np.pi, 12)
+                expect[:, i] = np.exp(rho + 1j * theta)
+            got = annulus_points(cfg, n, 12, "closedform-points")
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("nvars", range(2, 7))
+    def test_coordinates_stay_apart(self, nvars):
+        cfg = SpectralConfig.random_instance(nvars, 1, seed=0)
+        for tag in ("dwbc-points", "dwbc-upsilon-points", "closedform-points"):
+            pts = annulus_points(cfg, nvars, 12, tag)
+            gaps = np.abs(pts[:, :, None] - pts[:, None, :])[:, ~np.eye(nvars, dtype=bool)]
+            assert gaps.min() > 1e3 * X_SEPARATION_GUARD

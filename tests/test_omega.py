@@ -6,24 +6,20 @@ import numpy as np
 import pytest
 
 from bpl.closedform import closedform_operator, spectral_pde
-from bpl.config import SpectralConfig
+from bpl.config import SpectralConfig, random_complex
 from bpl.functional import (
     FnSampler,
     circle_grid,
     extract_fbar,
+    fit_grid,
     fz_coefficients,
     lambda_bar_coefficients,
+    lbar_x0_nodes,
+    spectral_grids,
     spectrum,
 )
-from bpl.omega import (
-    SymmetricBasis,
-    _lbar_grids,
-    action_polynomiality_residual,
-    build_lbar,
-    extract_omegas,
-    lbar_action,
-)
-from bpl.polyengine import MultiPoly, tensor_interpolate
+from bpl.omega import SymmetricBasis, build_lbar, extract_omegas, lbar_action
+from bpl.polyengine import MultiPoly, grid_points, tensor_interpolate
 from bpl.suites import Artifacts
 from bpl.ybcore import transfer
 
@@ -56,7 +52,7 @@ def _grid_tuples(grids):
 def reference_lbar(cfg):
     """Omega_0..Omega_L, one basis column and one x0 node at a time."""
     n, L = cfg.n, cfg.L
-    lam_grids, lam0_nodes = _lbar_grids(cfg)
+    lam_grids, lam0_nodes = spectral_grids(L, n), lbar_x0_nodes(cfg)
     x_grids = [np.exp(2 * g) for g in lam_grids]
     x0_nodes = np.exp(2 * lam0_nodes)
     lam_tuples = _grid_tuples(lam_grids)
@@ -89,7 +85,7 @@ def reference_lbar(cfg):
 def reference_closedform(cfg):
     """The closed-form operator matrix, one basis column at a time."""
     n, L = cfg.n, cfg.L
-    x_grids = [np.exp(2 * g) for g in _lbar_grids(cfg)[0]]
+    x_grids = [np.exp(2 * g) for g in spectral_grids(L, n)]
     x_tuples = _grid_tuples(x_grids)
     spec = spectral_pde(cfg)
     coeff_table = np.array([spec.coefficients(xs) for xs in x_tuples])
@@ -161,8 +157,8 @@ class TestSymmetricBasis:
 
     def test_project_flags_asymmetric_input(self):
         basis = SymmetricBasis(2, 1)
-        lopsided = MultiPoly.monomial(2, 1, (1, 0))
-        _, defect = basis.project(lopsided.coeffs)
+        lopsided = np.array([[0.0, 0.0], [1.0, 0.0]])  # x_0, not symmetric
+        _, defect = basis.project(lopsided)
         assert defect > 0.5
 
 
@@ -192,7 +188,7 @@ class TestLbar:
         # fz_coefficients exactly
         cfg = SpectralConfig.random_instance(4, 2, seed=41)
         L = cfg.L
-        lam_grids, lam0_nodes = _lbar_grids(cfg)
+        lam_grids, lam0_nodes = spectral_grids(L, cfg.n), lbar_x0_nodes(cfg)
         points = _grid_tuples(lam_grids)
         xs = np.exp(2 * points)
         p = MultiPoly(draw_complex(rng, (L, L)))
@@ -219,12 +215,31 @@ class TestLbar:
         scale = np.max(np.abs(coeffs))
         assert np.max(np.abs(coeffs[L + 1 :])) < 1e-9 * scale
 
+    @staticmethod
+    def _polynomiality_residual(cfg, coeffs):
+        """Held-out residual of a degree-(L-1) fit of the Lbar action on one
+        probe polynomial, at the first x0 node."""
+        L, n = cfg.L, cfg.n
+        probe = MultiPoly(coeffs)
+        lam_grids, lam0 = spectral_grids(L, n), lbar_x0_nodes(cfg)[0]
+        vals = lbar_action(cfg, lam0, grid_points(lam_grids), probe.eval_many)
+        rng = cfg.rng("monomial-holdout")
+        held = np.array([[random_complex(rng) for _ in range(n)]])
+        direct = lbar_action(cfg, lam0, held, probe.eval_many)[0]
+        x_grids = [np.exp(2 * g) for g in lam_grids]
+        fit = fit_grid(vals.reshape((L,) * n), x_grids, np.exp(2 * held[0]), direct)
+        return fit.holdout_residual
+
     def test_polynomiality_is_checked_not_assumed(self):
         cfg = SpectralConfig.random_instance(3, 2, seed=17)
-        # symmetric input: held-out residual at roundoff
-        assert action_polynomiality_residual(cfg, (2, 1), symmetrize=True) < 1e-10
-        # bare non-symmetric monomial: the action is genuinely rational
-        assert action_polynomiality_residual(cfg, (2, 0), symmetrize=False) > 1e-3
+        basis = SymmetricBasis(2, 2)
+        # symmetric input m_(2,1): held-out residual at roundoff
+        symmetric = basis.tensors[basis.labels.index((2, 1))]
+        assert self._polynomiality_residual(cfg, symmetric) < 1e-10
+        # bare non-symmetric monomial x_0^2: the action is genuinely rational
+        bare = np.zeros((3, 3))
+        bare[2, 0] = 1.0
+        assert self._polynomiality_residual(cfg, bare) > 1e-3
 
     def test_build_diagnostics(self):
         cfg = SpectralConfig.random_instance(3, 2, seed=19)

@@ -1,5 +1,7 @@
-"""Polynomial engine: evaluation, derivatives, the two realizations of
+"""Polynomial engine: evaluation, derivatives, the Taylor realization of
 variable substitution, and the shared PDE description."""
+
+from math import factorial
 
 import numpy as np
 import pytest
@@ -10,8 +12,6 @@ from bpl.polyengine import (
     eval_tensors,
     grid_condition,
     partial_derivative,
-    substitute,
-    taylor_substitution,
     tensor_interpolate,
 )
 
@@ -20,6 +20,12 @@ from conftest import draw_complex
 
 def random_poly(rng, nvars, m):
     c = rng.standard_normal((m + 1,) * nvars) + 1j * rng.standard_normal((m + 1,) * nvars)
+    return MultiPoly(c)
+
+
+def monomial(nvars, m, exponents):
+    c = np.zeros((m + 1,) * nvars, dtype=complex)
+    c[tuple(exponents)] = 1.0
     return MultiPoly(c)
 
 
@@ -36,11 +42,13 @@ def naive_eval(p, point):
 
 class TestEvaluation:
     def test_constant(self):
-        p = MultiPoly.constant(3, 2, 1.0)
+        c = np.zeros((3, 3, 3))
+        c[0, 0, 0] = 1.0
+        p = MultiPoly(c)
         assert p((4.0, -2.0, 1j)) == 1.0
 
     def test_bilinear_monomial(self):
-        p = MultiPoly.monomial(2, 1, (1, 1))
+        p = monomial(2, 1, (1, 1))
         assert p((2.0, 3.0)) == pytest.approx(6.0)
 
     def test_matches_naive_monomial_sum(self, rng):
@@ -69,7 +77,7 @@ class TestEvaluation:
 
 class TestDerivative:
     def test_power_rule(self):
-        p = MultiPoly.monomial(1, 2, (2,))  # x^2
+        p = monomial(1, 2, (2,))  # x^2
         d = partial_derivative(p, 0)
         assert np.allclose(d.coeffs, [0.0, 2.0, 0.0])
 
@@ -95,79 +103,20 @@ class TestDerivative:
         assert d.coeffs.shape == p.coeffs.shape
         assert np.all(d.coeffs[3, :] == 0)
 
-
-class TestSubstitution:
-    def test_constant_unchanged(self):
-        p = MultiPoly.constant(2, 2, 3.5)
-        s = substitute(p, 0, 1.7)
-        assert np.allclose(s.coeffs, p.coeffs)
-
-    def test_identity_substitution_at_point(self, rng):
-        p = random_poly(rng, 2, 3)
-        pt = draw_complex(rng, 2)
-        s = substitute(p, 0, pt[0])
-        assert abs(s(pt) - p(pt)) < 1e-12 * max(1, abs(p(pt)))
-
-    def test_matches_pinned_evaluation(self, rng):
-        for _ in range(10):
-            p = random_poly(rng, 3, 2)
-            alpha = draw_complex(rng)
-            pt = draw_complex(rng, 3)
-            s = substitute(p, 1, alpha)
-            pinned = np.array(pt, dtype=complex)
-            pinned[1] = alpha
-            assert abs(s(pt) - p(pinned)) < 1e-13 * max(
-                1, abs(p(pinned))
-            )
-
-    def test_collapses_degree(self, rng):
-        p = random_poly(rng, 2, 3)
-        s = substitute(p, 0, 0.3 + 0.1j)
-        assert np.all(s.coeffs[1:, :] == 0)
-
-
-class TestTaylorRealization:
-    def test_quadratic_exact(self):
-        p = MultiPoly.monomial(1, 2, (2,))  # z^2
-        alpha = 0.8 - 0.3j
-        t = taylor_substitution(p, 0, alpha)
-        assert abs(t.coeffs[0] - alpha**2) < 1e-14
-        assert np.max(np.abs(t.coeffs[1:])) < 1e-14
-
-    def test_formal_identity_at_own_value(self, rng):
-        # replacing a variable by its own value at the sample point is a no-op
-        p = random_poly(rng, 2, 2)
-        pt = draw_complex(rng, 2)
-        t = taylor_substitution(p, 0, pt[0])
-        assert abs(t(pt) - p(pt)) < 1e-12
-
-    def test_agrees_with_substitute(self, rng):
-        for _ in range(200):
-            nvars = int(rng.integers(1, 3))
-            m = int(rng.integers(1, 4))
+    def test_taylor_series_realises_substitution(self, rng):
+        # on the bounded space, sum_k (alpha - z_i)^k / k! d^k/dz_i^k p is p
+        # with z_i replaced by alpha: the differential realization of x_i -> x0
+        for _ in range(20):
+            nvars, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             p = random_poly(rng, nvars, m)
-            i = int(rng.integers(0, nvars))
-            alpha = draw_complex(rng)
-            lhs = taylor_substitution(p, i, alpha)
-            rhs = substitute(p, i, alpha)
-            assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-11 * max(1, rhs.max_abs())
-
-    def test_linearity(self, rng):
-        p1 = random_poly(rng, 2, 3)
-        p2 = random_poly(rng, 2, 3)
-        alpha = draw_complex(rng)
-        lhs = taylor_substitution(p1 + p2, 0, alpha)
-        rhs = taylor_substitution(p1, 0, alpha) + taylor_substitution(p2, 0, alpha)
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12 * max(1, rhs.max_abs())
-
-    def test_distinct_variables_commute(self, rng):
-        p = random_poly(rng, 3, 2)
-        a0, a1 = draw_complex(rng), draw_complex(rng)
-        lhs = substitute(substitute(p, 0, a0), 1, a1)
-        rhs = substitute(substitute(p, 1, a1), 0, a0)
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12 * max(1, rhs.max_abs())
-        lhs_t = taylor_substitution(taylor_substitution(p, 0, a0), 1, a1)
-        assert np.max(np.abs(lhs_t.coeffs - rhs.coeffs)) < 1e-11 * max(1, rhs.max_abs())
+            i, alpha, pt = int(rng.integers(0, nvars)), draw_complex(rng), draw_complex(rng, nvars)
+            taylor = sum(
+                (alpha - pt[i]) ** k / factorial(k) * partial_derivative(p, i, k)(pt)
+                for k in range(m + 1)
+            )
+            pinned = np.array(pt, dtype=complex)
+            pinned[i] = alpha
+            assert abs(taylor - p(pinned)) < 1e-11 * max(1, abs(p(pinned)))
 
 
 class TestPdeSpec:
@@ -187,7 +136,7 @@ class TestPdeSpec:
     def test_residual_vanishes_only_on_a_solution(self, rng):
         # first order (L = 2): -x f + x^2 f' = 0 holds for f = x
         spec = PdeSpec(2, 1, lambda xs: -xs[0], lambda i, xs: xs[0] ** 2)
-        f = MultiPoly.monomial(1, 1, (1,))
+        f = monomial(1, 1, (1,))
         points = draw_complex(rng, (6, 1))
         assert spec.residual(f, 0.0, points) < 1e-15
         assert spec.residual(f, 1.0, points) > 0.1

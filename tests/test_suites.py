@@ -91,3 +91,11 @@ def test_shared_store_leaves_residuals_unchanged():
     alone = [(c.name, c.residual.hex()) for suite in SUITES for c in run_checks(suite, CFG)]
     together = [(c.name, c.residual.hex()) for c in run_checks("all", CFG)]
     assert together == alone
+
+
+def test_fit_checks_report_their_grid_condition():
+    # the Vandermonde condition number of each fit family rides in the
+    # report next to its holdout residual
+    records = {c.name: c for c in run_checks("all", CFG)}
+    for name in ("overlap-polynomial-holdout", "lbar-polynomiality-holdout", "zbar-holdout"):
+        assert 1.0 <= records[name].extra["grid_condition"] < 1e3
