@@ -12,7 +12,7 @@ from .errors import (
     DegeneracyError,
     UnsupportedShapeError,
 )
-from .polyengine import MultiPoly, PdeSpec, partial_derivative
+from .polyengine import MultiPoly, PdeSpec
 from .ybcore import (
     EigenChoice,
     MonodromyEntries,

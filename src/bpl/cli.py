@@ -55,12 +55,15 @@ class RunReport:
 
 
 def _complex_from_json(value, fieldname: str) -> complex:
+    """A number or a {re, im} object; booleans are rejected, not read as 0/1."""
     if isinstance(value, dict):
+        if any(isinstance(part, bool) for part in value.values()):
+            raise ConfigError(fieldname, f"bad complex entry {value!r}")
         try:
             return complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(fieldname, f"bad complex entry {value!r}") from exc
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     raise ConfigError(fieldname, f"expected number or {{re, im}} object, got {value!r}")
 
@@ -109,7 +112,7 @@ def load_config(path: str | None, overrides: dict) -> SpectralConfig:
     for key, val in (("L", L), ("n", n), ("seed", seed)):
         if not isinstance(val, int) or isinstance(val, bool):
             raise ConfigError(key, f"must be an integer, got {val!r}")
-    if not isinstance(tol, (int, float)):
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
         raise ConfigError("tol", f"must be a number, got {tol!r}")
     check_dense_length(L)
 
@@ -202,11 +205,14 @@ def _print_table(report: RunReport, stream=None):
     stream = stream or sys.stdout
     print(f"suite: {report.suite}", file=stream)
     width = max((len(c.name) for c in report.checks), default=4)
-    print(f"{'check'.ljust(width)}  {'residual':>12}  {'tolerance':>10}  status  time", file=stream)
+    print(f"{'check'.ljust(width)}  {'residual':>12}  {'tolerance':>10}  {'margin':>6}  status  time",
+          file=stream)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
+        margin = c.margin_dec
+        margin = "-" if margin is None else f"{margin:+.1f}"
         print(
-            f"{c.name.ljust(width)}  {c.residual:12.3e}  {c.tolerance:10.1e}  "
+            f"{c.name.ljust(width)}  {c.residual:12.3e}  {c.tolerance:10.1e}  {margin:>6}  "
             f"{status:6}  {c.seconds:6.2f}s",
             file=stream,
         )

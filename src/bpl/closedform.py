@@ -12,9 +12,11 @@ geometric sums in psi continued to negative upper limits; see
 ``psi_value``), reproduces the small-lattice solvable cases, and compares the
 resulting operator against the independently extracted family member.
 
-``PdeCoefficients`` holds the coefficient data; ``spectral_pde`` wraps it
-in the ``polyengine.PdeSpec`` through which the residual, the operator and
-the first-order reduction (``reduction``) all evaluate the equation.
+``PdeCoefficients`` holds the coefficient data and evaluates V and every
+Q_i over a batch of points in one call; ``spectral_pde`` wraps it in the
+``polyengine.PdeSpec`` through which the residual, the operator (the summed
+terms of the equation on the symmetric basis tensors at the Lbar x-nodes)
+and the first-order reduction (``reduction``) all evaluate the equation.
 """
 
 from __future__ import annotations
@@ -25,13 +27,9 @@ from math import factorial
 import numpy as np
 
 from .config import SpectralConfig
-from .errors import CoincidentRapiditiesError
 from .functional import annulus_points, spectral_grids
 from .omega import OmegaFamily, SymmetricBasis, symmetric_operator
-from .polyengine import MultiPoly, PdeSpec, derivative_tensor, eval_tensors, grid_points
-
-#: minimum |x_i - x_j| accepted when evaluating the rational coefficients
-X_SEPARATION_GUARD = 1e-7
+from .polyengine import MultiPoly, PdeSpec, grid_points, pairwise_differences
 
 
 def geometric_sum(q: complex, top: int) -> complex:
@@ -144,39 +142,35 @@ class PdeCoefficients:
     e_ys: tuple[complex, ...]
     q_prefactor: complex
 
-    def potential(self, xs) -> complex:
-        return self.v_const + self.v_slope * complex(np.sum(xs))
+    def __call__(self, xs) -> np.ndarray:
+        """[V, Q_0, ..., Q_{n-1}] at every point of ``xs`` (shape (P, n),
+        pairwise-distinct coordinates in each row), shape (P, 1 + n).
 
-    def derivative_coeff(self, i: int, xs) -> complex:
-        """Derivative coefficient Q_i at a point with pairwise-distinct
-        coordinates.
-
-        Assembled from G_m(x_i; other x's) paired with the elementary
+        Q_i is assembled from G_m(x_i; other x's) paired with the elementary
         symmetric sums of the y's, where G_{L-d} = x_i^d sum_l x_i^l
         psi(l, d) e_{n-1-l} over the other x's; the exterior factor carries
-        the single pole set prod_{j != i} (x_j - x_i).
+        the single pole set prod_{j != i} (x_j - x_i).  The sums e_k of the
+        other x's are built by multiplying in each x_j, with x_i entering
+        as 0.
         """
         n, L = self.cfg.n, self.cfg.L
-        xs = [complex(x) for x in xs]
-        if len(xs) != n:
-            raise ValueError(f"expected {n} coordinates, got {len(xs)}")
-        others = [x for j, x in enumerate(xs) if j != i]
-        den = 1.0 + 0.0j
-        for x in others:
-            diff = x - xs[i]
-            if abs(diff) < X_SEPARATION_GUARD:
-                raise CoincidentRapiditiesError((x, xs[i]), abs(diff))
-            den *= diff
-        prefactor = self.q_prefactor / den
-        e_others = [elementary_symmetric(others, n - 1 - l) for l in range(n)]
-        total = 0.0 + 0.0j
-        for m in range(L + 1):
-            d = L - m
-            g = xs[i] ** d * sum(
-                xs[i] ** l * complex(self.psi_table[l, d]) * e_others[l] for l in range(n)
-            )
-            total += g * self.e_ys[m]
-        return complex(prefactor * total)
+        xs = np.asarray(xs, dtype=complex)
+        if xs.ndim != 2 or xs.shape[1] != n:
+            raise ValueError(f"expected points of shape (P, {n}), got {xs.shape}")
+        potential = self.v_const + self.v_slope * np.sum(xs, axis=1)
+        den = np.prod(pairwise_differences(xs), axis=2)
+        # e_others[p, i, k] = e_k(x_j : j != i)
+        e_others = np.zeros(xs.shape + (n,), dtype=complex)
+        e_others[..., :1] = 1.0
+        for j in range(n):
+            x_j = np.where(np.arange(n) == j, 0.0, xs[:, j : j + 1])
+            e_others[..., 1:] = e_others[..., 1:] + x_j[..., None] * e_others[..., :-1]
+        powers = xs[..., None] ** np.arange(L + 1)  # n <= L
+        # inner[p, i, d] = sum_l x_i^l psi(l, d) e_{n-1-l}(others)
+        inner = np.einsum("pil,ld,pil->pid", powers[..., :n], self.psi_table[:n],
+                          e_others[..., ::-1])
+        total = np.sum(powers * inner * np.array(self.e_ys[::-1]), axis=-1)
+        return np.column_stack([potential, self.q_prefactor / den * total])
 
 
 def pde_coefficients(cfg: SpectralConfig) -> PdeCoefficients:
@@ -197,33 +191,34 @@ def pde_coefficients(cfg: SpectralConfig) -> PdeCoefficients:
 def spectral_pde(cfg: SpectralConfig) -> PdeSpec:
     """The closed-form PDE of the instance, with V and Q_i from one
     ``PdeCoefficients``."""
-    coeffs = pde_coefficients(cfg)
-    return PdeSpec(cfg.L, cfg.n, coeffs.potential, coeffs.derivative_coeff)
+    return PdeSpec(cfg.L, cfg.n, pde_coefficients(cfg))
 
 
 def eval_v(cfg: SpectralConfig, xs) -> complex:
     """Potential V at one point, for a single evaluation (see ``eval_q``)."""
-    return pde_coefficients(cfg).potential(xs)
+    return complex(pde_coefficients(cfg)(np.reshape(xs, (1, -1)))[0, 0])
 
 
 def eval_q(cfg: SpectralConfig, i: int, xs) -> complex:
     """Derivative coefficient Q_i at one point, for a single evaluation.
 
     Builds the instance's ``PdeCoefficients`` each call; code that evaluates
-    many points builds them once and calls ``derivative_coeff``.
+    many points builds them once and calls them on the whole batch.
     """
-    return pde_coefficients(cfg).derivative_coeff(i, xs)
+    return complex(pde_coefficients(cfg)(np.reshape(xs, (1, -1)))[0, 1 + i])
 
 
 # -- residuals and operator comparison --------------------------------------------
 
-def closedform_residual(cfg: SpectralConfig, fbar: MultiPoly, delta: complex) -> float:
-    """Max residual of the closed-form PDE on a candidate eigenfunction over
-    12 sample points, normalised by the largest participating term
-    (``PdeSpec.residual``).  At n = 0 every point is the empty tuple and the
-    equation is V f = Delta f."""
+def closedform_residual(cfg: SpectralConfig, fbars: np.ndarray, deltas
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """``PdeSpec.residual`` of the closed-form PDE on candidate eigenfunctions
+    (coefficient tensors, leading axes a batch, with one Delta each or one
+    for all) at 12 sample points: the normalised defect at each point,
+    shape batch + (12,), and the normalised term magnitudes there.  At
+    n = 0 every point is the empty tuple and the equation is V f = Delta f."""
     points = annulus_points(cfg, cfg.n, 12, "closedform-points")
-    return spectral_pde(cfg).residual(fbar, delta, points)
+    return spectral_pde(cfg).residual(np.asarray(fbars), deltas, points)
 
 
 def closedform_operator(cfg: SpectralConfig) -> np.ndarray:
@@ -239,17 +234,8 @@ def closedform_operator(cfg: SpectralConfig) -> np.ndarray:
     if n < 1:
         raise ValueError("the operator form needs n >= 1")
     x_grids = [np.exp(2 * g) for g in spectral_grids(L, n)]
-    x_points = grid_points(x_grids)
-
-    spec = spectral_pde(cfg)
-    # column k of the table: V (k = 0) or Q_{k-1} at every grid point
-    coeff_table = np.array([spec.coefficients(xs) for xs in x_points])
-
     basis = SymmetricBasis(n, L - 1)
-    parts = [basis.tensors] + [
-        derivative_tensor(basis.tensors, 1 + i, spec.length - 1) for i in range(n)
-    ]
-    images = sum(c * eval_tensors(g, x_points) for c, g in zip(coeff_table.T, parts))
+    images = spectral_pde(cfg).terms(basis.tensors, grid_points(x_grids)).sum(axis=-1)
     mat, _ = symmetric_operator(basis, images.reshape((basis.dim,) + (L,) * n), x_grids)
     return mat
 

@@ -24,9 +24,9 @@ from math import factorial
 import numpy as np
 
 from .config import SpectralConfig, random_complex
-from .errors import CapacityError, CoincidentRapiditiesError
+from .errors import CapacityError
 from .functional import PolyFit, annulus_points, b_table, circle_grid, fit_grid
-from .polyengine import MultiPoly, PdeSpec, grid_points, tensor_interpolate
+from .polyengine import MultiPoly, PdeSpec, grid_points, pairwise_differences, tensor_interpolate
 from .reduction import upsilon_residual
 from .ybcore import monodromies, weight_a, weight_b, weight_c
 
@@ -39,10 +39,6 @@ MAX_ENUMERATION_L = 4
 
 def abar(x: complex, y: complex, q: complex) -> complex:
     return x * q - y / q
-
-
-def bbar(x: complex, y: complex) -> complex:
-    return x - y
 
 
 # -- partition function oracles ---------------------------------------------------
@@ -207,27 +203,20 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
 
 # -- the homogeneous PDE --------------------------------------------------------------
 
-def dwbc_potential(xs, cfg: SpectralConfig) -> complex:
-    """sum_i abar(x_i, y_i)."""
-    q, ys = cfg.q, cfg.ys
-    return complex(sum(abar(x, y, q) for x, y in zip(xs, ys)))
-
-
-def dwbc_derivative_coeff(i: int, xs, cfg: SpectralConfig) -> complex:
-    """-1/(L-1)! prod_j abar(x_i, y_j) prod_{j != i} abar(x_j, x_i)/bbar(x_j, x_i)."""
+def dwbc_coefficients(cfg: SpectralConfig, xs) -> np.ndarray:
+    """[V, Q_0, ..., Q_{L-1}] at every point of ``xs`` (shape (P, L)), shape
+    (P, 1 + L): V = sum_i abar(x_i, y_i) and
+    Q_i = -1/(L-1)! prod_j abar(x_i, y_j) prod_{j != i} abar(x_j, x_i)/bbar(x_j, x_i),
+    with bbar(x_j, x_i) = x_j - x_i from ``polyengine.pairwise_differences``."""
     q, ys, L = cfg.q, cfg.ys, cfg.L
-    xs = [complex(x) for x in xs]
-    out = -1.0 / factorial(L - 1)
-    for y in ys:
-        out *= abar(xs[i], y, q)
-    for j in range(L):
-        if j == i:
-            continue
-        diff = bbar(xs[j], xs[i])
-        if abs(diff) < 1e-7:
-            raise CoincidentRapiditiesError((xs[j], xs[i]), abs(diff))
-        out *= abar(xs[j], xs[i], q) / diff
-    return complex(out)
+    xs = np.asarray(xs, dtype=complex)
+    ratios = abar(xs[:, None, :], xs[:, :, None], q) / pairwise_differences(xs)
+    diag = np.arange(L)
+    ratios[:, diag, diag] = 1.0
+    q_coeffs = (
+        -np.prod(abar(xs[:, :, None], ys, q), axis=2) / factorial(L - 1) * np.prod(ratios, axis=2)
+    )
+    return np.column_stack([np.sum(abar(xs, ys, q), axis=1), q_coeffs])
 
 
 def dwbc_pde_residual(instance: DwbcInstance) -> float:
@@ -239,7 +228,7 @@ def dwbc_pde_residual(instance: DwbcInstance) -> float:
     """
     cfg = instance.cfg
     points = annulus_points(cfg, cfg.L, 10, "dwbc-points")
-    return dwbc_upsilon(cfg).residual(instance.zbar, 0.0, points)
+    return float(np.max(dwbc_upsilon(cfg).residual(instance.zbar.coeffs, 0.0, points)[0]))
 
 
 def dwbc_upsilon(cfg: SpectralConfig) -> PdeSpec:
@@ -250,12 +239,7 @@ def dwbc_upsilon(cfg: SpectralConfig) -> PdeSpec:
     coefficients -> the domain-wall ones, and n -> L; the block vector has
     dimension L(L-2) + 1.
     """
-    return PdeSpec(
-        length=cfg.L,
-        nvars=cfg.L,
-        potential=lambda xs: dwbc_potential(xs, cfg),
-        derivative_coeff=lambda i, xs: dwbc_derivative_coeff(i, xs, cfg),
-    )
+    return PdeSpec(cfg.L, cfg.L, lambda xs: dwbc_coefficients(cfg, xs))
 
 
 def dwbc_upsilon_residual(instance: DwbcInstance) -> float:
@@ -263,4 +247,4 @@ def dwbc_upsilon_residual(instance: DwbcInstance) -> float:
     5 sample points."""
     cfg = instance.cfg
     points = annulus_points(cfg, cfg.L, 5, "dwbc-upsilon-points")
-    return upsilon_residual(dwbc_upsilon(cfg), instance.zbar, 0.0, points)
+    return float(np.max(upsilon_residual(dwbc_upsilon(cfg), instance.zbar.coeffs, 0.0, points)[0]))

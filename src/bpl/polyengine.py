@@ -1,9 +1,12 @@
 """Dense multivariate polynomials on degree-bounded spaces.
 
 A polynomial in ``n`` variables with per-variable degree bound ``m`` is a
-coefficient tensor of shape ``(m+1,)*n``.  ``PdeSpec`` is the
-one description of the order-(L-1) linear PDE that the closed form, its
-first-order reduction and the domain-wall equation share.
+coefficient tensor of shape ``(m+1,)*n``.  Stacked tensors (leading axes a
+batch) are evaluated at a batch of points by ``eval_tensors``, the one
+evaluation algorithm; ``MultiPoly`` calls it for one point too.
+``PdeSpec`` is the one description of the order-(L-1) linear PDE that the
+closed form, its first-order reduction and the domain-wall equation share;
+it evaluates coefficients, terms and residuals over point batches.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .errors import CoincidentRapiditiesError
 
 
 @dataclass(frozen=True)
@@ -37,17 +42,11 @@ class MultiPoly:
         return 0 if self.coeffs.ndim == 0 else self.coeffs.shape[0] - 1
 
     def __call__(self, point) -> complex:
-        """Evaluate by Horner recursion over one variable at a time."""
-        point = [complex(z) for z in (point if np.ndim(point) else [point])] if self.nvars else []
-        if len(point) != self.nvars:
+        """Value at one point: the one-point case of ``eval_tensors``."""
+        point = np.reshape(np.asarray(point, dtype=complex), (1, -1))
+        if point.shape[1] != self.nvars:
             raise ValueError(f"point must have {self.nvars} coordinates")
-        acc = self.coeffs
-        for z in reversed(point):
-            out = acc[..., -1]
-            for k in range(acc.shape[-1] - 2, -1, -1):
-                out = out * z + acc[..., k]
-            acc = out
-        return complex(acc)
+        return complex(eval_tensors(self.coeffs, point)[0])
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorised evaluation; ``points`` has shape (npoints, nvars)."""
@@ -75,7 +74,7 @@ def eval_tensors(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
         powers = np.vander(points[:, i], coeffs.shape[-1], increasing=True)
         monomials = (monomials[:, :, None] * powers[:, None, :]).reshape(len(points), -1)
     batch = coeffs.shape[: coeffs.ndim - nvars]
-    return coeffs.reshape(batch + (-1,)) @ monomials.T
+    return coeffs.reshape(batch + monomials.shape[1:]) @ monomials.T
 
 
 def grid_points(grids) -> np.ndarray:
@@ -109,13 +108,24 @@ def derivative_tensor(coeffs: np.ndarray, axis: int, order: int = 1) -> np.ndarr
     return c
 
 
-def partial_derivative(p: MultiPoly, i: int, order: int = 1) -> MultiPoly:
-    """Exact differentiation in variable i; the degree bound is kept and
-    the vacated top coefficients are zero."""
-    return MultiPoly(derivative_tensor(p.coeffs, i, order))
-
-
 # -- the order-(L-1) linear PDE ---------------------------------------------------
+
+def pairwise_differences(xs) -> np.ndarray:
+    """``out[p, i, j] = x_j - x_i`` for the coordinates of every point of
+    ``xs`` (shape (P, nvars)), with 1 on the diagonal so that a product
+    over j runs over the j != i.  The rational PDE coefficients divide by
+    these, so a pair of coordinates of one point closer than 1e-7 raises
+    ``CoincidentRapiditiesError`` naming the first such pair."""
+    xs = np.asarray(xs, dtype=complex)
+    out = xs[:, None, :] - xs[:, :, None]
+    diag = np.arange(xs.shape[1])
+    out[:, diag, diag] = 1.0
+    close = np.argwhere(np.abs(out) < 1e-7)
+    if len(close):
+        p, i, j = close[0]
+        raise CoincidentRapiditiesError((xs[p, j], xs[p, i]), abs(out[p, i, j]))
+    return out
+
 
 @dataclass(frozen=True)
 class PdeSpec:
@@ -126,59 +136,51 @@ class PdeSpec:
     this is the one description all of them evaluate.  ``nvars`` is the
     number of variables (n for the spectral problem, L for domain walls),
     ``length`` the lattice length L fixing the derivative order L-1, and
-    ``potential(xs)`` and ``derivative_coeff(i, xs)`` evaluate V and Q_i at
-    a point.
+    ``coefficients`` maps points of shape (P, nvars) to [V, Q_0, ...,
+    Q_{nvars-1}] at each, shape (P, 1 + nvars).
+
+    Every method takes coefficient tensors whose trailing ``nvars`` axes are
+    the variables and whose leading axes are a batch, and a batch of points.
     """
 
     length: int
     nvars: int
-    potential: Callable[[np.ndarray], complex]
-    derivative_coeff: Callable[[int, np.ndarray], complex]
+    coefficients: Callable[[np.ndarray], np.ndarray]
 
-    def derivatives(self, f: MultiPoly) -> list[MultiPoly]:
-        """d^{L-1} f / dx_i^{L-1} for every variable, in order."""
-        return [partial_derivative(f, i, self.length - 1) for i in range(self.nvars)]
+    def terms(self, coeffs: np.ndarray, points, delta=None) -> np.ndarray:
+        """The terms [V f, Q_0 d_0^{L-1} f, ..., Q_{nvars-1} d_{nvars-1}^{L-1} f]
+        at every point, shape batch + (P, 1 + nvars); their sum is the
+        operator applied to f.  With ``delta`` (a scalar or one value per
+        batch entry) the term -Delta f is appended, so that they sum to the
+        equation's defect."""
+        points = np.asarray(points, dtype=complex)
+        box = coeffs.ndim - self.nvars
+        parts = np.empty((1 + self.nvars,) + coeffs.shape, dtype=complex)
+        parts[0] = coeffs
+        for i in range(self.nvars):
+            parts[1 + i] = derivative_tensor(coeffs, box + i, self.length - 1)
+        values = np.moveaxis(eval_tensors(parts, points), 0, -1)
+        out = self.coefficients(points) * values
+        if delta is None:
+            return out
+        rhs = -np.asarray(delta)[..., None] * values[..., 0]
+        return np.concatenate([out, rhs[..., None]], axis=-1)
 
-    def coefficients(self, point) -> list[complex]:
-        """[V, Q_0, ..., Q_{nvars-1}] at one point."""
-        point = np.asarray(point, dtype=complex)
-        return [self.potential(point)] + [
-            self.derivative_coeff(i, point) for i in range(self.nvars)
-        ]
+    def balance(self, coeffs: np.ndarray, delta, points) -> tuple[np.ndarray, np.ndarray]:
+        """``(terms, scale)``: the terms of ``terms(coeffs, points, delta)``,
+        which sum to the defect, and the scale that normalises every
+        residual, the largest of their magnitudes floored at 1e-300, shape
+        batch + (P,)."""
+        terms = self.terms(coeffs, points, delta)
+        return terms, np.maximum(np.max(np.abs(terms), axis=-1), 1e-300)
 
-    def terms(self, f: MultiPoly, point, derivs=None) -> list[complex]:
-        """The left-hand-side terms [V f, Q_0 d_0^{L-1} f, ...] at one point.
-
-        ``derivs`` takes ``derivatives(f)`` when many points share them.
-        """
-        point = np.asarray(point, dtype=complex)
-        if derivs is None:
-            derivs = self.derivatives(f)
-        return [c * g(point) for c, g in zip(self.coefficients(point), [f] + derivs)]
-
-    def balance(self, f: MultiPoly, delta: complex, point, derivs=None) -> tuple[complex, float]:
-        """``(V f + sum_i Q_i d_i^{L-1} f - Delta f, scale)`` at one point,
-        where the scale is the largest magnitude among the terms and
-        Delta f (floored at 1e-300) and normalises every residual."""
-        point = np.asarray(point, dtype=complex)
-        terms = self.terms(f, point, derivs)
-        rhs = delta * f(point)
-        scale = max(*(abs(t) for t in terms), abs(rhs), 1e-300)
-        return sum(terms) - rhs, scale
-
-    def pde_row(self, f: MultiPoly, delta: complex, point) -> complex:
-        """The unreduced equation's value at one point (the equivalence
-        handle for the first-order reduction's top row)."""
-        return complex(self.balance(f, delta, point)[0])
-
-    def residual(self, f: MultiPoly, delta: complex, points) -> float:
-        """Largest normalised defect ``|balance| / scale`` over the points."""
-        derivs = self.derivatives(f)
-        worst = 0.0
-        for point in points:
-            defect, scale = self.balance(f, delta, point, derivs)
-            worst = max(worst, abs(defect) / scale)
-        return float(worst)
+    def residual(self, coeffs: np.ndarray, delta, points) -> tuple[np.ndarray, np.ndarray]:
+        """``(residual, magnitudes)`` at every point: the normalised defect
+        ``|sum of terms| / scale``, shape batch + (P,), and the magnitudes of
+        [V f, Q_i d_i^{L-1} f ..., Delta f] over the scale, shape
+        batch + (P, nvars + 2)."""
+        terms, scale = self.balance(coeffs, delta, points)
+        return np.abs(np.sum(terms, axis=-1)) / scale, np.abs(terms) / scale[..., None]
 
 
 # -- tensor-grid interpolation ---------------------------------------------------

@@ -15,36 +15,21 @@ multiplies the scalar head and the derivative coefficients sit in the top row;
 the same layout, with remapped coefficients, also serves the domain-wall
 system.
 
-The PDE itself (its order, variable count and coefficients V, Q_i) is the
+psi is held as stacked coefficient tensors, shape (dim,) + box, and the
+rows of Upsilon psi are evaluated for a whole batch of points at once.  The
+PDE itself (its order, variable count and coefficients V, Q_i) is the
 ``polyengine.PdeSpec`` shared with ``closedform`` and ``dwbc``; this module
 adds only the block rows built on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .closedform import spectral_pde
 from .config import SpectralConfig
 from .errors import UnsupportedShapeError
-from .polyengine import MultiPoly, PdeSpec, partial_derivative
-
-
-@dataclass
-class PsiVector:
-    """Block vector of repeated derivatives of one bounded polynomial."""
-
-    head: MultiPoly
-    blocks: list[list[MultiPoly]]
-
-    @property
-    def dim(self) -> int:
-        return 1 + sum(len(b) for b in self.blocks)
-
-    def top_block(self) -> list[MultiPoly]:
-        return self.blocks[-1] if self.blocks else []
+from .polyengine import PdeSpec, derivative_tensor, eval_tensors
 
 
 def block_dimensions(L: int, n: int) -> tuple[int, int]:
@@ -57,49 +42,45 @@ def block_dimensions(L: int, n: int) -> tuple[int, int]:
     return (L - 2) * n + 1, L - 2
 
 
-def _derivative_chain(fbar: MultiPoly, length: int) -> PsiVector:
-    n = fbar.nvars
-    block_dimensions(length, n)
-    blocks: list[list[MultiPoly]] = []
-    prev = [fbar] * n
-    for _ in range(length - 2):
-        cur = [partial_derivative(prev[i], i, 1) for i in range(n)]
-        blocks.append(cur)
-        prev = cur
-    return PsiVector(fbar, blocks)
+def build_psi(fbar: np.ndarray, length: int) -> np.ndarray:
+    """The derivative chain of a candidate eigenfunction (a coefficient
+    tensor in n variables) as stacked coefficient tensors, shape
+    (dim,) + fbar.shape: entry 0 is fbar and entry 1 + (k-1) n + i is
+    psi_i^(k) = d_i^k fbar, each block differentiated from the one before."""
+    n = fbar.ndim
+    dim, _ = block_dimensions(length, n)
+    psi = np.empty((dim,) + fbar.shape, dtype=complex)
+    psi[0] = fbar
+    for r in range(1, dim):
+        i = (r - 1) % n
+        psi[r] = derivative_tensor(psi[max(r - n, 0)], i)
+    return psi
 
 
-def build_psi(fbar: MultiPoly, cfg: SpectralConfig) -> PsiVector:
-    """Derivative chain psi built from a candidate eigenfunction."""
-    return _derivative_chain(fbar, cfg.L)
+def upsilon_apply(system: PdeSpec, psi: np.ndarray, delta: complex, points) -> np.ndarray:
+    """All rows of Upsilon psi at every point, shape (P, dim).
 
-
-def upsilon_apply(system: PdeSpec, psi: PsiVector, delta: complex, point) -> np.ndarray:
-    """All rows of Upsilon psi at one sample point.
-
-    Row 0 is the PDE row; the remaining rows are the defining relations
-    in block order.  For a chain built by ``build_psi`` the defining rows
-    vanish identically and only roundoff survives.
+    Row 0 is the PDE row, read from psi's head and the d_i of its top block;
+    the remaining rows are the defining relations in block order, each
+    evaluated as the one tensor d_i psi_i^(k-1) - psi_i^(k), which vanishes
+    for a chain built by ``build_psi``.  The d_i of psi's entries are formed
+    one entry at a time, so that no second copy of psi is held.
     """
-    point = np.asarray(point, dtype=complex)
-    dim = block_dimensions(system.length, system.nvars)[0]
-    if psi.dim != dim:
-        raise UnsupportedShapeError(
-            f"psi has dimension {psi.dim}, system expects {dim}"
-        )
+    points = np.asarray(points, dtype=complex)
     n = system.nvars
-    rows = np.zeros(dim, dtype=complex)
-    top = psi.top_block()
-    rows[0] = (system.potential(point) - delta) * psi.head(point)
+    dim, _ = block_dimensions(system.length, n)
+    if len(psi) != dim:
+        raise UnsupportedShapeError(f"psi has dimension {len(psi)}, system expects {dim}")
+    coeffs = system.coefficients(points)
+    rows = np.empty((len(points), dim), dtype=complex)
+    rows[:, 0] = (coeffs[:, 0] - delta) * eval_tensors(psi[0], points)
     for i in range(n):
-        rows[0] += system.derivative_coeff(i, point) * partial_derivative(top[i], i, 1)(point)
-    r = 1
-    prev: list[MultiPoly] = [psi.head] * n
-    for block in psi.blocks:
-        for i in range(n):
-            rows[r] = partial_derivative(prev[i], i, 1)(point) - block[i](point)
-            r += 1
-        prev = block
+        top = derivative_tensor(psi[dim - n + i], i)
+        rows[:, 0] += coeffs[:, 1 + i] * eval_tensors(top, points)
+    for r in range(1, dim):
+        defect = derivative_tensor(psi[max(r - n, 0)], (r - 1) % n)
+        defect -= psi[r]
+        rows[:, r] = eval_tensors(defect, points)
     return rows
 
 
@@ -110,15 +91,12 @@ def spectral_reduction(cfg: SpectralConfig) -> PdeSpec:
     return spectral_pde(cfg)
 
 
-def upsilon_residual(system: PdeSpec, fbar: MultiPoly, delta: complex, points) -> float:
-    """Max row magnitude of Upsilon psi over the points, each point's rows
-    normalised by the largest term entering its PDE row.  The chain and the
-    order-(L-1) derivatives are built once for all the points."""
-    psi = _derivative_chain(fbar, system.length)
-    derivs = system.derivatives(fbar)
-    worst = 0.0
-    for point in points:
-        rows = upsilon_apply(system, psi, delta, point)
-        _, scale = system.balance(fbar, delta, point, derivs)
-        worst = max(worst, float(np.max(np.abs(rows)) / scale))
-    return worst
+def upsilon_residual(system: PdeSpec, fbar: np.ndarray, delta: complex, points
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Upsilon psi on the chain of a candidate eigenfunction (a coefficient
+    tensor) at every point: the largest row magnitude over the scale of the
+    point's PDE terms (``PdeSpec.balance``), shape (P,), and those terms'
+    magnitudes over the same scale, as ``PdeSpec.residual`` gives them."""
+    rows = upsilon_apply(system, build_psi(fbar, system.length), delta, points)
+    terms, scale = system.balance(fbar, delta, points)
+    return np.max(np.abs(rows), axis=1) / scale, np.abs(terms) / scale[:, None]

@@ -17,6 +17,7 @@ the checks, and every check's clock starts after its artifacts are read.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,7 +36,6 @@ from .functional import (
     lambda_bar_coefficients,
     spectrum,
 )
-from .polyengine import MultiPoly
 
 
 @dataclass
@@ -47,11 +47,18 @@ class CheckRecord:
     seconds: float
     extra: dict = field(default_factory=dict)
 
+    @property
+    def margin_dec(self) -> float | None:
+        """Decades of headroom, log10(tolerance / residual): negative when
+        the check fails, None when the residual is 0."""
+        return None if self.residual == 0 else math.log10(self.tolerance / self.residual)
+
     def as_dict(self) -> dict:
         out = {
             "name": self.name,
             "residual": self.residual,
             "tolerance": self.tolerance,
+            "margin_dec": self.margin_dec,
             "passed": self.passed,
             "seconds": round(self.seconds, 4),
         }
@@ -264,27 +271,40 @@ def suite_omega_compare(art: Artifacts) -> list[CheckRecord]:
     return rec.records
 
 
+def _worst_point(residuals: np.ndarray, magnitudes: np.ndarray, eig_indices) -> tuple[float, dict]:
+    """The largest residual over eigenpairs (axis 0) and points (axis 1),
+    and the extra that locates it: ``worst_eig``, the index of its
+    eigenpair, and ``terms``, the normalised magnitudes of
+    [V f, Q_i d^{L-1} f ..., Delta f] at its point."""
+    if residuals.size == 0:
+        return 0.0, {}
+    e, p = np.unravel_index(np.argmax(residuals), residuals.shape)
+    return float(residuals[e, p]), {"worst_eig": int(eig_indices[e]),
+                                    "terms": [float(t) for t in magnitudes[e, p]]}
+
+
 def suite_pde_residual(art: Artifacts) -> list[CheckRecord]:
     cfg, eigs, fits = art.cfg, art.eigs, art.fits
     rec = _Recorder()
     lam_bars = lambda_bar_coefficients(eigs, cfg)
-    worst = 0.0
-    used = 0
-    for fit, coeffs in zip(fits, lam_bars):
-        if fit.poly.max_abs() < 1e-12:
-            continue
-        used += 1
-        worst = max(worst, closedform.closedform_residual(cfg, fit.poly, coeffs[cfg.L - 1]))
-    rec.add("closedform-pde-on-eigenfunctions", worst, 1e-8, eigenfunctions=used)
+    used = [k for k, fit in enumerate(fits) if fit.poly.max_abs() >= 1e-12]
+    fbars = np.array([fits[k].poly.coeffs for k in used]).reshape((len(used),) + (cfg.L,) * cfg.n)
+    residuals, magnitudes = closedform.closedform_residual(cfg, fbars, lam_bars[used, cfg.L - 1])
+    worst, extra = _worst_point(residuals, magnitudes, [eigs[k].index for k in used])
+    rec.add("closedform-pde-on-eigenfunctions", worst, 1e-8, eigenfunctions=len(used), **extra)
     return rec.records
+
+
+def _special_residual(cfg: SpectralConfig, sol: closedform.SpecialSolutions) -> float:
+    fbars = np.array([f.coeffs for f in sol.eigenfunctions])
+    return float(np.max(closedform.closedform_residual(cfg, fbars, np.array(sol.deltas))[0]))
 
 
 def suite_pde_special(art: Artifacts) -> list[CheckRecord]:
     cfg, rec = art.cfg, _Recorder()
     n0_cfg = cfg.replace(n=0)
-    sol = closedform.special_solutions("n0", n0_cfg)
-    resid = closedform.closedform_residual(n0_cfg, sol.eigenfunctions[0], sol.deltas[0])
-    rec.add("special-n0", resid, 1e-10, L=cfg.L)
+    rec.add("special-n0", _special_residual(n0_cfg, closedform.special_solutions("n0", n0_cfg)),
+            1e-10, L=cfg.L)
 
     for case, nn in (("n1L2", 1), ("n2L2", 2)):
         case_cfg = (
@@ -292,11 +312,8 @@ def suite_pde_special(art: Artifacts) -> list[CheckRecord]:
             if cfg.L == 2
             else SpectralConfig.random_instance(2, nn, cfg.seed, tol=cfg.tol)
         )
-        sol = closedform.special_solutions(case, case_cfg)
-        worst = 0.0
-        for f, d in zip(sol.eigenfunctions, sol.deltas):
-            worst = max(worst, closedform.closedform_residual(case_cfg, f, d))
-        rec.add(f"special-{case}", worst, 1e-10)
+        rec.add(f"special-{case}",
+                _special_residual(case_cfg, closedform.special_solutions(case, case_cfg)), 1e-10)
     return rec.records
 
 
@@ -305,28 +322,26 @@ def suite_reduce(art: Artifacts) -> list[CheckRecord]:
     system = reduction.spectral_reduction(cfg)
     report = art.eigk
     rec = _Recorder()
-    worst = 0.0
-    used = 0
-    for r in report.records:
-        if r.vanishing:
-            continue
-        used += 1
-        points = annulus_points(cfg, cfg.n, 3, f"reduce-{r.eig_index}-{used}")
-        worst = max(
-            worst,
-            reduction.upsilon_residual(system, r.fbar_fit.poly, r.delta[cfg.L - 1], points),
+    used = [r for r in report.records if not r.vanishing]
+    found = [
+        reduction.upsilon_residual(
+            system, r.fbar_fit.poly.coeffs, r.delta[cfg.L - 1],
+            annulus_points(cfg, cfg.n, 3, f"reduce-{r.eig_index}-{k + 1}"),
         )
-    rec.add("upsilon-on-eigenfunctions", worst, 1e-8, eigenfunctions=used)
+        for k, r in enumerate(used)
+    ]
+    worst, extra = _worst_point(np.array([f[0] for f in found]), np.array([f[1] for f in found]),
+                                [r.eig_index for r in used])
+    rec.add("upsilon-on-eigenfunctions", worst, 1e-8, eigenfunctions=len(used), **extra)
 
     rng = cfg.rng("reduce-points")
     worst = 0.0
     for point in annulus_points(cfg, cfg.n, 5, "reduce-equivalence"):
-        coeffs = rng.standard_normal((cfg.L,) * cfg.n) + 1j * rng.standard_normal((cfg.L,) * cfg.n)
-        fbar = MultiPoly(coeffs)
+        fbar = rng.standard_normal((cfg.L,) * cfg.n) + 1j * rng.standard_normal((cfg.L,) * cfg.n)
         delta = random_complex(rng)
-        psi = reduction.build_psi(fbar, cfg)
-        row = reduction.upsilon_apply(system, psi, delta, point)[0]
-        direct = system.pde_row(fbar, delta, point)
+        psi = reduction.build_psi(fbar, cfg.L)
+        row = reduction.upsilon_apply(system, psi, delta, [point])[0, 0]
+        direct = np.sum(system.terms(fbar, [point], delta))
         worst = max(worst, abs(row - direct) / max(abs(direct), 1e-300))
     rec.add("pde-row-equivalence", worst, 1e-12)
     return rec.records

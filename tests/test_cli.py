@@ -1,11 +1,14 @@
 """Command-line front-end: configuration validation and exit codes."""
 
+import io
 import json
 
 import pytest
 
 from bpl import cli, suites
 from bpl.config import SpectralConfig
+from bpl.errors import ConfigError
+from bpl.suites import CheckRecord
 
 
 def test_over_capacity_length_exits_before_any_draw(monkeypatch, capsys):
@@ -40,3 +43,34 @@ def test_all_report_carries_artifact_times(capsys):
     assert cli.main(["all", "--L", "3", "--n", "1", "--json"]) == cli.EXIT_PASS
     report = json.loads(capsys.readouterr().out)
     assert set(report["artifacts"]) == {"eigs", "fits", "family", "eigk", "zbar"}
+
+
+@pytest.mark.parametrize("data,field", [({"tol": True}, "tol"),
+                                        ({"L": 2, "mu": [0.1, True]}, "mu"),
+                                        ({"gamma": {"re": True, "im": 0.2}}, "gamma")])
+def test_boolean_numbers_are_rejected_with_the_field_named(data, field, tmp_path, capsys):
+    # JSON true is not the number 1: {"tol": true} would run with tol = 1.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as info:
+        cli.load_config(str(path), {})
+    assert info.value.field == field
+    assert cli.main(["spectrum", "--config", str(path)]) == cli.EXIT_USAGE
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_margin_is_decades_of_headroom_and_null_at_zero_residual():
+    checks = [CheckRecord("passes", 1e-12, 1e-9, True, 0.0),
+              CheckRecord("fails", 1e-7, 1e-9, False, 0.0),
+              CheckRecord("exact", 0.0, 1e-9, True, 0.0)]
+    margins = [c.as_dict()["margin_dec"] for c in checks]
+    assert margins[0] == pytest.approx(3.0)
+    assert margins[1] == pytest.approx(-2.0)
+    assert margins[2] is None
+    report = cli.RunReport("spectrum", {}, checks)
+    assert "Infinity" not in report.to_json()
+    table = io.StringIO()
+    cli._print_table(report, table)
+    rows = table.getvalue().splitlines()
+    assert "margin" in rows[1]
+    assert [row.split()[3] for row in rows[2:5]] == ["+3.0", "-2.0", "-"]

@@ -22,10 +22,26 @@ from bpl.config import SpectralConfig
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import FnSampler, extract_fbar, lambda_bar_coefficients, spectrum
 from bpl.omega import extract_omegas
-from bpl.polyengine import MultiPoly
 from bpl.suites import SUITES, Artifacts, run_checks
 
 from conftest import draw_complex
+
+
+def worst_residual(cfg, f, delta) -> float:
+    return float(np.max(closedform_residual(cfg, f.coeffs, delta)[0]))
+
+
+def reference_q(coeffs, i, xs) -> complex:
+    """Q_i at one point, summed term by term over m, d and l as printed."""
+    n, L = coeffs.cfg.n, coeffs.cfg.L
+    others = [x for j, x in enumerate(xs) if j != i]
+    total = 0.0
+    for m in range(L + 1):
+        d = L - m
+        g = sum(xs[i] ** (d + l) * coeffs.psi_table[l, d] * elementary_symmetric(others, n - 1 - l)
+                for l in range(n))
+        total += g * coeffs.e_ys[m]
+    return coeffs.q_prefactor / np.prod([x - xs[i] for x in others]) * total
 
 
 def geometric_sum_closed(q: complex, top: int) -> complex:
@@ -129,6 +145,29 @@ class TestDerivativeCoefficients:
         with pytest.raises(CoincidentRapiditiesError):
             eval_q(cfg, 0, [0.7, 0.7 + 1e-9])
 
+    def test_pole_detection_in_a_later_row_names_the_pair(self, rng):
+        cfg = SpectralConfig.random_instance(4, 3, seed=11)
+        xs = np.exp(draw_complex(rng, (5, 3)))
+        xs[3, 2] = xs[3, 0] + 1e-9
+        with pytest.raises(CoincidentRapiditiesError) as info:
+            pde_coefficients(cfg)(xs)
+        assert set(info.value.pair) == {xs[3, 0], xs[3, 2]}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_a_batch_equals_one_call_per_row(self, rng, n):
+        cfg = SpectralConfig.random_instance(4, n, seed=60 + n)
+        coeffs = pde_coefficients(cfg)
+        xs = np.exp(draw_complex(rng, (6, n)) + 0.3 * np.arange(n))
+        batch = coeffs(xs)
+        assert batch.shape == (6, 1 + n)
+        for row, x in zip(batch, xs):
+            assert np.array_equal(coeffs(x[None, :])[0], row)
+            assert eval_v(cfg, x) == row[0]
+            assert [eval_q(cfg, i, x) for i in range(n)] == list(row[1:])
+            for i in range(n):
+                expect = reference_q(coeffs, i, x)
+                assert abs(row[1 + i] - expect) < 1e-12 * abs(expect)
+
     def test_two_by_two_ratio(self, rng):
         # for n=2, L=2 the two coefficients satisfy Q1/Q2 = -x1/x2
         cfg = SpectralConfig.random_instance(2, 2, seed=13)
@@ -159,21 +198,21 @@ class TestClosedFormResidual:
     def test_vacuum_case(self):
         cfg = SpectralConfig.random_instance(3, 0, seed=19)
         sol = special_solutions("n0", cfg)
-        assert closedform_residual(cfg, sol.eigenfunctions[0], sol.deltas[0]) < 1e-14
+        assert worst_residual(cfg, sol.eigenfunctions[0], sol.deltas[0]) < 1e-14
 
     def test_two_site_single_variable_both_signs(self):
         cfg = SpectralConfig.random_instance(2, 1, seed=23)
         sol = special_solutions("n1L2", cfg)
         assert len(sol.eigenfunctions) == 2
         for f, d in zip(sol.eigenfunctions, sol.deltas):
-            assert closedform_residual(cfg, f, d) < 1e-12
+            assert worst_residual(cfg, f, d) < 1e-12
 
     def test_two_site_two_variable(self):
         cfg = SpectralConfig.random_instance(2, 2, seed=29)
         sol = special_solutions("n2L2", cfg)
         (f,) = sol.eigenfunctions
         (d,) = sol.deltas
-        assert closedform_residual(cfg, f, d) < 1e-12
+        assert worst_residual(cfg, f, d) < 1e-12
         # the eigenvalue collapses to -(y1+y2)/(2 sqrt(y1 y2))
         ys = cfg.ys
         assert abs(d + (ys[0] + ys[1]) / (2 * cfg.sqrt_y_prod)) < 1e-13 * abs(d)
@@ -277,5 +316,5 @@ class TestOperatorComparison:
             if fit.poly.max_abs() < 1e-12:
                 continue
             checked += 1
-            assert closedform_residual(cfg, fit.poly, coeffs[cfg.L - 1]) < 1e-8
+            assert worst_residual(cfg, fit.poly, coeffs[cfg.L - 1]) < 1e-8
         assert checked > 0

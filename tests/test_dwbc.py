@@ -1,23 +1,24 @@
 """Domain-wall partition function: oracles, polynomial part, and the
 homogeneous PDE with its reduction."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
 from bpl.config import SpectralConfig
 from bpl.dwbc import (
+    dwbc_coefficients,
     dwbc_configuration_sum,
-    dwbc_derivative_coeff,
     dwbc_partition,
     dwbc_pde_residual,
-    dwbc_potential,
     dwbc_upsilon,
     dwbc_upsilon_residual,
     extract_zbar,
 )
-from bpl.errors import CapacityError
-from bpl.polyengine import MultiPoly, partial_derivative
-from bpl.reduction import block_dimensions
+from bpl.errors import CapacityError, CoincidentRapiditiesError
+from bpl.polyengine import MultiPoly
+from bpl.reduction import block_dimensions, build_psi, upsilon_apply
 from bpl.ybcore import weight_c
 
 from conftest import draw_complex
@@ -133,15 +134,43 @@ class TestHomogeneousPde:
         cfg = SpectralConfig.random_instance(2, 0, seed=36)
         q, ys = cfg.q, cfg.ys
         xs = np.exp(2 * draw_complex(rng, 2))
+        v, q0, _ = dwbc_coefficients(cfg, xs[None, :])[0]
         expect_v = (xs[0] * q - ys[0] / q) + (xs[1] * q - ys[1] / q)
-        assert abs(dwbc_potential(xs, cfg) - expect_v) < 1e-13 * abs(expect_v)
+        assert abs(v - expect_v) < 1e-13 * abs(expect_v)
         expect_q0 = -(
             (xs[0] * q - ys[0] / q)
             * (xs[0] * q - ys[1] / q)
             * (xs[1] * q - xs[0] / q)
             / (xs[1] - xs[0])
         )
-        assert abs(dwbc_derivative_coeff(0, xs, cfg) - expect_q0) < 1e-12 * abs(expect_q0)
+        assert abs(q0 - expect_q0) < 1e-12 * abs(expect_q0)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_a_batch_equals_one_call_per_row(self, rng, L):
+        cfg = SpectralConfig.random_instance(L, 0, seed=70 + L)
+        xs = np.exp(draw_complex(rng, (6, L)) + 0.3 * np.arange(L))
+        q, ys = cfg.q, cfg.ys
+        batch = dwbc_coefficients(cfg, xs)
+        assert batch.shape == (6, 1 + L)
+        for row, x in zip(batch, xs):
+            assert np.array_equal(dwbc_coefficients(cfg, x[None, :])[0], row)
+            # the defining products, one factor at a time
+            assert abs(row[0] - sum(x * q - ys / q)) < 1e-13 * abs(row[0])
+            for i in range(L):
+                expect = -1.0 / factorial(L - 1)
+                for j in range(L):
+                    expect *= x[i] * q - ys[j] / q
+                    if j != i:
+                        expect *= (x[j] * q - x[i] / q) / (x[j] - x[i])
+                assert abs(row[1 + i] - expect) < 1e-12 * abs(expect)
+
+    def test_pole_detection_in_a_later_row_names_the_pair(self, rng):
+        cfg = SpectralConfig.random_instance(4, 0, seed=75)
+        xs = np.exp(draw_complex(rng, (5, 4)))
+        xs[4, 3] = xs[4, 1] - 1e-9
+        with pytest.raises(CoincidentRapiditiesError) as info:
+            dwbc_coefficients(cfg, xs)
+        assert set(info.value.pair) == {xs[4, 1], xs[4, 3]}
 
 
 class TestReduction:
@@ -157,12 +186,10 @@ class TestReduction:
             assert block_dimensions(system.length, system.nvars)[0] == L * (L - 2) + 1
 
     def test_defining_rows_vanish(self, rng):
-        from bpl.reduction import build_psi, upsilon_apply
-
         cfg = SpectralConfig.random_instance(3, 0, seed=50)
         inst = extract_zbar(cfg)
         system = dwbc_upsilon(cfg)
-        psi = build_psi(inst.zbar, cfg)
+        psi = build_psi(inst.zbar.coeffs, cfg.L)
         xs = np.exp(2 * np.array([0.1, 0.4 + 0.2j, -0.3 + 0.1j]))
-        rows = upsilon_apply(system, psi, 0.0, xs)
-        assert np.max(np.abs(rows[1:])) < 1e-12 * max(1, inst.zbar.max_abs())
+        rows = upsilon_apply(system, psi, 0.0, xs[None, :])
+        assert np.max(np.abs(rows[:, 1:])) < 1e-12 * max(1, inst.zbar.max_abs())

@@ -5,7 +5,7 @@ from itertools import permutations, product as iproduct
 import numpy as np
 import pytest
 
-from bpl.closedform import closedform_operator, spectral_pde
+from bpl.closedform import closedform_operator, pde_coefficients
 from bpl.config import SpectralConfig, random_complex
 from bpl.functional import (
     FnSampler,
@@ -19,7 +19,7 @@ from bpl.functional import (
     spectrum,
 )
 from bpl.omega import SymmetricBasis, build_lbar, extract_omegas, lbar_action
-from bpl.polyengine import MultiPoly, grid_points, tensor_interpolate
+from bpl.polyengine import MultiPoly, derivative_tensor, grid_points, tensor_interpolate
 from bpl.suites import Artifacts
 from bpl.ybcore import transfer
 
@@ -87,14 +87,13 @@ def reference_closedform(cfg):
     n, L = cfg.n, cfg.L
     x_grids = [np.exp(2 * g) for g in spectral_grids(L, n)]
     x_tuples = _grid_tuples(x_grids)
-    spec = spectral_pde(cfg)
-    coeff_table = np.array([spec.coefficients(xs) for xs in x_tuples])
+    coeff_table = pde_coefficients(cfg)(x_tuples)
     basis = SymmetricBasis(n, L - 1)
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for col in range(basis.dim):
-        p = MultiPoly(_unit_tensor(basis, col))
-        parts = [p] + spec.derivatives(p)
-        vals = sum(c * _einsum_eval(g.coeffs, x_tuples) for c, g in zip(coeff_table.T, parts))
+        p = _unit_tensor(basis, col)
+        parts = [p] + [derivative_tensor(p, i, L - 1) for i in range(n)]
+        vals = sum(c * _einsum_eval(g, x_tuples) for c, g in zip(coeff_table.T, parts))
         table = tensor_interpolate(vals.reshape((L,) * n), x_grids)
         mat[:, col] = [table[label] for label in basis.labels]
     return mat

@@ -1,5 +1,5 @@
 """Polynomial engine: evaluation, derivatives, the Taylor realization of
-variable substitution, and the shared PDE description."""
+variable substitution, and the shared batched PDE description."""
 
 from math import factorial
 
@@ -9,9 +9,9 @@ import pytest
 from bpl.polyengine import (
     MultiPoly,
     PdeSpec,
+    derivative_tensor,
     eval_tensors,
     grid_condition,
-    partial_derivative,
     tensor_interpolate,
 )
 
@@ -62,7 +62,7 @@ class TestEvaluation:
         pts = draw_complex(rng, (7, 2))
         many = p.eval_many(pts)
         for k in range(7):
-            assert abs(many[k] - p(pts[k])) < 1e-12
+            assert abs(many[k] - naive_eval(p, pts[k])) < 1e-12
 
     def test_batched_evaluation_matches_scalar_per_polynomial(self, rng):
         coeffs = draw_complex(rng, (2, 3, 4, 4, 4))
@@ -72,19 +72,23 @@ class TestEvaluation:
         for idx in np.ndindex(2, 3):
             p = MultiPoly(coeffs[idx])
             for k, pt in enumerate(pts):
-                assert abs(many[idx + (k,)] - p(pt)) < 1e-12 * max(1, abs(p(pt)))
+                expect = naive_eval(p, pt)
+                assert abs(many[idx + (k,)] - expect) < 1e-12 * max(1, abs(expect))
+
+    def test_constant_polynomial_takes_the_empty_point(self):
+        assert MultiPoly(np.array(2.5 + 1j))(()) == 2.5 + 1j
+        with pytest.raises(ValueError, match="coordinates"):
+            random_poly(np.random.default_rng(0), 2, 1)((1.0,))
 
 
 class TestDerivative:
     def test_power_rule(self):
         p = monomial(1, 2, (2,))  # x^2
-        d = partial_derivative(p, 0)
-        assert np.allclose(d.coeffs, [0.0, 2.0, 0.0])
+        assert np.allclose(derivative_tensor(p.coeffs, 0), [0.0, 2.0, 0.0])
 
     def test_order_above_bound_is_zero(self, rng):
         p = random_poly(rng, 2, 3)
-        d = partial_derivative(p, 1, order=4)
-        assert d.max_abs() == 0.0
+        assert np.max(np.abs(derivative_tensor(p.coeffs, 1, order=4))) == 0.0
 
     def test_central_difference_oracle(self, rng):
         h = 1e-5
@@ -95,13 +99,19 @@ class TestDerivative:
                 step = np.zeros(2, dtype=complex)
                 step[i] = h
                 fd = (p(pt + step) - p(pt - step)) / (2 * h)
-                assert abs(fd - partial_derivative(p, i)(pt)) < 1e-8
+                assert abs(fd - MultiPoly(derivative_tensor(p.coeffs, i))(pt)) < 1e-8
 
     def test_degree_bound_preserved(self, rng):
         p = random_poly(rng, 2, 3)
-        d = partial_derivative(p, 0)
-        assert d.coeffs.shape == p.coeffs.shape
-        assert np.all(d.coeffs[3, :] == 0)
+        d = derivative_tensor(p.coeffs, 0)
+        assert d.shape == p.coeffs.shape
+        assert np.all(d[3, :] == 0)
+
+    def test_batch_axes_ride_along(self, rng):
+        coeffs = draw_complex(rng, (3, 4, 4))
+        d = derivative_tensor(coeffs, 2, order=2)
+        for k in range(3):
+            assert np.array_equal(d[k], derivative_tensor(coeffs[k], 1, order=2))
 
     def test_taylor_series_realises_substitution(self, rng):
         # on the bounded space, sum_k (alpha - z_i)^k / k! d^k/dz_i^k p is p
@@ -111,7 +121,7 @@ class TestDerivative:
             p = random_poly(rng, nvars, m)
             i, alpha, pt = int(rng.integers(0, nvars)), draw_complex(rng), draw_complex(rng, nvars)
             taylor = sum(
-                (alpha - pt[i]) ** k / factorial(k) * partial_derivative(p, i, k)(pt)
+                (alpha - pt[i]) ** k / factorial(k) * MultiPoly(derivative_tensor(p.coeffs, i, k))(pt)
                 for k in range(m + 1)
             )
             pinned = np.array(pt, dtype=complex)
@@ -119,27 +129,49 @@ class TestDerivative:
             assert abs(taylor - p(pinned)) < 1e-11 * max(1, abs(p(pinned)))
 
 
+def sum_and_squares(xs):
+    """V = x_0 + x_1 and Q_i = x_i^2 + i at every point."""
+    return np.column_stack([xs.sum(axis=1), xs[:, 0] ** 2, xs[:, 1] ** 2 + 1])
+
+
 class TestPdeSpec:
     def test_terms_and_balance_follow_the_equation(self, rng):
         # [V + sum_i Q_i d_i^2] f = Delta f with V = x_0 + x_1, Q_i = x_i^2 + i
-        spec = PdeSpec(3, 2, lambda xs: complex(np.sum(xs)), lambda i, xs: xs[i] ** 2 + i)
+        spec = PdeSpec(3, 2, sum_and_squares)
         f = random_poly(rng, 2, 2)
-        pt, delta = draw_complex(rng, 2), draw_complex(rng)
-        d2 = [partial_derivative(f, i, 2) for i in range(2)]
-        expect = [(pt[0] + pt[1]) * f(pt), pt[0] ** 2 * d2[0](pt), (pt[1] ** 2 + 1) * d2[1](pt)]
-        assert np.allclose(spec.terms(f, pt), expect, rtol=1e-14, atol=0)
-        row, scale = spec.balance(f, delta, pt)
-        assert scale == pytest.approx(max(*(abs(t) for t in expect), abs(delta * f(pt))))
-        assert abs(row - (sum(expect) - delta * f(pt))) < 1e-13 * scale
-        assert spec.pde_row(f, delta, pt) == row
+        pts, delta = draw_complex(rng, (4, 2)), draw_complex(rng)
+        d2 = [MultiPoly(derivative_tensor(f.coeffs, i, 2)) for i in range(2)]
+        for pt, terms, row, scale in zip(pts, spec.terms(f.coeffs, pts),
+                                         *spec.balance(f.coeffs, delta, pts)):
+            expect = [(pt[0] + pt[1]) * naive_eval(f, pt), pt[0] ** 2 * naive_eval(d2[0], pt),
+                      (pt[1] ** 2 + 1) * naive_eval(d2[1], pt), -delta * naive_eval(f, pt)]
+            assert np.allclose(terms, expect[:3], rtol=1e-14, atol=0)
+            assert np.allclose(row, expect, rtol=1e-14, atol=0)
+            assert scale == pytest.approx(max(abs(t) for t in expect))
+            assert abs(row.sum() - sum(expect)) < 1e-13 * scale
+        residual, magnitudes = spec.residual(f.coeffs, delta, pts)
+        terms, scale = spec.balance(f.coeffs, delta, pts)
+        assert np.array_equal(residual, np.abs(terms.sum(axis=-1)) / scale)
+        assert np.max(magnitudes, axis=-1) == pytest.approx(np.ones(4))
 
     def test_residual_vanishes_only_on_a_solution(self, rng):
         # first order (L = 2): -x f + x^2 f' = 0 holds for f = x
-        spec = PdeSpec(2, 1, lambda xs: -xs[0], lambda i, xs: xs[0] ** 2)
+        spec = PdeSpec(2, 1, lambda xs: np.column_stack([-xs[:, 0], xs[:, 0] ** 2]))
         f = monomial(1, 1, (1,))
         points = draw_complex(rng, (6, 1))
-        assert spec.residual(f, 0.0, points) < 1e-15
-        assert spec.residual(f, 1.0, points) > 0.1
+        assert np.max(spec.residual(f.coeffs, 0.0, points)[0]) < 1e-15
+        assert np.max(spec.residual(f.coeffs, 1.0, points)[0]) > 0.1
+
+    def test_stacked_tensors_equal_per_tensor_calls(self, rng):
+        spec = PdeSpec(3, 2, sum_and_squares)
+        coeffs = draw_complex(rng, (2, 3, 3, 3))
+        deltas = draw_complex(rng, (2, 3))
+        pts = draw_complex(rng, (5, 2))
+        stacked = spec.terms(coeffs, pts, deltas)
+        assert stacked.shape == (2, 3, 5, 4)
+        for idx in np.ndindex(2, 3):
+            single = spec.terms(coeffs[idx], pts, deltas[idx])
+            assert np.max(np.abs(stacked[idx] - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 class TestInterpolation:

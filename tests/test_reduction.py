@@ -7,7 +7,8 @@ import pytest
 from bpl.closedform import closedform_residual
 from bpl.config import SpectralConfig
 from bpl.errors import UnsupportedShapeError
-from bpl.polyengine import MultiPoly, PdeSpec, partial_derivative
+from bpl import reduction
+from bpl.polyengine import derivative_tensor
 from bpl.reduction import (
     block_dimensions,
     build_psi,
@@ -21,14 +22,18 @@ from conftest import draw_complex
 
 
 def random_poly(rng, nvars, m):
-    c = rng.standard_normal((m + 1,) * nvars) + 1j * rng.standard_normal((m + 1,) * nvars)
-    return MultiPoly(c)
+    """Coefficient tensor of a random polynomial."""
+    return rng.standard_normal((m + 1,) * nvars) + 1j * rng.standard_normal((m + 1,) * nvars)
 
 
 def distinct_point(rng, nvars):
     return np.array(
         [np.exp(0.4 * (i / max(nvars, 1) - 0.5) + 1j * rng.uniform(0, 2 * np.pi)) for i in range(nvars)]
     )
+
+
+def distinct_points(rng, count, nvars):
+    return np.array([distinct_point(rng, nvars) for _ in range(count)])
 
 
 class TestShapes:
@@ -49,29 +54,30 @@ class TestShapes:
         cfg = SpectralConfig.random_instance(3, 1, seed=2)
         rng = np.random.default_rng(0)
         f = random_poly(rng, 1, 2)
-        psi = build_psi(f, cfg)
-        assert psi.dim == 2
-        assert len(psi.blocks) == 1
+        psi = build_psi(f, cfg.L)
+        assert psi.shape == (2, 3)
+        assert np.array_equal(psi[1], derivative_tensor(f, 0))
 
     def test_chain_matches_repeated_differentiation(self):
         cfg = SpectralConfig.random_instance(4, 2, seed=3)
         rng = np.random.default_rng(1)
         f = random_poly(rng, 2, 3)
-        psi = build_psi(f, cfg)
-        assert psi.dim == 5
+        psi = build_psi(f, cfg.L)
+        assert psi.shape == (5, 4, 4)
+        assert np.array_equal(psi[0], f)
         for i in range(2):
-            assert np.allclose(psi.blocks[0][i].coeffs, partial_derivative(f, i, 1).coeffs)
-            assert np.allclose(psi.blocks[1][i].coeffs, partial_derivative(f, i, 2).coeffs)
+            assert np.allclose(psi[1 + i], derivative_tensor(f, i, 1))
+            assert np.allclose(psi[3 + i], derivative_tensor(f, i, 2))
 
     def test_top_block_telescopes(self):
         # d_i applied to the top block equals the order-(L-1) derivative
         cfg = SpectralConfig.random_instance(4, 2, seed=4)
         rng = np.random.default_rng(2)
         f = random_poly(rng, 2, 3)
-        psi = build_psi(f, cfg)
+        psi = build_psi(f, cfg.L)
         for i in range(2):
-            top = partial_derivative(psi.top_block()[i], i, 1)
-            assert np.allclose(top.coeffs, partial_derivative(f, i, cfg.L - 1).coeffs)
+            top = derivative_tensor(psi[len(psi) - 2 + i], i, 1)
+            assert np.allclose(top, derivative_tensor(f, i, cfg.L - 1))
 
 
 class TestUpsilon:
@@ -79,11 +85,9 @@ class TestUpsilon:
         cfg = SpectralConfig.random_instance(4, 2, seed=5)
         system = spectral_reduction(cfg)
         f = random_poly(rng, 2, 3)
-        psi = build_psi(f, cfg)
-        for _ in range(5):
-            pt = distinct_point(rng, 2)
-            rows = upsilon_apply(system, psi, draw_complex(rng), pt)
-            assert np.max(np.abs(rows[1:])) < 1e-12 * max(1, f.max_abs())
+        rows = upsilon_apply(system, build_psi(f, cfg.L), draw_complex(rng), distinct_points(rng, 5, 2))
+        assert rows.shape == (5, 5)
+        assert np.max(np.abs(rows[:, 1:])) < 1e-12 * max(1, np.max(np.abs(f)))
 
     def test_residual_on_extracted_eigenfunctions(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=6)
@@ -95,20 +99,30 @@ class TestUpsilon:
             if rec.vanishing:
                 continue
             checked += 1
-            for _ in range(4):
-                pt = distinct_point(rng, 1)
-                delta = rec.delta[cfg.L - 1]
-                assert upsilon_residual(system, rec.fbar_fit.poly, delta, [pt]) < 1e-8
+            pts = distinct_points(rng, 4, 1)
+            delta = rec.delta[cfg.L - 1]
+            residual, _ = upsilon_residual(system, rec.fbar_fit.poly.coeffs, delta, pts)
+            assert residual.shape == (4,)
+            assert np.max(residual) < 1e-8
         assert checked > 0
 
     def test_several_points_give_the_worst_single_point(self, rng):
+        # a batch of points gives, row for row, what one call per point
+        # gives, up to the rounding of a batched matrix product
         cfg = SpectralConfig.random_instance(4, 2, seed=5)
         system = spectral_reduction(cfg)
         f = random_poly(rng, 2, 3)
         delta = draw_complex(rng)
-        pts = [distinct_point(rng, 2) for _ in range(4)]
+        pts = distinct_points(rng, 4, 2)
+        residual, magnitudes = upsilon_residual(system, f, delta, pts)
+        rows = upsilon_apply(system, build_psi(f, cfg.L), delta, pts)
         single = [upsilon_residual(system, f, delta, [pt]) for pt in pts]
-        assert upsilon_residual(system, f, delta, pts) == max(single)
+        assert np.max(residual) == pytest.approx(max(r[0][0] for r in single), rel=1e-12)
+        for k, pt in enumerate(pts):
+            assert single[k][0][0] == pytest.approx(residual[k], rel=1e-12)
+            assert np.allclose(single[k][1][0], magnitudes[k], rtol=1e-12, atol=1e-15)
+            one_rows = upsilon_apply(system, build_psi(f, cfg.L), delta, [pt])[0]
+            assert np.allclose(one_rows, rows[k], rtol=1e-12, atol=1e-12 * np.max(np.abs(rows[k])))
 
     def test_wrong_eigenvalue_detected(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=7)
@@ -116,11 +130,12 @@ class TestUpsilon:
         report = Artifacts(cfg).eigk
         rec = next(r for r in report.records if not r.vanishing)
         rng = np.random.default_rng(4)
-        pt = distinct_point(rng, 1)
-        good = upsilon_residual(system, rec.fbar_fit.poly, rec.delta[cfg.L - 1], [pt])
-        bad = upsilon_residual(system, rec.fbar_fit.poly, rec.delta[cfg.L - 1] + 1.0, [pt])
-        assert good < 1e-8
-        assert bad > 1e-3
+        pt = [distinct_point(rng, 1)]
+        fbar = rec.fbar_fit.poly.coeffs
+        good, _ = upsilon_residual(system, fbar, rec.delta[cfg.L - 1], pt)
+        bad, _ = upsilon_residual(system, fbar, rec.delta[cfg.L - 1] + 1.0, pt)
+        assert good[0] < 1e-8
+        assert bad[0] > 1e-3
 
     def test_pde_row_equivalence(self, rng):
         # the reduction neither loses nor adds anything: its top row equals
@@ -131,23 +146,23 @@ class TestUpsilon:
             for _ in range(5):
                 f = random_poly(rng, n, L - 1)
                 delta = draw_complex(rng)
-                pt = distinct_point(rng, n)
-                psi = build_psi(f, cfg)
-                row = upsilon_apply(system, psi, delta, pt)[0]
-                direct = system.pde_row(f, delta, pt)
-                assert abs(row - direct) < 1e-12 * max(1, abs(direct))
+                pts = distinct_points(rng, 3, n)
+                rows = upsilon_apply(system, build_psi(f, cfg.L), delta, pts)[:, 0]
+                direct = np.sum(system.terms(f, pts, delta), axis=-1)
+                assert np.all(np.abs(rows - direct) < 1e-12 * np.maximum(1, np.abs(direct)))
 
     def test_suite_equivalence_check_uses_a_point_per_polynomial(self, monkeypatch):
         # pde-row-equivalence compares each of its 5 random polynomials at
-        # its own sample point
+        # its own sample point (the eigenfunction check passes 3 at a time)
         seen = []
-        original = PdeSpec.pde_row
+        original = reduction.upsilon_apply
 
-        def recording(self, f, delta, point):
-            seen.append(tuple(np.asarray(point)))
-            return original(self, f, delta, point)
+        def recording(system, psi, delta, points):
+            if len(points) == 1:
+                seen.append(tuple(np.asarray(points[0])))
+            return original(system, psi, delta, points)
 
-        monkeypatch.setattr(PdeSpec, "pde_row", recording)
+        monkeypatch.setattr(reduction, "upsilon_apply", recording)
         records = run_checks("reduce", SpectralConfig.random_instance(3, 1, seed=0))
         assert records[-1].name == "pde-row-equivalence"
         assert len(seen) == len(set(seen)) == 5
@@ -157,11 +172,12 @@ class TestUpsilon:
         cfg = SpectralConfig.random_instance(3, 2, seed=8)
         report = Artifacts(cfg).eigk
         rec = next(r for r in report.records if not r.vanishing)
-        assert closedform_residual(cfg, rec.fbar_fit.poly, rec.delta[cfg.L - 1]) < 1e-8
+        residual, _ = closedform_residual(cfg, rec.fbar_fit.poly.coeffs, rec.delta[cfg.L - 1])
+        assert np.max(residual) < 1e-8
 
     def test_dimension_mismatch_rejected(self, rng):
         cfg = SpectralConfig.random_instance(4, 2, seed=9)
         system = spectral_reduction(cfg)
-        shorter = build_psi(random_poly(rng, 2, 2), SpectralConfig.random_instance(3, 2, seed=9))
+        shorter = build_psi(random_poly(rng, 2, 2), 3)
         with pytest.raises(UnsupportedShapeError):
-            upsilon_apply(system, shorter, 0.0, distinct_point(rng, 2))
+            upsilon_apply(system, shorter, 0.0, [distinct_point(rng, 2)])

@@ -4,13 +4,16 @@ store changes no residual."""
 
 import sys
 
+import numpy as np
 import pytest
 
 import bpl.dwbc
 import bpl.omega
 import bpl.ybcore
+from bpl.closedform import closedform_residual
 from bpl.config import SpectralConfig
-from bpl.suites import SUITES, run_checks, run_checks_timed
+from bpl.functional import lambda_bar_coefficients
+from bpl.suites import SUITES, Artifacts, run_checks, run_checks_timed
 
 CFG = SpectralConfig.random_instance(4, 2, seed=0)
 
@@ -99,3 +102,27 @@ def test_fit_checks_report_their_grid_condition():
     records = {c.name: c for c in run_checks("all", CFG)}
     for name in ("overlap-polynomial-holdout", "lbar-polynomiality-holdout", "zbar-holdout"):
         assert 1.0 <= records[name].extra["grid_condition"] < 1e3
+
+
+def test_pde_checks_locate_their_worst_eigenpair_and_point():
+    art = Artifacts(CFG)
+    [pde] = SUITES["pde-residual"](art)
+    lam_bars = lambda_bar_coefficients(art.eigs, CFG)
+    per_eig = {
+        eig.index: closedform_residual(CFG, fit.poly.coeffs, coeffs[CFG.L - 1])
+        for eig, fit, coeffs in zip(art.eigs, art.fits, lam_bars)
+        if fit.poly.max_abs() >= 1e-12
+    }
+    worst = max(per_eig, key=lambda k: np.max(per_eig[k][0]))
+    residuals, magnitudes = per_eig[worst]
+    point = np.argmax(residuals)
+    assert pde.extra["worst_eig"] == worst
+    assert pde.residual == pytest.approx(residuals[point], rel=1e-12)
+    assert np.allclose(pde.extra["terms"], magnitudes[point], rtol=1e-12, atol=0)
+
+    upsilon, _ = SUITES["reduce"](art)
+    assert upsilon.extra["worst_eig"] in {r.eig_index for r in art.eigk.records if not r.vanishing}
+    for record in (pde, upsilon):
+        # [V f, Q_0 d^{L-1} f, Q_1 d^{L-1} f, Delta f] over the point's scale
+        assert len(record.extra["terms"]) == CFG.n + 2
+        assert max(record.extra["terms"]) == pytest.approx(1.0)
