@@ -25,6 +25,7 @@ from .ybcore import (
     transfer,
 )
 from .functional import (
+    ChainTable,
     FnSampler,
     PolyFit,
     check_fz_residual,

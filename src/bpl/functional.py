@@ -16,12 +16,29 @@ F_n, the operator-valued Lbar(x0) and the closed-form operator -- samples
 x_1..x_n on slots 1..n of n+1 node circles (``spectral_grids``) and x0 on
 slot 0 (``lbar_x0_nodes``), so they share one node set.  Every PDE residual
 evaluates at the random points of ``annulus_points``.
+
+Shared chains.  F_n is <Lambda| times the chain B(lambda_1) ... B(lambda_n)
+|0>, and the chain does not depend on the eigenpair.  One ``ChainTable``
+per sector therefore serves every eigenpair's sampler: it computes each
+chain suffix once, and, for the overlap fits, the grid chains, their
+prefactors and the grid's condition number once (``fit_samples``), so each
+eigenpair's fit adds only one ``left @ chain`` dot per sample.
+
+Batched coefficients.  ``fz_coefficients`` evaluates the relation's
+coefficients at N x0 rapidities times P rapidity rows in one call, with the
+vacuum products vectorised over the inhomogeneities.  Every entry equals
+the one-point value bit for bit: numpy's vectorised complex ``*`` can
+differ from its scalar ``*`` in the last bit, so every product is a
+multiply-reduce over a last axis (``ybcore.stacked_product``), which
+rounds as the scalar does.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +50,15 @@ from .ybcore import (
     monodromies,
     monodromy,
     spectrum,
+    stacked_product,
     weight_a,
     weight_b,
 )
 
 __all__ = [
+    "ChainTable",
     "EigenChoice",
+    "FitSamples",
     "FnSampler",
     "PolyFit",
     "annulus_points",
@@ -46,7 +66,7 @@ __all__ = [
     "check_fz_residual",
     "circle_grid",
     "extract_fbar",
-    "fbar_b_ops",
+    "fbar_chains",
     "fit_grid",
     "fz_coefficients",
     "lambda_bar_coefficients",
@@ -113,39 +133,88 @@ def b_table(cfg: SpectralConfig, lams, top: int) -> dict[complex, tuple[np.ndarr
     return {lam: m.b for lam, m in zip(distinct, monodromies(distinct, cfg, top))}
 
 
-@dataclass
-class FnSampler:
-    """Evaluates F_n for one eigenpair.
+class FitSamples(NamedTuple):
+    """What every eigenpair's overlap fit in one sector samples alike: the
+    x-nodes and held-out x-point, the prefactor e^{(L-1) sum lambda_i} and
+    the B-chain at each grid point with the held-out point last, and the
+    largest per-axis Vandermonde condition number of the nodes."""
 
+    x_grids: list[np.ndarray]
+    held_x: np.ndarray
+    prefactors: list
+    chains: list[np.ndarray]
+    condition: float
+
+
+@dataclass
+class ChainTable:
+    """B-chains B(lambda_1) ... B(lambda_k) |0> of one instance, up to
+    sector ``top``.
+
+    A chain depends on the B operators only, not on any eigenpair, so the
+    samplers of every eigenpair of a sector share one table (``fbar_chains``)
+    and each distinct chain suffix is computed once for all of them.
     ``b_ops`` holds the sector blocks of B(lambda) built beforehand, keyed
-    by rapidity; the samplers of one sector's fits share one such table
-    (``fbar_b_ops``).
-    A rapidity missing from it is built afresh at each use, up to the
-    eigenpair's sector, and not kept, so one-off draws never accumulate.
-    Partial products of repeated rapidity suffixes are cached on the
-    sampler.  Both live exactly as long as the sampler, and the blocks are
-    read-only, so sharing them is safe.
+    by rapidity; a rapidity missing from it is built afresh at each use, up
+    to ``top``, and not kept, so one-off draws never accumulate.  Chains
+    are matrix-vector products cached on suffixes for the table's life;
+    the blocks are read-only, so sharing them is safe.
     """
 
     cfg: SpectralConfig
-    eig: EigenChoice
+    top: int
     b_ops: dict = field(default_factory=dict, repr=False)
-    _chain_cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def _b(self, lam: complex) -> tuple[np.ndarray, ...]:
         op = self.b_ops.get(lam)
-        return monodromy(lam, self.cfg, top=self.eig.sector).b if op is None else op
+        return monodromy(lam, self.cfg, top=self.top).b if op is None else op
 
-    def _chain(self, lams: tuple[complex, ...]) -> np.ndarray:
+    def chain(self, lams: tuple[complex, ...]) -> np.ndarray:
         """B(lams[0]) ... B(lams[-1]) |0> in sector len(lams), cached on
         suffixes; the vacuum |0> is the one state of sector 0."""
         if not lams:
             return np.ones(1, dtype=complex)
-        cached = self._chain_cache.get(lams)
+        cached = self._cache.get(lams)
         if cached is None:
-            cached = self._b(lams[0])[len(lams) - 1] @ self._chain(lams[1:])
-            self._chain_cache[lams] = cached
+            cached = self._b(lams[0])[len(lams) - 1] @ self.chain(lams[1:])
+            self._cache[lams] = cached
         return cached
+
+    @cached_property
+    def fit_samples(self) -> FitSamples:
+        """The samples of sector ``top``'s overlap fits (``extract_fbar``),
+        computed once for all its eigenpairs."""
+        L, n = self.cfg.L, self.top
+        grids = spectral_grids(L, n)
+        held = _fbar_holdout_point(self.cfg, n)
+        points = list(grid_points(grids)) + [held]
+        x_grids = [np.exp(2 * g) for g in grids]
+        return FitSamples(
+            x_grids,
+            np.exp(2 * np.array(held)),
+            [np.exp((L - 1) * sum(lams)) for lams in points],
+            [self.chain(tuple(complex(l) for l in lams)) for lams in points],
+            max(grid_condition(xg) for xg in x_grids),
+        )
+
+
+@dataclass
+class FnSampler:
+    """Evaluates F_n for one eigenpair as <Lambda| times a B-chain.
+
+    ``chains`` is the table the chains come from; the samplers of one
+    sector's fits share one (``fbar_chains``), and by default a sampler gets
+    a private table with no prebuilt operators.
+    """
+
+    cfg: SpectralConfig
+    eig: EigenChoice
+    chains: ChainTable | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.chains is None:
+            self.chains = ChainTable(self.cfg, self.eig.sector)
 
     def value(self, lams) -> complex:
         """F_n at the given rapidities.
@@ -162,47 +231,42 @@ class FnSampler:
                 stacklevel=2,
             )
             return 0.0
-        return complex(self.eig.left @ self._chain(lams))
+        return complex(self.eig.left @ self.chains.chain(lams))
 
 
 # -- the linear functional relation ----------------------------------------------
 
-def vacuum_products(lam: complex, cfg: SpectralConfig) -> tuple[complex, complex]:
+def vacuum_products(lams, cfg: SpectralConfig) -> tuple[np.ndarray, np.ndarray]:
     """prod_j a(lam - mu_j) and prod_j b(lam - mu_j), the eigenvalues of
-    A(lam) and D(lam) on the vacuum."""
-    pa = np.prod([weight_a(lam - m, cfg.gamma) for m in cfg.mu])
-    pb = np.prod([weight_b(lam - m) for m in cfg.mu])
-    return pa, pb
+    A(lam) and D(lam) on the vacuum, at every rapidity of ``lams``; the
+    products run over the last axis, as a one-point product would."""
+    shifted = np.asarray(lams, dtype=complex)[..., None] - np.asarray(cfg.mu, dtype=complex)
+    return (np.multiply.reduce(weight_a(shifted, cfg.gamma), axis=-1),
+            np.multiply.reduce(weight_b(shifted), axis=-1))
 
 
-def fz_coefficients(lam0: complex, lams, cfg: SpectralConfig, vacuum=None):
-    """Coefficients (J0, [K_1..K_n]) of the relation
+def fz_coefficients(lam0s, lam_rows, cfg: SpectralConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients J0, shape (N, P), and K_1..K_n, shape (N, P, n), of the
+    relation
 
         J0 F_n(lams) - sum_i K_i F_n(lams with lams[i] -> lam0)
-            = Lambda(lam0) F_n(lams).
+            = Lambda(lam0) F_n(lams)
+
+    at every x0 rapidity lam0 of ``lam0s`` (N,) and every row lams of
+    ``lam_rows`` (P, n).
 
     J0 multiplies the vacuum eigenvalue factors prod a(lam0 - mu_j) and
     prod b(lam0 - mu_j) by the exchange coefficients; each K_i does the same
-    at the exchanged rapidity.  ``vacuum`` maps rapidities to their
-    ``vacuum_products`` when the caller has computed them already; any
-    other rapidity gets them computed here.  Raises on coincident
-    rapidities.
+    at the exchanged rapidity.  Every entry equals the one-point evaluation
+    bit for bit (``stacked_product``).  Raises on coincident rapidities.
     """
-    lams = list(lams)
-    vacuum = vacuum or {}
-
-    def products(lam):
-        known = vacuum.get(complex(lam))
-        return vacuum_products(lam, cfg) if known is None else known
-
-    ma0, md0, ma, md = exchange_m_factors(lam0, lams, cfg.gamma)
-    pa0, pb0 = products(lam0)
-    j0 = complex(pa0 * ma0 + pb0 * md0)
-    ks = []
-    for i, lam in enumerate(lams):
-        pal, pbl = products(lam)
-        ks.append(complex(pal * ma[i] + pbl * md[i]))
-    return j0, ks
+    lam0s = np.asarray(lam0s, dtype=complex)
+    rows = np.asarray(lam_rows, dtype=complex)
+    ma0, md0, ma, md = exchange_m_factors(lam0s, rows, cfg.gamma)
+    pa0, pb0 = vacuum_products(lam0s[:, None], cfg)
+    pa, pb = vacuum_products(rows, cfg)
+    return (stacked_product(pa0, ma0) + stacked_product(pb0, md0),
+            stacked_product(pa, ma) + stacked_product(pb, md))
 
 
 def check_fz_residual(sampler: FnSampler, draws) -> float:
@@ -218,10 +282,11 @@ def check_fz_residual(sampler: FnSampler, draws) -> float:
     draws = [[complex(l) for l in draw] for draw in draws]
     distinct = list(dict.fromkeys(l for draw in draws for l in draw))
     ops = dict(zip(distinct, monodromies(distinct, cfg, top=eig.sector)))
-    local = FnSampler(cfg, eig, {lam: m.b for lam, m in ops.items()})
+    local = FnSampler(cfg, eig, ChainTable(cfg, eig.sector, {lam: m.b for lam, m in ops.items()}))
     worst = 0.0
     for lam0, *lams in draws:
-        j0, ks = fz_coefficients(lam0, lams, cfg)
+        j0, ks = fz_coefficients([lam0], [lams], cfg)
+        j0, ks = complex(j0[0, 0]), [complex(k) for k in ks[0, 0]]
         f_here = local.value(lams)
         lam_val = eig.eigenvalue_from(ops[lam0].transfer())
         total = j0 * f_here - lam_val * f_here
@@ -247,20 +312,24 @@ class PolyFit:
     holdout_residual: float
 
 
-def fit_grid(values: np.ndarray, x_grids, held_x, held_value: complex) -> PolyFit:
+def fit_grid(values: np.ndarray, x_grids, held_x, held_value: complex,
+             condition: float | None = None) -> PolyFit:
     """Interpolate tensor-grid samples and validate the fit at one held-out
     point.
 
     ``values`` holds the samples on the grid spanned by the per-variable
     nodes ``x_grids``; ``held_value`` is the sampled function at ``held_x``.
     The holdout residual is |direct - fitted| / max(|direct|, max |coeff|),
-    and the condition number is the largest per-axis Vandermonde one.
+    and the condition number is the largest per-axis Vandermonde one.  A
+    caller that fits many functions on one grid passes that number as
+    ``condition`` instead of having it recomputed.
     """
     poly = MultiPoly(tensor_interpolate(values, x_grids))
     fitted = poly.eval_many(np.asarray(held_x)[None, :])[0]
     holdout = abs(held_value - fitted) / max(abs(held_value), poly.max_abs(), 1e-300)
-    cond = max(grid_condition(xg) for xg in x_grids)
-    return PolyFit(poly, cond, float(holdout))
+    if condition is None:
+        condition = max(grid_condition(xg) for xg in x_grids)
+    return PolyFit(poly, condition, float(holdout))
 
 
 def _fbar_holdout_point(cfg: SpectralConfig, n: int) -> list[complex]:
@@ -270,16 +339,16 @@ def _fbar_holdout_point(cfg: SpectralConfig, n: int) -> list[complex]:
     return [random_complex(rng) for _ in range(n)]
 
 
-def fbar_b_ops(cfg: SpectralConfig, n: int) -> dict[complex, tuple[np.ndarray, ...]]:
-    """B(lambda) at the nodes and holdout point of the default
-    ``extract_fbar`` fit in sector n, each built once.
+def fbar_chains(cfg: SpectralConfig, n: int) -> ChainTable:
+    """The chain table of sector n's overlap fits, with B(lambda) at the
+    nodes and holdout point of ``extract_fbar`` built beforehand, each once.
 
-    Every eigenpair of the sector samples the same rapidities, so the
-    samplers of all of them take this one table instead of each rebuilding
-    it.  It lives as long as the caller keeps it.
+    Every eigenpair of the sector samples the same chains, so the samplers
+    of all of them take this one table instead of each rebuilding them.
+    It lives as long as the caller keeps it.
     """
     nodes = [lam for grid in spectral_grids(cfg.L, n) for lam in grid]
-    return b_table(cfg, nodes + _fbar_holdout_point(cfg, n), top=n)
+    return ChainTable(cfg, n, b_table(cfg, nodes + _fbar_holdout_point(cfg, n), top=n))
 
 
 def extract_fbar(sampler: FnSampler) -> PolyFit:
@@ -288,23 +357,26 @@ def extract_fbar(sampler: FnSampler) -> PolyFit:
     Samples the overlap on the tensor grid of ``spectral_grids`` (one node
     circle per variable, the x-nodes of Lbar), multiplies off the prefactor
     e^{(L-1) lambda_i} per variable, and interpolates at per-variable degree
-    L-1.  A fresh random
-    point validates the fit; its relative error is returned alongside the
-    largest per-axis Vandermonde condition number.
+    L-1.  A fresh random point validates the fit; its relative error is
+    returned alongside the largest per-axis Vandermonde condition number.
+    The chains, prefactors and condition number come from the sampler's
+    chain table (``ChainTable.fit_samples``), in one pass, so a table shared
+    by a sector computes them once; each eigenpair adds one
+    ``left @ chain`` dot per sample.
     """
-    cfg = sampler.cfg
-    n = sampler.eig.sector
+    cfg, eig = sampler.cfg, sampler.eig
+    n = eig.sector
     if n == 0:
-        val = complex(sampler.eig.left[0])
+        val = complex(eig.left[0])
         return PolyFit(MultiPoly(np.array(val)), 1.0, 0.0)
-    grids = spectral_grids(cfg.L, n)
-    xgrids = [np.exp(2 * g) for g in grids]
-    vals = np.array(
-        [np.exp((cfg.L - 1) * sum(lams)) * sampler.value(lams) for lams in grid_points(grids)]
-    ).reshape((cfg.L,) * n)
-    test = _fbar_holdout_point(cfg, n)
-    direct = np.exp((cfg.L - 1) * sum(test)) * sampler.value(test)
-    return fit_grid(vals, xgrids, np.exp(2 * np.array(test)), direct)
+    if sampler.chains.top != n:
+        raise ValueError(f"a sector-{n} fit needs a sector-{n} chain table, "
+                         f"got sector {sampler.chains.top}")
+    samples = sampler.chains.fit_samples
+    vals = [pre * complex(eig.left @ chain)
+            for pre, chain in zip(samples.prefactors, samples.chains)]
+    return fit_grid(np.array(vals[:-1]).reshape((cfg.L,) * n), samples.x_grids,
+                    samples.held_x, vals[-1], samples.condition)
 
 
 def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> np.ndarray:

@@ -24,7 +24,11 @@ the action is sampled on all the stacked basis tensors at once
 (``SymmetricBasis.tensors``; ``lbar_action`` is the one writing of the Lbar
 action), and ``symmetric_operator`` interpolates and projects every column
 in one batch.  Both sample the x_i on ``functional.spectral_grids``, the
-nodes of the overlap fits, and Lbar samples x0 on ``lbar_x0_nodes``.
+nodes of the overlap fits, and Lbar samples x0 on ``lbar_x0_nodes``.  The
+multipliers of every x0 node and grid point come from one batched
+``fz_coefficients`` call, bit-identical to one-point evaluation; the
+prefactors and the substituted evaluations are then applied one x0 node
+at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .functional import (
     lambda_bar_coefficients,
     lbar_x0_nodes,
     spectral_grids,
-    vacuum_products,
 )
 from .polyengine import eval_tensors, grid_condition, grid_points, tensor_interpolate
 
@@ -127,31 +130,36 @@ class LbarOperator:
     grid_condition: float
 
 
-def lbar_action(cfg: SpectralConfig, lam0: complex, lam_points, evaluate) -> np.ndarray:
+def lbar_action(cfg: SpectralConfig, lam0s, lam_points, evaluate) -> np.ndarray:
     """(Lbar(x0) p)(x) = Jbar0 p(x) - sum_i Kbar_i p(x with x_i -> x0) at
-    x0 = e^{2 lam0} and at x = e^{2 lam} for every row lam of ``lam_points``.
+    x0 = e^{2 lam0} for every lam0 of ``lam0s`` (N,) and at x = e^{2 lam}
+    for every row lam of ``lam_points`` (P, n).
 
     ``evaluate`` maps an array of x-points (P, n) to the values of p there,
-    shape batch + (P,), so one call acts on a whole batch of polynomials.
-    Jbar0 and Kbar_i are the coefficients of the functional relation with
-    the prefactors e^{L lam0} and e^{lam0} e^{(L-1) lam_i} (per-variable
-    x^{(L-1)/2}, branch-free) multiplied in.  The vacuum products of each
-    distinct rapidity are computed once for all the points.
+    shape batch + (P,), so one call acts on a whole batch of polynomials;
+    the result has shape batch + (N, P).  Jbar0 and Kbar_i are the
+    coefficients of the functional relation, all N x P of them from one
+    batched ``fz_coefficients`` call, with the prefactors e^{L lam0} and
+    e^{lam0} e^{(L-1) lam_i} (per-variable x^{(L-1)/2}, branch-free)
+    multiplied in one x0 node at a time.
     """
     L = cfg.L
+    lam0s = np.asarray(lam0s, dtype=complex)
     lam_points = np.asarray(lam_points, dtype=complex)
     xs = np.exp(2 * lam_points)
-    distinct = dict.fromkeys([complex(lam0)] + [complex(l) for l in lam_points.ravel()])
-    vacuum = {lam: vacuum_products(lam, cfg) for lam in distinct}
-    coeffs = [fz_coefficients(lam0, lams, cfg, vacuum) for lams in lam_points]
-    jbar = np.array([j0 for j0, _ in coeffs]) * np.exp(L * lam0)
-    kbar = np.array([ks for _, ks in coeffs]) * np.exp(lam0) * np.exp((L - 1) * lam_points)
-    out = jbar * evaluate(xs)
-    for i in range(lam_points.shape[1]):
-        subbed = xs.copy()
-        subbed[:, i] = np.exp(2 * lam0)
-        out = out - kbar[:, i] * evaluate(subbed)
-    return out
+    j0, ks = fz_coefficients(lam0s, lam_points, cfg)
+    at_xs = evaluate(xs)
+    images = []
+    for lam0, j0_row, ks_row in zip(lam0s, j0, ks):
+        jbar = j0_row * np.exp(L * lam0)
+        kbar = ks_row * np.exp(lam0) * np.exp((L - 1) * lam_points)
+        image = jbar * at_xs
+        for i in range(lam_points.shape[1]):
+            subbed = xs.copy()
+            subbed[:, i] = np.exp(2 * lam0)
+            image = image - kbar[:, i] * evaluate(subbed)
+        images.append(image)
+    return np.stack(images, axis=-2)
 
 
 def symmetric_operator(
@@ -194,16 +202,14 @@ def build_lbar(cfg: SpectralConfig) -> LbarOperator:
 
     basis = SymmetricBasis(n, L - 1)
     evaluate = partial(eval_tensors, basis.tensors)
-    images = np.stack(
-        [lbar_action(cfg, lam0, lam_points, evaluate) for lam0 in lam0_nodes], axis=1
-    )
+    images = lbar_action(cfg, lam0_nodes, lam_points, evaluate)
     coeff_mats, worst_sym = symmetric_operator(
         basis, images.reshape((basis.dim, L + 1) + (L,) * n), [x0_nodes] + x_grids
     )
 
     rng = cfg.rng("lbar-holdout")
     held_lams = np.array([[random_complex(rng) for _ in range(n)]])
-    direct = lbar_action(cfg, lam0_nodes[0], held_lams, evaluate)[:, 0]
+    direct = lbar_action(cfg, lam0_nodes[:1], held_lams, evaluate)[:, 0, 0]
     at_held = evaluate(np.exp(2 * held_lams))[:, 0]
     fitted = x0_nodes[0] ** np.arange(L + 1) @ (at_held @ coeff_mats)
     scale = np.maximum(np.abs(direct), np.max(np.abs(coeff_mats), axis=(0, 1)))

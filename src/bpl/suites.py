@@ -32,7 +32,7 @@ from .functional import (
     annulus_points,
     check_fz_residual,
     extract_fbar,
-    fbar_b_ops,
+    fbar_chains,
     lambda_bar_coefficients,
     spectrum,
 )
@@ -110,9 +110,9 @@ def _commutator(x, y, shift: int) -> float:
 
 
 def _sector_fits(cfg: SpectralConfig, eigs) -> list:
-    """The overlap fit of every eigenpair, all sampling one B table."""
-    b_ops = fbar_b_ops(cfg, cfg.n)
-    return [extract_fbar(FnSampler(cfg, eig, b_ops)) for eig in eigs]
+    """The overlap fit of every eigenpair, all sampling one chain table."""
+    chains = fbar_chains(cfg, cfg.n)
+    return [extract_fbar(FnSampler(cfg, eig, chains)) for eig in eigs]
 
 
 class Artifacts:

@@ -429,38 +429,86 @@ def check_rtt(x: complex, y: complex, cfg: SpectralConfig) -> float:
 
 # -- higher-degree exchange relations ------------------------------------------
 
-def _guard_rapidities(values):
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            sep = abs(np.sinh(vals[i] - vals[j]))
-            if sep < SINGULARITY_GUARD:
-                raise CoincidentRapiditiesError((vals[i], vals[j]), sep)
+def stacked_product(*factors) -> np.ndarray:
+    """Elementwise product of broadcastable complex factors, left to
+    right, rounded exactly as numpy's scalar ``*`` rounds it.
+
+    numpy's vectorised complex ``*`` of two arrays can differ from the
+    scalar one in the last bit, while a multiply-reduce over a stacked last
+    axis matches it.  The batched coefficients below replace products that
+    were once formed one scalar at a time, and sampled residuals amplify
+    their roundoff, so they form every product here or as a reduce over
+    their last axis.
+    """
+    stacked = np.empty(np.broadcast(*factors).shape + (len(factors),), dtype=complex)
+    for k, factor in enumerate(factors):
+        stacked[..., k] = factor
+    return np.multiply.reduce(stacked, axis=-1)
 
 
-def exchange_m_factors(lam0: complex, lams, gamma: complex):
-    """Scalar coefficients of the degree-(n+1) exchange identity.
+@cache
+def _exchange_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For n rapidities: the two index arrays of the pairs i < j, in loop
+    order, and the (n, n-1) indices of the rapidities other than each one,
+    in order (read-only, built once per n)."""
+    first, second = np.triu_indices(n, 1)
+    others = np.array([[t for t in range(n) if t != i] for i in range(n)], dtype=int)
+    out = (first, second, others.reshape(n, max(n - 1, 0)))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
-    Returns ``(MA0, MD0, MA, MD)`` where the lists MA, MD are aligned with
-    ``lams``:
+
+def _guard_rapidities(lam0s: np.ndarray, rows: np.ndarray):
+    """Raise ``CoincidentRapiditiesError`` for the first pair closer than
+    the guard in |sinh| among any lam0 of ``lam0s`` (N,) with the rapidities
+    of any row of ``rows`` (P, n): x0 rapidities outermost, then rows, then
+    the pairs of [lam0] + row in order, as one loop over the batch would."""
+    n = rows.shape[1]
+    first, second, _ = _exchange_indices(n)
+    with_lam0 = np.abs(weight_b(lam0s[:, None, None] - rows))
+    within = np.abs(weight_b(rows[:, first] - rows[:, second]))
+    if not ((with_lam0 < SINGULARITY_GUARD).any() or (within < SINGULARITY_GUARD).any()):
+        return
+    seps = np.concatenate(
+        [with_lam0, np.broadcast_to(within, with_lam0.shape[:2] + within.shape[1:])], axis=-1
+    )
+    a, p, k = np.argwhere(seps < SINGULARITY_GUARD)[0]
+    pair = (lam0s[a], rows[p, k]) if k < n else (rows[p, first[k - n]], rows[p, second[k - n]])
+    raise CoincidentRapiditiesError(tuple(complex(v) for v in pair), seps[a, p, k])
+
+
+def _ratio_product(diffs: np.ndarray, gamma: complex) -> np.ndarray:
+    """prod a(d)/b(d) over the last axis of ``diffs``."""
+    return np.multiply.reduce(weight_a(diffs, gamma) / weight_b(diffs), axis=-1)
+
+
+def exchange_m_factors(lam0s, lam_rows, gamma: complex):
+    """Scalar coefficients of the degree-(n+1) exchange identity at every
+    x0 rapidity of ``lam0s`` (N,) and every row of ``lam_rows`` (P, n).
+
+    Returns ``(MA0, MD0, MA, MD)`` of shapes (N, P), (N, P), (N, P, n) and
+    (N, P, n); for lam0 = lam0s[a] and l = lam_rows[p],
 
         MA0 = prod a(l - l0)/b(l - l0),     MD0 = prod a(l0 - l)/b(l0 - l),
         MA[i] = c(l_i - l0)/b(l_i - l0) prod_{t != i} a(l_t - l_i)/b(l_t - l_i),
         MD[i] = c(l0 - l_i)/b(l0 - l_i) prod_{t != i} a(l_i - l_t)/b(l_i - l_t).
+
+    Each entry equals the one-point evaluation bit for bit
+    (``stacked_product``).  Raises ``CoincidentRapiditiesError`` if any
+    lam0 and row hold a coincident pair.
     """
-    lams = list(lams)
-    _guard_rapidities([lam0] + lams)
-    g = gamma
-    ma0 = np.prod([weight_a(l - lam0, g) / weight_b(l - lam0) for l in lams]) if lams else 1.0
-    md0 = np.prod([weight_a(lam0 - l, g) / weight_b(lam0 - l) for l in lams]) if lams else 1.0
-    ma, md = [], []
-    for i, l in enumerate(lams):
-        rest = [t for j, t in enumerate(lams) if j != i]
-        pa = np.prod([weight_a(t - l, g) / weight_b(t - l) for t in rest]) if rest else 1.0
-        pd = np.prod([weight_a(l - t, g) / weight_b(l - t) for t in rest]) if rest else 1.0
-        ma.append(weight_c(g) / weight_b(l - lam0) * pa)
-        md.append(weight_c(g) / weight_b(lam0 - l) * pd)
-    return complex(ma0), complex(md0), [complex(v) for v in ma], [complex(v) for v in md]
+    lam0s = np.asarray(lam0s, dtype=complex)
+    rows = np.asarray(lam_rows, dtype=complex)
+    _guard_rapidities(lam0s, rows)
+    to_lam0 = rows - lam0s[:, None, None]
+    from_lam0 = lam0s[:, None, None] - rows
+    # others[p, i] holds the rapidities of row p other than l_i
+    others, own = rows[:, _exchange_indices(rows.shape[1])[2]], rows[:, :, None]
+    c = weight_c(gamma)
+    ma = stacked_product(c / weight_b(to_lam0), _ratio_product(others - own, gamma))
+    md = stacked_product(c / weight_b(from_lam0), _ratio_product(own - others, gamma))
+    return _ratio_product(to_lam0, gamma), _ratio_product(from_lam0, gamma), ma, md
 
 
 class OffRelationResiduals(NamedTuple):
@@ -482,7 +530,7 @@ def check_off_relations(lam0: complex, lams, cfg: SpectralConfig) -> OffRelation
     """
     lams = list(lams)
     n = len(lams)
-    ma0, md0, ma, md = exchange_m_factors(lam0, lams, cfg.gamma)
+    ma0, md0, ma, md = (f[0, 0] for f in exchange_m_factors([lam0], [lams], cfg.gamma))
     distinct = list(dict.fromkeys([lam0] + lams))
     ops = dict(zip(distinct, monodromies(distinct, cfg)))
 

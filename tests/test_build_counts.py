@@ -8,16 +8,19 @@ import pytest
 
 import bpl.ybcore
 from bpl.cli import run_suite
-from bpl.config import SpectralConfig
+from bpl.config import SpectralConfig, random_complex
 from bpl.dwbc import extract_zbar
 from bpl.functional import (
+    ChainTable,
     FnSampler,
     check_fz_residual,
     extract_fbar,
-    fbar_b_ops,
+    fbar_chains,
     lambda_bar_coefficients,
+    spectral_grids,
     spectrum,
 )
+from bpl.polyengine import grid_points
 
 ORIGINAL = bpl.ybcore.monodromies
 
@@ -71,12 +74,42 @@ def test_sector_overlap_fits_share_their_operators(builds):
     cfg = SpectralConfig.random_instance(4, 2, seed=2)
     eigs = spectrum(cfg, 2)
     builds.clear()
-    b_ops = fbar_b_ops(cfg, 2)
-    fits = [extract_fbar(FnSampler(cfg, eig, b_ops)) for eig in eigs]
+    chains = fbar_chains(cfg, 2)
+    fits = [extract_fbar(FnSampler(cfg, eig, chains)) for eig in eigs]
     assert len(fits) == 6
     # two 4-node grids plus the two-variable holdout point, for all six fits
     assert len(builds) == len(set(rapidities(builds))) == 4 * 2 + 2
     assert tops(builds) == {2}
+
+
+@pytest.mark.parametrize("L,n", [(4, 2), (3, 3), (5, 1)])
+def test_sector_overlap_fits_compute_each_chain_suffix_once(L, n, monkeypatch):
+    cfg = SpectralConfig.random_instance(L, n, seed=8)
+    eigs = spectrum(cfg, n)
+    computed = []
+    original = ChainTable._b
+
+    def counting(self, lam):
+        computed.append(lam)
+        return original(self, lam)
+
+    monkeypatch.setattr(ChainTable, "_b", counting)
+    # every chain suffix of the grid points and of the held-out point
+    points = [tuple(complex(l) for l in row) for row in grid_points(spectral_grids(L, n))]
+    rng = cfg.rng("fbar-holdout")
+    points.append(tuple(random_complex(rng) for _ in range(n)))
+    suffixes = {lams[k:] for lams in points for k in range(n)}
+    for count in (1, len(eigs)):
+        computed.clear()
+        chains = fbar_chains(cfg, n)
+        fits = [extract_fbar(FnSampler(cfg, eig, chains)) for eig in eigs[:count]]
+        assert len(computed) == len(suffixes)
+    monkeypatch.undo()
+    for eig, fit in zip(eigs, fits):
+        private = extract_fbar(FnSampler(cfg, eig))
+        assert fit.poly.coeffs.tobytes() == private.poly.coeffs.tobytes()
+        assert fit.holdout_residual.hex() == private.holdout_residual.hex()
+        assert fit.grid_condition.hex() == private.grid_condition.hex()
 
 
 def test_lambda_bar_nodes_build_once_up_to_the_sector(builds):

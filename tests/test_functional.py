@@ -7,18 +7,30 @@ from bpl import omega
 from bpl.config import SpectralConfig
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import (
+    ChainTable,
     FnSampler,
     annulus_points,
     check_fz_residual,
     extract_fbar,
     fz_coefficients,
     lambda_bar_coefficients,
+    lbar_x0_nodes,
+    spectral_grids,
     spectrum,
 )
+from bpl.polyengine import grid_points
 from bpl.suites import run_checks
-from bpl.ybcore import r_matrix, sector_indices, transfer, weight_a, weight_b, weight_c
+from bpl.ybcore import (
+    exchange_m_factors,
+    r_matrix,
+    sector_indices,
+    transfer,
+    weight_a,
+    weight_b,
+    weight_c,
+)
 
-from conftest import SWAP, draw_complex
+from conftest import SWAP, draw_complex, scalar_exchange_m_factors, scalar_fz_coefficients
 
 
 def hand_rolled_b(lam, cfg):
@@ -67,23 +79,23 @@ class TestOverlaps:
 class TestCoefficients:
     def test_empty_set_gives_vacuum_eigenvalue(self, cfg3, rng):
         lam0 = draw_complex(rng)
-        j0, ks = fz_coefficients(lam0, [], cfg3)
-        assert ks == []
+        j0, ks = fz_coefficients([lam0], [[]], cfg3)
+        assert j0.shape == (1, 1) and ks.shape == (1, 1, 0)
         pa = np.prod([weight_a(lam0 - m, cfg3.gamma) for m in cfg3.mu])
         pb = np.prod([weight_b(lam0 - m) for m in cfg3.mu])
-        assert abs(j0 - (pa + pb)) < 1e-13 * abs(pa + pb)
+        assert abs(j0[0, 0] - (pa + pb)) < 1e-13 * abs(pa + pb)
 
     def test_pole_guard(self, cfg3):
         lam0 = 0.3 + 0.2j
         with pytest.raises(CoincidentRapiditiesError):
-            fz_coefficients(lam0, [lam0 + 1e-9, 0.8], cfg3)
+            fz_coefficients([lam0], [[lam0 + 1e-9, 0.8]], cfg3)
 
     def test_independent_reassembly(self, cfg3, rng):
         # recompute J0 and the K's from scratch out of a/b/c ratios
         g = cfg3.gamma
         lam0 = draw_complex(rng)
         lams = [draw_complex(rng) for _ in range(2)]
-        j0, ks = fz_coefficients(lam0, lams, cfg3)
+        j0, ks = (c[0, 0] for c in fz_coefficients([lam0], [lams], cfg3))
 
         def ratio_a(u, v):
             return weight_a(u - v, g) / weight_b(u - v)
@@ -102,12 +114,80 @@ class TestCoefficients:
             assert abs(ks[i] - (pal * ma + pbl * md)) < 1e-12 * max(abs(ks[i]), 1)
 
 
+def _bits(values) -> list[tuple[str, str]]:
+    """The exact bits of every complex value, signed zeros included."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in np.ravel(values)]
+
+
+class TestBatchedCoefficients:
+    """The batched exchange and functional-relation coefficients against the
+    one-point forms of ``conftest``, bit for bit."""
+
+    @pytest.mark.parametrize("L,n", [(4, 2), (5, 1), (6, 3), (8, 4)])
+    def test_lbar_batch_equals_one_point_reference(self, L, n):
+        # the whole Lbar batch (x0 nodes x grid points) in one call, read at
+        # up to 60 of its entries
+        cfg = SpectralConfig.random_instance(L, n, seed=70 + L)
+        lam0s, rows = lbar_x0_nodes(cfg), grid_points(spectral_grids(L, n))
+        j0, ks = fz_coefficients(lam0s, rows, cfg)
+        factors = exchange_m_factors(lam0s, rows, cfg.gamma)
+        assert j0.shape == (L + 1, L**n) and ks.shape == (L + 1, L**n, n)
+        assert [f.shape for f in factors] == [j0.shape, j0.shape, ks.shape, ks.shape]
+        picks = np.random.default_rng(L).choice(j0.size, size=min(60, j0.size), replace=False)
+        for a, p in zip(*np.unravel_index(picks, j0.shape)):
+            ref_j0, ref_ks = scalar_fz_coefficients(lam0s[a], list(rows[p]), cfg)
+            assert _bits(j0[a, p]) == _bits(ref_j0)
+            assert _bits(ks[a, p]) == _bits(ref_ks)
+            ref = scalar_exchange_m_factors(lam0s[a], list(rows[p]), cfg.gamma)
+            for got, want in zip(factors, ref):
+                assert _bits(got[a, p]) == _bits(want)
+
+    def test_empty_rapidity_list(self, cfg3, rng):
+        lam0s = draw_complex(rng, (3,))
+        j0, ks = fz_coefficients(lam0s, np.zeros((2, 0)), cfg3)
+        assert j0.shape == (3, 2) and ks.shape == (3, 2, 0)
+        for a, lam0 in enumerate(lam0s):
+            ref_j0, ref_ks = scalar_fz_coefficients(lam0, [], cfg3)
+            assert ref_ks == []
+            assert _bits(j0[a]) == _bits([ref_j0, ref_j0])
+
+    @pytest.mark.parametrize("where", ["rows", "lam0", "rows-ipi", "lam0-ipi", "both"])
+    def test_pole_guard_names_the_pair_a_loop_would(self, cfg3, rng, where):
+        lam0s = draw_complex(rng, (3,))
+        rows = draw_complex(rng, (5, 3))
+        if where in ("rows", "both"):
+            rows[3, 2] = rows[3, 0] + 1e-9
+        if where == "rows-ipi":
+            rows[4, 1] = rows[4, 2] + 1j * np.pi
+        if where in ("lam0", "both"):
+            lam0s[1] = rows[2, 1] - 2e-9
+        if where == "lam0-ipi":
+            lam0s[2] = rows[0, 2] - 1j * np.pi
+        expected = None
+        for lam0 in lam0s:
+            for row in rows:
+                try:
+                    scalar_fz_coefficients(lam0, list(row), cfg3)
+                except CoincidentRapiditiesError as exc:
+                    expected = exc
+                    break
+            if expected is not None:
+                break
+        assert expected is not None
+        for batched in (lambda: fz_coefficients(lam0s, rows, cfg3),
+                        lambda: exchange_m_factors(lam0s, rows, cfg3.gamma)):
+            with pytest.raises(CoincidentRapiditiesError) as info:
+                batched()
+            assert info.value.pair == tuple(expected.pair)
+            assert info.value.separation == expected.separation
+
+
 class TestFunctionalRelation:
     def test_vacuum_case_reduces_to_eigenvalue(self, cfg2, rng):
         eig = spectrum(cfg2, 0)[0]
         sampler = FnSampler(cfg2, eig)
         lam0 = draw_complex(rng)
-        j0, _ = fz_coefficients(lam0, [], cfg2)
+        j0 = fz_coefficients([lam0], [[]], cfg2)[0][0, 0]
         assert abs(eig.eigenvalue_from(transfer(lam0, cfg2)) - j0) < 1e-11 * abs(j0)
         assert check_fz_residual(sampler, [[lam0]]) < 1e-12
 
@@ -133,6 +213,14 @@ class TestPolynomialPart:
             fit = extract_fbar(FnSampler(cfg3, eig))
             assert fit.holdout_residual < 1e-9
             assert fit.grid_condition < 1e6
+
+    def test_fit_rejects_another_sectors_chain_table(self):
+        # at L=4, sectors 1 and 3 have the same dimension, so a mismatched
+        # table would otherwise give a silently wrong fit
+        cfg = SpectralConfig.random_instance(4, 1, seed=3)
+        eig = spectrum(cfg, 1)[0]
+        with pytest.raises(ValueError, match="sector-1 chain table"):
+            extract_fbar(FnSampler(cfg, eig, ChainTable(cfg, 3)))
 
     def test_degree_bound_certified(self, cfg3, rng):
         # refit with one extra node per axis: the extra coefficients vanish,
@@ -175,21 +263,22 @@ class TestSamplingGeometry:
         lbar_points = []
         action = omega.lbar_action
 
-        def recording_action(cfg_, lam0, lam_points, evaluate):
+        def recording_action(cfg_, lam0s, lam_points, evaluate):
             lbar_points.append(np.asarray(lam_points))
-            return action(cfg_, lam0, lam_points, evaluate)
+            return action(cfg_, lam0s, lam_points, evaluate)
 
         monkeypatch.setattr(omega, "lbar_action", recording_action)
         omega.build_lbar(cfg)
 
         fit_points = []
 
-        class RecordingSampler(FnSampler):
-            def value(self, lams):
-                fit_points.append(list(lams))
-                return super().value(lams)
+        class RecordingChains(ChainTable):
+            def chain(self, lams):
+                if len(lams) == n:
+                    fit_points.append(list(lams))
+                return super().chain(lams)
 
-        extract_fbar(RecordingSampler(cfg, spectrum(cfg, n)[0]))
+        extract_fbar(FnSampler(cfg, spectrum(cfg, n)[0], RecordingChains(cfg, n)))
         # the last sample of each is its held-out point
         assert np.array_equal(np.array(fit_points[:-1]), lbar_points[0])
 

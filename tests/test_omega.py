@@ -23,7 +23,7 @@ from bpl.polyengine import MultiPoly, derivative_tensor, grid_points, tensor_int
 from bpl.suites import Artifacts
 from bpl.ybcore import transfer
 
-from conftest import draw_complex
+from conftest import draw_complex, scalar_fz_coefficients
 
 
 # -- the former column-by-column assembly, kept as the reference ----------------
@@ -61,7 +61,7 @@ def reference_lbar(cfg):
     kbar = np.zeros((L + 1, len(lam_tuples), n), dtype=complex)
     for a0, lam0 in enumerate(lam0_nodes):
         for t, lams in enumerate(lam_tuples):
-            j0, ks = fz_coefficients(lam0, lams, cfg)
+            j0, ks = scalar_fz_coefficients(lam0, lams, cfg)
             jbar[a0, t] = j0 * np.exp(L * lam0)
             for i in range(n):
                 kbar[a0, t, i] = ks[i] * np.exp(lam0) * np.exp((L - 1) * lams[i])
@@ -181,18 +181,20 @@ class TestLbar:
                 abs(lam_bar) * np.max(np.abs(vec)), 1e-30
             )
 
-    def test_shared_vacuum_products_are_bit_identical(self, rng):
-        # lbar_action computes the vacuum products once per distinct
-        # rapidity; the action equals the one built from per-call
-        # fz_coefficients exactly
+    def test_action_equals_one_point_coefficients_bit_for_bit(self, rng):
+        # lbar_action takes every x0 node's coefficients from one batched
+        # call; the action equals the one built from one-point coefficients
+        # exactly
         cfg = SpectralConfig.random_instance(4, 2, seed=41)
         L = cfg.L
         lam_grids, lam0_nodes = spectral_grids(L, cfg.n), lbar_x0_nodes(cfg)
         points = _grid_tuples(lam_grids)
         xs = np.exp(2 * points)
         p = MultiPoly(draw_complex(rng, (L, L)))
-        for lam0 in lam0_nodes[:2]:
-            coeffs = [fz_coefficients(lam0, lams, cfg) for lams in points]
+        action = lbar_action(cfg, lam0_nodes, points, p.eval_many)
+        assert action.shape == (L + 1, len(points))
+        for lam0, got in zip(lam0_nodes, action):
+            coeffs = [scalar_fz_coefficients(lam0, lams, cfg) for lams in points]
             jbar = np.array([j0 for j0, _ in coeffs]) * np.exp(L * lam0)
             kbar = np.array([ks for _, ks in coeffs]) * np.exp(lam0) * np.exp((L - 1) * points)
             ref = jbar * p.eval_many(xs)
@@ -200,7 +202,7 @@ class TestLbar:
                 subbed = xs.copy()
                 subbed[:, i] = np.exp(2 * lam0)
                 ref = ref - kbar[:, i] * p.eval_many(subbed)
-            assert np.array_equal(lbar_action(cfg, lam0, points, p.eval_many), ref)
+            assert got.tobytes() == ref.tobytes()
 
     def test_degree_bound_in_x0(self):
         # sampling at two extra x0 nodes: coefficients above degree L vanish
@@ -209,7 +211,7 @@ class TestLbar:
         lam0s = circle_grid(L + 3, slot=0, nslots=2)
         lams = circle_grid(L, slot=1, nslots=2)
         p = MultiPoly(np.array([0.3 - 0.2j, 1.1 + 0.4j], dtype=complex))
-        vals = np.array([lbar_action(cfg, lam0, lams[:, None], p.eval_many) for lam0 in lam0s])
+        vals = lbar_action(cfg, lam0s, lams[:, None], p.eval_many)
         coeffs = tensor_interpolate(vals, [np.exp(2 * lam0s), np.exp(2 * lams)])
         scale = np.max(np.abs(coeffs))
         assert np.max(np.abs(coeffs[L + 1 :])) < 1e-9 * scale
@@ -221,10 +223,10 @@ class TestLbar:
         L, n = cfg.L, cfg.n
         probe = MultiPoly(coeffs)
         lam_grids, lam0 = spectral_grids(L, n), lbar_x0_nodes(cfg)[0]
-        vals = lbar_action(cfg, lam0, grid_points(lam_grids), probe.eval_many)
+        vals = lbar_action(cfg, [lam0], grid_points(lam_grids), probe.eval_many)[0]
         rng = cfg.rng("monomial-holdout")
         held = np.array([[random_complex(rng) for _ in range(n)]])
-        direct = lbar_action(cfg, lam0, held, probe.eval_many)[0]
+        direct = lbar_action(cfg, [lam0], held, probe.eval_many)[0, 0]
         x_grids = [np.exp(2 * g) for g in lam_grids]
         fit = fit_grid(vals.reshape((L,) * n), x_grids, np.exp(2 * held[0]), direct)
         return fit.holdout_residual
@@ -250,7 +252,7 @@ class TestLbar:
         # with no variables the relation collapses to its J-part
         eig = spectrum(cfg2, 0)[0]
         lam0 = draw_complex(rng)
-        j0, _ = fz_coefficients(lam0, [], cfg2)
+        j0 = fz_coefficients([lam0], [[]], cfg2)[0][0, 0]
         jbar = j0 * np.exp(cfg2.L * lam0)
         lam_bar = eig.eigenvalue_from(transfer(lam0, cfg2)) * np.exp(cfg2.L * lam0)
         assert abs(jbar - lam_bar) < 1e-11 * abs(lam_bar)

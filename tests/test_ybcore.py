@@ -12,7 +12,6 @@ from bpl.errors import CapacityError, CoincidentRapiditiesError, DegeneracyError
 from bpl.ybcore import (
     check_off_relations,
     check_rtt,
-    exchange_m_factors,
     check_ybe,
     monodromies,
     monodromy,
@@ -25,7 +24,7 @@ from bpl.ybcore import (
     weight_c,
 )
 
-from conftest import SWAP, dense_operator, draw_complex
+from conftest import SWAP, dense_operator, draw_complex, scalar_exchange_m_factors
 
 #: down-spin count change of A, B, C and D
 SHIFTS = (0, 1, -1, 0)
@@ -53,7 +52,7 @@ def two_pass_off_relations(lam0, lams, cfg):
     assembled from the blocks, each line building its own B-products, every
     product starting from the identity."""
     lams = list(lams)
-    ma0, md0, ma, md = exchange_m_factors(lam0, lams, cfg.gamma)
+    ma0, md0, ma, md = scalar_exchange_m_factors(lam0, lams, cfg.gamma)
     ops = {lam0: monodromy(lam0, cfg)}
     for l in lams:
         ops.setdefault(l, monodromy(l, cfg))
