@@ -1,0 +1,301 @@
+"""The sector-block monodromy: its layout and the compiled recursion that
+builds it.
+
+The quantum space and the monodromy M(lambda) = [[A, B], [C, D]] are as in
+``ybcore``.  A and D preserve the down-spin count, B raises it by one and C
+lowers it by one, so each is held as its S^z blocks only, a tuple indexed by
+the source sector k = 0..L:
+
+* ``a[k]`` and ``d[k]`` map sector k to itself, C(L,k) x C(L,k);
+* ``b[k]`` maps sector k to k+1 and ``c[k]`` maps sector k to k-1, so
+  ``b[L]`` and ``c[0]`` have no rows.
+
+Rows and columns follow ``sector_indices`` (ascending basis index), so
+``a[k]`` is the dense A at ``np.ix_(idx_k, idx_k)`` and ``b[k]`` the dense B
+at ``np.ix_(idx_{k+1}, idx_k)``; every dense entry outside these blocks is
+zero.  Products and residuals therefore run block by block and never touch
+the zeros.
+
+Appending a site makes each new dense block a sum of two Kronecker products
+of an old block with a 2x2 site block of P R, e.g. A' = A (x) A_j + B (x) C_j,
+whose (i s, j t) entry, with i, j the old quantum indices and s, t the new
+site's, is A[i, j] A_j[s, t] + B[i, j] C_j[s, t].  The site blocks are
+diagonal (A_j, D_j) or hold a single entry (B_j, C_j), so for every (s, t)
+at most one of the two terms is non-zero: each new block has three non-zero
+(s, t) slices, each one old block times one Boltzmann weight.  New sector k
+splits into old sector k (new spin up, s = 0) and old sector k-1 (new spin
+down, s = 1), so each non-zero slice of a new sector block is a single old
+sector block times one weight, written into a sub-block of a zeroed array.
+During the build the states of sector k stay in that split order (old
+sector k, then old sector k-1); one permutation per sector at the end puts
+them in ascending order.  Every entry is thus the same single product as in
+the Kronecker form, whose second term only adds an exact zero, so each block
+equals the matching slice of the Kronecker form exactly
+(``tests/test_ybcore.py`` keeps that form as the reference).
+
+Which old entry feeds which new entry depends on L alone, so
+``build_plan`` compiles the recursion once per L and cap into flat index
+arrays.  Each weight reads one contiguous range of the old buffer, so a
+build appends a site by multiplying each range by its weight into one
+product table, then fills the new buffer with one gather from that table
+through the compiled index, instead of one small array operation per block.
+
+Two things keep a build to what its caller reads:
+
+* **A cap.**  New sector k reads old sectors k and k-1 only, so the blocks
+  whose source and target sectors are <= ``top`` are closed under the
+  recursion: A'[k] reads A[k], A[k-1] and B[k-1], B'[k] reads A[k], B[k] and
+  B[k-1], C'[k] reads C[k], C[k-1] and D[k-1], and D'[k] reads C[k], D[k]
+  and D[k-1].  A build capped at ``top`` computes those blocks and nothing
+  else, on every partial lattice.  Each operator then holds top + 1 blocks;
+  ``b[top]``, whose target lies past the cap, has no rows, and indexing
+  past ``top`` raises ``IndexError`` rather than returning zeros.  F_n and
+  Lambda(lambda_0) in sector n read only the B blocks into sectors 1..n
+  and T's sector-n block, so the spectral layer builds with ``top = n``;
+  ``top = L`` is the full build.
+* **A batch.**  ``build_batch`` builds many rapidities in one pass of the
+  plan, every buffer of shape (batch, entries): one row per rapidity, so
+  each block of each rapidity is a contiguous slice of its row.
+  ``ybcore.monodromies`` bounds its batches by ``BATCH_ENTRIES``.
+
+Neither changes any arithmetic: every entry is still the one product of an
+old entry and a weight, through the same multiplication of an entry array
+by one broadcast weight per rapidity, and the cap only drops blocks no kept
+block reads.  So each block of a capped or batched build equals the
+full single build's block bit for bit (``tests/test_ybcore.py`` asserts it
+at every cap for L = 1..6, and against a gather, multiply and scatter build
+up to L = 10).
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from math import comb
+from typing import NamedTuple
+
+import numpy as np
+
+
+@cache
+def sector_indices(L: int, sector: int) -> np.ndarray:
+    """Basis indices of the fixed down-spin-count sector, ascending
+    (read-only, built once per (L, sector))."""
+    out = np.array([i for i in range(2**L) if bin(i).count("1") == sector], dtype=int)
+    out.setflags(write=False)
+    return out
+
+
+class MonodromyEntries(NamedTuple):
+    """Auxiliary-space blocks of the monodromy matrix at one rapidity, each
+    a tuple of S^z blocks indexed by source sector (see the module
+    docstring)."""
+
+    a: tuple[np.ndarray, ...]
+    b: tuple[np.ndarray, ...]
+    c: tuple[np.ndarray, ...]
+    d: tuple[np.ndarray, ...]
+
+    def transfer(self) -> tuple[np.ndarray, ...]:
+        """Sector blocks of T = A + D."""
+        return tuple(a + d for a, d in zip(self.a, self.d))
+
+
+#: down-spin count change of A, B, C and D
+_SHIFTS = (0, 1, -1, 0)
+
+#: non-zero (s, t) slices of A' = A (x) A_j + B (x) C_j,
+#: B' = A (x) B_j + B (x) D_j, C' = C (x) A_j + D (x) C_j and
+#: D' = C (x) B_j + D (x) D_j, as (s, t, old block, weight): the old block
+#: is 0..3 for A..D, the weight a, b or c of the new site
+_SITE_TERMS = (
+    ((0, 0, 0, "a"), (0, 1, 1, "c"), (1, 1, 0, "b")),
+    ((0, 0, 1, "b"), (1, 0, 0, "c"), (1, 1, 1, "a")),
+    ((0, 0, 2, "a"), (0, 1, 3, "c"), (1, 1, 2, "b")),
+    ((0, 0, 3, "b"), (1, 0, 2, "c"), (1, 1, 3, "a")),
+)
+
+
+@cache
+def _ascending_orders(L: int) -> tuple[np.ndarray, ...]:
+    """Per sector of L sites, the permutation from build order (module
+    docstring) to ascending basis index."""
+    states = [np.zeros(1, dtype=int)]
+    for sites in range(L):
+        part = lambda k: states[k] if 0 <= k <= sites else np.zeros(0, dtype=int)
+        states = [np.concatenate([2 * part(k), 2 * part(k - 1) + 1]) for k in range(sites + 2)]
+    position = np.empty(2**L, dtype=int)
+    for s in states:
+        position[s] = np.arange(len(s))
+    return tuple(position[sector_indices(L, k)] for k in range(L + 1))
+
+
+class _Write(NamedTuple):
+    """One buffer filled from the buffer before it.  Weight w (a, b, c)
+    reads the contiguous source range ``spans[w]``; the product table
+
+        [old[spans[0]] * a | old[spans[1]] * b | old[spans[2]] * c | 0]
+
+    holds every entry the write needs, and new = table[source]: ``source``
+    holds the table position of each new entry.  Entries no weight writes
+    point at the final zero."""
+
+    source: np.ndarray
+    spans: tuple[tuple[int, int], ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.source)
+
+
+def _compile_write(blocks, size: int) -> _Write:
+    """The ``_Write`` filling ``size`` entries.  ``blocks`` holds each new
+    block as (span, shape, reads, order): each read is a (row slice, column
+    slice, weight, old span) whose old block fills that slice, row-major,
+    and ``order``, if not None, the (row, column) permutations from build to
+    ascending order.  Each entry is written by at most one weight (module
+    docstring); the rest read the table's final zero."""
+    spans = []
+    for w in range(3):
+        olds = [old for *_, reads, _ in blocks for *_, weight, old in reads if weight == w]
+        spans.append((min(o.start for o in olds), max(o.stop for o in olds)) if olds else (0, 0))
+    offsets = np.cumsum([0] + [hi - lo for lo, hi in spans])
+    source = np.empty(size, dtype=np.int32)
+    for span, shape, reads, order in blocks:
+        built = np.full(shape, offsets[-1], dtype=np.int32)
+        for rows, cols, w, old in reads:
+            view = built[rows, cols]
+            first = offsets[w] + old.start - spans[w][0]
+            view[...] = np.arange(first, first + view.size, dtype=np.int32).reshape(view.shape)
+        source[span] = (built if order is None else built[np.ix_(*order)]).ravel()
+    return _Write(source, tuple(spans))
+
+
+class _Plan(NamedTuple):
+    """A compiled build: per site the ``_Write``s that append it, per
+    operator the (slice, shape) of each sector block in its final buffer,
+    and the most entries one rapidity holds in the buffers of one step."""
+
+    steps: tuple[tuple[_Write, ...], ...]
+    layout: tuple[tuple[tuple[slice, tuple[int, int]], ...], ...]
+    entries: int
+
+
+@cache
+def build_plan(L: int, top: int) -> _Plan:
+    """The sector-block recursion on L sites, capped at sector ``top`` and
+    compiled to one index array per write.
+
+    Every block lives in a flat buffer.  Appending site j is a tuple of
+    ``_Write``s from the buffer on j sites.  Before the last site one write
+    fills one buffer with every block in build order; the last site writes
+    one buffer per operator with each block in ascending order, the sorting
+    permutation folded into the index.  The buffer on zero sites is [1, 1]:
+    A = D = 1 on sector 0, B and C empty.
+
+    Only blocks whose source and target sectors are <= top are kept, on
+    every partial lattice; the recursion never reads any other (module
+    docstring).  So each operator has top + 1 blocks, and ``b[top]``, whose
+    target lies past the cap, has no rows.  ``top = L`` keeps every block.
+
+    Plans are cached per (L, top) for the process; the full one for L = 12,
+    the default capacity cap, holds 56 MB of int32 indices, one per entry
+    of every buffer, and one capped at a low sector a small fraction of
+    that.
+    """
+    orders = _ascending_orders(L)
+    # per operator, the (span, shape) of each block of the buffer on zero sites
+    old = [[(slice(0, 1), (1, 1))], [(slice(0, 0), (0, 1))], [(slice(0, 0), (0, 1))],
+           [(slice(1, 2), (1, 1))]]
+    steps, entries = [], 0
+    for sites in range(L):
+        last = sites == L - 1
+        dim = lambda k: comb(sites, k) if k >= 0 else 0
+        new, writes, layout, blocks, start = [], [], [], [], 0
+        for shift, terms in zip(_SHIFTS, _SITE_TERMS):
+            op_blocks = []
+            for k in range(min(sites + 1, top) + 1):
+                rows = (dim(k + shift), dim(k + shift - 1)) if k + shift <= top else (0, 0)
+                cols = (dim(k), dim(k - 1))
+                shape = (sum(rows), sum(cols))
+                span = slice(start, start + shape[0] * shape[1])
+                start = span.stop
+                reads = [
+                    (slice(rows[0] * s, rows[0] + rows[1] * s),
+                     slice(cols[0] * t, cols[0] + cols[1] * t),
+                     "abc".index(name), old[old_op][k - t][0])
+                    for s, t, old_op, name in terms if rows[s] * cols[t]
+                ]
+                if span.stop > span.start:
+                    order = (orders[k + shift], orders[k]) if last else None
+                    blocks.append((span, shape, reads, order))
+                op_blocks.append((span, shape))
+            new.append(op_blocks)
+            if last:
+                writes.append(_compile_write(blocks, start))
+                layout.append(tuple(op_blocks))
+                blocks, start = [], 0
+        if not last:
+            writes.append(_compile_write(blocks, start))
+        steps.append(tuple(writes))
+        entries = max(entries, sum(write.size for write in writes))
+        old = new
+    return _Plan(tuple(steps), tuple(layout), entries)
+
+
+#: Entries (rapidities times a plan step's entries per rapidity) one batched
+#: build holds in a buffer, and entries one ``np.take`` fills, which bounds
+#: the intp copy numpy makes of that slice of the int32 index.  A batch
+#: shares a build's fixed cost; with one table and one take per write its
+#: entries cost about as much as one rapidity's, so larger batches win until
+#: the buffers leave the cache.  Per rapidity, against 2**14: 1,290 entries
+#: (L=7 capped at 2) took 0.050 ms against 0.058, 12,870 (full L=7) 0.29
+#: against 0.38, 314 (L=12 capped at 1) 0.034 against 0.040; 2**16 saved
+#: under 0.01 ms more on each and nothing end to end (2-vCPU x86_64 VM).
+#: Full builds from L = 8 on go one at a time.
+BATCH_ENTRIES = 2**15
+
+
+def _apply_write(old: np.ndarray, write: _Write, weights) -> np.ndarray:
+    """The buffer ``write`` fills from ``old`` (shape (batch, entries)):
+    one product table, then one take per bounded chunk of the index."""
+    batch = len(old)
+    table = np.empty((batch, sum(hi - lo for lo, hi in write.spans) + 1), dtype=complex)
+    offset = 0
+    for (lo, hi), w in zip(write.spans, weights):
+        # each weight is a scalar or one per row, broadcast, so every batch
+        # runs the same vectorised product as a batch of one
+        np.multiply(old[:, lo:hi], w, out=table[:, offset : offset + hi - lo])
+        offset += hi - lo
+    table[:, offset] = 0
+    new = np.empty((batch, write.size), dtype=complex)
+    # ``ybcore.monodromies`` sizes batches so one chunk spans a write and
+    # ``out`` is contiguous; "clip" fills it in place where the default
+    # "raise" would buffer it, and every compiled index lies inside the
+    # table, so nothing is clipped
+    chunk = max(1, BATCH_ENTRIES // batch)
+    for start in range(0, write.size, chunk):
+        stop = start + chunk
+        np.take(table, write.source[start:stop], axis=1, out=new[:, start:stop], mode="clip")
+    return new
+
+
+def build_batch(wa: np.ndarray, wb: np.ndarray, c: complex, plan: _Plan) -> list[MonodromyEntries]:
+    """One monodromy per row of ``wa`` and ``wb``, the weights a and b of
+    each site (shape (batch, L)) for a batch of rapidities, with c the
+    weight shared by every site, through buffers of shape (batch, entries)."""
+    flat = np.ones((len(wa), 2), dtype=complex)
+    for j, writes in enumerate(plan.steps):
+        weights = (wa[:, j, None], wb[:, j, None], c)
+        bufs = [_apply_write(flat, write, weights) for write in writes]
+        flat = bufs[0]
+    for buf in bufs:
+        if not np.isfinite(buf).all():
+            raise ValueError("monodromy entries must be finite")
+        buf.setflags(write=False)
+    return [
+        MonodromyEntries(*(
+            tuple(buf[i, span].reshape(shape) for span, shape in offsets)
+            for buf, offsets in zip(bufs, plan.layout)
+        ))
+        for i in range(len(wa))
+    ]

@@ -159,12 +159,8 @@ class Artifacts:
 
 def suite_verify_ybe(art: Artifacts) -> list[CheckRecord]:
     cfg, rec = art.cfg, _Recorder()
-    rng = cfg.rng("ybe")
-    worst = 0.0
-    for _ in range(100):
-        x, y, g = (random_complex(rng) for _ in range(3))
-        worst = max(worst, ybcore.check_ybe(x, y, g))
-    rec.add("ybe-random-draws", worst, 1e-11, draws=100)
+    x, y, g = np.array(list(_draws(cfg, "ybe", 100, width=3))).T
+    rec.add("ybe-random-draws", ybcore.check_ybe(x, y, g), 1e-11, draws=100)
     rec.add("ybe-at-origin", ybcore.check_ybe(0.0, 0.0, cfg.gamma), 1e-14)
     return rec.records
 

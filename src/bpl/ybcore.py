@@ -10,65 +10,10 @@ per site, held as a 2x2 block matrix over the auxiliary space,
     M(lambda) = [[A, B], [C, D]];
 
 A and D preserve the down-spin count, B raises it by one and C lowers it by
-one, so each is held as its S^z blocks only, a tuple indexed by the source
-sector k = 0..L:
-
-* ``a[k]`` and ``d[k]`` map sector k to itself, C(L,k) x C(L,k);
-* ``b[k]`` maps sector k to k+1 and ``c[k]`` maps sector k to k-1, so
-  ``b[L]`` and ``c[0]`` have no rows.
-
-Rows and columns follow ``sector_indices`` (ascending basis index), so
-``a[k]`` is the dense A at ``np.ix_(idx_k, idx_k)`` and ``b[k]`` the dense B
-at ``np.ix_(idx_{k+1}, idx_k)``; every dense entry outside these blocks is
-zero.  Products and residuals therefore run block by block and never touch
-the zeros.
-
-Appending a site makes each new dense block a sum of two Kronecker products
-of an old block with a 2x2 site block of P R, e.g. A' = A (x) A_j + B (x) C_j,
-whose (i s, j t) entry, with i, j the old quantum indices and s, t the new
-site's, is A[i, j] A_j[s, t] + B[i, j] C_j[s, t].  The site blocks are
-diagonal (A_j, D_j) or hold a single entry (B_j, C_j), so for every (s, t)
-at most one of the two terms is non-zero: each new block has three non-zero
-(s, t) slices, each one old block times one Boltzmann weight.  New sector k
-splits into old sector k (new spin up, s = 0) and old sector k-1 (new spin
-down, s = 1), so each non-zero slice of a new sector block is a single old
-sector block times one weight, written into a sub-block of a zeroed array.
-During the build the states of sector k stay in that split order (old
-sector k, then old sector k-1); one permutation per sector at the end puts
-them in ascending order.  Every entry is thus the same single product as in
-the Kronecker form, whose second term only adds an exact zero, so each block
-equals the matching slice of the Kronecker form exactly
-(``tests/test_ybcore.py`` keeps that form as the reference).
-
-Which old entry feeds which new entry depends on L alone, so
-``_build_plan`` compiles the recursion once per L and cap into flat index
-arrays, and a build appends each site with one gather, multiply and scatter
-per weight instead of one small array operation per block.
-
-Two things keep a build to what its caller reads:
-
-* **A cap.**  New sector k reads old sectors k and k-1 only, so the blocks
-  whose source and target sectors are <= ``top`` are closed under the
-  recursion: A'[k] reads A[k], A[k-1] and B[k-1], B'[k] reads A[k], B[k] and
-  B[k-1], C'[k] reads C[k], C[k-1] and D[k-1], and D'[k] reads C[k], D[k]
-  and D[k-1].  A build capped at ``top`` computes those blocks and nothing
-  else, on every partial lattice.  Each operator then holds top + 1 blocks;
-  ``b[top]``, whose target lies past the cap, has no rows, and indexing
-  past ``top`` raises ``IndexError`` rather than returning zeros.  F_n and
-  Lambda(lambda_0) in sector n read only the B blocks into sectors 1..n
-  and T's sector-n block, so the spectral layer builds with ``top = n``;
-  ``top = L`` is the full build.
-* **A batch.**  ``monodromies`` builds many rapidities in one pass of the
-  plan, every buffer of shape (batch, entries): one row per rapidity, so
-  each block of each rapidity is a contiguous slice of its row.  Batches
-  are bounded by ``BATCH_ENTRIES``.
-
-Neither changes any arithmetic: every entry is still the one product of an
-old entry and a weight, through the same multiplication of an entry array
-by one weight per rapidity, and the cap only drops blocks no kept block
-reads.  So each block of a capped or batched build equals the full single
-build's block bit for bit (``tests/test_ybcore.py`` asserts it at every
-cap for L = 1..6).
+one, so each is held as its S^z blocks only (``MonodromyEntries``);
+``blockbuild`` documents that layout and the compiled recursion that builds
+it, and ``monodromies`` here checks the arguments and batches the
+rapidities.
 """
 
 from __future__ import annotations
@@ -80,6 +25,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import blockbuild
+from .blockbuild import _SHIFTS, MonodromyEntries, sector_indices
 from .config import SINGULARITY_GUARD, SpectralConfig
 from .errors import CoincidentRapiditiesError, DegeneracyError
 
@@ -117,237 +64,60 @@ def _require_finite(*vals):
 
 # -- S^z sectors ------------------------------------------------------------------
 
-@cache
-def sector_indices(L: int, sector: int) -> np.ndarray:
-    """Basis indices of the fixed down-spin-count sector, ascending
-    (read-only, built once per (L, sector))."""
-    out = np.array([i for i in range(2**L) if bin(i).count("1") == sector], dtype=int)
-    out.setflags(write=False)
-    return out
-
-
 def max_abs(blocks) -> float:
     """Largest entry modulus over a sequence of blocks: the max-norm of the
     operator they make up."""
     return max((float(np.max(np.abs(b))) for b in blocks if b.size), default=0.0)
 
 
-def _dense(blocks, shift: int) -> np.ndarray:
-    """The 2^L x 2^L operator whose sector blocks (source sector k to
-    k + shift) are ``blocks``."""
-    L = len(blocks) - 1
-    idx = [sector_indices(L, k) for k in range(L + 1)]
-    out = np.zeros((2**L, 2**L), dtype=complex)
-    for k, blk in enumerate(blocks):
-        if blk.size:
-            out[np.ix_(idx[k + shift], idx[k])] = blk
-    return out
-
-
 # -- operators ----------------------------------------------------------------
 
-class MonodromyEntries(NamedTuple):
-    """Auxiliary-space blocks of the monodromy matrix at one rapidity, each
-    a tuple of S^z blocks indexed by source sector (see the module
-    docstring)."""
-
-    a: tuple[np.ndarray, ...]
-    b: tuple[np.ndarray, ...]
-    c: tuple[np.ndarray, ...]
-    d: tuple[np.ndarray, ...]
-
-    def transfer(self) -> tuple[np.ndarray, ...]:
-        """Sector blocks of T = A + D."""
-        return tuple(a + d for a, d in zip(self.a, self.d))
-
-
-#: down-spin count change of A, B, C and D
-_SHIFTS = (0, 1, -1, 0)
-
-#: non-zero (s, t) slices of A' = A (x) A_j + B (x) C_j,
-#: B' = A (x) B_j + B (x) D_j, C' = C (x) A_j + D (x) C_j and
-#: D' = C (x) B_j + D (x) D_j, as (s, t, old block, weight): the old block
-#: is 0..3 for A..D, the weight a, b or c of the new site
-_SITE_TERMS = (
-    ((0, 0, 0, "a"), (0, 1, 1, "c"), (1, 1, 0, "b")),
-    ((0, 0, 1, "b"), (1, 0, 0, "c"), (1, 1, 1, "a")),
-    ((0, 0, 2, "a"), (0, 1, 3, "c"), (1, 1, 2, "b")),
-    ((0, 0, 3, "b"), (1, 0, 2, "c"), (1, 1, 3, "a")),
-)
-
-
-def r_matrix(x: complex, gamma: complex) -> np.ndarray:
-    """Trigonometric six-vertex R-matrix on C^2 (x) C^2.
+def r_matrix(x, gamma) -> np.ndarray:
+    """Trigonometric six-vertex R-matrix on C^2 (x) C^2; for arrays of
+    arguments, one per broadcast entry, stacked on the leading axes.
 
     Corner entries carry a(x) = sinh(x + gamma); the middle block has
     c = sinh(gamma) on its diagonal and b(x) = sinh(x) off it.  (This places
     c on the middle-block diagonal, the transpose of the more common layout;
     all identities checked in this package are self-consistent with it.)
     """
+    x, gamma = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(gamma, dtype=complex))
     _require_finite(x, gamma)
-    a, b, c = weight_a(x, gamma), weight_b(x), weight_c(gamma)
-    return np.array(
-        [
-            [a, 0, 0, 0],
-            [0, c, b, 0],
-            [0, b, c, 0],
-            [0, 0, 0, a],
-        ],
-        dtype=complex,
-    )
+    out = np.zeros(x.shape + (4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = weight_a(x, gamma)
+    out[..., 1, 1] = out[..., 2, 2] = weight_c(gamma)
+    out[..., 1, 2] = out[..., 2, 1] = weight_b(x)
+    return out
 
 
-def check_ybe(x: complex, y: complex, gamma: complex) -> float:
-    """Max-norm residual of the Yang-Baxter equation on C^2 (x) C^2 (x) C^2.
+#: Draws per stacked product in ``check_ybe``.  All 100 of the suite's draws
+#: at once make (100, 8, 8) temporaries of 100 KB each, which grew the heap
+#: and raised all_L4n2's peak RSS by 0.15-0.25 MB; in passes of 20 it
+#: matched the parent's (150 passes in one process, 2-vCPU x86_64 VM).
+_YBE_DRAWS = 20
+
+
+def check_ybe(x, y, gamma) -> float:
+    """Max-norm residual of the Yang-Baxter equation on C^2 (x) C^2 (x) C^2,
+    the largest over the broadcast draws of ``x``, ``y`` and ``gamma``.
 
     Compares [R(x) (x) 1][1 (x) R(x+y)][R(y) (x) 1] against
-    [1 (x) R(y)][R(x+y) (x) 1][1 (x) R(x)].
+    [1 (x) R(y)][R(x+y) (x) 1][1 (x) R(x)], ``_YBE_DRAWS`` draws per
+    stacked product.  ``np.kron`` of a stack with the 2x2 identity forms
+    each draw's factor, and each draw's products are the 8x8 matrix
+    products of its own factors, so the result equals the largest one-draw
+    residual exactly.
     """
+    x, y, gamma = (np.ravel(v).astype(complex) for v in np.broadcast_arrays(x, y, gamma))
     eye = np.eye(2)
-    r = lambda z: r_matrix(z, gamma)
-    lhs = np.kron(r(x), eye) @ np.kron(eye, r(x + y)) @ np.kron(r(y), eye)
-    rhs = np.kron(eye, r(y)) @ np.kron(r(x + y), eye) @ np.kron(eye, r(x))
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-@cache
-def _ascending_orders(L: int) -> tuple[np.ndarray, ...]:
-    """Per sector of L sites, the permutation from build order (module
-    docstring) to ascending basis index."""
-    states = [np.zeros(1, dtype=int)]
-    for sites in range(L):
-        part = lambda k: states[k] if 0 <= k <= sites else np.zeros(0, dtype=int)
-        states = [np.concatenate([2 * part(k), 2 * part(k - 1) + 1]) for k in range(sites + 2)]
-    position = np.empty(2**L, dtype=int)
-    for s in states:
-        position[s] = np.arange(len(s))
-    return tuple(position[sector_indices(L, k)] for k in range(L + 1))
-
-
-class _Write(NamedTuple):
-    """One zeroed buffer of ``size`` entries filled as
-    new[dst[w]] = old[src[w]] * (a, b, c)[w] for each weight w."""
-
-    src: tuple[np.ndarray, np.ndarray, np.ndarray]
-    dst: tuple[np.ndarray, np.ndarray, np.ndarray]
-    size: int
-
-
-def _flat_write(src, dst, size: int) -> _Write:
-    """A ``_Write`` from per-weight lists of source and destination index
-    blocks."""
-    cat = lambda parts: tuple(np.concatenate([np.zeros(0, dtype=np.int32), *p]).astype(np.int32) for p in parts)
-    return _Write(cat(src), cat(dst), size)
-
-
-class _Plan(NamedTuple):
-    """A compiled build: per site the ``_Write``s that append it, per
-    operator the (slice, shape) of each sector block in its final buffer,
-    and the most entries one rapidity holds in the buffers of one step."""
-
-    steps: tuple[tuple[_Write, ...], ...]
-    layout: tuple[tuple[tuple[slice, tuple[int, int]], ...], ...]
-    entries: int
-
-
-@cache
-def _build_plan(L: int, top: int) -> _Plan:
-    """The sector-block recursion on L sites, capped at sector ``top`` and
-    compiled to flat index arrays.
-
-    Every block lives in a flat buffer.  Appending site j is a tuple of
-    ``_Write``s from the buffer on j sites.  Before the last site one write
-    fills one buffer with every block in build order; the last site writes
-    one buffer per operator with each block in ascending order, the sorting
-    permutation folded into ``dst``.  The buffer on zero sites is [1, 1]:
-    A = D = 1 on sector 0, B and C empty.
-
-    Only blocks whose source and target sectors are <= top are kept, on
-    every partial lattice; the recursion never reads any other (module
-    docstring).  So each operator has top + 1 blocks, and ``b[top]``, whose
-    target lies past the cap, has no rows.  ``top = L`` keeps every block.
-
-    Plans are cached per (L, top) for the process; the full one for L = 12,
-    the default capacity cap, holds 84 MB of int32 indices, and one capped
-    at a low sector a small fraction of that.
-    """
-    orders = _ascending_orders(L)
-    empty = np.zeros((0, 1), dtype=np.int32)
-    old = [[np.array([[0]], dtype=np.int32)], [empty], [empty], [np.array([[1]], dtype=np.int32)]]
-    steps, entries = [], 0
-    for sites in range(L):
-        last = sites == L - 1
-        dim = lambda k: comb(sites, k) if k >= 0 else 0
-        new, writes, layout, start = [], [], [], 0
-        src, dst = ([], [], []), ([], [], [])
-        for shift, terms in zip(_SHIFTS, _SITE_TERMS):
-            blocks, offsets = [], []
-            for k in range(min(sites + 1, top) + 1):
-                rows = (dim(k + shift), dim(k + shift - 1)) if k + shift <= top else (0, 0)
-                cols = (dim(k), dim(k - 1))
-                pos = np.arange(start, start + sum(rows) * sum(cols)).reshape(sum(rows), sum(cols))
-                offsets.append((slice(start, start + pos.size), pos.shape))
-                start += pos.size
-                if last and pos.size:
-                    pos_built = np.empty_like(pos)
-                    pos_built[np.ix_(orders[k + shift], orders[k])] = pos
-                    pos = pos_built
-                for s, t, old_op, name in terms:
-                    view = pos[rows[0] * s : rows[0] + rows[1] * s, cols[0] * t : cols[0] + cols[1] * t]
-                    if view.size:
-                        w = "abc".index(name)
-                        src[w].append(old[old_op][k - t].ravel())
-                        dst[w].append(view.ravel())
-                blocks.append(pos)
-            new.append(blocks)
-            if last:
-                writes.append(_flat_write(src, dst, start))
-                layout.append(tuple(offsets))
-                src, dst, start = ([], [], []), ([], [], []), 0
-        if not last:
-            writes.append(_flat_write(src, dst, start))
-        steps.append(tuple(writes))
-        entries = max(entries, sum(write.size for write in writes))
-        old = new
-    return _Plan(tuple(steps), tuple(layout), entries)
-
-
-#: Entries (rapidities times a plan step's entries per rapidity) one batched
-#: build holds in a buffer.  A batch shares a build's fixed cost (about
-#: 0.25 ms), but its gathers cost more per entry, most in batches of 2 or 3:
-#: per rapidity, 1,290 entries (L=7 capped at 2) took 0.28 ms alone and
-#: 0.06 ms in batches of 12, 12,870 (full L=7) 0.49 ms alone and 0.55 ms in
-#: pairs (2-vCPU x86_64 VM).  So plans up to ~5,000 entries go by 3 or more
-#: and larger ones, every full build from L = 7 on, one at a time.
-BATCH_ENTRIES = 2**14
-
-
-def _build_batch(x: np.ndarray, gamma: complex, plan: _Plan) -> list[MonodromyEntries]:
-    """One monodromy per row of ``x``, the site arguments lambda - mu_j of
-    a batch of rapidities (shape (batch, L)), through buffers of shape
-    (batch, entries)."""
-    wa, wb, c = weight_a(x, gamma), weight_b(x), weight_c(gamma)
-    flat = np.ones((len(x), 2), dtype=complex)
-    for j, writes in enumerate(plan.steps):
-        weights = (wa[:, j, None], wb[:, j, None], c)
-        bufs = []
-        for write in writes:
-            buf = np.zeros((len(x), write.size), dtype=complex)
-            for src, dst, w in zip(write.src, write.dst, weights):
-                buf[:, dst] = flat[:, src] * w
-            bufs.append(buf)
-        flat = bufs[0]
-    for buf in bufs:
-        if not np.isfinite(buf).all():
-            raise ValueError("monodromy entries must be finite")
-        buf.setflags(write=False)
-    return [
-        MonodromyEntries(*(
-            tuple(buf[i, span].reshape(shape) for span, shape in offsets)
-            for buf, offsets in zip(bufs, plan.layout)
-        ))
-        for i in range(len(x))
-    ]
+    worst = 0.0
+    for k in range(0, len(x), _YBE_DRAWS):
+        xs, ys, gs = (v[k : k + _YBE_DRAWS] for v in (x, y, gamma))
+        r = lambda z: r_matrix(z, gs)
+        lhs = np.kron(r(xs), eye) @ np.kron(eye, r(xs + ys)) @ np.kron(r(ys), eye)
+        rhs = np.kron(eye, r(ys)) @ np.kron(r(xs + ys), eye) @ np.kron(eye, r(xs))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
 
 
 def monodromies(lams, cfg: SpectralConfig, top: int | None = None) -> Iterator[MonodromyEntries]:
@@ -359,11 +129,11 @@ def monodromies(lams, cfg: SpectralConfig, top: int | None = None) -> Iterator[M
     Site j contributes the weights a = sinh(lambda - mu_j + gamma),
     b = sinh(lambda - mu_j) and c = sinh(gamma), with site blocks
     A_j = diag(a, b), B_j = c at (1, 0), C_j = c at (0, 1) and
-    D_j = diag(b, a).  Each step writes the non-zero slices of every new
-    sector block through the precompiled index arrays of ``_build_plan``,
-    for a whole batch of rapidities at once; batches hold at most
-    ``BATCH_ENTRIES`` entries (see the module docstring for why the blocks
-    equal slices of the Kronecker recursion exactly, at any cap and batch).
+    D_j = diag(b, a).  ``blockbuild.build_batch`` appends the sites through
+    the plan ``blockbuild.build_plan`` compiles, for a whole batch of
+    rapidities at once; batches hold at most ``blockbuild.BATCH_ENTRIES``
+    entries (see ``blockbuild`` for why the blocks equal slices of the
+    Kronecker recursion exactly, at any cap and batch).
 
     The arguments are checked here, before anything is built; the builds
     run as the result is iterated.  The blocks are read-only, so a caller
@@ -378,11 +148,12 @@ def monodromies(lams, cfg: SpectralConfig, top: int | None = None) -> Iterator[M
     cfg.check_dense_capacity()
     x = lams[:, None] - np.array(cfg.mu, dtype=complex)
     _require_finite(x)
-    plan = _build_plan(cfg.L, top)
-    size = max(1, BATCH_ENTRIES // plan.entries)
+    plan = blockbuild.build_plan(cfg.L, top)
+    size = max(1, blockbuild.BATCH_ENTRIES // plan.entries)
+    wa, wb, c = weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
     return (
         m for start in range(0, len(x), size)
-        for m in _build_batch(x[start : start + size], cfg.gamma, plan)
+        for m in blockbuild.build_batch(wa[start : start + size], wb[start : start + size], c, plan)
     )
 
 
@@ -396,12 +167,16 @@ def transfer(lam: complex, cfg: SpectralConfig) -> tuple[np.ndarray, ...]:
     return monodromy(lam, cfg).transfer()
 
 
-def _aux_product(m1: np.ndarray, m2: np.ndarray, d: int) -> np.ndarray:
-    # (M1 (x) M2)[(i k),(j l)] = M1[i,:,j,:] M2[k,:,l,:] as a quantum-space
-    # operator product; auxiliary indices Kronecker, quantum indices compose.
-    t1 = m1.reshape(2, d, 2, d)
-    t2 = m2.reshape(2, d, 2, d)
-    return np.einsum("isjt,ktlu->iksjlu", t1, t2).reshape(4 * d, 4 * d)
+def _sector_ordered(blocks, shift: int) -> np.ndarray:
+    """The operator whose sector blocks (source sector k to k + shift) are
+    ``blocks``, densely, with the basis ordered by sector, each sector in
+    ascending order."""
+    starts = np.cumsum([0] + [comb(len(blocks) - 1, k) for k in range(len(blocks))])
+    out = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    for k, blk in enumerate(blocks):
+        if blk.size:
+            out[starts[k + shift] : starts[k + shift + 1], starts[k] : starts[k + 1]] = blk
+    return out
 
 
 def check_rtt(x: complex, y: complex, cfg: SpectralConfig) -> float:
@@ -409,20 +184,26 @@ def check_rtt(x: complex, y: complex, cfg: SpectralConfig) -> float:
 
         R(x-y) [M(x) (x) M(y)] = [M(y) (x) M(x)] R(x-y)
 
-    on the 4 * 2^L dimensional space, with each monodromy assembled densely
-    from its sector blocks (the suites call it at L <= 5).  Normalised by
-    the operand norms so the figure is meaningful at any lattice length.
+    on the 4 * 2^L dimensional space (the suites call it at L <= 5).
+    M(x) (x) M(y) has one quantum-space block per pair of auxiliary blocks,
+    M_ij(x) M_kl(y) at auxiliary row 2i + k and column 2j + l; each of the
+    16 is one matrix product of dense blocks in sector order, a basis
+    permutation that leaves the max-norms unchanged, and R mixes the blocks.
+    Normalised by the operand norms so the figure is meaningful at any
+    lattice length.
     """
     _require_finite(x, y)
     d = cfg.quantum_dim
-    # each monodromy as one dense matrix on (auxiliary) (x) (quantum)
-    mx, my = (
-        np.block([[_dense(m.a, 0), _dense(m.b, 1)], [_dense(m.c, -1), _dense(m.d, 0)]])
-        for m in monodromies([x, y], cfg)
-    )
-    r = np.kron(r_matrix(x - y, cfg.gamma), np.eye(d))
-    lhs = r @ _aux_product(mx, my, d)
-    rhs = _aux_product(my, mx, d) @ r
+    # A, B, C, D of each monodromy, M_ij at index 2i + j
+    mx, my = ([_sector_ordered(blocks, shift) for blocks, shift in zip(m, _SHIFTS)]
+              for m in monodromies([x, y], cfg))
+    products = np.empty((2, 4, 4, d, d), dtype=complex)
+    for p, (m1, m2) in enumerate(((mx, my), (my, mx))):
+        for i, j, k, l in np.ndindex(2, 2, 2, 2):
+            np.matmul(m1[2 * i + j], m2[2 * k + l], out=products[p, 2 * i + k, 2 * j + l])
+    r = r_matrix(x - y, cfg.gamma)
+    lhs = np.tensordot(r, products[0], axes=1)
+    rhs = np.moveaxis(np.tensordot(products[1], r, axes=([1], [0])), -1, 1)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
@@ -532,7 +313,9 @@ def check_off_relations(lam0: complex, lams, cfg: SpectralConfig) -> OffRelation
     n = len(lams)
     ma0, md0, ma, md = (f[0, 0] for f in exchange_m_factors([lam0], [lams], cfg.gamma))
     distinct = list(dict.fromkeys([lam0] + lams))
-    ops = dict(zip(distinct, monodromies(distinct, cfg)))
+    # the relations never read C; dropping its blocks as each monodromy
+    # arrives frees their buffer before the next build
+    ops = {lam: m._replace(c=()) for lam, m in zip(distinct, monodromies(distinct, cfg))}
 
     def bprod(ls, k):
         """B(ls[0]) ... B(ls[-1]) on source sector k."""

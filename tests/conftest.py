@@ -1,6 +1,10 @@
+from functools import cache
+from math import comb
+
 import numpy as np
 import pytest
 
+from bpl.blockbuild import _SHIFTS, _SITE_TERMS, _ascending_orders
 from bpl.config import SINGULARITY_GUARD, SpectralConfig
 from bpl.errors import CoincidentRapiditiesError
 from bpl.ybcore import weight_a, weight_b, weight_c
@@ -83,3 +87,77 @@ def scalar_fz_coefficients(lam0, lams, cfg):
         pal, pbl = products(lam)
         ks.append(complex(pal * ma[i] + pbl * md[i]))
     return complex(pa0 * ma0 + pb0 * md0), ks
+
+
+# -- the gather, multiply and scatter build, kept as the reference ---------------
+
+@cache
+def reference_plan(L, top):
+    """The sector-block recursion on L sites capped at ``top``, compiled to
+    per-weight source and destination index arrays: per site a tuple of
+    writes (src, dst, size), and per operator the (slice, shape) of each
+    block in its final buffer."""
+    orders = _ascending_orders(L)
+    empty = np.zeros((0, 1), dtype=np.int32)
+    old = [[np.array([[0]], dtype=np.int32)], [empty], [empty], [np.array([[1]], dtype=np.int32)]]
+    cat = lambda parts: tuple(np.concatenate([np.zeros(0, dtype=np.int32), *p]).astype(np.int32)
+                              for p in parts)
+    steps = []
+    for sites in range(L):
+        last = sites == L - 1
+        dim = lambda k: comb(sites, k) if k >= 0 else 0
+        new, writes, layout, start = [], [], [], 0
+        src, dst = ([], [], []), ([], [], [])
+        for shift, terms in zip(_SHIFTS, _SITE_TERMS):
+            blocks, offsets = [], []
+            for k in range(min(sites + 1, top) + 1):
+                rows = (dim(k + shift), dim(k + shift - 1)) if k + shift <= top else (0, 0)
+                cols = (dim(k), dim(k - 1))
+                pos = np.arange(start, start + sum(rows) * sum(cols)).reshape(sum(rows), sum(cols))
+                offsets.append((slice(start, start + pos.size), pos.shape))
+                start += pos.size
+                if last and pos.size:
+                    pos_built = np.empty_like(pos)
+                    pos_built[np.ix_(orders[k + shift], orders[k])] = pos
+                    pos = pos_built
+                for s, t, old_op, name in terms:
+                    view = pos[rows[0] * s : rows[0] + rows[1] * s, cols[0] * t : cols[0] + cols[1] * t]
+                    if view.size:
+                        w = "abc".index(name)
+                        src[w].append(old[old_op][k - t].ravel())
+                        dst[w].append(view.ravel())
+                blocks.append(pos)
+            new.append(blocks)
+            if last:
+                writes.append((cat(src), cat(dst), start))
+                layout.append(tuple(offsets))
+                src, dst, start = ([], [], []), ([], [], []), 0
+        if not last:
+            writes.append((cat(src), cat(dst), start))
+        steps.append(tuple(writes))
+        old = new
+    return tuple(steps), tuple(layout)
+
+
+def reference_build(lams, cfg, top):
+    """The monodromy blocks at each of ``lams`` as (a, b, c, d) tuples of
+    sector blocks, every write a zeroed buffer filled with one gather,
+    multiply and scatter per weight."""
+    steps, layout = reference_plan(cfg.L, top)
+    x = np.array(lams, dtype=complex)[:, None] - np.array(cfg.mu, dtype=complex)
+    wa, wb, c = weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
+    flat = np.ones((len(x), 2), dtype=complex)
+    for j, writes in enumerate(steps):
+        weights = (wa[:, j, None], wb[:, j, None], c)
+        bufs = []
+        for src, dst, size in writes:
+            buf = np.zeros((len(x), size), dtype=complex)
+            for s, d, w in zip(src, dst, weights):
+                buf[:, d] = flat[:, s] * w
+            bufs.append(buf)
+        flat = bufs[0]
+    return [
+        tuple(tuple(buf[i, span].reshape(shape) for span, shape in offsets)
+              for buf, offsets in zip(bufs, layout))
+        for i in range(len(x))
+    ]

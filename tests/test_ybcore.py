@@ -6,7 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from bpl.config import SpectralConfig
+from bpl.config import SpectralConfig, random_complex
+import bpl.blockbuild
 import bpl.ybcore
 from bpl.errors import CapacityError, CoincidentRapiditiesError, DegeneracyError
 from bpl.ybcore import (
@@ -24,7 +25,13 @@ from bpl.ybcore import (
     weight_c,
 )
 
-from conftest import SWAP, dense_operator, draw_complex, scalar_exchange_m_factors
+from conftest import (
+    SWAP,
+    dense_operator,
+    draw_complex,
+    reference_build,
+    scalar_exchange_m_factors,
+)
 
 #: down-spin count change of A, B, C and D
 SHIFTS = (0, 1, -1, 0)
@@ -82,6 +89,57 @@ def two_pass_off_relations(lam0, lams, cfg):
     return res_a, res_d, float(np.max(np.abs(lhs_t - rhs_t)) / scale_t)
 
 
+def scalar_r_matrix(x, gamma):
+    """The R-matrix of one argument, written out entry by entry."""
+    a, b, c = weight_a(x, gamma), weight_b(x), weight_c(gamma)
+    return np.array([[a, 0, 0, 0], [0, c, b, 0], [0, b, c, 0], [0, 0, 0, a]], dtype=complex)
+
+
+def scalar_ybe(x, y, gamma):
+    """The Yang-Baxter residual of one draw, from raw Kronecker products."""
+    eye = np.eye(2)
+    r = lambda z: scalar_r_matrix(z, gamma)
+    lhs = np.kron(r(x), eye) @ np.kron(eye, r(x + y)) @ np.kron(r(y), eye)
+    rhs = np.kron(eye, r(y)) @ np.kron(r(x + y), eye) @ np.kron(eye, r(x))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def dense_rtt(x, y, cfg):
+    """The RTT residual from dense 4 * 2^L operators in ascending basis
+    order: R(x-y) (x) 1 times an einsum of the auxiliary products."""
+    d = cfg.quantum_dim
+    mx, my = (
+        np.block([[dense_operator(m.a, 0), dense_operator(m.b, 1)],
+                  [dense_operator(m.c, -1), dense_operator(m.d, 0)]])
+        for m in monodromies([x, y], cfg)
+    )
+
+    def aux_product(m1, m2):
+        t1, t2 = m1.reshape(2, d, 2, d), m2.reshape(2, d, 2, d)
+        return np.einsum("isjt,ktlu->iksjlu", t1, t2).reshape(4 * d, 4 * d)
+
+    r = np.kron(scalar_r_matrix(x - y, cfg.gamma), np.eye(d))
+    lhs = r @ aux_product(mx, my)
+    rhs = aux_product(my, mx) @ r
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
+    return float(np.max(np.abs(lhs - rhs)) / scale)
+
+
+def wrong_r_matrices():
+    """R-matrices that break both relations: the argument shifted by 0.01,
+    and b and c swapped."""
+    right = bpl.ybcore.r_matrix
+
+    def swapped(x, gamma):
+        r = right(x, gamma).copy()
+        b, c = r[..., 1, 2].copy(), r[..., 1, 1].copy()
+        r[..., 1, 2] = r[..., 2, 1] = c
+        r[..., 1, 1] = r[..., 2, 2] = b
+        return r
+
+    return [lambda x, gamma: right(np.asarray(x) + 0.01, gamma), swapped]
+
+
 class TestRMatrix:
     def test_zero_argument_is_scalar_identity(self, rng):
         g = draw_complex(rng)
@@ -123,6 +181,25 @@ class TestYangBaxterEquation:
     def test_argument_swap_symmetry(self, rng):
         x, y, g = (draw_complex(rng) for _ in range(3))
         assert check_ybe(x, y, g) == pytest.approx(check_ybe(y, x, g), abs=1e-13)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_equals_the_largest_one_draw_residual_exactly(self, seed):
+        rng = SpectralConfig.random_instance(4, 2, seed=seed).rng("ybe")
+        draws = np.array([[random_complex(rng) for _ in range(3)] for _ in range(100)])
+        worst = max(scalar_ybe(*draw) for draw in draws)
+        assert check_ybe(*draws.T).hex() == worst.hex()
+
+    def test_non_finite_draw_rejected(self, rng):
+        draws = draw_complex(rng, (3, 5))
+        draws[1, 3] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite parameter"):
+            check_ybe(*draws)
+
+    def test_wrong_r_matrix_fails(self, rng, monkeypatch):
+        draws = draw_complex(rng, (3, 20))
+        for wrong in wrong_r_matrices():
+            monkeypatch.setattr(bpl.ybcore, "r_matrix", wrong)
+            assert check_ybe(*draws) > 1e-3
 
 
 class TestMonodromy:
@@ -205,6 +282,36 @@ class TestMonodromy:
                         if top < L:
                             assert ref.b[top].shape[0] > 0
 
+    @pytest.mark.parametrize(
+        "L,top,batch", [(9, 9, 1), (8, 8, 1), (7, 2, 12), (9, 3, 6), (10, 2, 4), (5, 5, 2)]
+    )
+    def test_equals_the_gather_scatter_reference_bit_for_bit(self, L, top, batch, rng):
+        cfg = SpectralConfig.random_instance(L, 0, seed=L + top)
+        lams = [draw_complex(rng) for _ in range(batch - 1)] + [0.0]
+        x = np.array(lams, dtype=complex)[:, None] - np.array(cfg.mu, dtype=complex)
+        weights = weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
+        built = bpl.blockbuild.build_batch(*weights, bpl.blockbuild.build_plan(L, top))
+        for ref, got in zip(reference_build(lams, cfg, top), built, strict=True):
+            for ref_blocks, blocks in zip(ref, got, strict=True):
+                assert [b.tobytes() for b in blocks] == [r.tobytes() for r in ref_blocks]
+
+    @pytest.mark.parametrize("L,top", [(1, 1), (4, 2), (6, 6), (7, 0), (9, 3)])
+    def test_writes_index_inside_their_tables_and_leave_plus_zeros(self, L, top, rng):
+        plan = bpl.blockbuild.build_plan(L, top)
+        width = 2
+        for writes in plan.steps:
+            old = draw_complex(rng, (3, width))
+            weights = (draw_complex(rng, (3, 1)), draw_complex(rng, (3, 1)), draw_complex(rng))
+            for write in writes:
+                assert all(0 <= lo <= hi <= width for lo, hi in write.spans)
+                zero = sum(hi - lo for lo, hi in write.spans)
+                # clip never clips: every index addresses the table
+                assert np.all((write.source >= 0) & (write.source <= zero))
+                new = bpl.blockbuild._apply_write(old, write, weights)
+                unwritten = new[:, write.source == zero]
+                assert unwritten.tobytes() == bytes(unwritten.nbytes)
+            width = writes[0].size
+
     def test_capped_build_has_no_blocks_past_the_cap(self, cfg3):
         m = monodromy(0.2 + 0.1j, cfg3, top=1)
         for blocks in m:
@@ -234,16 +341,16 @@ class TestMonodromy:
         cfg = SpectralConfig.random_instance(4, 0, seed=6)
         lams = [0.1 * k + 0.05j for k in range(7)]
         full = [monodromy(lam, cfg, top=2) for lam in lams]
-        entries = bpl.ybcore._build_plan(4, 2).entries
+        entries = bpl.blockbuild.build_plan(4, 2).entries
         batches = []
-        original = bpl.ybcore._build_batch
+        original = bpl.blockbuild.build_batch
 
-        def recording(x, gamma, plan):
-            batches.append(len(x))
-            return original(x, gamma, plan)
+        def recording(wa, wb, c, plan):
+            batches.append(len(wa))
+            return original(wa, wb, c, plan)
 
-        monkeypatch.setattr(bpl.ybcore, "BATCH_ENTRIES", 3 * entries)
-        monkeypatch.setattr(bpl.ybcore, "_build_batch", recording)
+        monkeypatch.setattr(bpl.blockbuild, "BATCH_ENTRIES", 3 * entries)
+        monkeypatch.setattr(bpl.blockbuild, "build_batch", recording)
         built = list(monodromies(lams, cfg, top=2))
         assert batches == [3, 3, 1]
         for ref, got in zip(full, built):
@@ -252,7 +359,7 @@ class TestMonodromy:
                     assert np.array_equal(r, g)
         # a budget below one rapidity's entries still builds one at a time
         batches.clear()
-        monkeypatch.setattr(bpl.ybcore, "BATCH_ENTRIES", 1)
+        monkeypatch.setattr(bpl.blockbuild, "BATCH_ENTRIES", 1)
         assert len(list(monodromies(lams[:2], cfg, top=2))) == 2
         assert batches == [1, 1]
 
@@ -314,6 +421,22 @@ class TestTransfer:
 class TestRtt:
     def test_equal_arguments_exact(self, cfg3):
         assert check_rtt(0.37 - 0.21j, 0.37 - 0.21j, cfg3) == 0.0
+
+    @pytest.mark.parametrize("L", range(1, 6))
+    def test_matches_the_dense_einsum_form(self, L, rng):
+        # the products sum in sector order rather than ascending order, so
+        # the residuals agree at roundoff
+        cfg = SpectralConfig.random_instance(L, 0, seed=L)
+        for _ in range(4):
+            x, y = draw_complex(rng), draw_complex(rng)
+            assert abs(check_rtt(x, y, cfg) - dense_rtt(x, y, cfg)) <= 1e-15
+        assert check_rtt(x, x, cfg) == 0.0
+
+    def test_wrong_r_matrix_fails(self, cfg3, rng, monkeypatch):
+        x, y = draw_complex(rng), draw_complex(rng)
+        for wrong in wrong_r_matrices():
+            monkeypatch.setattr(bpl.ybcore, "r_matrix", wrong)
+            assert check_rtt(x, y, cfg3) > 1e-3
 
     def test_random_draws(self, rng):
         cfg = SpectralConfig.random_instance(3, 0, seed=23)
