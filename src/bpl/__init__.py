@@ -25,7 +25,6 @@ from .ybcore import (
     transfer,
 )
 from .functional import (
-    ChainTable,
     FnSampler,
     PolyFit,
     check_fz_residual,

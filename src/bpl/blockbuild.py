@@ -289,7 +289,7 @@ def build_batch(wa: np.ndarray, wb: np.ndarray, c: complex, plan: _Plan) -> list
         bufs = [_apply_write(flat, write, weights) for write in writes]
         flat = bufs[0]
     for buf in bufs:
-        if not np.isfinite(buf).all():
+        if not np.isfinite(buf.view(np.float64)).all():
             raise ValueError("monodromy entries must be finite")
         buf.setflags(write=False)
     return [

@@ -2,7 +2,10 @@
 oracles for it, and the homogeneous PDE that annihilates its polynomial part.
 
 The partition function on an L x L lattice with domain-wall boundaries is the
-all-down component of L stacked B-operators on the all-up state.  Its
+all-down component of L stacked B-operators on the all-up state: the overlap
+<all-down| B(lambda_1) ... B(lambda_L) |0> in sector L, whose one state is
+all-down, so it is sampled and fitted as the overlaps F_n are
+(``functional.fit_overlaps``, with the one left vector [1]).  Its
 polynomial part Zbar (prefactor prod_i e^{(1-L) lambda_i} stripped) is
 symmetric of per-variable degree <= L-1 and satisfies
 
@@ -25,8 +28,9 @@ import numpy as np
 
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError
-from .functional import PolyFit, annulus_points, b_table, circle_grid, fit_grid
-from .polyengine import MultiPoly, PdeSpec, grid_points, pairwise_differences, tensor_interpolate
+from .functional import (PolyFit, annulus_points, b_table, circle_grid, fit_overlaps,
+                         grid_chains, overlap_samples)
+from .polyengine import MultiPoly, PdeSpec, pairwise_differences, tensor_interpolate
 from .reduction import upsilon_residual
 from .ybcore import monodromies, weight_a, weight_b, weight_c
 
@@ -50,23 +54,13 @@ def _check_partition_capacity(cfg: SpectralConfig):
         )
 
 
-def _corner(b_ops) -> complex:
-    """<all-down| B_1 ... B_L |all-up> from the sector blocks of B in
-    rapidity order; all-up and all-down are the one states of sectors 0
-    and L."""
-    v = np.ones(1, dtype=complex)
-    for k, b in enumerate(reversed(b_ops)):
-        v = b[k] @ v
-    return complex(v[0])
-
-
 def dwbc_partition(lams, cfg: SpectralConfig) -> complex:
     """<all-down| B(lambda_1) ... B(lambda_L) |all-up> via B-products."""
     lams = list(lams)
     if len(lams) != cfg.L:
         raise ValueError(f"need exactly L = {cfg.L} rapidities, got {len(lams)}")
     _check_partition_capacity(cfg)
-    return _corner([m.b for m in monodromies(lams, cfg)])
+    return complex(grid_chains([[m.b] for m in monodromies(lams, cfg)])[0, 0])
 
 
 def dwbc_configuration_sum(lams, cfg: SpectralConfig) -> complex:
@@ -150,8 +144,8 @@ class DwbcInstance:
     top_coefficient: float
 
 
-def _zbar_grids(cfg: SpectralConfig) -> list[np.ndarray]:
-    return [circle_grid(cfg.L, slot=i, nslots=cfg.L) for i in range(cfg.L)]
+#: the one state of sector L, all spins down, as the left vector of Zbar's overlap
+_ALL_DOWN = np.ones(1, dtype=complex)
 
 
 def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
@@ -162,30 +156,18 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
     coefficient certifies the per-variable degree bound L-1 (fitting with one
     extra node per axis would put mass there otherwise).
 
-    B is built once at each interpolation node, all nodes in one batched
-    call; every sample on both grids reads those blocks, which are dropped
-    when the function returns.
+    B is built once at each interpolation node and held-out rapidity, all
+    in one batched call; both grids and the holdout read those blocks,
+    which are dropped when the function returns.
     """
     L = cfg.L
     _check_partition_capacity(cfg)
-    grids = _zbar_grids(cfg)
+    grids = [circle_grid(L, slot=i, nslots=L) for i in range(L)]
     extra = circle_grid(L + 1, slot=L, nslots=L + 1)
-    b_ops = b_table(cfg, np.concatenate(grids + [extra]), top=L)
-
-    def sample(lam_grids) -> np.ndarray:
-        """The stripped partition function on the tensor grid of the rapidity nodes."""
-        vals = [
-            np.exp((L - 1) * sum(lams)) * _corner([b_ops[complex(lam)] for lam in lams])
-            for lams in grid_points(lam_grids)
-        ]
-        return np.reshape(vals, [len(g) for g in lam_grids])
-
-    x_grids = [np.exp(2 * g) for g in grids]
-    vals = sample(grids)
     rng = cfg.rng("zbar-holdout")
-    test = [random_complex(rng) for _ in range(L)]
-    direct = np.exp((L - 1) * sum(test)) * dwbc_partition(test, cfg)
-    fit = fit_grid(vals, x_grids, np.exp(2 * np.array(test)), direct)
+    held = [random_complex(rng) for _ in range(L)]
+    b_ops = b_table(cfg, np.concatenate(grids + [extra, held]), top=L)
+    [fit] = fit_overlaps(L, [_ALL_DOWN], b_ops, grids, held)
     poly = fit.poly
 
     sym_defect = 0.0
@@ -195,8 +177,9 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
         sym_defect = max(sym_defect, float(np.max(np.abs(swapped - poly.coeffs)) / scale))
 
     # degree certification: refit axis 0 with one extra node
-    vals_ext = sample([extra] + grids[1:])
-    ext_coeffs = tensor_interpolate(vals_ext, [np.exp(2 * extra)] + x_grids[1:])
+    ext_grids = [extra] + grids[1:]
+    vals_ext = overlap_samples([_ALL_DOWN], b_ops, ext_grids, L)[0]
+    ext_coeffs = tensor_interpolate(vals_ext, [np.exp(2 * g) for g in ext_grids])
     top = float(np.max(np.abs(ext_coeffs[L])) / scale)
     return DwbcInstance(cfg, poly, fit, sym_defect, top)
 

@@ -44,4 +44,6 @@ class DegeneracyError(RuntimeError):
 
 
 class UnsupportedShapeError(ValueError):
-    """The first-order reduction is only defined for lattice length >= 3."""
+    """A construction or suite is not defined at the requested shape, such
+    as the first-order reduction below lattice length 3; the message says
+    which and why."""

@@ -18,11 +18,15 @@ slot 0 (``lbar_x0_nodes``), so they share one node set.  Every PDE residual
 evaluates at the random points of ``annulus_points``.
 
 Shared chains.  F_n is <Lambda| times the chain B(lambda_1) ... B(lambda_n)
-|0>, and the chain does not depend on the eigenpair.  One ``ChainTable``
-per sector therefore serves every eigenpair's sampler: it computes each
-chain suffix once, and, for the overlap fits, the grid chains, their
-prefactors and the grid's condition number once (``fit_samples``), so each
-eigenpair's fit adds only one ``left @ chain`` dot per sample.
+|0>, and the chain does not depend on the eigenpair; the domain-wall
+partition function is the same overlap in sector L, against the one
+all-down state (``dwbc``).  ``grid_chains`` builds the chains at every point
+of a tensor grid, one axis at a time from the last, so each grid suffix is
+one matrix-vector product, computed once.  ``fit_overlaps`` samples every
+left vector on those chains and interpolates all of them in one
+``fit_grid`` call, which also validates each at a held-out point and
+computes the grid's condition number once.  Both the overlap fits of a
+sector and Zbar are such a call.
 
 Batched coefficients.  ``fz_coefficients`` evaluates the relation's
 coefficients at N x0 rapidities times P rapidity rows in one call, with the
@@ -37,13 +41,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
+from functools import reduce
 
 import numpy as np
 
 from .config import SpectralConfig, random_complex
-from .polyengine import MultiPoly, grid_condition, grid_points, tensor_interpolate
+from .polyengine import MultiPoly, grid_condition, tensor_interpolate
 from .ybcore import (
     EigenChoice,
     exchange_m_factors,
@@ -56,9 +59,7 @@ from .ybcore import (
 )
 
 __all__ = [
-    "ChainTable",
     "EigenChoice",
-    "FitSamples",
     "FnSampler",
     "PolyFit",
     "annulus_points",
@@ -66,11 +67,14 @@ __all__ = [
     "check_fz_residual",
     "circle_grid",
     "extract_fbar",
-    "fbar_chains",
+    "extract_fbars",
     "fit_grid",
+    "fit_overlaps",
     "fz_coefficients",
+    "grid_chains",
     "lambda_bar_coefficients",
     "lbar_x0_nodes",
+    "overlap_samples",
     "spectral_grids",
     "spectrum",
     "vacuum_products",
@@ -133,88 +137,37 @@ def b_table(cfg: SpectralConfig, lams, top: int) -> dict[complex, tuple[np.ndarr
     return {lam: m.b for lam, m in zip(distinct, monodromies(distinct, cfg, top))}
 
 
-class FitSamples(NamedTuple):
-    """What every eigenpair's overlap fit in one sector samples alike: the
-    x-nodes and held-out x-point, the prefactor e^{(L-1) sum lambda_i} and
-    the B-chain at each grid point with the held-out point last, and the
-    largest per-axis Vandermonde condition number of the nodes."""
-
-    x_grids: list[np.ndarray]
-    held_x: np.ndarray
-    prefactors: list
-    chains: list[np.ndarray]
-    condition: float
-
-
-@dataclass
-class ChainTable:
-    """B-chains B(lambda_1) ... B(lambda_k) |0> of one instance, up to
-    sector ``top``.
-
-    A chain depends on the B operators only, not on any eigenpair, so the
-    samplers of every eigenpair of a sector share one table (``fbar_chains``)
-    and each distinct chain suffix is computed once for all of them.
-    ``b_ops`` holds the sector blocks of B(lambda) built beforehand, keyed
-    by rapidity; a rapidity missing from it is built afresh at each use, up
-    to ``top``, and not kept, so one-off draws never accumulate.  Chains
-    are matrix-vector products cached on suffixes for the table's life;
-    the blocks are read-only, so sharing them is safe.
+def grid_chains(axes) -> np.ndarray:
+    """The chains B(l_1) ... B(l_m) |0> at every point of a tensor grid, one
+    row per point in ``grid_points`` order; ``axes[i]`` holds the sector
+    blocks of B at each node of axis i.  Built one axis at a time from the
+    last, so each suffix B(l_i) ... B(l_m) |0> of the grid is one
+    matrix-vector product, computed once into its row of a level array.
+    With no axes the one chain is the vacuum, the one state of sector 0.
     """
-
-    cfg: SpectralConfig
-    top: int
-    b_ops: dict = field(default_factory=dict, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def _b(self, lam: complex) -> tuple[np.ndarray, ...]:
-        op = self.b_ops.get(lam)
-        return monodromy(lam, self.cfg, top=self.top).b if op is None else op
-
-    def chain(self, lams: tuple[complex, ...]) -> np.ndarray:
-        """B(lams[0]) ... B(lams[-1]) |0> in sector len(lams), cached on
-        suffixes; the vacuum |0> is the one state of sector 0."""
-        if not lams:
-            return np.ones(1, dtype=complex)
-        cached = self._cache.get(lams)
-        if cached is None:
-            cached = self._b(lams[0])[len(lams) - 1] @ self.chain(lams[1:])
-            self._cache[lams] = cached
-        return cached
-
-    @cached_property
-    def fit_samples(self) -> FitSamples:
-        """The samples of sector ``top``'s overlap fits (``extract_fbar``),
-        computed once for all its eigenpairs."""
-        L, n = self.cfg.L, self.top
-        grids = spectral_grids(L, n)
-        held = _fbar_holdout_point(self.cfg, n)
-        points = list(grid_points(grids)) + [held]
-        x_grids = [np.exp(2 * g) for g in grids]
-        return FitSamples(
-            x_grids,
-            np.exp(2 * np.array(held)),
-            [np.exp((L - 1) * sum(lams)) for lams in points],
-            [self.chain(tuple(complex(l) for l in lams)) for lams in points],
-            max(grid_condition(xg) for xg in x_grids),
-        )
+    level = np.ones((1, 1), dtype=complex)
+    for k, nodes in enumerate(reversed(axes)):
+        below = level
+        level = np.empty((len(nodes) * len(below), nodes[0][k].shape[0]), dtype=complex)
+        for i, b in enumerate(nodes):
+            for j, suffix in enumerate(below):
+                np.matmul(b[k], suffix, out=level[i * len(below) + j])
+    return level
 
 
 @dataclass
 class FnSampler:
     """Evaluates F_n for one eigenpair as <Lambda| times a B-chain.
 
-    ``chains`` is the table the chains come from; the samplers of one
-    sector's fits share one (``fbar_chains``), and by default a sampler gets
-    a private table with no prebuilt operators.
+    ``b_ops`` holds the sector blocks of B(lambda) built beforehand, keyed
+    by rapidity (``b_table``); a rapidity missing from it is built afresh
+    at each use, up to the eigenpair's sector, and not kept, so one-off
+    draws never accumulate.
     """
 
     cfg: SpectralConfig
     eig: EigenChoice
-    chains: ChainTable | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.chains is None:
-            self.chains = ChainTable(self.cfg, self.eig.sector)
+    b_ops: dict = field(default_factory=dict, repr=False)
 
     def value(self, lams) -> complex:
         """F_n at the given rapidities.
@@ -223,7 +176,7 @@ class FnSampler:
         sector matching the number of B-factors; a mismatch is reported with
         a warning rather than silently returning the zero function.
         """
-        lams = tuple(complex(l) for l in lams)
+        lams = [complex(l) for l in lams]
         if len(lams) != self.eig.sector:
             warnings.warn(
                 f"{len(lams)} B-factors against a sector-{self.eig.sector} "
@@ -231,7 +184,9 @@ class FnSampler:
                 stacklevel=2,
             )
             return 0.0
-        return complex(self.eig.left @ self.chains.chain(lams))
+        axes = [[self.b_ops.get(lam) or monodromy(lam, self.cfg, top=self.eig.sector).b]
+                for lam in lams]
+        return complex(self.eig.left @ grid_chains(axes)[0])
 
 
 # -- the linear functional relation ----------------------------------------------
@@ -282,7 +237,7 @@ def check_fz_residual(sampler: FnSampler, draws) -> float:
     draws = [[complex(l) for l in draw] for draw in draws]
     distinct = list(dict.fromkeys(l for draw in draws for l in draw))
     ops = dict(zip(distinct, monodromies(distinct, cfg, top=eig.sector)))
-    local = FnSampler(cfg, eig, ChainTable(cfg, eig.sector, {lam: m.b for lam, m in ops.items()}))
+    local = FnSampler(cfg, eig, {lam: m.b for lam, m in ops.items()})
     worst = 0.0
     for lam0, *lams in draws:
         j0, ks = fz_coefficients([lam0], [lams], cfg)
@@ -312,71 +267,76 @@ class PolyFit:
     holdout_residual: float
 
 
-def fit_grid(values: np.ndarray, x_grids, held_x, held_value: complex,
-             condition: float | None = None) -> PolyFit:
-    """Interpolate tensor-grid samples and validate the fit at one held-out
-    point.
-
-    ``values`` holds the samples on the grid spanned by the per-variable
-    nodes ``x_grids``; ``held_value`` is the sampled function at ``held_x``.
-    The holdout residual is |direct - fitted| / max(|direct|, max |coeff|),
-    and the condition number is the largest per-axis Vandermonde one.  A
-    caller that fits many functions on one grid passes that number as
-    ``condition`` instead of having it recomputed.
+def overlap_samples(lefts, b_ops, lam_grids, L: int) -> np.ndarray:
+    """prod_i e^{(L-1) lam_i} <left| B(lam_1) ... B(lam_m) |0> for every
+    vector of ``lefts`` at every point of the tensor grid of ``lam_grids``,
+    shape (len(lefts),) + grid shape; ``b_ops`` maps every node to its B
+    blocks.  The exponents are summed in the order one point's sum takes
+    and multiplied in by ``stacked_product``, so every sample equals its
+    one-point evaluation bit for bit.
     """
-    poly = MultiPoly(tensor_interpolate(values, x_grids))
-    fitted = poly.eval_many(np.asarray(held_x)[None, :])[0]
-    holdout = abs(held_value - fitted) / max(abs(held_value), poly.max_abs(), 1e-300)
-    if condition is None:
-        condition = max(grid_condition(xg) for xg in x_grids)
-    return PolyFit(poly, condition, float(holdout))
+    chains = grid_chains([[b_ops[complex(lam)] for lam in grid] for grid in lam_grids])
+    total = reduce(np.add.outer, lam_grids, np.zeros((), dtype=complex))
+    prefactors = np.exp((L - 1) * total).ravel()
+    values = np.empty((len(lefts), len(chains)), dtype=complex)
+    for left, row in zip(lefts, values):
+        # one dot per sample, streamed (a matrix product sums in another order)
+        dots = np.fromiter((left @ chain for chain in chains), complex, len(chains))
+        row[...] = stacked_product(prefactors, dots)
+    return values.reshape((len(lefts),) + total.shape)
 
 
-def _fbar_holdout_point(cfg: SpectralConfig, n: int) -> list[complex]:
-    """The validation point of ``extract_fbar``; the same for every
-    eigenpair of a sector."""
+def fit_grid(values: np.ndarray, x_grids, held_x, held_values) -> list[PolyFit]:
+    """Interpolate a batch of tensor-grid samples, one function per leading
+    entry of ``values`` on the grid of the per-variable nodes ``x_grids``,
+    in one solve, and validate each at ``held_x``, where it takes the value
+    in ``held_values``.  Each holdout residual is
+    |direct - fitted| / max(|direct|, max |coeff|); the condition number,
+    computed once, is the largest per-axis Vandermonde one (1 with no axes).
+    """
+    coeffs = tensor_interpolate(values, x_grids)
+    condition = max((grid_condition(xg) for xg in x_grids), default=1.0)
+    held = np.asarray(held_x)[None, :]
+    fits = []
+    for tensor, direct in zip(coeffs, held_values):
+        # a C-ordered copy: evaluating a strided entry rounds differently
+        poly = MultiPoly(np.array(tensor, order="C"))
+        fitted = poly.eval_many(held)[0]
+        holdout = abs(direct - fitted) / max(abs(direct), poly.max_abs(), 1e-300)
+        fits.append(PolyFit(poly, condition, float(holdout)))
+    return fits
+
+
+def fit_overlaps(L: int, lefts, b_ops, lam_grids, held) -> list[PolyFit]:
+    """Polynomial part of <left| B(lam_1) ... B(lam_m) |0> in the x_i =
+    e^{2 lam_i} for every vector of ``lefts``: ``overlap_samples`` on the
+    grid of ``lam_grids`` and at the rapidities ``held``, fitted in one
+    ``fit_grid`` call.  ``b_ops`` holds B at every node and held rapidity.
+    """
+    values = overlap_samples(lefts, b_ops, lam_grids, L)
+    held_values = overlap_samples(lefts, b_ops, [[lam] for lam in held], L).reshape(len(lefts))
+    return fit_grid(values, [np.exp(2 * grid) for grid in lam_grids],
+                    np.exp(2 * np.array(held)), held_values)
+
+
+def extract_fbars(cfg: SpectralConfig, n: int, lefts) -> list[PolyFit]:
+    """Polynomial part of F_n for each sector-n left eigenvector of
+    ``lefts``: ``fit_overlaps`` on the grid of ``spectral_grids`` (the
+    x-nodes of Lbar), at per-variable degree L-1, validated at one random
+    point.  B is built at each node and at that point in one batched call
+    capped at sector n.
+    """
+    grids = spectral_grids(cfg.L, n)
     rng = cfg.rng("fbar-holdout")
-    return [random_complex(rng) for _ in range(n)]
-
-
-def fbar_chains(cfg: SpectralConfig, n: int) -> ChainTable:
-    """The chain table of sector n's overlap fits, with B(lambda) at the
-    nodes and holdout point of ``extract_fbar`` built beforehand, each once.
-
-    Every eigenpair of the sector samples the same chains, so the samplers
-    of all of them take this one table instead of each rebuilding them.
-    It lives as long as the caller keeps it.
-    """
-    nodes = [lam for grid in spectral_grids(cfg.L, n) for lam in grid]
-    return ChainTable(cfg, n, b_table(cfg, nodes + _fbar_holdout_point(cfg, n), top=n))
+    held = [random_complex(rng) for _ in range(n)]
+    b_ops = b_table(cfg, [lam for grid in grids for lam in grid] + held, top=n)
+    return fit_overlaps(cfg.L, lefts, b_ops, grids, held)
 
 
 def extract_fbar(sampler: FnSampler) -> PolyFit:
-    """Polynomial part of F_n in the variables x_i = e^{2 lambda_i}.
-
-    Samples the overlap on the tensor grid of ``spectral_grids`` (one node
-    circle per variable, the x-nodes of Lbar), multiplies off the prefactor
-    e^{(L-1) lambda_i} per variable, and interpolates at per-variable degree
-    L-1.  A fresh random point validates the fit; its relative error is
-    returned alongside the largest per-axis Vandermonde condition number.
-    The chains, prefactors and condition number come from the sampler's
-    chain table (``ChainTable.fit_samples``), in one pass, so a table shared
-    by a sector computes them once; each eigenpair adds one
-    ``left @ chain`` dot per sample.
-    """
-    cfg, eig = sampler.cfg, sampler.eig
-    n = eig.sector
-    if n == 0:
-        val = complex(eig.left[0])
-        return PolyFit(MultiPoly(np.array(val)), 1.0, 0.0)
-    if sampler.chains.top != n:
-        raise ValueError(f"a sector-{n} fit needs a sector-{n} chain table, "
-                         f"got sector {sampler.chains.top}")
-    samples = sampler.chains.fit_samples
-    vals = [pre * complex(eig.left @ chain)
-            for pre, chain in zip(samples.prefactors, samples.chains)]
-    return fit_grid(np.array(vals[:-1]).reshape((cfg.L,) * n), samples.x_grids,
-                    samples.held_x, vals[-1], samples.condition)
+    """``extract_fbars`` for the sampler's eigenpair alone."""
+    [fit] = extract_fbars(sampler.cfg, sampler.eig.sector, [sampler.eig.left])
+    return fit
 
 
 def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> np.ndarray:

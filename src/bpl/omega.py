@@ -44,7 +44,6 @@ from .errors import CapacityError
 from .functional import (
     PolyFit,
     fz_coefficients,
-    lambda_bar_coefficients,
     lbar_x0_nodes,
     spectral_grids,
 )
@@ -323,20 +322,19 @@ class EigkReport:
         return self.family.basis.dim - realized
 
 
-def check_eigk(family: OmegaFamily, eigs, fits) -> EigkReport:
+def check_eigk(family: OmegaFamily, eigs, fits, lam_bars) -> EigkReport:
     """Verify Omega_k Fbar = Delta_k Fbar for every sector-n eigenpair.
 
-    ``eigs`` is the sector-n spectrum of the family's instance and ``fits``
-    the overlap fit of each of those eigenpairs, in the same order.  The
-    Delta_k are read off the degree-L polynomial form of the transfer
-    eigenvalue, independently of the operator extraction.  Eigenpairs whose
-    overlap polynomial vanishes identically are reported as such rather than
-    asserted against.  Each record also carries the distance from its Delta
+    ``eigs`` is the sector-n spectrum of the family's instance, ``fits``
+    the overlap fit of each of those eigenpairs and ``lam_bars`` the
+    coefficients of each one's Lambda_bar(x0) (``lambda_bar_coefficients``),
+    in the same order.  The Delta_k are read off that degree-L polynomial
+    form of the transfer eigenvalue, independently of the operator
+    extraction.  Eigenpairs whose overlap polynomial vanishes identically
+    are reported as such rather than asserted against.  Each record also carries the distance from its Delta
     vector to the nearest row of the family's joint-spectrum table.
     """
     cfg = family.cfg
-    lam_bars = lambda_bar_coefficients(eigs, cfg)
-
     records = []
     for eig, fit, deltas in zip(eigs, fits, lam_bars):
         vec, _ = family.basis.project(fit.poly.coeffs)

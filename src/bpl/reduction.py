@@ -36,8 +36,8 @@ def block_dimensions(L: int, n: int) -> tuple[int, int]:
     """(total dimension, number of derivative blocks) of the reduction."""
     if L < 3:
         raise UnsupportedShapeError(
-            f"the matrix reduction needs L >= 3 (got L = {L}); "
-            "at L = 2 the equation is already first order"
+            f"the matrix reduction needs L >= 3 (got L = {L}): the PDE has "
+            f"order L - 1 = {L - 1}, which is already at most first order"
         )
     return (L - 2) * n + 1, L - 2
 

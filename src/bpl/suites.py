@@ -26,13 +26,12 @@ import numpy as np
 
 from . import closedform, dwbc, omega, reduction, ybcore
 from .config import SpectralConfig, random_complex
-from .errors import CapacityError
+from .errors import CapacityError, UnsupportedShapeError
 from .functional import (
     FnSampler,
     annulus_points,
     check_fz_residual,
-    extract_fbar,
-    fbar_chains,
+    extract_fbars,
     lambda_bar_coefficients,
     spectrum,
 )
@@ -109,12 +108,6 @@ def _commutator(x, y, shift: int) -> float:
     return num / max(ybcore.max_abs(x) * ybcore.max_abs(y), 1e-300)
 
 
-def _sector_fits(cfg: SpectralConfig, eigs) -> list:
-    """The overlap fit of every eigenpair, all sampling one chain table."""
-    chains = fbar_chains(cfg, cfg.n)
-    return [extract_fbar(FnSampler(cfg, eig, chains)) for eig in eigs]
-
-
 class Artifacts:
     """The pipeline artifacts of one instance, each built on first read.
 
@@ -140,7 +133,13 @@ class Artifacts:
     @cached_property
     def fits(self) -> list:
         """Overlap fit of each eigenpair, in ``eigs`` order."""
-        return self._build("fits", _sector_fits, self.cfg, self.eigs)
+        return self._build("fits", extract_fbars, self.cfg, self.cfg.n,
+                           [eig.left for eig in self.eigs])
+
+    @cached_property
+    def lam_bars(self) -> np.ndarray:
+        """Coefficients of Lambda_bar(x0) of each eigenpair, in ``eigs`` order."""
+        return self._build("lam_bars", lambda_bar_coefficients, self.eigs, self.cfg)
 
     @cached_property
     def family(self) -> omega.OmegaFamily:
@@ -148,7 +147,8 @@ class Artifacts:
 
     @cached_property
     def eigk(self) -> omega.EigkReport:
-        return self._build("eigk", omega.check_eigk, self.family, self.eigs, self.fits)
+        return self._build("eigk", omega.check_eigk, self.family, self.eigs, self.fits,
+                           self.lam_bars)
 
     @cached_property
     def zbar(self) -> dwbc.DwbcInstance:
@@ -280,9 +280,8 @@ def _worst_point(residuals: np.ndarray, magnitudes: np.ndarray, eig_indices) -> 
 
 
 def suite_pde_residual(art: Artifacts) -> list[CheckRecord]:
-    cfg, eigs, fits = art.cfg, art.eigs, art.fits
+    cfg, eigs, fits, lam_bars = art.cfg, art.eigs, art.fits, art.lam_bars
     rec = _Recorder()
-    lam_bars = lambda_bar_coefficients(eigs, cfg)
     used = [k for k, fit in enumerate(fits) if fit.poly.max_abs() >= 1e-12]
     fbars = np.array([fits[k].poly.coeffs for k in used]).reshape((len(used),) + (cfg.L,) * cfg.n)
     residuals, magnitudes = closedform.closedform_residual(cfg, fbars, lam_bars[used, cfg.L - 1])
@@ -402,6 +401,15 @@ SUITES = {
 #: suites that read Zbar, which ``dwbc`` builds up to ``MAX_PARTITION_L`` only
 ZBAR_SUITES = ("dwbc-pde", "dwbc-upsilon")
 
+#: suites defined only on some shapes: (suites, admits the config, what they need)
+SHAPE_LIMITS = (
+    (("omega-extract", "omega-eigk", "omega-compare", "reduce"), lambda cfg: cfg.n >= 1,
+     "n >= 1: the Omega family acts on polynomials in n variables"),
+    (("reduce", "dwbc-upsilon"), lambda cfg: cfg.L >= 3,
+     "L >= 3: below that the PDE has order L - 1 <= 1, so there is no "
+     "first-order reduction to build"),
+)
+
 
 def run_checks_timed(suite: str, cfg: SpectralConfig) -> tuple[list[CheckRecord], dict]:
     """Run one suite, or every suite for ``"all"``, on one instance through
@@ -409,7 +417,9 @@ def run_checks_timed(suite: str, cfg: SpectralConfig) -> tuple[list[CheckRecord]
     seconds of each artifact the run built.
 
     A run that includes a Zbar suite beyond the partition-function cap is
-    rejected with ``CapacityError`` before anything is built.
+    rejected with ``CapacityError``, and one that includes a suite the
+    shape (L, n) does not admit (``SHAPE_LIMITS``) with
+    ``UnsupportedShapeError``, before anything is built.
     """
     names = list(SUITES) if suite == "all" else [suite]
     capped = [name for name in names if name in ZBAR_SUITES]
@@ -417,6 +427,13 @@ def run_checks_timed(suite: str, cfg: SpectralConfig) -> tuple[list[CheckRecord]
         raise CapacityError(
             f"{' and '.join(capped)} read Zbar, which is built up to "
             f"L = {dwbc.MAX_PARTITION_L} only; got L = {cfg.L} "
+            "(run the other suites one at a time)"
+        )
+    refused = [f"{', '.join(hit)} need {need}" for limited, admits, need in SHAPE_LIMITS
+               if not admits(cfg) and (hit := [name for name in names if name in limited])]
+    if refused:
+        raise UnsupportedShapeError(
+            f"{'; '.join(refused)}; got L = {cfg.L}, n = {cfg.n} "
             "(run the other suites one at a time)"
         )
     art = Artifacts(cfg)

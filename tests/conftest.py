@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from bpl.blockbuild import _SHIFTS, _SITE_TERMS, _ascending_orders
-from bpl.config import SINGULARITY_GUARD, SpectralConfig
+from bpl.config import SINGULARITY_GUARD, SpectralConfig, random_complex
 from bpl.errors import CoincidentRapiditiesError
-from bpl.ybcore import weight_a, weight_b, weight_c
+from bpl.functional import b_table, circle_grid, spectral_grids
+from bpl.polyengine import MultiPoly, grid_condition, grid_points, tensor_interpolate
+from bpl.ybcore import monodromies, weight_a, weight_b, weight_c
 
 #: the 4x4 swap P of two C^2 factors
 SWAP = np.eye(4)[[0, 2, 1, 3]]
@@ -161,3 +163,75 @@ def reference_build(lams, cfg, top):
               for buf, offsets in zip(bufs, layout))
         for i in range(len(x))
     ]
+
+
+# -- the per-point B-chains and per-eigenpair fits, kept as the reference --------
+
+def reference_chain(b_ops, lams):
+    """B(lams[0]) ... B(lams[-1]) |0>, one matrix-vector product per factor
+    from the vacuum up, as the per-point chain computes it; ``b_ops`` maps
+    each rapidity to its sector blocks of B."""
+    v = np.ones(1, dtype=complex)
+    for k, lam in enumerate(reversed(lams)):
+        v = b_ops[complex(lam)][k] @ v
+    return v
+
+
+def reference_fit(values, x_grids, held_x, held_value):
+    """(coefficients, condition, holdout) of one function's tensor-grid fit,
+    interpolated on its own."""
+    poly = MultiPoly(tensor_interpolate(values, x_grids))
+    fitted = poly.eval_many(np.asarray(held_x)[None, :])[0]
+    holdout = abs(held_value - fitted) / max(abs(held_value), poly.max_abs(), 1e-300)
+    return poly.coeffs, max(grid_condition(xg) for xg in x_grids), float(holdout)
+
+
+def reference_fbar_fits(cfg, eigs):
+    """(coefficients, condition, holdout) of each eigenpair's overlap fit,
+    one eigenpair at a time, every sample a prefactor times one dot with a
+    per-point chain; sector 0 is the constant <Lambda|0>."""
+    n = eigs[0].sector
+    if n == 0:
+        return [(np.array(complex(eig.left[0])), 1.0, 0.0) for eig in eigs]
+    grids = spectral_grids(cfg.L, n)
+    rng = cfg.rng("fbar-holdout")
+    held = [random_complex(rng) for _ in range(n)]
+    b_ops = b_table(cfg, [lam for grid in grids for lam in grid] + held, top=n)
+    points = list(grid_points(grids)) + [held]
+    out = []
+    for eig in eigs:
+        vals = [np.exp((cfg.L - 1) * sum(lams)) * complex(eig.left @ reference_chain(b_ops, lams))
+                for lams in points]
+        out.append(reference_fit(np.array(vals[:-1]).reshape((cfg.L,) * n),
+                                 [np.exp(2 * g) for g in grids], np.exp(2 * np.array(held)),
+                                 vals[-1]))
+    return out
+
+
+def reference_zbar(cfg):
+    """(coefficients, condition, holdout, symmetry defect, top coefficient)
+    of Zbar, every sample the all-down entry of its own per-point chain and
+    the holdout a separate monodromy build."""
+    L = cfg.L
+    grids = [circle_grid(L, slot=i, nslots=L) for i in range(L)]
+    extra = circle_grid(L + 1, slot=L, nslots=L + 1)
+    b_ops = b_table(cfg, np.concatenate(grids + [extra]), top=L)
+
+    def sample(lam_grids):
+        vals = [np.exp((L - 1) * sum(lams)) * complex(reference_chain(b_ops, lams)[0])
+                for lams in grid_points(lam_grids)]
+        return np.reshape(vals, [len(g) for g in lam_grids])
+
+    x_grids = [np.exp(2 * g) for g in grids]
+    rng = cfg.rng("zbar-holdout")
+    test = [random_complex(rng) for _ in range(L)]
+    own = {complex(lam): m.b for lam, m in zip(test, monodromies(test, cfg))}
+    direct = np.exp((L - 1) * sum(test)) * complex(reference_chain(own, test)[0])
+    coeffs, cond, holdout = reference_fit(sample(grids), x_grids, np.exp(2 * np.array(test)),
+                                          direct)
+    scale = max(float(np.max(np.abs(coeffs))), 1e-300)
+    sym = 0.0
+    for i in range(L - 1):
+        sym = max(sym, float(np.max(np.abs(np.swapaxes(coeffs, i, i + 1) - coeffs)) / scale))
+    ext = tensor_interpolate(sample([extra] + grids[1:]), [np.exp(2 * extra)] + x_grids[1:])
+    return coeffs, cond, holdout, sym, float(np.max(np.abs(ext[L])) / scale)

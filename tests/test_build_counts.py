@@ -2,39 +2,39 @@
 capped at the highest sector it reads, and no cache outlives the call that
 made it."""
 
+import itertools
 import sys
 
+import numpy as np
 import pytest
 
 import bpl.ybcore
 from bpl.cli import run_suite
-from bpl.config import SpectralConfig, random_complex
+from bpl.config import SpectralConfig
 from bpl.dwbc import extract_zbar
 from bpl.functional import (
-    ChainTable,
     FnSampler,
     check_fz_residual,
-    extract_fbar,
-    fbar_chains,
+    extract_fbars,
     lambda_bar_coefficients,
-    spectral_grids,
     spectrum,
 )
-from bpl.polyengine import grid_points
 
 ORIGINAL = bpl.ybcore.monodromies
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """(rapidity, top) of every monodromy build, in call order, counted at
-    every module attribute that holds the batched builder (``monodromy`` is
-    its batch of one)."""
+    """(rapidity, top, batch) of every monodromy build, in call order, the
+    batch numbering the calls, counted at every module attribute that holds
+    the batched builder (``monodromy`` is its batch of one)."""
     seen = []
+    batches = itertools.count()
 
     def counting(lams, cfg, top=None):
         lams = [complex(lam) for lam in lams]
-        seen.extend((lam, cfg.L if top is None else top) for lam in lams)
+        batch = next(batches)
+        seen.extend((lam, cfg.L if top is None else top, batch) for lam in lams)
         return ORIGINAL(lams, cfg, top)
 
     patched = set()
@@ -47,19 +47,39 @@ def builds(monkeypatch):
 
 
 def rapidities(builds):
-    return [lam for lam, _ in builds]
+    return [lam for lam, _, _ in builds]
 
 
 def tops(builds):
-    return {top for _, top in builds}
+    return {top for _, top, _ in builds}
+
+
+def batches(builds):
+    return {batch for _, _, batch in builds}
+
+
+@pytest.fixture
+def grid_products(monkeypatch):
+    """Every ``np.matmul`` call, the one product of a B-chain step."""
+    seen = []
+    original = np.matmul
+
+    def counting(*args, **kwargs):
+        seen.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return seen
 
 
 def test_extract_zbar_builds_each_node_once(builds):
     cfg = SpectralConfig.random_instance(4, 0, seed=2)
     extract_zbar(cfg)
-    # 4 grids of 4 nodes, the 5-node degree grid, and the 4 holdout draws
+    # 4 grids of 4 nodes, the 5-node degree grid, and the 4 holdout draws,
+    # all in one batch
     assert len(builds) == len(set(rapidities(builds))) == 16 + 5 + 4
     assert tops(builds) == {4}
+    assert len(batches(builds)) == 1
 
 
 def test_spectrum_builds_each_probe_once(builds):
@@ -74,42 +94,31 @@ def test_sector_overlap_fits_share_their_operators(builds):
     cfg = SpectralConfig.random_instance(4, 2, seed=2)
     eigs = spectrum(cfg, 2)
     builds.clear()
-    chains = fbar_chains(cfg, 2)
-    fits = [extract_fbar(FnSampler(cfg, eig, chains)) for eig in eigs]
+    fits = extract_fbars(cfg, 2, [eig.left for eig in eigs])
     assert len(fits) == 6
-    # two 4-node grids plus the two-variable holdout point, for all six fits
+    # two 4-node grids plus the two-variable holdout point, for all six
+    # fits, in one batch
     assert len(builds) == len(set(rapidities(builds))) == 4 * 2 + 2
     assert tops(builds) == {2}
+    assert len(batches(builds)) == 1
 
 
 @pytest.mark.parametrize("L,n", [(4, 2), (3, 3), (5, 1)])
-def test_sector_overlap_fits_compute_each_chain_suffix_once(L, n, monkeypatch):
+def test_sector_overlap_fits_compute_each_chain_suffix_once(L, n, builds, grid_products):
     cfg = SpectralConfig.random_instance(L, n, seed=8)
-    eigs = spectrum(cfg, n)
-    computed = []
-    original = ChainTable._b
-
-    def counting(self, lam):
-        computed.append(lam)
-        return original(self, lam)
-
-    monkeypatch.setattr(ChainTable, "_b", counting)
-    # every chain suffix of the grid points and of the held-out point
-    points = [tuple(complex(l) for l in row) for row in grid_points(spectral_grids(L, n))]
-    rng = cfg.rng("fbar-holdout")
-    points.append(tuple(random_complex(rng) for _ in range(n)))
-    suffixes = {lams[k:] for lams in points for k in range(n)}
-    for count in (1, len(eigs)):
-        computed.clear()
-        chains = fbar_chains(cfg, n)
-        fits = [extract_fbar(FnSampler(cfg, eig, chains)) for eig in eigs[:count]]
-        assert len(computed) == len(suffixes)
-    monkeypatch.undo()
-    for eig, fit in zip(eigs, fits):
-        private = extract_fbar(FnSampler(cfg, eig))
-        assert fit.poly.coeffs.tobytes() == private.poly.coeffs.tobytes()
-        assert fit.holdout_residual.hex() == private.holdout_residual.hex()
-        assert fit.grid_condition.hex() == private.grid_condition.hex()
+    lefts = [eig.left for eig in spectrum(cfg, n)]
+    # every suffix of the L^n grid points, one product each, and the n
+    # suffixes of the held-out point, whatever the number of eigenvectors
+    suffixes = sum(L**k for k in range(1, n + 1)) + n
+    fits = []
+    for count in (1, len(lefts)):
+        builds.clear()
+        grid_products.clear()
+        fits.append(extract_fbars(cfg, n, lefts[:count]))
+        assert len(grid_products) == suffixes
+        assert len(builds) == len(set(rapidities(builds))) == L * n + n
+    assert fits[0][0].poly.coeffs.tobytes() == fits[1][0].poly.coeffs.tobytes()
+    assert fits[0][0].holdout_residual.hex() == fits[1][0].holdout_residual.hex()
 
 
 def test_lambda_bar_nodes_build_once_up_to_the_sector(builds):

@@ -39,10 +39,33 @@ def test_over_cap_zbar_suites_exit_before_any_artifact(argv, monkeypatch, capsys
     assert "capacity error" in err and "L = 6" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["all", "--L", "3", "--n", "0"], ["omega-extract", "omega-eigk", "omega-compare", "n >= 1"]),
+    (["all", "--L", "2", "--n", "1"], ["reduce, dwbc-upsilon", "L >= 3"]),
+    (["all", "--L", "1", "--n", "0"], ["omega-compare, reduce need n >= 1",
+                                       "reduce, dwbc-upsilon need L >= 3"]),
+    (["omega", "extract", "--L", "4", "--n", "0"], ["omega-extract need n >= 1"]),
+    (["reduce", "--L", "2", "--n", "2"], ["reduce need L >= 3"]),
+    (["dwbc", "upsilon", "--L", "2"], ["dwbc-upsilon need L >= 3"]),
+])
+def test_unsupported_shapes_exit_before_any_artifact(argv, named, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("artifact built for a run that must be rejected")
+
+    for name in ("spectrum", "check_fz_residual"):
+        monkeypatch.setattr(suites, name, refuse)
+    monkeypatch.setattr(suites.ybcore, "monodromies", refuse)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unsupported shape" in err
+    for text in named:
+        assert text in err
+
+
 def test_all_report_carries_artifact_times(capsys):
     assert cli.main(["all", "--L", "3", "--n", "1", "--json"]) == cli.EXIT_PASS
     report = json.loads(capsys.readouterr().out)
-    assert set(report["artifacts"]) == {"eigs", "fits", "family", "eigk", "zbar"}
+    assert set(report["artifacts"]) == {"eigs", "fits", "family", "lam_bars", "eigk", "zbar"}
 
 
 @pytest.mark.parametrize("data,field", [({"tol": True}, "tol"),

@@ -19,9 +19,9 @@ from bpl.dwbc import (
 from bpl.errors import CapacityError, CoincidentRapiditiesError
 from bpl.polyengine import MultiPoly
 from bpl.reduction import block_dimensions, build_psi, upsilon_apply
-from bpl.ybcore import weight_c
+from bpl.ybcore import monodromies, weight_c
 
-from conftest import draw_complex
+from conftest import draw_complex, reference_chain, reference_zbar
 
 
 class TestPartitionOracles:
@@ -76,6 +76,15 @@ class TestPartitionOracles:
         with pytest.raises(CapacityError):
             dwbc_configuration_sum([0.1] * 5, cfg5)
 
+    @pytest.mark.parametrize("L", [1, 3, 5])
+    def test_b_product_equals_the_per_point_chain(self, L, rng):
+        cfg = SpectralConfig.random_instance(L, 0, seed=60 + L)
+        lams = [draw_complex(rng) for _ in range(L)]
+        b_ops = {complex(lam): m.b for lam, m in zip(lams, monodromies(lams, cfg))}
+        z = dwbc_partition(lams, cfg)
+        assert complex(z).real.hex() == reference_chain(b_ops, lams)[0].real.hex()
+        assert complex(z).imag.hex() == reference_chain(b_ops, lams)[0].imag.hex()
+
     def test_argument_count_checked(self):
         cfg = SpectralConfig.random_instance(3, 0, seed=6)
         with pytest.raises(ValueError, match="exactly L"):
@@ -83,6 +92,19 @@ class TestPartitionOracles:
 
 
 class TestPolynomialPart:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_per_point_reference(self, L):
+        # the shared grid chains and batched fit against every sample's own
+        # chain, bit for bit
+        cfg = SpectralConfig.random_instance(L, 0, seed=0)
+        inst = extract_zbar(cfg)
+        coeffs, cond, holdout, sym, top = reference_zbar(cfg)
+        assert inst.zbar.coeffs.tobytes() == np.ascontiguousarray(coeffs).tobytes()
+        assert inst.fit.grid_condition.hex() == cond.hex()
+        assert inst.fit.holdout_residual.hex() == holdout.hex()
+        assert inst.symmetry_defect.hex() == sym.hex()
+        assert inst.top_coefficient.hex() == top.hex()
+
     def test_holdout_and_degree(self):
         for L in (2, 3):
             cfg = SpectralConfig.random_instance(L, 0, seed=20 + L)

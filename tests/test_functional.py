@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from bpl import omega
+from bpl import functional, omega
 from bpl.config import SpectralConfig
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import (
-    ChainTable,
     FnSampler,
     annulus_points,
+    b_table,
     check_fz_residual,
     extract_fbar,
+    extract_fbars,
     fz_coefficients,
+    grid_chains,
     lambda_bar_coefficients,
     lbar_x0_nodes,
     spectral_grids,
@@ -30,7 +32,14 @@ from bpl.ybcore import (
     weight_c,
 )
 
-from conftest import SWAP, draw_complex, scalar_exchange_m_factors, scalar_fz_coefficients
+from conftest import (
+    SWAP,
+    draw_complex,
+    reference_chain,
+    reference_fbar_fits,
+    scalar_exchange_m_factors,
+    scalar_fz_coefficients,
+)
 
 
 def hand_rolled_b(lam, cfg):
@@ -74,6 +83,24 @@ class TestOverlaps:
             lam = draw_complex(rng)
             direct = eig.left @ (hand_rolled_b(lam, cfg2) @ vac)[sector_indices(2, 1)]
             assert abs(sampler.value([lam]) - direct) < 1e-12 * max(1, abs(direct))
+
+
+class TestGridChains:
+    @pytest.mark.parametrize("L,top,sizes", [(4, 2, (3, 2)), (5, 3, (2, 1, 3)), (3, 3, (1, 1, 1)),
+                                              (6, 1, (4,))])
+    def test_rows_equal_per_point_chains_in_grid_order(self, L, top, sizes):
+        cfg = SpectralConfig.random_instance(L, top, seed=L + top)
+        rng = np.random.default_rng(L)
+        grids = [draw_complex(rng, (size,)) for size in sizes]
+        b_ops = b_table(cfg, np.concatenate(grids), top=top)
+        chains = grid_chains([[b_ops[complex(lam)] for lam in grid] for grid in grids])
+        points = grid_points(grids)
+        assert chains.shape == (len(points), len(sector_indices(L, top)))
+        for row, lams in zip(chains, points):
+            assert row.tobytes() == reference_chain(b_ops, lams).tobytes()
+
+    def test_no_axes_is_the_vacuum(self):
+        assert grid_chains([]).tolist() == [[1.0]]
 
 
 class TestCoefficients:
@@ -214,13 +241,23 @@ class TestPolynomialPart:
             assert fit.holdout_residual < 1e-9
             assert fit.grid_condition < 1e6
 
-    def test_fit_rejects_another_sectors_chain_table(self):
-        # at L=4, sectors 1 and 3 have the same dimension, so a mismatched
-        # table would otherwise give a silently wrong fit
-        cfg = SpectralConfig.random_instance(4, 1, seed=3)
-        eig = spectrum(cfg, 1)[0]
-        with pytest.raises(ValueError, match="sector-1 chain table"):
-            extract_fbar(FnSampler(cfg, eig, ChainTable(cfg, 3)))
+    @pytest.mark.parametrize("L,n", [(4, 2), (7, 2), (5, 3), (12, 1), (3, 0)])
+    def test_batched_fits_equal_the_per_eigenpair_reference(self, L, n):
+        # one interpolation for the whole sector against one per eigenpair,
+        # every sample from a per-point chain: the same bits throughout
+        cfg = SpectralConfig.random_instance(L, n, seed=0)
+        eigs = spectrum(cfg, n)
+        fits = extract_fbars(cfg, n, [eig.left for eig in eigs])
+        assert len(fits) == len(eigs)
+        for fit, (coeffs, cond, holdout) in zip(fits, reference_fbar_fits(cfg, eigs)):
+            assert fit.poly.coeffs.shape == coeffs.shape
+            assert fit.poly.coeffs.tobytes() == np.ascontiguousarray(coeffs).tobytes()
+            assert fit.holdout_residual.hex() == holdout.hex()
+            assert fit.grid_condition.hex() == cond.hex()
+        # a batch of one is the same fit
+        alone = extract_fbar(FnSampler(cfg, eigs[-1]))
+        assert alone.poly.coeffs.tobytes() == fits[-1].poly.coeffs.tobytes()
+        assert alone.holdout_residual.hex() == fits[-1].holdout_residual.hex()
 
     def test_degree_bound_certified(self, cfg3, rng):
         # refit with one extra node per axis: the extra coefficients vanish,
@@ -270,17 +307,18 @@ class TestSamplingGeometry:
         monkeypatch.setattr(omega, "lbar_action", recording_action)
         omega.build_lbar(cfg)
 
-        fit_points = []
+        fit_grids = []
+        samples = functional.overlap_samples
 
-        class RecordingChains(ChainTable):
-            def chain(self, lams):
-                if len(lams) == n:
-                    fit_points.append(list(lams))
-                return super().chain(lams)
+        def recording_samples(lefts, b_ops, lam_grids, L):
+            fit_grids.append(lam_grids)
+            return samples(lefts, b_ops, lam_grids, L)
 
-        extract_fbar(FnSampler(cfg, spectrum(cfg, n)[0], RecordingChains(cfg, n)))
-        # the last sample of each is its held-out point
-        assert np.array_equal(np.array(fit_points[:-1]), lbar_points[0])
+        monkeypatch.setattr(functional, "overlap_samples", recording_samples)
+        extract_fbar(FnSampler(cfg, spectrum(cfg, n)[0]))
+        # the grid, then the held-out point
+        assert len(fit_grids) == 2 and all(len(g) == 1 for g in fit_grids[1])
+        assert np.array_equal(grid_points(fit_grids[0]), lbar_points[0])
 
     def test_spectral_points_keep_their_formula_and_draw_order(self):
         for L, n in ((3, 1), (4, 2), (7, 3)):

@@ -228,7 +228,7 @@ class TestLbar:
         held = np.array([[random_complex(rng) for _ in range(n)]])
         direct = lbar_action(cfg, [lam0], held, probe.eval_many)[0, 0]
         x_grids = [np.exp(2 * g) for g in lam_grids]
-        fit = fit_grid(vals.reshape((L,) * n), x_grids, np.exp(2 * held[0]), direct)
+        [fit] = fit_grid(vals.reshape((1,) + (L,) * n), x_grids, np.exp(2 * held[0]), [direct])
         return fit.holdout_residual
 
     def test_polynomiality_is_checked_not_assumed(self):

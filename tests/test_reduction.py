@@ -45,6 +45,8 @@ class TestShapes:
     def test_two_site_unsupported(self):
         with pytest.raises(UnsupportedShapeError, match="first order"):
             block_dimensions(2, 1)
+        with pytest.raises(UnsupportedShapeError, match="order L - 1 = 0"):
+            block_dimensions(1, 1)
         cfg = SpectralConfig.random_instance(2, 1, seed=1)
         with pytest.raises(UnsupportedShapeError):
             spectral_reduction(cfg)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bpl.dwbc
+import bpl.functional
 import bpl.omega
 import bpl.ybcore
 from bpl.closedform import closedform_residual
@@ -22,6 +23,7 @@ COUNTED = {
     "extract_omegas": bpl.omega.extract_omegas,
     "build_lbar": bpl.omega.build_lbar,
     "extract_zbar": bpl.dwbc.extract_zbar,
+    "lambda_bar_coefficients": bpl.functional.lambda_bar_coefficients,
 }
 
 #: the artifacts each suite reads from the store
@@ -32,11 +34,11 @@ READS = {
     "spectrum": {"eigs"},
     "fz": {"eigs", "fits"},
     "omega-extract": {"family"},
-    "omega-eigk": {"family", "eigs", "fits", "eigk"},
+    "omega-eigk": {"family", "eigs", "fits", "lam_bars", "eigk"},
     "omega-compare": {"family"},
-    "pde-residual": {"eigs", "fits"},
+    "pde-residual": {"eigs", "fits", "lam_bars"},
     "pde-special": set(),
-    "reduce": {"family", "eigs", "fits", "eigk"},
+    "reduce": {"family", "eigs", "fits", "lam_bars", "eigk"},
     "dwbc-partition": set(),
     "dwbc-pde": {"zbar"},
     "dwbc-upsilon": {"zbar"},
@@ -70,12 +72,14 @@ def test_all_builds_each_artifact_once(calls):
     assert len(calls["extract_omegas"]) == 1
     assert len(calls["build_lbar"]) == 1
     assert len(calls["extract_zbar"]) == 1
+    assert len(calls["lambda_bar_coefficients"]) == 1
 
 
 def test_spectrum_suite_builds_no_family(calls):
     run_checks("spectrum", CFG)
     assert len(calls["spectrum"]) == 1
     assert calls["extract_omegas"] == calls["build_lbar"] == calls["extract_zbar"] == []
+    assert calls["lambda_bar_coefficients"] == []
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
