@@ -40,7 +40,7 @@ build appends a site by multiplying each range by its weight into one
 product table, then fills the new buffer with one gather from that table
 through the compiled index, instead of one small array operation per block.
 
-Two things keep a build to what its caller reads:
+Three things keep a build to what its caller reads:
 
 * **A cap.**  New sector k reads old sectors k and k-1 only, so the blocks
   whose source and target sectors are <= ``top`` are closed under the
@@ -57,13 +57,29 @@ Two things keep a build to what its caller reads:
   plan, every buffer of shape (batch, entries): one row per rapidity, so
   each block of each rapidity is a contiguous slice of its row.
   ``ybcore.monodromies`` bounds its batches by ``BATCH_ENTRIES``.
+* **The operators.**  A plan builds the operators its caller names and
+  returns ``()`` for the others.  Each operator has its own write at the
+  last site, so only the named ones run there.  A and B read only A and
+  B, and C and D only C and D, so if the named operators lie within one of
+  those pairs the earlier sites drop the other pair as well.  The transfer
+  matrix needs A and D, the B-chains B alone, the exchange relations A, B
+  and D.
 
-Neither changes any arithmetic: every entry is still the one product of an
-old entry and a weight, through the same multiplication of an entry array
-by one broadcast weight per rapidity, and the cap only drops blocks no kept
-block reads.  So each block of a capped or batched build equals the
-full single build's block bit for bit (``tests/test_ybcore.py`` asserts it
-at every cap for L = 1..6, and against a gather, multiply and scatter build
+A caller that builds many times in a row may pass the last site's buffers
+(``result_buffers``) as ``out``, and each build then writes into them in
+place rather than into fresh memory that the next build faults in again.
+It may do so only once it no longer reads any block of the previous build
+into them, since those blocks are views of the same memory;
+``ybcore.check_off_relations`` holds one such set for one call, reused by
+every draw.
+
+None of this changes any arithmetic: every entry is still the one product
+of an old entry and a weight, through the same multiplication of an entry
+array by one broadcast weight per rapidity, and the cap and the operators
+only drop blocks no kept block reads.  So each block of a capped, batched
+or partial build equals the full single build's block bit for bit
+(``tests/test_ybcore.py`` asserts it at every cap and for every choice of
+operators for L = 1..6, and against a gather, multiply and scatter build
 up to L = 10).
 """
 
@@ -173,35 +189,43 @@ def _compile_write(blocks, size: int) -> _Write:
 class _Plan(NamedTuple):
     """A compiled build: per site the ``_Write``s that append it, per
     operator the (slice, shape) of each sector block in its final buffer,
-    and the most entries one rapidity holds in the buffers of one step."""
+    or None for an operator the plan does not build, and the most entries
+    one rapidity holds in the buffers of one step."""
 
     steps: tuple[tuple[_Write, ...], ...]
-    layout: tuple[tuple[tuple[slice, tuple[int, int]], ...], ...]
+    layout: tuple[tuple[tuple[slice, tuple[int, int]], ...] | None, ...]
     entries: int
 
 
 @cache
-def build_plan(L: int, top: int) -> _Plan:
-    """The sector-block recursion on L sites, capped at sector ``top`` and
-    compiled to one index array per write.
+def build_plan(L: int, top: int, ops: str = "abcd") -> _Plan:
+    """The sector-block recursion on L sites, capped at sector ``top``,
+    building the operators named in ``ops`` (letters of "abcd", in that
+    order), compiled to one index array per write.
 
     Every block lives in a flat buffer.  Appending site j is a tuple of
     ``_Write``s from the buffer on j sites.  Before the last site one write
     fills one buffer with every block in build order; the last site writes
-    one buffer per operator with each block in ascending order, the sorting
-    permutation folded into the index.  The buffer on zero sites is [1, 1]:
-    A = D = 1 on sector 0, B and C empty.
+    one buffer per operator of ``ops`` with each block in ascending order,
+    the sorting permutation folded into the index.  The buffer on zero
+    sites is [1, 1]: A = D = 1 on sector 0, B and C empty.
 
     Only blocks whose source and target sectors are <= top are kept, on
     every partial lattice; the recursion never reads any other (module
     docstring).  So each operator has top + 1 blocks, and ``b[top]``, whose
     target lies past the cap, has no rows.  ``top = L`` keeps every block.
+    A' and B' read A and B only, C' and D' read C and D only, so if
+    ``ops`` lies within one of those pairs the sites before the last carry
+    that pair alone.
 
-    Plans are cached per (L, top) for the process; the full one for L = 12,
-    the default capacity cap, holds 56 MB of int32 indices, one per entry
-    of every buffer, and one capped at a low sector a small fraction of
-    that.
+    Plans are cached per (L, top, ops) for the process; the full one for
+    L = 12, the default capacity cap, holds 56 MB of int32 indices, one per
+    entry of every buffer, and one capped at a low sector or building fewer
+    operators a fraction of that.
     """
+    if not ops or ops != "".join(op for op in "abcd" if op in ops):
+        raise ValueError(f"ops must be letters of 'abcd' in that order, got {ops!r}")
+    carried = next((pair for pair in ("ab", "cd") if set(ops) <= set(pair)), "abcd")
     orders = _ascending_orders(L)
     # per operator, the (span, shape) of each block of the buffer on zero sites
     old = [[(slice(0, 1), (1, 1))], [(slice(0, 0), (0, 1))], [(slice(0, 0), (0, 1))],
@@ -209,9 +233,15 @@ def build_plan(L: int, top: int) -> _Plan:
     steps, entries = [], 0
     for sites in range(L):
         last = sites == L - 1
+        kept = ops if last else carried
         dim = lambda k: comb(sites, k) if k >= 0 else 0
         new, writes, layout, blocks, start = [], [], [], [], 0
-        for shift, terms in zip(_SHIFTS, _SITE_TERMS):
+        for name, shift, terms in zip("abcd", _SHIFTS, _SITE_TERMS):
+            if name not in kept:
+                # never read: the kept operators read only each other
+                new.append(None)
+                layout.append(None)
+                continue
             op_blocks = []
             for k in range(min(sites + 1, top) + 1):
                 rows = (dim(k + shift), dim(k + shift - 1)) if k + shift <= top else (0, 0)
@@ -222,17 +252,17 @@ def build_plan(L: int, top: int) -> _Plan:
                 reads = [
                     (slice(rows[0] * s, rows[0] + rows[1] * s),
                      slice(cols[0] * t, cols[0] + cols[1] * t),
-                     "abc".index(name), old[old_op][k - t][0])
-                    for s, t, old_op, name in terms if rows[s] * cols[t]
+                     "abc".index(weight), old[old_op][k - t][0])
+                    for s, t, old_op, weight in terms if rows[s] * cols[t]
                 ]
                 if span.stop > span.start:
                     order = (orders[k + shift], orders[k]) if last else None
                     blocks.append((span, shape, reads, order))
                 op_blocks.append((span, shape))
             new.append(op_blocks)
+            layout.append(tuple(op_blocks))
             if last:
                 writes.append(_compile_write(blocks, start))
-                layout.append(tuple(op_blocks))
                 blocks, start = [], 0
         if not last:
             writes.append(_compile_write(blocks, start))
@@ -240,6 +270,12 @@ def build_plan(L: int, top: int) -> _Plan:
         entries = max(entries, sum(write.size for write in writes))
         old = new
     return _Plan(tuple(steps), tuple(layout), entries)
+
+
+def result_buffers(plan: _Plan, rows: int) -> list[np.ndarray]:
+    """Empty last-site buffers for ``rows`` rapidities, one per operator
+    the plan builds, for ``build_batch(..., out=...)``."""
+    return [np.empty((rows, write.size), dtype=complex) for write in plan.steps[-1]]
 
 
 #: Entries (rapidities times a plan step's entries per rapidity) one batched
@@ -251,13 +287,19 @@ def build_plan(L: int, top: int) -> _Plan:
 #: (L=7 capped at 2) took 0.050 ms against 0.058, 12,870 (full L=7) 0.29
 #: against 0.38, 314 (L=12 capped at 1) 0.034 against 0.040; 2**16 saved
 #: under 0.01 ms more on each and nothing end to end (2-vCPU x86_64 VM).
-#: Full builds from L = 8 on go one at a time.
+#: Full builds from L = 8 on go one at a time.  ``polyengine.tensor_interpolate``
+#: bounds its chunks by the same count: for the 70 sector-4 fits at L = 8
+#: (4,096 values each) the traced peak of ``functional.extract_fbars`` is
+#: 17.3 MB at every count from 2**12 to 2**16, 18.8 MB at 2**17 and 21.7 MB
+#: unchunked, with no time difference above the noise.
 BATCH_ENTRIES = 2**15
 
 
-def _apply_write(old: np.ndarray, write: _Write, weights) -> np.ndarray:
-    """The buffer ``write`` fills from ``old`` (shape (batch, entries)):
-    one product table, then one take per bounded chunk of the index."""
+def _apply_write(old: np.ndarray, write: _Write, weights, out=None) -> np.ndarray:
+    """The buffer ``write`` fills from ``old`` (shape (batch, entries)),
+    ``out`` if given: one product table, then one take per bounded chunk of
+    the index.  The takes write every entry, so nothing ``out`` held
+    before survives."""
     batch = len(old)
     table = np.empty((batch, sum(hi - lo for lo, hi in write.spans) + 1), dtype=complex)
     offset = 0
@@ -267,7 +309,7 @@ def _apply_write(old: np.ndarray, write: _Write, weights) -> np.ndarray:
         np.multiply(old[:, lo:hi], w, out=table[:, offset : offset + hi - lo])
         offset += hi - lo
     table[:, offset] = 0
-    new = np.empty((batch, write.size), dtype=complex)
+    new = np.empty((batch, write.size), dtype=complex) if out is None else out
     # ``ybcore.monodromies`` sizes batches so one chunk spans a write and
     # ``out`` is contiguous; "clip" fills it in place where the default
     # "raise" would buffer it, and every compiled index lies inside the
@@ -279,23 +321,36 @@ def _apply_write(old: np.ndarray, write: _Write, weights) -> np.ndarray:
     return new
 
 
-def build_batch(wa: np.ndarray, wb: np.ndarray, c: complex, plan: _Plan) -> list[MonodromyEntries]:
+def build_batch(wa: np.ndarray, wb: np.ndarray, c: complex, plan: _Plan,
+                out: list[np.ndarray] | None = None) -> list[MonodromyEntries]:
     """One monodromy per row of ``wa`` and ``wb``, the weights a and b of
     each site (shape (batch, L)) for a batch of rapidities, with c the
-    weight shared by every site, through buffers of shape (batch, entries)."""
+    weight shared by every site, through buffers of shape (batch, entries).
+    Operators the plan does not build come back as ``()``.  The last site
+    writes into ``out`` if given (``result_buffers`` of the plan with
+    ``batch`` rows; the module docstring says when it may be passed).
+    Every block handed out is read-only; blocks built into ``out`` are
+    views of it.
+    """
     flat = np.ones((len(wa), 2), dtype=complex)
     for j, writes in enumerate(plan.steps):
         weights = (wa[:, j, None], wb[:, j, None], c)
-        bufs = [_apply_write(flat, write, weights) for write in writes]
+        targets = out if out is not None and j == len(plan.steps) - 1 else [None] * len(writes)
+        bufs = [_apply_write(flat, write, weights, target)
+                for write, target in zip(writes, targets, strict=True)]
         flat = bufs[0]
+    # the caller keeps its own buffers writable; a fresh one has no other owner
+    bufs = bufs if out is None else [buf.view() for buf in bufs]
     for buf in bufs:
         if not np.isfinite(buf.view(np.float64)).all():
             raise ValueError("monodromy entries must be finite")
         buf.setflags(write=False)
+    built = iter(bufs)
+    by_op = [None if offsets is None else next(built) for offsets in plan.layout]
     return [
         MonodromyEntries(*(
-            tuple(buf[i, span].reshape(shape) for span, shape in offsets)
-            for buf, offsets in zip(bufs, plan.layout)
+            () if offsets is None else tuple(buf[i, span].reshape(shape) for span, shape in offsets)
+            for buf, offsets in zip(by_op, plan.layout)
         ))
         for i in range(len(wa))
     ]

@@ -60,7 +60,7 @@ def dwbc_partition(lams, cfg: SpectralConfig) -> complex:
     if len(lams) != cfg.L:
         raise ValueError(f"need exactly L = {cfg.L} rapidities, got {len(lams)}")
     _check_partition_capacity(cfg)
-    return complex(grid_chains([[m.b] for m in monodromies(lams, cfg)])[0, 0])
+    return complex(grid_chains([[m.b] for m in monodromies(lams, cfg, ops="b")])[0, 0])
 
 
 def dwbc_configuration_sum(lams, cfg: SpectralConfig) -> complex:

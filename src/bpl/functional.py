@@ -132,9 +132,9 @@ def annulus_points(cfg: SpectralConfig, nvars: int, count: int, tag: str) -> np.
 
 def b_table(cfg: SpectralConfig, lams, top: int) -> dict[complex, tuple[np.ndarray, ...]]:
     """The sector blocks of B(lambda) up to sector ``top`` at each distinct
-    rapidity, all built in one batched call, each once."""
+    rapidity, all built in one batched call of A and B alone, each once."""
     distinct = list(dict.fromkeys(complex(l) for l in lams))
-    return {lam: m.b for lam, m in zip(distinct, monodromies(distinct, cfg, top))}
+    return {lam: m.b for lam, m in zip(distinct, monodromies(distinct, cfg, top, ops="b"))}
 
 
 def grid_chains(axes) -> np.ndarray:
@@ -184,7 +184,7 @@ class FnSampler:
                 stacklevel=2,
             )
             return 0.0
-        axes = [[self.b_ops.get(lam) or monodromy(lam, self.cfg, top=self.eig.sector).b]
+        axes = [[self.b_ops.get(lam) or monodromy(lam, self.cfg, self.eig.sector, ops="b").b]
                 for lam in lams]
         return complex(self.eig.left @ grid_chains(axes)[0])
 
@@ -230,13 +230,14 @@ def check_fz_residual(sampler: FnSampler, draws) -> float:
     largest term.
 
     Every distinct rapidity of all the draws is built once, in one batched
-    call capped at the eigenpair's sector: T(lam0) and B(lam0) come from one
-    monodromy, and the swapped overlaps reuse the B(lams).
+    call capped at the eigenpair's sector and building A, B and D: T(lam0)
+    and B(lam0) come from one monodromy, and the swapped overlaps reuse the
+    B(lams).
     """
     cfg, eig = sampler.cfg, sampler.eig
     draws = [[complex(l) for l in draw] for draw in draws]
     distinct = list(dict.fromkeys(l for draw in draws for l in draw))
-    ops = dict(zip(distinct, monodromies(distinct, cfg, top=eig.sector)))
+    ops = dict(zip(distinct, monodromies(distinct, cfg, top=eig.sector, ops="abd")))
     local = FnSampler(cfg, eig, {lam: m.b for lam, m in ops.items()})
     worst = 0.0
     for lam0, *lams in draws:
@@ -345,13 +346,13 @@ def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> np.ndarray:
     interpolated on the x0 nodes of Lbar (``lbar_x0_nodes``).
 
     The transfer matrix at each node is built once, all nodes in one batched
-    call capped at the highest sector of ``eigs``, and shared across all the
-    requested eigenpairs.
+    call capped at the highest sector of ``eigs`` that builds A and D alone,
+    and shared across all the requested eigenpairs.
     """
     nodes = lbar_x0_nodes(cfg)
     top = max((eig.sector for eig in eigs), default=0)
     values = np.zeros((len(eigs), len(nodes)), dtype=complex)
-    for j, (lam0, m) in enumerate(zip(nodes, monodromies(nodes, cfg, top))):
+    for j, (lam0, m) in enumerate(zip(nodes, monodromies(nodes, cfg, top, ops="ad"))):
         t = m.transfer()
         for i, eig in enumerate(eigs):
             values[i, j] = eig.eigenvalue_from(t) * np.exp(cfg.L * lam0)

@@ -176,13 +176,13 @@ def suite_verify_rtt(art: Artifacts) -> list[CheckRecord]:
     comm_cfg = cfg if cfg.L <= 8 else SpectralConfig.random_instance(8, 0, cfg.seed)
     worst = 0.0
     for x, y in _draws(comm_cfg, "commutator", 5, width=2):
-        tx, ty = (m.transfer() for m in ybcore.monodromies([x, y], comm_cfg))
+        tx, ty = (m.transfer() for m in ybcore.monodromies([x, y], comm_cfg, ops="ad"))
         worst = max(worst, _commutator(tx, ty, 0))
     rec.add("transfer-commutator", worst, 1e-10, L=comm_cfg.L, draws=5)
 
     worst = 0.0
     for x, y in _draws(rtt_cfg, "bb-commute", 5, width=2):
-        b1, b2 = (m.b for m in ybcore.monodromies([x, y], rtt_cfg))
+        b1, b2 = (m.b for m in ybcore.monodromies([x, y], rtt_cfg, ops="b"))
         worst = max(worst, _commutator(b1, b2, 1))
     rec.add("b-operators-commute", worst, 1e-12, L=rtt_cfg.L)
     return rec.records
@@ -190,10 +190,7 @@ def suite_verify_rtt(art: Artifacts) -> list[CheckRecord]:
 
 def suite_verify_off(art: Artifacts) -> list[CheckRecord]:
     cfg, rec = art.cfg, _Recorder()
-    worst = 0.0
-    for draw in _draws(cfg, "off", 10, width=cfg.n + 1):
-        res = ybcore.check_off_relations(draw[0], draw[1:], cfg)
-        worst = max(worst, res.a_relation, res.d_relation, res.transfer_identity)
+    worst = max(ybcore.check_off_relations(_draws(cfg, "off", 10, width=cfg.n + 1), cfg))
     rec.add("exchange-relations", worst, 1e-9, n=cfg.n, L=cfg.L, draws=10)
     return rec.records
 

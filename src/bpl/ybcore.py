@@ -120,11 +120,23 @@ def check_ybe(x, y, gamma) -> float:
     return worst
 
 
-def monodromies(lams, cfg: SpectralConfig, top: int | None = None) -> Iterator[MonodromyEntries]:
+def _plan(cfg: SpectralConfig, top: int | None, ops: str):
+    """The build plan of ``cfg`` capped at ``top`` (default L) building
+    ``ops``, once the cap and the lattice size are checked."""
+    top = cfg.L if top is None else top
+    if not 0 <= top <= cfg.L:
+        raise ValueError(f"top must lie in [0, {cfg.L}], got {top}")
+    cfg.check_dense_capacity()
+    return blockbuild.build_plan(cfg.L, top, ops)
+
+
+def monodromies(lams, cfg: SpectralConfig, top: int | None = None, ops: str = "abcd",
+                out: list[np.ndarray] | None = None) -> Iterator[MonodromyEntries]:
     """The monodromy at each of ``lams``, in order, capped at sector ``top``
     (default L): the ordered product of P R(lambda - mu_j) over the lattice,
     as the S^z blocks of its auxiliary-space blocks A, B, C, D whose source
-    and target sectors are <= top.
+    and target sectors are <= top.  Only the operators named in ``ops``
+    (letters of "abcd", in order) are built; the others come back as ``()``.
 
     Site j contributes the weights a = sinh(lambda - mu_j + gamma),
     b = sinh(lambda - mu_j) and c = sinh(gamma), with site blocks
@@ -133,38 +145,45 @@ def monodromies(lams, cfg: SpectralConfig, top: int | None = None) -> Iterator[M
     the plan ``blockbuild.build_plan`` compiles, for a whole batch of
     rapidities at once; batches hold at most ``blockbuild.BATCH_ENTRIES``
     entries (see ``blockbuild`` for why the blocks equal slices of the
-    Kronecker recursion exactly, at any cap and batch).
+    Kronecker recursion exactly, at any cap, batch and choice of operators).
 
-    The arguments are checked here, before anything is built; the builds
-    run as the result is iterated.  The blocks are read-only, so a caller
-    that keeps one for reuse cannot be corrupted by another caller writing
-    into it.
+    ``out``, if given, is ``blockbuild.result_buffers`` of the same plan
+    with at least a row per rapidity, for ``build_batch``.  The arguments
+    are checked here, before anything is built; the builds run as the
+    result is iterated.  The blocks are read-only.  Built without ``out``,
+    they own their memory, so a caller that keeps one for reuse cannot be
+    corrupted by another caller writing into it.  Built into ``out``, they
+    are views of the caller's buffers, valid only until the next build
+    into the same buffers overwrites them.
     """
     lams = np.array([complex(lam) for lam in lams], dtype=complex)
-    top = cfg.L if top is None else top
-    if not 0 <= top <= cfg.L:
-        raise ValueError(f"top must lie in [0, {cfg.L}], got {top}")
     _require_finite(lams)
-    cfg.check_dense_capacity()
+    plan = _plan(cfg, top, ops)
+    if out is not None and len(out[0]) < len(lams):
+        raise ValueError(f"{len(out[0])} result rows for {len(lams)} rapidities")
     x = lams[:, None] - np.array(cfg.mu, dtype=complex)
     _require_finite(x)
-    plan = blockbuild.build_plan(cfg.L, top)
-    size = max(1, blockbuild.BATCH_ENTRIES // plan.entries)
+    size = max(1, blockbuild.BATCH_ENTRIES // max(1, plan.entries))
     wa, wb, c = weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
-    return (
-        m for start in range(0, len(x), size)
-        for m in blockbuild.build_batch(wa[start : start + size], wb[start : start + size], c, plan)
-    )
+
+    def batch(start):
+        rows = slice(start, min(start + size, len(x)))
+        into = None if out is None else [buf[rows] for buf in out]
+        return blockbuild.build_batch(wa[rows], wb[rows], c, plan, into)
+
+    return (m for start in range(0, len(x), size) for m in batch(start))
 
 
-def monodromy(lam: complex, cfg: SpectralConfig, top: int | None = None) -> MonodromyEntries:
+def monodromy(lam: complex, cfg: SpectralConfig, top: int | None = None,
+              ops: str = "abcd") -> MonodromyEntries:
     """The monodromy at one rapidity: ``monodromies`` on a batch of one."""
-    return next(monodromies([lam], cfg, top))
+    return next(monodromies([lam], cfg, top, ops))
 
 
 def transfer(lam: complex, cfg: SpectralConfig) -> tuple[np.ndarray, ...]:
-    """Sector blocks of the transfer matrix T(lambda) = A(lambda) + D(lambda)."""
-    return monodromy(lam, cfg).transfer()
+    """Sector blocks of the transfer matrix T(lambda) = A(lambda) + D(lambda),
+    from a build of A and D alone."""
+    return monodromy(lam, cfg, ops="ad").transfer()
 
 
 def _sector_ordered(blocks, shift: int) -> np.ndarray:
@@ -298,24 +317,45 @@ class OffRelationResiduals(NamedTuple):
     transfer_identity: float
 
 
-def check_off_relations(lam0: complex, lams, cfg: SpectralConfig) -> OffRelationResiduals:
-    """Residuals of the two degree-(n+1) exchange relations moving
-    A(lambda_0) and D(lambda_0) through a B-product, plus their sum (the
-    transfer-matrix identity obtained by adding both lines).
+def check_off_relations(draws, cfg: SpectralConfig) -> OffRelationResiduals:
+    """Worst residuals over ``draws``, each a sequence (lam0, lam_1, ...,
+    lam_n), of the two degree-(n+1) exchange relations moving A(lambda_0)
+    and D(lambda_0) through a B-product, plus their sum (the
+    transfer-matrix identity obtained by adding both lines); each field is
+    the largest of ``_draw_residuals`` over the draws.
+
+    The relations never read C, so each draw builds A, B and D of its
+    distinct rapidities only, into the one set of last-site buffers this
+    call allocates (``blockbuild.result_buffers``): a draw's blocks are
+    read before the next draw overwrites them, and the memory is not
+    faulted in afresh for every draw.  Each entry is the same single
+    product as in a fresh build.
+    """
+    draws = [[complex(l) for l in draw] for draw in draws]
+    if not draws:
+        return OffRelationResiduals(0.0, 0.0, 0.0)
+    rows = max(len(set(draw)) for draw in draws)
+    out = blockbuild.result_buffers(_plan(cfg, None, "abd"), rows)
+    worst = [0.0, 0.0, 0.0]
+    for lam0, *lams in draws:
+        worst = [max(w, r) for w, r in zip(worst, _draw_residuals(lam0, lams, cfg, out))]
+    return OffRelationResiduals(*worst)
+
+
+def _draw_residuals(lam0: complex, lams: list[complex], cfg: SpectralConfig, out) -> list[float]:
+    """The A-line, D-line and transfer-identity residuals of one draw, its
+    monodromies built into ``out``.
 
     Both sides map sector k to k + n, so they are formed one source sector
     k = 0..L-n at a time; every other block of either side is zero.
     Residuals are max-norm differences over all sectors, normalised by the
     operand max-norms.  Raises on coincident rapidities, which make the
-    coefficients singular.
+    coefficients singular, before anything is built.
     """
-    lams = list(lams)
     n = len(lams)
     ma0, md0, ma, md = (f[0, 0] for f in exchange_m_factors([lam0], [lams], cfg.gamma))
     distinct = list(dict.fromkeys([lam0] + lams))
-    # the relations never read C; dropping its blocks as each monodromy
-    # arrives frees their buffer before the next build
-    ops = {lam: m._replace(c=()) for lam, m in zip(distinct, monodromies(distinct, cfg))}
+    ops = dict(zip(distinct, monodromies(distinct, cfg, ops="abd", out=out)))
 
     def bprod(ls, k):
         """B(ls[0]) ... B(ls[-1]) on source sector k."""
@@ -343,9 +383,7 @@ def check_off_relations(lam0: complex, lams, cfg: SpectralConfig) -> OffRelation
         for row, (left, right) in enumerate(sides):
             stats[row] = np.maximum(stats[row], [np.max(np.abs(left - right)),
                                                  np.max(np.abs(left)), np.max(np.abs(right))])
-    return OffRelationResiduals(
-        *(float(diff / max(left, right, 1e-300)) for diff, left, right in stats)
-    )
+    return [float(diff / max(left, right, 1e-300)) for diff, left, right in stats]
 
 
 # -- spectra -----------------------------------------------------------------------

@@ -25,17 +25,17 @@ ORIGINAL = bpl.ybcore.monodromies
 
 @pytest.fixture
 def builds(monkeypatch):
-    """(rapidity, top, batch) of every monodromy build, in call order, the
-    batch numbering the calls, counted at every module attribute that holds
-    the batched builder (``monodromy`` is its batch of one)."""
+    """(rapidity, top, batch, ops) of every monodromy build, in call order,
+    the batch numbering the calls, counted at every module attribute that
+    holds the batched builder (``monodromy`` is its batch of one)."""
     seen = []
     batches = itertools.count()
 
-    def counting(lams, cfg, top=None):
+    def counting(lams, cfg, top=None, ops="abcd", out=None):
         lams = [complex(lam) for lam in lams]
         batch = next(batches)
-        seen.extend((lam, cfg.L if top is None else top, batch) for lam in lams)
-        return ORIGINAL(lams, cfg, top)
+        seen.extend((lam, cfg.L if top is None else top, batch, ops) for lam in lams)
+        return ORIGINAL(lams, cfg, top, ops, out)
 
     patched = set()
     for name, module in list(sys.modules.items()):
@@ -47,15 +47,19 @@ def builds(monkeypatch):
 
 
 def rapidities(builds):
-    return [lam for lam, _, _ in builds]
+    return [lam for lam, *_ in builds]
 
 
 def tops(builds):
-    return {top for _, top, _ in builds}
+    return {top for _, top, *_ in builds}
 
 
 def batches(builds):
-    return {batch for _, _, batch in builds}
+    return {batch for _, _, batch, _ in builds}
+
+
+def operators(builds):
+    return {ops for *_, ops in builds}
 
 
 @pytest.fixture
@@ -80,6 +84,7 @@ def test_extract_zbar_builds_each_node_once(builds):
     assert len(builds) == len(set(rapidities(builds))) == 16 + 5 + 4
     assert tops(builds) == {4}
     assert len(batches(builds)) == 1
+    assert operators(builds) == {"b"}
 
 
 def test_spectrum_builds_each_probe_once(builds):
@@ -88,6 +93,7 @@ def test_spectrum_builds_each_probe_once(builds):
     assert len(eigs) == 6
     assert len(builds) == len(set(rapidities(builds))) == 2
     assert tops(builds) == {4}
+    assert operators(builds) == {"ad"}
 
 
 def test_sector_overlap_fits_share_their_operators(builds):
@@ -101,6 +107,7 @@ def test_sector_overlap_fits_share_their_operators(builds):
     assert len(builds) == len(set(rapidities(builds))) == 4 * 2 + 2
     assert tops(builds) == {2}
     assert len(batches(builds)) == 1
+    assert operators(builds) == {"b"}
 
 
 @pytest.mark.parametrize("L,n", [(4, 2), (3, 3), (5, 1)])
@@ -128,6 +135,7 @@ def test_lambda_bar_nodes_build_once_up_to_the_sector(builds):
     lambda_bar_coefficients(eigs, cfg)
     assert len(builds) == len(set(rapidities(builds))) == cfg.L + 1
     assert tops(builds) == {2}
+    assert operators(builds) == {"ad"}
 
 
 def test_functional_relation_builds_each_rapidity_once(builds):
@@ -137,6 +145,7 @@ def test_functional_relation_builds_each_rapidity_once(builds):
     check_fz_residual(sampler, [[0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.2j]])
     assert len(builds) == len(set(rapidities(builds))) == 3
     assert tops(builds) == {2}
+    assert operators(builds) == {"abd"}
 
 
 def test_functional_relation_over_draws_builds_each_rapidity_once(builds):

@@ -6,6 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from bpl import blockbuild
 from bpl.polyengine import (
     MultiPoly,
     PdeSpec,
@@ -192,6 +193,23 @@ class TestInterpolation:
         coeffs = tensor_interpolate(vals, [nodes])
         assert np.allclose(coeffs[0], p1.coeffs)
         assert np.allclose(coeffs[1], p2.coeffs)
+
+    def test_chunked_batch_equals_unchunked_solves(self, rng, monkeypatch):
+        # 9 entries of 16**3 values under the 2**15-value budget: chunks of
+        # 8 entries and a last chunk of 1
+        assert blockbuild.BATCH_ENTRIES == 2**15
+        nodes = [np.exp(2j * np.pi * (np.arange(16) + 0.1 * k) / 16) * (1 + 0.2 * k)
+                 for k in range(3)]
+        vals = rng.standard_normal((9, 16, 16, 16)) + 1j * rng.standard_normal((9, 16, 16, 16))
+        got = tensor_interpolate(vals, nodes)
+        assert got.shape == vals.shape
+        for i in range(9):
+            assert got[i].tobytes() == tensor_interpolate(vals[i], nodes).tobytes()
+        monkeypatch.setattr(blockbuild, "BATCH_ENTRIES", 10**9)
+        assert got.tobytes() == tensor_interpolate(vals, nodes).tobytes()
+        # a budget below one entry still solves an entry per chunk
+        monkeypatch.setattr(blockbuild, "BATCH_ENTRIES", 1)
+        assert got.tobytes() == tensor_interpolate(vals, nodes).tobytes()
 
     def test_colliding_nodes_rejected(self):
         with pytest.raises(ValueError, match="regrid"):

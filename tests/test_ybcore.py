@@ -1,11 +1,13 @@
 """Yang-Baxter core: R-matrix structure, monodromy blocks, exchange
 relations, and sector spectra."""
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
+from bpl.cli import run_suite
 from bpl.config import SpectralConfig, random_complex
 import bpl.blockbuild
 import bpl.ybcore
@@ -282,6 +284,72 @@ class TestMonodromy:
                         if top < L:
                             assert ref.b[top].shape[0] > 0
 
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_operator_subsets_equal_the_full_build_exactly(self, L, rng):
+        cfg = SpectralConfig.random_instance(L, 0, seed=L)
+        lams = [draw_complex(rng), draw_complex(rng), 0.0]
+        subsets = ["".join(ops) for r in range(1, 5) for ops in combinations("abcd", r)]
+        for top in range(L + 1):
+            full = list(monodromies(lams, cfg, top))
+            for ops in subsets:
+                for ref, got in zip(full, monodromies(lams, cfg, top, ops), strict=True):
+                    for name, ref_blocks, blocks in zip("abcd", ref, got):
+                        if name not in ops:
+                            assert blocks == ()
+                            continue
+                        assert [b.shape for b in blocks] == [r.shape for r in ref_blocks]
+                        assert [b.tobytes() for b in blocks] == [r.tobytes() for r in ref_blocks]
+                        for blk in blocks:
+                            assert not blk.flags.writeable
+
+    def test_one_pair_carries_that_pair_alone(self):
+        full = bpl.blockbuild.build_plan(6, 6)
+        for ops in ("b", "ab", "cd", "c"):
+            plan = bpl.blockbuild.build_plan(6, 6, ops)
+            assert [op is not None for op in plan.layout] == [name in ops for name in "abcd"]
+            for step, full_step in zip(plan.steps[:-1], full.steps[:-1]):
+                # A and B hold as many entries as D and C
+                assert 2 * step[0].size == full_step[0].size
+            assert [w.size for w in plan.steps[-1]] == [
+                w.size for name, w in zip("abcd", full.steps[-1]) if name in ops
+            ]
+        # operators from both pairs need all four before the last site
+        for step, full_step in zip(bpl.blockbuild.build_plan(6, 6, "ad").steps[:-1], full.steps):
+            assert step[0].source.tobytes() == full_step[0].source.tobytes()
+        for bad in ("", "da", "abx", "aab"):
+            with pytest.raises(ValueError, match="ops"):
+                bpl.blockbuild.build_plan(3, 3, bad)
+
+    @pytest.mark.parametrize("L,top,ops", [(5, 5, "abd"), (6, 3, "ad"), (4, 4, "b"), (6, 6, "abcd")])
+    def test_reused_result_buffers_equal_a_fresh_build(self, L, top, ops, rng):
+        cfg = SpectralConfig.random_instance(L, 0, seed=L + top)
+        lams, others = [draw_complex(rng), 0.0], [draw_complex(rng) for _ in range(3)]
+        fresh = list(monodromies(lams, cfg, top, ops))
+        out = bpl.blockbuild.result_buffers(bpl.blockbuild.build_plan(L, top, ops), 3)
+        zeros = sum(int(np.sum(blk == 0)) for blocks in fresh[0] for blk in blocks)
+        assert zeros > 0
+        for before in ("stale values", "a build at other rapidities"):
+            if before == "stale values":
+                for buf in out:
+                    buf[...] = 7 - 7j
+            else:
+                list(monodromies(others, cfg, top, ops, out=out))
+            built = list(monodromies(lams, cfg, top, ops, out=out))
+            for ref, got, row in zip(fresh, built, range(2), strict=True):
+                assert [len(blocks) for blocks in got] == [len(blocks) for blocks in ref]
+                for ref_blocks, blocks in zip(ref, got):
+                    assert [b.tobytes() for b in blocks] == [r.tobytes() for r in ref_blocks]
+                    for blk in blocks:
+                        assert not blk.flags.writeable
+                        if blk.size:
+                            assert any(np.shares_memory(blk, buf[row]) for buf in out)
+                            with pytest.raises(ValueError, match="read-only"):
+                                blk[0, 0] = 1.0
+        # the buffers stay the caller's to write
+        out[0][0, 0] = 0.0
+        with pytest.raises(ValueError, match="result rows"):
+            list(monodromies(others + lams, cfg, top, ops, out=out))
+
     @pytest.mark.parametrize(
         "L,top,batch", [(9, 9, 1), (8, 8, 1), (7, 2, 12), (9, 3, 6), (10, 2, 4), (5, 5, 2)]
     )
@@ -345,9 +413,9 @@ class TestMonodromy:
         batches = []
         original = bpl.blockbuild.build_batch
 
-        def recording(wa, wb, c, plan):
+        def recording(wa, wb, c, plan, out=None):
             batches.append(len(wa))
-            return original(wa, wb, c, plan)
+            return original(wa, wb, c, plan, out)
 
         monkeypatch.setattr(bpl.blockbuild, "BATCH_ENTRIES", 3 * entries)
         monkeypatch.setattr(bpl.blockbuild, "build_batch", recording)
@@ -451,39 +519,90 @@ class TestRtt:
         assert num / (np.max(np.abs(bx)) * np.max(np.abs(by))) < 1e-12
 
 
+def random_draws(rng, count, width):
+    return [[draw_complex(rng) for _ in range(width)] for _ in range(count)]
+
+
 class TestOffRelations:
     @pytest.mark.parametrize("n,L", [(1, 2), (2, 3), (3, 4)])
     def test_random_draws(self, n, L, rng):
         cfg = SpectralConfig.random_instance(L, n, seed=L * 10 + n)
-        res = check_off_relations(
-            draw_complex(rng), [draw_complex(rng) for _ in range(n)], cfg
-        )
+        res = check_off_relations(random_draws(rng, 1, n + 1), cfg)
         assert res.a_relation < 1e-10
         assert res.d_relation < 1e-10
         assert res.transfer_identity < 1e-10
 
-    @pytest.mark.parametrize("L,n", [(4, 0), (4, 2), (5, 3)])
+    @pytest.mark.parametrize("L,n", [(4, 0), (4, 2), (5, 3), (5, 0), (4, 4)])
     def test_matches_two_pass_reference(self, L, n, rng):
-        # the same quantities; the sector products sum over shorter rows, so
-        # the residuals (already relative to the operand norms) agree at
-        # roundoff rather than bit for bit
+        # each draw alone, then the maximum over the draws in one call; the
+        # sector products sum over shorter rows, so the residuals (already
+        # relative to the operand norms) agree at roundoff rather than bit
+        # for bit
         cfg = SpectralConfig.random_instance(L, n, seed=L * 10 + n)
-        for _ in range(3):
-            lam0 = draw_complex(rng)
-            lams = [draw_complex(rng) for _ in range(n)]
-            got = check_off_relations(lam0, lams, cfg)
-            ref = two_pass_off_relations(lam0, lams, cfg)
-            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-13
+        draws = random_draws(rng, 3, n + 1)
+        refs = [two_pass_off_relations(d[0], d[1:], cfg) for d in draws]
+        for d, ref in zip(draws, refs):
+            assert np.max(np.abs(np.subtract(check_off_relations([d], cfg), ref))) <= 1e-13
+        got = check_off_relations(draws, cfg)
+        assert np.max(np.abs(np.subtract(got, np.max(refs, axis=0)))) <= 1e-13
 
     def test_empty_set_trivial(self, cfg3, rng):
-        res = check_off_relations(draw_complex(rng), [], cfg3)
+        res = check_off_relations([[draw_complex(rng)]], cfg3)
         assert res.a_relation == 0.0
         assert res.d_relation == 0.0
+        assert check_off_relations([], cfg3) == (0.0, 0.0, 0.0)
 
-    def test_coincident_rapidities_rejected(self, cfg3):
+    def test_coincident_rapidities_rejected(self, cfg3, rng):
         lam = 0.4 + 0.1j
-        with pytest.raises(CoincidentRapiditiesError, match="singular"):
-            check_off_relations(lam, [lam + 1e-9], cfg3)
+        for draws in ([[lam, lam + 1e-9]], random_draws(rng, 2, 2) + [[lam, lam]]):
+            with pytest.raises(CoincidentRapiditiesError, match="singular"):
+                check_off_relations(draws, cfg3)
+
+    def test_draws_of_any_shape_equal_the_per_draw_results(self, rng, monkeypatch):
+        # a coincident pair is rejected before anything is built, so draws
+        # of other widths are what give a draw fewer distinct rapidities and
+        # a smaller batch in the shared buffers
+        cfg = SpectralConfig.random_instance(5, 2, seed=12)
+        draws = random_draws(rng, 2, 3) + random_draws(rng, 1, 1) + random_draws(rng, 2, 2)
+        rows = []
+        original = bpl.blockbuild.build_batch
+
+        def recording(wa, wb, c, plan, out=None):
+            rows.append(len(wa))
+            return original(wa, wb, c, plan, out)
+
+        monkeypatch.setattr(bpl.blockbuild, "build_batch", recording)
+        got = check_off_relations(draws, cfg)
+        assert rows == [3, 3, 1, 2, 2]
+        alone = [check_off_relations([draw], cfg) for draw in draws]
+        for field, values in zip(got, zip(*alone)):
+            assert field.hex() == max(values).hex()
+
+    def test_suite_draws_share_one_buffer_set(self, monkeypatch):
+        allocated, filled = [], []
+        original_buffers = bpl.blockbuild.result_buffers
+        original_build = bpl.blockbuild.build_batch
+
+        def allocating(plan, rows):
+            allocated.append(original_buffers(plan, rows))
+            return allocated[-1]
+
+        def recording(wa, wb, c, plan, out=None):
+            filled.append([buf.base for buf in out])
+            return original_build(wa, wb, c, plan, out)
+
+        monkeypatch.setattr(bpl.blockbuild, "result_buffers", allocating)
+        monkeypatch.setattr(bpl.blockbuild, "build_batch", recording)
+        report = run_suite(None, "verify-off", overrides={"L": 6, "n": 2, "seed": 0})
+        assert report.checks[0].passed
+        # A, B and D at the last site, three rows for the three rapidities
+        [buffers] = allocated
+        assert [buf.shape for buf in buffers] == [
+            (3, sum(comb(6, k + shift) * comb(6, k) for k in range(7) if 0 <= k + shift <= 6))
+            for shift in (0, 1, 0)
+        ]
+        assert len(filled) == 10
+        assert all(all(f is b for f, b in zip(bases, buffers)) for bases in filled)
 
 
 class TestSpectrum:
