@@ -12,7 +12,7 @@ from .errors import (
     DegeneracyError,
     UnsupportedShapeError,
 )
-from .polyengine import MultiPoly, PdeSpec
+from .polyengine import GridFit, MultiPoly, PdeSpec
 from .ybcore import (
     EigenChoice,
     MonodromyEntries,
@@ -26,7 +26,6 @@ from .ybcore import (
 )
 from .functional import (
     FnSampler,
-    PolyFit,
     check_fz_residual,
     extract_fbar,
     fz_coefficients,

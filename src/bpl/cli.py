@@ -84,9 +84,11 @@ def load_config(path: str | None, overrides: dict) -> SpectralConfig:
     """Build the problem instance from an optional JSON file plus CLI flags.
 
     Flags override file values.  Parameters not pinned by either source are
-    drawn from the seed; a mu list of the wrong length is rejected with the
-    field named.  A lattice beyond the dense capacity cap is rejected before
-    anything is drawn; the remaining field checks are ``SpectralConfig``'s.
+    drawn from the seed, except ``tol`` (default 1e-9), the degeneracy
+    threshold of ``SpectralConfig``, which gates no check.  A mu list of the
+    wrong length is rejected with the field named.  A lattice beyond the
+    dense capacity cap is rejected before anything is drawn; the remaining
+    field checks are ``SpectralConfig``'s.
     """
     data: dict = {}
     if path is not None:
@@ -149,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma-re", type=float, help="Re(gamma)")
         p.add_argument("--gamma-im", type=float, help="Im(gamma)")
         p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--tol", type=float, help="residual tolerance")
+        p.add_argument("--tol", type=float, help="degeneracy threshold of |sinh(gamma)| and of "
+                       "the spectrum's eigenpair residuals (at least 1e-9); gates no check")
         p.add_argument("--out", metavar="PATH", help="write the JSON report here")
         p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
 

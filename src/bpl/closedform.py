@@ -15,8 +15,9 @@ resulting operator against the independently extracted family member.
 ``PdeCoefficients`` holds the coefficient data and evaluates V and every
 Q_i over a batch of points in one call; ``spectral_pde`` wraps it in the
 ``polyengine.PdeSpec`` through which the residual, the operator (the summed
-terms of the equation on the symmetric basis tensors at the Lbar x-nodes)
-and the first-order reduction (``reduction``) all evaluate the equation.
+terms of the equation on the symmetric basis tensors at the Lbar x-nodes,
+fitted as ``omega.sampled_operator``) and the first-order reduction
+(``reduction``) all evaluate the equation.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from math import factorial
 
 import numpy as np
 
-from .config import SpectralConfig
+from .config import SpectralConfig, random_complex
 from .functional import annulus_points, spectral_grids
-from .omega import OmegaFamily, SymmetricBasis, symmetric_operator
-from .polyengine import MultiPoly, PdeSpec, grid_points, pairwise_differences
+from .omega import OmegaFamily, SampledOperator, SymmetricBasis, sampled_operator
+from .polyengine import PdeSpec, grid_points, pairwise_differences
 
 
 def geometric_sum(q: complex, top: int) -> complex:
@@ -221,47 +222,51 @@ def closedform_residual(cfg: SpectralConfig, fbars: np.ndarray, deltas
     return spectral_pde(cfg).residual(np.asarray(fbars), deltas, points)
 
 
-def closedform_operator(cfg: SpectralConfig) -> np.ndarray:
-    """Matrix of V + sum_i Q_i d^{L-1}/dx_i^{L-1} on the symmetric basis.
+def closedform_operator(cfg: SpectralConfig) -> SampledOperator:
+    """V + sum_i Q_i d^{L-1}/dx_i^{L-1} on the symmetric basis.
 
     Like the extraction layer, the action is sampled on per-variable node
-    circles and interpolated (``omega.symmetric_operator``); the individual
-    terms leave the bounded space and only their sum returns to it.  The
-    nodes are the x-nodes of Lbar and of the overlap fits
-    (``functional.spectral_grids``).
+    circles and fitted (``omega.sampled_operator``), validated at one random
+    x-tuple; the individual terms leave the bounded space and only their
+    sum returns to it.  The nodes are the x-nodes of Lbar and of the
+    overlap fits (``functional.spectral_grids``).
     """
     n, L = cfg.n, cfg.L
     if n < 1:
         raise ValueError("the operator form needs n >= 1")
     x_grids = [np.exp(2 * g) for g in spectral_grids(L, n)]
     basis = SymmetricBasis(n, L - 1)
-    images = spectral_pde(cfg).terms(basis.tensors, grid_points(x_grids)).sum(axis=-1)
-    mat, _ = symmetric_operator(basis, images.reshape((basis.dim,) + (L,) * n), x_grids)
-    return mat
+    pde = spectral_pde(cfg)
+    images = pde.terms(basis.tensors, grid_points(x_grids)).sum(axis=-1)
+    rng = cfg.rng("closedform-operator-holdout")
+    held_x = np.exp(2 * np.array([random_complex(rng) for _ in range(n)]))
+    held_images = pde.terms(basis.tensors, held_x[None, :]).sum(axis=-1)[:, 0]
+    return sampled_operator(basis, images.reshape((basis.dim,) + (L,) * n), x_grids, held_x,
+                            held_images)
 
 
-def compare_omega_closedform(family: OmegaFamily) -> np.ndarray:
-    """Max-norm distance between the closed-form operator and the extracted
-    x0^{L-1} family member, per symmetric-basis column (in ``basis.labels``
-    order), all normalised by the larger of the two operators' max-norms.
-    Its maximum is the decisive validation of every coefficient formula and
+def compare_omega_closedform(family: OmegaFamily, closed: SampledOperator) -> np.ndarray:
+    """Max-norm distance between the closed-form operator ``closed`` of the
+    family's instance and the extracted x0^{L-1} family member, per
+    symmetric-basis column (in ``basis.labels`` order), all normalised by
+    the larger of the two operators' max-norms.  Its maximum is the decisive validation of every coefficient formula and
     of the multiplicative conventions q = e^gamma, x = e^{2 lambda},
     y = e^{2 mu}; the columns that disagree locate a fault."""
-    cfg = family.cfg
-    closed = closedform_operator(cfg)
-    extracted = family.omega(cfg.L - 1)
-    scale = max(np.max(np.abs(closed)), np.max(np.abs(extracted)), 1e-300)
-    return np.max(np.abs(closed - extracted), axis=0) / scale
+    mat = closed.coefficient_matrices
+    extracted = family.omega(family.cfg.L - 1)
+    scale = max(np.max(np.abs(mat)), np.max(np.abs(extracted)), 1e-300)
+    return np.max(np.abs(mat - extracted), axis=0) / scale
 
 
 # -- solvable small cases -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class SpecialSolutions:
-    """Closed-form eigenfunctions of the explicit PDE with their eigenvalues."""
+    """Closed-form eigenfunctions (coefficient tensors) of the explicit PDE
+    with their eigenvalues."""
 
     case: str
-    eigenfunctions: tuple[MultiPoly, ...]
+    eigenfunctions: tuple[np.ndarray, ...]
     deltas: tuple[complex, ...]
 
 
@@ -289,7 +294,7 @@ def special_solutions(case: str, cfg: SpectralConfig) -> SpecialSolutions:
         if cfg.n != 0:
             raise ValueError("case 'n0' needs n = 0")
         return SpecialSolutions(
-            case, (MultiPoly(np.array(1.0 + 0.0j)),), (delta_top_n0(cfg),)
+            case, (np.array(1.0 + 0.0j),), (delta_top_n0(cfg),)
         )
     if case == "n1L2":
         if (cfg.n, cfg.L) != (1, 2):
@@ -300,8 +305,7 @@ def special_solutions(case: str, cfg: SpectralConfig) -> SpecialSolutions:
         shift = (q**2 - 1) ** 2 / (4 * q**2)
         funcs, deltas = [], []
         for sign in (+1.0, -1.0):
-            p = MultiPoly(np.array([sign * sqy, q], dtype=complex))  # q x1 + sign sqrt(y1 y2)
-            funcs.append(p)
+            funcs.append(np.array([sign * sqy, q], dtype=complex))  # q x1 + sign sqrt(y1 y2)
             deltas.append(complex(base - sign * shift))
         return SpecialSolutions(case, tuple(funcs), tuple(deltas))
     if case == "n2L2":
@@ -315,5 +319,5 @@ def special_solutions(case: str, cfg: SpectralConfig) -> SpecialSolutions:
         c[1, 0] = c[0, 1] = q**2 * (ys[0] + ys[1])
         c[1, 1] = -(1 + q**2) * q**2
         delta = complex(-(ys[0] + ys[1]) / (2 * sqy))
-        return SpecialSolutions(case, (MultiPoly(c),), (delta,))
+        return SpecialSolutions(case, (c,), (delta,))
     raise ValueError(f"unknown case {case!r}; expected one of 'n0', 'n1L2', 'n2L2'")

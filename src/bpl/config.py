@@ -58,6 +58,10 @@ class SpectralConfig:
 
     Parameters are validated eagerly: ``sinh(gamma)`` must be nondegenerate,
     the inhomogeneities finite, and ``0 <= n <= L``.
+
+    ``tol`` gates no check: it is the |sinh(gamma)| at or below which gamma
+    is degenerate, and the eigenpair residual (never below 1e-9) above which
+    ``ybcore.spectrum`` rejects a sector as degenerate.
     """
 
     L: int

@@ -28,9 +28,8 @@ import numpy as np
 
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError
-from .functional import (PolyFit, annulus_points, b_table, circle_grid, fit_overlaps,
-                         grid_chains, overlap_samples)
-from .polyengine import MultiPoly, PdeSpec, pairwise_differences, tensor_interpolate
+from .functional import annulus_points, b_table, circle_grid, fit_overlaps, grid_chains
+from .polyengine import GridFit, PdeSpec, pairwise_differences
 from .reduction import upsilon_residual
 from .ybcore import monodromies, weight_a, weight_b, weight_c
 
@@ -135,11 +134,11 @@ def dwbc_configuration_sum(lams, cfg: SpectralConfig) -> complex:
 
 @dataclass
 class DwbcInstance:
-    """Extracted polynomial part of the partition function with diagnostics."""
+    """Extracted polynomial part of the partition function, Zbar =
+    ``fit.coeffs[0]``, with diagnostics."""
 
     cfg: SpectralConfig
-    zbar: MultiPoly
-    fit: PolyFit
+    fit: GridFit
     symmetry_defect: float
     top_coefficient: float
 
@@ -153,12 +152,12 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
 
     The held-out residual checks interpolation exactness, the symmetry
     defect compares coefficients across variable swaps, and the top
-    coefficient certifies the per-variable degree bound L-1 (fitting with one
-    extra node per axis would put mass there otherwise).
+    coefficient certifies the per-variable degree bound L-1: a second fit,
+    with one extra node on axis 0, would put mass there otherwise.
 
     B is built once at each interpolation node and held-out rapidity, all
-    in one batched call; both grids and the holdout read those blocks,
-    which are dropped when the function returns.
+    in one batched call; both fits read those blocks, which are dropped
+    when the function returns.
     """
     L = cfg.L
     _check_partition_capacity(cfg)
@@ -167,21 +166,18 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
     rng = cfg.rng("zbar-holdout")
     held = [random_complex(rng) for _ in range(L)]
     b_ops = b_table(cfg, np.concatenate(grids + [extra, held]), top=L)
-    [fit] = fit_overlaps(L, [_ALL_DOWN], b_ops, grids, held)
-    poly = fit.poly
+    fit = fit_overlaps(L, [_ALL_DOWN], b_ops, grids, held)
+    zbar = fit.coeffs[0]
 
     sym_defect = 0.0
-    scale = max(poly.max_abs(), 1e-300)
+    scale = max(float(np.max(np.abs(zbar))), 1e-300)
     for i in range(L - 1):
-        swapped = np.swapaxes(poly.coeffs, i, i + 1)
-        sym_defect = max(sym_defect, float(np.max(np.abs(swapped - poly.coeffs)) / scale))
+        swapped = np.swapaxes(zbar, i, i + 1)
+        sym_defect = max(sym_defect, float(np.max(np.abs(swapped - zbar)) / scale))
 
-    # degree certification: refit axis 0 with one extra node
-    ext_grids = [extra] + grids[1:]
-    vals_ext = overlap_samples([_ALL_DOWN], b_ops, ext_grids, L)[0]
-    ext_coeffs = tensor_interpolate(vals_ext, [np.exp(2 * g) for g in ext_grids])
-    top = float(np.max(np.abs(ext_coeffs[L])) / scale)
-    return DwbcInstance(cfg, poly, fit, sym_defect, top)
+    ext = fit_overlaps(L, [_ALL_DOWN], b_ops, [extra] + grids[1:], held).coeffs[0]
+    top = float(np.max(np.abs(ext[L])) / scale)
+    return DwbcInstance(cfg, fit, sym_defect, top)
 
 
 # -- the homogeneous PDE --------------------------------------------------------------
@@ -211,7 +207,7 @@ def dwbc_pde_residual(instance: DwbcInstance) -> float:
     """
     cfg = instance.cfg
     points = annulus_points(cfg, cfg.L, 10, "dwbc-points")
-    return float(np.max(dwbc_upsilon(cfg).residual(instance.zbar.coeffs, 0.0, points)[0]))
+    return float(np.max(dwbc_upsilon(cfg).residual(instance.fit.coeffs[0], 0.0, points)[0]))
 
 
 def dwbc_upsilon(cfg: SpectralConfig) -> PdeSpec:
@@ -230,4 +226,5 @@ def dwbc_upsilon_residual(instance: DwbcInstance) -> float:
     5 sample points."""
     cfg = instance.cfg
     points = annulus_points(cfg, cfg.L, 5, "dwbc-upsilon-points")
-    return float(np.max(upsilon_residual(dwbc_upsilon(cfg), instance.zbar.coeffs, 0.0, points)[0]))
+    return float(np.max(upsilon_residual(dwbc_upsilon(cfg), instance.fit.coeffs[0], 0.0,
+                                         points)[0]))

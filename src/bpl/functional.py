@@ -24,9 +24,9 @@ all-down state (``dwbc``).  ``grid_chains`` builds the chains at every point
 of a tensor grid, one axis at a time from the last, so each grid suffix is
 one matrix-vector product, computed once.  ``fit_overlaps`` samples every
 left vector on those chains and interpolates all of them in one
-``fit_grid`` call, which also validates each at a held-out point and
-computes the grid's condition number once.  Both the overlap fits of a
-sector and Zbar are such a call.
+``polyengine.fit_grid`` call, which also validates each at a held-out point
+and computes the grid's condition number once.  The overlap fits of a
+sector, Zbar and Zbar's degree refit are each such a call.
 
 Batched coefficients.  ``fz_coefficients`` evaluates the relation's
 coefficients at N x0 rapidities times P rapidity rows in one call, with the
@@ -46,7 +46,7 @@ from functools import reduce
 import numpy as np
 
 from .config import SpectralConfig, random_complex
-from .polyengine import MultiPoly, grid_condition, tensor_interpolate
+from .polyengine import GridFit, fit_grid
 from .ybcore import (
     EigenChoice,
     exchange_m_factors,
@@ -61,14 +61,12 @@ from .ybcore import (
 __all__ = [
     "EigenChoice",
     "FnSampler",
-    "PolyFit",
     "annulus_points",
     "b_table",
     "check_fz_residual",
     "circle_grid",
     "extract_fbar",
     "extract_fbars",
-    "fit_grid",
     "fit_overlaps",
     "fz_coefficients",
     "grid_chains",
@@ -78,6 +76,7 @@ __all__ = [
     "spectral_grids",
     "spectrum",
     "vacuum_products",
+    "vanishing",
 ]
 
 
@@ -259,15 +258,6 @@ def check_fz_residual(sampler: FnSampler, draws) -> float:
 
 # -- polynomial parts --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyFit:
-    """An interpolated polynomial plus the diagnostics of its construction."""
-
-    poly: MultiPoly
-    grid_condition: float
-    holdout_residual: float
-
-
 def overlap_samples(lefts, b_ops, lam_grids, L: int) -> np.ndarray:
     """prod_i e^{(L-1) lam_i} <left| B(lam_1) ... B(lam_m) |0> for every
     vector of ``lefts`` at every point of the tensor grid of ``lam_grids``,
@@ -287,31 +277,10 @@ def overlap_samples(lefts, b_ops, lam_grids, L: int) -> np.ndarray:
     return values.reshape((len(lefts),) + total.shape)
 
 
-def fit_grid(values: np.ndarray, x_grids, held_x, held_values) -> list[PolyFit]:
-    """Interpolate a batch of tensor-grid samples, one function per leading
-    entry of ``values`` on the grid of the per-variable nodes ``x_grids``,
-    in one solve, and validate each at ``held_x``, where it takes the value
-    in ``held_values``.  Each holdout residual is
-    |direct - fitted| / max(|direct|, max |coeff|); the condition number,
-    computed once, is the largest per-axis Vandermonde one (1 with no axes).
-    """
-    coeffs = tensor_interpolate(values, x_grids)
-    condition = max((grid_condition(xg) for xg in x_grids), default=1.0)
-    held = np.asarray(held_x)[None, :]
-    fits = []
-    for tensor, direct in zip(coeffs, held_values):
-        # a C-ordered copy: evaluating a strided entry rounds differently
-        poly = MultiPoly(np.array(tensor, order="C"))
-        fitted = poly.eval_many(held)[0]
-        holdout = abs(direct - fitted) / max(abs(direct), poly.max_abs(), 1e-300)
-        fits.append(PolyFit(poly, condition, float(holdout)))
-    return fits
-
-
-def fit_overlaps(L: int, lefts, b_ops, lam_grids, held) -> list[PolyFit]:
+def fit_overlaps(L: int, lefts, b_ops, lam_grids, held) -> GridFit:
     """Polynomial part of <left| B(lam_1) ... B(lam_m) |0> in the x_i =
-    e^{2 lam_i} for every vector of ``lefts``: ``overlap_samples`` on the
-    grid of ``lam_grids`` and at the rapidities ``held``, fitted in one
+    e^{2 lam_i}, one entry per vector of ``lefts``: ``overlap_samples`` on
+    the grid of ``lam_grids`` and at the rapidities ``held``, fitted in one
     ``fit_grid`` call.  ``b_ops`` holds B at every node and held rapidity.
     """
     values = overlap_samples(lefts, b_ops, lam_grids, L)
@@ -320,8 +289,8 @@ def fit_overlaps(L: int, lefts, b_ops, lam_grids, held) -> list[PolyFit]:
                     np.exp(2 * np.array(held)), held_values)
 
 
-def extract_fbars(cfg: SpectralConfig, n: int, lefts) -> list[PolyFit]:
-    """Polynomial part of F_n for each sector-n left eigenvector of
+def extract_fbars(cfg: SpectralConfig, n: int, lefts) -> GridFit:
+    """Polynomial part of F_n, one entry per sector-n left eigenvector of
     ``lefts``: ``fit_overlaps`` on the grid of ``spectral_grids`` (the
     x-nodes of Lbar), at per-variable degree L-1, validated at one random
     point.  B is built at each node and at that point in one batched call
@@ -334,26 +303,30 @@ def extract_fbars(cfg: SpectralConfig, n: int, lefts) -> list[PolyFit]:
     return fit_overlaps(cfg.L, lefts, b_ops, grids, held)
 
 
-def extract_fbar(sampler: FnSampler) -> PolyFit:
-    """``extract_fbars`` for the sampler's eigenpair alone."""
-    [fit] = extract_fbars(sampler.cfg, sampler.eig.sector, [sampler.eig.left])
-    return fit
+def extract_fbar(sampler: FnSampler) -> GridFit:
+    """``extract_fbars`` for the sampler's eigenpair alone, a batch of one."""
+    return extract_fbars(sampler.cfg, sampler.eig.sector, [sampler.eig.left])
 
 
-def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> np.ndarray:
-    """Coefficients of Lambda_bar(x0) = Lambda(lam0) e^{L lam0} as a degree-L
-    polynomial in x0 = e^{2 lam0}, one row per eigenpair of ``eigs``,
-    interpolated on the x0 nodes of Lbar (``lbar_x0_nodes``).
+def vanishing(fits: GridFit) -> np.ndarray:
+    """Which overlap fits are the zero polynomial, all coefficients below
+    1e-12 in modulus: the eigenpairs the Omega and PDE checks skip."""
+    return np.max(np.abs(fits.coeffs), axis=tuple(range(1, fits.coeffs.ndim))) < 1e-12
 
-    The transfer matrix at each node is built once, all nodes in one batched
-    call capped at the highest sector of ``eigs`` that builds A and D alone,
-    and shared across all the requested eigenpairs.
-    """
+
+def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> GridFit:
+    """Lambda_bar(x0) = Lambda(lam0) e^{L lam0} as a degree-L polynomial in
+    x0 = e^{2 lam0}, one entry per eigenpair of ``eigs``, fitted on the x0
+    nodes of Lbar (``lbar_x0_nodes``) and validated at one random x0.  The
+    transfer matrices there come from one batched call of A and D, capped
+    at the highest sector of ``eigs``."""
     nodes = lbar_x0_nodes(cfg)
+    held = random_complex(cfg.rng("lambda-bar-holdout"))
+    lam0s = np.append(nodes, held)
     top = max((eig.sector for eig in eigs), default=0)
-    values = np.zeros((len(eigs), len(nodes)), dtype=complex)
-    for j, (lam0, m) in enumerate(zip(nodes, monodromies(nodes, cfg, top, ops="ad"))):
+    values = np.zeros((len(eigs), len(lam0s)), dtype=complex)
+    for j, (lam0, m) in enumerate(zip(lam0s, monodromies(lam0s, cfg, top, ops="ad"))):
         t = m.transfer()
         for i, eig in enumerate(eigs):
             values[i, j] = eig.eigenvalue_from(t) * np.exp(cfg.L * lam0)
-    return tensor_interpolate(values, [np.exp(2 * nodes)])
+    return fit_grid(values[:, :-1], [np.exp(2 * nodes)], [np.exp(2 * held)], values[:, -1])

@@ -22,13 +22,14 @@ single variable the symmetric space is the whole space.
 Lbar and the closed-form operator of ``closedform`` are assembled alike:
 the action is sampled on all the stacked basis tensors at once
 (``SymmetricBasis.tensors``; ``lbar_action`` is the one writing of the Lbar
-action), and ``symmetric_operator`` interpolates and projects every column
-in one batch.  Both sample the x_i on ``functional.spectral_grids``, the
-nodes of the overlap fits, and Lbar samples x0 on ``lbar_x0_nodes``.  The
-multipliers of every x0 node and grid point come from one batched
-``fz_coefficients`` call, bit-identical to one-point evaluation; the
-prefactors and the substituted evaluations are then applied one x0 node
-at a time.
+action), and ``sampled_operator`` fits every column in one
+``polyengine.fit_grid`` call, validated at one held-out point, and projects
+the fits onto the basis.  Both sample the x_i on
+``functional.spectral_grids``, the nodes of the overlap fits, and Lbar
+samples x0 on ``lbar_x0_nodes``.  The multipliers of every x0 node and
+grid point come from one batched ``fz_coefficients`` call, bit-identical
+to one-point evaluation; the prefactors and the substituted evaluations
+are then applied one x0 node at a time.
 """
 
 from __future__ import annotations
@@ -41,13 +42,8 @@ import numpy as np
 
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError
-from .functional import (
-    PolyFit,
-    fz_coefficients,
-    lbar_x0_nodes,
-    spectral_grids,
-)
-from .polyengine import eval_tensors, grid_condition, grid_points, tensor_interpolate
+from .functional import fz_coefficients, lbar_x0_nodes, spectral_grids, vanishing
+from .polyengine import eval_tensors, fit_grid, grid_points
 
 #: default ceiling on the full tensor space used during sampling
 MAX_TENSOR_DIM = 4096
@@ -111,22 +107,29 @@ class SymmetricBasis:
 # -- the operator-valued polynomial in x0 -----------------------------------------
 
 @dataclass
-class LbarOperator:
-    """Coefficient matrices of Lbar(x0) on the symmetric basis.
-
-    ``coefficient_matrices[k]`` is Omega_k.  ``polynomiality_residual`` is the
-    largest error of the assembled matrices against the direct action at a
-    held-out point (the claim that Lbar maps the bounded symmetric space to
-    itself is verified, not assumed), ``symmetry_defect`` bounds how far
-    any image was from being symmetric, and ``grid_condition`` is the
-    largest per-axis Vandermonde condition number of the x and x0 nodes.
-    """
+class SampledOperator:
+    """A linear map on the symmetric basis fitted from its images of the
+    basis elements (Omega_k = ``coefficient_matrices[k]`` for Lbar), with
+    the largest holdout of the fitted images, which verifies that the map
+    keeps the bounded space, and their largest symmetry defect."""
 
     basis: SymmetricBasis
     coefficient_matrices: np.ndarray
     polynomiality_residual: float
     symmetry_defect: float
     grid_condition: float
+
+
+def sampled_operator(basis: SymmetricBasis, images: np.ndarray, node_sets, held_x,
+                     held_images) -> SampledOperator:
+    """``fit_grid`` and projection onto ``basis`` of a linear map's images
+    of the basis elements, ``images[col]`` on the grid of ``node_sets`` and
+    ``held_images[col]`` at ``held_x``.  Node sets before the last
+    ``basis.nvars`` (the x0 of Lbar) index the leading matrix axes."""
+    fit = fit_grid(images, node_sets, held_x, held_images)
+    vecs, defect = basis.project(fit.coeffs)
+    return SampledOperator(basis, np.moveaxis(vecs, 0, -1), float(np.max(fit.holdouts)),
+                           float(np.max(defect)), fit.grid_condition)
 
 
 def lbar_action(cfg: SpectralConfig, lam0s, lam_points, evaluate) -> np.ndarray:
@@ -161,33 +164,15 @@ def lbar_action(cfg: SpectralConfig, lam0s, lam_points, evaluate) -> np.ndarray:
     return np.stack(images, axis=-2)
 
 
-def symmetric_operator(
-    basis: SymmetricBasis, images: np.ndarray, node_sets
-) -> tuple[np.ndarray, float]:
-    """Matrices on ``basis`` of a linear map sampled on its basis elements.
-
-    ``images[col]`` holds the image of basis element ``col`` sampled on the
-    tensor grid of ``node_sets``.  The last ``basis.nvars`` node sets belong
-    to the polynomial's variables; any before them (the x0 of Lbar) are
-    further variables, whose coefficients index the leading axes of the
-    result.  One interpolation and one projection serve every column.
-    Returns the matrices, shape (extra..., dim, dim), and the largest
-    symmetry defect of any image.
-    """
-    table = tensor_interpolate(images, node_sets)
-    vecs, defect = basis.project(table)
-    return np.moveaxis(vecs, 0, -1), float(np.max(defect))
-
-
-def build_lbar(cfg: SpectralConfig) -> LbarOperator:
+def build_lbar(cfg: SpectralConfig) -> SampledOperator:
     """Assemble Lbar(x0) by sampling its action on the symmetric basis.
 
     The multipliers are only polynomial-preserving in combination, so the
     action is evaluated pointwise on per-variable disjoint node circles
     (keeping every coefficient denominator away from zero) and interpolated:
     degree L-1 per variable, then degree L in x0.  Nothing is ever composed
-    from the rational pieces individually.  A random x-tuple at the first
-    x0 node checks every column of the result against the direct action.
+    from the rational pieces individually.  Every column is validated
+    against the direct action at a random x-tuple at the first x0 node.
     """
     n, L = cfg.n, cfg.L
     if n < 1:
@@ -197,25 +182,17 @@ def build_lbar(cfg: SpectralConfig) -> LbarOperator:
     lam_grids, lam0_nodes = spectral_grids(L, n), lbar_x0_nodes(cfg)
     x_grids = [np.exp(2 * g) for g in lam_grids]
     x0_nodes = np.exp(2 * lam0_nodes)
-    lam_points = grid_points(lam_grids)
 
     basis = SymmetricBasis(n, L - 1)
     evaluate = partial(eval_tensors, basis.tensors)
-    images = lbar_action(cfg, lam0_nodes, lam_points, evaluate)
-    coeff_mats, worst_sym = symmetric_operator(
-        basis, images.reshape((basis.dim, L + 1) + (L,) * n), [x0_nodes] + x_grids
-    )
-
+    images = lbar_action(cfg, lam0_nodes, grid_points(lam_grids), evaluate)
     rng = cfg.rng("lbar-holdout")
     held_lams = np.array([[random_complex(rng) for _ in range(n)]])
-    direct = lbar_action(cfg, lam0_nodes[:1], held_lams, evaluate)[:, 0, 0]
-    at_held = evaluate(np.exp(2 * held_lams))[:, 0]
-    fitted = x0_nodes[0] ** np.arange(L + 1) @ (at_held @ coeff_mats)
-    scale = np.maximum(np.abs(direct), np.max(np.abs(coeff_mats), axis=(0, 1)))
-    worst_holdout = np.max(np.abs(direct - fitted) / np.maximum(scale, 1e-300))
-    cond = max(grid_condition(nodes) for nodes in [x0_nodes] + x_grids)
-
-    return LbarOperator(basis, coeff_mats, float(worst_holdout), worst_sym, cond)
+    held_images = lbar_action(cfg, lam0_nodes[:1], held_lams, evaluate)[:, 0, 0]
+    return sampled_operator(basis, images.reshape((basis.dim, L + 1) + (L,) * n),
+                            [x0_nodes] + x_grids,
+                            np.concatenate([x0_nodes[:1], np.exp(2 * held_lams[0])]),
+                            held_images)
 
 
 # -- the family and its spectra ----------------------------------------------------
@@ -234,7 +211,7 @@ class OmegaFamily:
     """
 
     cfg: SpectralConfig
-    lbar: LbarOperator
+    lbar: SampledOperator
     omegas: np.ndarray
     commutator_norms: np.ndarray
     omega_top_scalar: complex
@@ -294,7 +271,7 @@ class EigkRecord:
 
     eig_index: int
     vanishing: bool
-    fbar_fit: PolyFit | None
+    fbar: np.ndarray
     delta: np.ndarray | None
     residual: float
     containment_distance: float
@@ -325,23 +302,23 @@ class EigkReport:
 def check_eigk(family: OmegaFamily, eigs, fits, lam_bars) -> EigkReport:
     """Verify Omega_k Fbar = Delta_k Fbar for every sector-n eigenpair.
 
-    ``eigs`` is the sector-n spectrum of the family's instance, ``fits``
-    the overlap fit of each of those eigenpairs and ``lam_bars`` the
-    coefficients of each one's Lambda_bar(x0) (``lambda_bar_coefficients``),
-    in the same order.  The Delta_k are read off that degree-L polynomial
-    form of the transfer eigenvalue, independently of the operator
-    extraction.  Eigenpairs whose overlap polynomial vanishes identically
-    are reported as such rather than asserted against.  Each record also carries the distance from its Delta
-    vector to the nearest row of the family's joint-spectrum table.
+    ``eigs`` is the sector-n spectrum of the family's instance, and
+    ``fits`` and ``lam_bars`` the fits of their overlaps and of their
+    Lambda_bar(x0), in the same order.  The Delta_k are read off that
+    degree-L polynomial form of the transfer eigenvalue, independently of
+    the operator extraction.  Eigenpairs whose overlap polynomial vanishes
+    (``functional.vanishing``) are reported as such rather than asserted
+    against.  Each record also carries the distance from its Delta vector
+    to the nearest row of the family's joint-spectrum table.
     """
     cfg = family.cfg
     records = []
-    for eig, fit, deltas in zip(eigs, fits, lam_bars):
-        vec, _ = family.basis.project(fit.poly.coeffs)
-        norm = np.max(np.abs(vec))
-        if norm < 1e-12:
-            records.append(EigkRecord(eig.index, True, fit, None, 0.0, np.inf))
+    for eig, fbar, deltas, zero in zip(eigs, fits.coeffs, lam_bars.coeffs, vanishing(fits)):
+        if zero:
+            records.append(EigkRecord(eig.index, True, fbar, None, 0.0, np.inf))
             continue
+        vec, _ = family.basis.project(fbar)
+        norm = np.max(np.abs(vec))
         resid = 0.0
         for k in range(cfg.L + 1):
             num = np.max(np.abs(family.omegas[k] @ vec - deltas[k] * vec))
@@ -351,5 +328,5 @@ def check_eigk(family: OmegaFamily, eigs, fits, lam_bars) -> EigkReport:
             np.max(np.abs(family.delta_table - deltas[None, :]), axis=1)
             / (1.0 + np.max(np.abs(deltas)))
         )
-        records.append(EigkRecord(eig.index, False, fit, np.asarray(deltas), float(resid), float(dist)))
+        records.append(EigkRecord(eig.index, False, fbar, np.asarray(deltas), float(resid), float(dist)))
     return EigkReport(family, records)

@@ -1,9 +1,12 @@
 """Dense multivariate polynomials on degree-bounded spaces.
 
-A polynomial in ``n`` variables with per-variable degree bound ``m`` is a
-coefficient tensor of shape ``(m+1,)*n``.  Stacked tensors (leading axes a
-batch) are evaluated at a batch of points by ``eval_tensors``, the one
-evaluation algorithm; ``MultiPoly`` calls it for one point too.
+A polynomial in ``n`` variables with per-variable degree bounds m_i is a
+coefficient tensor of shape ``(m_0+1, ..., m_{n-1}+1)``.  Stacked tensors
+(leading axes a batch) are evaluated at a batch of points by
+``eval_tensors``, the one evaluation algorithm; ``MultiPoly`` calls it for
+one point too.  ``fit_grid`` is the one fit from tensor-grid samples: every
+interpolated quantity of the pipeline comes back from it as a ``GridFit``,
+with its condition number and one holdout per entry.
 ``PdeSpec`` is the one description of the order-(L-1) linear PDE that the
 closed form, its first-order reduction and the domain-wall equation share;
 it evaluates coefficients, terms and residuals over point batches.
@@ -23,14 +26,12 @@ from .errors import CoincidentRapiditiesError
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Polynomial with complex coefficients and a shared per-variable bound."""
+    """Polynomial with complex coefficients, one tensor axis per variable."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim > 0 and len(set(c.shape)) > 1:
-            raise ValueError(f"coefficient tensor must be hypercubic, got {c.shape}")
         if not (np.isfinite(c.real).all() and np.isfinite(c.imag).all()):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
@@ -38,10 +39,6 @@ class MultiPoly:
     @property
     def nvars(self) -> int:
         return self.coeffs.ndim
-
-    @property
-    def degree_bound(self) -> int:
-        return 0 if self.coeffs.ndim == 0 else self.coeffs.shape[0] - 1
 
     def __call__(self, point) -> complex:
         """Value at one point: the one-point case of ``eval_tensors``."""
@@ -57,26 +54,30 @@ class MultiPoly:
             raise ValueError(f"expected points of shape (P, {self.nvars})")
         return eval_tensors(self.coeffs, points)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
 
 def eval_tensors(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Values of stacked coefficient tensors at points.
 
-    The trailing nvars axes of ``coeffs`` are the variables and any leading
-    axes a batch; ``points`` has shape (P, nvars).  The box monomials are
-    evaluated once, as a (P, (m+1)^nvars) table, and one matrix product
-    with the flattened tensors gives the values, shape batch + (P,).
+    The trailing nvars axes of ``coeffs`` are the variables, each as long
+    as its variable's degree bound plus one, and any leading axes a batch;
+    ``points`` has shape (P, nvars).  The box monomials are evaluated once,
+    as a (P, box size) table, and one matrix product with the flattened
+    tensors gives the values, shape batch + (P,).
     """
     points = np.asarray(points, dtype=complex)
-    nvars = points.shape[1]
+    box = coeffs.ndim - points.shape[1]
+    monomials = box_monomials(points, coeffs.shape[box:])
+    return coeffs.reshape(coeffs.shape[:box] + monomials.shape[1:]) @ monomials.T
+
+
+def box_monomials(points: np.ndarray, shape) -> np.ndarray:
+    """Every monomial of a coefficient box of ``shape`` at every point of
+    ``points`` (P, nvars), shape (P, box size), in the box's C order."""
     monomials = np.ones((len(points), 1), dtype=complex)
-    for i in range(nvars):
-        powers = np.vander(points[:, i], coeffs.shape[-1], increasing=True)
+    for i, size in enumerate(shape):
+        powers = np.vander(points[:, i], size, increasing=True)
         monomials = (monomials[:, :, None] * powers[:, None, :]).reshape(len(points), -1)
-    batch = coeffs.shape[: coeffs.ndim - nvars]
-    return coeffs.reshape(batch + monomials.shape[1:]) @ monomials.T
+    return monomials
 
 
 def grid_points(grids) -> np.ndarray:
@@ -198,9 +199,9 @@ def grid_condition(nodes: np.ndarray) -> float:
 
 
 def tensor_interpolate(values: np.ndarray, node_sets) -> np.ndarray:
-    """Coefficient tensor of the polynomial matching ``values`` on a tensor
-    grid.  The trailing axes of ``values`` run over the per-variable node
-    sets; any leading axes are treated as batch dimensions.
+    """The solve of ``fit_grid``: the coefficient tensor of the polynomial
+    matching ``values`` on a tensor grid.  The trailing axes of ``values``
+    run over the per-variable node sets; any leading axes are a batch.
 
     The entries of the first batch axis are solved in chunks of at most
     ``blockbuild.BATCH_ENTRIES`` values (at least one entry each), which
@@ -228,6 +229,33 @@ def tensor_interpolate(values: np.ndarray, node_sets) -> np.ndarray:
         part = slice(start, start + chunk)
         out[part] = _interpolate_axes(values[part], vands, batch)
     return out
+
+
+@dataclass(frozen=True)
+class GridFit:
+    """Coefficient tensors fitted on a tensor grid, shape (N,) + box, with
+    the largest per-axis Vandermonde condition number (1 with no axes) and
+    each entry's holdout, |direct - fitted| / max(|direct|, max |coeff|)."""
+
+    coeffs: np.ndarray
+    grid_condition: float
+    holdouts: np.ndarray
+
+
+def fit_grid(values: np.ndarray, x_grids, held_x, held_values) -> GridFit:
+    """Fit one function per leading entry of ``values`` on the grid of
+    ``x_grids`` in one solve, and validate each at ``held_x`` against
+    ``held_values``, on a C-ordered copy of that entry alone, as
+    ``eval_tensors`` reads it (a strided entry rounds differently)."""
+    coeffs = tensor_interpolate(values, x_grids)
+    condition = max((grid_condition(xg) for xg in x_grids), default=1.0)
+    held = box_monomials(np.asarray(held_x, dtype=complex)[None, :], coeffs.shape[1:]).T
+    holdouts = np.empty(len(coeffs))
+    for i, (entry, direct) in enumerate(zip(coeffs, held_values)):
+        entry = np.array(entry, order="C")
+        fitted = entry.reshape(len(held)) @ held
+        holdouts[i] = abs(direct - fitted[0]) / max(abs(direct), np.abs(entry).max(), 1e-300)
+    return GridFit(coeffs, condition, holdouts)
 
 
 def _interpolate_axes(values: np.ndarray, vands, batch: int) -> np.ndarray:

@@ -34,7 +34,9 @@ from .functional import (
     extract_fbars,
     lambda_bar_coefficients,
     spectrum,
+    vanishing,
 )
+from .polyengine import GridFit
 
 
 @dataclass
@@ -96,6 +98,15 @@ def _draws(cfg: SpectralConfig, tag: str, count: int, width: int = 1):
         yield [random_complex(rng) for _ in range(width)]
 
 
+def _on_sites(cfg: SpectralConfig, L: int, n: int) -> SpectralConfig:
+    """The instance on ``L`` sites with ``n`` excitations: its own gamma,
+    tol, seed and first L inhomogeneities, any missing ones drawn as
+    ``random_instance(L, n, seed)`` draws them (which it thus equals for a
+    seeded instance)."""
+    drawn = SpectralConfig.random_instance(L, n, cfg.seed).mu[cfg.L:] if L > cfg.L else ()
+    return cfg.replace(L=L, n=n, mu=(cfg.mu + drawn)[:L])
+
+
 def _commutator(x, y, shift: int) -> float:
     """max |[X, Y]| / (max |X| max |Y|) of two operators given as sector
     blocks that both move the down-spin count by ``shift`` (0 or 1); the
@@ -131,14 +142,14 @@ class Artifacts:
         return self._build("eigs", spectrum, self.cfg, self.cfg.n)
 
     @cached_property
-    def fits(self) -> list:
-        """Overlap fit of each eigenpair, in ``eigs`` order."""
+    def fits(self) -> GridFit:
+        """Overlap fits of the eigenpairs, in ``eigs`` order."""
         return self._build("fits", extract_fbars, self.cfg, self.cfg.n,
                            [eig.left for eig in self.eigs])
 
     @cached_property
-    def lam_bars(self) -> np.ndarray:
-        """Coefficients of Lambda_bar(x0) of each eigenpair, in ``eigs`` order."""
+    def lam_bars(self) -> GridFit:
+        """Lambda_bar(x0) fits of the eigenpairs, in ``eigs`` order."""
         return self._build("lam_bars", lambda_bar_coefficients, self.eigs, self.cfg)
 
     @cached_property
@@ -167,13 +178,13 @@ def suite_verify_ybe(art: Artifacts) -> list[CheckRecord]:
 
 def suite_verify_rtt(art: Artifacts) -> list[CheckRecord]:
     cfg, rec = art.cfg, _Recorder()
-    rtt_cfg = cfg if cfg.L <= 5 else SpectralConfig.random_instance(5, 0, cfg.seed)
+    rtt_cfg = cfg if cfg.L <= 5 else _on_sites(cfg, 5, 0)
     worst = 0.0
     for x, y in _draws(rtt_cfg, "rtt", 20, width=2):
         worst = max(worst, ybcore.check_rtt(x, y, rtt_cfg))
     rec.add("rtt-random-draws", worst, 1e-10, L=rtt_cfg.L, draws=20)
 
-    comm_cfg = cfg if cfg.L <= 8 else SpectralConfig.random_instance(8, 0, cfg.seed)
+    comm_cfg = cfg if cfg.L <= 8 else _on_sites(cfg, 8, 0)
     worst = 0.0
     for x, y in _draws(comm_cfg, "commutator", 5, width=2):
         tx, ty = (m.transfer() for m in ybcore.monodromies([x, y], comm_cfg, ops="ad"))
@@ -221,8 +232,8 @@ def suite_fz(art: Artifacts) -> list[CheckRecord]:
         worst = max(worst, check_fz_residual(FnSampler(cfg, eig), draws))
     rec.add("functional-relation", worst, 1e-8, n=cfg.n, L=cfg.L, eigenvectors=len(eigs))
 
-    rec.add("overlap-polynomial-holdout", max(fit.holdout_residual for fit in fits), 1e-9,
-            grid_condition=max(fit.grid_condition for fit in fits))
+    rec.add("overlap-polynomial-holdout", np.max(fits.holdouts), 1e-9,
+            grid_condition=fits.grid_condition)
     return rec.records
 
 
@@ -257,10 +268,12 @@ def suite_omega_compare(art: Artifacts) -> list[CheckRecord]:
     cfg, family = art.cfg, art.family
     rec = _Recorder()
     tol = 1e-7
-    deviations = closedform.compare_omega_closedform(family)
+    closed = closedform.closedform_operator(cfg)
+    deviations = closedform.compare_omega_closedform(family, closed)
     columns = [list(label) for label, d in zip(family.basis.labels, deviations) if d > tol]
     rec.add("closedform-vs-extracted", np.max(deviations), tol, n=cfg.n, L=cfg.L,
-            columns=columns)
+            columns=columns, holdout=closed.polynomiality_residual,
+            symmetry_defect=closed.symmetry_defect, grid_condition=closed.grid_condition)
     return rec.records
 
 
@@ -279,16 +292,18 @@ def _worst_point(residuals: np.ndarray, magnitudes: np.ndarray, eig_indices) -> 
 def suite_pde_residual(art: Artifacts) -> list[CheckRecord]:
     cfg, eigs, fits, lam_bars = art.cfg, art.eigs, art.fits, art.lam_bars
     rec = _Recorder()
-    used = [k for k, fit in enumerate(fits) if fit.poly.max_abs() >= 1e-12]
-    fbars = np.array([fits[k].poly.coeffs for k in used]).reshape((len(used),) + (cfg.L,) * cfg.n)
-    residuals, magnitudes = closedform.closedform_residual(cfg, fbars, lam_bars[used, cfg.L - 1])
+    used = np.flatnonzero(~vanishing(fits))
+    residuals, magnitudes = closedform.closedform_residual(cfg, fits.coeffs[used],
+                                                           lam_bars.coeffs[used, cfg.L - 1])
     worst, extra = _worst_point(residuals, magnitudes, [eigs[k].index for k in used])
-    rec.add("closedform-pde-on-eigenfunctions", worst, 1e-8, eigenfunctions=len(used), **extra)
+    rec.add("closedform-pde-on-eigenfunctions", worst, 1e-8, eigenfunctions=len(used),
+            lambda_bar_holdout=float(np.max(lam_bars.holdouts)),
+            lambda_bar_grid_condition=lam_bars.grid_condition, **extra)
     return rec.records
 
 
 def _special_residual(cfg: SpectralConfig, sol: closedform.SpecialSolutions) -> float:
-    fbars = np.array([f.coeffs for f in sol.eigenfunctions])
+    fbars = np.array(sol.eigenfunctions)
     return float(np.max(closedform.closedform_residual(cfg, fbars, np.array(sol.deltas))[0]))
 
 
@@ -299,11 +314,7 @@ def suite_pde_special(art: Artifacts) -> list[CheckRecord]:
             1e-10, L=cfg.L)
 
     for case, nn in (("n1L2", 1), ("n2L2", 2)):
-        case_cfg = (
-            cfg.replace(n=nn)
-            if cfg.L == 2
-            else SpectralConfig.random_instance(2, nn, cfg.seed, tol=cfg.tol)
-        )
+        case_cfg = _on_sites(cfg, 2, nn)
         rec.add(f"special-{case}",
                 _special_residual(case_cfg, closedform.special_solutions(case, case_cfg)), 1e-10)
     return rec.records
@@ -317,7 +328,7 @@ def suite_reduce(art: Artifacts) -> list[CheckRecord]:
     used = [r for r in report.records if not r.vanishing]
     found = [
         reduction.upsilon_residual(
-            system, r.fbar_fit.poly.coeffs, r.delta[cfg.L - 1],
+            system, r.fbar, r.delta[cfg.L - 1],
             annulus_points(cfg, cfg.n, 3, f"reduce-{r.eig_index}-{k + 1}"),
         )
         for k, r in enumerate(used)
@@ -341,7 +352,7 @@ def suite_reduce(art: Artifacts) -> list[CheckRecord]:
 
 def suite_dwbc_partition(art: Artifacts) -> list[CheckRecord]:
     cfg, rec = art.cfg, _Recorder()
-    enum_cfg = cfg if cfg.L <= 3 else SpectralConfig.random_instance(3, 0, cfg.seed)
+    enum_cfg = cfg if cfg.L <= 3 else _on_sites(cfg, 3, 0)
     rng = enum_cfg.rng("dwbc-oracles")
     worst = 0.0
     for _ in range(3):
@@ -361,7 +372,7 @@ def suite_dwbc_partition(art: Artifacts) -> list[CheckRecord]:
 def suite_dwbc_pde(art: Artifacts) -> list[CheckRecord]:
     cfg, instance = art.cfg, art.zbar
     rec = _Recorder()
-    rec.add("zbar-holdout", instance.fit.holdout_residual, 1e-9,
+    rec.add("zbar-holdout", instance.fit.holdouts[0], 1e-9,
             grid_condition=instance.fit.grid_condition)
     rec.add("zbar-symmetry", instance.symmetry_defect, 1e-9)
     rec.add("zbar-degree-bound", instance.top_coefficient, 1e-9)
@@ -395,15 +406,23 @@ SUITES = {
 }
 
 
-#: suites that read Zbar, which ``dwbc`` builds up to ``MAX_PARTITION_L`` only
-ZBAR_SUITES = ("dwbc-pde", "dwbc-upsilon")
+#: suites that read the Omega family
+OMEGA_SUITES = ("omega-extract", "omega-eigk", "omega-compare", "reduce")
 
-#: suites defined only on some shapes: (suites, admits the config, what they need)
+#: suites that read a capped artifact: (suites, admits the config, why not)
+CAPACITY_LIMITS = (
+    (("dwbc-pde", "dwbc-upsilon"), lambda cfg: cfg.L <= dwbc.MAX_PARTITION_L,
+     f"read Zbar, which is built up to L = {dwbc.MAX_PARTITION_L} only"),
+    (OMEGA_SUITES, lambda cfg: cfg.L**cfg.n <= omega.MAX_TENSOR_DIM,
+     f"read the Omega family, which is built up to L^n = {omega.MAX_TENSOR_DIM} only"),
+)
+
+#: suites defined only on some shapes: (suites, admits the config, why not)
 SHAPE_LIMITS = (
-    (("omega-extract", "omega-eigk", "omega-compare", "reduce"), lambda cfg: cfg.n >= 1,
-     "n >= 1: the Omega family acts on polynomials in n variables"),
+    (OMEGA_SUITES, lambda cfg: cfg.n >= 1,
+     "need n >= 1: the Omega family acts on polynomials in n variables"),
     (("reduce", "dwbc-upsilon"), lambda cfg: cfg.L >= 3,
-     "L >= 3: below that the PDE has order L - 1 <= 1, so there is no "
+     "need L >= 3: below that the PDE has order L - 1 <= 1, so there is no "
      "first-order reduction to build"),
 )
 
@@ -413,26 +432,18 @@ def run_checks_timed(suite: str, cfg: SpectralConfig) -> tuple[list[CheckRecord]
     one fresh ``Artifacts`` store.  Returns the check records and the build
     seconds of each artifact the run built.
 
-    A run that includes a Zbar suite beyond the partition-function cap is
-    rejected with ``CapacityError``, and one that includes a suite the
-    shape (L, n) does not admit (``SHAPE_LIMITS``) with
-    ``UnsupportedShapeError``, before anything is built.
+    A run that includes a suite whose artifact the instance exceeds
+    (``CAPACITY_LIMITS``) is rejected with ``CapacityError``, and one that
+    includes a suite the shape (L, n) does not admit (``SHAPE_LIMITS``)
+    with ``UnsupportedShapeError``, before anything is built.
     """
     names = list(SUITES) if suite == "all" else [suite]
-    capped = [name for name in names if name in ZBAR_SUITES]
-    if capped and cfg.L > dwbc.MAX_PARTITION_L:
-        raise CapacityError(
-            f"{' and '.join(capped)} read Zbar, which is built up to "
-            f"L = {dwbc.MAX_PARTITION_L} only; got L = {cfg.L} "
-            "(run the other suites one at a time)"
-        )
-    refused = [f"{', '.join(hit)} need {need}" for limited, admits, need in SHAPE_LIMITS
-               if not admits(cfg) and (hit := [name for name in names if name in limited])]
-    if refused:
-        raise UnsupportedShapeError(
-            f"{'; '.join(refused)}; got L = {cfg.L}, n = {cfg.n} "
-            "(run the other suites one at a time)"
-        )
+    for error, limits in ((CapacityError, CAPACITY_LIMITS), (UnsupportedShapeError, SHAPE_LIMITS)):
+        refused = [f"{', '.join(hit)} {why}" for limited, admits, why in limits
+                   if not admits(cfg) and (hit := [name for name in names if name in limited])]
+        if refused:
+            raise error(f"{'; '.join(refused)}; got L = {cfg.L}, n = {cfg.n} "
+                        "(run the other suites one at a time)")
     art = Artifacts(cfg)
     records = [record for name in names for record in SUITES[name](art)]
     return records, dict(art.seconds)

@@ -182,7 +182,8 @@ def reference_fit(values, x_grids, held_x, held_value):
     interpolated on its own."""
     poly = MultiPoly(tensor_interpolate(values, x_grids))
     fitted = poly.eval_many(np.asarray(held_x)[None, :])[0]
-    holdout = abs(held_value - fitted) / max(abs(held_value), poly.max_abs(), 1e-300)
+    scale = float(np.max(np.abs(poly.coeffs)))
+    holdout = abs(held_value - fitted) / max(abs(held_value), scale, 1e-300)
     return poly.coeffs, max(grid_condition(xg) for xg in x_grids), float(holdout)
 
 

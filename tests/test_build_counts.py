@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bpl.ybcore
+from bpl import cli
 from bpl.cli import run_suite
 from bpl.config import SpectralConfig
 from bpl.dwbc import extract_zbar
@@ -101,7 +102,7 @@ def test_sector_overlap_fits_share_their_operators(builds):
     eigs = spectrum(cfg, 2)
     builds.clear()
     fits = extract_fbars(cfg, 2, [eig.left for eig in eigs])
-    assert len(fits) == 6
+    assert len(fits.coeffs) == len(fits.holdouts) == 6
     # two 4-node grids plus the two-variable holdout point, for all six
     # fits, in one batch
     assert len(builds) == len(set(rapidities(builds))) == 4 * 2 + 2
@@ -124,8 +125,8 @@ def test_sector_overlap_fits_compute_each_chain_suffix_once(L, n, builds, grid_p
         fits.append(extract_fbars(cfg, n, lefts[:count]))
         assert len(grid_products) == suffixes
         assert len(builds) == len(set(rapidities(builds))) == L * n + n
-    assert fits[0][0].poly.coeffs.tobytes() == fits[1][0].poly.coeffs.tobytes()
-    assert fits[0][0].holdout_residual.hex() == fits[1][0].holdout_residual.hex()
+    assert fits[0].coeffs[0].tobytes() == fits[1].coeffs[0].tobytes()
+    assert fits[0].holdouts[0].hex() == fits[1].holdouts[0].hex()
 
 
 def test_lambda_bar_nodes_build_once_up_to_the_sector(builds):
@@ -133,7 +134,9 @@ def test_lambda_bar_nodes_build_once_up_to_the_sector(builds):
     eigs = spectrum(cfg, 2)
     builds.clear()
     lambda_bar_coefficients(eigs, cfg)
-    assert len(builds) == len(set(rapidities(builds))) == cfg.L + 1
+    # the L + 1 x0 nodes and the held-out x0, in one batch
+    assert len(builds) == len(set(rapidities(builds))) == cfg.L + 2
+    assert len(batches(builds)) == 1
     assert tops(builds) == {2}
     assert operators(builds) == {"ad"}
 
@@ -157,6 +160,17 @@ def test_functional_relation_over_draws_builds_each_rapidity_once(builds):
     check_fz_residual(sampler, draws + draws[:1])
     assert len(builds) == len(set(rapidities(builds))) == 5 * 3
     assert tops(builds) == {2}
+
+
+@pytest.mark.parametrize("argv", [["all", "--L", "6", "--n", "5"],
+                                  ["omega", "compare", "--L", "9", "--n", "4"],
+                                  ["reduce", "--L", "7", "--n", "5"]])
+def test_over_cap_omega_suites_exit_before_any_build(argv, builds, capsys):
+    # L^n above the Omega tensor cap: refused before the suites that run
+    # first (verify, spectrum, fz) build anything
+    assert cli.main(argv) == cli.EXIT_CAPACITY
+    assert builds == []
+    assert "Omega family" in capsys.readouterr().err
 
 
 def test_back_to_back_runs_build_alike(builds):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bpl.closedform import (
+    closedform_operator,
     closedform_residual,
     compare_omega_closedform,
     delta_top_n0,
@@ -22,13 +23,18 @@ from bpl.config import SpectralConfig
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import FnSampler, extract_fbar, lambda_bar_coefficients, spectrum
 from bpl.omega import extract_omegas
+from bpl.polyengine import MultiPoly
 from bpl.suites import SUITES, Artifacts, run_checks
 
 from conftest import draw_complex
 
 
 def worst_residual(cfg, f, delta) -> float:
-    return float(np.max(closedform_residual(cfg, f.coeffs, delta)[0]))
+    return float(np.max(closedform_residual(cfg, f, delta)[0]))
+
+
+def closedform_deviations(cfg) -> np.ndarray:
+    return compare_omega_closedform(extract_omegas(cfg), closedform_operator(cfg))
 
 
 def reference_q(coeffs, i, xs) -> complex:
@@ -185,12 +191,12 @@ class TestDerivativeCoefficients:
         omega_top_m1 = family.omega(cfg.L - 1)
         report = store.eigk
         rec = next(r for r in report.records if not r.vanishing)
-        fbar = rec.fbar_fit.poly
+        fbar = rec.fbar
         delta = rec.delta[cfg.L - 1]
         for _ in range(4):
             x = draw_complex(rng)
-            lhs = fbar.coeffs[1]  # d fbar / dx for a degree-1 polynomial
-            rhs = (delta - eval_v(cfg, [x])) / eval_q(cfg, 0, [x]) * fbar((x,))
+            lhs = fbar[1]  # d fbar / dx for a degree-1 polynomial
+            rhs = (delta - eval_v(cfg, [x])) / eval_q(cfg, 0, [x]) * MultiPoly(fbar)((x,))
             assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1)
 
 
@@ -232,9 +238,9 @@ class TestSpecialSolutionStructure:
         sol = special_solutions("n1L2", cfg)
         sq = cfg.sqrt_y_prod
         for f, sign in zip(sol.eigenfunctions, (+1, -1)):
-            assert f.degree_bound == 1
-            assert abs(f.coeffs[1] - cfg.q) < 1e-14
-            assert abs(f.coeffs[0] - sign * sq) < 1e-14 * max(1, abs(sq))
+            assert f.shape == (2,)
+            assert abs(f[1] - cfg.q) < 1e-14
+            assert abs(f[0] - sign * sq) < 1e-14 * max(1, abs(sq))
 
     def test_single_variable_deltas(self):
         cfg = SpectralConfig.random_instance(2, 1, seed=37)
@@ -252,9 +258,9 @@ class TestSpecialSolutionStructure:
         sol = special_solutions("n2L2", cfg)
         (f,) = sol.eigenfunctions
         q, ys = cfg.q, cfg.ys
-        assert f.degree_bound == 1
-        assert abs(f.coeffs[1, 0] - q**2 * (ys[0] + ys[1])) < 1e-12 * abs(q**2)
-        assert abs(f.coeffs[1, 1] + (1 + q**2) * q**2) < 1e-12 * abs(q**2)
+        assert f.shape == (2, 2)
+        assert abs(f[1, 0] - q**2 * (ys[0] + ys[1])) < 1e-12 * abs(q**2)
+        assert abs(f[1, 1] + (1 + q**2) * q**2) < 1e-12 * abs(q**2)
 
     def test_case_validation(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=43)
@@ -280,13 +286,13 @@ class TestOperatorComparison:
     )
     def test_small_grid(self, L, n):
         cfg = SpectralConfig.random_instance(L, n, seed=1000 + 10 * L + n)
-        assert compare_omega_closedform(extract_omegas(cfg)).max() < 1e-7
+        assert closedform_deviations(cfg).max() < 1e-7
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_longer_lattice_branch(self, n):
         # L = 5 exercises the large-L boundary branch of the psi table
         cfg = SpectralConfig.random_instance(5, n, seed=2000 + n)
-        assert compare_omega_closedform(extract_omegas(cfg)).max() < 1e-7
+        assert closedform_deviations(cfg).max() < 1e-7
 
     def test_failing_columns_are_named(self):
         # at L = 7 the "below" branch of psi reaches a geometric sum with
@@ -297,24 +303,24 @@ class TestOperatorComparison:
         [record] = SUITES["omega-compare"](art)
         assert record.passed
         assert record.extra["columns"] == []
-        assert compare_omega_closedform(art.family).max() <= 1e-12
+        assert compare_omega_closedform(art.family, closedform_operator(cfg)).max() <= 1e-12
 
     @pytest.mark.parametrize("L,n", [(7, 1), (7, 2), (8, 1), (8, 2), (9, 1)])
     def test_long_lattices_agree(self, L, n):
         # from L = 7 on, the "below" branch of psi reaches geometric sums
         # with upper limits of -2 and lower
         cfg = SpectralConfig.random_instance(L, n, seed=3000 + 10 * L + n)
-        assert compare_omega_closedform(extract_omegas(cfg)).max() < 1e-7
+        assert closedform_deviations(cfg).max() < 1e-7
 
     def test_eigenfunctions_satisfy_pde(self):
         cfg = SpectralConfig.random_instance(3, 2, seed=53)
         eigs = spectrum(cfg, cfg.n)
         lam_bars = lambda_bar_coefficients(eigs, cfg)
         checked = 0
-        for eig, coeffs in zip(eigs, lam_bars):
-            fit = extract_fbar(FnSampler(cfg, eig))
-            if fit.poly.max_abs() < 1e-12:
+        for eig, coeffs in zip(eigs, lam_bars.coeffs):
+            fbar = extract_fbar(FnSampler(cfg, eig)).coeffs[0]
+            if np.max(np.abs(fbar)) < 1e-12:
                 continue
             checked += 1
-            assert worst_residual(cfg, fit.poly, coeffs[cfg.L - 1]) < 1e-8
+            assert worst_residual(cfg, fbar, coeffs[cfg.L - 1]) < 1e-8
         assert checked > 0

@@ -232,13 +232,13 @@ class TestPolynomialPart:
     def test_vacuum_sector_constant(self, cfg2):
         eig = spectrum(cfg2, 0)[0]
         fit = extract_fbar(FnSampler(cfg2, eig))
-        assert fit.poly.nvars == 0
-        assert abs(complex(fit.poly.coeffs) - eig.left[0]) < 1e-14
+        assert fit.coeffs.shape == (1,)
+        assert abs(complex(fit.coeffs[0]) - eig.left[0]) < 1e-14
 
     def test_holdout_validation(self, cfg3):
         for eig in spectrum(cfg3, 2):
             fit = extract_fbar(FnSampler(cfg3, eig))
-            assert fit.holdout_residual < 1e-9
+            assert fit.holdouts[0] < 1e-9
             assert fit.grid_condition < 1e6
 
     @pytest.mark.parametrize("L,n", [(4, 2), (7, 2), (5, 3), (12, 1), (3, 0)])
@@ -248,16 +248,18 @@ class TestPolynomialPart:
         cfg = SpectralConfig.random_instance(L, n, seed=0)
         eigs = spectrum(cfg, n)
         fits = extract_fbars(cfg, n, [eig.left for eig in eigs])
-        assert len(fits) == len(eigs)
-        for fit, (coeffs, cond, holdout) in zip(fits, reference_fbar_fits(cfg, eigs)):
-            assert fit.poly.coeffs.shape == coeffs.shape
-            assert fit.poly.coeffs.tobytes() == np.ascontiguousarray(coeffs).tobytes()
-            assert fit.holdout_residual.hex() == holdout.hex()
-            assert fit.grid_condition.hex() == cond.hex()
+        assert len(fits.coeffs) == len(fits.holdouts) == len(eigs)
+        references = reference_fbar_fits(cfg, eigs)
+        for fbar, fbar_holdout, (coeffs, cond, holdout) in zip(fits.coeffs, fits.holdouts,
+                                                               references):
+            assert fbar.shape == coeffs.shape
+            assert fbar.tobytes() == np.ascontiguousarray(coeffs).tobytes()
+            assert fbar_holdout.hex() == holdout.hex()
+            assert fits.grid_condition.hex() == cond.hex()
         # a batch of one is the same fit
         alone = extract_fbar(FnSampler(cfg, eigs[-1]))
-        assert alone.poly.coeffs.tobytes() == fits[-1].poly.coeffs.tobytes()
-        assert alone.holdout_residual.hex() == fits[-1].holdout_residual.hex()
+        assert alone.coeffs[0].tobytes() == fits.coeffs[-1].tobytes()
+        assert alone.holdouts[0].hex() == fits.holdouts[-1].hex()
 
     def test_degree_bound_certified(self, cfg3, rng):
         # refit with one extra node per axis: the extra coefficients vanish,
@@ -275,13 +277,30 @@ class TestPolynomialPart:
     def test_eigenvalue_polynomial_degree(self, cfg3, rng):
         # Lambda(lam) e^{L lam} is degree L in x0; an extra sample matches
         eigs = spectrum(cfg3, 1)
-        coeffs = lambda_bar_coefficients(eigs, cfg3)
+        coeffs = lambda_bar_coefficients(eigs, cfg3).coeffs
         lam = draw_complex(rng)
         x0 = np.exp(2 * lam)
         for eig, row in zip(eigs, coeffs):
             direct = eig.eigenvalue_from(transfer(lam, cfg3)) * np.exp(cfg3.L * lam)
             fitted = np.polyval(row[::-1], x0)
             assert abs(direct - fitted) < 1e-9 * max(1, abs(direct))
+
+    @pytest.mark.parametrize("L,n,seed", [(2, 1, 7), (4, 2, 2), (7, 2, 0)])
+    def test_corrupted_lambda_bar_node_fails_its_holdout(self, L, n, seed, monkeypatch):
+        # Lambda_bar is validated at a held-out x0: doubling the samples at
+        # one node moves every eigenpair's fit off the direct value there
+        cfg = SpectralConfig.random_instance(L, n, seed=seed)
+        eigs = spectrum(cfg, n)
+        assert np.max(lambda_bar_coefficients(eigs, cfg).holdouts) < 1e-12
+        fit_grid = functional.fit_grid
+
+        def corrupting(values, *args):
+            values = values.copy()
+            values[:, 0] *= 2
+            return fit_grid(values, *args)
+
+        monkeypatch.setattr(functional, "fit_grid", corrupting)
+        assert np.min(lambda_bar_coefficients(eigs, cfg).holdouts) > 1e-3
 
     @pytest.mark.parametrize("L,n", [(9, 2), (10, 2), (12, 1)])
     def test_holdout_passes_where_the_real_line_grid_failed(self, L, n):

@@ -11,7 +11,6 @@ from bpl.functional import (
     FnSampler,
     circle_grid,
     extract_fbar,
-    fit_grid,
     fz_coefficients,
     lambda_bar_coefficients,
     lbar_x0_nodes,
@@ -19,7 +18,8 @@ from bpl.functional import (
     spectrum,
 )
 from bpl.omega import SymmetricBasis, build_lbar, extract_omegas, lbar_action
-from bpl.polyengine import MultiPoly, derivative_tensor, grid_points, tensor_interpolate
+from bpl.polyengine import (MultiPoly, derivative_tensor, fit_grid, grid_points,
+                            tensor_interpolate)
 from bpl.suites import Artifacts
 from bpl.ybcore import transfer
 
@@ -104,7 +104,7 @@ def test_batched_assembly_matches_per_column_reference(L, n):
     cfg = SpectralConfig.random_instance(L, n, seed=300 + 10 * L + n)
     for new, ref in (
         (build_lbar(cfg).coefficient_matrices, reference_lbar(cfg)),
-        (closedform_operator(cfg), reference_closedform(cfg)),
+        (closedform_operator(cfg).coefficient_matrices, reference_closedform(cfg)),
     ):
         assert new.shape == ref.shape
         assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -169,8 +169,8 @@ class TestLbar:
         lbar = build_lbar(cfg)
         eig = spectrum(cfg, 1)[0]
         fit = extract_fbar(FnSampler(cfg, eig))
-        vec, _ = lbar.basis.project(fit.poly.coeffs)
-        deltas = lambda_bar_coefficients([eig], cfg)[0]
+        vec, _ = lbar.basis.project(fit.coeffs[0])
+        deltas = lambda_bar_coefficients([eig], cfg).coeffs[0]
         for _ in range(4):
             lam0 = draw_complex(rng)
             x0 = np.exp(2 * lam0)
@@ -228,8 +228,8 @@ class TestLbar:
         held = np.array([[random_complex(rng) for _ in range(n)]])
         direct = lbar_action(cfg, [lam0], held, probe.eval_many)[0, 0]
         x_grids = [np.exp(2 * g) for g in lam_grids]
-        [fit] = fit_grid(vals.reshape((1,) + (L,) * n), x_grids, np.exp(2 * held[0]), [direct])
-        return fit.holdout_residual
+        fit = fit_grid(vals.reshape((1,) + (L,) * n), x_grids, np.exp(2 * held[0]), [direct])
+        return fit.holdouts[0]
 
     def test_polynomiality_is_checked_not_assumed(self):
         cfg = SpectralConfig.random_instance(3, 2, seed=17)
@@ -271,7 +271,7 @@ class TestOmegaFamily:
         # the scalar equals the leading eigenvalue coefficient for every
         # eigenvector in the sector
         eigs = spectrum(cfg, 1)
-        coeffs = lambda_bar_coefficients(eigs, cfg)
+        coeffs = lambda_bar_coefficients(eigs, cfg).coeffs
         for row in coeffs:
             assert abs(row[cfg.L] - family.omega_top_scalar) < 1e-9 * abs(row[cfg.L])
 

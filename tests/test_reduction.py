@@ -103,7 +103,7 @@ class TestUpsilon:
             checked += 1
             pts = distinct_points(rng, 4, 1)
             delta = rec.delta[cfg.L - 1]
-            residual, _ = upsilon_residual(system, rec.fbar_fit.poly.coeffs, delta, pts)
+            residual, _ = upsilon_residual(system, rec.fbar, delta, pts)
             assert residual.shape == (4,)
             assert np.max(residual) < 1e-8
         assert checked > 0
@@ -133,7 +133,7 @@ class TestUpsilon:
         rec = next(r for r in report.records if not r.vanishing)
         rng = np.random.default_rng(4)
         pt = [distinct_point(rng, 1)]
-        fbar = rec.fbar_fit.poly.coeffs
+        fbar = rec.fbar
         good, _ = upsilon_residual(system, fbar, rec.delta[cfg.L - 1], pt)
         bad, _ = upsilon_residual(system, fbar, rec.delta[cfg.L - 1] + 1.0, pt)
         assert good[0] < 1e-8
@@ -174,7 +174,7 @@ class TestUpsilon:
         cfg = SpectralConfig.random_instance(3, 2, seed=8)
         report = Artifacts(cfg).eigk
         rec = next(r for r in report.records if not r.vanishing)
-        residual, _ = closedform_residual(cfg, rec.fbar_fit.poly.coeffs, rec.delta[cfg.L - 1])
+        residual, _ = closedform_residual(cfg, rec.fbar, rec.delta[cfg.L - 1])
         assert np.max(residual) < 1e-8
 
     def test_dimension_mismatch_rejected(self, rng):

@@ -11,9 +11,11 @@ import bpl.dwbc
 import bpl.functional
 import bpl.omega
 import bpl.ybcore
+from bpl import suites
+from bpl.cli import run_suite
 from bpl.closedform import closedform_residual
 from bpl.config import SpectralConfig
-from bpl.functional import lambda_bar_coefficients
+from bpl.functional import lambda_bar_coefficients, vanishing
 from bpl.suites import SUITES, Artifacts, run_checks, run_checks_timed
 
 CFG = SpectralConfig.random_instance(4, 2, seed=0)
@@ -108,14 +110,57 @@ def test_fit_checks_report_their_grid_condition():
         assert 1.0 <= records[name].extra["grid_condition"] < 1e3
 
 
+def test_operator_and_lambda_bar_fits_report_their_diagnostics():
+    records = {c.name: c for c in run_checks("all", CFG)}
+    closed = records["closedform-vs-extracted"].extra
+    assert closed["holdout"] < 1e-12 and closed["symmetry_defect"] < 1e-12
+    assert 1.0 <= closed["grid_condition"] < 1e3
+    pde = records["closedform-pde-on-eigenfunctions"].extra
+    assert pde["lambda_bar_holdout"] < 1e-12
+    assert 1.0 <= pde["lambda_bar_grid_condition"] < 1e3
+
+
+def test_vanishing_overlaps_are_skipped_alike():
+    # the joint spectral problems and the PDE residual skip the same
+    # eigenpairs: those whose overlap fit is the zero polynomial
+    art = Artifacts(CFG)
+    [pde] = SUITES["pde-residual"](art)
+    realized = [r for r in art.eigk.records if not r.vanishing]
+    assert pde.extra["eigenfunctions"] == len(realized)
+    assert [r.vanishing for r in art.eigk.records] == list(vanishing(art.fits))
+
+
+@pytest.mark.parametrize("L,n,size,m", [(4, 2, 3, 0), (7, 1, 5, 0), (9, 3, 8, 0), (12, 2, 2, 1),
+                                        (1, 0, 2, 2), (1, 0, 2, 1)])
+def test_seeded_substitute_is_the_seeded_instance(L, n, size, m):
+    # the benchmark instances are seeded, so their substitutes are unchanged
+    for seed in range(10):
+        cfg = SpectralConfig.random_instance(L, n, seed=seed)
+        assert suites._on_sites(cfg, size, m) == SpectralConfig.random_instance(size, m, seed)
+
+
+@pytest.mark.parametrize("suite,L,names", [
+    ("verify-rtt", 9, ["rtt-random-draws", "transfer-commutator", "b-operators-commute"]),
+    ("pde-special", 5, ["special-n1L2", "special-n2L2"]),
+    ("dwbc-partition", 4, ["configuration-sum-vs-b-product", "permutation-symmetry"]),
+])
+def test_substitute_instances_keep_the_users_gamma(suite, L, names):
+    # the checks run at a fixed smaller size read the instance's own gamma
+    runs = [{c.name: c.residual for c in run_suite(
+        None, suite, overrides={"L": L, "n": 1, "seed": 0, "gamma": complex(re, 0.0)}).checks}
+        for re in (0.3, 0.7)]
+    for name in names:
+        assert runs[0][name].hex() != runs[1][name].hex(), name
+
+
 def test_pde_checks_locate_their_worst_eigenpair_and_point():
     art = Artifacts(CFG)
     [pde] = SUITES["pde-residual"](art)
     lam_bars = lambda_bar_coefficients(art.eigs, CFG)
     per_eig = {
-        eig.index: closedform_residual(CFG, fit.poly.coeffs, coeffs[CFG.L - 1])
-        for eig, fit, coeffs in zip(art.eigs, art.fits, lam_bars)
-        if fit.poly.max_abs() >= 1e-12
+        eig.index: closedform_residual(CFG, fbar, coeffs[CFG.L - 1])
+        for eig, fbar, coeffs in zip(art.eigs, art.fits.coeffs, lam_bars.coeffs)
+        if np.max(np.abs(fbar)) >= 1e-12
     }
     worst = max(per_eig, key=lambda k: np.max(per_eig[k][0]))
     residuals, magnitudes = per_eig[worst]
