@@ -223,8 +223,8 @@ def dwbc_upsilon(cfg: SpectralConfig) -> PdeSpec:
 
 def dwbc_upsilon_residual(instance: DwbcInstance) -> float:
     """Max residual of Upsilon_DW applied to the chain built from Zbar, over
-    5 sample points."""
+    5 sample points: ``upsilon_residual`` on a batch of one."""
     cfg = instance.cfg
     points = annulus_points(cfg, cfg.L, 5, "dwbc-upsilon-points")
-    return float(np.max(upsilon_residual(dwbc_upsilon(cfg), instance.fit.coeffs[0], 0.0,
-                                         points)[0]))
+    return float(np.max(upsilon_residual(dwbc_upsilon(cfg), instance.fit.coeffs[:1], [0.0],
+                                         points[None])[0]))

@@ -29,12 +29,17 @@ and computes the grid's condition number once.  The overlap fits of a
 sector, Zbar and Zbar's degree refit are each such a call.
 
 Batched coefficients.  ``fz_coefficients`` evaluates the relation's
-coefficients at N x0 rapidities times P rapidity rows in one call, with the
-vacuum products vectorised over the inhomogeneities.  Every entry equals
-the one-point value bit for bit: numpy's vectorised complex ``*`` can
-differ from its scalar ``*`` in the last bit, so every product is a
-multiply-reduce over a last axis (``ybcore.stacked_product``), which
-rounds as the scalar does.
+coefficients for a whole batch in one call, with the vacuum products
+vectorised over the inhomogeneities.  The x0 rapidities broadcast against
+the leading axes of the rapidity rows, so one code path serves two forms:
+the outer form ``lam0s[:, None]`` against P rows, every x0 node at every
+grid point, for ``omega.lbar_action``; and the paired form ``lam0s``
+against as many rows, one draw (lam0, row) per entry, for
+``check_fz_residual``, which so evaluates every draw of a chunk of a
+sector's eigenpairs at once.  Every entry equals the one-point value bit
+for bit: numpy's vectorised complex ``*`` can differ from its scalar ``*``
+in the last bit, so every product is a multiply-reduce over a last axis
+(``ybcore.stacked_product``), which rounds as the scalar does.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from functools import reduce
 
 import numpy as np
 
+from . import blockbuild
+from .blockbuild import build_plan
 from .config import SpectralConfig, random_complex
 from .polyengine import GridFit, fit_grid
 from .ybcore import (
@@ -156,7 +163,10 @@ def grid_chains(axes) -> np.ndarray:
 
 @dataclass
 class FnSampler:
-    """Evaluates F_n for one eigenpair as <Lambda| times a B-chain.
+    """Evaluates F_n for one eigenpair as <Lambda| times a B-chain, one
+    point at a time.  The pipeline samples F_n through ``fit_overlaps``
+    and ``check_fz_residual``; this evaluator serves the tests and the
+    benchmark's tracer.
 
     ``b_ops`` holds the sector blocks of B(lambda) built beforehand, keyed
     by rapidity (``b_table``); a rapidity missing from it is built afresh
@@ -200,14 +210,16 @@ def vacuum_products(lams, cfg: SpectralConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fz_coefficients(lam0s, lam_rows, cfg: SpectralConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients J0, shape (N, P), and K_1..K_n, shape (N, P, n), of the
-    relation
+    """Coefficients J0 and K_1..K_n of the relation
 
         J0 F_n(lams) - sum_i K_i F_n(lams with lams[i] -> lam0)
             = Lambda(lam0) F_n(lams)
 
-    at every x0 rapidity lam0 of ``lam0s`` (N,) and every row lams of
-    ``lam_rows`` (P, n).
+    at every x0 rapidity lam0 of ``lam0s`` and every row lams of
+    ``lam_rows`` (shape (..., n)), broadcast as in
+    ``ybcore.exchange_m_factors``: ``lam0s[:, None]`` (N, 1) against rows
+    (P, n) gives J0 of shape (N, P) and the K_i of shape (N, P, n), and
+    ``lam0s`` (P,) against rows (P, n) pairs them, J0 (P,) and K (P, n).
 
     J0 multiplies the vacuum eigenvalue factors prod a(lam0 - mu_j) and
     prod b(lam0 - mu_j) by the exchange coefficients; each K_i does the same
@@ -217,43 +229,79 @@ def fz_coefficients(lam0s, lam_rows, cfg: SpectralConfig) -> tuple[np.ndarray, n
     lam0s = np.asarray(lam0s, dtype=complex)
     rows = np.asarray(lam_rows, dtype=complex)
     ma0, md0, ma, md = exchange_m_factors(lam0s, rows, cfg.gamma)
-    pa0, pb0 = vacuum_products(lam0s[:, None], cfg)
+    pa0, pb0 = vacuum_products(lam0s, cfg)
     pa, pb = vacuum_products(rows, cfg)
     return (stacked_product(pa0, ma0) + stacked_product(pb0, md0),
             stacked_product(pa, ma) + stacked_product(pb, md))
 
 
-def check_fz_residual(sampler: FnSampler, draws) -> float:
-    """Worst residual of the functional relation over ``draws``, each a
-    sequence (lam0, lam_1, ..., lam_n), every residual normalised by its
-    largest term.
+def check_fz_residual(eigs, draws) -> np.ndarray:
+    """Worst residual of the functional relation of each eigenpair of
+    ``eigs``, one sector of one instance, over its own draws ``draws[k]``,
+    each a sequence (lam0, lam_1, ..., lam_n); every residual is normalised
+    by its largest term.  Shape (len(eigs),).
 
-    Every distinct rapidity of all the draws is built once, in one batched
-    call capped at the eigenpair's sector and building A, B and D: T(lam0)
-    and B(lam0) come from one monodromy, and the swapped overlaps reuse the
-    B(lams).
+    The eigenpairs go in chunks whose draws' monodromies hold at most
+    ``blockbuild.BATCH_ENTRIES`` entries (at least one eigenpair a chunk),
+    so a sector's monodromies are never held at once.  In a chunk every
+    distinct lam0 is built once with A, B and D, which gives T(lam0) and
+    the B(lam0) of the swapped overlaps, and every other distinct rapidity
+    once with B alone, all capped at the sector; the blocks equal those of
+    one full build bit for bit (``blockbuild``).  One paired
+    ``fz_coefficients`` call gives the coefficients of all the chunk's
+    draws and raises on the first coincident pair, in the order of the
+    eigenpairs and their draws.  Each overlap is <Lambda| times its own
+    chain (as ``grid_chains`` forms one), and each residual is assembled in
+    scalar arithmetic, so it equals a one-eigenpair call bit for bit.
     """
-    cfg, eig = sampler.cfg, sampler.eig
-    draws = [[complex(l) for l in draw] for draw in draws]
-    distinct = list(dict.fromkeys(l for draw in draws for l in draw))
-    ops = dict(zip(distinct, monodromies(distinct, cfg, top=eig.sector, ops="abd")))
-    local = FnSampler(cfg, eig, {lam: m.b for lam, m in ops.items()})
-    worst = 0.0
-    for lam0, *lams in draws:
-        j0, ks = fz_coefficients([lam0], [lams], cfg)
-        j0, ks = complex(j0[0, 0]), [complex(k) for k in ks[0, 0]]
-        f_here = local.value(lams)
-        lam_val = eig.eigenvalue_from(ops[lam0].transfer())
+    draws = [[[complex(l) for l in draw] for draw in own] for own in draws]
+    if not eigs:
+        return np.zeros(0)
+    cfg, n = eigs[0].cfg, eigs[0].sector
+    per_draw = sum(build_plan(cfg.L, n, ops).entries * count for ops, count in (("abd", 1), ("b", n)))
+    chunk = max(1, blockbuild.BATCH_ENTRIES // max(1, per_draw * max(map(len, draws))))
+    return np.concatenate([_chunk_residuals(eigs[k : k + chunk], draws[k : k + chunk])
+                           for k in range(0, len(eigs), chunk)])
+
+
+def _chunk_residuals(eigs, draws) -> np.ndarray:
+    """``check_fz_residual`` of one chunk, whose builds are released when
+    it returns."""
+    cfg, n = eigs[0].cfg, eigs[0].sector
+    owners = [k for k, own in enumerate(draws) for _ in own]
+    rows = np.array([draw for own in draws for draw in own],
+                    dtype=complex).reshape(len(owners), n + 1)
+    j0s, kss = fz_coefficients(rows[:, 0], rows[:, 1:], cfg)
+    lam0s = list(dict.fromkeys(rows[:, 0].tolist()))
+    # T(lam0) and B(lam0) are kept, and the batch's A and D released before
+    # the B build
+    full = {lam0: (m.transfer(), m.b)
+            for lam0, m in zip(lam0s, monodromies(lam0s, cfg, top=n, ops="abd"))}
+    b_ops = {lam0: b for lam0, (_, b) in full.items()}
+    rest = [lam for lam in dict.fromkeys(rows[:, 1:].ravel().tolist()) if lam not in b_ops]
+    b_ops.update((lam, m.b) for lam, m in zip(rest, monodromies(rest, cfg, top=n, ops="b")))
+    worst = np.zeros(len(eigs))
+    for k, (lam0, *lams), j0, ks in zip(owners, rows.tolist(), j0s.tolist(), kss.tolist()):
+        eig = eigs[k]
+        f_here = complex(eig.left @ _chain(b_ops, lams))
+        lam_val = eig.eigenvalue_from(full[lam0][0])
         total = j0 * f_here - lam_val * f_here
         scale = max(abs(j0 * f_here), abs(lam_val * f_here))
-        for i, k in enumerate(ks):
-            swapped = list(lams)
-            swapped[i] = lam0
-            term = k * local.value(swapped)
+        for i, k_i in enumerate(ks):
+            term = k_i * complex(eig.left @ _chain(b_ops, lams[:i] + [lam0] + lams[i + 1:]))
             total -= term
             scale = max(scale, abs(term))
-        worst = max(worst, float(abs(total) / max(scale, 1e-300)))
+        worst[k] = max(worst[k], float(abs(total) / max(scale, 1e-300)))
     return worst
+
+
+def _chain(b_ops, lams) -> np.ndarray:
+    """B(lams[0]) ... B(lams[-1]) |0>, one matrix-vector product per factor
+    from the vacuum up: one row of ``grid_chains``, bit for bit."""
+    v = np.ones(1, dtype=complex)
+    for k, lam in enumerate(reversed(lams)):
+        v = b_ops[lam][k] @ v
+    return v
 
 
 # -- polynomial parts --------------------------------------------------------------

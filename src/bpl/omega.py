@@ -40,6 +40,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
+from . import blockbuild
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError
 from .functional import fz_coefficients, lbar_x0_nodes, spectral_grids, vanishing
@@ -149,7 +150,7 @@ def lbar_action(cfg: SpectralConfig, lam0s, lam_points, evaluate) -> np.ndarray:
     lam0s = np.asarray(lam0s, dtype=complex)
     lam_points = np.asarray(lam_points, dtype=complex)
     xs = np.exp(2 * lam_points)
-    j0, ks = fz_coefficients(lam0s, lam_points, cfg)
+    j0, ks = fz_coefficients(lam0s[:, None], lam_points, cfg)
     at_xs = evaluate(xs)
     images = []
     for lam0, j0_row, ks_row in zip(lam0s, j0, ks):
@@ -201,6 +202,7 @@ def build_lbar(cfg: SpectralConfig) -> SampledOperator:
 class OmegaFamily:
     """The L+1 extracted operators with their joint diagnostics.
 
+    * ``omega_norms[k]``: max |Omega_k|, the largest entry modulus.
     * ``commutator_norms[i, j]``: max-norm of [Omega_i, Omega_j] normalised
       by the operand norms.
     * ``omega_top_scalar`` / ``omega_top_identity_residual``: the top
@@ -213,6 +215,7 @@ class OmegaFamily:
     cfg: SpectralConfig
     lbar: SampledOperator
     omegas: np.ndarray
+    omega_norms: np.ndarray
     commutator_norms: np.ndarray
     omega_top_scalar: complex
     omega_top_identity_residual: float
@@ -223,28 +226,39 @@ class OmegaFamily:
     def basis(self) -> SymmetricBasis:
         return self.lbar.basis
 
+    @property
+    def precision_floor(self) -> float:
+        """f = eps kappa rho: machine epsilon times the grid condition kappa
+        of the Lbar fit times the family's dynamic range rho = max_k
+        max|Omega_k| / min_k max|Omega_k|.  The family checks
+        (``omega-commutators``, ``omega-top-scalar``,
+        ``lbar-symmetry-defect``) read within a small factor of it, so a
+        failure near f is the roundoff of the fit, scaled by the range."""
+        rho = np.max(self.omega_norms) / max(np.min(self.omega_norms), 1e-300)
+        return float(np.finfo(float).eps * self.lbar.grid_condition * rho)
+
     def omega(self, k: int) -> np.ndarray:
         return self.omegas[k]
 
 
 def extract_omegas(cfg: SpectralConfig) -> OmegaFamily:
-    """Slice Lbar by powers of x0 and fill in the family diagnostics."""
+    """Slice Lbar by powers of x0 and fill in the family diagnostics, each
+    max |Omega_k| computed once."""
     lbar = build_lbar(cfg)
     omegas = lbar.coefficient_matrices
     L = cfg.L
     ns = lbar.basis.dim
+    norms = np.array([np.max(np.abs(omega)) for omega in omegas])
 
     comms = np.zeros((L + 1, L + 1))
     for i in range(L + 1):
         for j in range(i + 1, L + 1):
-            ni = np.max(np.abs(omegas[i]))
-            nj = np.max(np.abs(omegas[j]))
             val = np.max(np.abs(omegas[i] @ omegas[j] - omegas[j] @ omegas[i]))
-            comms[i, j] = comms[j, i] = val / max(ni * nj, 1e-300)
+            comms[i, j] = comms[j, i] = val / max(norms[i] * norms[j], 1e-300)
 
     top = omegas[L]
     scalar = complex(np.trace(top) / ns)
-    top_resid = float(np.max(np.abs(top - scalar * np.eye(ns))) / max(np.max(np.abs(top)), 1e-300))
+    top_resid = float(np.max(np.abs(top - scalar * np.eye(ns))) / max(norms[L], 1e-300))
 
     # joint diagonalisation through a random combination of the family
     rng = cfg.rng("joint-diagonalization")
@@ -258,10 +272,10 @@ def extract_omegas(cfg: SpectralConfig) -> OmegaFamily:
         diag = vinv @ omegas[k] @ vecs
         delta[:, k] = np.diag(diag)
         off = diag - np.diag(np.diag(diag))
-        defect = max(defect, float(np.max(np.abs(off)) / max(np.max(np.abs(omegas[k])), 1e-300)))
+        defect = max(defect, float(np.max(np.abs(off)) / max(norms[k], 1e-300)))
 
     return OmegaFamily(
-        cfg, lbar, omegas, comms, scalar, top_resid, delta, defect
+        cfg, lbar, omegas, norms, comms, scalar, top_resid, delta, defect
     )
 
 
@@ -310,23 +324,39 @@ def check_eigk(family: OmegaFamily, eigs, fits, lam_bars) -> EigkReport:
     (``functional.vanishing``) are reported as such rather than asserted
     against.  Each record also carries the distance from its Delta vector
     to the nearest row of the family's joint-spectrum table.
+
+    The other eigenpairs are checked together, in chunks whose largest
+    temporary (every eigenpair's Delta vector against every row of the
+    table) holds at most ``blockbuild.BATCH_ENTRIES`` entries: the fits of
+    a chunk are projected at once, and each Omega_k acts on all of them in
+    one matrix product, normalised by the family's ``omega_norms``.
     """
-    cfg = family.cfg
-    records = []
-    for eig, fbar, deltas, zero in zip(eigs, fits.coeffs, lam_bars.coeffs, vanishing(fits)):
-        if zero:
-            records.append(EigkRecord(eig.index, True, fbar, None, 0.0, np.inf))
-            continue
-        vec, _ = family.basis.project(fbar)
-        norm = np.max(np.abs(vec))
-        resid = 0.0
+    cfg, basis, table = family.cfg, family.basis, family.delta_table
+    zero = vanishing(fits)
+    used = np.flatnonzero(~zero)
+    residuals = np.zeros(len(eigs))
+    distances = np.full(len(eigs), np.inf)
+    chunk = max(1, blockbuild.BATCH_ENTRIES // max(1, table.size))
+    for start in range(0, len(used), chunk):
+        part = used[start : start + chunk]
+        vecs, _ = basis.project(fits.coeffs[part])
+        deltas = lam_bars.coeffs[part]
+        norms = np.max(np.abs(vecs), axis=1)
+        resid = np.zeros(len(part))
         for k in range(cfg.L + 1):
-            num = np.max(np.abs(family.omegas[k] @ vec - deltas[k] * vec))
-            den = (np.max(np.abs(family.omegas[k])) + abs(deltas[k])) * norm
-            resid = max(resid, num / max(den, 1e-300))
-        dist = np.min(
-            np.max(np.abs(family.delta_table - deltas[None, :]), axis=1)
-            / (1.0 + np.max(np.abs(deltas)))
+            num = np.max(np.abs(vecs @ family.omegas[k].T - deltas[:, k, None] * vecs), axis=1)
+            den = (family.omega_norms[k] + np.abs(deltas[:, k])) * norms
+            resid = np.maximum(resid, num / np.maximum(den, 1e-300))
+        residuals[part] = resid
+        distances[part] = np.min(
+            np.max(np.abs(table[None] - deltas[:, None]), axis=2)
+            / (1.0 + np.max(np.abs(deltas), axis=1))[:, None],
+            axis=1,
         )
-        records.append(EigkRecord(eig.index, False, fbar, np.asarray(deltas), float(resid), float(dist)))
+    records = [
+        EigkRecord(eig.index, bool(skip), fbar, None if skip else np.asarray(deltas),
+                   float(resid), float(dist))
+        for eig, fbar, deltas, skip, resid, dist
+        in zip(eigs, fits.coeffs, lam_bars.coeffs, zero, residuals, distances)
+    ]
     return EigkReport(family, records)

@@ -28,7 +28,6 @@ from . import closedform, dwbc, omega, reduction, ybcore
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError, UnsupportedShapeError
 from .functional import (
-    FnSampler,
     annulus_points,
     check_fz_residual,
     extract_fbars,
@@ -214,22 +213,21 @@ def suite_spectrum(art: Artifacts) -> list[CheckRecord]:
 
     rng = cfg.rng("spectrum-extra")
     worst = 0.0
-    for lam in [random_complex(rng) for _ in range(3)]:
-        t = ybcore.transfer(lam, cfg)
-        norm = ybcore.max_abs(t)
-        for eig in eigs:
-            worst = max(worst, *eig.residuals_from(t, norm))
+    for m in ybcore.monodromies([random_complex(rng) for _ in range(3)], cfg, ops="ad"):
+        t = m.transfer()
+        worst = max(worst, float(np.max(ybcore.sector_residuals(eigs, t, ybcore.max_abs(t)))))
     rec.add("eigenpair-residuals-extra-probes", worst, 1e-8, sector=cfg.n)
     return rec.records
 
 
 def suite_fz(art: Artifacts) -> list[CheckRecord]:
+    """The functional relation of every sector-n eigenpair at its own five
+    draws (rng tag ``fz-{index}``), checked for the whole sector in one
+    ``check_fz_residual`` call, and the holdout of the overlap fits."""
     cfg, eigs, fits = art.cfg, art.eigs, art.fits
     rec = _Recorder()
-    worst = 0.0
-    for eig in eigs:
-        draws = _draws(cfg, f"fz-{eig.index}", 5, width=cfg.n + 1)
-        worst = max(worst, check_fz_residual(FnSampler(cfg, eig), draws))
+    draws = [_draws(cfg, f"fz-{eig.index}", 5, width=cfg.n + 1) for eig in eigs]
+    worst = float(np.max(check_fz_residual(eigs, draws), initial=0.0))
     rec.add("functional-relation", worst, 1e-8, n=cfg.n, L=cfg.L, eigenvectors=len(eigs))
 
     rec.add("overlap-polynomial-holdout", np.max(fits.holdouts), 1e-9,
@@ -239,14 +237,17 @@ def suite_fz(art: Artifacts) -> list[CheckRecord]:
 
 def suite_omega_extract(art: Artifacts) -> list[CheckRecord]:
     family = art.family
+    floor = family.precision_floor
     rec = _Recorder()
     rec.add("omega-commutators", float(np.max(family.commutator_norms)), 1e-9,
-            commutator_norms=[[float(v) for v in row] for row in family.commutator_norms])
+            commutator_norms=[[float(v) for v in row] for row in family.commutator_norms],
+            precision_floor=floor)
     rec.add("omega-top-scalar", family.omega_top_identity_residual, 1e-9,
-            scalar=[family.omega_top_scalar.real, family.omega_top_scalar.imag])
+            scalar=[family.omega_top_scalar.real, family.omega_top_scalar.imag],
+            precision_floor=floor)
     rec.add("lbar-polynomiality-holdout", family.lbar.polynomiality_residual, 1e-9,
             grid_condition=family.lbar.grid_condition)
-    rec.add("lbar-symmetry-defect", family.lbar.symmetry_defect, 1e-8)
+    rec.add("lbar-symmetry-defect", family.lbar.symmetry_defect, 1e-8, precision_floor=floor)
     return rec.records
 
 
@@ -321,31 +322,39 @@ def suite_pde_special(art: Artifacts) -> list[CheckRecord]:
 
 
 def suite_reduce(art: Artifacts) -> list[CheckRecord]:
+    """Upsilon on the chains of every non-vanishing eigenfunction, each at
+    its own three points (rng tag ``reduce-{index}-{k}``), in one batched
+    ``upsilon_residual`` call; and the reduced PDE row of five random
+    polynomials, each at its own point, in one batched ``upsilon_apply``
+    call, against the unreduced equation."""
     cfg = art.cfg
     system = reduction.spectral_reduction(cfg)
     report = art.eigk
     rec = _Recorder()
+    box = (cfg.L,) * cfg.n
     used = [r for r in report.records if not r.vanishing]
-    found = [
-        reduction.upsilon_residual(
-            system, r.fbar, r.delta[cfg.L - 1],
-            annulus_points(cfg, cfg.n, 3, f"reduce-{r.eig_index}-{k + 1}"),
-        )
-        for k, r in enumerate(used)
-    ]
-    worst, extra = _worst_point(np.array([f[0] for f in found]), np.array([f[1] for f in found]),
-                                [r.eig_index for r in used])
+    points = np.array([annulus_points(cfg, cfg.n, 3, f"reduce-{r.eig_index}-{k + 1}")
+                       for k, r in enumerate(used)]).reshape(len(used), 3, cfg.n)
+    residuals, magnitudes = reduction.upsilon_residual(
+        system, np.array([r.fbar for r in used]).reshape((len(used),) + box),
+        [r.delta[cfg.L - 1] for r in used], points)
+    worst, extra = _worst_point(residuals, magnitudes, [r.eig_index for r in used])
     rec.add("upsilon-on-eigenfunctions", worst, 1e-8, eigenfunctions=len(used), **extra)
 
+    # each random polynomial at its own point: the reduced PDE row against
+    # the unreduced equation's terms (every polynomial at every point, read
+    # on the diagonal)
     rng = cfg.rng("reduce-points")
-    worst = 0.0
-    for point in annulus_points(cfg, cfg.n, 5, "reduce-equivalence"):
-        fbar = rng.standard_normal((cfg.L,) * cfg.n) + 1j * rng.standard_normal((cfg.L,) * cfg.n)
-        delta = random_complex(rng)
-        psi = reduction.build_psi(fbar, cfg.L)
-        row = reduction.upsilon_apply(system, psi, delta, [point])[0, 0]
-        direct = np.sum(system.terms(fbar, [point], delta))
-        worst = max(worst, abs(row - direct) / max(abs(direct), 1e-300))
+    points = annulus_points(cfg, cfg.n, 5, "reduce-equivalence")
+    fbars = np.empty((len(points),) + box, dtype=complex)
+    deltas = np.empty(len(points), dtype=complex)
+    for k in range(len(points)):
+        fbars[k] = rng.standard_normal(box) + 1j * rng.standard_normal(box)
+        deltas[k] = random_complex(rng)
+    rows = reduction.upsilon_apply(system, reduction.build_psi(fbars, cfg.L, cfg.n), deltas,
+                                   points[:, None])[:, 0, 0]
+    direct = np.diagonal(np.sum(system.terms(fbars, points, deltas), axis=-1))
+    worst = float(np.max(np.abs(rows - direct) / np.maximum(np.abs(direct), 1e-300)))
     rec.add("pde-row-equivalence", worst, 1e-12)
     return rec.records
 

@@ -261,21 +261,31 @@ def _exchange_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _guard_rapidities(lam0s: np.ndarray, rows: np.ndarray):
     """Raise ``CoincidentRapiditiesError`` for the first pair closer than
-    the guard in |sinh| among any lam0 of ``lam0s`` (N,) with the rapidities
-    of any row of ``rows`` (P, n): x0 rapidities outermost, then rows, then
-    the pairs of [lam0] + row in order, as one loop over the batch would."""
-    n = rows.shape[1]
+    the guard in |sinh| among each lam0 of ``lam0s`` with the rapidities of
+    the rows of ``rows`` (shape (..., n)) it broadcasts against, in C order
+    of the broadcast entries, then the pairs of [lam0] + row in order, as
+    one loop over the batch would: for ``lam0s[:, None]`` and rows (P, n)
+    x0 rapidities outermost, then rows.  The error names the pair and its
+    separation."""
+    n = rows.shape[-1]
     first, second, _ = _exchange_indices(n)
-    with_lam0 = np.abs(weight_b(lam0s[:, None, None] - rows))
-    within = np.abs(weight_b(rows[:, first] - rows[:, second]))
+    with_lam0 = np.abs(weight_b(lam0s[..., None] - rows))
+    within = np.abs(weight_b(rows[..., first] - rows[..., second]))
     if not ((with_lam0 < SINGULARITY_GUARD).any() or (within < SINGULARITY_GUARD).any()):
         return
     seps = np.concatenate(
-        [with_lam0, np.broadcast_to(within, with_lam0.shape[:2] + within.shape[1:])], axis=-1
+        [with_lam0, np.broadcast_to(within, with_lam0.shape[:-1] + within.shape[-1:])], axis=-1
     )
-    a, p, k = np.argwhere(seps < SINGULARITY_GUARD)[0]
-    pair = (lam0s[a], rows[p, k]) if k < n else (rows[p, first[k - n]], rows[p, second[k - n]])
-    raise CoincidentRapiditiesError(tuple(complex(v) for v in pair), seps[a, p, k])
+    *entry, k = np.argwhere(seps < SINGULARITY_GUARD)[0]
+    entry = tuple(entry)
+    lam0 = np.broadcast_to(lam0s, seps.shape[:-1])[entry]
+    row = np.broadcast_to(rows, seps.shape[:-1] + (n,))[entry]
+    pair = tuple(complex(v) for v in
+                 ((lam0, row[k]) if k < n else (row[first[k - n]], row[second[k - n]])))
+    # numpy's complex abs of an array can differ from the scalar one in the
+    # last bit, so the reported separation is the pair's own, as one loop
+    # step computes it, whatever the batch
+    raise CoincidentRapiditiesError(pair, abs(weight_b(pair[0] - pair[1])))
 
 
 def _ratio_product(diffs: np.ndarray, gamma: complex) -> np.ndarray:
@@ -285,10 +295,14 @@ def _ratio_product(diffs: np.ndarray, gamma: complex) -> np.ndarray:
 
 def exchange_m_factors(lam0s, lam_rows, gamma: complex):
     """Scalar coefficients of the degree-(n+1) exchange identity at every
-    x0 rapidity of ``lam0s`` (N,) and every row of ``lam_rows`` (P, n).
+    x0 rapidity of ``lam0s`` and every row of ``lam_rows`` (shape (..., n)),
+    ``lam0s`` broadcast against the leading axes of the rows: ``lam0s[:,
+    None]`` (N, 1) against rows (P, n) gives every lam0 at every row, shape
+    (N, P), and ``lam0s`` (P,) against rows (P, n) pairs lam0 p with row p,
+    shape (P,).
 
-    Returns ``(MA0, MD0, MA, MD)`` of shapes (N, P), (N, P), (N, P, n) and
-    (N, P, n); for lam0 = lam0s[a] and l = lam_rows[p],
+    Returns ``(MA0, MD0, MA, MD)``, the first two of the broadcast shape S
+    and the last two of shape S + (n,); for lam0 and its row l,
 
         MA0 = prod a(l - l0)/b(l - l0),     MD0 = prod a(l0 - l)/b(l0 - l),
         MA[i] = c(l_i - l0)/b(l_i - l0) prod_{t != i} a(l_t - l_i)/b(l_t - l_i),
@@ -296,15 +310,15 @@ def exchange_m_factors(lam0s, lam_rows, gamma: complex):
 
     Each entry equals the one-point evaluation bit for bit
     (``stacked_product``).  Raises ``CoincidentRapiditiesError`` if any
-    lam0 and row hold a coincident pair.
+    lam0 and its row hold a coincident pair.
     """
     lam0s = np.asarray(lam0s, dtype=complex)
     rows = np.asarray(lam_rows, dtype=complex)
     _guard_rapidities(lam0s, rows)
-    to_lam0 = rows - lam0s[:, None, None]
-    from_lam0 = lam0s[:, None, None] - rows
-    # others[p, i] holds the rapidities of row p other than l_i
-    others, own = rows[:, _exchange_indices(rows.shape[1])[2]], rows[:, :, None]
+    to_lam0 = rows - lam0s[..., None]
+    from_lam0 = lam0s[..., None] - rows
+    # others[..., i, :] holds the rapidities of a row other than l_i
+    others, own = rows[..., _exchange_indices(rows.shape[-1])[2]], rows[..., None]
     c = weight_c(gamma)
     ma = stacked_product(c / weight_b(to_lam0), _ratio_product(others - own, gamma))
     md = stacked_product(c / weight_b(from_lam0), _ratio_product(own - others, gamma))
@@ -353,7 +367,7 @@ def _draw_residuals(lam0: complex, lams: list[complex], cfg: SpectralConfig, out
     coefficients singular, before anything is built.
     """
     n = len(lams)
-    ma0, md0, ma, md = (f[0, 0] for f in exchange_m_factors([lam0], [lams], cfg.gamma))
+    ma0, md0, ma, md = (f[0] for f in exchange_m_factors([lam0], [lams], cfg.gamma))
     distinct = list(dict.fromkeys([lam0] + lams))
     ops = dict(zip(distinct, monodromies(distinct, cfg, ops="abd", out=out)))
 
@@ -426,6 +440,24 @@ class EigenChoice:
         l = np.linalg.norm(self.left @ blk - val * self.left)
         scale = max(max_abs(t) if norm is None else norm, 1e-300)
         return float(r / scale), float(l / scale)
+
+
+def sector_residuals(eigs, t, norm: float) -> np.ndarray:
+    """Right and left eigen-residuals of every eigenpair of ``eigs``, all
+    of one sector, against a prebuilt transfer matrix ``t`` whose max-norm
+    over all sectors is ``norm``, shape (len(eigs), 2): what
+    ``EigenChoice.residuals_from`` gives one eigenpair at a time, from one
+    product per side for the whole sector."""
+    if not eigs:
+        return np.zeros((0, 2))
+    blk = t[eigs[0].sector]
+    rights = np.stack([eig.right for eig in eigs], axis=1)
+    lefts = np.stack([eig.left for eig in eigs])
+    t_rights, lefts_t = blk @ rights, lefts @ blk
+    vals = np.sum(lefts_t * rights.T, axis=1) / np.sum(lefts * rights.T, axis=1)
+    r = np.linalg.norm(t_rights - vals * rights, axis=0)
+    l = np.linalg.norm(lefts_t - vals[:, None] * lefts, axis=1)
+    return np.stack([r, l], axis=1) / max(norm, 1e-300)
 
 
 def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:

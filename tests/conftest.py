@@ -7,9 +7,9 @@ import pytest
 from bpl.blockbuild import _SHIFTS, _SITE_TERMS, _ascending_orders
 from bpl.config import SINGULARITY_GUARD, SpectralConfig, random_complex
 from bpl.errors import CoincidentRapiditiesError
-from bpl.functional import b_table, circle_grid, spectral_grids
+from bpl.functional import FnSampler, b_table, circle_grid, spectral_grids
 from bpl.polyengine import MultiPoly, grid_condition, grid_points, tensor_interpolate
-from bpl.ybcore import monodromies, weight_a, weight_b, weight_c
+from bpl.ybcore import monodromies, transfer, weight_a, weight_b, weight_c
 
 #: the 4x4 swap P of two C^2 factors
 SWAP = np.eye(4)[[0, 2, 1, 3]]
@@ -89,6 +89,27 @@ def scalar_fz_coefficients(lam0, lams, cfg):
         pal, pbl = products(lam)
         ks.append(complex(pal * ma[i] + pbl * md[i]))
     return complex(pa0 * ma0 + pb0 * md0), ks
+
+
+def reference_fz_residual(cfg, eig, draws):
+    """The functional relation's worst residual for one eigenpair, one draw
+    at a time: scalar coefficients, every overlap a ``FnSampler`` value on
+    B blocks of its own build, and Lambda(lam0) from its own transfer
+    matrix."""
+    sampler = FnSampler(cfg, eig)
+    worst = 0.0
+    for lam0, *lams in draws:
+        j0, ks = scalar_fz_coefficients(lam0, lams, cfg)
+        f_here = sampler.value(lams)
+        lam_val = eig.eigenvalue_from(transfer(lam0, cfg))
+        total = j0 * f_here - lam_val * f_here
+        scale = max(abs(j0 * f_here), abs(lam_val * f_here))
+        for i, k in enumerate(ks):
+            term = k * sampler.value(lams[:i] + [lam0] + lams[i + 1:])
+            total -= term
+            scale = max(scale, abs(term))
+        worst = max(worst, float(abs(total) / max(scale, 1e-300)))
+    return worst
 
 
 # -- the gather, multiply and scatter build, kept as the reference ---------------

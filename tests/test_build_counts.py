@@ -2,6 +2,7 @@
 capped at the highest sector it reads, and no cache outlives the call that
 made it."""
 
+import collections
 import itertools
 import sys
 
@@ -9,12 +10,13 @@ import numpy as np
 import pytest
 
 import bpl.ybcore
+from bpl import blockbuild
+from bpl.blockbuild import build_plan
 from bpl import cli
 from bpl.cli import run_suite
 from bpl.config import SpectralConfig
 from bpl.dwbc import extract_zbar
 from bpl.functional import (
-    FnSampler,
     check_fz_residual,
     extract_fbars,
     lambda_bar_coefficients,
@@ -142,24 +144,48 @@ def test_lambda_bar_nodes_build_once_up_to_the_sector(builds):
 
 
 def test_functional_relation_builds_each_rapidity_once(builds):
+    # lam0 with A, B and D (T and the swapped chains' B), the others with B
     cfg = SpectralConfig.random_instance(4, 2, seed=2)
-    sampler = FnSampler(cfg, spectrum(cfg, 2)[0])
+    eig = spectrum(cfg, 2)[0]
     builds.clear()
-    check_fz_residual(sampler, [[0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.2j]])
+    check_fz_residual([eig], [[[0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.2j]]])
     assert len(builds) == len(set(rapidities(builds))) == 3
     assert tops(builds) == {2}
-    assert operators(builds) == {"abd"}
+    assert [(lam, ops) for lam, _, _, ops in builds] == [
+        (0.3 + 0.1j, "abd"), (-0.2 + 0.05j, "b"), (0.5 - 0.2j, "b")]
 
 
 def test_functional_relation_over_draws_builds_each_rapidity_once(builds):
     cfg = SpectralConfig.random_instance(4, 2, seed=2)
-    sampler = FnSampler(cfg, spectrum(cfg, 2)[0])
+    eigs = spectrum(cfg, 2)
     builds.clear()
     draws = [[0.1 * i + 0.3j, 0.1 * i - 0.2j, 0.1 * i + 0.45 + 0.1j] for i in range(5)]
     # one draw repeated: its rapidities are not built again
-    check_fz_residual(sampler, draws + draws[:1])
+    check_fz_residual(eigs[:1], [draws + draws[:1]])
     assert len(builds) == len(set(rapidities(builds))) == 5 * 3
     assert tops(builds) == {2}
+    assert len(batches(builds)) == 2
+
+
+def test_functional_relation_over_a_sector_builds_in_bounded_chunks(builds):
+    # every eigenpair's draws are built once, two calls per chunk, and no
+    # chunk's monodromies hold more than BATCH_ENTRIES entries
+    cfg = SpectralConfig.random_instance(7, 2, seed=0)
+    eigs = spectrum(cfg, 2)
+    draws = [[[complex(0.01 * (k + 1) * i, 0.02 * j + 0.003 * k) for j in range(3)]
+              for i in range(1, 6)] for k in range(len(eigs))]
+    builds.clear()
+    check_fz_residual(eigs, draws)
+    assert len(builds) == len(set(rapidities(builds))) == 15 * len(eigs)
+    entries = {ops: build_plan(7, 2, ops).entries for ops in ("abd", "b")}
+    calls = sorted(batches(builds))
+    held = collections.Counter()
+    for _, _, batch, ops in builds:
+        # the calls alternate: a chunk's lam0s ("abd"), then its others ("b")
+        assert ops == ("abd", "b")[calls.index(batch) % 2]
+        held[calls.index(batch) // 2] += entries[ops]
+    assert len(held) > 1
+    assert max(held.values()) <= blockbuild.BATCH_ENTRIES
 
 
 @pytest.mark.parametrize("argv", [["all", "--L", "6", "--n", "5"],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bpl import functional, omega
+from bpl import blockbuild, functional, omega
 from bpl.config import SpectralConfig
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import (
@@ -21,6 +21,7 @@ from bpl.functional import (
     spectrum,
 )
 from bpl.polyengine import grid_points
+from bpl.suites import _draws as _suite_draws
 from bpl.suites import run_checks
 from bpl.ybcore import (
     exchange_m_factors,
@@ -37,6 +38,7 @@ from conftest import (
     draw_complex,
     reference_chain,
     reference_fbar_fits,
+    reference_fz_residual,
     scalar_exchange_m_factors,
     scalar_fz_coefficients,
 )
@@ -107,10 +109,10 @@ class TestCoefficients:
     def test_empty_set_gives_vacuum_eigenvalue(self, cfg3, rng):
         lam0 = draw_complex(rng)
         j0, ks = fz_coefficients([lam0], [[]], cfg3)
-        assert j0.shape == (1, 1) and ks.shape == (1, 1, 0)
+        assert j0.shape == (1,) and ks.shape == (1, 0)
         pa = np.prod([weight_a(lam0 - m, cfg3.gamma) for m in cfg3.mu])
         pb = np.prod([weight_b(lam0 - m) for m in cfg3.mu])
-        assert abs(j0[0, 0] - (pa + pb)) < 1e-13 * abs(pa + pb)
+        assert abs(j0[0] - (pa + pb)) < 1e-13 * abs(pa + pb)
 
     def test_pole_guard(self, cfg3):
         lam0 = 0.3 + 0.2j
@@ -122,7 +124,7 @@ class TestCoefficients:
         g = cfg3.gamma
         lam0 = draw_complex(rng)
         lams = [draw_complex(rng) for _ in range(2)]
-        j0, ks = (c[0, 0] for c in fz_coefficients([lam0], [lams], cfg3))
+        j0, ks = (c[0] for c in fz_coefficients([lam0], [lams], cfg3))
 
         def ratio_a(u, v):
             return weight_a(u - v, g) / weight_b(u - v)
@@ -156,8 +158,8 @@ class TestBatchedCoefficients:
         # up to 60 of its entries
         cfg = SpectralConfig.random_instance(L, n, seed=70 + L)
         lam0s, rows = lbar_x0_nodes(cfg), grid_points(spectral_grids(L, n))
-        j0, ks = fz_coefficients(lam0s, rows, cfg)
-        factors = exchange_m_factors(lam0s, rows, cfg.gamma)
+        j0, ks = fz_coefficients(lam0s[:, None], rows, cfg)
+        factors = exchange_m_factors(lam0s[:, None], rows, cfg.gamma)
         assert j0.shape == (L + 1, L**n) and ks.shape == (L + 1, L**n, n)
         assert [f.shape for f in factors] == [j0.shape, j0.shape, ks.shape, ks.shape]
         picks = np.random.default_rng(L).choice(j0.size, size=min(60, j0.size), replace=False)
@@ -169,9 +171,37 @@ class TestBatchedCoefficients:
             for got, want in zip(factors, ref):
                 assert _bits(got[a, p]) == _bits(want)
 
+    @pytest.mark.parametrize("L,n", [(4, 2), (7, 2), (6, 3), (5, 0)])
+    def test_paired_batch_equals_one_point_reference(self, L, n):
+        # lam0s (P,) against rows (P, n): lam0 p with row p only
+        cfg = SpectralConfig.random_instance(L, n, seed=80 + L)
+        draws = draw_complex(np.random.default_rng(L + n), (40, n + 1))
+        j0, ks = fz_coefficients(draws[:, 0], draws[:, 1:], cfg)
+        factors = exchange_m_factors(draws[:, 0], draws[:, 1:], cfg.gamma)
+        assert j0.shape == (40,) and ks.shape == (40, n)
+        assert [f.shape for f in factors] == [j0.shape, j0.shape, ks.shape, ks.shape]
+        for p, (lam0, *lams) in enumerate(draws):
+            ref_j0, ref_ks = scalar_fz_coefficients(lam0, lams, cfg)
+            assert _bits(j0[p]) == _bits(ref_j0)
+            assert _bits(ks[p]) == _bits(ref_ks)
+            ref = scalar_exchange_m_factors(lam0, lams, cfg.gamma)
+            for got, want in zip(factors, ref):
+                assert _bits(got[p]) == _bits(want)
+
+    def test_paired_pole_guard_names_the_pair_a_loop_would(self, cfg3, rng):
+        draws = draw_complex(rng, (6, 3))
+        draws[4, 0] = draws[4, 2] + 1e-9
+        draws[2, 2] = draws[2, 1] - 1e-9 + 1j * np.pi
+        with pytest.raises(CoincidentRapiditiesError) as expected:
+            scalar_fz_coefficients(draws[2, 0], list(draws[2, 1:]), cfg3)
+        with pytest.raises(CoincidentRapiditiesError) as info:
+            fz_coefficients(draws[:, 0], draws[:, 1:], cfg3)
+        assert info.value.pair == tuple(expected.value.pair)
+        assert info.value.separation == expected.value.separation
+
     def test_empty_rapidity_list(self, cfg3, rng):
         lam0s = draw_complex(rng, (3,))
-        j0, ks = fz_coefficients(lam0s, np.zeros((2, 0)), cfg3)
+        j0, ks = fz_coefficients(lam0s[:, None], np.zeros((2, 0)), cfg3)
         assert j0.shape == (3, 2) and ks.shape == (3, 2, 0)
         for a, lam0 in enumerate(lam0s):
             ref_j0, ref_ks = scalar_fz_coefficients(lam0, [], cfg3)
@@ -201,8 +231,8 @@ class TestBatchedCoefficients:
             if expected is not None:
                 break
         assert expected is not None
-        for batched in (lambda: fz_coefficients(lam0s, rows, cfg3),
-                        lambda: exchange_m_factors(lam0s, rows, cfg3.gamma)):
+        for batched in (lambda: fz_coefficients(lam0s[:, None], rows, cfg3),
+                        lambda: exchange_m_factors(lam0s[:, None], rows, cfg3.gamma)):
             with pytest.raises(CoincidentRapiditiesError) as info:
                 batched()
             assert info.value.pair == tuple(expected.pair)
@@ -214,18 +244,88 @@ class TestFunctionalRelation:
         eig = spectrum(cfg2, 0)[0]
         sampler = FnSampler(cfg2, eig)
         lam0 = draw_complex(rng)
-        j0 = fz_coefficients([lam0], [[]], cfg2)[0][0, 0]
+        j0 = fz_coefficients([lam0], [[]], cfg2)[0][0]
         assert abs(eig.eigenvalue_from(transfer(lam0, cfg2)) - j0) < 1e-11 * abs(j0)
-        assert check_fz_residual(sampler, [[lam0]]) < 1e-12
+        assert check_fz_residual([eig], [[[lam0]]])[0] < 1e-12
 
     @pytest.mark.parametrize("L,n", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
     def test_full_grid(self, L, n):
         cfg = SpectralConfig.random_instance(L, n, seed=100 * L + n)
         rng = np.random.default_rng(L * 7 + n)
-        for eig in spectrum(cfg, n):
-            sampler = FnSampler(cfg, eig)
-            draws = [[draw_complex(rng) for _ in range(n + 1)] for _ in range(5)]
-            assert check_fz_residual(sampler, draws) < 1e-8
+        eigs = spectrum(cfg, n)
+        draws = [[[draw_complex(rng) for _ in range(n + 1)] for _ in range(5)] for _ in eigs]
+        worst = check_fz_residual(eigs, draws)
+        assert worst.shape == (len(eigs),)
+        assert np.max(worst) < 1e-8
+
+    @staticmethod
+    def _sector_draws(cfg, eigs, count=5):
+        return [list(_suite_draws(cfg, f"fz-{eig.index}", count, width=cfg.n + 1)) for eig in eigs]
+
+    @pytest.mark.parametrize("L,n", [(3, 1), (4, 2), (7, 2), (6, 3)])
+    def test_sector_batch_equals_the_one_eigenpair_loop(self, L, n):
+        # the suite's own draws; one call for the sector against the
+        # parent's loop (one eigenpair, one draw and one scalar coefficient
+        # at a time, every overlap through FnSampler) and against
+        # one-eigenpair calls: the same bits
+        cfg = SpectralConfig.random_instance(L, n, seed=0)
+        eigs = spectrum(cfg, n)
+        draws = self._sector_draws(cfg, eigs)
+        batched = check_fz_residual(eigs, draws)
+        for eig, own, worst in zip(eigs, draws, batched):
+            assert worst.hex() == reference_fz_residual(cfg, eig, own).hex()
+            assert worst.hex() == check_fz_residual([eig], [own])[0].hex()
+
+    @pytest.mark.parametrize("L,n,entries", [(4, 2, 1), (7, 2, 2**12), (6, 3, 2**13)])
+    def test_sector_batch_in_small_chunks_is_unchanged(self, L, n, entries, monkeypatch):
+        # a smaller entry bound splits the sector into more chunks, each
+        # building its lam0s and its other rapidities in one call apiece
+        cfg = SpectralConfig.random_instance(L, n, seed=1)
+        eigs = spectrum(cfg, n)
+        draws = self._sector_draws(cfg, eigs)
+        calls = []
+        original = functional.monodromies
+
+        def counting(lams, *args, **kwargs):
+            calls.append(len(lams))
+            return original(lams, *args, **kwargs)
+
+        monkeypatch.setattr(functional, "monodromies", counting)
+        whole = check_fz_residual(eigs, draws)
+        before = len(calls)
+        monkeypatch.setattr(blockbuild, "BATCH_ENTRIES", entries)
+        chunked = check_fz_residual(eigs, draws)
+        assert len(calls) - before > before
+        assert sum(calls[before:]) == sum(calls[:before]) == 5 * (n + 1) * len(eigs)
+        assert [w.hex() for w in chunked] == [w.hex() for w in whole]
+
+    @pytest.mark.parametrize("where", ["lam0", "rows", "late"])
+    def test_coincident_draw_names_the_pair_the_loop_would(self, where):
+        cfg = SpectralConfig.random_instance(4, 2, seed=3)
+        eigs = spectrum(cfg, 2)
+        draws = self._sector_draws(cfg, eigs)
+        if where == "lam0":
+            draws[2][3][0] = draws[2][3][2] + 1e-9
+        if where == "rows":
+            draws[1][4][2] = draws[1][4][1] - 2e-9
+        if where == "late":
+            draws[5][0][1] = draws[5][0][0] + 1e-10
+            draws[4][1][2] = draws[4][1][1] + 1e-9
+        expected = None
+        for eig, own in zip(eigs, draws):
+            try:
+                reference_fz_residual(cfg, eig, own)
+            except CoincidentRapiditiesError as exc:
+                expected = exc
+                break
+        assert expected is not None
+        with pytest.raises(CoincidentRapiditiesError) as info:
+            check_fz_residual(eigs, draws)
+        assert info.value.pair == tuple(expected.pair)
+        assert info.value.separation == expected.separation
+
+    def test_no_eigenpairs(self):
+        assert check_fz_residual([], []).shape == (0,)
 
 
 class TestPolynomialPart:

@@ -17,10 +17,11 @@ from bpl.functional import (
     spectral_grids,
     spectrum,
 )
-from bpl.omega import SymmetricBasis, build_lbar, extract_omegas, lbar_action
-from bpl.polyengine import (MultiPoly, derivative_tensor, fit_grid, grid_points,
+from bpl import blockbuild, suites
+from bpl.omega import SymmetricBasis, build_lbar, check_eigk, extract_omegas, lbar_action
+from bpl.polyengine import (GridFit, MultiPoly, derivative_tensor, fit_grid, grid_points,
                             tensor_interpolate)
-from bpl.suites import Artifacts
+from bpl.suites import Artifacts, run_checks
 from bpl.ybcore import transfer
 
 from conftest import draw_complex, scalar_fz_coefficients
@@ -252,7 +253,7 @@ class TestLbar:
         # with no variables the relation collapses to its J-part
         eig = spectrum(cfg2, 0)[0]
         lam0 = draw_complex(rng)
-        j0 = fz_coefficients([lam0], [[]], cfg2)[0][0, 0]
+        j0 = fz_coefficients([lam0], [[]], cfg2)[0][0]
         jbar = j0 * np.exp(cfg2.L * lam0)
         lam_bar = eig.eigenvalue_from(transfer(lam0, cfg2)) * np.exp(cfg2.L * lam0)
         assert abs(jbar - lam_bar) < 1e-11 * abs(lam_bar)
@@ -315,3 +316,93 @@ class TestJointSpectralProblems:
             [r for r in report.records if not r.vanishing]
         )
         assert report.surplus_dimension >= 0
+
+
+def _eigk_reference(family, fbar, deltas):
+    """(residual, containment distance) of one eigenpair, one Omega_k
+    matrix-vector product at a time, every norm recomputed: the former
+    per-eigenpair loop."""
+    vec, _ = family.basis.project(fbar)
+    norm = np.max(np.abs(vec))
+    resid = 0.0
+    for k in range(family.cfg.L + 1):
+        num = np.max(np.abs(family.omegas[k] @ vec - deltas[k] * vec))
+        den = (np.max(np.abs(family.omegas[k])) + abs(deltas[k])) * norm
+        resid = max(resid, num / max(den, 1e-300))
+    dist = np.min(np.max(np.abs(family.delta_table - deltas[None, :]), axis=1)
+                  / (1.0 + np.max(np.abs(deltas))))
+    return resid, dist
+
+
+def _zeroed(fits, rows):
+    coeffs = fits.coeffs.copy()
+    coeffs[rows] = 0.0
+    return GridFit(coeffs, fits.grid_condition, fits.holdouts)
+
+
+class TestBatchedEigk:
+    @pytest.mark.parametrize("L,n", [(4, 2), (7, 2), (5, 3)])
+    def test_sector_batch_equals_the_per_eigenpair_loop(self, L, n, monkeypatch):
+        # the batched products round differently; the containment distance
+        # is elementwise and stays bit for bit, in one chunk or in many
+        art = Artifacts(SpectralConfig.random_instance(L, n, seed=0))
+        family, eigs, fits, lam_bars = art.family, art.eigs, art.fits, art.lam_bars
+        report = check_eigk(family, eigs, fits, lam_bars)
+        monkeypatch.setattr(blockbuild, "BATCH_ENTRIES", 1)
+        chunked = check_eigk(family, eigs, fits, lam_bars)
+        for rec, one, fbar, deltas in zip(report.records, chunked.records, fits.coeffs,
+                                          lam_bars.coeffs):
+            resid, dist = _eigk_reference(family, fbar, deltas)
+            assert not rec.vanishing
+            assert abs(rec.residual - resid) < 1e-13
+            assert one.residual == pytest.approx(rec.residual, rel=1e-12, abs=1e-16)
+            assert rec.containment_distance.hex() == float(dist).hex()
+            assert one.containment_distance.hex() == float(dist).hex()
+            assert rec.delta.tobytes() == deltas.tobytes()
+
+    def test_vanishing_eigenpairs_are_reported_and_skipped(self):
+        art = Artifacts(SpectralConfig.random_instance(4, 2, seed=0))
+        full = art.eigk
+        fits = _zeroed(art.fits, [1, 4])
+        report = check_eigk(art.family, art.eigs, fits, art.lam_bars)
+        assert [r.vanishing for r in report.records] == [k in (1, 4) for k in range(6)]
+        for k, (rec, ref) in enumerate(zip(report.records, full.records)):
+            if k in (1, 4):
+                assert rec.delta is None and rec.residual == 0.0
+                assert rec.containment_distance == np.inf
+            else:
+                assert rec.containment_distance == ref.containment_distance
+                assert rec.residual == pytest.approx(ref.residual, rel=1e-12, abs=1e-16)
+        assert report.surplus_dimension == full.surplus_dimension + 2
+
+    def test_a_sector_of_vanishing_overlaps_reads_zero(self):
+        # every overlap fit zero: no eigenpair is checked, the joint checks
+        # and the Upsilon check read 0.0
+        cfg = SpectralConfig.random_instance(4, 2, seed=0)
+        art = Artifacts(cfg)
+        art.fits = _zeroed(art.fits, slice(None))
+        assert all(r.vanishing for r in art.eigk.records)
+        assert art.eigk.max_residual == art.eigk.max_containment_distance == 0.0
+        assert art.eigk.surplus_dimension == art.family.basis.dim
+        upsilon = suites.suite_reduce(art)[0]
+        assert upsilon.name == "upsilon-on-eigenfunctions"
+        assert upsilon.residual == 0.0 and upsilon.extra["eigenfunctions"] == 0
+
+
+class TestPrecisionFloor:
+    @pytest.mark.parametrize("L,n", [(4, 2), (6, 3)])
+    def test_family_checks_report_the_floor_and_commutators_lie_near_it(self, L, n):
+        # f = eps kappa rho, from the fit's condition number and the
+        # family's range; omega-commutators reads between f / 2 and 20 f
+        cfg = SpectralConfig.random_instance(L, n, seed=0)
+        family = extract_omegas(cfg)
+        norms = [np.max(np.abs(omega)) for omega in family.omegas]
+        assert family.omega_norms.tolist() == norms
+        floor = np.finfo(float).eps * family.lbar.grid_condition * max(norms) / min(norms)
+        assert family.precision_floor == pytest.approx(floor, rel=1e-14)
+        records = {r.name: r for r in run_checks("omega-extract", cfg)}
+        for name in ("omega-commutators", "omega-top-scalar", "lbar-symmetry-defect"):
+            assert records[name].extra["precision_floor"] == family.precision_floor
+        assert "precision_floor" not in records["lbar-polynomiality-holdout"].extra
+        commutators = records["omega-commutators"].residual
+        assert family.precision_floor / 2 <= commutators <= 20 * family.precision_floor

@@ -96,17 +96,14 @@ class TestUpsilon:
         system = spectral_reduction(cfg)
         report = Artifacts(cfg).eigk
         rng = np.random.default_rng(3)
-        checked = 0
-        for rec in report.records:
-            if rec.vanishing:
-                continue
-            checked += 1
-            pts = distinct_points(rng, 4, 1)
-            delta = rec.delta[cfg.L - 1]
-            residual, _ = upsilon_residual(system, rec.fbar, delta, pts)
-            assert residual.shape == (4,)
-            assert np.max(residual) < 1e-8
-        assert checked > 0
+        used = [rec for rec in report.records if not rec.vanishing]
+        assert used
+        pts = np.array([distinct_points(rng, 4, 1) for _ in used])
+        residual, magnitudes = upsilon_residual(system, np.array([rec.fbar for rec in used]),
+                                                [rec.delta[cfg.L - 1] for rec in used], pts)
+        assert residual.shape == (len(used), 4)
+        assert magnitudes.shape == (len(used), 4, 3)
+        assert np.max(residual) < 1e-8
 
     def test_several_points_give_the_worst_single_point(self, rng):
         # a batch of points gives, row for row, what one call per point
@@ -116,15 +113,60 @@ class TestUpsilon:
         f = random_poly(rng, 2, 3)
         delta = draw_complex(rng)
         pts = distinct_points(rng, 4, 2)
-        residual, magnitudes = upsilon_residual(system, f, delta, pts)
+        (residual,), (magnitudes,) = upsilon_residual(system, f[None], [delta], pts[None])
         rows = upsilon_apply(system, build_psi(f, cfg.L), delta, pts)
-        single = [upsilon_residual(system, f, delta, [pt]) for pt in pts]
-        assert np.max(residual) == pytest.approx(max(r[0][0] for r in single), rel=1e-12)
+        single = [upsilon_residual(system, f[None], [delta], pt[None, None]) for pt in pts]
+        assert np.max(residual) == pytest.approx(max(r[0][0, 0] for r in single), rel=1e-12)
         for k, pt in enumerate(pts):
-            assert single[k][0][0] == pytest.approx(residual[k], rel=1e-12)
-            assert np.allclose(single[k][1][0], magnitudes[k], rtol=1e-12, atol=1e-15)
+            assert single[k][0][0, 0] == pytest.approx(residual[k], rel=1e-12)
+            assert np.allclose(single[k][1][0, 0], magnitudes[k], rtol=1e-12, atol=1e-15)
             one_rows = upsilon_apply(system, build_psi(f, cfg.L), delta, [pt])[0]
             assert np.allclose(one_rows, rows[k], rtol=1e-12, atol=1e-12 * np.max(np.abs(rows[k])))
+
+    @pytest.mark.parametrize("L,n", [(4, 2), (5, 1), (4, 3)])
+    def test_batch_equals_one_candidate_and_one_point_at_a_time(self, rng, L, n):
+        # a batch of candidates, each with its own delta and points, gives
+        # what one call per candidate and point gives, up to the rounding
+        # of a batched matrix product
+        cfg = SpectralConfig.random_instance(L, n, seed=5)
+        system = spectral_reduction(cfg)
+        fbars = np.array([random_poly(rng, n, L - 1) for _ in range(3)])
+        deltas = [draw_complex(rng) for _ in fbars]
+        pts = np.array([distinct_points(rng, 4, n) for _ in fbars])
+        residual, magnitudes = upsilon_residual(system, fbars, deltas, pts)
+        rows = upsilon_apply(system, build_psi(fbars, cfg.L, n), deltas, pts)
+        assert rows.shape == (3, 4, block_dimensions(L, n)[0])
+        for f, delta, own, res, mag, own_rows in zip(fbars, deltas, pts, residual, magnitudes, rows):
+            for k, pt in enumerate(own):
+                single, single_mag = upsilon_residual(system, f[None], [delta], pt[None, None])
+                assert single[0, 0] == pytest.approx(res[k], rel=1e-13)
+                assert np.allclose(single_mag[0, 0], mag[k], rtol=1e-13, atol=1e-15)
+                one_rows = upsilon_apply(system, build_psi(f, cfg.L), delta, [pt])[0]
+                assert np.allclose(one_rows, own_rows[k], rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(own_rows[k])))
+            # and the unreduced equation's terms, evaluated directly
+            direct, direct_mag = system.residual(f, delta, own)
+            assert np.allclose(direct_mag, mag, rtol=1e-12, atol=1e-14)
+
+    def test_chunks_leave_the_residuals_unchanged(self, rng, monkeypatch):
+        # one candidate a chunk and one tensor a contraction, against the
+        # whole batch in one
+        cfg = SpectralConfig.random_instance(4, 2, seed=5)
+        system = spectral_reduction(cfg)
+        fbars = np.array([random_poly(rng, 2, 3) for _ in range(5)])
+        deltas = [draw_complex(rng) for _ in fbars]
+        pts = np.array([distinct_points(rng, 3, 2) for _ in fbars])
+        whole = upsilon_residual(system, fbars, deltas, pts)
+        monkeypatch.setattr(reduction.blockbuild, "BATCH_ENTRIES", 1)
+        chunked = upsilon_residual(system, fbars, deltas, pts)
+        for got, want in zip(chunked, whole):
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_no_candidates(self):
+        system = spectral_reduction(SpectralConfig.random_instance(4, 2, seed=5))
+        residual, magnitudes = upsilon_residual(system, np.zeros((0, 4, 4)), [],
+                                                np.zeros((0, 3, 2)))
+        assert residual.shape == (0, 3) and magnitudes.shape == (0, 3, 4)
 
     def test_wrong_eigenvalue_detected(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=7)
@@ -132,10 +174,11 @@ class TestUpsilon:
         report = Artifacts(cfg).eigk
         rec = next(r for r in report.records if not r.vanishing)
         rng = np.random.default_rng(4)
-        pt = [distinct_point(rng, 1)]
-        fbar = rec.fbar
-        good, _ = upsilon_residual(system, fbar, rec.delta[cfg.L - 1], pt)
-        bad, _ = upsilon_residual(system, fbar, rec.delta[cfg.L - 1] + 1.0, pt)
+        pt = np.array([distinct_point(rng, 1)])
+        delta = rec.delta[cfg.L - 1]
+        # one batch: the right Delta and a wrong one at the same point
+        (good, bad), _ = upsilon_residual(system, np.array([rec.fbar, rec.fbar]),
+                                          [delta, delta + 1.0], np.array([pt, pt]))
         assert good[0] < 1e-8
         assert bad[0] > 1e-3
 
@@ -155,19 +198,20 @@ class TestUpsilon:
 
     def test_suite_equivalence_check_uses_a_point_per_polynomial(self, monkeypatch):
         # pde-row-equivalence compares each of its 5 random polynomials at
-        # its own sample point (the eigenfunction check passes 3 at a time)
+        # its own sample point, all 5 chains in one batch
         seen = []
         original = reduction.upsilon_apply
 
         def recording(system, psi, delta, points):
-            if len(points) == 1:
-                seen.append(tuple(np.asarray(points[0])))
+            seen.append((psi.shape, np.asarray(points)))
             return original(system, psi, delta, points)
 
         monkeypatch.setattr(reduction, "upsilon_apply", recording)
         records = run_checks("reduce", SpectralConfig.random_instance(3, 1, seed=0))
         assert records[-1].name == "pde-row-equivalence"
-        assert len(seen) == len(set(seen)) == 5
+        [(shape, points)] = seen
+        assert shape == (2, 5, 3) and points.shape == (5, 1, 1)
+        assert len(set(points.ravel().tolist())) == 5
 
     def test_pde_row_matches_closedform_residual_scale(self, rng):
         # consistency with the direct residual checker on an eigenfunction

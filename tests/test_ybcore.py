@@ -627,6 +627,20 @@ class TestSpectrum:
             right, left = eig.residuals_from(transfer(lam3, cfg3))
             assert right < 1e-10 and left < 1e-10
 
+    @pytest.mark.parametrize("L,n", [(3, 2), (7, 2), (6, 3)])
+    def test_sector_residuals_equal_the_one_eigenpair_residuals(self, L, n, rng):
+        # one product per side for the sector against one eigenpair at a
+        # time: the same residuals up to the rounding of the products
+        cfg = SpectralConfig.random_instance(L, n, seed=4)
+        eigs = spectrum(cfg, n)
+        t = transfer(draw_complex(rng), cfg)
+        norm = bpl.ybcore.max_abs(t)
+        batched = bpl.ybcore.sector_residuals(eigs, t, norm)
+        assert batched.shape == (len(eigs), 2)
+        for eig, row in zip(eigs, batched):
+            assert np.allclose(row, eig.residuals_from(t, norm), rtol=0, atol=1e-14)
+        assert bpl.ybcore.sector_residuals([], t, norm).shape == (0, 2)
+
     def test_left_vector_probe_independent(self, cfg3, rng):
         # the dual eigenvector serves every rapidity at once
         eigs = spectrum(cfg3, 1)
