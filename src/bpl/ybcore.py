@@ -331,12 +331,29 @@ class OffRelationResiduals(NamedTuple):
     transfer_identity: float
 
 
+#: Random probe vectors per source sector in ``check_off_relations``.  The
+#: cost of a check is its build and its O(d^2) products, so the count barely
+#: matters: at L = 9, n = 3 the time was flat from 1 to 8.
+_OFF_PROBES = 4
+
+
 def check_off_relations(draws, cfg: SpectralConfig) -> OffRelationResiduals:
     """Worst residuals over ``draws``, each a sequence (lam0, lam_1, ...,
     lam_n), of the two degree-(n+1) exchange relations moving A(lambda_0)
     and D(lambda_0) through a B-product, plus their sum (the
     transfer-matrix identity obtained by adding both lines); each field is
     the largest of ``_draw_residuals`` over the draws.
+
+    Both sides of each relation map sector k to k + n, and each is applied
+    to a block V_k of ``_OFF_PROBES`` complex Gaussian probe vectors per
+    source sector k (Freivalds' check): a residual is max |(L - R) V| over
+    max(|L V|, |R V|), the max-norms taken over every sector, and an error
+    in any entry of either side shows in L V - R V with probability one.
+    The probes are drawn once per call (rng tag "off-probes"), for every
+    sector, so they do not depend on the draws: every draw and every call
+    on the same instance reads the same ones.  ``tests/test_ybcore.py``
+    keeps the dense residual, max |L - R| / max(|L|, |R|), as the
+    reference.
 
     The relations never read C, so each draw builds A, B and D of its
     distinct rapidities only, into the one set of last-site buffers this
@@ -350,54 +367,64 @@ def check_off_relations(draws, cfg: SpectralConfig) -> OffRelationResiduals:
         return OffRelationResiduals(0.0, 0.0, 0.0)
     rows = max(len(set(draw)) for draw in draws)
     out = blockbuild.result_buffers(_plan(cfg, None, "abd"), rows)
+    rng = cfg.rng("off-probes")
+    probes = [rng.standard_normal((comb(cfg.L, k), _OFF_PROBES))
+              + 1j * rng.standard_normal((comb(cfg.L, k), _OFF_PROBES)) for k in range(cfg.L + 1)]
     worst = [0.0, 0.0, 0.0]
     for lam0, *lams in draws:
-        worst = [max(w, r) for w, r in zip(worst, _draw_residuals(lam0, lams, cfg, out))]
+        worst = [max(w, r) for w, r in zip(worst, _draw_residuals(lam0, lams, cfg, out, probes))]
     return OffRelationResiduals(*worst)
 
 
-def _draw_residuals(lam0: complex, lams: list[complex], cfg: SpectralConfig, out) -> list[float]:
-    """The A-line, D-line and transfer-identity residuals of one draw, its
-    monodromies built into ``out``.
+def _draw_residuals(lam0: complex, lams: list[complex], cfg: SpectralConfig, out,
+                    probes: list[np.ndarray]) -> list[float]:
+    """The A-line, D-line and transfer-identity residuals of one draw on the
+    probe blocks ``probes`` (one per source sector), its monodromies built
+    into ``out``.
 
-    Both sides map sector k to k + n, so they are formed one source sector
-    k = 0..L-n at a time; every other block of either side is zero.
-    Residuals are max-norm differences over all sectors, normalised by the
-    operand max-norms.  Raises on coincident rapidities, which make the
-    coefficients singular, before anything is built.
+    Every side is a sum of B-chains times A or D, so it is applied to V_k
+    one operator at a time, right to left, at O(d^2) per product.  The A
+    and D lines share their chains: B(lam_1) ... B(lam_n) takes the column
+    stack [V | A(lam0) V | D(lam0) V], and each B(lam0) prod_{t != i}
+    B(lam_t) takes [A(lam_i) V | D(lam_i) V], so both sides are formed as
+    [A line | D line] and their columns sum to the transfer identity.
+    Raises on coincident rapidities, which make the coefficients singular,
+    before anything is built.
     """
-    n = len(lams)
+    n, p = len(lams), _OFF_PROBES
     ma0, md0, ma, md = (f[0] for f in exchange_m_factors([lam0], [lams], cfg.gamma))
+    if n > cfg.L:
+        # a chain of more than L raising operators is zero, and so is every side
+        return [0.0, 0.0, 0.0]
     distinct = list(dict.fromkeys([lam0] + lams))
     ops = dict(zip(distinct, monodromies(distinct, cfg, ops="abd", out=out)))
+    a0, d0 = ops[lam0].a, ops[lam0].d
+    # the coefficients of each term, one per column of [A line | D line]
+    m0, m = np.repeat([ma0, md0], p), np.repeat(np.stack([ma, md], axis=-1), p, axis=-1)
 
-    def bprod(ls, k):
-        """B(ls[0]) ... B(ls[-1]) on source sector k."""
-        out = ops[ls[-1]].b[k]
-        for j, l in enumerate(reversed(ls[:-1]), 1):
-            out = ops[l].b[k + j] @ out
-        return out
+    def chain(ls, k, x):
+        """B(ls[0]) ... B(ls[-1]) x, for x in source sector k."""
+        for j, l in enumerate(reversed(ls)):
+            x = ops[l].b[k + j] @ x
+        return x
 
-    m0 = {"a": ma0, "d": md0}
-    mlist = {"a": ma, "d": md}
-    # per relation (A line, D line, their sum): max |lhs - rhs|, |lhs|, |rhs|
-    stats = np.zeros((3, 3))
+    lhs, rhs = [], []
     for k in range(cfg.L - n + 1):
-        x_full = bprod(lams, k) if lams else np.eye(len(ops[lam0].a[k]), dtype=complex)
-        lhs = {key: getattr(ops[lam0], key)[k + n] @ x_full for key in "ad"}
-        rhs = {key: m0[key] * (x_full @ getattr(ops[lam0], key)[k]) for key in "ad"}
-        # each product B(lam0) prod_{t != i} B(l_t) is built once and serves
-        # both lines
+        v = probes[k]
+        xv, x0v = np.hsplit(chain(lams, k, np.hstack([v, a0[k] @ v, d0[k] @ v])), [p])
+        lhs.append(np.hstack([a0[k + n] @ xv, d0[k + n] @ xv]))
+        right = m0 * x0v
         for i, l in enumerate(lams):
-            swapped = bprod([lam0] + lams[:i] + lams[i + 1:], k)
-            for key in "ad":
-                rhs[key] = rhs[key] - mlist[key][i] * (swapped @ getattr(ops[l], key)[k])
-        sides = ((lhs["a"], rhs["a"]), (lhs["d"], rhs["d"]),
-                 (lhs["a"] + lhs["d"], rhs["a"] + rhs["d"]))
-        for row, (left, right) in enumerate(sides):
-            stats[row] = np.maximum(stats[row], [np.max(np.abs(left - right)),
-                                                 np.max(np.abs(left)), np.max(np.abs(right))])
-    return [float(diff / max(left, right, 1e-300)) for diff, left, right in stats]
+            swapped = chain([lam0] + lams[:i] + lams[i + 1:], k,
+                            np.hstack([ops[l].a[k] @ v, ops[l].d[k] @ v]))
+            right = right - m[i] * swapped
+        rhs.append(right)
+    lhs, rhs = np.vstack(lhs), np.vstack(rhs)
+    sides = ((lhs[:, :p], rhs[:, :p]), (lhs[:, p:], rhs[:, p:]),
+             (lhs[:, :p] + lhs[:, p:], rhs[:, :p] + rhs[:, p:]))
+    return [float(np.max(np.abs(left - right))
+                  / max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300))
+            for left, right in sides]
 
 
 # -- spectra -----------------------------------------------------------------------
@@ -413,8 +440,8 @@ class EigenChoice:
 
     ``eigenvalue_from`` evaluates Lambda through the bilinear form
     <left| T |right> / <left|right>; the left vector is
-    rapidity-independent because the transfer matrices commute.  Both
-    methods take T as the sector blocks ``transfer`` returns.
+    rapidity-independent because the transfer matrices commute.  It takes
+    T as the sector blocks ``transfer`` returns.
     """
 
     cfg: SpectralConfig
@@ -429,25 +456,14 @@ class EigenChoice:
         blk = t[self.sector]
         return complex((self.left @ blk @ self.right) / (self.left @ self.right))
 
-    def residuals_from(self, t, norm: float | None = None) -> tuple[float, float]:
-        """Right and left eigen-residuals (2-norms) against a prebuilt
-        transfer matrix, relative to its max-norm over all sectors.  A caller
-        that checks many eigenpairs against one T passes that max-norm
-        (``max_abs(t)``) as ``norm`` instead of having it recomputed."""
-        val = self.eigenvalue_from(t)
-        blk = t[self.sector]
-        r = np.linalg.norm(blk @ self.right - val * self.right)
-        l = np.linalg.norm(self.left @ blk - val * self.left)
-        scale = max(max_abs(t) if norm is None else norm, 1e-300)
-        return float(r / scale), float(l / scale)
-
 
 def sector_residuals(eigs, t, norm: float) -> np.ndarray:
     """Right and left eigen-residuals of every eigenpair of ``eigs``, all
     of one sector, against a prebuilt transfer matrix ``t`` whose max-norm
-    over all sectors is ``norm``, shape (len(eigs), 2): what
-    ``EigenChoice.residuals_from`` gives one eigenpair at a time, from one
-    product per side for the whole sector."""
+    over all sectors is ``norm``, shape (len(eigs), 2): for each eigenpair
+    (r, l) with Lambda = <l| T |r> / <l|r>, the 2-norms of T r - Lambda r
+    and l T - Lambda l over ``norm``, from one product per side for the
+    whole sector."""
     if not eigs:
         return np.zeros((0, 2))
     blk = t[eigs[0].sector]
@@ -516,11 +532,7 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
             cfg, sector, k, vec[:, k].copy(), lrow / np.linalg.norm(lrow), tuple(probes)
         ))
 
-    worst = 0.0
-    for t in t_probes:
-        norm = max_abs(t)
-        for eig in out:
-            worst = max(worst, *eig.residuals_from(t, norm))
+    worst = max(float(np.max(sector_residuals(out, t, max_abs(t)))) for t in t_probes)
     if worst > max(cfg.tol, 1e-9):
         raise DegeneracyError(
             f"eigenpair residual {worst:.3g} above tolerance; the sector may be degenerate",

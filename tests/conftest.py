@@ -9,7 +9,7 @@ from bpl.config import SINGULARITY_GUARD, SpectralConfig, random_complex
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import FnSampler, b_table, circle_grid, spectral_grids
 from bpl.polyengine import MultiPoly, grid_condition, grid_points, tensor_interpolate
-from bpl.ybcore import monodromies, transfer, weight_a, weight_b, weight_c
+from bpl.ybcore import max_abs, monodromies, transfer, weight_a, weight_b, weight_c
 
 #: the 4x4 swap P of two C^2 factors
 SWAP = np.eye(4)[[0, 2, 1, 3]]
@@ -46,6 +46,21 @@ def cfg3():
 @pytest.fixture
 def cfg2():
     return SpectralConfig.random_instance(2, 1, seed=7)
+
+
+# -- one-eigenpair residuals, kept as the reference ------------------------------
+
+def reference_eigen_residuals(eig, t, norm=None):
+    """Right and left eigen-residuals (2-norms) of one eigenpair against a
+    prebuilt transfer matrix, relative to its max-norm over all sectors
+    (``norm``, recomputed if not given): the one-eigenpair reference of
+    ``ybcore.sector_residuals``."""
+    val = eig.eigenvalue_from(t)
+    blk = t[eig.sector]
+    r = np.linalg.norm(blk @ eig.right - val * eig.right)
+    l = np.linalg.norm(eig.left @ blk - val * eig.left)
+    scale = max(max_abs(t) if norm is None else norm, 1e-300)
+    return float(r / scale), float(l / scale)
 
 
 # -- the one-point exchange coefficients, kept as the reference ------------------

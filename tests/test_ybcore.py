@@ -12,6 +12,7 @@ from bpl.config import SpectralConfig, random_complex
 import bpl.blockbuild
 import bpl.ybcore
 from bpl.errors import CapacityError, CoincidentRapiditiesError, DegeneracyError
+from bpl.suites import _draws
 from bpl.ybcore import (
     check_off_relations,
     check_rtt,
@@ -32,6 +33,7 @@ from conftest import (
     dense_operator,
     draw_complex,
     reference_build,
+    reference_eigen_residuals,
     scalar_exchange_m_factors,
 )
 
@@ -57,9 +59,10 @@ def kron_monodromy(lam, cfg):
 
 
 def two_pass_off_relations(lam0, lams, cfg):
-    """Reference formulation of ``check_off_relations``: dense operators
-    assembled from the blocks, each line building its own B-products, every
-    product starting from the identity."""
+    """Dense reference of ``check_off_relations``: each side formed as a
+    dense operator assembled from the blocks, each line building its own
+    B-products from the identity, and each residual max |L - R| over
+    max(|L|, |R|) where the check applies both sides to probe vectors."""
     lams = list(lams)
     ma0, md0, ma, md = scalar_exchange_m_factors(lam0, lams, cfg.gamma)
     ops = {lam0: monodromy(lam0, cfg)}
@@ -532,25 +535,48 @@ class TestOffRelations:
         assert res.d_relation < 1e-10
         assert res.transfer_identity < 1e-10
 
-    @pytest.mark.parametrize("L,n", [(4, 0), (4, 2), (5, 3), (5, 0), (4, 4)])
+    @pytest.mark.parametrize("L,n", [(4, 0), (4, 2), (5, 3), (5, 0), (4, 4), (9, 3)])
     def test_matches_two_pass_reference(self, L, n, rng):
-        # each draw alone, then the maximum over the draws in one call; the
-        # sector products sum over shorter rows, so the residuals (already
-        # relative to the operand norms) agree at roundoff rather than bit
-        # for bit
+        # each draw alone, then the maximum over the draws in one call.  The
+        # reference forms every side densely and the check applies it to
+        # probe vectors, a different measure of the same roundoff, so both
+        # read below 1e-12 and agree to 1e-13 rather than bit for bit
         cfg = SpectralConfig.random_instance(L, n, seed=L * 10 + n)
-        draws = random_draws(rng, 3, n + 1)
+        draws = random_draws(rng, 3 if L < 9 else 1, n + 1)
         refs = [two_pass_off_relations(d[0], d[1:], cfg) for d in draws]
         for d, ref in zip(draws, refs):
-            assert np.max(np.abs(np.subtract(check_off_relations([d], cfg), ref))) <= 1e-13
+            got = check_off_relations([d], cfg)
+            assert max(got) < 1e-12 and max(ref) < 1e-12
+            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-13
         got = check_off_relations(draws, cfg)
         assert np.max(np.abs(np.subtract(got, np.max(refs, axis=0)))) <= 1e-13
+
+    def test_error_in_one_b_entry_fails_both_forms(self, monkeypatch):
+        # a relative error of 1e-6 in the largest entry of every B[3]; the
+        # suite's first draw at L = 9, n = 3 reads 4.8e-6 on the probes and
+        # 8.6e-6 dense
+        cfg = SpectralConfig.random_instance(9, 3, seed=0)
+        original = bpl.ybcore.monodromies
+
+        def perturbed(lams, cfg, top=None, ops="abcd", out=None):
+            for m in original(lams, cfg, top, ops, out):
+                b = list(m.b)
+                b[3] = b[3].copy()
+                b[3][np.unravel_index(np.argmax(np.abs(b[3])), b[3].shape)] *= 1 + 1e-6
+                yield m._replace(b=tuple(b))
+
+        monkeypatch.setattr(bpl.ybcore, "monodromies", perturbed)
+        draw = next(iter(_draws(cfg, "off", 1, width=4)))
+        assert max(check_off_relations([draw], cfg)) > 1e-9
+        assert max(two_pass_off_relations(draw[0], draw[1:], cfg)) > 1e-9
 
     def test_empty_set_trivial(self, cfg3, rng):
         res = check_off_relations([[draw_complex(rng)]], cfg3)
         assert res.a_relation == 0.0
         assert res.d_relation == 0.0
         assert check_off_relations([], cfg3) == (0.0, 0.0, 0.0)
+        # more B operators than sites: every side is zero
+        assert check_off_relations(random_draws(rng, 1, cfg3.L + 2), cfg3) == (0.0, 0.0, 0.0)
 
     def test_coincident_rapidities_rejected(self, cfg3, rng):
         lam = 0.4 + 0.1j
@@ -595,6 +621,7 @@ class TestOffRelations:
         monkeypatch.setattr(bpl.blockbuild, "build_batch", recording)
         report = run_suite(None, "verify-off", overrides={"L": 6, "n": 2, "seed": 0})
         assert report.checks[0].passed
+        assert report.checks[0].extra["probes"] == 4
         # A, B and D at the last site, three rows for the three rapidities
         [buffers] = allocated
         assert [buf.shape for buf in buffers] == [
@@ -624,7 +651,7 @@ class TestSpectrum:
         assert len(eigs) == 3
         lam3 = draw_complex(rng)
         for eig in eigs:
-            right, left = eig.residuals_from(transfer(lam3, cfg3))
+            right, left = reference_eigen_residuals(eig, transfer(lam3, cfg3))
             assert right < 1e-10 and left < 1e-10
 
     @pytest.mark.parametrize("L,n", [(3, 2), (7, 2), (6, 3)])
@@ -638,7 +665,7 @@ class TestSpectrum:
         batched = bpl.ybcore.sector_residuals(eigs, t, norm)
         assert batched.shape == (len(eigs), 2)
         for eig, row in zip(eigs, batched):
-            assert np.allclose(row, eig.residuals_from(t, norm), rtol=0, atol=1e-14)
+            assert np.allclose(row, reference_eigen_residuals(eig, t, norm), rtol=0, atol=1e-14)
         assert bpl.ybcore.sector_residuals([], t, norm).shape == (0, 2)
 
     def test_left_vector_probe_independent(self, cfg3, rng):
@@ -646,7 +673,7 @@ class TestSpectrum:
         eigs = spectrum(cfg3, 1)
         for lam in [draw_complex(rng) for _ in range(3)]:
             for eig in eigs:
-                _, left_resid = eig.residuals_from(transfer(lam, cfg3))
+                _, left_resid = reference_eigen_residuals(eig, transfer(lam, cfg3))
                 assert left_resid < 1e-10
 
     def test_unresolved_probes_raise_with_probes_and_cluster_sizes(self, monkeypatch):
