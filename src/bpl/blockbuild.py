@@ -295,6 +295,14 @@ def result_buffers(plan: _Plan, rows: int) -> list[np.ndarray]:
 BATCH_ENTRIES = 2**15
 
 
+def chunks(count: int, entries: int) -> list[slice]:
+    """Slices over ``count`` items of ``entries`` entries each, as many
+    items a slice as ``BATCH_ENTRIES`` holds (at least one): the chunking
+    rule of every batched loop."""
+    size = max(1, BATCH_ENTRIES // max(1, entries))
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def _apply_write(old: np.ndarray, write: _Write, weights, out=None) -> np.ndarray:
     """The buffer ``write`` fills from ``old`` (shape (batch, entries)),
     ``out`` if given: one product table, then one take per bounded chunk of
@@ -314,10 +322,8 @@ def _apply_write(old: np.ndarray, write: _Write, weights, out=None) -> np.ndarra
     # ``out`` is contiguous; "clip" fills it in place where the default
     # "raise" would buffer it, and every compiled index lies inside the
     # table, so nothing is clipped
-    chunk = max(1, BATCH_ENTRIES // batch)
-    for start in range(0, write.size, chunk):
-        stop = start + chunk
-        np.take(table, write.source[start:stop], axis=1, out=new[:, start:stop], mode="clip")
+    for part in chunks(write.size, batch):
+        np.take(table, write.source[part], axis=1, out=new[:, part], mode="clip")
     return new
 
 

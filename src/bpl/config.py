@@ -120,11 +120,9 @@ class SpectralConfig:
 
     # -- utilities -------------------------------------------------------------
 
-    def rng(self, tag: str = "") -> np.random.Generator:
+    def rng(self, tag: str) -> np.random.Generator:
         """Deterministic per-purpose generator derived from the seed."""
-        if tag:
-            return np.random.default_rng([self.seed & 0x7FFFFFFF, zlib.crc32(tag.encode())])
-        return np.random.default_rng(self.seed & 0x7FFFFFFF)
+        return np.random.default_rng([self.seed & 0x7FFFFFFF, zlib.crc32(tag.encode())])
 
     def check_dense_capacity(self):
         check_dense_length(self.L)

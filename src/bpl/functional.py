@@ -241,10 +241,9 @@ def check_fz_residual(eigs, draws) -> np.ndarray:
     each a sequence (lam0, lam_1, ..., lam_n); every residual is normalised
     by its largest term.  Shape (len(eigs),).
 
-    The eigenpairs go in chunks whose draws' monodromies hold at most
-    ``blockbuild.BATCH_ENTRIES`` entries (at least one eigenpair a chunk),
-    so a sector's monodromies are never held at once.  In a chunk every
-    distinct lam0 is built once with A, B and D, which gives T(lam0) and
+    The eigenpairs go in ``blockbuild.chunks`` of their draws' monodromy
+    entries, so a sector's monodromies are never held at once.  In a chunk
+    every distinct lam0 is built once with A, B and D, which gives T(lam0) and
     the B(lam0) of the swapped overlaps, and every other distinct rapidity
     once with B alone, all capped at the sector; the blocks equal those of
     one full build bit for bit (``blockbuild``).  One paired
@@ -259,9 +258,8 @@ def check_fz_residual(eigs, draws) -> np.ndarray:
         return np.zeros(0)
     cfg, n = eigs[0].cfg, eigs[0].sector
     per_draw = sum(build_plan(cfg.L, n, ops).entries * count for ops, count in (("abd", 1), ("b", n)))
-    chunk = max(1, blockbuild.BATCH_ENTRIES // max(1, per_draw * max(map(len, draws))))
-    return np.concatenate([_chunk_residuals(eigs[k : k + chunk], draws[k : k + chunk])
-                           for k in range(0, len(eigs), chunk)])
+    return np.concatenate([_chunk_residuals(eigs[part], draws[part]) for part
+                           in blockbuild.chunks(len(eigs), per_draw * max(map(len, draws)))])
 
 
 def _chunk_residuals(eigs, draws) -> np.ndarray:

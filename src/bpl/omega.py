@@ -285,7 +285,6 @@ class EigkRecord:
 
     eig_index: int
     vanishing: bool
-    fbar: np.ndarray
     delta: np.ndarray | None
     residual: float
     containment_distance: float
@@ -325,20 +324,19 @@ def check_eigk(family: OmegaFamily, eigs, fits, lam_bars) -> EigkReport:
     against.  Each record also carries the distance from its Delta vector
     to the nearest row of the family's joint-spectrum table.
 
-    The other eigenpairs are checked together, in chunks whose largest
-    temporary (every eigenpair's Delta vector against every row of the
-    table) holds at most ``blockbuild.BATCH_ENTRIES`` entries: the fits of
-    a chunk are projected at once, and each Omega_k acts on all of them in
-    one matrix product, normalised by the family's ``omega_norms``.
+    The other eigenpairs are checked together, in ``blockbuild.chunks`` of
+    their largest temporary (the Delta vector against every row of the
+    table): the fits of a chunk are projected at once, and each Omega_k
+    acts on all of them in one matrix product, normalised by the family's
+    ``omega_norms``.
     """
     cfg, basis, table = family.cfg, family.basis, family.delta_table
     zero = vanishing(fits)
     used = np.flatnonzero(~zero)
     residuals = np.zeros(len(eigs))
     distances = np.full(len(eigs), np.inf)
-    chunk = max(1, blockbuild.BATCH_ENTRIES // max(1, table.size))
-    for start in range(0, len(used), chunk):
-        part = used[start : start + chunk]
+    for rows in blockbuild.chunks(len(used), table.size):
+        part = used[rows]
         vecs, _ = basis.project(fits.coeffs[part])
         deltas = lam_bars.coeffs[part]
         norms = np.max(np.abs(vecs), axis=1)
@@ -354,9 +352,9 @@ def check_eigk(family: OmegaFamily, eigs, fits, lam_bars) -> EigkReport:
             axis=1,
         )
     records = [
-        EigkRecord(eig.index, bool(skip), fbar, None if skip else np.asarray(deltas),
+        EigkRecord(eig.index, bool(skip), None if skip else np.asarray(deltas),
                    float(resid), float(dist))
-        for eig, fbar, deltas, skip, resid, dist
-        in zip(eigs, fits.coeffs, lam_bars.coeffs, zero, residuals, distances)
+        for eig, deltas, skip, resid, dist
+        in zip(eigs, lam_bars.coeffs, zero, residuals, distances)
     ]
     return EigkReport(family, records)

@@ -203,10 +203,9 @@ def tensor_interpolate(values: np.ndarray, node_sets) -> np.ndarray:
     matching ``values`` on a tensor grid.  The trailing axes of ``values``
     run over the per-variable node sets; any leading axes are a batch.
 
-    The entries of the first batch axis are solved in chunks of at most
-    ``blockbuild.BATCH_ENTRIES`` values (at least one entry each), which
-    bounds the copies every axis makes: the moved axis and the solver's own
-    copy of its right-hand sides.  Each right-hand side is solved on its
+    The entries of the first batch axis are solved in ``blockbuild.chunks``
+    of their values, which bounds the copies every axis makes: the moved
+    axis and the solver's own copy of its right-hand sides.  Each right-hand side is solved on its
     own, so a chunk's coefficients equal the whole batch's bit for bit.
     """
     node_sets = [np.asarray(g, dtype=complex) for g in node_sets]
@@ -218,15 +217,14 @@ def tensor_interpolate(values: np.ndarray, node_sets) -> np.ndarray:
         if len(set(np.round(nodes, 14))) != len(nodes):
             raise ValueError("interpolation nodes collide; regrid")
     vands = [vandermonde(nodes, len(nodes) - 1) for nodes in node_sets]
-    chunk = max(1, blockbuild.BATCH_ENTRIES // max(1, prod(values.shape[1:])))
-    if batch == 0 or chunk >= len(values):
+    parts = blockbuild.chunks(len(values), prod(values.shape[1:]))
+    if batch == 0 or len(parts) <= 1:
         # the solver's own output, not copied into a result buffer: the copy
         # raised spectral_L7n2's peak RSS by 0.16 MB (Omega's images fit one
         # chunk there)
         return _interpolate_axes(values, vands, batch)
     out = np.empty_like(values)
-    for start in range(0, len(values), chunk):
-        part = slice(start, start + chunk)
+    for part in parts:
         out[part] = _interpolate_axes(values[part], vands, batch)
     return out
 

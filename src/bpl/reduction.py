@@ -21,12 +21,11 @@ tensors of each chain: its head, d_i of its top blocks and the defect of
 each defining row.  They are evaluated for a whole batch of chains, each at
 its own points, against one table of box monomials (``_row_values``).
 ``upsilon_residual`` takes a batch of candidate eigenfunctions with one
-Delta each and one set of points each, and goes through it in chunks of
-candidates bounded by ``blockbuild.BATCH_ENTRIES``; one candidate (the
-domain-wall Zbar) is a batch of one.  The PDE itself (its order, variable
-count and coefficients V, Q_i) is the ``polyengine.PdeSpec`` shared with
-``closedform`` and ``dwbc``; this module adds only the block rows built on
-it.
+Delta each and one set of points each, and goes through it in
+``blockbuild.chunks``; one candidate (the domain-wall Zbar) is a batch of
+one.  The PDE itself (its order, variable count and coefficients V, Q_i) is
+the ``polyengine.PdeSpec`` shared with ``closedform`` and ``dwbc``; this
+module adds only the block rows built on it.
 """
 
 from __future__ import annotations
@@ -89,18 +88,17 @@ def _row_values(psi: np.ndarray, n: int, points: np.ndarray) -> np.ndarray:
     """The n + dim tensors of ``_row_tensor`` of every chain of psi (dim, B)
     + box at that chain's points (B, P, n), shape (B, n + dim, P).  One
     table of box monomials serves them all; the tensors are formed and
-    contracted with it in groups of at most ``blockbuild.BATCH_ENTRIES``
-    entries (at least one tensor a group), one matrix product a group."""
+    contracted with it in ``blockbuild.chunks``, one matrix product a
+    chunk."""
     count, box = psi.shape[1], psi.shape[2:]
     size, total = prod(box), n + len(psi)
     table = box_monomials(points.reshape(-1, n), box).reshape(count, -1, size)
     table = table.transpose(0, 2, 1)
     values = np.empty((count, total, points.shape[1]), dtype=complex)
-    group = max(1, blockbuild.BATCH_ENTRIES // max(1, count * size))
-    for start in range(0, total, group):
-        ts = range(start, min(start + group, total))
-        tensors = np.stack([_row_tensor(psi, n, t).reshape(count, size) for t in ts], axis=1)
-        np.matmul(tensors, table, out=values[:, ts.start : ts.stop])
+    for part in blockbuild.chunks(total, count * size):
+        tensors = np.stack([_row_tensor(psi, n, t).reshape(count, size)
+                            for t in range(total)[part]], axis=1)
+        np.matmul(tensors, table, out=values[:, part])
     return values
 
 
@@ -163,8 +161,7 @@ def upsilon_residual(system: PdeSpec, fbars: np.ndarray, deltas, points
     magnitudes over the same scale, shape (B, P, n + 2), as
     ``PdeSpec.residual`` gives them.
 
-    The candidates go in chunks whose n + dim tensors hold at most
-    ``blockbuild.BATCH_ENTRIES`` entries (at least one candidate a chunk);
+    The candidates go in ``blockbuild.chunks`` of their n + dim tensors;
     each chunk builds its chains, one monomial table and one contraction
     (``_row_values``).
     """
@@ -175,9 +172,7 @@ def upsilon_residual(system: PdeSpec, fbars: np.ndarray, deltas, points
     points = np.asarray(points, dtype=complex)
     residual = np.empty(points.shape[:2])
     magnitudes = np.empty(points.shape[:2] + (n + 2,))
-    chunk = max(1, blockbuild.BATCH_ENTRIES // ((n + dim) * prod(fbars.shape[1:])))
-    for start in range(0, len(fbars), chunk):
-        part = slice(start, start + chunk)
+    for part in blockbuild.chunks(len(fbars), (n + dim) * prod(fbars.shape[1:])):
         rows, terms = _upsilon(system, build_psi(fbars[part], system.length, n), deltas[part],
                                points[part])
         scale = np.maximum(np.max(np.abs(terms), axis=-1), 1e-300)

@@ -5,11 +5,12 @@ tolerances and wall times.  Random draws are derived deterministically from
 the instance seed and the check name, so a fixed config reproduces identical
 numbers.
 
-The pipeline's artifacts -- the sector spectrum, its overlap fits, the Omega
-family, the joint spectral problems and Zbar -- live in one ``Artifacts``
-store per instance.  Each is built the first time a suite reads it and then
-shared, so a run of every suite builds each once, and a run of one suite
-builds only what that suite reads.  ``run_checks_timed`` (and
+The pipeline's artifacts -- the sector spectrum, its overlap and
+Lambda_bar(x0) fits, the Omega family, the joint spectral problems and
+Zbar -- live in one ``Artifacts`` store per instance.  Each is built the
+first time a suite reads it and then shared, so a run of every suite
+builds each once, and a run of one suite builds only what that suite
+reads.  ``run_checks_timed`` (and
 ``run_checks``, which drops the build times) makes a fresh store per call,
 so nothing outlives the call.  The store times each build apart from
 the checks, and every check's clock starts after its artifacts are read.
@@ -120,6 +121,10 @@ def _commutator(x, y, shift: int) -> float:
 
 class Artifacts:
     """The pipeline artifacts of one instance, each built on first read.
+
+    ``fits`` and ``lam_bars`` read ``eigs``; ``eigk`` reads them and the
+    Omega family, which reads nothing else, nor does ``zbar``.  Only
+    ``omega-eigk`` reads ``eigk``: the PDE suites read the fits.
 
     ``seconds`` maps each artifact built so far to its build time, which
     excludes the artifacts it reads.
@@ -323,23 +328,24 @@ def suite_pde_special(art: Artifacts) -> list[CheckRecord]:
 
 
 def suite_reduce(art: Artifacts) -> list[CheckRecord]:
-    """Upsilon on the chains of every non-vanishing eigenfunction, each at
-    its own three points (rng tag ``reduce-{index}-{k}``), in one batched
-    ``upsilon_residual`` call; and the reduced PDE row of five random
-    polynomials, each at its own point, in one batched ``upsilon_apply``
-    call, against the unreduced equation."""
-    cfg = art.cfg
+    """Upsilon on the chains of every non-vanishing eigenfunction (its
+    overlap fit, with the Delta_{L-1} of its Lambda_bar(x0) fit: the inputs
+    of ``pde-residual``, read without the Omega family), each at its own
+    three points (rng tag ``reduce-{index}-{k}``, k counting those
+    eigenfunctions from 1), in one batched ``upsilon_residual`` call; and
+    the reduced PDE row of five random polynomials, each at its own point,
+    in one batched ``upsilon_apply`` call, against the unreduced
+    equation."""
+    cfg, eigs, fits, lam_bars = art.cfg, art.eigs, art.fits, art.lam_bars
     system = reduction.spectral_reduction(cfg)
-    report = art.eigk
     rec = _Recorder()
-    box = (cfg.L,) * cfg.n
-    used = [r for r in report.records if not r.vanishing]
-    points = np.array([annulus_points(cfg, cfg.n, 3, f"reduce-{r.eig_index}-{k + 1}")
-                       for k, r in enumerate(used)]).reshape(len(used), 3, cfg.n)
+    used = np.flatnonzero(~vanishing(fits))
+    indices = [eigs[k].index for k in used]
+    points = np.array([annulus_points(cfg, cfg.n, 3, f"reduce-{index}-{k + 1}")
+                       for k, index in enumerate(indices)]).reshape(len(used), 3, cfg.n)
     residuals, magnitudes = reduction.upsilon_residual(
-        system, np.array([r.fbar for r in used]).reshape((len(used),) + box),
-        [r.delta[cfg.L - 1] for r in used], points)
-    worst, extra = _worst_point(residuals, magnitudes, [r.eig_index for r in used])
+        system, fits.coeffs[used], lam_bars.coeffs[used, cfg.L - 1], points)
+    worst, extra = _worst_point(residuals, magnitudes, indices)
     rec.add("upsilon-on-eigenfunctions", worst, 1e-8, eigenfunctions=len(used), **extra)
 
     # each random polynomial at its own point: the reduced PDE row against
@@ -347,6 +353,7 @@ def suite_reduce(art: Artifacts) -> list[CheckRecord]:
     # on the diagonal)
     rng = cfg.rng("reduce-points")
     points = annulus_points(cfg, cfg.n, 5, "reduce-equivalence")
+    box = (cfg.L,) * cfg.n
     fbars = np.empty((len(points),) + box, dtype=complex)
     deltas = np.empty(len(points), dtype=complex)
     for k in range(len(points)):
@@ -417,7 +424,7 @@ SUITES = {
 
 
 #: suites that read the Omega family
-OMEGA_SUITES = ("omega-extract", "omega-eigk", "omega-compare", "reduce")
+OMEGA_SUITES = ("omega-extract", "omega-eigk", "omega-compare")
 
 #: suites that read a capped artifact: (suites, admits the config, why not)
 CAPACITY_LIMITS = (
@@ -429,8 +436,8 @@ CAPACITY_LIMITS = (
 
 #: suites defined only on some shapes: (suites, admits the config, why not)
 SHAPE_LIMITS = (
-    (OMEGA_SUITES, lambda cfg: cfg.n >= 1,
-     "need n >= 1: the Omega family acts on polynomials in n variables"),
+    (OMEGA_SUITES + ("reduce",), lambda cfg: cfg.n >= 1,
+     "need n >= 1: the Omega family and the reduction act on polynomials in n variables"),
     (("reduce", "dwbc-upsilon"), lambda cfg: cfg.L >= 3,
      "need L >= 3: below that the PDE has order L - 1 <= 1, so there is no "
      "first-order reduction to build"),

@@ -143,9 +143,9 @@ def monodromies(lams, cfg: SpectralConfig, top: int | None = None, ops: str = "a
     A_j = diag(a, b), B_j = c at (1, 0), C_j = c at (0, 1) and
     D_j = diag(b, a).  ``blockbuild.build_batch`` appends the sites through
     the plan ``blockbuild.build_plan`` compiles, for a whole batch of
-    rapidities at once; batches hold at most ``blockbuild.BATCH_ENTRIES``
-    entries (see ``blockbuild`` for why the blocks equal slices of the
-    Kronecker recursion exactly, at any cap, batch and choice of operators).
+    rapidities at once, in ``blockbuild.chunks`` (see ``blockbuild`` for
+    why the blocks equal slices of the Kronecker recursion exactly, at any
+    cap, batch and choice of operators).
 
     ``out``, if given, is ``blockbuild.result_buffers`` of the same plan
     with at least a row per rapidity, for ``build_batch``.  The arguments
@@ -163,15 +163,13 @@ def monodromies(lams, cfg: SpectralConfig, top: int | None = None, ops: str = "a
         raise ValueError(f"{len(out[0])} result rows for {len(lams)} rapidities")
     x = lams[:, None] - np.array(cfg.mu, dtype=complex)
     _require_finite(x)
-    size = max(1, blockbuild.BATCH_ENTRIES // max(1, plan.entries))
     wa, wb, c = weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
 
-    def batch(start):
-        rows = slice(start, min(start + size, len(x)))
+    def batch(rows):
         into = None if out is None else [buf[rows] for buf in out]
         return blockbuild.build_batch(wa[rows], wb[rows], c, plan, into)
 
-    return (m for start in range(0, len(x), size) for m in batch(start))
+    return (m for rows in blockbuild.chunks(len(x), plan.entries) for m in batch(rows))
 
 
 def monodromy(lam: complex, cfg: SpectralConfig, top: int | None = None,

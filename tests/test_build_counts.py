@@ -190,7 +190,7 @@ def test_functional_relation_over_a_sector_builds_in_bounded_chunks(builds):
 
 @pytest.mark.parametrize("argv", [["all", "--L", "6", "--n", "5"],
                                   ["omega", "compare", "--L", "9", "--n", "4"],
-                                  ["reduce", "--L", "7", "--n", "5"]])
+                                  ["omega", "eigk", "--L", "7", "--n", "5"]])
 def test_over_cap_omega_suites_exit_before_any_build(argv, builds, capsys):
     # L^n above the Omega tensor cap: refused before the suites that run
     # first (verify, spectrum, fz) build anything

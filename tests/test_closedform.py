@@ -190,8 +190,8 @@ class TestDerivativeCoefficients:
         family = store.family
         omega_top_m1 = family.omega(cfg.L - 1)
         report = store.eigk
-        rec = next(r for r in report.records if not r.vanishing)
-        fbar = rec.fbar
+        k, rec = next((k, r) for k, r in enumerate(report.records) if not r.vanishing)
+        fbar = store.fits.coeffs[k]
         delta = rec.delta[cfg.L - 1]
         for _ in range(4):
             x = draw_complex(rng)

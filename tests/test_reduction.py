@@ -16,7 +16,10 @@ from bpl.reduction import (
     upsilon_apply,
     upsilon_residual,
 )
-from bpl.suites import Artifacts, run_checks
+from bpl import suites
+from bpl.functional import annulus_points
+from bpl.omega import MAX_TENSOR_DIM
+from bpl.suites import Artifacts, run_checks, run_checks_timed
 
 from conftest import draw_complex
 
@@ -94,13 +97,14 @@ class TestUpsilon:
     def test_residual_on_extracted_eigenfunctions(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=6)
         system = spectral_reduction(cfg)
-        report = Artifacts(cfg).eigk
+        store = Artifacts(cfg)
         rng = np.random.default_rng(3)
-        used = [rec for rec in report.records if not rec.vanishing]
+        used = [k for k, rec in enumerate(store.eigk.records) if not rec.vanishing]
         assert used
         pts = np.array([distinct_points(rng, 4, 1) for _ in used])
-        residual, magnitudes = upsilon_residual(system, np.array([rec.fbar for rec in used]),
-                                                [rec.delta[cfg.L - 1] for rec in used], pts)
+        residual, magnitudes = upsilon_residual(
+            system, store.fits.coeffs[used],
+            [store.eigk.records[k].delta[cfg.L - 1] for k in used], pts)
         assert residual.shape == (len(used), 4)
         assert magnitudes.shape == (len(used), 4, 3)
         assert np.max(residual) < 1e-8
@@ -171,13 +175,14 @@ class TestUpsilon:
     def test_wrong_eigenvalue_detected(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=7)
         system = spectral_reduction(cfg)
-        report = Artifacts(cfg).eigk
-        rec = next(r for r in report.records if not r.vanishing)
+        store = Artifacts(cfg)
+        k, rec = next((k, r) for k, r in enumerate(store.eigk.records) if not r.vanishing)
+        fbar = store.fits.coeffs[k]
         rng = np.random.default_rng(4)
         pt = np.array([distinct_point(rng, 1)])
         delta = rec.delta[cfg.L - 1]
         # one batch: the right Delta and a wrong one at the same point
-        (good, bad), _ = upsilon_residual(system, np.array([rec.fbar, rec.fbar]),
+        (good, bad), _ = upsilon_residual(system, np.array([fbar, fbar]),
                                           [delta, delta + 1.0], np.array([pt, pt]))
         assert good[0] < 1e-8
         assert bad[0] > 1e-3
@@ -216,9 +221,9 @@ class TestUpsilon:
     def test_pde_row_matches_closedform_residual_scale(self, rng):
         # consistency with the direct residual checker on an eigenfunction
         cfg = SpectralConfig.random_instance(3, 2, seed=8)
-        report = Artifacts(cfg).eigk
-        rec = next(r for r in report.records if not r.vanishing)
-        residual, _ = closedform_residual(cfg, rec.fbar, rec.delta[cfg.L - 1])
+        store = Artifacts(cfg)
+        k, rec = next((k, r) for k, r in enumerate(store.eigk.records) if not r.vanishing)
+        residual, _ = closedform_residual(cfg, store.fits.coeffs[k], rec.delta[cfg.L - 1])
         assert np.max(residual) < 1e-8
 
     def test_dimension_mismatch_rejected(self, rng):
@@ -227,3 +232,35 @@ class TestUpsilon:
         shorter = build_psi(random_poly(rng, 2, 2), 3)
         with pytest.raises(UnsupportedShapeError):
             upsilon_apply(system, shorter, 0.0, [distinct_point(rng, 2)])
+
+
+class TestSuite:
+    def test_passes_above_the_omega_cap(self):
+        # the suite reads the overlap and Lambda_bar fits, not the Omega
+        # family, so the family's tensor cap does not bound it
+        cfg = SpectralConfig.random_instance(6, 5, seed=0)
+        assert cfg.L**cfg.n > MAX_TENSOR_DIM
+        records, built = run_checks_timed("reduce", cfg)
+        assert set(built) == {"eigs", "fits", "lam_bars"}
+        assert [r.name for r in records if r.passed] == ["upsilon-on-eigenfunctions",
+                                                         "pde-row-equivalence"]
+
+    @pytest.mark.parametrize("L,n", [(4, 2), (6, 3), (7, 2)])
+    def test_upsilon_equals_the_joint_spectral_records(self, L, n):
+        # the eigenfunctions and Delta_{L-1} as the joint spectral problems'
+        # records carry them, with the suite's tags, give the suite's
+        # record bit for bit
+        cfg = SpectralConfig.random_instance(L, n, seed=0)
+        upsilon = run_checks("reduce", cfg)[0]
+        store = Artifacts(cfg)
+        used = [(k, r) for k, r in enumerate(store.eigk.records) if not r.vanishing]
+        points = np.array([annulus_points(cfg, n, 3, f"reduce-{r.eig_index}-{j + 1}")
+                           for j, (_, r) in enumerate(used)])
+        residuals, magnitudes = upsilon_residual(
+            spectral_reduction(cfg), np.array([store.fits.coeffs[k] for k, _ in used]),
+            [r.delta[L - 1] for _, r in used], points)
+        worst, extra = suites._worst_point(residuals, magnitudes, [r.eig_index for _, r in used])
+        assert upsilon.residual.hex() == worst.hex()
+        assert upsilon.extra["eigenfunctions"] == len(used)
+        assert upsilon.extra["worst_eig"] == extra["worst_eig"]
+        assert [t.hex() for t in upsilon.extra["terms"]] == [t.hex() for t in extra["terms"]]

@@ -40,7 +40,7 @@ READS = {
     "omega-compare": {"family"},
     "pde-residual": {"eigs", "fits", "lam_bars"},
     "pde-special": set(),
-    "reduce": {"family", "eigs", "fits", "lam_bars", "eigk"},
+    "reduce": {"eigs", "fits", "lam_bars"},
     "dwbc-partition": set(),
     "dwbc-pde": {"zbar"},
     "dwbc-upsilon": {"zbar"},
@@ -170,7 +170,8 @@ def test_pde_checks_locate_their_worst_eigenpair_and_point():
     assert np.allclose(pde.extra["terms"], magnitudes[point], rtol=1e-12, atol=0)
 
     upsilon, _ = SUITES["reduce"](art)
-    assert upsilon.extra["worst_eig"] in {r.eig_index for r in art.eigk.records if not r.vanishing}
+    used = np.flatnonzero(~vanishing(art.fits))
+    assert upsilon.extra["worst_eig"] in {art.eigs[k].index for k in used}
     for record in (pde, upsilon):
         # [V f, Q_0 d^{L-1} f, Q_1 d^{L-1} f, Delta f] over the point's scale
         assert len(record.extra["terms"]) == CFG.n + 2
