@@ -23,10 +23,11 @@ partition function is the same overlap in sector L, against the one
 all-down state (``dwbc``).  ``grid_chains`` builds the chains at every point
 of a tensor grid, one axis at a time from the last, so each grid suffix is
 one matrix-vector product, computed once.  ``fit_overlaps`` samples every
-left vector on those chains and interpolates all of them in one
-``polyengine.fit_grid`` call, which also validates each at a held-out point
-and computes the grid's condition number once.  The overlap fits of a
-sector, Zbar and Zbar's degree refit are each such a call.
+left vector on those chains in one stacked product of dots (``_dots``) and
+interpolates all of them in one ``polyengine.fit_grid`` call, which also
+validates each at a held-out point and computes the grid's condition number
+once.  The overlap fits of a sector, Zbar and Zbar's degree refit are each
+such a call.
 
 Batched coefficients.  ``fz_coefficients`` evaluates the relation's
 coefficients for a whole batch in one call, with the vacuum products
@@ -35,11 +36,19 @@ the leading axes of the rapidity rows, so one code path serves two forms:
 the outer form ``lam0s[:, None]`` against P rows, every x0 node at every
 grid point, for ``omega.lbar_action``; and the paired form ``lam0s``
 against as many rows, one draw (lam0, row) per entry, for
-``check_fz_residual``, which so evaluates every draw of a chunk of a
-sector's eigenpairs at once.  Every entry equals the one-point value bit
-for bit: numpy's vectorised complex ``*`` can differ from its scalar ``*``
-in the last bit, so every product is a multiply-reduce over a last axis
+``check_fz_residual``.  Every entry equals the one-point value bit for bit:
+numpy's vectorised complex ``*`` can differ from its scalar ``*`` in the
+last bit, so every product is a multiply-reduce over a last axis
 (``ybcore.stacked_product``), which rounds as the scalar does.
+
+Sector-wide reads.  The functional relation is checked on one draw set
+per sector, shared by its eigenpairs, so its rapidities are built and its
+chains formed once.  Every per-eigenpair read of a sector -- an overlap with
+a chain, and Lambda(lam0) = <left| T |right> / <left|right> -- is one
+stacked ``np.matmul`` whose elements are the dot and vector-matrix products
+one eigenpair would take (``_dots``, ``_eigenvalues``), so each equals its
+one-eigenpair value bit for bit; a matrix product would sum in another
+order.
 """
 
 from __future__ import annotations
@@ -51,7 +60,6 @@ from functools import reduce
 import numpy as np
 
 from . import blockbuild
-from .blockbuild import build_plan
 from .config import SpectralConfig, random_complex
 from .polyengine import GridFit, fit_grid
 from .ybcore import (
@@ -237,60 +245,79 @@ def fz_coefficients(lam0s, lam_rows, cfg: SpectralConfig) -> tuple[np.ndarray, n
 
 def check_fz_residual(eigs, draws) -> np.ndarray:
     """Worst residual of the functional relation of each eigenpair of
-    ``eigs``, one sector of one instance, over its own draws ``draws[k]``,
-    each a sequence (lam0, lam_1, ..., lam_n); every residual is normalised
-    by its largest term.  Shape (len(eigs),).
+    ``eigs``, one sector of one instance, over the draws ``draws`` that
+    all of them share, each a sequence (lam0, lam_1, ..., lam_n).  The
+    residual of one draw is |J0 F - Lambda(lam0) F - sum_i K_i F_i| over
+    the largest modulus among J0 F, Lambda(lam0) F and the K_i F_i, F_i the
+    overlap with lam_i -> lam0.  Shape (len(eigs),).
 
-    The eigenpairs go in ``blockbuild.chunks`` of their draws' monodromy
-    entries, so a sector's monodromies are never held at once.  In a chunk
-    every distinct lam0 is built once with A, B and D, which gives T(lam0) and
-    the B(lam0) of the swapped overlaps, and every other distinct rapidity
-    once with B alone, all capped at the sector; the blocks equal those of
-    one full build bit for bit (``blockbuild``).  One paired
-    ``fz_coefficients`` call gives the coefficients of all the chunk's
-    draws and raises on the first coincident pair, in the order of the
-    eigenpairs and their draws.  Each overlap is <Lambda| times its own
-    chain (as ``grid_chains`` forms one), and each residual is assembled in
-    scalar arithmetic, so it equals a one-eigenpair call bit for bit.
+    The draws are built once for the whole sector, whatever its eigenpair
+    count: every distinct lam0 with A, B and D in one call, which gives
+    T(lam0) and the B(lam0) of the swapped overlaps, and every other
+    distinct rapidity with B alone in another, both capped at the sector;
+    the blocks equal those of one full build bit for bit (``blockbuild``).
+    One paired ``fz_coefficients`` call gives the coefficients of every
+    draw and raises on the first coincident pair, in draw order.  Each draw
+    forms its n+1 chains once (as ``grid_chains`` forms one), every
+    eigenpair's overlaps with them (``_dots``) and Lambda(lam0)
+    (``_eigenvalues``) are stacked products, and each residual is assembled
+    in scalar arithmetic, so it equals a one-eigenpair call bit for bit,
+    whatever the order of ``eigs``.
     """
-    draws = [[[complex(l) for l in draw] for draw in own] for own in draws]
+    draws = [[complex(l) for l in draw] for draw in draws]
     if not eigs:
         return np.zeros(0)
     cfg, n = eigs[0].cfg, eigs[0].sector
-    per_draw = sum(build_plan(cfg.L, n, ops).entries * count for ops, count in (("abd", 1), ("b", n)))
-    return np.concatenate([_chunk_residuals(eigs[part], draws[part]) for part
-                           in blockbuild.chunks(len(eigs), per_draw * max(map(len, draws)))])
-
-
-def _chunk_residuals(eigs, draws) -> np.ndarray:
-    """``check_fz_residual`` of one chunk, whose builds are released when
-    it returns."""
-    cfg, n = eigs[0].cfg, eigs[0].sector
-    owners = [k for k, own in enumerate(draws) for _ in own]
-    rows = np.array([draw for own in draws for draw in own],
-                    dtype=complex).reshape(len(owners), n + 1)
+    rows = np.array(draws, dtype=complex).reshape(len(draws), n + 1)
     j0s, kss = fz_coefficients(rows[:, 0], rows[:, 1:], cfg)
     lam0s = list(dict.fromkeys(rows[:, 0].tolist()))
-    # T(lam0) and B(lam0) are kept, and the batch's A and D released before
-    # the B build
-    full = {lam0: (m.transfer(), m.b)
+    # T(lam0) on the sector and B(lam0) are kept, and the batch's A and D
+    # released before the B build
+    full = {lam0: (m.transfer()[n], m.b)
             for lam0, m in zip(lam0s, monodromies(lam0s, cfg, top=n, ops="abd"))}
     b_ops = {lam0: b for lam0, (_, b) in full.items()}
     rest = [lam for lam in dict.fromkeys(rows[:, 1:].ravel().tolist()) if lam not in b_ops]
     b_ops.update((lam, m.b) for lam, m in zip(rest, monodromies(rest, cfg, top=n, ops="b")))
+    lefts, rights, norms = _sector_vectors(eigs)
     worst = np.zeros(len(eigs))
-    for k, (lam0, *lams), j0, ks in zip(owners, rows.tolist(), j0s.tolist(), kss.tolist()):
-        eig = eigs[k]
-        f_here = complex(eig.left @ _chain(b_ops, lams))
-        lam_val = eig.eigenvalue_from(full[lam0][0])
-        total = j0 * f_here - lam_val * f_here
-        scale = max(abs(j0 * f_here), abs(lam_val * f_here))
-        for i, k_i in enumerate(ks):
-            term = k_i * complex(eig.left @ _chain(b_ops, lams[:i] + [lam0] + lams[i + 1:]))
-            total -= term
-            scale = max(scale, abs(term))
-        worst[k] = max(worst[k], float(abs(total) / max(scale, 1e-300)))
+    for (lam0, *lams), j0, ks in zip(rows.tolist(), j0s.tolist(), kss.tolist()):
+        chains = np.array([_chain(b_ops, lams)]
+                          + [_chain(b_ops, lams[:i] + [lam0] + lams[i + 1:]) for i in range(n)])
+        overlaps = _dots(lefts, chains).tolist()
+        lam_vals = _eigenvalues(lefts, rights, norms, full[lam0][0]).tolist()
+        for e, ((f_here, *swapped), lam_val) in enumerate(zip(overlaps, lam_vals)):
+            total = j0 * f_here - lam_val * f_here
+            scale = max(abs(j0 * f_here), abs(lam_val * f_here))
+            for k_i, f_i in zip(ks, swapped):
+                term = k_i * f_i
+                total -= term
+                scale = max(scale, abs(term))
+            worst[e] = max(worst[e], float(abs(total) / max(scale, 1e-300)))
     return worst
+
+
+def _sector_vectors(eigs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The left and right vectors of one sector's eigenpairs, stacked as
+    rows, and each pair's <left|right>, one dot product each."""
+    lefts = np.stack([eig.left for eig in eigs])
+    rights = np.stack([eig.right for eig in eigs])
+    return lefts, rights, np.matmul(lefts[:, None, :], rights[:, :, None])[:, 0, 0]
+
+
+def _eigenvalues(lefts, rights, norms, block) -> np.ndarray:
+    """<left| T |right> / <left|right> of every eigenpair of
+    ``_sector_vectors``, against the sector block ``block`` of T: per
+    eigenpair one vector-matrix product, one dot product and one division,
+    stacked, so each equals ``EigenChoice.eigenvalue_from`` bit for bit."""
+    return np.matmul(np.matmul(lefts[:, None, :], block), rights[:, :, None])[:, 0, 0] / norms
+
+
+def _dots(lefts, vectors) -> np.ndarray:
+    """<left|vector> for every row of ``lefts`` against every row of
+    ``vectors``, shape (len(lefts), len(vectors)): one dot product each,
+    stacked, so each equals ``left @ vector`` bit for bit (a matrix
+    product sums in another order)."""
+    return np.matmul(lefts[:, None, None, :], vectors[None, :, :, None])[:, :, 0, 0]
 
 
 def _chain(b_ops, lams) -> np.ndarray:
@@ -308,18 +335,20 @@ def overlap_samples(lefts, b_ops, lam_grids, L: int) -> np.ndarray:
     """prod_i e^{(L-1) lam_i} <left| B(lam_1) ... B(lam_m) |0> for every
     vector of ``lefts`` at every point of the tensor grid of ``lam_grids``,
     shape (len(lefts),) + grid shape; ``b_ops`` maps every node to its B
-    blocks.  The exponents are summed in the order one point's sum takes
-    and multiplied in by ``stacked_product``, so every sample equals its
-    one-point evaluation bit for bit.
+    blocks.  The vectors go in ``blockbuild.chunks`` of their temporaries,
+    each chunk's overlaps one stacked product of dots (``_dots``).  The
+    exponents are summed in the order one point's sum takes and multiplied
+    in by ``stacked_product``, so every sample equals its one-point
+    evaluation bit for bit.
     """
     chains = grid_chains([[b_ops[complex(lam)] for lam in grid] for grid in lam_grids])
     total = reduce(np.add.outer, lam_grids, np.zeros((), dtype=complex))
     prefactors = np.exp((L - 1) * total).ravel()
+    lefts = np.asarray(lefts)
     values = np.empty((len(lefts), len(chains)), dtype=complex)
-    for left, row in zip(lefts, values):
-        # one dot per sample, streamed (a matrix product sums in another order)
-        dots = np.fromiter((left @ chain for chain in chains), complex, len(chains))
-        row[...] = stacked_product(prefactors, dots)
+    # a chunk's dots, the stacked operands of their products, and the products
+    for rows in blockbuild.chunks(len(lefts), 4 * len(chains)):
+        values[rows] = stacked_product(prefactors, _dots(lefts[rows], chains))
     return values.reshape((len(lefts),) + total.shape)
 
 
@@ -362,17 +391,20 @@ def vanishing(fits: GridFit) -> np.ndarray:
 
 def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> GridFit:
     """Lambda_bar(x0) = Lambda(lam0) e^{L lam0} as a degree-L polynomial in
-    x0 = e^{2 lam0}, one entry per eigenpair of ``eigs``, fitted on the x0
-    nodes of Lbar (``lbar_x0_nodes``) and validated at one random x0.  The
-    transfer matrices there come from one batched call of A and D, capped
-    at the highest sector of ``eigs``."""
+    x0 = e^{2 lam0}, one entry per eigenpair of ``eigs``, all of one
+    sector, fitted on the x0 nodes of Lbar (``lbar_x0_nodes``) and
+    validated at one random x0.  The transfer matrices there come from one
+    batched call of A and D, capped at the sector; at each x0 every
+    eigenvalue comes from one stacked ``_eigenvalues`` product and is
+    multiplied by e^{L lam0} through ``stacked_product``, so each sample
+    equals its one-eigenpair value bit for bit."""
     nodes = lbar_x0_nodes(cfg)
     held = random_complex(cfg.rng("lambda-bar-holdout"))
     lam0s = np.append(nodes, held)
-    top = max((eig.sector for eig in eigs), default=0)
-    values = np.zeros((len(eigs), len(lam0s)), dtype=complex)
-    for j, (lam0, m) in enumerate(zip(lam0s, monodromies(lam0s, cfg, top, ops="ad"))):
-        t = m.transfer()
-        for i, eig in enumerate(eigs):
-            values[i, j] = eig.eigenvalue_from(t) * np.exp(cfg.L * lam0)
+    sector = eigs[0].sector
+    vectors = _sector_vectors(eigs)
+    values = np.empty((len(eigs), len(lam0s)), dtype=complex)
+    for j, (lam0, m) in enumerate(zip(lam0s, monodromies(lam0s, cfg, sector, ops="ad"))):
+        values[:, j] = stacked_product(_eigenvalues(*vectors, m.transfer()[sector]),
+                                       np.exp(cfg.L * lam0))
     return fit_grid(values[:, :-1], [np.exp(2 * nodes)], [np.exp(2 * held)], values[:, -1])

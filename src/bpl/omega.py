@@ -312,12 +312,13 @@ class EigkReport:
         return self.family.basis.dim - realized
 
 
-def check_eigk(family: OmegaFamily, eigs, fits, lam_bars) -> EigkReport:
+def check_eigk(family: OmegaFamily, fits, lam_bars) -> EigkReport:
     """Verify Omega_k Fbar = Delta_k Fbar for every sector-n eigenpair.
 
-    ``eigs`` is the sector-n spectrum of the family's instance, and
-    ``fits`` and ``lam_bars`` the fits of their overlaps and of their
-    Lambda_bar(x0), in the same order.  The Delta_k are read off that
+    ``fits`` and ``lam_bars`` are the fits of the overlaps and of the
+    Lambda_bar(x0) of the sector-n spectrum of the family's instance, in
+    the order ``spectrum`` returns it; each record's ``eig_index`` is its
+    eigenpair's position there.  The Delta_k are read off that
     degree-L polynomial form of the transfer eigenvalue, independently of
     the operator extraction.  Eigenpairs whose overlap polynomial vanishes
     (``functional.vanishing``) are reported as such rather than asserted
@@ -333,8 +334,8 @@ def check_eigk(family: OmegaFamily, eigs, fits, lam_bars) -> EigkReport:
     cfg, basis, table = family.cfg, family.basis, family.delta_table
     zero = vanishing(fits)
     used = np.flatnonzero(~zero)
-    residuals = np.zeros(len(eigs))
-    distances = np.full(len(eigs), np.inf)
+    residuals = np.zeros(len(zero))
+    distances = np.full(len(zero), np.inf)
     for rows in blockbuild.chunks(len(used), table.size):
         part = used[rows]
         vecs, _ = basis.project(fits.coeffs[part])
@@ -352,9 +353,9 @@ def check_eigk(family: OmegaFamily, eigs, fits, lam_bars) -> EigkReport:
             axis=1,
         )
     records = [
-        EigkRecord(eig.index, bool(skip), None if skip else np.asarray(deltas),
+        EigkRecord(k, bool(skip), None if skip else np.asarray(deltas),
                    float(resid), float(dist))
-        for eig, deltas, skip, resid, dist
-        in zip(eigs, lam_bars.coeffs, zero, residuals, distances)
+        for k, (deltas, skip, resid, dist)
+        in enumerate(zip(lam_bars.coeffs, zero, residuals, distances))
     ]
     return EigkReport(family, records)

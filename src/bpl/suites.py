@@ -162,8 +162,7 @@ class Artifacts:
 
     @cached_property
     def eigk(self) -> omega.EigkReport:
-        return self._build("eigk", omega.check_eigk, self.family, self.eigs, self.fits,
-                           self.lam_bars)
+        return self._build("eigk", omega.check_eigk, self.family, self.fits, self.lam_bars)
 
     @cached_property
     def zbar(self) -> dwbc.DwbcInstance:
@@ -227,14 +226,18 @@ def suite_spectrum(art: Artifacts) -> list[CheckRecord]:
 
 
 def suite_fz(art: Artifacts) -> list[CheckRecord]:
-    """The functional relation of every sector-n eigenpair at its own five
-    draws (rng tag ``fz-{index}``), checked for the whole sector in one
-    ``check_fz_residual`` call, and the holdout of the overlap fits."""
+    """The functional relation of every sector-n eigenpair at the same five
+    draws (rng tag ``fz-draws``), checked for the whole sector in one
+    ``check_fz_residual`` call, and the holdout of the overlap fits.  The
+    ``functional-relation`` record is the worst over the eigenpairs and the
+    five shared draws of each draw's residual normalised by its largest
+    term."""
     cfg, eigs, fits = art.cfg, art.eigs, art.fits
     rec = _Recorder()
-    draws = [_draws(cfg, f"fz-{eig.index}", 5, width=cfg.n + 1) for eig in eigs]
+    draws = list(_draws(cfg, "fz-draws", 5, width=cfg.n + 1))
     worst = float(np.max(check_fz_residual(eigs, draws), initial=0.0))
-    rec.add("functional-relation", worst, 1e-8, n=cfg.n, L=cfg.L, eigenvectors=len(eigs))
+    rec.add("functional-relation", worst, 1e-8, n=cfg.n, L=cfg.L, eigenvectors=len(eigs),
+            draws=len(draws))
 
     rec.add("overlap-polynomial-holdout", np.max(fits.holdouts), 1e-9,
             grid_condition=fits.grid_condition)
@@ -297,12 +300,12 @@ def _worst_point(residuals: np.ndarray, magnitudes: np.ndarray, eig_indices) -> 
 
 
 def suite_pde_residual(art: Artifacts) -> list[CheckRecord]:
-    cfg, eigs, fits, lam_bars = art.cfg, art.eigs, art.fits, art.lam_bars
+    cfg, fits, lam_bars = art.cfg, art.fits, art.lam_bars
     rec = _Recorder()
     used = np.flatnonzero(~vanishing(fits))
     residuals, magnitudes = closedform.closedform_residual(cfg, fits.coeffs[used],
                                                            lam_bars.coeffs[used, cfg.L - 1])
-    worst, extra = _worst_point(residuals, magnitudes, [eigs[k].index for k in used])
+    worst, extra = _worst_point(residuals, magnitudes, used)
     rec.add("closedform-pde-on-eigenfunctions", worst, 1e-8, eigenfunctions=len(used),
             lambda_bar_holdout=float(np.max(lam_bars.holdouts)),
             lambda_bar_grid_condition=lam_bars.grid_condition, **extra)
@@ -331,21 +334,20 @@ def suite_reduce(art: Artifacts) -> list[CheckRecord]:
     """Upsilon on the chains of every non-vanishing eigenfunction (its
     overlap fit, with the Delta_{L-1} of its Lambda_bar(x0) fit: the inputs
     of ``pde-residual``, read without the Omega family), each at its own
-    three points (rng tag ``reduce-{index}-{k}``, k counting those
-    eigenfunctions from 1), in one batched ``upsilon_residual`` call; and
-    the reduced PDE row of five random polynomials, each at its own point,
-    in one batched ``upsilon_apply`` call, against the unreduced
-    equation."""
-    cfg, eigs, fits, lam_bars = art.cfg, art.eigs, art.fits, art.lam_bars
+    three points (rng tag ``reduce-{index}-{k}``, index its eigenpair's
+    position in ``eigs`` and k counting those eigenfunctions from 1), in
+    one batched ``upsilon_residual`` call; and the reduced PDE row of five
+    random polynomials, each at its own point, in one batched
+    ``upsilon_apply`` call, against the unreduced equation."""
+    cfg, fits, lam_bars = art.cfg, art.fits, art.lam_bars
     system = reduction.spectral_reduction(cfg)
     rec = _Recorder()
     used = np.flatnonzero(~vanishing(fits))
-    indices = [eigs[k].index for k in used]
     points = np.array([annulus_points(cfg, cfg.n, 3, f"reduce-{index}-{k + 1}")
-                       for k, index in enumerate(indices)]).reshape(len(used), 3, cfg.n)
+                       for k, index in enumerate(used)]).reshape(len(used), 3, cfg.n)
     residuals, magnitudes = reduction.upsilon_residual(
         system, fits.coeffs[used], lam_bars.coeffs[used, cfg.L - 1], points)
-    worst, extra = _worst_point(residuals, magnitudes, indices)
+    worst, extra = _worst_point(residuals, magnitudes, used)
     rec.add("upsilon-on-eigenfunctions", worst, 1e-8, eigenfunctions=len(used), **extra)
 
     # each random polynomial at its own point: the reduced PDE row against

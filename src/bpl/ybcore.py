@@ -444,7 +444,6 @@ class EigenChoice:
 
     cfg: SpectralConfig
     sector: int
-    index: int
     right: np.ndarray
     left: np.ndarray
     probes: tuple[complex, complex]
@@ -527,7 +526,7 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
     for k in range(len(ev)):
         lrow = left_rows[k]
         out.append(EigenChoice(
-            cfg, sector, k, vec[:, k].copy(), lrow / np.linalg.norm(lrow), tuple(probes)
+            cfg, sector, vec[:, k].copy(), lrow / np.linalg.norm(lrow), tuple(probes)
         ))
 
     worst = max(float(np.max(sector_residuals(out, t, max_abs(t)))) for t in t_probes)
@@ -542,6 +541,4 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
         return round(val.real, 9), round(val.imag, 9)
 
     out.sort(key=sort_key)
-    for k, eig in enumerate(out):
-        eig.index = k
     return out

@@ -2,7 +2,6 @@
 capped at the highest sector it reads, and no cache outlives the call that
 made it."""
 
-import collections
 import itertools
 import sys
 
@@ -10,8 +9,6 @@ import numpy as np
 import pytest
 
 import bpl.ybcore
-from bpl import blockbuild
-from bpl.blockbuild import build_plan
 from bpl import cli
 from bpl.cli import run_suite
 from bpl.config import SpectralConfig
@@ -67,12 +64,15 @@ def operators(builds):
 
 @pytest.fixture
 def grid_products(monkeypatch):
-    """Every ``np.matmul`` call, the one product of a B-chain step."""
+    """Every ``np.matmul`` call with a matrix on the left, the one product
+    of a B-chain step; the stacked overlap dots that read the chains
+    (4-D operands) are not chain steps."""
     seen = []
     original = np.matmul
 
     def counting(*args, **kwargs):
-        seen.append(args[0].shape)
+        if np.ndim(args[0]) == 2:
+            seen.append(args[0].shape)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counting)
@@ -148,7 +148,7 @@ def test_functional_relation_builds_each_rapidity_once(builds):
     cfg = SpectralConfig.random_instance(4, 2, seed=2)
     eig = spectrum(cfg, 2)[0]
     builds.clear()
-    check_fz_residual([eig], [[[0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.2j]]])
+    check_fz_residual([eig], [[0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.2j]])
     assert len(builds) == len(set(rapidities(builds))) == 3
     assert tops(builds) == {2}
     assert [(lam, ops) for lam, _, _, ops in builds] == [
@@ -161,31 +161,30 @@ def test_functional_relation_over_draws_builds_each_rapidity_once(builds):
     builds.clear()
     draws = [[0.1 * i + 0.3j, 0.1 * i - 0.2j, 0.1 * i + 0.45 + 0.1j] for i in range(5)]
     # one draw repeated: its rapidities are not built again
-    check_fz_residual(eigs[:1], [draws + draws[:1]])
+    check_fz_residual(eigs[:1], draws + draws[:1])
     assert len(builds) == len(set(rapidities(builds))) == 5 * 3
     assert tops(builds) == {2}
     assert len(batches(builds)) == 2
 
 
-def test_functional_relation_over_a_sector_builds_in_bounded_chunks(builds):
-    # every eigenpair's draws are built once, two calls per chunk, and no
-    # chunk's monodromies hold more than BATCH_ENTRIES entries
-    cfg = SpectralConfig.random_instance(7, 2, seed=0)
-    eigs = spectrum(cfg, 2)
-    draws = [[[complex(0.01 * (k + 1) * i, 0.02 * j + 0.003 * k) for j in range(3)]
-              for i in range(1, 6)] for k in range(len(eigs))]
-    builds.clear()
-    check_fz_residual(eigs, draws)
-    assert len(builds) == len(set(rapidities(builds))) == 15 * len(eigs)
-    entries = {ops: build_plan(7, 2, ops).entries for ops in ("abd", "b")}
-    calls = sorted(batches(builds))
-    held = collections.Counter()
-    for _, _, batch, ops in builds:
-        # the calls alternate: a chunk's lam0s ("abd"), then its others ("b")
-        assert ops == ("abd", "b")[calls.index(batch) % 2]
-        held[calls.index(batch) // 2] += entries[ops]
-    assert len(held) > 1
-    assert max(held.values()) <= blockbuild.BATCH_ENTRIES
+@pytest.mark.parametrize("L,n", [(4, 2), (7, 2), (6, 3)])
+def test_functional_relation_builds_its_draws_once_per_sector(L, n, builds):
+    # the eigenpairs share the draws: 5 lam0s with A, B and D in one call
+    # and the 5n other rapidities with B alone in another, whatever the
+    # eigenpair count
+    cfg = SpectralConfig.random_instance(L, n, seed=0)
+    eigs = spectrum(cfg, n)
+    draws = [[complex(0.01 * i, 0.02 * j + 0.003) for j in range(n + 1)] for i in range(1, 6)]
+    seen = []
+    for count in (1, len(eigs)):
+        builds.clear()
+        check_fz_residual(eigs[:count], draws)
+        seen.append(list(builds))
+        assert len(builds) == len(set(rapidities(builds))) == 5 * (n + 1)
+        assert tops(builds) == {n}
+        assert len(batches(builds)) == 2
+        assert [ops for *_, ops in builds] == ["abd"] * 5 + ["b"] * 5 * n
+    assert [(lam, ops) for lam, _, _, ops in seen[0]] == [(lam, ops) for lam, _, _, ops in seen[1]]
 
 
 @pytest.mark.parametrize("argv", [["all", "--L", "6", "--n", "5"],

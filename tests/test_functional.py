@@ -1,9 +1,11 @@
 """Overlap functions, the linear functional relation, and polynomial parts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bpl import blockbuild, functional, omega
+from bpl import functional, omega
 from bpl.config import SpectralConfig
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import (
@@ -242,87 +244,91 @@ class TestBatchedCoefficients:
 class TestFunctionalRelation:
     def test_vacuum_case_reduces_to_eigenvalue(self, cfg2, rng):
         eig = spectrum(cfg2, 0)[0]
-        sampler = FnSampler(cfg2, eig)
         lam0 = draw_complex(rng)
         j0 = fz_coefficients([lam0], [[]], cfg2)[0][0]
         assert abs(eig.eigenvalue_from(transfer(lam0, cfg2)) - j0) < 1e-11 * abs(j0)
-        assert check_fz_residual([eig], [[[lam0]]])[0] < 1e-12
+        assert check_fz_residual([eig], [[lam0]])[0] < 1e-12
 
     @pytest.mark.parametrize("L,n", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
     def test_full_grid(self, L, n):
         cfg = SpectralConfig.random_instance(L, n, seed=100 * L + n)
         rng = np.random.default_rng(L * 7 + n)
         eigs = spectrum(cfg, n)
-        draws = [[[draw_complex(rng) for _ in range(n + 1)] for _ in range(5)] for _ in eigs]
+        draws = [[draw_complex(rng) for _ in range(n + 1)] for _ in range(5)]
         worst = check_fz_residual(eigs, draws)
         assert worst.shape == (len(eigs),)
         assert np.max(worst) < 1e-8
 
     @staticmethod
-    def _sector_draws(cfg, eigs, count=5):
-        return [list(_suite_draws(cfg, f"fz-{eig.index}", count, width=cfg.n + 1)) for eig in eigs]
+    def _sector_draws(cfg, count=5):
+        return list(_suite_draws(cfg, "fz-draws", count, width=cfg.n + 1))
 
-    @pytest.mark.parametrize("L,n", [(3, 1), (4, 2), (7, 2), (6, 3)])
+    @pytest.mark.parametrize("L,n", [(3, 1), (4, 2), (7, 2), (6, 3), (9, 3)])
     def test_sector_batch_equals_the_one_eigenpair_loop(self, L, n):
-        # the suite's own draws; one call for the sector against the
+        # the suite's shared draws; one call for the sector against the
         # parent's loop (one eigenpair, one draw and one scalar coefficient
-        # at a time, every overlap through FnSampler) and against
-        # one-eigenpair calls: the same bits
+        # at a time, every overlap through FnSampler, every Lambda(lam0)
+        # from its own transfer matrix) and against one-eigenpair calls, in
+        # reverse order: the same bits
         cfg = SpectralConfig.random_instance(L, n, seed=0)
         eigs = spectrum(cfg, n)
-        draws = self._sector_draws(cfg, eigs)
+        draws = self._sector_draws(cfg)
         batched = check_fz_residual(eigs, draws)
-        for eig, own, worst in zip(eigs, draws, batched):
-            assert worst.hex() == reference_fz_residual(cfg, eig, own).hex()
-            assert worst.hex() == check_fz_residual([eig], [own])[0].hex()
+        assert [w.hex() for w in check_fz_residual(eigs[::-1], draws)[::-1]] == [
+            w.hex() for w in batched]
+        for eig, worst in zip(eigs, batched):
+            assert worst.hex() == reference_fz_residual(cfg, eig, draws).hex()
+            assert worst.hex() == check_fz_residual([eig], draws)[0].hex()
 
-    @pytest.mark.parametrize("L,n,entries", [(4, 2, 1), (7, 2, 2**12), (6, 3, 2**13)])
-    def test_sector_batch_in_small_chunks_is_unchanged(self, L, n, entries, monkeypatch):
-        # a smaller entry bound splits the sector into more chunks, each
-        # building its lam0s and its other rapidities in one call apiece
-        cfg = SpectralConfig.random_instance(L, n, seed=1)
+    @pytest.mark.parametrize("L,n,victim", [(4, 2, 3), (6, 3, 0), (7, 2, 20)])
+    def test_error_in_one_left_vector_fails_that_eigenpair_alone(self, L, n, victim):
+        # a relative 1e-6 error in one eigenpair's left vector: its relation
+        # reads above the gate, every other eigenpair's still below
+        cfg = SpectralConfig.random_instance(L, n, seed=0)
         eigs = spectrum(cfg, n)
-        draws = self._sector_draws(cfg, eigs)
-        calls = []
-        original = functional.monodromies
+        left = eigs[victim].left
+        noise = draw_complex(np.random.default_rng(L), (len(left),))
+        eigs[victim] = dataclasses.replace(
+            eigs[victim], left=left + 1e-6 * np.linalg.norm(left) * noise / np.linalg.norm(noise))
+        worst = check_fz_residual(eigs, self._sector_draws(cfg))
+        assert worst[victim] > 1e-8
+        assert np.max(np.delete(worst, victim)) < 1e-8
 
-        def counting(lams, *args, **kwargs):
-            calls.append(len(lams))
-            return original(lams, *args, **kwargs)
+    @pytest.mark.parametrize("L,n", [(3, 1), (4, 2), (6, 3)])
+    def test_sign_flip_of_one_k_fails_every_eigenpair(self, L, n, monkeypatch):
+        cfg = SpectralConfig.random_instance(L, n, seed=0)
+        eigs = spectrum(cfg, n)
+        draws = self._sector_draws(cfg)
+        assert np.max(check_fz_residual(eigs, draws)) < 1e-8
+        original = functional.fz_coefficients
 
-        monkeypatch.setattr(functional, "monodromies", counting)
-        whole = check_fz_residual(eigs, draws)
-        before = len(calls)
-        monkeypatch.setattr(blockbuild, "BATCH_ENTRIES", entries)
-        chunked = check_fz_residual(eigs, draws)
-        assert len(calls) - before > before
-        assert sum(calls[before:]) == sum(calls[:before]) == 5 * (n + 1) * len(eigs)
-        assert [w.hex() for w in chunked] == [w.hex() for w in whole]
+        def flipped(*args):
+            j0, ks = original(*args)
+            ks = ks.copy()
+            ks[..., -1] *= -1
+            return j0, ks
+
+        monkeypatch.setattr(functional, "fz_coefficients", flipped)
+        assert np.min(check_fz_residual(eigs, draws)) > 1e-8
 
     @pytest.mark.parametrize("where", ["lam0", "rows", "late"])
     def test_coincident_draw_names_the_pair_the_loop_would(self, where):
         cfg = SpectralConfig.random_instance(4, 2, seed=3)
         eigs = spectrum(cfg, 2)
-        draws = self._sector_draws(cfg, eigs)
+        draws = self._sector_draws(cfg)
         if where == "lam0":
-            draws[2][3][0] = draws[2][3][2] + 1e-9
+            draws[3][0] = draws[3][2] + 1e-9
         if where == "rows":
-            draws[1][4][2] = draws[1][4][1] - 2e-9
+            draws[4][2] = draws[4][1] - 2e-9
         if where == "late":
-            draws[5][0][1] = draws[5][0][0] + 1e-10
-            draws[4][1][2] = draws[4][1][1] + 1e-9
-        expected = None
-        for eig, own in zip(eigs, draws):
-            try:
-                reference_fz_residual(cfg, eig, own)
-            except CoincidentRapiditiesError as exc:
-                expected = exc
-                break
-        assert expected is not None
+            draws[2][1] = draws[2][0] + 1e-10
+            draws[1][2] = draws[1][1] + 1e-9
+        with pytest.raises(CoincidentRapiditiesError) as expected:
+            reference_fz_residual(cfg, eigs[0], draws)
         with pytest.raises(CoincidentRapiditiesError) as info:
             check_fz_residual(eigs, draws)
-        assert info.value.pair == tuple(expected.pair)
-        assert info.value.separation == expected.separation
+        assert info.value.pair == tuple(expected.value.pair)
+        assert info.value.separation == expected.value.separation
 
     def test_no_eigenpairs(self):
         assert check_fz_residual([], []).shape == (0,)

@@ -346,10 +346,10 @@ class TestBatchedEigk:
         # the batched products round differently; the containment distance
         # is elementwise and stays bit for bit, in one chunk or in many
         art = Artifacts(SpectralConfig.random_instance(L, n, seed=0))
-        family, eigs, fits, lam_bars = art.family, art.eigs, art.fits, art.lam_bars
-        report = check_eigk(family, eigs, fits, lam_bars)
+        family, fits, lam_bars = art.family, art.fits, art.lam_bars
+        report = check_eigk(family, fits, lam_bars)
         monkeypatch.setattr(blockbuild, "BATCH_ENTRIES", 1)
-        chunked = check_eigk(family, eigs, fits, lam_bars)
+        chunked = check_eigk(family, fits, lam_bars)
         for rec, one, fbar, deltas in zip(report.records, chunked.records, fits.coeffs,
                                           lam_bars.coeffs):
             resid, dist = _eigk_reference(family, fbar, deltas)
@@ -364,7 +364,7 @@ class TestBatchedEigk:
         art = Artifacts(SpectralConfig.random_instance(4, 2, seed=0))
         full = art.eigk
         fits = _zeroed(art.fits, [1, 4])
-        report = check_eigk(art.family, art.eigs, fits, art.lam_bars)
+        report = check_eigk(art.family, fits, art.lam_bars)
         assert [r.vanishing for r in report.records] == [k in (1, 4) for k in range(6)]
         for k, (rec, ref) in enumerate(zip(report.records, full.records)):
             if k in (1, 4):
