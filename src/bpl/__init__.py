@@ -4,7 +4,7 @@ differential-operator family on bounded polynomial spaces, the explicit
 order-(L-1) PDE with its first-order reduction, and the domain-wall analogue.
 """
 
-from .config import SpectralConfig, max_dense_length, random_complex
+from .config import MAX_DENSE_L, SpectralConfig, random_complex
 from .errors import (
     CapacityError,
     CoincidentRapiditiesError,
@@ -14,8 +14,8 @@ from .errors import (
 )
 from .polyengine import GridFit, MultiPoly, PdeSpec
 from .ybcore import (
-    EigenChoice,
     MonodromyEntries,
+    SectorEigenpairs,
     check_off_relations,
     check_rtt,
     check_ybe,

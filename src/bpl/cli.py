@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .config import SpectralConfig, check_dense_length, max_dense_length
+from .config import MAX_DENSE_L, SpectralConfig, check_dense_length
 from .errors import CapacityError, ConfigError, UnsupportedShapeError
 from .suites import SUITES, CheckRecord, run_checks_timed
 
@@ -76,7 +76,7 @@ def _config_echo(cfg: SpectralConfig) -> dict:
         "mu": [{"re": m.real, "im": m.imag} for m in cfg.mu],
         "tol": cfg.tol,
         "seed": cfg.seed,
-        "max_dense_L": max_dense_length(),
+        "max_dense_L": MAX_DENSE_L,
     }
 
 

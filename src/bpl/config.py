@@ -10,7 +10,6 @@ additive parameter; fractional powers of ``x`` never appear.
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -18,32 +17,17 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError
 
-#: hard ceiling for dense operators unless BPL_MAX_L raises/lowers it
-DEFAULT_MAX_DENSE_L = 12
+#: hard ceiling on the lattice length of dense operators
+MAX_DENSE_L = 12
 
 #: rapidity pairs closer than this (in |sinh| distance) are rejected
 SINGULARITY_GUARD = 1e-7
 
 
-def max_dense_length() -> int:
-    """Dense capacity cap; the BPL_MAX_L environment variable overrides it."""
-    raw = os.environ.get("BPL_MAX_L")
-    if raw is None:
-        return DEFAULT_MAX_DENSE_L
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError("BPL_MAX_L", f"not an integer: {raw!r}") from exc
-
-
 def check_dense_length(L: int):
     """Raise ``CapacityError`` if dense operators on L sites exceed the cap."""
-    cap = max_dense_length()
-    if L > cap:
-        raise CapacityError(
-            f"lattice length {L} exceeds the dense capacity cap {cap} "
-            "(set BPL_MAX_L to override)"
-        )
+    if L > MAX_DENSE_L:
+        raise CapacityError(f"lattice length {L} exceeds the dense capacity cap {MAX_DENSE_L}")
 
 
 def random_complex(rng: np.random.Generator, shape=()) -> np.ndarray | complex:

@@ -41,14 +41,16 @@ numpy's vectorised complex ``*`` can differ from its scalar ``*`` in the
 last bit, so every product is a multiply-reduce over a last axis
 (``ybcore.stacked_product``), which rounds as the scalar does.
 
-Sector-wide reads.  The functional relation is checked on one draw set
-per sector, shared by its eigenpairs, so its rapidities are built and its
+Sector-wide reads.  A sector's eigenpairs are one ``SectorEigenpairs``,
+the left and right eigenvectors stacked as rows, from ``spectrum`` through
+every check.  The functional relation is checked on one draw set per
+sector, shared by its eigenpairs, so its rapidities are built and its
 chains formed once.  Every per-eigenpair read of a sector -- an overlap with
 a chain, and Lambda(lam0) = <left| T |right> / <left|right> -- is one
 stacked ``np.matmul`` whose elements are the dot and vector-matrix products
-one eigenpair would take (``_dots``, ``_eigenvalues``), so each equals its
-one-eigenpair value bit for bit; a matrix product would sum in another
-order.
+one eigenpair would take (``_dots``, ``SectorEigenpairs.eigenvalues``), so
+each equals its one-eigenpair value bit for bit; a matrix product would sum
+in another order.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from . import blockbuild
 from .config import SpectralConfig, random_complex
 from .polyengine import GridFit, fit_grid
 from .ybcore import (
-    EigenChoice,
+    SectorEigenpairs,
     exchange_m_factors,
     monodromies,
     monodromy,
@@ -74,8 +76,8 @@ from .ybcore import (
 )
 
 __all__ = [
-    "EigenChoice",
     "FnSampler",
+    "SectorEigenpairs",
     "annulus_points",
     "b_table",
     "check_fz_residual",
@@ -171,39 +173,40 @@ def grid_chains(axes) -> np.ndarray:
 
 @dataclass
 class FnSampler:
-    """Evaluates F_n for one eigenpair as <Lambda| times a B-chain, one
-    point at a time.  The pipeline samples F_n through ``fit_overlaps``
-    and ``check_fz_residual``; this evaluator serves the tests and the
-    benchmark's tracer.
+    """Evaluates F_n for one left eigenvector ``left`` of sector ``sector``
+    as <Lambda| times a B-chain, one point at a time.  The pipeline samples
+    F_n through ``fit_overlaps`` and ``check_fz_residual``; this evaluator
+    serves the tests and the benchmark's tracer.
 
     ``b_ops`` holds the sector blocks of B(lambda) built beforehand, keyed
     by rapidity (``b_table``); a rapidity missing from it is built afresh
-    at each use, up to the eigenpair's sector, and not kept, so one-off
-    draws never accumulate.
+    at each use, up to the sector, and not kept, so one-off draws never
+    accumulate.
     """
 
     cfg: SpectralConfig
-    eig: EigenChoice
+    sector: int
+    left: np.ndarray
     b_ops: dict = field(default_factory=dict, repr=False)
 
     def value(self, lams) -> complex:
         """F_n at the given rapidities.
 
-        The overlap vanishes identically unless the eigenpair sits in the
+        The overlap vanishes identically unless the eigenvector sits in the
         sector matching the number of B-factors; a mismatch is reported with
         a warning rather than silently returning the zero function.
         """
         lams = [complex(l) for l in lams]
-        if len(lams) != self.eig.sector:
+        if len(lams) != self.sector:
             warnings.warn(
-                f"{len(lams)} B-factors against a sector-{self.eig.sector} "
+                f"{len(lams)} B-factors against a sector-{self.sector} "
                 "eigenvector: the overlap is identically zero",
                 stacklevel=2,
             )
             return 0.0
-        axes = [[self.b_ops.get(lam) or monodromy(lam, self.cfg, self.eig.sector, ops="b").b]
+        axes = [[self.b_ops.get(lam) or monodromy(lam, self.cfg, self.sector, ops="b").b]
                 for lam in lams]
-        return complex(self.eig.left @ grid_chains(axes)[0])
+        return complex(self.left @ grid_chains(axes)[0])
 
 
 # -- the linear functional relation ----------------------------------------------
@@ -243,13 +246,13 @@ def fz_coefficients(lam0s, lam_rows, cfg: SpectralConfig) -> tuple[np.ndarray, n
             stacked_product(pa, ma) + stacked_product(pb, md))
 
 
-def check_fz_residual(eigs, draws) -> np.ndarray:
+def check_fz_residual(eigs: SectorEigenpairs, draws) -> np.ndarray:
     """Worst residual of the functional relation of each eigenpair of
-    ``eigs``, one sector of one instance, over the draws ``draws`` that
-    all of them share, each a sequence (lam0, lam_1, ..., lam_n).  The
-    residual of one draw is |J0 F - Lambda(lam0) F - sum_i K_i F_i| over
-    the largest modulus among J0 F, Lambda(lam0) F and the K_i F_i, F_i the
-    overlap with lam_i -> lam0.  Shape (len(eigs),).
+    ``eigs`` over the draws ``draws`` that all of them share, each a
+    sequence (lam0, lam_1, ..., lam_n).  The residual of one draw is
+    |J0 F - Lambda(lam0) F - sum_i K_i F_i| over the largest modulus among
+    J0 F, Lambda(lam0) F and the K_i F_i, F_i the overlap with
+    lam_i -> lam0.  Shape (len(eigs),).
 
     The draws are built once for the whole sector, whatever its eigenpair
     count: every distinct lam0 with A, B and D in one call, which gives
@@ -258,16 +261,14 @@ def check_fz_residual(eigs, draws) -> np.ndarray:
     the blocks equal those of one full build bit for bit (``blockbuild``).
     One paired ``fz_coefficients`` call gives the coefficients of every
     draw and raises on the first coincident pair, in draw order.  Each draw
-    forms its n+1 chains once (as ``grid_chains`` forms one), every
-    eigenpair's overlaps with them (``_dots``) and Lambda(lam0)
-    (``_eigenvalues``) are stacked products, and each residual is assembled
-    in scalar arithmetic, so it equals a one-eigenpair call bit for bit,
-    whatever the order of ``eigs``.
+    forms its n+1 chains once, each the one row of a one-node
+    ``grid_chains``; every eigenpair's overlaps with them (``_dots``) and
+    Lambda(lam0) (``SectorEigenpairs.eigenvalues``) are stacked products,
+    and each residual is assembled in scalar arithmetic, so it equals a
+    one-eigenpair call bit for bit, whatever the order of the eigenpairs.
     """
     draws = [[complex(l) for l in draw] for draw in draws]
-    if not eigs:
-        return np.zeros(0)
-    cfg, n = eigs[0].cfg, eigs[0].sector
+    cfg, n = eigs.cfg, eigs.sector
     rows = np.array(draws, dtype=complex).reshape(len(draws), n + 1)
     j0s, kss = fz_coefficients(rows[:, 0], rows[:, 1:], cfg)
     lam0s = list(dict.fromkeys(rows[:, 0].tolist()))
@@ -278,13 +279,12 @@ def check_fz_residual(eigs, draws) -> np.ndarray:
     b_ops = {lam0: b for lam0, (_, b) in full.items()}
     rest = [lam for lam in dict.fromkeys(rows[:, 1:].ravel().tolist()) if lam not in b_ops]
     b_ops.update((lam, m.b) for lam, m in zip(rest, monodromies(rest, cfg, top=n, ops="b")))
-    lefts, rights, norms = _sector_vectors(eigs)
     worst = np.zeros(len(eigs))
     for (lam0, *lams), j0, ks in zip(rows.tolist(), j0s.tolist(), kss.tolist()):
-        chains = np.array([_chain(b_ops, lams)]
-                          + [_chain(b_ops, lams[:i] + [lam0] + lams[i + 1:]) for i in range(n)])
-        overlaps = _dots(lefts, chains).tolist()
-        lam_vals = _eigenvalues(lefts, rights, norms, full[lam0][0]).tolist()
+        chains = np.concatenate([grid_chains([[b_ops[l]] for l in row]) for row in
+                                 [lams] + [lams[:i] + [lam0] + lams[i + 1:] for i in range(n)]])
+        overlaps = _dots(eigs.lefts, chains).tolist()
+        lam_vals = eigs.eigenvalues(full[lam0][0]).tolist()
         for e, ((f_here, *swapped), lam_val) in enumerate(zip(overlaps, lam_vals)):
             total = j0 * f_here - lam_val * f_here
             scale = max(abs(j0 * f_here), abs(lam_val * f_here))
@@ -296,37 +296,12 @@ def check_fz_residual(eigs, draws) -> np.ndarray:
     return worst
 
 
-def _sector_vectors(eigs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The left and right vectors of one sector's eigenpairs, stacked as
-    rows, and each pair's <left|right>, one dot product each."""
-    lefts = np.stack([eig.left for eig in eigs])
-    rights = np.stack([eig.right for eig in eigs])
-    return lefts, rights, np.matmul(lefts[:, None, :], rights[:, :, None])[:, 0, 0]
-
-
-def _eigenvalues(lefts, rights, norms, block) -> np.ndarray:
-    """<left| T |right> / <left|right> of every eigenpair of
-    ``_sector_vectors``, against the sector block ``block`` of T: per
-    eigenpair one vector-matrix product, one dot product and one division,
-    stacked, so each equals ``EigenChoice.eigenvalue_from`` bit for bit."""
-    return np.matmul(np.matmul(lefts[:, None, :], block), rights[:, :, None])[:, 0, 0] / norms
-
-
 def _dots(lefts, vectors) -> np.ndarray:
     """<left|vector> for every row of ``lefts`` against every row of
     ``vectors``, shape (len(lefts), len(vectors)): one dot product each,
     stacked, so each equals ``left @ vector`` bit for bit (a matrix
     product sums in another order)."""
     return np.matmul(lefts[:, None, None, :], vectors[None, :, :, None])[:, :, 0, 0]
-
-
-def _chain(b_ops, lams) -> np.ndarray:
-    """B(lams[0]) ... B(lams[-1]) |0>, one matrix-vector product per factor
-    from the vacuum up: one row of ``grid_chains``, bit for bit."""
-    v = np.ones(1, dtype=complex)
-    for k, lam in enumerate(reversed(lams)):
-        v = b_ops[lam][k] @ v
-    return v
 
 
 # -- polynomial parts --------------------------------------------------------------
@@ -379,8 +354,8 @@ def extract_fbars(cfg: SpectralConfig, n: int, lefts) -> GridFit:
 
 
 def extract_fbar(sampler: FnSampler) -> GridFit:
-    """``extract_fbars`` for the sampler's eigenpair alone, a batch of one."""
-    return extract_fbars(sampler.cfg, sampler.eig.sector, [sampler.eig.left])
+    """``extract_fbars`` for the sampler's eigenvector alone, a batch of one."""
+    return extract_fbars(sampler.cfg, sampler.sector, [sampler.left])
 
 
 def vanishing(fits: GridFit) -> np.ndarray:
@@ -389,22 +364,21 @@ def vanishing(fits: GridFit) -> np.ndarray:
     return np.max(np.abs(fits.coeffs), axis=tuple(range(1, fits.coeffs.ndim))) < 1e-12
 
 
-def lambda_bar_coefficients(eigs, cfg: SpectralConfig) -> GridFit:
+def lambda_bar_coefficients(eigs: SectorEigenpairs, cfg: SpectralConfig) -> GridFit:
     """Lambda_bar(x0) = Lambda(lam0) e^{L lam0} as a degree-L polynomial in
-    x0 = e^{2 lam0}, one entry per eigenpair of ``eigs``, all of one
-    sector, fitted on the x0 nodes of Lbar (``lbar_x0_nodes``) and
-    validated at one random x0.  The transfer matrices there come from one
-    batched call of A and D, capped at the sector; at each x0 every
-    eigenvalue comes from one stacked ``_eigenvalues`` product and is
-    multiplied by e^{L lam0} through ``stacked_product``, so each sample
-    equals its one-eigenpair value bit for bit."""
+    x0 = e^{2 lam0}, one entry per eigenpair of ``eigs``, fitted on the x0
+    nodes of Lbar (``lbar_x0_nodes``) and validated at one random x0.  The
+    transfer matrices there come from one batched call of A and D, capped
+    at the sector; at each x0 every eigenvalue comes from one stacked
+    ``SectorEigenpairs.eigenvalues`` product and is multiplied by
+    e^{L lam0} through ``stacked_product``, so each sample equals its
+    one-eigenpair value bit for bit.  The samples are formed in one
+    comprehension, so no monodromy block is still held when the fit runs."""
     nodes = lbar_x0_nodes(cfg)
     held = random_complex(cfg.rng("lambda-bar-holdout"))
     lam0s = np.append(nodes, held)
-    sector = eigs[0].sector
-    vectors = _sector_vectors(eigs)
-    values = np.empty((len(eigs), len(lam0s)), dtype=complex)
-    for j, (lam0, m) in enumerate(zip(lam0s, monodromies(lam0s, cfg, sector, ops="ad"))):
-        values[:, j] = stacked_product(_eigenvalues(*vectors, m.transfer()[sector]),
+    values = np.stack([stacked_product(eigs.eigenvalues(m.transfer()[eigs.sector]),
                                        np.exp(cfg.L * lam0))
+                       for lam0, m in zip(lam0s, monodromies(lam0s, cfg, eigs.sector, ops="ad"))],
+                      axis=1)
     return fit_grid(values[:, :-1], [np.exp(2 * nodes)], [np.exp(2 * held)], values[:, -1])

@@ -280,36 +280,29 @@ def extract_omegas(cfg: SpectralConfig) -> OmegaFamily:
 
 
 @dataclass
-class EigkRecord:
-    """Joint-spectral-problem outcome for one transfer eigenpair."""
-
-    eig_index: int
-    vanishing: bool
-    delta: np.ndarray | None
-    residual: float
-    containment_distance: float
-
-
-@dataclass
 class EigkReport:
+    """Joint-spectral-problem outcome of every sector-n eigenpair, one
+    entry per eigenpair in spectrum order: whether its overlap polynomial
+    vanishes, its residual and its distance to the joint-spectrum table
+    (0 and inf for the vanishing ones, which are not checked)."""
+
     family: OmegaFamily
-    records: list[EigkRecord]
+    vanishing: np.ndarray
+    residuals: np.ndarray
+    distances: np.ndarray
 
     @property
     def max_residual(self) -> float:
-        vals = [r.residual for r in self.records if not r.vanishing]
-        return max(vals) if vals else 0.0
+        return float(np.max(self.residuals[~self.vanishing], initial=0.0))
 
     @property
     def max_containment_distance(self) -> float:
-        vals = [r.containment_distance for r in self.records if not r.vanishing]
-        return max(vals) if vals else 0.0
+        return float(np.max(self.distances[~self.vanishing], initial=0.0))
 
     @property
     def surplus_dimension(self) -> int:
         """Joint-space dimension not accounted for by transfer eigenvectors."""
-        realized = sum(1 for r in self.records if not r.vanishing)
-        return self.family.basis.dim - realized
+        return self.family.basis.dim - int(np.count_nonzero(~self.vanishing))
 
 
 def check_eigk(family: OmegaFamily, fits, lam_bars) -> EigkReport:
@@ -317,12 +310,12 @@ def check_eigk(family: OmegaFamily, fits, lam_bars) -> EigkReport:
 
     ``fits`` and ``lam_bars`` are the fits of the overlaps and of the
     Lambda_bar(x0) of the sector-n spectrum of the family's instance, in
-    the order ``spectrum`` returns it; each record's ``eig_index`` is its
-    eigenpair's position there.  The Delta_k are read off that
-    degree-L polynomial form of the transfer eigenvalue, independently of
+    the order ``spectrum`` returns it, which the report's arrays keep.
+    The Delta_k are read off that degree-L polynomial form of the
+    transfer eigenvalue (the rows of ``lam_bars.coeffs``), independently of
     the operator extraction.  Eigenpairs whose overlap polynomial vanishes
     (``functional.vanishing``) are reported as such rather than asserted
-    against.  Each record also carries the distance from its Delta vector
+    against.  The report also carries the distance from each Delta vector
     to the nearest row of the family's joint-spectrum table.
 
     The other eigenpairs are checked together, in ``blockbuild.chunks`` of
@@ -352,10 +345,4 @@ def check_eigk(family: OmegaFamily, fits, lam_bars) -> EigkReport:
             / (1.0 + np.max(np.abs(deltas), axis=1))[:, None],
             axis=1,
         )
-    records = [
-        EigkRecord(k, bool(skip), None if skip else np.asarray(deltas),
-                   float(resid), float(dist))
-        for k, (deltas, skip, resid, dist)
-        in enumerate(zip(lam_bars.coeffs, zero, residuals, distances))
-    ]
-    return EigkReport(family, records)
+    return EigkReport(family, zero, residuals, distances)

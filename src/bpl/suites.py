@@ -122,7 +122,9 @@ def _commutator(x, y, shift: int) -> float:
 class Artifacts:
     """The pipeline artifacts of one instance, each built on first read.
 
-    ``fits`` and ``lam_bars`` read ``eigs``; ``eigk`` reads them and the
+    ``eigs`` is the sector-n spectrum, one ``ybcore.SectorEigenpairs``;
+    ``fits`` reads its left vectors and ``lam_bars`` its eigenpairs, both
+    one row per eigenpair in ``eigs`` order.  ``eigk`` reads them and the
     Omega family, which reads nothing else, nor does ``zbar``.  Only
     ``omega-eigk`` reads ``eigk``: the PDE suites read the fits.
 
@@ -141,15 +143,14 @@ class Artifacts:
         return out
 
     @cached_property
-    def eigs(self) -> list:
+    def eigs(self) -> ybcore.SectorEigenpairs:
         """Sector-n eigenpairs of the transfer matrix."""
         return self._build("eigs", spectrum, self.cfg, self.cfg.n)
 
     @cached_property
     def fits(self) -> GridFit:
         """Overlap fits of the eigenpairs, in ``eigs`` order."""
-        return self._build("fits", extract_fbars, self.cfg, self.cfg.n,
-                           [eig.left for eig in self.eigs])
+        return self._build("fits", extract_fbars, self.cfg, self.cfg.n, self.eigs.lefts)
 
     @cached_property
     def lam_bars(self) -> GridFit:
@@ -220,7 +221,7 @@ def suite_spectrum(art: Artifacts) -> list[CheckRecord]:
     worst = 0.0
     for m in ybcore.monodromies([random_complex(rng) for _ in range(3)], cfg, ops="ad"):
         t = m.transfer()
-        worst = max(worst, float(np.max(ybcore.sector_residuals(eigs, t, ybcore.max_abs(t)))))
+        worst = max(worst, float(np.max(eigs.residuals(t, ybcore.max_abs(t)))))
     rec.add("eigenpair-residuals-extra-probes", worst, 1e-8, sector=cfg.n)
     return rec.records
 
@@ -261,12 +262,12 @@ def suite_omega_extract(art: Artifacts) -> list[CheckRecord]:
 
 
 def suite_omega_eigk(art: Artifacts) -> list[CheckRecord]:
-    report = art.eigk
+    report, lam_bars = art.eigk, art.lam_bars
     rec = _Recorder()
     delta_tables = [
-        {"eig": r.eig_index, "vanishing": r.vanishing,
-         "delta": None if r.delta is None else [[d.real, d.imag] for d in r.delta]}
-        for r in report.records
+        {"eig": e, "vanishing": bool(skip),
+         "delta": None if skip else [[d.real, d.imag] for d in deltas]}
+        for e, (deltas, skip) in enumerate(zip(lam_bars.coeffs, report.vanishing))
     ]
     rec.add("joint-eigenvalue-problems", report.max_residual, 1e-8,
             deltas=delta_tables, surplus_dimension=report.surplus_dimension)
@@ -335,7 +336,7 @@ def suite_reduce(art: Artifacts) -> list[CheckRecord]:
     overlap fit, with the Delta_{L-1} of its Lambda_bar(x0) fit: the inputs
     of ``pde-residual``, read without the Omega family), each at its own
     three points (rng tag ``reduce-{index}-{k}``, index its eigenpair's
-    position in ``eigs`` and k counting those eigenfunctions from 1), in
+    row in ``eigs`` and k counting those eigenfunctions from 1), in
     one batched ``upsilon_residual`` call; and the reduced PDE row of five
     random polynomials, each at its own point, in one batched
     ``upsilon_apply`` call, against the unreduced equation."""

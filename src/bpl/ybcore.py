@@ -19,7 +19,7 @@ rapidities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb, isfinite
 from typing import Iterator, NamedTuple
 
@@ -427,54 +427,62 @@ def _draw_residuals(lam0: complex, lams: list[complex], cfg: SpectralConfig, out
 
 # -- spectra -----------------------------------------------------------------------
 
-@dataclass
-class EigenChoice:
-    """One transfer-matrix eigenpair, with left and right eigenvectors.
+@dataclass(frozen=True)
+class SectorEigenpairs:
+    """The transfer-matrix eigenpairs of one S^z sector, stacked: row e of
+    ``lefts`` and of ``rights`` (both (E, d), d the sector dimension, in
+    ``sector_indices`` order) is the left and right eigenvector of
+    eigenpair e.  The transfer matrices commute, so the rows are
+    eigenvectors of T / T^t at every rapidity.
 
-    * ``sector``: down-spin count of the invariant block.
-    * ``right``/``left``: vectors in that sector, in ``sector_indices``
-      order, matched so both are eigenvectors of T / T^t with the same
-      eigenvalue function.
-
-    ``eigenvalue_from`` evaluates Lambda through the bilinear form
-    <left| T |right> / <left|right>; the left vector is
-    rapidity-independent because the transfer matrices commute.  It takes
-    T as the sector blocks ``transfer`` returns.
+    Every read is one stacked product over the sector whose elements are
+    the products one eigenpair would take on its own: ``norms`` and
+    ``eigenvalues`` equal <left|right> and <left| T |right> / <left|right>
+    of each row pair bit for bit (a matrix product would sum in another
+    order).
     """
 
     cfg: SpectralConfig
     sector: int
-    right: np.ndarray
-    left: np.ndarray
+    lefts: np.ndarray
+    rights: np.ndarray
     probes: tuple[complex, complex]
 
-    def eigenvalue_from(self, t) -> complex:
-        """Lambda read off a transfer matrix the caller has already built."""
+    def __len__(self) -> int:
+        return len(self.lefts)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """<left|right> of every eigenpair, one dot product each."""
+        return np.matmul(self.lefts[:, None, :], self.rights[:, :, None])[:, 0, 0]
+
+    def eigenvalues(self, block) -> np.ndarray:
+        """Lambda = <left| T |right> / <left|right> of every eigenpair
+        against the sector block ``block`` of T: per eigenpair one
+        vector-matrix product, one dot product and one division."""
+        return np.matmul(np.matmul(self.lefts[:, None, :], block),
+                         self.rights[:, :, None])[:, 0, 0] / self.norms
+
+    def residuals(self, t, norm: float) -> np.ndarray:
+        """Right and left eigen-residuals of every eigenpair against a
+        prebuilt transfer matrix ``t`` whose max-norm over all sectors is
+        ``norm``, shape (E, 2): for each eigenpair (r, l) with Lambda =
+        <l| T |r> / <l|r>, the 2-norms of T r - Lambda r and l T - Lambda l
+        over ``norm``, from one product per side for the whole sector
+        (the rights as a C-contiguous (d, E) copy)."""
         blk = t[self.sector]
-        return complex((self.left @ blk @ self.right) / (self.left @ self.right))
+        rights = np.ascontiguousarray(self.rights.T)
+        t_rights, lefts_t = blk @ rights, self.lefts @ blk
+        vals = np.sum(lefts_t * rights.T, axis=1) / np.sum(self.lefts * rights.T, axis=1)
+        r = np.linalg.norm(t_rights - vals * rights, axis=0)
+        l = np.linalg.norm(lefts_t - vals[:, None] * self.lefts, axis=1)
+        return np.stack([r, l], axis=1) / max(norm, 1e-300)
 
 
-def sector_residuals(eigs, t, norm: float) -> np.ndarray:
-    """Right and left eigen-residuals of every eigenpair of ``eigs``, all
-    of one sector, against a prebuilt transfer matrix ``t`` whose max-norm
-    over all sectors is ``norm``, shape (len(eigs), 2): for each eigenpair
-    (r, l) with Lambda = <l| T |r> / <l|r>, the 2-norms of T r - Lambda r
-    and l T - Lambda l over ``norm``, from one product per side for the
-    whole sector."""
-    if not eigs:
-        return np.zeros((0, 2))
-    blk = t[eigs[0].sector]
-    rights = np.stack([eig.right for eig in eigs], axis=1)
-    lefts = np.stack([eig.left for eig in eigs])
-    t_rights, lefts_t = blk @ rights, lefts @ blk
-    vals = np.sum(lefts_t * rights.T, axis=1) / np.sum(lefts * rights.T, axis=1)
-    r = np.linalg.norm(t_rights - vals * rights, axis=0)
-    l = np.linalg.norm(lefts_t - vals[:, None] * lefts, axis=1)
-    return np.stack([r, l], axis=1) / max(norm, 1e-300)
-
-
-def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
-    """Eigen-decomposition of the transfer matrix on one S^z sector.
+def spectrum(cfg: SpectralConfig, sector: int) -> SectorEigenpairs:
+    """Eigen-decomposition of the transfer matrix on one S^z sector, as
+    stacked eigenpairs sorted by their eigenvalue at the first probe
+    (rounded to 9 decimals, real part first).
 
     Degenerate clusters at the first probe rapidity are split by
     diagonalising the second probe's transfer matrix on the cluster's
@@ -485,9 +493,9 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
     probes and the sizes of the degenerate clusters, is raised.
 
     The transfer matrix is built once per probe.  The decomposition, the
-    residual check and the eigenvalue sort key all read those two matrices,
-    which are dropped when the function returns; the returned eigenpairs
-    keep no operator.
+    residual check (before the sort) and the eigenvalue sort key all read
+    those two matrices, which are dropped when the function returns; the
+    returned eigenpairs keep no operator.
     """
     if not 0 <= sector <= cfg.L:
         raise ValueError(f"sector must lie in [0, {cfg.L}], got {sector}")
@@ -522,23 +530,18 @@ def spectrum(cfg: SpectralConfig, sector: int) -> list[EigenChoice]:
             "right eigenvectors are not independent", probes, clusters
         ) from exc
 
-    out = []
-    for k in range(len(ev)):
-        lrow = left_rows[k]
-        out.append(EigenChoice(
-            cfg, sector, vec[:, k].copy(), lrow / np.linalg.norm(lrow), tuple(probes)
-        ))
+    # each row's norm as one vector's norm sums it; the axis form sums otherwise
+    lefts = left_rows / np.array([np.linalg.norm(row) for row in left_rows])[:, None]
+    eigs = SectorEigenpairs(cfg, sector, lefts, np.ascontiguousarray(vec.T), probes)
 
-    worst = max(float(np.max(sector_residuals(out, t, max_abs(t)))) for t in t_probes)
+    worst = max(float(np.max(eigs.residuals(t, max_abs(t)))) for t in t_probes)
     if worst > max(cfg.tol, 1e-9):
         raise DegeneracyError(
             f"eigenpair residual {worst:.3g} above tolerance; the sector may be degenerate",
             probes, clusters,
         )
 
-    def sort_key(e: EigenChoice):
-        val = e.eigenvalue_from(t_probes[0])
-        return round(val.real, 9), round(val.imag, 9)
-
-    out.sort(key=sort_key)
-    return out
+    keys = [(round(v.real, 9), round(v.imag, 9))
+            for v in map(complex, eigs.eigenvalues(t_probes[0][sector]))]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return SectorEigenpairs(cfg, sector, lefts[order], eigs.rights[order], probes)

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cache
 from math import comb
 
@@ -13,6 +14,11 @@ from bpl.ybcore import max_abs, monodromies, transfer, weight_a, weight_b, weigh
 
 #: the 4x4 swap P of two C^2 factors
 SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def bits(values) -> list[tuple[str, str]]:
+    """The exact bits of every complex value, signed zeros included."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in np.ravel(values)]
 
 
 def draw_complex(rng, shape=()):
@@ -48,17 +54,29 @@ def cfg2():
     return SpectralConfig.random_instance(2, 1, seed=7)
 
 
-# -- one-eigenpair residuals, kept as the reference ------------------------------
+# -- one-eigenpair reads, kept as the reference ------------------------------------
 
-def reference_eigen_residuals(eig, t, norm=None):
-    """Right and left eigen-residuals (2-norms) of one eigenpair against a
-    prebuilt transfer matrix, relative to its max-norm over all sectors
-    (``norm``, recomputed if not given): the one-eigenpair reference of
-    ``ybcore.sector_residuals``."""
-    val = eig.eigenvalue_from(t)
-    blk = t[eig.sector]
-    r = np.linalg.norm(blk @ eig.right - val * eig.right)
-    l = np.linalg.norm(eig.left @ blk - val * eig.left)
+def eigenpair_rows(eigs, rows):
+    """The eigenpairs ``rows`` (an index list or slice) of ``eigs`` alone."""
+    return dataclasses.replace(eigs, lefts=eigs.lefts[rows], rights=eigs.rights[rows])
+
+
+def reference_eigenvalue(left, right, blk) -> complex:
+    """Lambda = <left| T |right> / <left|right> of one eigenpair against
+    the sector block ``blk`` of T: one vector-matrix product, one dot
+    product and one division."""
+    return complex((left @ blk @ right) / (left @ right))
+
+
+def reference_eigen_residuals(eigs, e, t, norm=None):
+    """Right and left eigen-residuals (2-norms) of eigenpair ``e`` of
+    ``eigs`` alone against a prebuilt transfer matrix, relative to its
+    max-norm over all sectors (``norm``, recomputed if not given): the
+    one-eigenpair reference of ``SectorEigenpairs.residuals``."""
+    left, right, blk = eigs.lefts[e], eigs.rights[e], t[eigs.sector]
+    val = reference_eigenvalue(left, right, blk)
+    r = np.linalg.norm(blk @ right - val * right)
+    l = np.linalg.norm(left @ blk - val * left)
     scale = max(max_abs(t) if norm is None else norm, 1e-300)
     return float(r / scale), float(l / scale)
 
@@ -106,17 +124,18 @@ def scalar_fz_coefficients(lam0, lams, cfg):
     return complex(pa0 * ma0 + pb0 * md0), ks
 
 
-def reference_fz_residual(cfg, eig, draws):
-    """The functional relation's worst residual for one eigenpair, one draw
-    at a time: scalar coefficients, every overlap a ``FnSampler`` value on
-    B blocks of its own build, and Lambda(lam0) from its own transfer
-    matrix."""
-    sampler = FnSampler(cfg, eig)
+def reference_fz_residual(eigs, e, draws):
+    """The functional relation's worst residual for eigenpair ``e`` of
+    ``eigs`` alone, one draw at a time: scalar coefficients, every overlap a
+    ``FnSampler`` value on B blocks of its own build, and Lambda(lam0) from
+    its own transfer matrix."""
+    cfg, left, right = eigs.cfg, eigs.lefts[e], eigs.rights[e]
+    sampler = FnSampler(cfg, eigs.sector, left)
     worst = 0.0
     for lam0, *lams in draws:
         j0, ks = scalar_fz_coefficients(lam0, lams, cfg)
         f_here = sampler.value(lams)
-        lam_val = eig.eigenvalue_from(transfer(lam0, cfg))
+        lam_val = reference_eigenvalue(left, right, transfer(lam0, cfg)[eigs.sector])
         total = j0 * f_here - lam_val * f_here
         scale = max(abs(j0 * f_here), abs(lam_val * f_here))
         for i, k in enumerate(ks):
@@ -227,17 +246,17 @@ def reference_fbar_fits(cfg, eigs):
     """(coefficients, condition, holdout) of each eigenpair's overlap fit,
     one eigenpair at a time, every sample a prefactor times one dot with a
     per-point chain; sector 0 is the constant <Lambda|0>."""
-    n = eigs[0].sector
+    n = eigs.sector
     if n == 0:
-        return [(np.array(complex(eig.left[0])), 1.0, 0.0) for eig in eigs]
+        return [(np.array(complex(left[0])), 1.0, 0.0) for left in eigs.lefts]
     grids = spectral_grids(cfg.L, n)
     rng = cfg.rng("fbar-holdout")
     held = [random_complex(rng) for _ in range(n)]
     b_ops = b_table(cfg, [lam for grid in grids for lam in grid] + held, top=n)
     points = list(grid_points(grids)) + [held]
     out = []
-    for eig in eigs:
-        vals = [np.exp((cfg.L - 1) * sum(lams)) * complex(eig.left @ reference_chain(b_ops, lams))
+    for left in eigs.lefts:
+        vals = [np.exp((cfg.L - 1) * sum(lams)) * complex(left @ reference_chain(b_ops, lams))
                 for lams in points]
         out.append(reference_fit(np.array(vals[:-1]).reshape((cfg.L,) * n),
                                  [np.exp(2 * g) for g in grids], np.exp(2 * np.array(held)),

@@ -20,6 +20,8 @@ from bpl.functional import (
     spectrum,
 )
 
+from conftest import eigenpair_rows
+
 ORIGINAL = bpl.ybcore.monodromies
 
 
@@ -103,7 +105,7 @@ def test_sector_overlap_fits_share_their_operators(builds):
     cfg = SpectralConfig.random_instance(4, 2, seed=2)
     eigs = spectrum(cfg, 2)
     builds.clear()
-    fits = extract_fbars(cfg, 2, [eig.left for eig in eigs])
+    fits = extract_fbars(cfg, 2, eigs.lefts)
     assert len(fits.coeffs) == len(fits.holdouts) == 6
     # two 4-node grids plus the two-variable holdout point, for all six
     # fits, in one batch
@@ -116,7 +118,7 @@ def test_sector_overlap_fits_share_their_operators(builds):
 @pytest.mark.parametrize("L,n", [(4, 2), (3, 3), (5, 1)])
 def test_sector_overlap_fits_compute_each_chain_suffix_once(L, n, builds, grid_products):
     cfg = SpectralConfig.random_instance(L, n, seed=8)
-    lefts = [eig.left for eig in spectrum(cfg, n)]
+    lefts = spectrum(cfg, n).lefts
     # every suffix of the L^n grid points, one product each, and the n
     # suffixes of the held-out point, whatever the number of eigenvectors
     suffixes = sum(L**k for k in range(1, n + 1)) + n
@@ -146,9 +148,9 @@ def test_lambda_bar_nodes_build_once_up_to_the_sector(builds):
 def test_functional_relation_builds_each_rapidity_once(builds):
     # lam0 with A, B and D (T and the swapped chains' B), the others with B
     cfg = SpectralConfig.random_instance(4, 2, seed=2)
-    eig = spectrum(cfg, 2)[0]
+    eig = eigenpair_rows(spectrum(cfg, 2), [0])
     builds.clear()
-    check_fz_residual([eig], [[0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.2j]])
+    check_fz_residual(eig, [[0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.2j]])
     assert len(builds) == len(set(rapidities(builds))) == 3
     assert tops(builds) == {2}
     assert [(lam, ops) for lam, _, _, ops in builds] == [
@@ -161,7 +163,7 @@ def test_functional_relation_over_draws_builds_each_rapidity_once(builds):
     builds.clear()
     draws = [[0.1 * i + 0.3j, 0.1 * i - 0.2j, 0.1 * i + 0.45 + 0.1j] for i in range(5)]
     # one draw repeated: its rapidities are not built again
-    check_fz_residual(eigs[:1], draws + draws[:1])
+    check_fz_residual(eigenpair_rows(eigs, [0]), draws + draws[:1])
     assert len(builds) == len(set(rapidities(builds))) == 5 * 3
     assert tops(builds) == {2}
     assert len(batches(builds)) == 2
@@ -178,7 +180,7 @@ def test_functional_relation_builds_its_draws_once_per_sector(L, n, builds):
     seen = []
     for count in (1, len(eigs)):
         builds.clear()
-        check_fz_residual(eigs[:count], draws)
+        check_fz_residual(eigenpair_rows(eigs, slice(count)), draws)
         seen.append(list(builds))
         assert len(builds) == len(set(rapidities(builds))) == 5 * (n + 1)
         assert tops(builds) == {n}

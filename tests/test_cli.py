@@ -20,6 +20,19 @@ def test_over_capacity_length_exits_before_any_draw(monkeypatch, capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+def test_dense_cap_is_twelve_sites(monkeypatch, capsys):
+    # L = 12 loads and echoes the cap; L = 13 exits 3 before anything is drawn
+    cfg = cli.load_config(None, {"L": 12, "n": 1})
+    assert cfg.L == 12 and cli._config_echo(cfg)["max_dense_L"] == 12
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_instance called for an over-capacity L")
+
+    monkeypatch.setattr(SpectralConfig, "random_instance", classmethod(refuse))
+    assert cli.main(["spectrum", "--L", "13"]) == cli.EXIT_CAPACITY
+    assert "lattice length 13 exceeds the dense capacity cap 12\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["spectrum", "--L", "0"], ["spectrum", "--L", "3", "--n", "4"],
                                   ["spectrum", "--L", "3", "--n", "-1"]])
 def test_out_of_range_fields_exit_as_usage_errors(argv, capsys):

@@ -189,10 +189,9 @@ class TestDerivativeCoefficients:
         store = Artifacts(cfg)
         family = store.family
         omega_top_m1 = family.omega(cfg.L - 1)
-        report = store.eigk
-        k, rec = next((k, r) for k, r in enumerate(report.records) if not r.vanishing)
+        k = int(np.flatnonzero(~store.eigk.vanishing)[0])
         fbar = store.fits.coeffs[k]
-        delta = rec.delta[cfg.L - 1]
+        delta = store.lam_bars.coeffs[k, cfg.L - 1]
         for _ in range(4):
             x = draw_complex(rng)
             lhs = fbar[1]  # d fbar / dx for a degree-1 polynomial
@@ -317,8 +316,8 @@ class TestOperatorComparison:
         eigs = spectrum(cfg, cfg.n)
         lam_bars = lambda_bar_coefficients(eigs, cfg)
         checked = 0
-        for eig, coeffs in zip(eigs, lam_bars.coeffs):
-            fbar = extract_fbar(FnSampler(cfg, eig)).coeffs[0]
+        for left, coeffs in zip(eigs.lefts, lam_bars.coeffs):
+            fbar = extract_fbar(FnSampler(cfg, cfg.n, left)).coeffs[0]
             if np.max(np.abs(fbar)) < 1e-12:
                 continue
             checked += 1

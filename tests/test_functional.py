@@ -37,8 +37,11 @@ from bpl.ybcore import (
 
 from conftest import (
     SWAP,
+    bits,
     draw_complex,
+    eigenpair_rows,
     reference_chain,
+    reference_eigenvalue,
     reference_fbar_fits,
     reference_fz_residual,
     scalar_exchange_m_factors,
@@ -65,27 +68,25 @@ def hand_rolled_b(lam, cfg):
 
 class TestOverlaps:
     def test_vacuum_overlap_sector_selection(self, cfg2):
-        eig0 = spectrum(cfg2, 0)[0]
-        s0 = FnSampler(cfg2, eig0)
-        assert abs(s0.value([]) - eig0.left[0]) < 1e-14
-        eig1 = spectrum(cfg2, 1)[0]
-        s1 = FnSampler(cfg2, eig1)
+        left0 = spectrum(cfg2, 0).lefts[0]
+        s0 = FnSampler(cfg2, 0, left0)
+        assert abs(s0.value([]) - left0[0]) < 1e-14
+        s1 = FnSampler(cfg2, 1, spectrum(cfg2, 1).lefts[0])
         with pytest.warns(UserWarning, match="identically zero"):
             assert s1.value([]) == 0.0
 
     def test_permutation_symmetry(self, cfg3, rng):
-        eig = spectrum(cfg3, 2)[0]
-        sampler = FnSampler(cfg3, eig)
+        sampler = FnSampler(cfg3, 2, spectrum(cfg3, 2).lefts[0])
         a, b = draw_complex(rng), draw_complex(rng)
         assert abs(sampler.value([a, b]) - sampler.value([b, a])) < 1e-12
 
     def test_two_site_hand_algebra(self, cfg2, rng):
-        eig = spectrum(cfg2, 1)[0]
-        sampler = FnSampler(cfg2, eig)
+        left = spectrum(cfg2, 1).lefts[0]
+        sampler = FnSampler(cfg2, 1, left)
         vac = np.array([1.0, 0, 0, 0], dtype=complex)
         for _ in range(3):
             lam = draw_complex(rng)
-            direct = eig.left @ (hand_rolled_b(lam, cfg2) @ vac)[sector_indices(2, 1)]
+            direct = left @ (hand_rolled_b(lam, cfg2) @ vac)[sector_indices(2, 1)]
             assert abs(sampler.value([lam]) - direct) < 1e-12 * max(1, abs(direct))
 
 
@@ -145,11 +146,6 @@ class TestCoefficients:
             assert abs(ks[i] - (pal * ma + pbl * md)) < 1e-12 * max(abs(ks[i]), 1)
 
 
-def _bits(values) -> list[tuple[str, str]]:
-    """The exact bits of every complex value, signed zeros included."""
-    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in np.ravel(values)]
-
-
 class TestBatchedCoefficients:
     """The batched exchange and functional-relation coefficients against the
     one-point forms of ``conftest``, bit for bit."""
@@ -167,11 +163,11 @@ class TestBatchedCoefficients:
         picks = np.random.default_rng(L).choice(j0.size, size=min(60, j0.size), replace=False)
         for a, p in zip(*np.unravel_index(picks, j0.shape)):
             ref_j0, ref_ks = scalar_fz_coefficients(lam0s[a], list(rows[p]), cfg)
-            assert _bits(j0[a, p]) == _bits(ref_j0)
-            assert _bits(ks[a, p]) == _bits(ref_ks)
+            assert bits(j0[a, p]) == bits(ref_j0)
+            assert bits(ks[a, p]) == bits(ref_ks)
             ref = scalar_exchange_m_factors(lam0s[a], list(rows[p]), cfg.gamma)
             for got, want in zip(factors, ref):
-                assert _bits(got[a, p]) == _bits(want)
+                assert bits(got[a, p]) == bits(want)
 
     @pytest.mark.parametrize("L,n", [(4, 2), (7, 2), (6, 3), (5, 0)])
     def test_paired_batch_equals_one_point_reference(self, L, n):
@@ -184,11 +180,11 @@ class TestBatchedCoefficients:
         assert [f.shape for f in factors] == [j0.shape, j0.shape, ks.shape, ks.shape]
         for p, (lam0, *lams) in enumerate(draws):
             ref_j0, ref_ks = scalar_fz_coefficients(lam0, lams, cfg)
-            assert _bits(j0[p]) == _bits(ref_j0)
-            assert _bits(ks[p]) == _bits(ref_ks)
+            assert bits(j0[p]) == bits(ref_j0)
+            assert bits(ks[p]) == bits(ref_ks)
             ref = scalar_exchange_m_factors(lam0, lams, cfg.gamma)
             for got, want in zip(factors, ref):
-                assert _bits(got[p]) == _bits(want)
+                assert bits(got[p]) == bits(want)
 
     def test_paired_pole_guard_names_the_pair_a_loop_would(self, cfg3, rng):
         draws = draw_complex(rng, (6, 3))
@@ -208,7 +204,7 @@ class TestBatchedCoefficients:
         for a, lam0 in enumerate(lam0s):
             ref_j0, ref_ks = scalar_fz_coefficients(lam0, [], cfg3)
             assert ref_ks == []
-            assert _bits(j0[a]) == _bits([ref_j0, ref_j0])
+            assert bits(j0[a]) == bits([ref_j0, ref_j0])
 
     @pytest.mark.parametrize("where", ["rows", "lam0", "rows-ipi", "lam0-ipi", "both"])
     def test_pole_guard_names_the_pair_a_loop_would(self, cfg3, rng, where):
@@ -243,11 +239,11 @@ class TestBatchedCoefficients:
 
 class TestFunctionalRelation:
     def test_vacuum_case_reduces_to_eigenvalue(self, cfg2, rng):
-        eig = spectrum(cfg2, 0)[0]
+        eigs = spectrum(cfg2, 0)
         lam0 = draw_complex(rng)
         j0 = fz_coefficients([lam0], [[]], cfg2)[0][0]
-        assert abs(eig.eigenvalue_from(transfer(lam0, cfg2)) - j0) < 1e-11 * abs(j0)
-        assert check_fz_residual([eig], [[lam0]])[0] < 1e-12
+        assert abs(eigs.eigenvalues(transfer(lam0, cfg2)[0])[0] - j0) < 1e-11 * abs(j0)
+        assert check_fz_residual(eigs, [[lam0]])[0] < 1e-12
 
     @pytest.mark.parametrize("L,n", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
     def test_full_grid(self, L, n):
@@ -274,11 +270,12 @@ class TestFunctionalRelation:
         eigs = spectrum(cfg, n)
         draws = self._sector_draws(cfg)
         batched = check_fz_residual(eigs, draws)
-        assert [w.hex() for w in check_fz_residual(eigs[::-1], draws)[::-1]] == [
+        reversed_rows = eigenpair_rows(eigs, slice(None, None, -1))
+        assert [w.hex() for w in check_fz_residual(reversed_rows, draws)[::-1]] == [
             w.hex() for w in batched]
-        for eig, worst in zip(eigs, batched):
-            assert worst.hex() == reference_fz_residual(cfg, eig, draws).hex()
-            assert worst.hex() == check_fz_residual([eig], draws)[0].hex()
+        for e, worst in enumerate(batched):
+            assert worst.hex() == reference_fz_residual(eigs, e, draws).hex()
+            assert worst.hex() == check_fz_residual(eigenpair_rows(eigs, [e]), draws)[0].hex()
 
     @pytest.mark.parametrize("L,n,victim", [(4, 2, 3), (6, 3, 0), (7, 2, 20)])
     def test_error_in_one_left_vector_fails_that_eigenpair_alone(self, L, n, victim):
@@ -286,11 +283,10 @@ class TestFunctionalRelation:
         # reads above the gate, every other eigenpair's still below
         cfg = SpectralConfig.random_instance(L, n, seed=0)
         eigs = spectrum(cfg, n)
-        left = eigs[victim].left
-        noise = draw_complex(np.random.default_rng(L), (len(left),))
-        eigs[victim] = dataclasses.replace(
-            eigs[victim], left=left + 1e-6 * np.linalg.norm(left) * noise / np.linalg.norm(noise))
-        worst = check_fz_residual(eigs, self._sector_draws(cfg))
+        lefts = eigs.lefts.copy()
+        noise = draw_complex(np.random.default_rng(L), (lefts.shape[1],))
+        lefts[victim] += 1e-6 * np.linalg.norm(lefts[victim]) * noise / np.linalg.norm(noise)
+        worst = check_fz_residual(dataclasses.replace(eigs, lefts=lefts), self._sector_draws(cfg))
         assert worst[victim] > 1e-8
         assert np.max(np.delete(worst, victim)) < 1e-8
 
@@ -324,26 +320,28 @@ class TestFunctionalRelation:
             draws[2][1] = draws[2][0] + 1e-10
             draws[1][2] = draws[1][1] + 1e-9
         with pytest.raises(CoincidentRapiditiesError) as expected:
-            reference_fz_residual(cfg, eigs[0], draws)
+            reference_fz_residual(eigs, 0, draws)
         with pytest.raises(CoincidentRapiditiesError) as info:
             check_fz_residual(eigs, draws)
         assert info.value.pair == tuple(expected.value.pair)
         assert info.value.separation == expected.value.separation
 
-    def test_no_eigenpairs(self):
-        assert check_fz_residual([], []).shape == (0,)
+    def test_no_eigenpairs(self, cfg3):
+        none = eigenpair_rows(spectrum(cfg3, 2), slice(0))
+        assert check_fz_residual(none, []).shape == (0,)
+        assert check_fz_residual(none, self._sector_draws(cfg3)).shape == (0,)
 
 
 class TestPolynomialPart:
     def test_vacuum_sector_constant(self, cfg2):
-        eig = spectrum(cfg2, 0)[0]
-        fit = extract_fbar(FnSampler(cfg2, eig))
+        left = spectrum(cfg2, 0).lefts[0]
+        fit = extract_fbar(FnSampler(cfg2, 0, left))
         assert fit.coeffs.shape == (1,)
-        assert abs(complex(fit.coeffs[0]) - eig.left[0]) < 1e-14
+        assert abs(complex(fit.coeffs[0]) - left[0]) < 1e-14
 
     def test_holdout_validation(self, cfg3):
-        for eig in spectrum(cfg3, 2):
-            fit = extract_fbar(FnSampler(cfg3, eig))
+        for left in spectrum(cfg3, 2).lefts:
+            fit = extract_fbar(FnSampler(cfg3, 2, left))
             assert fit.holdouts[0] < 1e-9
             assert fit.grid_condition < 1e6
 
@@ -353,7 +351,7 @@ class TestPolynomialPart:
         # every sample from a per-point chain: the same bits throughout
         cfg = SpectralConfig.random_instance(L, n, seed=0)
         eigs = spectrum(cfg, n)
-        fits = extract_fbars(cfg, n, [eig.left for eig in eigs])
+        fits = extract_fbars(cfg, n, eigs.lefts)
         assert len(fits.coeffs) == len(fits.holdouts) == len(eigs)
         references = reference_fbar_fits(cfg, eigs)
         for fbar, fbar_holdout, (coeffs, cond, holdout) in zip(fits.coeffs, fits.holdouts,
@@ -363,15 +361,14 @@ class TestPolynomialPart:
             assert fbar_holdout.hex() == holdout.hex()
             assert fits.grid_condition.hex() == cond.hex()
         # a batch of one is the same fit
-        alone = extract_fbar(FnSampler(cfg, eigs[-1]))
+        alone = extract_fbar(FnSampler(cfg, n, eigs.lefts[-1]))
         assert alone.coeffs[0].tobytes() == fits.coeffs[-1].tobytes()
         assert alone.holdouts[0].hex() == fits.holdouts[-1].hex()
 
     def test_degree_bound_certified(self, cfg3, rng):
         # refit with one extra node per axis: the extra coefficients vanish,
         # so the per-variable degree really is L-1
-        eig = spectrum(cfg3, 1)[0]
-        sampler = FnSampler(cfg3, eig)
+        sampler = FnSampler(cfg3, 1, spectrum(cfg3, 1).lefts[0])
         L = cfg3.L
         nodes = 0.34 * np.arange(L + 1) + 0.21j * np.arange(L + 1)
         vals = np.array(
@@ -386,8 +383,9 @@ class TestPolynomialPart:
         coeffs = lambda_bar_coefficients(eigs, cfg3).coeffs
         lam = draw_complex(rng)
         x0 = np.exp(2 * lam)
-        for eig, row in zip(eigs, coeffs):
-            direct = eig.eigenvalue_from(transfer(lam, cfg3)) * np.exp(cfg3.L * lam)
+        blk = transfer(lam, cfg3)[1]
+        for left, right, row in zip(eigs.lefts, eigs.rights, coeffs):
+            direct = reference_eigenvalue(left, right, blk) * np.exp(cfg3.L * lam)
             fitted = np.polyval(row[::-1], x0)
             assert abs(direct - fitted) < 1e-9 * max(1, abs(direct))
 
@@ -440,7 +438,7 @@ class TestSamplingGeometry:
             return samples(lefts, b_ops, lam_grids, L)
 
         monkeypatch.setattr(functional, "overlap_samples", recording_samples)
-        extract_fbar(FnSampler(cfg, spectrum(cfg, n)[0]))
+        extract_fbar(FnSampler(cfg, n, spectrum(cfg, n).lefts[0]))
         # the grid, then the held-out point
         assert len(fit_grids) == 2 and all(len(g) == 1 for g in fit_grids[1])
         assert np.array_equal(grid_points(fit_grids[0]), lbar_points[0])

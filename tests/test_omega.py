@@ -24,7 +24,7 @@ from bpl.polyengine import (GridFit, MultiPoly, derivative_tensor, fit_grid, gri
 from bpl.suites import Artifacts, run_checks
 from bpl.ybcore import transfer
 
-from conftest import draw_complex, scalar_fz_coefficients
+from conftest import draw_complex, eigenpair_rows, reference_eigenvalue, scalar_fz_coefficients
 
 
 # -- the former column-by-column assembly, kept as the reference ----------------
@@ -168,10 +168,10 @@ class TestLbar:
         # eigenvalue polynomial pointwise (functional-layer oracle)
         cfg = SpectralConfig.random_instance(2, 1, seed=31)
         lbar = build_lbar(cfg)
-        eig = spectrum(cfg, 1)[0]
-        fit = extract_fbar(FnSampler(cfg, eig))
+        eigs = eigenpair_rows(spectrum(cfg, 1), [0])
+        fit = extract_fbar(FnSampler(cfg, 1, eigs.lefts[0]))
         vec, _ = lbar.basis.project(fit.coeffs[0])
-        deltas = lambda_bar_coefficients([eig], cfg).coeffs[0]
+        deltas = lambda_bar_coefficients(eigs, cfg).coeffs[0]
         for _ in range(4):
             lam0 = draw_complex(rng)
             x0 = np.exp(2 * lam0)
@@ -251,11 +251,12 @@ class TestLbar:
 
     def test_vacuum_coefficient_equals_eigenvalue(self, cfg2, rng):
         # with no variables the relation collapses to its J-part
-        eig = spectrum(cfg2, 0)[0]
+        eigs = spectrum(cfg2, 0)
         lam0 = draw_complex(rng)
         j0 = fz_coefficients([lam0], [[]], cfg2)[0][0]
         jbar = j0 * np.exp(cfg2.L * lam0)
-        lam_bar = eig.eigenvalue_from(transfer(lam0, cfg2)) * np.exp(cfg2.L * lam0)
+        blk = transfer(lam0, cfg2)[0]
+        lam_bar = reference_eigenvalue(eigs.lefts[0], eigs.rights[0], blk) * np.exp(cfg2.L * lam0)
         assert abs(jbar - lam_bar) < 1e-11 * abs(lam_bar)
 
 
@@ -295,14 +296,13 @@ class TestJointSpectralProblems:
     def test_eigenfunction_residuals(self, L, n, tol):
         cfg = SpectralConfig.random_instance(L, n, seed=100 + L * 10 + n)
         report = Artifacts(cfg).eigk
-        realized = [r for r in report.records if not r.vanishing]
-        assert realized, "no nonvanishing overlap polynomials found"
+        assert not report.vanishing.all(), "no nonvanishing overlap polynomials found"
         assert report.max_residual < tol
 
     def test_top_delta_constant_across_sector(self):
         cfg = SpectralConfig.random_instance(3, 1, seed=53)
-        report = Artifacts(cfg).eigk
-        tops = [r.delta[cfg.L] for r in report.records if not r.vanishing]
+        art = Artifacts(cfg)
+        tops = art.lam_bars.coeffs[~art.eigk.vanishing, cfg.L]
         assert len(tops) >= 2
         for t in tops[1:]:
             assert abs(t - tops[0]) < 1e-9 * abs(tops[0])
@@ -312,8 +312,8 @@ class TestJointSpectralProblems:
         report = Artifacts(cfg).eigk
         assert report.max_containment_distance < 1e-7
         # the symmetric space is larger than the sector: surplus spectrum
-        assert report.surplus_dimension == report.family.basis.dim - len(
-            [r for r in report.records if not r.vanishing]
+        assert report.surplus_dimension == report.family.basis.dim - sum(
+            not skip for skip in report.vanishing
         )
         assert report.surplus_dimension >= 0
 
@@ -350,30 +350,45 @@ class TestBatchedEigk:
         report = check_eigk(family, fits, lam_bars)
         monkeypatch.setattr(blockbuild, "BATCH_ENTRIES", 1)
         chunked = check_eigk(family, fits, lam_bars)
-        for rec, one, fbar, deltas in zip(report.records, chunked.records, fits.coeffs,
-                                          lam_bars.coeffs):
+        assert not report.vanishing.any() and not chunked.vanishing.any()
+        for e, (fbar, deltas) in enumerate(zip(fits.coeffs, lam_bars.coeffs)):
             resid, dist = _eigk_reference(family, fbar, deltas)
-            assert not rec.vanishing
-            assert abs(rec.residual - resid) < 1e-13
-            assert one.residual == pytest.approx(rec.residual, rel=1e-12, abs=1e-16)
-            assert rec.containment_distance.hex() == float(dist).hex()
-            assert one.containment_distance.hex() == float(dist).hex()
-            assert rec.delta.tobytes() == deltas.tobytes()
+            assert abs(report.residuals[e] - resid) < 1e-13
+            assert chunked.residuals[e] == pytest.approx(report.residuals[e], rel=1e-12, abs=1e-16)
+            assert report.distances[e].hex() == float(dist).hex()
+            assert chunked.distances[e].hex() == float(dist).hex()
 
     def test_vanishing_eigenpairs_are_reported_and_skipped(self):
         art = Artifacts(SpectralConfig.random_instance(4, 2, seed=0))
         full = art.eigk
         fits = _zeroed(art.fits, [1, 4])
         report = check_eigk(art.family, fits, art.lam_bars)
-        assert [r.vanishing for r in report.records] == [k in (1, 4) for k in range(6)]
-        for k, (rec, ref) in enumerate(zip(report.records, full.records)):
+        assert report.vanishing.tolist() == [k in (1, 4) for k in range(6)]
+        for k in range(6):
             if k in (1, 4):
-                assert rec.delta is None and rec.residual == 0.0
-                assert rec.containment_distance == np.inf
+                assert report.residuals[k] == 0.0 and report.distances[k] == np.inf
             else:
-                assert rec.containment_distance == ref.containment_distance
-                assert rec.residual == pytest.approx(ref.residual, rel=1e-12, abs=1e-16)
+                assert report.distances[k] == full.distances[k]
+                assert report.residuals[k] == pytest.approx(full.residuals[k], rel=1e-12,
+                                                            abs=1e-16)
         assert report.surplus_dimension == full.surplus_dimension + 2
+
+    @pytest.mark.parametrize("zeroed", [[], [1, 4]])
+    def test_deltas_extra_is_the_lambda_bar_rows_and_the_vanishing_mask(self, zeroed):
+        # one entry per eigenpair in spectrum order: its Delta vector, the
+        # row of its Lambda_bar(x0) fit, unless its overlap fit vanishes
+        art = Artifacts(SpectralConfig.random_instance(4, 2, seed=0))
+        art.fits = _zeroed(art.fits, zeroed)
+        [problems, _] = suites.suite_omega_eigk(art)
+        deltas = problems.extra["deltas"]
+        assert [d["eig"] for d in deltas] == list(range(6))
+        assert [d["vanishing"] for d in deltas] == [k in zeroed for k in range(6)]
+        for d, row in zip(deltas, art.lam_bars.coeffs):
+            if d["vanishing"]:
+                assert d["delta"] is None
+            else:
+                assert d["delta"] == [[v.real, v.imag] for v in row.tolist()]
+        assert problems.extra["surplus_dimension"] == art.family.basis.dim - 6 + len(zeroed)
 
     def test_a_sector_of_vanishing_overlaps_reads_zero(self):
         # every overlap fit zero: no eigenpair is checked, the joint checks
@@ -381,7 +396,7 @@ class TestBatchedEigk:
         cfg = SpectralConfig.random_instance(4, 2, seed=0)
         art = Artifacts(cfg)
         art.fits = _zeroed(art.fits, slice(None))
-        assert all(r.vanishing for r in art.eigk.records)
+        assert art.eigk.vanishing.all()
         assert art.eigk.max_residual == art.eigk.max_containment_distance == 0.0
         assert art.eigk.surplus_dimension == art.family.basis.dim
         upsilon = suites.suite_reduce(art)[0]

@@ -99,12 +99,11 @@ class TestUpsilon:
         system = spectral_reduction(cfg)
         store = Artifacts(cfg)
         rng = np.random.default_rng(3)
-        used = [k for k, rec in enumerate(store.eigk.records) if not rec.vanishing]
-        assert used
+        used = np.flatnonzero(~store.eigk.vanishing)
+        assert used.size
         pts = np.array([distinct_points(rng, 4, 1) for _ in used])
         residual, magnitudes = upsilon_residual(
-            system, store.fits.coeffs[used],
-            [store.eigk.records[k].delta[cfg.L - 1] for k in used], pts)
+            system, store.fits.coeffs[used], store.lam_bars.coeffs[used, cfg.L - 1], pts)
         assert residual.shape == (len(used), 4)
         assert magnitudes.shape == (len(used), 4, 3)
         assert np.max(residual) < 1e-8
@@ -176,11 +175,11 @@ class TestUpsilon:
         cfg = SpectralConfig.random_instance(3, 1, seed=7)
         system = spectral_reduction(cfg)
         store = Artifacts(cfg)
-        k, rec = next((k, r) for k, r in enumerate(store.eigk.records) if not r.vanishing)
+        k = int(np.flatnonzero(~store.eigk.vanishing)[0])
         fbar = store.fits.coeffs[k]
         rng = np.random.default_rng(4)
         pt = np.array([distinct_point(rng, 1)])
-        delta = rec.delta[cfg.L - 1]
+        delta = store.lam_bars.coeffs[k, cfg.L - 1]
         # one batch: the right Delta and a wrong one at the same point
         (good, bad), _ = upsilon_residual(system, np.array([fbar, fbar]),
                                           [delta, delta + 1.0], np.array([pt, pt]))
@@ -222,8 +221,9 @@ class TestUpsilon:
         # consistency with the direct residual checker on an eigenfunction
         cfg = SpectralConfig.random_instance(3, 2, seed=8)
         store = Artifacts(cfg)
-        k, rec = next((k, r) for k, r in enumerate(store.eigk.records) if not r.vanishing)
-        residual, _ = closedform_residual(cfg, store.fits.coeffs[k], rec.delta[cfg.L - 1])
+        k = int(np.flatnonzero(~store.eigk.vanishing)[0])
+        residual, _ = closedform_residual(cfg, store.fits.coeffs[k],
+                                          store.lam_bars.coeffs[k, cfg.L - 1])
         assert np.max(residual) < 1e-8
 
     def test_dimension_mismatch_rejected(self, rng):
@@ -248,18 +248,19 @@ class TestSuite:
     @pytest.mark.parametrize("L,n", [(4, 2), (6, 3), (7, 2)])
     def test_upsilon_equals_the_joint_spectral_records(self, L, n):
         # the eigenfunctions and Delta_{L-1} as the joint spectral problems'
-        # records carry them, with the suite's tags, give the suite's
-        # record bit for bit
+        # record carries them (its ``deltas`` extra), with the suite's tags,
+        # give the suite's record bit for bit
         cfg = SpectralConfig.random_instance(L, n, seed=0)
         upsilon = run_checks("reduce", cfg)[0]
         store = Artifacts(cfg)
-        used = [(k, r) for k, r in enumerate(store.eigk.records) if not r.vanishing]
-        points = np.array([annulus_points(cfg, n, 3, f"reduce-{r.eig_index}-{j + 1}")
-                           for j, (_, r) in enumerate(used)])
+        problems = suites.suite_omega_eigk(store)[0]
+        used = [d for d in problems.extra["deltas"] if not d["vanishing"]]
+        points = np.array([annulus_points(cfg, n, 3, f"reduce-{d['eig']}-{j + 1}")
+                           for j, d in enumerate(used)])
         residuals, magnitudes = upsilon_residual(
-            spectral_reduction(cfg), np.array([store.fits.coeffs[k] for k, _ in used]),
-            [r.delta[L - 1] for _, r in used], points)
-        worst, extra = suites._worst_point(residuals, magnitudes, [r.eig_index for _, r in used])
+            spectral_reduction(cfg), np.array([store.fits.coeffs[d["eig"]] for d in used]),
+            [complex(*d["delta"][L - 1]) for d in used], points)
+        worst, extra = suites._worst_point(residuals, magnitudes, [d["eig"] for d in used])
         assert upsilon.residual.hex() == worst.hex()
         assert upsilon.extra["eigenfunctions"] == len(used)
         assert upsilon.extra["worst_eig"] == extra["worst_eig"]

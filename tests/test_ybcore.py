@@ -30,10 +30,13 @@ from bpl.ybcore import (
 
 from conftest import (
     SWAP,
+    bits,
     dense_operator,
     draw_complex,
+    eigenpair_rows,
     reference_build,
     reference_eigen_residuals,
+    reference_eigenvalue,
     scalar_exchange_m_factors,
 )
 
@@ -434,10 +437,9 @@ class TestMonodromy:
         assert len(list(monodromies(lams[:2], cfg, top=2))) == 2
         assert batches == [1, 1]
 
-    def test_capacity_cap(self, monkeypatch):
-        monkeypatch.setenv("BPL_MAX_L", "4")
-        cfg = SpectralConfig.random_instance(5, 0, seed=1)
-        with pytest.raises(CapacityError):
+    def test_capacity_cap(self):
+        cfg = SpectralConfig.random_instance(13, 0, seed=1)
+        with pytest.raises(CapacityError, match="length 13 exceeds the dense capacity cap 12$"):
             monodromy(0.1, cfg)
 
     def test_entries_are_degree_Lm1_polynomials(self, rng):
@@ -644,14 +646,14 @@ class TestSpectrum:
         assert len(eigs) == 1
         lam = draw_complex(rng)
         expect = weight_a(lam - cfg.mu[0], cfg.gamma) + weight_b(lam - cfg.mu[0])
-        assert abs(eigs[0].eigenvalue_from(transfer(lam, cfg)) - expect) < 1e-12 * abs(expect)
+        assert abs(eigs.eigenvalues(transfer(lam, cfg)[0])[0] - expect) < 1e-12 * abs(expect)
 
     def test_third_probe_consistency(self, cfg3, rng):
         eigs = spectrum(cfg3, 2)
         assert len(eigs) == 3
         lam3 = draw_complex(rng)
-        for eig in eigs:
-            right, left = reference_eigen_residuals(eig, transfer(lam3, cfg3))
+        for e in range(len(eigs)):
+            right, left = reference_eigen_residuals(eigs, e, transfer(lam3, cfg3))
             assert right < 1e-10 and left < 1e-10
 
     @pytest.mark.parametrize("L,n", [(3, 2), (7, 2), (6, 3)])
@@ -662,18 +664,45 @@ class TestSpectrum:
         eigs = spectrum(cfg, n)
         t = transfer(draw_complex(rng), cfg)
         norm = bpl.ybcore.max_abs(t)
-        batched = bpl.ybcore.sector_residuals(eigs, t, norm)
+        batched = eigs.residuals(t, norm)
         assert batched.shape == (len(eigs), 2)
-        for eig, row in zip(eigs, batched):
-            assert np.allclose(row, reference_eigen_residuals(eig, t, norm), rtol=0, atol=1e-14)
-        assert bpl.ybcore.sector_residuals([], t, norm).shape == (0, 2)
+        for e, row in enumerate(batched):
+            assert np.allclose(row, reference_eigen_residuals(eigs, e, t, norm), rtol=0, atol=1e-14)
+        assert eigenpair_rows(eigs, slice(0)).residuals(t, norm).shape == (0, 2)
+
+    @pytest.mark.parametrize("L,n", [(3, 2), (7, 2), (6, 3), (9, 3)])
+    def test_stacked_reads_equal_the_one_eigenpair_formula(self, L, n, rng):
+        # every row's <left|right> and <left| T |right> / <left|right> is
+        # the one-eigenpair value, hex for hex
+        cfg = SpectralConfig.random_instance(L, n, seed=4)
+        eigs = spectrum(cfg, n)
+        blk = transfer(draw_complex(rng), cfg)[n]
+        values = eigs.eigenvalues(blk)
+        for e, (left, right) in enumerate(zip(eigs.lefts, eigs.rights)):
+            assert bits(eigs.norms[e]) == bits(left @ right)
+            assert bits(values[e]) == bits(reference_eigenvalue(left, right, blk))
+
+    @pytest.mark.parametrize("L,n,seed", [(4, 2, 0), (6, 3, 5), (7, 2, 0), (8, 1, 3)])
+    def test_rows_are_sorted_by_the_first_probe_eigenvalue(self, L, n, seed):
+        # the sort key: each eigenvalue at probe 0, rounded to 9 decimals,
+        # real part first; the rows are those of an unsorted decomposition
+        cfg = SpectralConfig.random_instance(L, n, seed=seed)
+        eigs = spectrum(cfg, n)
+        blk = transfer(eigs.probes[0], cfg)[n]
+        keys = []
+        for left, right in zip(eigs.lefts, eigs.rights):
+            val = reference_eigenvalue(left, right, blk)
+            keys.append((round(val.real, 9), round(val.imag, 9)))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert eigs.lefts.flags.c_contiguous and eigs.rights.flags.c_contiguous
+        assert np.allclose(eigs.lefts @ eigs.rights.T, np.diag(eigs.norms), rtol=0, atol=1e-10)
 
     def test_left_vector_probe_independent(self, cfg3, rng):
         # the dual eigenvector serves every rapidity at once
         eigs = spectrum(cfg3, 1)
         for lam in [draw_complex(rng) for _ in range(3)]:
-            for eig in eigs:
-                _, left_resid = reference_eigen_residuals(eig, transfer(lam, cfg3))
+            for e in range(len(eigs)):
+                _, left_resid = reference_eigen_residuals(eigs, e, transfer(lam, cfg3))
                 assert left_resid < 1e-10
 
     def test_unresolved_probes_raise_with_probes_and_cluster_sizes(self, monkeypatch):
