@@ -1,5 +1,5 @@
-"""The sector-block monodromy: its layout and the compiled recursion that
-builds it.
+"""The sector-block monodromy: its layout, the compiled recursion that
+builds it, and the RTT relation checked on its blocks.
 
 The quantum space and the monodromy M(lambda) = [[A, B], [C, D]] are as in
 ``ybcore``.  A and D preserve the down-spin count, B raises it by one and C
@@ -55,8 +55,14 @@ Three things keep a build to what its caller reads:
   ``top = L`` is the full build.
 * **A batch.**  ``build_batch`` builds many rapidities in one pass of the
   plan, every buffer of shape (batch, entries): one row per rapidity, so
-  each block of each rapidity is a contiguous slice of its row.
-  ``ybcore.monodromies`` bounds its batches by ``BATCH_ENTRIES``.
+  each block of each rapidity is a contiguous slice of its row, and the
+  same slice of every row is one read-only (batch, rows, cols) view of
+  the buffer.  ``build_batch`` hands out those stacked views, copying
+  nothing; ``MonodromyEntries.row`` reads one rapidity's blocks, or a
+  sub-batch, from them.  ``ybcore.monodromies`` yields the rows of its
+  batches, which it bounds by ``BATCH_ENTRIES``, and ``rtt_residuals``
+  reads a chunk of ``ybcore.check_rtt``'s draws whole, one stacked product
+  for every draw.
 * **The operators.**  A plan builds the operators its caller names and
   returns ``()`` for the others.  Each operator has its own write at the
   last site, so only the named ones run there.  A and B read only A and
@@ -102,9 +108,10 @@ def sector_indices(L: int, sector: int) -> np.ndarray:
 
 
 class MonodromyEntries(NamedTuple):
-    """Auxiliary-space blocks of the monodromy matrix at one rapidity, each
-    a tuple of S^z blocks indexed by source sector (see the module
-    docstring)."""
+    """Auxiliary-space blocks of the monodromy matrix, each a tuple of S^z
+    blocks indexed by source sector (see the module docstring): at one
+    rapidity each block is (rows, cols); stacked over a batch of
+    rapidities (``build_batch``) it is (batch, rows, cols)."""
 
     a: tuple[np.ndarray, ...]
     b: tuple[np.ndarray, ...]
@@ -114,6 +121,11 @@ class MonodromyEntries(NamedTuple):
     def transfer(self) -> tuple[np.ndarray, ...]:
         """Sector blocks of T = A + D."""
         return tuple(a + d for a, d in zip(self.a, self.d))
+
+    def row(self, i) -> "MonodromyEntries":
+        """Row ``i`` (an index or a slice) of stacked blocks: the blocks of
+        one rapidity, or a stacked sub-batch, as views."""
+        return MonodromyEntries(*(tuple(blk[i] for blk in blocks) for blocks in self))
 
 
 #: down-spin count change of A, B, C and D
@@ -328,15 +340,16 @@ def _apply_write(old: np.ndarray, write: _Write, weights, out=None) -> np.ndarra
 
 
 def build_batch(wa: np.ndarray, wb: np.ndarray, c: complex, plan: _Plan,
-                out: list[np.ndarray] | None = None) -> list[MonodromyEntries]:
-    """One monodromy per row of ``wa`` and ``wb``, the weights a and b of
-    each site (shape (batch, L)) for a batch of rapidities, with c the
-    weight shared by every site, through buffers of shape (batch, entries).
-    Operators the plan does not build come back as ``()``.  The last site
-    writes into ``out`` if given (``result_buffers`` of the plan with
-    ``batch`` rows; the module docstring says when it may be passed).
-    Every block handed out is read-only; blocks built into ``out`` are
-    views of it.
+                out: list[np.ndarray] | None = None) -> MonodromyEntries:
+    """The monodromies of a batch of rapidities, stacked: ``wa`` and ``wb``
+    hold the weights a and b of each site (shape (batch, L)), one row per
+    rapidity, and c is the weight shared by every site; the build runs
+    through buffers of shape (batch, entries).  Each block is a read-only
+    (batch, rows, cols) view of its operator's last-site buffer, whose row
+    i is the block of rapidity i (``MonodromyEntries.row``).  Operators the
+    plan does not build come back as ``()``.  The last site writes into
+    ``out`` if given (``result_buffers`` of the plan with ``batch`` rows;
+    the module docstring says when it may be passed).
     """
     flat = np.ones((len(wa), 2), dtype=complex)
     for j, writes in enumerate(plan.steps):
@@ -353,10 +366,83 @@ def build_batch(wa: np.ndarray, wb: np.ndarray, c: complex, plan: _Plan,
         buf.setflags(write=False)
     built = iter(bufs)
     by_op = [None if offsets is None else next(built) for offsets in plan.layout]
-    return [
-        MonodromyEntries(*(
-            () if offsets is None else tuple(buf[i, span].reshape(shape) for span, shape in offsets)
-            for buf, offsets in zip(by_op, plan.layout)
-        ))
-        for i in range(len(wa))
-    ]
+    return MonodromyEntries(*(
+        () if offsets is None else
+        tuple(buf[:, span].reshape((len(wa),) + shape) for span, shape in offsets)
+        for buf, offsets in zip(by_op, plan.layout)
+    ))
+
+
+# -- the RTT relation on sector blocks ------------------------------------------
+
+#: Per shift s, the auxiliary entries (row 2i + k, column 2j + l) of
+#: M(u) (x) M(v) whose operator M_ij(u) M_kl(v) moves the down-spin count by
+#: s = (j + l) - (i + k).
+_AUX_PAIRS = {s: tuple((c, d) for c in range(4) for d in range(4)
+                       if (d // 2 + d % 2) - (c // 2 + c % 2) == s) for s in range(-2, 3)}
+
+
+def rtt_entries(L: int) -> int:
+    """Entries one draw of ``rtt_residuals`` is counted as holding: four
+    times the 16 auxiliary entries of the largest sector block, for the
+    left side, a row of the right side and its terms, the copies numpy
+    buffers of their broadcast operands, and the draw's share of the build.
+    The traced peaks (numpy 2.4) come to about 1,900 entries a draw at
+    L = 4 and 6,300 at L = 5, against 2,304 and 6,400 counted."""
+    return 4 * 16 * comb(L, L // 2) ** 2
+
+
+def rtt_residuals(mx: MonodromyEntries, my: MonodromyEntries, r: np.ndarray) -> np.ndarray:
+    """The residual of R [M(x) (x) M(y)] = [M(y) (x) M(x)] R for each draw
+    of a batch, max |lhs - rhs| / max(|lhs|, |rhs|) over every entry of
+    both sides, from the stacked monodromies ``mx`` and ``my`` (full
+    builds) at its x and y rapidities and its R matrices ``r``
+    (batch, 4, 4).
+
+    M(x) (x) M(y) has one quantum-space operator per pair of auxiliary
+    entries, M_ij(x) M_kl(y) at auxiliary row 2i + k and column 2j + l,
+    which moves the down-spin count by s = (j + l) - (i + k); R mixes those
+    operators with every entry of R.  So both sides are formed one sector
+    block at a time, source sector q to q + s, as (batch, 4, 4, rows, cols)
+    arrays of their auxiliary entries: every sector product is one stacked
+    matmul over the draws, and every R term ``r * P``, in the same operand
+    order on both sides, so x = y reads exactly 0.  The left side R P is
+    formed whole, then the right side Q R, Q = M(y) (x) M(x), one auxiliary
+    row at a time, each row subtracted from the left side in place once its
+    modulus is read.  Each draw's figure reads only its own rows, so it
+    does not depend on the batch.
+    """
+    L = len(mx.a) - 1
+    num, scale = np.zeros(len(r)), np.full(len(r), 1e-300)
+    # R[a, c] for every a, broadcast over a block, and R[c, b] for every b
+    left = [r[:, :, c, None, None] for c in range(4)]
+    right = [r[:, c, :, None, None] for c in range(4)]
+
+    def product(u, v, row, col, q):
+        """M_ij(u) M_kl(v) on source sector q, (i, k) = divmod(row, 2) and
+        (j, l) = divmod(col, 2), with a unit axis for the auxiliary
+        entries R mixes in."""
+        (i, k), (j, l) = divmod(row, 2), divmod(col, 2)
+        return (u[2 * i + j][q + l - k] @ v[2 * k + l][q])[:, None]
+
+    def modulus(blocks):
+        return np.max(np.abs(blocks), axis=tuple(range(1, blocks.ndim)))
+
+    for q in range(L + 1):
+        for s in range(max(-2, -q), min(2, L - q) + 1):
+            # the pairs whose intermediate sector exists; the others are zero
+            pairs = [(c, d) for c, d in _AUX_PAIRS[s] if 0 <= q + d % 2 - c % 2 <= L]
+            lhs = np.zeros((len(r), 4, 4, comb(L, q + s), comb(L, q)), dtype=complex)
+            for c, d in pairs:
+                lhs[:, :, d] += left[c] * product(mx, my, c, d, q)
+            scale = np.maximum(scale, modulus(lhs))
+            for a in range(4):
+                rhs = None
+                for d in (d for c, d in pairs if c == a):
+                    term = right[d] * product(my, mx, a, d, q)
+                    rhs = term if rhs is None else np.add(rhs, term, out=rhs)
+                if rhs is not None:
+                    scale = np.maximum(scale, modulus(rhs))
+                    lhs[:, a] -= rhs
+            num = np.maximum(num, modulus(lhs))
+    return num / scale

@@ -239,7 +239,7 @@ def closedform_operator(cfg: SpectralConfig) -> SampledOperator:
     pde = spectral_pde(cfg)
     images = pde.terms(basis.tensors, grid_points(x_grids)).sum(axis=-1)
     rng = cfg.rng("closedform-operator-holdout")
-    held_x = np.exp(2 * np.array([random_complex(rng) for _ in range(n)]))
+    held_x = np.exp(2 * random_complex(rng, (n,)))
     held_images = pde.terms(basis.tensors, held_x[None, :]).sum(axis=-1)[:, 0]
     return sampled_operator(basis, images.reshape((basis.dim,) + (L,) * n), x_grids, held_x,
                             held_images)

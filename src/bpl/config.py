@@ -31,8 +31,12 @@ def check_dense_length(L: int):
 
 
 def random_complex(rng: np.random.Generator, shape=()) -> np.ndarray | complex:
-    """Seeded parameter draw: real part in [-1, 1], imaginary in [-0.5, 0.5]."""
-    z = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+    """Seeded parameter draw: real part in [-1, 1], imaginary in [-0.5, 0.5];
+    one value for ``shape == ()``, else an array of that shape.  The real
+    and imaginary parts are drawn as interleaved pairs in C order, so an
+    array equals that many one-value draws, in order, bit for bit."""
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    z = rng.uniform([-1.0, -0.5], [1.0, 0.5], size=shape + (2,)).view(complex)[..., 0]
     return complex(z) if shape == () else z
 
 
@@ -132,5 +136,5 @@ class SpectralConfig:
         gamma = random_complex(rng)
         while abs(np.sinh(gamma)) < 0.05:
             gamma = random_complex(rng)
-        mu = tuple(random_complex(rng) for _ in range(L))
+        mu = tuple(random_complex(rng, (L,)).tolist())
         return cls(L=L, n=n, gamma=gamma, mu=mu, tol=tol, seed=seed)

@@ -164,7 +164,7 @@ def extract_zbar(cfg: SpectralConfig) -> DwbcInstance:
     grids = [circle_grid(L, slot=i, nslots=L) for i in range(L)]
     extra = circle_grid(L + 1, slot=L, nslots=L + 1)
     rng = cfg.rng("zbar-holdout")
-    held = [random_complex(rng) for _ in range(L)]
+    held = random_complex(rng, (L,)).tolist()
     b_ops = b_table(cfg, np.concatenate(grids + [extra, held]), top=L)
     fit = fit_overlaps(L, [_ALL_DOWN], b_ops, grids, held)
     zbar = fit.coeffs[0]

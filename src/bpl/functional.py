@@ -348,7 +348,7 @@ def extract_fbars(cfg: SpectralConfig, n: int, lefts) -> GridFit:
     """
     grids = spectral_grids(cfg.L, n)
     rng = cfg.rng("fbar-holdout")
-    held = [random_complex(rng) for _ in range(n)]
+    held = random_complex(rng, (n,)).tolist()
     b_ops = b_table(cfg, [lam for grid in grids for lam in grid] + held, top=n)
     return fit_overlaps(cfg.L, lefts, b_ops, grids, held)
 

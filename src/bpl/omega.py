@@ -188,7 +188,7 @@ def build_lbar(cfg: SpectralConfig) -> SampledOperator:
     evaluate = partial(eval_tensors, basis.tensors)
     images = lbar_action(cfg, lam0_nodes, grid_points(lam_grids), evaluate)
     rng = cfg.rng("lbar-holdout")
-    held_lams = np.array([[random_complex(rng) for _ in range(n)]])
+    held_lams = random_complex(rng, (1, n))
     held_images = lbar_action(cfg, lam0_nodes[:1], held_lams, evaluate)[:, 0, 0]
     return sampled_operator(basis, images.reshape((basis.dim, L + 1) + (L,) * n),
                             [x0_nodes] + x_grids,

@@ -92,10 +92,11 @@ class _Recorder:
         self._clock = now
 
 
-def _draws(cfg: SpectralConfig, tag: str, count: int, width: int = 1):
-    rng = cfg.rng(tag)
-    for _ in range(count):
-        yield [random_complex(rng) for _ in range(width)]
+def _draws(cfg: SpectralConfig, tag: str, count: int, width: int = 1) -> np.ndarray:
+    """``count`` draws of ``width`` parameters each, shape (count, width),
+    from the generator of ``tag``: one ``random_complex`` call, equal to
+    drawing the values one at a time in row order."""
+    return random_complex(cfg.rng(tag), (count, width))
 
 
 def _on_sites(cfg: SpectralConfig, L: int, n: int) -> SpectralConfig:
@@ -174,7 +175,7 @@ class Artifacts:
 
 def suite_verify_ybe(art: Artifacts) -> list[CheckRecord]:
     cfg, rec = art.cfg, _Recorder()
-    x, y, g = np.array(list(_draws(cfg, "ybe", 100, width=3))).T
+    x, y, g = _draws(cfg, "ybe", 100, width=3).T
     rec.add("ybe-random-draws", ybcore.check_ybe(x, y, g), 1e-11, draws=100)
     rec.add("ybe-at-origin", ybcore.check_ybe(0.0, 0.0, cfg.gamma), 1e-14)
     return rec.records
@@ -183,22 +184,19 @@ def suite_verify_ybe(art: Artifacts) -> list[CheckRecord]:
 def suite_verify_rtt(art: Artifacts) -> list[CheckRecord]:
     cfg, rec = art.cfg, _Recorder()
     rtt_cfg = cfg if cfg.L <= 5 else _on_sites(cfg, 5, 0)
-    worst = 0.0
-    for x, y in _draws(rtt_cfg, "rtt", 20, width=2):
-        worst = max(worst, ybcore.check_rtt(x, y, rtt_cfg))
-    rec.add("rtt-random-draws", worst, 1e-10, L=rtt_cfg.L, draws=20)
+    x, y = _draws(rtt_cfg, "rtt", 20, width=2).T
+    rec.add("rtt-random-draws", ybcore.check_rtt(x, y, rtt_cfg), 1e-10, L=rtt_cfg.L, draws=20)
 
+    # one build pass over every draw, read two rapidities at a time
     comm_cfg = cfg if cfg.L <= 8 else _on_sites(cfg, 8, 0)
-    worst = 0.0
-    for x, y in _draws(comm_cfg, "commutator", 5, width=2):
-        tx, ty = (m.transfer() for m in ybcore.monodromies([x, y], comm_cfg, ops="ad"))
-        worst = max(worst, _commutator(tx, ty, 0))
+    ts = (m.transfer() for m in ybcore.monodromies(
+        _draws(comm_cfg, "commutator", 5, width=2).ravel(), comm_cfg, ops="ad"))
+    worst = max(_commutator(tx, ty, 0) for tx, ty in zip(ts, ts))
     rec.add("transfer-commutator", worst, 1e-10, L=comm_cfg.L, draws=5)
 
-    worst = 0.0
-    for x, y in _draws(rtt_cfg, "bb-commute", 5, width=2):
-        b1, b2 = (m.b for m in ybcore.monodromies([x, y], rtt_cfg, ops="b"))
-        worst = max(worst, _commutator(b1, b2, 1))
+    bs = (m.b for m in ybcore.monodromies(
+        _draws(rtt_cfg, "bb-commute", 5, width=2).ravel(), rtt_cfg, ops="b"))
+    worst = max(_commutator(bx, by, 1) for bx, by in zip(bs, bs))
     rec.add("b-operators-commute", worst, 1e-12, L=rtt_cfg.L)
     return rec.records
 
@@ -219,7 +217,7 @@ def suite_spectrum(art: Artifacts) -> list[CheckRecord]:
 
     rng = cfg.rng("spectrum-extra")
     worst = 0.0
-    for m in ybcore.monodromies([random_complex(rng) for _ in range(3)], cfg, ops="ad"):
+    for m in ybcore.monodromies(random_complex(rng, (3,)), cfg, ops="ad"):
         t = m.transfer()
         worst = max(worst, float(np.max(eigs.residuals(t, ybcore.max_abs(t)))))
     rec.add("eigenpair-residuals-extra-probes", worst, 1e-8, sector=cfg.n)
@@ -235,7 +233,7 @@ def suite_fz(art: Artifacts) -> list[CheckRecord]:
     term."""
     cfg, eigs, fits = art.cfg, art.eigs, art.fits
     rec = _Recorder()
-    draws = list(_draws(cfg, "fz-draws", 5, width=cfg.n + 1))
+    draws = _draws(cfg, "fz-draws", 5, width=cfg.n + 1)
     worst = float(np.max(check_fz_residual(eigs, draws), initial=0.0))
     rec.add("functional-relation", worst, 1e-8, n=cfg.n, L=cfg.L, eigenvectors=len(eigs),
             draws=len(draws))
@@ -375,14 +373,13 @@ def suite_dwbc_partition(art: Artifacts) -> list[CheckRecord]:
     enum_cfg = cfg if cfg.L <= 3 else _on_sites(cfg, 3, 0)
     rng = enum_cfg.rng("dwbc-oracles")
     worst = 0.0
-    for _ in range(3):
-        lams = [random_complex(rng) for _ in range(enum_cfg.L)]
+    for lams in random_complex(rng, (3, enum_cfg.L)).tolist():
         zb = dwbc.dwbc_partition(lams, enum_cfg)
         zc = dwbc.dwbc_configuration_sum(lams, enum_cfg)
         worst = max(worst, abs(zb - zc) / max(abs(zb), 1e-300))
     rec.add("configuration-sum-vs-b-product", worst, 1e-10, L=enum_cfg.L)
 
-    lams = [random_complex(rng) for _ in range(enum_cfg.L)]
+    lams = random_complex(rng, (enum_cfg.L,)).tolist()
     z1 = dwbc.dwbc_partition(lams, enum_cfg)
     z2 = dwbc.dwbc_partition(list(reversed(lams)), enum_cfg)
     rec.add("permutation-symmetry", abs(z1 - z2) / max(abs(z1), 1e-300), 1e-12)

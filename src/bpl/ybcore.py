@@ -26,8 +26,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import blockbuild
-from .blockbuild import _SHIFTS, MonodromyEntries, sector_indices
-from .config import SINGULARITY_GUARD, SpectralConfig
+from .blockbuild import MonodromyEntries, sector_indices
+from .config import SINGULARITY_GUARD, SpectralConfig, random_complex
 from .errors import CoincidentRapiditiesError, DegeneracyError
 
 
@@ -130,6 +130,27 @@ def _plan(cfg: SpectralConfig, top: int | None, ops: str):
     return blockbuild.build_plan(cfg.L, top, ops)
 
 
+def _builder(lams: np.ndarray, cfg: SpectralConfig, top: int | None, ops: str,
+             out: list[np.ndarray] | None = None):
+    """The plan of a build of ``lams`` and a function building the
+    rapidities of a slice of them into stacked blocks
+    (``blockbuild.build_batch``), once the arguments are checked;
+    ``lams`` is a complex array."""
+    _require_finite(lams)
+    plan = _plan(cfg, top, ops)
+    if out is not None and len(out[0]) < len(lams):
+        raise ValueError(f"{len(out[0])} result rows for {len(lams)} rapidities")
+    x = lams[:, None] - np.array(cfg.mu, dtype=complex)
+    _require_finite(x)
+    wa, wb, c = weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
+
+    def build(rows: slice) -> MonodromyEntries:
+        into = None if out is None else [buf[rows] for buf in out]
+        return blockbuild.build_batch(wa[rows], wb[rows], c, plan, into)
+
+    return plan, build
+
+
 def monodromies(lams, cfg: SpectralConfig, top: int | None = None, ops: str = "abcd",
                 out: list[np.ndarray] | None = None) -> Iterator[MonodromyEntries]:
     """The monodromy at each of ``lams``, in order, capped at sector ``top``
@@ -143,9 +164,10 @@ def monodromies(lams, cfg: SpectralConfig, top: int | None = None, ops: str = "a
     A_j = diag(a, b), B_j = c at (1, 0), C_j = c at (0, 1) and
     D_j = diag(b, a).  ``blockbuild.build_batch`` appends the sites through
     the plan ``blockbuild.build_plan`` compiles, for a whole batch of
-    rapidities at once, in ``blockbuild.chunks`` (see ``blockbuild`` for
-    why the blocks equal slices of the Kronecker recursion exactly, at any
-    cap, batch and choice of operators).
+    rapidities at once, in ``blockbuild.chunks``, and each monodromy here
+    is one row of its batch's stacked blocks (see ``blockbuild`` for why
+    the blocks equal slices of the Kronecker recursion exactly, at any cap,
+    batch and choice of operators).
 
     ``out``, if given, is ``blockbuild.result_buffers`` of the same plan
     with at least a row per rapidity, for ``build_batch``.  The arguments
@@ -157,19 +179,10 @@ def monodromies(lams, cfg: SpectralConfig, top: int | None = None, ops: str = "a
     into the same buffers overwrites them.
     """
     lams = np.array([complex(lam) for lam in lams], dtype=complex)
-    _require_finite(lams)
-    plan = _plan(cfg, top, ops)
-    if out is not None and len(out[0]) < len(lams):
-        raise ValueError(f"{len(out[0])} result rows for {len(lams)} rapidities")
-    x = lams[:, None] - np.array(cfg.mu, dtype=complex)
-    _require_finite(x)
-    wa, wb, c = weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
-
-    def batch(rows):
-        into = None if out is None else [buf[rows] for buf in out]
-        return blockbuild.build_batch(wa[rows], wb[rows], c, plan, into)
-
-    return (m for rows in blockbuild.chunks(len(x), plan.entries) for m in batch(rows))
+    plan, build = _builder(lams, cfg, top, ops, out)
+    # a batch is released once its last row is read, before the next build
+    return (m for rows in blockbuild.chunks(len(lams), plan.entries)
+            for m in map(build(rows).row, range(rows.stop - rows.start)))
 
 
 def monodromy(lam: complex, cfg: SpectralConfig, top: int | None = None,
@@ -184,45 +197,37 @@ def transfer(lam: complex, cfg: SpectralConfig) -> tuple[np.ndarray, ...]:
     return monodromy(lam, cfg, ops="ad").transfer()
 
 
-def _sector_ordered(blocks, shift: int) -> np.ndarray:
-    """The operator whose sector blocks (source sector k to k + shift) are
-    ``blocks``, densely, with the basis ordered by sector, each sector in
-    ascending order."""
-    starts = np.cumsum([0] + [comb(len(blocks) - 1, k) for k in range(len(blocks))])
-    out = np.zeros((starts[-1], starts[-1]), dtype=complex)
-    for k, blk in enumerate(blocks):
-        if blk.size:
-            out[starts[k + shift] : starts[k + shift + 1], starts[k] : starts[k + 1]] = blk
-    return out
-
-
-def check_rtt(x: complex, y: complex, cfg: SpectralConfig) -> float:
+def check_rtt(x, y, cfg: SpectralConfig) -> float:
     """Relative max-norm residual of the quadratic exchange relation
 
         R(x-y) [M(x) (x) M(y)] = [M(y) (x) M(x)] R(x-y)
 
-    on the 4 * 2^L dimensional space (the suites call it at L <= 5).
-    M(x) (x) M(y) has one quantum-space block per pair of auxiliary blocks,
-    M_ij(x) M_kl(y) at auxiliary row 2i + k and column 2j + l; each of the
-    16 is one matrix product of dense blocks in sector order, a basis
-    permutation that leaves the max-norms unchanged, and R mixes the blocks.
-    Normalised by the operand norms so the figure is meaningful at any
-    lattice length.
+    on the 4 * 2^L dimensional space (the suites call it at L <= 5), the
+    largest over the draws (x, y): ``x`` and ``y`` broadcast against each
+    other, each pair of entries one draw.  A draw's residual is
+    max |lhs - rhs| / max(|lhs|, |rhs|) over every entry of both sides, so
+    the figure is meaningful at any lattice length, and the result equals
+    the largest one-draw residual bit for bit, however the draws are
+    batched.
+
+    The monodromies of a chunk of draws (``blockbuild.chunks`` of
+    ``blockbuild.rtt_entries``) come from one build, x and y of each draw
+    in adjacent rows, and ``blockbuild.rtt_residuals`` reads them as
+    stacked views of its buffers: both sides one sector block at a time,
+    every sector product one stacked matmul over the draws and every entry
+    of R(x-y) mixed in.
     """
+    x, y = (np.ravel(v).astype(complex) for v in np.broadcast_arrays(x, y))
     _require_finite(x, y)
-    d = cfg.quantum_dim
-    # A, B, C, D of each monodromy, M_ij at index 2i + j
-    mx, my = ([_sector_ordered(blocks, shift) for blocks, shift in zip(m, _SHIFTS)]
-              for m in monodromies([x, y], cfg))
-    products = np.empty((2, 4, 4, d, d), dtype=complex)
-    for p, (m1, m2) in enumerate(((mx, my), (my, mx))):
-        for i, j, k, l in np.ndindex(2, 2, 2, 2):
-            np.matmul(m1[2 * i + j], m2[2 * k + l], out=products[p, 2 * i + k, 2 * j + l])
     r = r_matrix(x - y, cfg.gamma)
-    lhs = np.tensordot(r, products[0], axes=1)
-    rhs = np.moveaxis(np.tensordot(products[1], r, axes=([1], [0])), -1, 1)
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    _, build = _builder(np.stack([x, y], axis=1).ravel(), cfg, None, "abcd")
+    worst = 0.0
+    for draws in blockbuild.chunks(len(x), blockbuild.rtt_entries(cfg.L)):
+        m = build(slice(2 * draws.start, 2 * draws.stop))
+        residuals = blockbuild.rtt_residuals(m.row(slice(0, None, 2)), m.row(slice(1, None, 2)),
+                                             r[draws])
+        worst = max(worst, float(np.max(residuals)))
+    return worst
 
 
 # -- higher-degree exchange relations ------------------------------------------
@@ -500,10 +505,7 @@ def spectrum(cfg: SpectralConfig, sector: int) -> SectorEigenpairs:
     if not 0 <= sector <= cfg.L:
         raise ValueError(f"sector must lie in [0, {cfg.L}], got {sector}")
     rng = cfg.rng("spectrum-probes")
-    probes = (
-        complex(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)),
-        complex(rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)),
-    )
+    probes = tuple(random_complex(rng, (2,)).tolist())
     t_probes = [transfer(p, cfg) for p in probes]
     t1, t2 = (t[sector] for t in t_probes)
     ev, vec = np.linalg.eig(t1)

@@ -14,7 +14,7 @@ import bpl.ybcore
 from bpl import suites
 from bpl.cli import run_suite
 from bpl.closedform import closedform_residual
-from bpl.config import SpectralConfig
+from bpl.config import SpectralConfig, random_complex
 from bpl.functional import lambda_bar_coefficients, vanishing
 from bpl.suites import SUITES, Artifacts, run_checks, run_checks_timed
 
@@ -175,3 +175,24 @@ def test_pde_checks_locate_their_worst_eigenpair_and_point():
         # [V f, Q_0 d^{L-1} f, Q_1 d^{L-1} f, Delta f] over the point's scale
         assert len(record.extra["terms"]) == CFG.n + 2
         assert max(record.extra["terms"]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (20, 2), (100, 3)])
+def test_array_draws_equal_one_value_draws_bit_for_bit(shape):
+    for seed in range(5):
+        tag = f"draws-{seed}"
+        drawn = random_complex(CFG.rng(tag), shape)
+        rng = CFG.rng(tag)
+        one_at_a_time = [complex(rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-0.5, 0.5))
+                         for _ in range(int(np.prod(shape)))]
+        assert np.shape(drawn) == shape
+        assert [(v.real.hex(), v.imag.hex()) for v in np.ravel(drawn).tolist()] == [
+            (v.real.hex(), v.imag.hex()) for v in one_at_a_time]
+
+
+def test_one_draw_is_a_complex_and_suite_draws_are_one_call():
+    assert isinstance(random_complex(CFG.rng("draws"), ()), complex)
+    assert random_complex(CFG.rng("draws"), 5).tobytes() == (
+        random_complex(CFG.rng("draws"), (5,)).tobytes())
+    assert suites._draws(CFG, "draws", 20, width=2).tobytes() == (
+        random_complex(CFG.rng("draws"), (20, 2)).tobytes())

@@ -1,6 +1,7 @@
 """Yang-Baxter core: R-matrix structure, monodromy blocks, exchange
 relations, and sector spectra."""
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -12,7 +13,7 @@ from bpl.config import SpectralConfig, random_complex
 import bpl.blockbuild
 import bpl.ybcore
 from bpl.errors import CapacityError, CoincidentRapiditiesError, DegeneracyError
-from bpl.suites import _draws
+from bpl.suites import Artifacts, _draws, _on_sites, suite_verify_rtt
 from bpl.ybcore import (
     check_off_relations,
     check_rtt,
@@ -112,9 +113,10 @@ def scalar_ybe(x, y, gamma):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def dense_rtt(x, y, cfg):
+def dense_rtt(x, y, cfg, r_of=None):
     """The RTT residual from dense 4 * 2^L operators in ascending basis
-    order: R(x-y) (x) 1 times an einsum of the auxiliary products."""
+    order: R(x-y) (x) 1 times an einsum of the auxiliary products, R from
+    ``r_of`` if given."""
     d = cfg.quantum_dim
     mx, my = (
         np.block([[dense_operator(m.a, 0), dense_operator(m.b, 1)],
@@ -126,7 +128,7 @@ def dense_rtt(x, y, cfg):
         t1, t2 = m1.reshape(2, d, 2, d), m2.reshape(2, d, 2, d)
         return np.einsum("isjt,ktlu->iksjlu", t1, t2).reshape(4 * d, 4 * d)
 
-    r = np.kron(scalar_r_matrix(x - y, cfg.gamma), np.eye(d))
+    r = np.kron((r_of or scalar_r_matrix)(x - y, cfg.gamma), np.eye(d))
     lhs = r @ aux_product(mx, my)
     rhs = aux_product(my, mx) @ r
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
@@ -364,7 +366,9 @@ class TestMonodromy:
         lams = [draw_complex(rng) for _ in range(batch - 1)] + [0.0]
         x = np.array(lams, dtype=complex)[:, None] - np.array(cfg.mu, dtype=complex)
         weights = weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
-        built = bpl.blockbuild.build_batch(*weights, bpl.blockbuild.build_plan(L, top))
+        stacked = bpl.blockbuild.build_batch(*weights, bpl.blockbuild.build_plan(L, top))
+        assert all(len(blk) == batch for blocks in stacked for blk in blocks)
+        built = [stacked.row(i) for i in range(batch)]
         for ref, got in zip(reference_build(lams, cfg, top), built, strict=True):
             for ref_blocks, blocks in zip(ref, got, strict=True):
                 assert [b.tobytes() for b in blocks] == [r.tobytes() for r in ref_blocks]
@@ -515,6 +519,76 @@ class TestRtt:
         cfg = SpectralConfig.random_instance(3, 0, seed=23)
         for _ in range(5):
             assert check_rtt(draw_complex(rng), draw_complex(rng), cfg) < 1e-11
+
+    @pytest.mark.parametrize("L", range(1, 6))
+    def test_batch_equals_the_worst_one_draw_call_bit_for_bit(self, L, rng, monkeypatch):
+        cfg = SpectralConfig.random_instance(L, 0, seed=L)
+        x, y = draw_complex(rng, (2, 7))
+        y[2] = x[2]
+        alone = max(check_rtt(a, b, cfg) for a, b in zip(x, y))
+        assert check_rtt(x, y, cfg).hex() == alone.hex()
+        # chunks of three draws: a chunk boundary falls inside the batch
+        entries = bpl.blockbuild.rtt_entries(L)
+        monkeypatch.setattr(bpl.blockbuild, "BATCH_ENTRIES", 3 * entries)
+        assert check_rtt(x, y, cfg).hex() == alone.hex()
+        # the draws broadcast: one x against every y
+        assert check_rtt(x[0], y, cfg).hex() == max(check_rtt(x[0], b, cfg) for b in y).hex()
+
+    def test_suite_draws_cross_a_chunk_boundary(self):
+        cfg = SpectralConfig.random_instance(4, 2, seed=0)
+        assert bpl.blockbuild.chunks(20, bpl.blockbuild.rtt_entries(4)) == [slice(0, 14),
+                                                                          slice(14, 20)]
+        x, y = _draws(cfg, "rtt", 20, width=2).T
+        alone = max(check_rtt(a, b, cfg) for a, b in zip(x, y))
+        assert check_rtt(x, y, cfg).hex() == alone.hex()
+
+    @pytest.mark.parametrize("L", range(1, 6))
+    def test_arrays_of_draws_match_the_dense_einsum_form(self, L, rng):
+        cfg = SpectralConfig.random_instance(L, 0, seed=L)
+        x, y = draw_complex(rng, (2, 4))
+        dense = max(dense_rtt(a, b, cfg) for a, b in zip(x, y))
+        assert abs(check_rtt(x, y, cfg) - dense) <= 1e-15
+
+    def test_equal_arguments_inside_a_batch_exact(self, rng):
+        for L in range(1, 6):
+            cfg = SpectralConfig.random_instance(L, 0, seed=L)
+            x = draw_complex(rng, (6,))
+            assert check_rtt(x, x, cfg) == 0.0
+
+    def test_charge_breaking_r_matrix_fails(self, cfg3, rng, monkeypatch):
+        right = bpl.ybcore.r_matrix
+
+        def breaking(x, gamma):
+            r = right(x, gamma).copy()
+            r[..., 0, 3] = 0.3
+            return r
+
+        x, y = draw_complex(rng, (2, 3))
+        monkeypatch.setattr(bpl.ybcore, "r_matrix", breaking)
+        assert check_rtt(x, y, cfg3) > 1e-3
+        assert check_rtt(x, x, cfg3) > 1e-3
+        # every entry of R is mixed in, as in the dense form
+        for a, b in zip(x, y):
+            assert check_rtt(a, b, cfg3) == pytest.approx(dense_rtt(a, b, cfg3, breaking),
+                                                          rel=1e-12)
+
+    def test_memory_stays_below_the_dense_form(self):
+        # tracemalloc peaks of the dense sector-ordered form this replaced:
+        # 447 KiB for the suite at L = 4, 1,563 KiB for its 20 draws at L = 5
+        cfg = SpectralConfig.random_instance(4, 2, seed=0)
+        rtt5 = _on_sites(SpectralConfig.random_instance(9, 3, seed=0), 5, 0)
+        x, y = _draws(rtt5, "rtt", 20, width=2).T
+        runs = [(lambda: suite_verify_rtt(Artifacts(cfg)), 447 * 1024),
+                (lambda: check_rtt(x, y, rtt5), 1563 * 1024)]
+        for run, bound in runs:
+            run()  # compiled plans and index caches are built once per process
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
     def test_b_operators_commute(self, cfg3, rng):
         x, y = draw_complex(rng), draw_complex(rng)
