@@ -71,14 +71,6 @@ Three things keep a build to what its caller reads:
   matrix needs A and D, the B-chains B alone, the exchange relations A, B
   and D.
 
-A caller that builds many times in a row may pass the last site's buffers
-(``result_buffers``) as ``out``, and each build then writes into them in
-place rather than into fresh memory that the next build faults in again.
-It may do so only once it no longer reads any block of the previous build
-into them, since those blocks are views of the same memory;
-``ybcore.check_off_relations`` holds one such set for one call, reused by
-every draw.
-
 None of this changes any arithmetic: every entry is still the one product
 of an old entry and a weight, through the same multiplication of an entry
 array by one broadcast weight per rapidity, and the cap and the operators
@@ -102,7 +94,7 @@ import numpy as np
 def sector_indices(L: int, sector: int) -> np.ndarray:
     """Basis indices of the fixed down-spin-count sector, ascending
     (read-only, built once per (L, sector))."""
-    out = np.array([i for i in range(2**L) if bin(i).count("1") == sector], dtype=int)
+    out = np.flatnonzero(np.bitwise_count(np.arange(2**L)) == sector)
     out.setflags(write=False)
     return out
 
@@ -284,12 +276,6 @@ def build_plan(L: int, top: int, ops: str = "abcd") -> _Plan:
     return _Plan(tuple(steps), tuple(layout), entries)
 
 
-def result_buffers(plan: _Plan, rows: int) -> list[np.ndarray]:
-    """Empty last-site buffers for ``rows`` rapidities, one per operator
-    the plan builds, for ``build_batch(..., out=...)``."""
-    return [np.empty((rows, write.size), dtype=complex) for write in plan.steps[-1]]
-
-
 #: Entries (rapidities times a plan step's entries per rapidity) one batched
 #: build holds in a buffer, and entries one ``np.take`` fills, which bounds
 #: the intp copy numpy makes of that slice of the int32 index.  A batch
@@ -315,11 +301,9 @@ def chunks(count: int, entries: int) -> list[slice]:
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
-def _apply_write(old: np.ndarray, write: _Write, weights, out=None) -> np.ndarray:
-    """The buffer ``write`` fills from ``old`` (shape (batch, entries)),
-    ``out`` if given: one product table, then one take per bounded chunk of
-    the index.  The takes write every entry, so nothing ``out`` held
-    before survives."""
+def _apply_write(old: np.ndarray, write: _Write, weights) -> np.ndarray:
+    """The buffer ``write`` fills from ``old`` (shape (batch, entries)): one
+    product table, then one take per bounded chunk of the index."""
     batch = len(old)
     table = np.empty((batch, sum(hi - lo for lo, hi in write.spans) + 1), dtype=complex)
     offset = 0
@@ -329,37 +313,29 @@ def _apply_write(old: np.ndarray, write: _Write, weights, out=None) -> np.ndarra
         np.multiply(old[:, lo:hi], w, out=table[:, offset : offset + hi - lo])
         offset += hi - lo
     table[:, offset] = 0
-    new = np.empty((batch, write.size), dtype=complex) if out is None else out
-    # ``ybcore.monodromies`` sizes batches so one chunk spans a write and
-    # ``out`` is contiguous; "clip" fills it in place where the default
-    # "raise" would buffer it, and every compiled index lies inside the
-    # table, so nothing is clipped
+    new = np.empty((batch, write.size), dtype=complex)
+    # ``ybcore.monodromies`` sizes batches so one chunk spans a write; "clip"
+    # fills ``new`` in place where the default "raise" would buffer it, and
+    # every compiled index lies inside the table, so nothing is clipped
     for part in chunks(write.size, batch):
         np.take(table, write.source[part], axis=1, out=new[:, part], mode="clip")
     return new
 
 
-def build_batch(wa: np.ndarray, wb: np.ndarray, c: complex, plan: _Plan,
-                out: list[np.ndarray] | None = None) -> MonodromyEntries:
+def build_batch(wa: np.ndarray, wb: np.ndarray, c: complex, plan: _Plan) -> MonodromyEntries:
     """The monodromies of a batch of rapidities, stacked: ``wa`` and ``wb``
     hold the weights a and b of each site (shape (batch, L)), one row per
     rapidity, and c is the weight shared by every site; the build runs
     through buffers of shape (batch, entries).  Each block is a read-only
     (batch, rows, cols) view of its operator's last-site buffer, whose row
     i is the block of rapidity i (``MonodromyEntries.row``).  Operators the
-    plan does not build come back as ``()``.  The last site writes into
-    ``out`` if given (``result_buffers`` of the plan with ``batch`` rows;
-    the module docstring says when it may be passed).
+    plan does not build come back as ``()``.
     """
     flat = np.ones((len(wa), 2), dtype=complex)
     for j, writes in enumerate(plan.steps):
         weights = (wa[:, j, None], wb[:, j, None], c)
-        targets = out if out is not None and j == len(plan.steps) - 1 else [None] * len(writes)
-        bufs = [_apply_write(flat, write, weights, target)
-                for write, target in zip(writes, targets, strict=True)]
+        bufs = [_apply_write(flat, write, weights) for write in writes]
         flat = bufs[0]
-    # the caller keeps its own buffers writable; a fresh one has no other owner
-    bufs = bufs if out is None else [buf.view() for buf in bufs]
     for buf in bufs:
         if not np.isfinite(buf.view(np.float64)).all():
             raise ValueError("monodromy entries must be finite")

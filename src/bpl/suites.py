@@ -203,9 +203,9 @@ def suite_verify_rtt(art: Artifacts) -> list[CheckRecord]:
 
 def suite_verify_off(art: Artifacts) -> list[CheckRecord]:
     cfg, rec = art.cfg, _Recorder()
-    worst = max(ybcore.check_off_relations(_draws(cfg, "off", 10, width=cfg.n + 1), cfg))
-    rec.add("exchange-relations", worst, 1e-9, n=cfg.n, L=cfg.L, draws=10,
-            probes=ybcore._OFF_PROBES)
+    res = ybcore.check_off_relations(_draws(cfg, "off", 10, width=cfg.n + 1), cfg)
+    rec.add("exchange-relations", max(res), 1e-9, n=cfg.n, L=cfg.L, draws=10,
+            probes=ybcore._OFF_PROBES, **res._asdict())
     return rec.records
 
 

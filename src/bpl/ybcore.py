@@ -14,6 +14,13 @@ one, so each is held as its S^z blocks only (``MonodromyEntries``);
 ``blockbuild`` documents that layout and the compiled recursion that builds
 it, and ``monodromies`` here checks the arguments and batches the
 rapidities.
+
+``check_off_relations`` needs the monodromy only on a few probe vectors, so
+it applies it to whole-space vectors through two dense halves of the lattice
+(``splitlattice``), M_ab = sum_g M_left[a, g] (x) M_right[g, b] with the cut
+after site L // 2, and builds no sector block for its draws.  One block
+build at the first draw ties it to the operator the pipeline reads: the
+``operator_agreement`` field compares the two forms' products on the probes.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import blockbuild
+from . import blockbuild, splitlattice
 from .blockbuild import MonodromyEntries, sector_indices
 from .config import SINGULARITY_GUARD, SpectralConfig, random_complex
 from .errors import CoincidentRapiditiesError, DegeneracyError
@@ -130,29 +137,27 @@ def _plan(cfg: SpectralConfig, top: int | None, ops: str):
     return blockbuild.build_plan(cfg.L, top, ops)
 
 
-def _builder(lams: np.ndarray, cfg: SpectralConfig, top: int | None, ops: str,
-             out: list[np.ndarray] | None = None):
+def _weights(lams: np.ndarray, cfg: SpectralConfig):
+    """The weights a and b of every site at each of ``lams`` (a complex
+    array), one row per rapidity, and the weight c every site shares."""
+    x = lams[:, None] - np.array(cfg.mu, dtype=complex)
+    _require_finite(x)
+    return weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
+
+
+def _builder(lams: np.ndarray, cfg: SpectralConfig, top: int | None, ops: str):
     """The plan of a build of ``lams`` and a function building the
     rapidities of a slice of them into stacked blocks
     (``blockbuild.build_batch``), once the arguments are checked;
     ``lams`` is a complex array."""
     _require_finite(lams)
     plan = _plan(cfg, top, ops)
-    if out is not None and len(out[0]) < len(lams):
-        raise ValueError(f"{len(out[0])} result rows for {len(lams)} rapidities")
-    x = lams[:, None] - np.array(cfg.mu, dtype=complex)
-    _require_finite(x)
-    wa, wb, c = weight_a(x, cfg.gamma), weight_b(x), weight_c(cfg.gamma)
-
-    def build(rows: slice) -> MonodromyEntries:
-        into = None if out is None else [buf[rows] for buf in out]
-        return blockbuild.build_batch(wa[rows], wb[rows], c, plan, into)
-
-    return plan, build
+    wa, wb, c = _weights(lams, cfg)
+    return plan, lambda rows: blockbuild.build_batch(wa[rows], wb[rows], c, plan)
 
 
-def monodromies(lams, cfg: SpectralConfig, top: int | None = None, ops: str = "abcd",
-                out: list[np.ndarray] | None = None) -> Iterator[MonodromyEntries]:
+def monodromies(lams, cfg: SpectralConfig, top: int | None = None,
+                ops: str = "abcd") -> Iterator[MonodromyEntries]:
     """The monodromy at each of ``lams``, in order, capped at sector ``top``
     (default L): the ordered product of P R(lambda - mu_j) over the lattice,
     as the S^z blocks of its auxiliary-space blocks A, B, C, D whose source
@@ -169,17 +174,13 @@ def monodromies(lams, cfg: SpectralConfig, top: int | None = None, ops: str = "a
     the blocks equal slices of the Kronecker recursion exactly, at any cap,
     batch and choice of operators).
 
-    ``out``, if given, is ``blockbuild.result_buffers`` of the same plan
-    with at least a row per rapidity, for ``build_batch``.  The arguments
-    are checked here, before anything is built; the builds run as the
-    result is iterated.  The blocks are read-only.  Built without ``out``,
-    they own their memory, so a caller that keeps one for reuse cannot be
-    corrupted by another caller writing into it.  Built into ``out``, they
-    are views of the caller's buffers, valid only until the next build
-    into the same buffers overwrites them.
+    The arguments are checked here, before anything is built; the builds
+    run as the result is iterated.  The blocks are read-only and own their
+    memory, so a caller that keeps one for reuse cannot be corrupted by
+    another caller writing into it.
     """
     lams = np.array([complex(lam) for lam in lams], dtype=complex)
-    plan, build = _builder(lams, cfg, top, ops, out)
+    plan, build = _builder(lams, cfg, top, ops)
     # a batch is released once its last row is read, before the next build
     return (m for rows in blockbuild.chunks(len(lams), plan.entries)
             for m in map(build(rows).row, range(rows.stop - rows.start)))
@@ -332,11 +333,12 @@ class OffRelationResiduals(NamedTuple):
     a_relation: float
     d_relation: float
     transfer_identity: float
+    operator_agreement: float
 
 
 #: Random probe vectors per source sector in ``check_off_relations``.  The
-#: cost of a check is its build and its O(d^2) products, so the count barely
-#: matters: at L = 9, n = 3 the time was flat from 1 to 8.
+#: split products cost about 49k multiply-adds per vector at L = 9, so the
+#: check's time grows with the count.
 _OFF_PROBES = 4
 
 
@@ -344,90 +346,56 @@ def check_off_relations(draws, cfg: SpectralConfig) -> OffRelationResiduals:
     """Worst residuals over ``draws``, each a sequence (lam0, lam_1, ...,
     lam_n), of the two degree-(n+1) exchange relations moving A(lambda_0)
     and D(lambda_0) through a B-product, plus their sum (the
-    transfer-matrix identity obtained by adding both lines); each field is
-    the largest of ``_draw_residuals`` over the draws.
+    transfer-matrix identity obtained by adding both lines), and the
+    agreement of the operator they are formed with and the pipeline's.
 
     Both sides of each relation map sector k to k + n, and each is applied
-    to a block V_k of ``_OFF_PROBES`` complex Gaussian probe vectors per
-    source sector k (Freivalds' check): a residual is max |(L - R) V| over
-    max(|L V|, |R V|), the max-norms taken over every sector, and an error
-    in any entry of either side shows in L V - R V with probability one.
-    The probes are drawn once per call (rng tag "off-probes"), for every
-    sector, so they do not depend on the draws: every draw and every call
-    on the same instance reads the same ones.  ``tests/test_ybcore.py``
-    keeps the dense residual, max |L - R| / max(|L|, |R|), as the
-    reference.
+    to ``_OFF_PROBES`` complex Gaussian probe vectors per source sector k
+    (Freivalds' check), drawn once per call (rng tag "off-probes") for
+    every sector, so every draw and every call on the same instance reads
+    the same ones.  A relation's residual is max |L V - R V| over
+    max(|L V|, |R V|), every entry of every sector, and an error in any
+    entry of either side shows in L V - R V with probability one.
+    ``tests/test_ybcore.py`` keeps the dense residual, max |L - R| /
+    max(|L|, |R|), as the reference.
 
-    The relations never read C, so each draw builds A, B and D of its
-    distinct rapidities only, into the one set of last-site buffers this
-    call allocates (``blockbuild.result_buffers``): a draw's blocks are
-    read before the next draw overwrites them, and the memory is not
-    faulted in afresh for every draw.  Each entry is the same single
-    product as in a fresh build.
+    The sides are formed on the whole quantum space, sectors k <= L - n
+    holding their probes and the others zero, with the monodromy applied
+    through the two halves of the lattice (``splitlattice``), built per draw
+    for its rapidities alone; no sector block is built for them.  The
+    block build the pipeline reads is tied in by ``operator_agreement``:
+    the relative max-norm gap between the sector-block products of A, B and
+    D, built once at the first draw's lam0, and the split products, on the
+    probes of every sector.  Raises on coincident rapidities, which make the
+    coefficients singular, before anything is built.
     """
     draws = [[complex(l) for l in draw] for draw in draws]
+    factors = [[f[0] for f in exchange_m_factors([lam0], [lams], cfg.gamma)]
+               for lam0, *lams in draws]
     if not draws:
-        return OffRelationResiduals(0.0, 0.0, 0.0)
-    rows = max(len(set(draw)) for draw in draws)
-    out = blockbuild.result_buffers(_plan(cfg, None, "abd"), rows)
+        return OffRelationResiduals(0.0, 0.0, 0.0, 0.0)
     rng = cfg.rng("off-probes")
     probes = [rng.standard_normal((comb(cfg.L, k), _OFF_PROBES))
               + 1j * rng.standard_normal((comb(cfg.L, k), _OFF_PROBES)) for k in range(cfg.L + 1)]
+    lam0 = draws[0][0]
+    agreement = splitlattice.operator_agreement(monodromy(lam0, cfg, ops="abd"),
+                                                _split([lam0], cfg), probes)
     worst = [0.0, 0.0, 0.0]
-    for lam0, *lams in draws:
-        worst = [max(w, r) for w, r in zip(worst, _draw_residuals(lam0, lams, cfg, out, probes))]
-    return OffRelationResiduals(*worst)
+    for draw, f in zip(draws, factors):
+        if len(draw) - 1 > cfg.L:
+            # a chain of more than L raising operators is zero, and so is every side
+            continue
+        v = splitlattice.to_split(splitlattice.full_space(probes, cfg.L - len(draw) + 1))
+        residuals = splitlattice.off_relation_residuals(_split(draw, cfg), draw, f, v)
+        worst = [max(w, r) for w, r in zip(worst, residuals)]
+    return OffRelationResiduals(*worst, agreement)
 
 
-def _draw_residuals(lam0: complex, lams: list[complex], cfg: SpectralConfig, out,
-                    probes: list[np.ndarray]) -> list[float]:
-    """The A-line, D-line and transfer-identity residuals of one draw on the
-    probe blocks ``probes`` (one per source sector), its monodromies built
-    into ``out``.
-
-    Every side is a sum of B-chains times A or D, so it is applied to V_k
-    one operator at a time, right to left, at O(d^2) per product.  The A
-    and D lines share their chains: B(lam_1) ... B(lam_n) takes the column
-    stack [V | A(lam0) V | D(lam0) V], and each B(lam0) prod_{t != i}
-    B(lam_t) takes [A(lam_i) V | D(lam_i) V], so both sides are formed as
-    [A line | D line] and their columns sum to the transfer identity.
-    Raises on coincident rapidities, which make the coefficients singular,
-    before anything is built.
-    """
-    n, p = len(lams), _OFF_PROBES
-    ma0, md0, ma, md = (f[0] for f in exchange_m_factors([lam0], [lams], cfg.gamma))
-    if n > cfg.L:
-        # a chain of more than L raising operators is zero, and so is every side
-        return [0.0, 0.0, 0.0]
-    distinct = list(dict.fromkeys([lam0] + lams))
-    ops = dict(zip(distinct, monodromies(distinct, cfg, ops="abd", out=out)))
-    a0, d0 = ops[lam0].a, ops[lam0].d
-    # the coefficients of each term, one per column of [A line | D line]
-    m0, m = np.repeat([ma0, md0], p), np.repeat(np.stack([ma, md], axis=-1), p, axis=-1)
-
-    def chain(ls, k, x):
-        """B(ls[0]) ... B(ls[-1]) x, for x in source sector k."""
-        for j, l in enumerate(reversed(ls)):
-            x = ops[l].b[k + j] @ x
-        return x
-
-    lhs, rhs = [], []
-    for k in range(cfg.L - n + 1):
-        v = probes[k]
-        xv, x0v = np.hsplit(chain(lams, k, np.hstack([v, a0[k] @ v, d0[k] @ v])), [p])
-        lhs.append(np.hstack([a0[k + n] @ xv, d0[k + n] @ xv]))
-        right = m0 * x0v
-        for i, l in enumerate(lams):
-            swapped = chain([lam0] + lams[:i] + lams[i + 1:], k,
-                            np.hstack([ops[l].a[k] @ v, ops[l].d[k] @ v]))
-            right = right - m[i] * swapped
-        rhs.append(right)
-    lhs, rhs = np.vstack(lhs), np.vstack(rhs)
-    sides = ((lhs[:, :p], rhs[:, :p]), (lhs[:, p:], rhs[:, p:]),
-             (lhs[:, :p] + lhs[:, p:], rhs[:, :p] + rhs[:, p:]))
-    return [float(np.max(np.abs(left - right))
-                  / max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300))
-            for left, right in sides]
+def _split(lams: list[complex], cfg: SpectralConfig) -> splitlattice.SplitMonodromy:
+    """The split monodromies at ``lams``, one row each."""
+    lams = np.array(lams, dtype=complex)
+    _require_finite(lams)
+    return splitlattice.split_monodromies(*_weights(lams, cfg))
 
 
 # -- spectra -----------------------------------------------------------------------

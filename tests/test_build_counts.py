@@ -33,11 +33,11 @@ def builds(monkeypatch):
     seen = []
     batches = itertools.count()
 
-    def counting(lams, cfg, top=None, ops="abcd", out=None):
+    def counting(lams, cfg, top=None, ops="abcd"):
         lams = [complex(lam) for lam in lams]
         batch = next(batches)
         seen.extend((lam, cfg.L if top is None else top, batch, ops) for lam in lams)
-        return ORIGINAL(lams, cfg, top, ops, out)
+        return ORIGINAL(lams, cfg, top, ops)
 
     patched = set()
     for name, module in list(sys.modules.items()):

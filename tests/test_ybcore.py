@@ -8,12 +8,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from bpl.cli import run_suite
 from bpl.config import SpectralConfig, random_complex
 import bpl.blockbuild
+import bpl.splitlattice
 import bpl.ybcore
 from bpl.errors import CapacityError, CoincidentRapiditiesError, DegeneracyError
-from bpl.suites import Artifacts, _draws, _on_sites, suite_verify_rtt
+from bpl.suites import Artifacts, _draws, _on_sites, suite_verify_off, suite_verify_rtt
 from bpl.ybcore import (
     check_off_relations,
     check_rtt,
@@ -66,7 +66,9 @@ def two_pass_off_relations(lam0, lams, cfg):
     """Dense reference of ``check_off_relations``: each side formed as a
     dense operator assembled from the blocks, each line building its own
     B-products from the identity, and each residual max |L - R| over
-    max(|L|, |R|) where the check applies both sides to probe vectors."""
+    max(|L|, |R|) where the check applies both sides to probe vectors.
+    The sides are the built blocks themselves, so the operator agreement
+    is exactly 0."""
     lams = list(lams)
     ma0, md0, ma, md = scalar_exchange_m_factors(lam0, lams, cfg.gamma)
     ops = {lam0: monodromy(lam0, cfg)}
@@ -95,7 +97,7 @@ def two_pass_off_relations(lam0, lams, cfg):
     lhs_d, rhs_d, res_d = one_line("d", md0, md)
     lhs_t, rhs_t = lhs_a + lhs_d, rhs_a + rhs_d
     scale_t = max(np.max(np.abs(lhs_t)), np.max(np.abs(rhs_t)), 1e-300)
-    return res_a, res_d, float(np.max(np.abs(lhs_t - rhs_t)) / scale_t)
+    return res_a, res_d, float(np.max(np.abs(lhs_t - rhs_t)) / scale_t), 0.0
 
 
 def scalar_r_matrix(x, gamma):
@@ -328,36 +330,6 @@ class TestMonodromy:
             with pytest.raises(ValueError, match="ops"):
                 bpl.blockbuild.build_plan(3, 3, bad)
 
-    @pytest.mark.parametrize("L,top,ops", [(5, 5, "abd"), (6, 3, "ad"), (4, 4, "b"), (6, 6, "abcd")])
-    def test_reused_result_buffers_equal_a_fresh_build(self, L, top, ops, rng):
-        cfg = SpectralConfig.random_instance(L, 0, seed=L + top)
-        lams, others = [draw_complex(rng), 0.0], [draw_complex(rng) for _ in range(3)]
-        fresh = list(monodromies(lams, cfg, top, ops))
-        out = bpl.blockbuild.result_buffers(bpl.blockbuild.build_plan(L, top, ops), 3)
-        zeros = sum(int(np.sum(blk == 0)) for blocks in fresh[0] for blk in blocks)
-        assert zeros > 0
-        for before in ("stale values", "a build at other rapidities"):
-            if before == "stale values":
-                for buf in out:
-                    buf[...] = 7 - 7j
-            else:
-                list(monodromies(others, cfg, top, ops, out=out))
-            built = list(monodromies(lams, cfg, top, ops, out=out))
-            for ref, got, row in zip(fresh, built, range(2), strict=True):
-                assert [len(blocks) for blocks in got] == [len(blocks) for blocks in ref]
-                for ref_blocks, blocks in zip(ref, got):
-                    assert [b.tobytes() for b in blocks] == [r.tobytes() for r in ref_blocks]
-                    for blk in blocks:
-                        assert not blk.flags.writeable
-                        if blk.size:
-                            assert any(np.shares_memory(blk, buf[row]) for buf in out)
-                            with pytest.raises(ValueError, match="read-only"):
-                                blk[0, 0] = 1.0
-        # the buffers stay the caller's to write
-        out[0][0, 0] = 0.0
-        with pytest.raises(ValueError, match="result rows"):
-            list(monodromies(others + lams, cfg, top, ops, out=out))
-
     @pytest.mark.parametrize(
         "L,top,batch", [(9, 9, 1), (8, 8, 1), (7, 2, 12), (9, 3, 6), (10, 2, 4), (5, 5, 2)]
     )
@@ -423,9 +395,9 @@ class TestMonodromy:
         batches = []
         original = bpl.blockbuild.build_batch
 
-        def recording(wa, wb, c, plan, out=None):
+        def recording(wa, wb, c, plan):
             batches.append(len(wa))
-            return original(wa, wb, c, plan, out)
+            return original(wa, wb, c, plan)
 
         monkeypatch.setattr(bpl.blockbuild, "BATCH_ENTRIES", 3 * entries)
         monkeypatch.setattr(bpl.blockbuild, "build_batch", recording)
@@ -628,14 +600,14 @@ class TestOffRelations:
         assert np.max(np.abs(np.subtract(got, np.max(refs, axis=0)))) <= 1e-13
 
     def test_error_in_one_b_entry_fails_both_forms(self, monkeypatch):
-        # a relative error of 1e-6 in the largest entry of every B[3]; the
-        # suite's first draw at L = 9, n = 3 reads 4.8e-6 on the probes and
-        # 8.6e-6 dense
+        # a relative error of 1e-6 in the largest entry of every built B[3];
+        # at the suite's first draw at L = 9, n = 3 the check reads 5.2e-7
+        # in its comparison with the block build, and the dense form 8.6e-6
         cfg = SpectralConfig.random_instance(9, 3, seed=0)
         original = bpl.ybcore.monodromies
 
-        def perturbed(lams, cfg, top=None, ops="abcd", out=None):
-            for m in original(lams, cfg, top, ops, out):
+        def perturbed(lams, cfg, top=None, ops="abcd"):
+            for m in original(lams, cfg, top, ops):
                 b = list(m.b)
                 b[3] = b[3].copy()
                 b[3][np.unravel_index(np.argmax(np.abs(b[3])), b[3].shape)] *= 1 + 1e-6
@@ -650,9 +622,13 @@ class TestOffRelations:
         res = check_off_relations([[draw_complex(rng)]], cfg3)
         assert res.a_relation == 0.0
         assert res.d_relation == 0.0
-        assert check_off_relations([], cfg3) == (0.0, 0.0, 0.0)
-        # more B operators than sites: every side is zero
-        assert check_off_relations(random_draws(rng, 1, cfg3.L + 2), cfg3) == (0.0, 0.0, 0.0)
+        assert 0 < res.operator_agreement < 1e-14
+        assert check_off_relations([], cfg3) == (0.0, 0.0, 0.0, 0.0)
+        # more B operators than sites: every side is zero, and the operator
+        # is still compared with the block build
+        res = check_off_relations(random_draws(rng, 1, cfg3.L + 2), cfg3)
+        assert res[:3] == (0.0, 0.0, 0.0)
+        assert 0 < res.operator_agreement < 1e-14
 
     def test_coincident_rapidities_rejected(self, cfg3, rng):
         lam = 0.4 + 0.1j
@@ -660,52 +636,105 @@ class TestOffRelations:
             with pytest.raises(CoincidentRapiditiesError, match="singular"):
                 check_off_relations(draws, cfg3)
 
-    def test_draws_of_any_shape_equal_the_per_draw_results(self, rng, monkeypatch):
-        # a coincident pair is rejected before anything is built, so draws
-        # of other widths are what give a draw fewer distinct rapidities and
-        # a smaller batch in the shared buffers
+    def test_draws_of_any_shape_equal_the_per_draw_results(self, rng):
+        # draws of other widths take other chains and probe blocks; the
+        # operator is compared at the first draw's lam0 only
         cfg = SpectralConfig.random_instance(5, 2, seed=12)
         draws = random_draws(rng, 2, 3) + random_draws(rng, 1, 1) + random_draws(rng, 2, 2)
-        rows = []
-        original = bpl.blockbuild.build_batch
-
-        def recording(wa, wb, c, plan, out=None):
-            rows.append(len(wa))
-            return original(wa, wb, c, plan, out)
-
-        monkeypatch.setattr(bpl.blockbuild, "build_batch", recording)
         got = check_off_relations(draws, cfg)
-        assert rows == [3, 3, 1, 2, 2]
         alone = [check_off_relations([draw], cfg) for draw in draws]
-        for field, values in zip(got, zip(*alone)):
+        for field, values in zip(got[:3], zip(*alone)):
             assert field.hex() == max(values).hex()
+        assert got.operator_agreement.hex() == alone[0].operator_agreement.hex()
 
-    def test_suite_draws_share_one_buffer_set(self, monkeypatch):
-        allocated, filled = [], []
-        original_buffers = bpl.blockbuild.result_buffers
-        original_build = bpl.blockbuild.build_batch
 
-        def allocating(plan, rows):
-            allocated.append(original_buffers(plan, rows))
-            return allocated[-1]
+class TestSplitLattice:
+    @pytest.mark.parametrize("L", range(1, 8))
+    def test_every_operator_equals_the_kronecker_reference(self, L, rng):
+        # each M_ab applied to the identity, against the dense Kronecker
+        # build; at L = 1 the left half has no site
+        cfg = SpectralConfig.random_instance(L, 0, seed=L)
+        eye = bpl.splitlattice.to_split(np.eye(2**L, dtype=complex))
+        for lam in (draw_complex(rng), draw_complex(rng), 0.0):
+            split = bpl.ybcore._split([lam], cfg)
+            assert split.left.shape[-1] == 2 ** (L // 2)
+            for (a, b), ref in zip([(0, 0), (0, 1), (1, 0), (1, 1)], kron_monodromy(lam, cfg)):
+                got = bpl.splitlattice.from_split(split.apply(0, a, b, eye))
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-        def recording(wa, wb, c, plan, out=None):
-            filled.append([buf.base for buf in out])
-            return original_build(wa, wb, c, plan, out)
+    def test_wrong_half_fails_the_operator_agreement(self, monkeypatch):
+        # the right half's sites in reverse order, the weights a and b
+        # swapped, and the left half's auxiliary indices swapped.  The
+        # reversed lattice still satisfies the exchange relations; only the
+        # comparison with the block build sees it
+        cfg = SpectralConfig.random_instance(6, 2, seed=0)
+        draws = _draws(cfg, "off", 3, width=3)
+        original = bpl.splitlattice.split_monodromies
 
-        monkeypatch.setattr(bpl.blockbuild, "result_buffers", allocating)
-        monkeypatch.setattr(bpl.blockbuild, "build_batch", recording)
-        report = run_suite(None, "verify-off", overrides={"L": 6, "n": 2, "seed": 0})
-        assert report.checks[0].passed
-        assert report.checks[0].extra["probes"] == 4
-        # A, B and D at the last site, three rows for the three rapidities
-        [buffers] = allocated
-        assert [buf.shape for buf in buffers] == [
-            (3, sum(comb(6, k + shift) * comb(6, k) for k in range(7) if 0 <= k + shift <= 6))
-            for shift in (0, 1, 0)
-        ]
-        assert len(filled) == 10
-        assert all(all(f is b for f, b in zip(bases, buffers)) for bases in filled)
+        def reversed_right(wa, wb, c):
+            wa, wb = (np.concatenate([w[:, :3], w[:, :2:-1]], axis=1) for w in (wa, wb))
+            return original(wa, wb, c)
+
+        def swapped_aux(wa, wb, c):
+            split = original(wa, wb, c)
+            return split._replace(left=split.left.swapaxes(1, 2))
+
+        wrongs = [reversed_right, lambda wa, wb, c: original(wb, wa, c), swapped_aux]
+        assert check_off_relations(draws, cfg).operator_agreement < 1e-14
+        for wrong in wrongs:
+            monkeypatch.setattr(bpl.splitlattice, "split_monodromies", wrong)
+            res = check_off_relations(draws, cfg)
+            assert res.operator_agreement > 1e-9
+            [record] = suite_verify_off(Artifacts(cfg))
+            assert not record.passed and record.residual == max(record.extra[f] for f in res._fields)
+        monkeypatch.setattr(bpl.splitlattice, "split_monodromies", reversed_right)
+        assert max(check_off_relations(draws, cfg)[:3]) < 1e-12
+
+    @pytest.mark.parametrize("L,n", [(1, 1), (2, 0), (4, 2), (7, 3), (9, 3)])
+    def test_batch_equals_the_worst_one_draw_call_bit_for_bit(self, L, n):
+        cfg = SpectralConfig.random_instance(L, n, seed=L + n)
+        draws = _draws(cfg, "off", 10 if L < 9 else 3, width=n + 1)
+        got = check_off_relations(draws, cfg)
+        alone = [check_off_relations([draw], cfg) for draw in draws]
+        for field, values in zip(got[:3], zip(*alone)):
+            assert field.hex() == max(values).hex()
+        assert got.operator_agreement.hex() == alone[0].operator_agreement.hex()
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_one_site_matches_the_two_pass_reference(self, width, rng):
+        # n = 0, n = L and n > L on the lattice whose left half is empty
+        cfg = SpectralConfig.random_instance(1, 1, seed=3)
+        draws = random_draws(rng, 3, width)
+        got = check_off_relations(draws, cfg)
+        refs = [two_pass_off_relations(d[0], d[1:], cfg) for d in draws]
+        assert max(got) < 1e-12
+        assert np.max(np.abs(np.subtract(got, np.max(refs, axis=0)))) <= 1e-13
+        if width > 2:
+            assert got[:3] == (0.0, 0.0, 0.0)
+
+    def test_memory_stays_below_the_block_build_form(self):
+        # the tracemalloc peak of the form this replaced, which built A, B
+        # and D of every draw into one reused set of result buffers:
+        # 10,952,288 B for the suite's draws at L = 9, n = 3
+        cfg = SpectralConfig.random_instance(9, 3, seed=0)
+        draws = _draws(cfg, "off", 10, width=4)
+        check_off_relations(draws, cfg)  # compiled plans and index caches
+        tracemalloc.start()
+        try:
+            check_off_relations(draws, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10_952_288
+
+    @pytest.mark.parametrize("L", range(17))
+    def test_sector_indices_equal_the_loop_over_states(self, L):
+        counts = [bin(i).count("1") for i in range(2**L)]
+        for k in range(-1, L + 2):
+            got = sector_indices.__wrapped__(L, k)
+            ref = np.array([i for i, c in enumerate(counts) if c == k], dtype=int)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert not got.flags.writeable
 
 
 class TestSpectrum:
