@@ -30,7 +30,7 @@ import numpy as np
 from .config import SpectralConfig, random_complex
 from .functional import annulus_points, spectral_grids
 from .omega import OmegaFamily, SampledOperator, SymmetricBasis, sampled_operator
-from .polyengine import PdeSpec, grid_points, pairwise_differences
+from .polyengine import PdeSpec, pairwise_differences
 
 
 def geometric_sum(q: complex, top: int) -> complex:
@@ -229,7 +229,9 @@ def closedform_operator(cfg: SpectralConfig) -> SampledOperator:
     circles and fitted (``omega.sampled_operator``), validated at one random
     x-tuple; the individual terms leave the bounded space and only their
     sum returns to it.  The nodes are the x-nodes of Lbar and of the
-    overlap fits (``functional.spectral_grids``).
+    overlap fits (``functional.spectral_grids``), where ``PdeSpec.grid_action``
+    evaluates the basis tensors and their derivatives one product per axis;
+    the held-out x-tuple is off the grid and goes through ``PdeSpec.terms``.
     """
     n, L = cfg.n, cfg.L
     if n < 1:
@@ -237,12 +239,11 @@ def closedform_operator(cfg: SpectralConfig) -> SampledOperator:
     x_grids = [np.exp(2 * g) for g in spectral_grids(L, n)]
     basis = SymmetricBasis(n, L - 1)
     pde = spectral_pde(cfg)
-    images = pde.terms(basis.tensors, grid_points(x_grids)).sum(axis=-1)
+    images = pde.grid_action(basis.tensors, x_grids)
     rng = cfg.rng("closedform-operator-holdout")
     held_x = np.exp(2 * random_complex(rng, (n,)))
     held_images = pde.terms(basis.tensors, held_x[None, :]).sum(axis=-1)[:, 0]
-    return sampled_operator(basis, images.reshape((basis.dim,) + (L,) * n), x_grids, held_x,
-                            held_images)
+    return sampled_operator(basis, images, x_grids, held_x, held_images)
 
 
 def compare_omega_closedform(family: OmegaFamily, closed: SampledOperator) -> np.ndarray:

@@ -34,7 +34,7 @@ coefficients for a whole batch in one call, with the vacuum products
 vectorised over the inhomogeneities.  The x0 rapidities broadcast against
 the leading axes of the rapidity rows, so one code path serves two forms:
 the outer form ``lam0s[:, None]`` against P rows, every x0 node at every
-grid point, for ``omega.lbar_action``; and the paired form ``lam0s``
+grid point, for the Lbar action of ``omega``; and the paired form ``lam0s``
 against as many rows, one draw (lam0, row) per entry, for
 ``check_fz_residual``.  Every entry equals the one-point value bit for bit:
 numpy's vectorised complex ``*`` can differ from its scalar ``*`` in the

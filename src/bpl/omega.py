@@ -21,15 +21,19 @@ single variable the symmetric space is the whole space.
 
 Lbar and the closed-form operator of ``closedform`` are assembled alike:
 the action is sampled on all the stacked basis tensors at once
-(``SymmetricBasis.tensors``; ``lbar_action`` is the one writing of the Lbar
-action), and ``sampled_operator`` fits every column in one
-``polyengine.fit_grid`` call, validated at one held-out point, and projects
-the fits onto the basis.  Both sample the x_i on
+(``SymmetricBasis.tensors``), and ``sampled_operator`` fits every column in
+one ``polyengine.fit_grid`` call, validated at one held-out point, and
+projects the fits onto the basis.  Both sample the x_i on
 ``functional.spectral_grids``, the nodes of the overlap fits, and Lbar
-samples x0 on ``lbar_x0_nodes``.  The multipliers of every x0 node and
-grid point come from one batched ``fz_coefficients`` call, bit-identical
-to one-point evaluation; the prefactors and the substituted evaluations
-are then applied one x0 node at a time.
+samples x0 on ``lbar_x0_nodes``.  On that tensor grid the basis tensors
+are evaluated by ``polyengine.eval_grid``, one Vandermonde product per
+axis: ``lbar_grid_action`` evaluates them once on the x grid and, for each
+i, once with axis i at the x0 nodes, a term that does not depend on x_i
+and is broadcast along axis i.  The multipliers of every x0 node and grid
+point come from one batched ``fz_coefficients`` call, and the images are
+assembled in place in one array.  The held-out point is off the grid:
+``lbar_action`` evaluates the same action there, and in the tests, point
+by point.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from . import blockbuild
 from .config import SpectralConfig, random_complex
 from .errors import CapacityError
 from .functional import fz_coefficients, lbar_x0_nodes, spectral_grids, vanishing
-from .polyengine import eval_tensors, fit_grid, grid_points
+from .polyengine import eval_grid, eval_tensors, fit_grid, grid_points
 
 #: default ceiling on the full tensor space used during sampling
 MAX_TENSOR_DIM = 4096
@@ -101,7 +105,10 @@ class SymmetricBasis:
         box = tuple(range(coeffs.ndim - self.nvars, coeffs.ndim))
         vecs = coeffs[(...,) + tuple(zip(*self.labels))]
         scale = np.maximum(np.max(np.abs(coeffs), axis=box), 1e-300)
-        defect = np.max(np.abs(self.embed(vecs) - coeffs), axis=box) / scale
+        # in place: a second temporary of the images' size set build_lbar's peak
+        diff = self.embed(vecs)
+        diff -= coeffs
+        defect = np.max(np.abs(diff), axis=box) / scale
         return vecs, defect
 
 
@@ -136,7 +143,8 @@ def sampled_operator(basis: SymmetricBasis, images: np.ndarray, node_sets, held_
 def lbar_action(cfg: SpectralConfig, lam0s, lam_points, evaluate) -> np.ndarray:
     """(Lbar(x0) p)(x) = Jbar0 p(x) - sum_i Kbar_i p(x with x_i -> x0) at
     x0 = e^{2 lam0} for every lam0 of ``lam0s`` (N,) and at x = e^{2 lam}
-    for every row lam of ``lam_points`` (P, n).
+    for every row lam of ``lam_points`` (P, n), points anywhere: the form
+    of the held-out point (``lbar_grid_action`` is the grid's).
 
     ``evaluate`` maps an array of x-points (P, n) to the values of p there,
     shape batch + (P,), so one call acts on a whole batch of polynomials;
@@ -165,6 +173,40 @@ def lbar_action(cfg: SpectralConfig, lam0s, lam_points, evaluate) -> np.ndarray:
     return np.stack(images, axis=-2)
 
 
+def lbar_grid_action(cfg: SpectralConfig, lam0s, lam_grids, coeffs: np.ndarray) -> np.ndarray:
+    """``lbar_action`` on the tensor grid of the rapidity node sets
+    ``lam_grids`` (x_i = e^{2 lam} on axis i), for the coefficient tensors
+    ``coeffs`` (B,) + box: shape (B, N) + grid.
+
+    p is evaluated on the x grid, and for each i on the grid with axis i at
+    the N x0 nodes (``eval_grid``), one product per axis.  The substituted
+    term does not depend on x_i, so it is subtracted from every slice of
+    axis i of the images, each slice an in-place update of the one
+    preallocated array with the multipliers of that slice; the largest
+    temporary is one such slice.  The multipliers are those of
+    ``lbar_action``, all N x grid of them from one ``fz_coefficients`` call
+    at the ``grid_points``.
+    """
+    L, n = cfg.L, len(lam_grids)
+    lam0s = np.asarray(lam0s, dtype=complex)
+    lam_points = grid_points(lam_grids)
+    j0, ks = fz_coefficients(lam0s[:, None], lam_points, cfg)
+    shape = (len(lam0s),) + tuple(len(g) for g in lam_grids)
+    jbar = (j0 * np.exp(L * lam0s)[:, None]).reshape(shape)
+    kbar = (ks * np.exp(lam0s)[:, None, None] * np.exp((L - 1) * lam_points)).reshape(shape + (n,))
+    x_grids = [np.exp(2 * g) for g in lam_grids]
+    x0s = np.exp(2 * lam0s)
+    images = np.empty((len(coeffs),) + shape, dtype=complex)
+    np.multiply(eval_grid(coeffs, x_grids)[:, None], jbar, out=images)
+    for i in range(n):
+        # (B, N) + the grid without axis i
+        subbed = np.moveaxis(eval_grid(coeffs, x_grids[:i] + [x0s] + x_grids[i + 1 :]), 1 + i, 1)
+        for j in range(shape[1 + i]):
+            at = (slice(None),) * (1 + i) + (j,)
+            images[(slice(None),) + at] -= kbar[..., i][at] * subbed
+    return images
+
+
 def build_lbar(cfg: SpectralConfig) -> SampledOperator:
     """Assemble Lbar(x0) by sampling its action on the symmetric basis.
 
@@ -185,13 +227,12 @@ def build_lbar(cfg: SpectralConfig) -> SampledOperator:
     x0_nodes = np.exp(2 * lam0_nodes)
 
     basis = SymmetricBasis(n, L - 1)
-    evaluate = partial(eval_tensors, basis.tensors)
-    images = lbar_action(cfg, lam0_nodes, grid_points(lam_grids), evaluate)
+    images = lbar_grid_action(cfg, lam0_nodes, lam_grids, basis.tensors)
     rng = cfg.rng("lbar-holdout")
     held_lams = random_complex(rng, (1, n))
-    held_images = lbar_action(cfg, lam0_nodes[:1], held_lams, evaluate)[:, 0, 0]
-    return sampled_operator(basis, images.reshape((basis.dim, L + 1) + (L,) * n),
-                            [x0_nodes] + x_grids,
+    held_images = lbar_action(cfg, lam0_nodes[:1], held_lams,
+                              partial(eval_tensors, basis.tensors))[:, 0, 0]
+    return sampled_operator(basis, images, [x0_nodes] + x_grids,
                             np.concatenate([x0_nodes[:1], np.exp(2 * held_lams[0])]),
                             held_images)
 

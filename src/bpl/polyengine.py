@@ -2,11 +2,14 @@
 
 A polynomial in ``n`` variables with per-variable degree bounds m_i is a
 coefficient tensor of shape ``(m_0+1, ..., m_{n-1}+1)``.  Stacked tensors
-(leading axes a batch) are evaluated at a batch of points by
-``eval_tensors``, the one evaluation algorithm; ``MultiPoly`` calls it for
-one point too.  ``fit_grid`` is the one fit from tensor-grid samples: every
-interpolated quantity of the pipeline comes back from it as a ``GridFit``,
-with its condition number and one holdout per entry.
+(leading axes a batch) are evaluated in two ways, each one product per
+axis of the tensor grid or of the points: at a batch of scattered points
+by ``eval_tensors`` (``MultiPoly`` calls it for one point too), and on the
+tensor grid of per-axis node sets by ``eval_grid``, one Vandermonde mode
+product per axis.  ``fit_grid`` is the one fit from tensor-grid samples,
+the inverse of ``eval_grid``: every interpolated quantity of the pipeline
+comes back from it as a ``GridFit``, with its condition number and one
+holdout per entry.
 ``PdeSpec`` is the one description of the order-(L-1) linear PDE that the
 closed form, its first-order reduction and the domain-wall equation share;
 it evaluates coefficients, terms and residuals over point batches.
@@ -78,6 +81,38 @@ def box_monomials(points: np.ndarray, shape) -> np.ndarray:
         powers = np.vander(points[:, i], size, increasing=True)
         monomials = (monomials[:, :, None] * powers[:, None, :]).reshape(len(points), -1)
     return monomials
+
+
+def eval_grid(coeffs: np.ndarray, node_sets) -> np.ndarray:
+    """Values of stacked coefficient tensors on the tensor grid of the
+    per-axis node arrays ``node_sets``, shape batch + (len(nodes) per axis):
+    the trailing axes of ``coeffs`` are the variables, one node set each,
+    and any leading axes a batch.  Each axis is one mode product with its
+    Vandermonde matrix, so a node set may be of any length, and swapping
+    one axis's nodes for another set evaluates the substitution of that
+    variable (Kolda & Bader, SIAM Review 51(3), 2009).  It costs batch x
+    box x (nodes per axis) per axis, where ``eval_tensors`` at the
+    ``grid_points`` costs batch x box x grid size."""
+    box = coeffs.ndim - len(node_sets)
+    out = coeffs
+    for k, nodes in enumerate(node_sets):
+        out = _mode_product(out, vandermonde(nodes, coeffs.shape[box + k] - 1), box + k)
+    return out
+
+
+def _mode_product(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
+    """``matrix`` applied along ``axis`` of ``tensor``: out[..., i, ...] =
+    sum_j matrix[i, j] tensor[..., j, ...], as one matrix product over the
+    tensor read as (before, axis, after), C-ordered with the axis in place
+    (the last axis as one product with the transpose, not one per row)."""
+    tensor = np.ascontiguousarray(tensor)
+    shape = tensor.shape
+    before, after = prod(shape[:axis]), prod(shape[axis + 1 :])
+    if after == 1:
+        out = tensor.reshape(before, shape[axis]) @ matrix.T
+    else:
+        out = matrix @ tensor.reshape(before, shape[axis], after)
+    return out.reshape(shape[:axis] + (len(matrix),) + shape[axis + 1 :])
 
 
 def grid_points(grids) -> np.ndarray:
@@ -169,6 +204,23 @@ class PdeSpec:
         rhs = -np.asarray(delta)[..., None] * values[..., 0]
         return np.concatenate([out, rhs[..., None]], axis=-1)
 
+    def grid_action(self, coeffs: np.ndarray, node_sets) -> np.ndarray:
+        """The operator applied to f, V f + sum_i Q_i d_i^{L-1} f, on the
+        tensor grid of the per-variable ``node_sets``, shape batch + grid:
+        f and each derivative tensor on the grid by ``eval_grid``, times
+        [V, Q_i] from one ``coefficients`` call at the ``grid_points``,
+        summed term by term into one array.  ``terms`` serves points off
+        the grid."""
+        box = coeffs.ndim - self.nvars
+        grid = tuple(len(nodes) for nodes in node_sets)
+        at = self.coefficients(grid_points(node_sets)).T.reshape((1 + self.nvars,) + grid)
+        out = eval_grid(coeffs, node_sets) * at[0]
+        for i in range(self.nvars):
+            term = eval_grid(derivative_tensor(coeffs, box + i, self.length - 1), node_sets)
+            term *= at[1 + i]
+            out += term
+        return out
+
     def balance(self, coeffs: np.ndarray, delta, points) -> tuple[np.ndarray, np.ndarray]:
         """``(terms, scale)``: the terms of ``terms(coeffs, points, delta)``,
         which sum to the defect, and the scale that normalises every
@@ -203,10 +255,13 @@ def tensor_interpolate(values: np.ndarray, node_sets) -> np.ndarray:
     matching ``values`` on a tensor grid.  The trailing axes of ``values``
     run over the per-variable node sets; any leading axes are a batch.
 
-    The entries of the first batch axis are solved in ``blockbuild.chunks``
-    of their values, which bounds the copies every axis makes: the moved
-    axis and the solver's own copy of its right-hand sides.  Each right-hand side is solved on its
-    own, so a chunk's coefficients equal the whole batch's bit for bit.
+    Each axis is one mode product with the inverse of its square
+    Vandermonde matrix, the inverse of ``eval_grid``.  The node sets of the
+    pipeline are at most 13 long and their 2-norm condition is at most 53
+    (``grid_condition``), so the inverse loses nothing a solve would keep.
+    The entries of the first batch axis are interpolated in
+    ``blockbuild.chunks`` of their values, which bounds the copy each axis
+    makes.
     """
     node_sets = [np.asarray(g, dtype=complex) for g in node_sets]
     values = np.asarray(values, dtype=complex)
@@ -216,16 +271,16 @@ def tensor_interpolate(values: np.ndarray, node_sets) -> np.ndarray:
     for nodes in node_sets:
         if len(set(np.round(nodes, 14))) != len(nodes):
             raise ValueError("interpolation nodes collide; regrid")
-    vands = [vandermonde(nodes, len(nodes) - 1) for nodes in node_sets]
+    inverses = [np.linalg.inv(vandermonde(nodes, len(nodes) - 1)) for nodes in node_sets]
     parts = blockbuild.chunks(len(values), prod(values.shape[1:]))
     if batch == 0 or len(parts) <= 1:
-        # the solver's own output, not copied into a result buffer: the copy
+        # the products' own output, not copied into a result buffer: the copy
         # raised spectral_L7n2's peak RSS by 0.16 MB (Omega's images fit one
         # chunk there)
-        return _interpolate_axes(values, vands, batch)
+        return _interpolate_axes(values, inverses, batch)
     out = np.empty_like(values)
     for part in parts:
-        out[part] = _interpolate_axes(values[part], vands, batch)
+        out[part] = _interpolate_axes(values[part], inverses, batch)
     return out
 
 
@@ -256,13 +311,10 @@ def fit_grid(values: np.ndarray, x_grids, held_x, held_values) -> GridFit:
     return GridFit(coeffs, condition, holdouts)
 
 
-def _interpolate_axes(values: np.ndarray, vands, batch: int) -> np.ndarray:
-    """Solve each Vandermonde system of ``vands`` along its value axis, the
-    axes after the first ``batch``."""
+def _interpolate_axes(values: np.ndarray, inverses, batch: int) -> np.ndarray:
+    """Each inverse Vandermonde matrix of ``inverses`` applied along its
+    value axis, the axes after the first ``batch``."""
     out = values
-    for k, v in enumerate(vands):
-        ax = batch + k
-        moved = np.moveaxis(out, ax, 0)
-        solved = np.linalg.solve(v, moved.reshape(len(v), -1))
-        out = np.moveaxis(solved.reshape(moved.shape), 0, ax)
+    for k, inverse in enumerate(inverses):
+        out = _mode_product(out, inverse, batch + k)
     return out

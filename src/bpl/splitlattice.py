@@ -12,7 +12,8 @@ auxiliary space, so cutting the lattice after site h = L // 2 gives
 
 with M_left the product over sites 0..h-1 (the high h bits) and M_right over
 sites h..L-1 (the low L - h bits).  Each half is a dense (2, 2, 2^m, 2^m)
-array over its m sites, built by that recursion, one einsum per site.
+array over its m sites, built by that recursion, three scaled copies of
+old blocks per new block and site.
 
 A block of c full-space vectors, each read as a 2^h x 2^(L-h) matrix X whose
 row is the left half's index, is held as one (2^h, c, 2^(L-h)) array, and
@@ -33,25 +34,32 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blockbuild import MonodromyEntries, sector_indices
+from .blockbuild import _SITE_TERMS, MonodromyEntries, sector_indices
 
 
 def _half(wa: np.ndarray, wb: np.ndarray, c: complex) -> np.ndarray:
     """The monodromy of the sites whose weights a and b are the columns of
     ``wa`` and ``wb`` (shape (batch, sites)), c shared: (batch, 2, 2, 2^m,
-    2^m), auxiliary indices first."""
-    batch, sites = wa.shape
-    # site operators [site, row, alpha, beta, s, t]: A_j = diag(a, b),
-    # B_j = c at (1, 0), C_j = c at (0, 1), D_j = diag(b, a)
-    lax = np.zeros((sites, batch, 2, 2, 2, 2), dtype=complex)
-    lax[..., 0, 0, 0, 0] = lax[..., 1, 1, 1, 1] = wa.T
-    lax[..., 0, 0, 1, 1] = lax[..., 1, 1, 0, 0] = wb.T
-    lax[..., 0, 1, 1, 0] = lax[..., 1, 0, 0, 1] = c
+    2^m), auxiliary indices first.
+
+    Appending a site makes new M[a, b] = sum_g M[a, g] (x) site[g, b], and
+    the site blocks hold one non-zero entry per (s, t) or none, so each
+    new block is three non-zero (s, t) slices, each one old block
+    M[a, g] times one weight (``blockbuild._SITE_TERMS``, the rows of A'
+    and B', whose old blocks A and B are g = 0 and 1), written into a
+    zeroed array for both a at once."""
+    batch = len(wa)
     half = np.zeros((batch, 2, 2, 1, 1), dtype=complex)
     half[:, 0, 0] = half[:, 1, 1] = 1
-    for site in lax:
-        dim = 2 * half.shape[-1]
-        half = np.einsum("zagij,zgbst->zabisjt", half, site).reshape(batch, 2, 2, dim, dim)
+    for site_a, site_b in zip(wa.T, wb.T):
+        weights = {"a": site_a[:, None, None, None], "b": site_b[:, None, None, None], "c": c}
+        dim = half.shape[-1]
+        # [z, a, b, i, s, j, t]: rows (i s) and columns (j t) of the new half
+        new = np.zeros((batch, 2, 2, dim, 2, dim, 2), dtype=complex)
+        for b, terms in enumerate(_SITE_TERMS[:2]):
+            for s, t, g, w in terms:
+                np.multiply(half[:, :, g], weights[w], out=new[:, :, b, :, s, :, t])
+        half = new.reshape(batch, 2, 2, 2 * dim, 2 * dim)
     return half
 
 

@@ -217,7 +217,7 @@ def suite_spectrum(art: Artifacts) -> list[CheckRecord]:
 
     rng = cfg.rng("spectrum-extra")
     worst = 0.0
-    for m in ybcore.monodromies(random_complex(rng, (3,)), cfg, ops="ad"):
+    for m in ybcore.monodromies(random_complex(rng, (3,)), cfg, top=cfg.n, ops="ad"):
         t = m.transfer()
         worst = max(worst, float(np.max(eigs.residuals(t, ybcore.max_abs(t)))))
     rec.add("eigenpair-residuals-extra-probes", worst, 1e-8, sector=cfg.n)

@@ -438,11 +438,12 @@ class SectorEigenpairs:
 
     def residuals(self, t, norm: float) -> np.ndarray:
         """Right and left eigen-residuals of every eigenpair against a
-        prebuilt transfer matrix ``t`` whose max-norm over all sectors is
-        ``norm``, shape (E, 2): for each eigenpair (r, l) with Lambda =
-        <l| T |r> / <l|r>, the 2-norms of T r - Lambda r and l T - Lambda l
-        over ``norm``, from one product per side for the whole sector
-        (the rights as a C-contiguous (d, E) copy)."""
+        prebuilt transfer matrix ``t`` (its sector blocks up to this sector
+        or beyond) whose max-norm over its blocks is ``norm``, shape
+        (E, 2): for each eigenpair (r, l) with Lambda = <l| T |r> / <l|r>,
+        the 2-norms of T r - Lambda r and l T - Lambda l over ``norm``,
+        from one product per side for the whole sector (the rights as a
+        C-contiguous (d, E) copy)."""
         blk = t[self.sector]
         rights = np.ascontiguousarray(self.rights.T)
         t_rights, lefts_t = blk @ rights, self.lefts @ blk
@@ -450,6 +451,22 @@ class SectorEigenpairs:
         r = np.linalg.norm(t_rights - vals * rights, axis=0)
         l = np.linalg.norm(lefts_t - vals[:, None] * self.lefts, axis=1)
         return np.stack([r, l], axis=1) / max(norm, 1e-300)
+
+
+def eigenvalue_clusters(ev: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The indices of ``ev`` grouped greedily: each not yet grouped index,
+    in order, takes every not yet grouped index within ``tol`` of it, in
+    ascending order.  All pairwise distances come from one (E, E)
+    comparison."""
+    close = np.abs(ev[:, None] - ev[None, :]) < tol
+    used = np.zeros(len(ev), dtype=bool)
+    out = []
+    for i in range(len(ev)):
+        if not used[i]:
+            cluster = np.flatnonzero(close[i] & ~used)
+            used[cluster] = True
+            out.append(cluster)
+    return out
 
 
 def spectrum(cfg: SpectralConfig, sector: int) -> SectorEigenpairs:
@@ -465,27 +482,22 @@ def spectrum(cfg: SpectralConfig, sector: int) -> SectorEigenpairs:
     probes did not resolve the spectrum and a DegeneracyError, carrying the
     probes and the sizes of the degenerate clusters, is raised.
 
-    The transfer matrix is built once per probe.  The decomposition, the
-    residual check (before the sort) and the eigenvalue sort key all read
-    those two matrices, which are dropped when the function returns; the
-    returned eigenpairs keep no operator.
+    The transfer matrix is built once per probe, both in one build of A
+    and D capped at the sector, so its blocks are those of sectors
+    0..sector only: the residual gate divides by their max-norm.  The
+    decomposition, the residual check (before the sort) and the eigenvalue
+    sort key all read those two matrices, which are dropped when the
+    function returns; the returned eigenpairs keep no operator.
     """
     if not 0 <= sector <= cfg.L:
         raise ValueError(f"sector must lie in [0, {cfg.L}], got {sector}")
     rng = cfg.rng("spectrum-probes")
     probes = tuple(random_complex(rng, (2,)).tolist())
-    t_probes = [transfer(p, cfg) for p in probes]
+    t_probes = [m.transfer() for m in monodromies(probes, cfg, top=sector, ops="ad")]
     t1, t2 = (t[sector] for t in t_probes)
     ev, vec = np.linalg.eig(t1)
-    scale = max(np.max(np.abs(ev)), 1.0)
-    used = np.zeros(len(ev), dtype=bool)
     clusters = []
-    for i in range(len(ev)):
-        if used[i]:
-            continue
-        cluster = [j for j in range(len(ev)) if not used[j] and abs(ev[j] - ev[i]) < 1e-8 * scale]
-        for j in cluster:
-            used[j] = True
+    for cluster in eigenvalue_clusters(ev, 1e-8 * max(np.max(np.abs(ev)), 1.0)):
         if len(cluster) > 1:
             clusters.append(len(cluster))
             sub = vec[:, cluster]

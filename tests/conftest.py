@@ -232,6 +232,20 @@ def reference_chain(b_ops, lams):
     return v
 
 
+def reference_interpolate(values, node_sets):
+    """The coefficient tensor of ``polyengine.tensor_interpolate`` by one
+    ``np.linalg.solve`` of each axis's Vandermonde system, on a moved copy
+    of the values; any leading axes are a batch."""
+    out = np.asarray(values, dtype=complex)
+    batch = out.ndim - len(node_sets)
+    for k, nodes in enumerate(node_sets):
+        v = np.vander(np.asarray(nodes, dtype=complex), len(nodes), increasing=True)
+        moved = np.moveaxis(out, batch + k, 0)
+        solved = np.linalg.solve(v, moved.reshape(len(v), -1))
+        out = np.moveaxis(solved.reshape(moved.shape), 0, batch + k)
+    return out
+
+
 def reference_fit(values, x_grids, held_x, held_value):
     """(coefficients, condition, holdout) of one function's tensor-grid fit,
     interpolated on its own."""

@@ -97,7 +97,8 @@ def test_spectrum_builds_each_probe_once(builds):
     eigs = spectrum(cfg, 2)
     assert len(eigs) == 6
     assert len(builds) == len(set(rapidities(builds))) == 2
-    assert tops(builds) == {4}
+    assert tops(builds) == {2}
+    assert len(batches(builds)) == 1
     assert operators(builds) == {"ad"}
 
 
@@ -129,8 +130,11 @@ def test_sector_overlap_fits_compute_each_chain_suffix_once(L, n, builds, grid_p
         fits.append(extract_fbars(cfg, n, lefts[:count]))
         assert len(grid_products) == suffixes
         assert len(builds) == len(set(rapidities(builds))) == L * n + n
-    assert fits[0].coeffs[0].tobytes() == fits[1].coeffs[0].tobytes()
-    assert fits[0].holdouts[0].hex() == fits[1].holdouts[0].hex()
+    # one entry's interpolation and the batch's round apart (another BLAS
+    # path), within eps times the grid condition (<= 53)
+    first = fits[1].coeffs[0]
+    assert np.max(np.abs(fits[0].coeffs[0] - first)) <= 1e-13 * np.max(np.abs(first))
+    assert abs(fits[0].holdouts[0] - fits[1].holdouts[0]) <= 1e-13
 
 
 def test_lambda_bar_nodes_build_once_up_to_the_sector(builds):

@@ -348,7 +348,10 @@ class TestPolynomialPart:
     @pytest.mark.parametrize("L,n", [(4, 2), (7, 2), (5, 3), (12, 1), (3, 0)])
     def test_batched_fits_equal_the_per_eigenpair_reference(self, L, n):
         # one interpolation for the whole sector against one per eigenpair,
-        # every sample from a per-point chain: the same bits throughout
+        # every sample from a per-point chain.  A batch's inverse-Vandermonde
+        # products round apart from one entry's (another BLAS path), within
+        # eps times the grid condition (<= 53): 1e-13 of the largest
+        # coefficient, and 1e-13 on the holdouts, which are relative already
         cfg = SpectralConfig.random_instance(L, n, seed=0)
         eigs = spectrum(cfg, n)
         fits = extract_fbars(cfg, n, eigs.lefts)
@@ -357,13 +360,14 @@ class TestPolynomialPart:
         for fbar, fbar_holdout, (coeffs, cond, holdout) in zip(fits.coeffs, fits.holdouts,
                                                                references):
             assert fbar.shape == coeffs.shape
-            assert fbar.tobytes() == np.ascontiguousarray(coeffs).tobytes()
-            assert fbar_holdout.hex() == holdout.hex()
+            assert np.max(np.abs(fbar - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+            assert abs(fbar_holdout - holdout) <= 1e-13
             assert fits.grid_condition.hex() == cond.hex()
         # a batch of one is the same fit
         alone = extract_fbar(FnSampler(cfg, n, eigs.lefts[-1]))
-        assert alone.coeffs[0].tobytes() == fits.coeffs[-1].tobytes()
-        assert alone.holdouts[0].hex() == fits.holdouts[-1].hex()
+        last = fits.coeffs[-1]
+        assert np.max(np.abs(alone.coeffs[0] - last)) <= 1e-13 * np.max(np.abs(last))
+        assert abs(alone.holdouts[0] - fits.holdouts[-1]) <= 1e-13
 
     def test_degree_bound_certified(self, cfg3, rng):
         # refit with one extra node per axis: the extra coefficients vanish,
@@ -420,14 +424,14 @@ class TestSamplingGeometry:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_overlap_fit_samples_on_the_lbar_x_nodes(self, n, monkeypatch):
         cfg = SpectralConfig.random_instance(3, n, seed=60 + n)
-        lbar_points = []
-        action = omega.lbar_action
+        lbar_grids = []
+        action = omega.lbar_grid_action
 
-        def recording_action(cfg_, lam0s, lam_points, evaluate):
-            lbar_points.append(np.asarray(lam_points))
-            return action(cfg_, lam0s, lam_points, evaluate)
+        def recording_action(cfg_, lam0s, lam_grids, coeffs):
+            lbar_grids.append(lam_grids)
+            return action(cfg_, lam0s, lam_grids, coeffs)
 
-        monkeypatch.setattr(omega, "lbar_action", recording_action)
+        monkeypatch.setattr(omega, "lbar_grid_action", recording_action)
         omega.build_lbar(cfg)
 
         fit_grids = []
@@ -441,7 +445,7 @@ class TestSamplingGeometry:
         extract_fbar(FnSampler(cfg, n, spectrum(cfg, n).lefts[0]))
         # the grid, then the held-out point
         assert len(fit_grids) == 2 and all(len(g) == 1 for g in fit_grids[1])
-        assert np.array_equal(grid_points(fit_grids[0]), lbar_points[0])
+        assert np.array_equal(grid_points(fit_grids[0]), grid_points(lbar_grids[0]))
 
     def test_spectral_points_keep_their_formula_and_draw_order(self):
         for L, n in ((3, 1), (4, 2), (7, 3)):

@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from bpl import blockbuild
+from bpl.dwbc import MAX_PARTITION_L
+from bpl.functional import circle_grid, spectral_grids
 from bpl.polyengine import (
     MultiPoly,
     PdeSpec,
     derivative_tensor,
+    eval_grid,
     eval_tensors,
     grid_condition,
+    grid_points,
     tensor_interpolate,
 )
 
-from conftest import draw_complex
+from conftest import draw_complex, reference_interpolate
 
 
 def random_poly(rng, nvars, m):
@@ -175,6 +179,35 @@ class TestPdeSpec:
             assert np.max(np.abs(stacked[idx] - single)) <= 1e-14 * np.max(np.abs(single))
 
 
+def spectral_node_sets(L, n):
+    """The x nodes of the spectral fits, then the x0 nodes of Lbar."""
+    return ([np.exp(2 * g) for g in spectral_grids(L, n)]
+            + [np.exp(2 * circle_grid(L + 1, slot=0, nslots=n + 1))])
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("L,n", [(3, 1), (4, 2), (6, 3), (7, 2)])
+    def test_equals_the_point_evaluation_at_the_grid_points(self, L, n, rng):
+        # on the x grid and with each axis in turn at the L + 1 x0 nodes
+        *x_grids, x0s = spectral_node_sets(L, n)
+        coeffs = draw_complex(rng, (3,) + (L,) * n)
+        for grids in [x_grids] + [x_grids[:i] + [x0s] + x_grids[i + 1:] for i in range(n)]:
+            got = eval_grid(coeffs, grids)
+            assert got.shape == (3,) + tuple(len(g) for g in grids)
+            ref = eval_tensors(coeffs, grid_points(grids))
+            assert np.max(np.abs(got.reshape(ref.shape) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_rectangular_axes_and_no_batch(self, rng):
+        # node sets longer and shorter than the box
+        coeffs = draw_complex(rng, (2, 5))
+        grids = [np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25])]
+        got = eval_grid(coeffs, grids)
+        assert got.shape == (3, 2)
+        p = MultiPoly(coeffs)
+        for (a, b), value in zip(grid_points(grids), got.ravel()):
+            assert abs(value - naive_eval(p, (a, b))) <= 1e-13 * abs(naive_eval(p, (a, b)))
+
+
 class TestInterpolation:
     def test_round_trip(self, rng):
         p = random_poly(rng, 2, 3)
@@ -210,6 +243,23 @@ class TestInterpolation:
         # a budget below one entry still solves an entry per chunk
         monkeypatch.setattr(blockbuild, "BATCH_ENTRIES", 1)
         assert got.tobytes() == tensor_interpolate(vals, nodes).tobytes()
+
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_inverse_products_match_the_solve_reference(self, L, rng):
+        # the spectral x and x0 nodes and the Zbar nodes: every node set
+        # the pipeline fits on is conditioned well enough that one product
+        # with the inverse keeps what the solve keeps
+        node_sets = spectral_node_sets(L, 2)
+        if L <= MAX_PARTITION_L:
+            node_sets += [np.exp(2 * circle_grid(L, slot=i, nslots=L)) for i in range(L)]
+            node_sets.append(np.exp(2 * circle_grid(L + 1, slot=L, nslots=L + 1)))
+        for nodes in node_sets:
+            assert grid_condition(nodes) <= 53
+        for grids in (node_sets[:2], node_sets[2:3], node_sets[-2:]):
+            shape = (4,) + tuple(len(g) for g in grids)
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got, ref = tensor_interpolate(vals, grids), reference_interpolate(vals, grids)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_colliding_nodes_rejected(self):
         with pytest.raises(ValueError, match="regrid"):

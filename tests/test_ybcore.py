@@ -4,6 +4,7 @@ relations, and sector spectra."""
 import tracemalloc
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -808,6 +809,28 @@ class TestSpectrum:
                 _, left_resid = reference_eigen_residuals(eigs, e, transfer(lam, cfg3))
                 assert left_resid < 1e-10
 
+    def test_clusters_equal_the_scalar_scan(self, rng):
+        # the greedy scan this replaced, one abs per pair: the same clusters
+        # in the same order, on exact repeats, near repeats and chains whose
+        # ends lie more than tol apart
+        def scan(ev, tol):
+            used, out = [False] * len(ev), []
+            for i in range(len(ev)):
+                if not used[i]:
+                    cluster = [j for j in range(len(ev)) if not used[j] and abs(ev[j] - ev[i]) < tol]
+                    for j in cluster:
+                        used[j] = True
+                    out.append(cluster)
+            return out
+
+        base = draw_complex(rng, 6)
+        chain = 0.3 + 0.6e-8 * np.arange(5)
+        for ev in (base, np.repeat(base, 3), np.concatenate([base, base + 1e-10, chain]),
+                   np.concatenate([chain[::-1], base[:2], chain])):
+            ev = rng.permutation(ev)
+            got = bpl.ybcore.eigenvalue_clusters(ev, 1e-8)
+            assert [c.tolist() for c in got] == scan(ev, 1e-8)
+
     def test_unresolved_probes_raise_with_probes_and_cluster_sizes(self, monkeypatch):
         # the first probe's sector block is swapped for one with a doubly
         # degenerate eigenvalue that does not commute with the second
@@ -815,15 +838,23 @@ class TestSpectrum:
         # loose the tolerance
         cfg = SpectralConfig.random_instance(4, 1, seed=0, tol=1e-3)
         seen = []
+        original = bpl.ybcore.monodromies
 
-        def broken(lam, cfg):
-            t = transfer(lam, cfg)
-            seen.append(lam)
-            if len(seen) == 1:
-                t = t[:1] + (np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex),) + t[2:]
-            return t
+        class Broken(NamedTuple):
+            t: tuple
 
-        monkeypatch.setattr(bpl.ybcore, "transfer", broken)
+            def transfer(self):
+                return self.t
+
+        def broken(lams, cfg, top=None, ops="abcd"):
+            for m in original(lams, cfg, top, ops):
+                t = m.transfer()
+                seen.append(lams[len(seen)])
+                if len(seen) == 1:
+                    t = t[:1] + (np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex),) + t[2:]
+                yield Broken(t)
+
+        monkeypatch.setattr(bpl.ybcore, "monodromies", broken)
         with pytest.raises(DegeneracyError, match="residual") as info:
             spectrum(cfg, 1)
         err = info.value
