@@ -239,11 +239,11 @@ def closedform_operator(cfg: SpectralConfig) -> SampledOperator:
     x_grids = [np.exp(2 * g) for g in spectral_grids(L, n)]
     basis = SymmetricBasis(n, L - 1)
     pde = spectral_pde(cfg)
-    images = pde.grid_action(basis.tensors, x_grids)
     rng = cfg.rng("closedform-operator-holdout")
     held_x = np.exp(2 * random_complex(rng, (n,)))
     held_images = pde.terms(basis.tensors, held_x[None, :]).sum(axis=-1)[:, 0]
-    return sampled_operator(basis, images, x_grids, held_x, held_images)
+    return sampled_operator(basis, pde.grid_action(basis.tensors, x_grids), x_grids, held_x,
+                            held_images)
 
 
 def compare_omega_closedform(family: OmegaFamily, closed: SampledOperator) -> np.ndarray:

@@ -34,13 +34,22 @@ point come from one batched ``fz_coefficients`` call, and the images are
 assembled in place in one array.  The held-out point is off the grid:
 ``lbar_action`` evaluates the same action there, and in the tests, point
 by point.
+
+``extract_omegas`` returns the operators and their max-norms, all that
+``check_eigk`` and the precision floor read.  Each joint diagnostic of
+``OmegaFamily`` is computed on its first read and kept: the commutator
+norms and the top operator against the identity when ``omega-extract``
+reads them, the joint diagonalisation when ``check_eigk`` reads its delta
+table; ``omega-compare`` reads Omega_{L-1} alone.  The basis holds the
+label index of every box entry (``SymmetricBasis.slots``), so embedding
+symmetric-basis coefficients is one gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -82,28 +91,42 @@ class SymmetricBasis:
         return len(self.labels)
 
     @cached_property
+    def slots(self) -> np.ndarray:
+        """The index of every box entry's label, its exponents in decreasing
+        order, as an int array of the box shape: m_mu is 1 exactly where
+        ``slots`` holds mu's index."""
+        index = {label: k for k, label in enumerate(self.labels)}
+        box = (self.degree_bound + 1,) * self.nvars
+        return np.array([index[tuple(sorted(e, reverse=True))] for e in np.ndindex(box)],
+                        dtype=int).reshape(box)
+
+    @cached_property
     def tensors(self) -> np.ndarray:
         """The 0/1 coefficient tensors of every m_mu, stacked along axis 0."""
-        out = np.zeros((self.dim,) + (self.degree_bound + 1,) * self.nvars)
-        for k, label in enumerate(self.labels):
-            for perm in set(permutations(label)):
-                out[(k,) + perm] = 1.0
+        out = np.zeros((self.dim,) + self.slots.shape)
+        np.put_along_axis(out, self.slots[None], 1.0, axis=0)
         return out
 
     def embed(self, vecs: np.ndarray) -> np.ndarray:
-        """Symmetric-basis coefficients -> full coefficient tensors."""
-        return np.tensordot(vecs, self.tensors, axes=(-1, 0))
+        """Symmetric-basis coefficients -> full coefficient tensors, each
+        entry a copy of its label's coefficient."""
+        return np.asarray(vecs)[..., self.slots]
+
+    def at_labels(self, coeffs: np.ndarray) -> np.ndarray:
+        """Full coefficient tensors -> the coefficient at each label, its
+        decreasing representative: the symmetric-basis coefficients of a
+        symmetric input."""
+        return np.asarray(coeffs)[(...,) + tuple(zip(*self.labels))]
 
     def project(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Full coefficient tensors -> symmetric-basis coefficients.
-
-        Reads off the coefficient at each decreasing representative and
-        reports, per tensor, how much of the input violates permutation
-        symmetry (relative max-norm of input minus re-embedded projection).
+        """Full coefficient tensors -> symmetric-basis coefficients
+        (``at_labels``) and, per tensor, how much of the input violates
+        permutation symmetry (relative max-norm of input minus re-embedded
+        projection).
         """
         coeffs = np.asarray(coeffs)
         box = tuple(range(coeffs.ndim - self.nvars, coeffs.ndim))
-        vecs = coeffs[(...,) + tuple(zip(*self.labels))]
+        vecs = self.at_labels(coeffs)
         scale = np.maximum(np.max(np.abs(coeffs), axis=box), 1e-300)
         # in place: a second temporary of the images' size set build_lbar's peak
         diff = self.embed(vecs)
@@ -135,6 +158,7 @@ def sampled_operator(basis: SymmetricBasis, images: np.ndarray, node_sets, held_
     ``held_images[col]`` at ``held_x``.  Node sets before the last
     ``basis.nvars`` (the x0 of Lbar) index the leading matrix axes."""
     fit = fit_grid(images, node_sets, held_x, held_images)
+    del images  # the caller passes them inline, so the fit is their last reader
     vecs, defect = basis.project(fit.coeffs)
     return SampledOperator(basis, np.moveaxis(vecs, 0, -1), float(np.max(fit.holdouts)),
                            float(np.max(defect)), fit.grid_condition)
@@ -227,12 +251,12 @@ def build_lbar(cfg: SpectralConfig) -> SampledOperator:
     x0_nodes = np.exp(2 * lam0_nodes)
 
     basis = SymmetricBasis(n, L - 1)
-    images = lbar_grid_action(cfg, lam0_nodes, lam_grids, basis.tensors)
     rng = cfg.rng("lbar-holdout")
     held_lams = random_complex(rng, (1, n))
     held_images = lbar_action(cfg, lam0_nodes[:1], held_lams,
                               partial(eval_tensors, basis.tensors))[:, 0, 0]
-    return sampled_operator(basis, images, [x0_nodes] + x_grids,
+    return sampled_operator(basis, lbar_grid_action(cfg, lam0_nodes, lam_grids, basis.tensors),
+                            [x0_nodes] + x_grids,
                             np.concatenate([x0_nodes[:1], np.exp(2 * held_lams[0])]),
                             held_images)
 
@@ -241,27 +265,26 @@ def build_lbar(cfg: SpectralConfig) -> SampledOperator:
 
 @dataclass
 class OmegaFamily:
-    """The L+1 extracted operators with their joint diagnostics.
+    """The L+1 extracted operators, Omega_k = ``omegas[k]`` with
+    ``omega_norms[k]`` = max |Omega_k|, the largest entry modulus, and
+    their joint diagnostics, each computed on its first read and kept:
 
-    * ``omega_norms[k]``: max |Omega_k|, the largest entry modulus.
     * ``commutator_norms[i, j]``: max-norm of [Omega_i, Omega_j] normalised
-      by the operand norms.
+      by the operand norms (read by ``omega-extract``).
     * ``omega_top_scalar`` / ``omega_top_identity_residual``: the top
-    coefficient operator against its best scalar multiple of the identity.
+      coefficient operator against its best scalar multiple of the
+      identity, one computation for both (``omega-extract``).
     * ``delta_table``: joint eigenvalues, one row per joint eigenvector of a
       random linear combination of the family; ``joint_defect`` measures how
-      far each family member is from diagonal in that joint basis.
+      far each family member is from diagonal in that joint basis.  One
+      diagonalisation for both (``check_eigk``), whose combination is
+      drawn from its own rng tag, so no read order changes a bit.
     """
 
     cfg: SpectralConfig
     lbar: SampledOperator
     omegas: np.ndarray
     omega_norms: np.ndarray
-    commutator_norms: np.ndarray
-    omega_top_scalar: complex
-    omega_top_identity_residual: float
-    delta_table: np.ndarray
-    joint_defect: float
 
     @property
     def basis(self) -> SymmetricBasis:
@@ -281,43 +304,55 @@ class OmegaFamily:
     def omega(self, k: int) -> np.ndarray:
         return self.omegas[k]
 
+    @cached_property
+    def commutator_norms(self) -> np.ndarray:
+        omegas, norms, L = self.omegas, self.omega_norms, self.cfg.L
+        comms = np.zeros((L + 1, L + 1))
+        for i in range(L + 1):
+            for j in range(i + 1, L + 1):
+                val = np.max(np.abs(omegas[i] @ omegas[j] - omegas[j] @ omegas[i]))
+                comms[i, j] = comms[j, i] = val / max(norms[i] * norms[j], 1e-300)
+        return comms
+
+    @cached_property
+    def _top_against_identity(self) -> tuple[complex, float]:
+        L, ns = self.cfg.L, self.basis.dim
+        top = self.omegas[L]
+        scalar = complex(np.trace(top) / ns)
+        resid = float(np.max(np.abs(top - scalar * np.eye(ns))) / max(self.omega_norms[L], 1e-300))
+        return scalar, resid
+
+    omega_top_scalar = property(lambda self: self._top_against_identity[0])
+    omega_top_identity_residual = property(lambda self: self._top_against_identity[1])
+
+    @cached_property
+    def _joint_diagonalization(self) -> tuple[np.ndarray, float]:
+        # through a random combination of the family
+        omegas, norms, L, ns = self.omegas, self.omega_norms, self.cfg.L, self.basis.dim
+        rng = self.cfg.rng("joint-diagonalization")
+        weights = rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1)
+        combo = np.tensordot(weights, omegas, axes=(0, 0))
+        _, vecs = np.linalg.eig(combo)
+        vinv = np.linalg.inv(vecs)
+        delta = np.zeros((ns, L + 1), dtype=complex)
+        defect = 0.0
+        for k in range(L + 1):
+            diag = vinv @ omegas[k] @ vecs
+            delta[:, k] = np.diag(diag)
+            off = diag - np.diag(np.diag(diag))
+            defect = max(defect, float(np.max(np.abs(off)) / max(norms[k], 1e-300)))
+        return delta, defect
+
+    delta_table = property(lambda self: self._joint_diagonalization[0])
+    joint_defect = property(lambda self: self._joint_diagonalization[1])
+
 
 def extract_omegas(cfg: SpectralConfig) -> OmegaFamily:
-    """Slice Lbar by powers of x0 and fill in the family diagnostics, each
-    max |Omega_k| computed once."""
+    """Slice Lbar by powers of x0, each max |Omega_k| computed once; the
+    joint diagnostics wait for their first read."""
     lbar = build_lbar(cfg)
     omegas = lbar.coefficient_matrices
-    L = cfg.L
-    ns = lbar.basis.dim
-    norms = np.array([np.max(np.abs(omega)) for omega in omegas])
-
-    comms = np.zeros((L + 1, L + 1))
-    for i in range(L + 1):
-        for j in range(i + 1, L + 1):
-            val = np.max(np.abs(omegas[i] @ omegas[j] - omegas[j] @ omegas[i]))
-            comms[i, j] = comms[j, i] = val / max(norms[i] * norms[j], 1e-300)
-
-    top = omegas[L]
-    scalar = complex(np.trace(top) / ns)
-    top_resid = float(np.max(np.abs(top - scalar * np.eye(ns))) / max(norms[L], 1e-300))
-
-    # joint diagonalisation through a random combination of the family
-    rng = cfg.rng("joint-diagonalization")
-    weights = rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1)
-    combo = np.tensordot(weights, omegas, axes=(0, 0))
-    _, vecs = np.linalg.eig(combo)
-    vinv = np.linalg.inv(vecs)
-    delta = np.zeros((ns, L + 1), dtype=complex)
-    defect = 0.0
-    for k in range(L + 1):
-        diag = vinv @ omegas[k] @ vecs
-        delta[:, k] = np.diag(diag)
-        off = diag - np.diag(np.diag(diag))
-        defect = max(defect, float(np.max(np.abs(off)) / max(norms[k], 1e-300)))
-
-    return OmegaFamily(
-        cfg, lbar, omegas, norms, comms, scalar, top_resid, delta, defect
-    )
+    return OmegaFamily(cfg, lbar, omegas, np.array([np.max(np.abs(omega)) for omega in omegas]))
 
 
 @dataclass
@@ -361,9 +396,9 @@ def check_eigk(family: OmegaFamily, fits, lam_bars) -> EigkReport:
 
     The other eigenpairs are checked together, in ``blockbuild.chunks`` of
     their largest temporary (the Delta vector against every row of the
-    table): the fits of a chunk are projected at once, and each Omega_k
-    acts on all of them in one matrix product, normalised by the family's
-    ``omega_norms``.
+    table): the fits of a chunk are read at their labels at once
+    (``SymmetricBasis.at_labels``), and each Omega_k acts on all of them in
+    one matrix product, normalised by the family's ``omega_norms``.
     """
     cfg, basis, table = family.cfg, family.basis, family.delta_table
     zero = vanishing(fits)
@@ -372,7 +407,7 @@ def check_eigk(family: OmegaFamily, fits, lam_bars) -> EigkReport:
     distances = np.full(len(zero), np.inf)
     for rows in blockbuild.chunks(len(used), table.size):
         part = used[rows]
-        vecs, _ = basis.project(fits.coeffs[part])
+        vecs = basis.at_labels(fits.coeffs[part])
         deltas = lam_bars.coeffs[part]
         norms = np.max(np.abs(vecs), axis=1)
         resid = np.zeros(len(part))

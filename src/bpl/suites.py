@@ -129,6 +129,13 @@ class Artifacts:
     Omega family, which reads nothing else, nor does ``zbar``.  Only
     ``omega-eigk`` reads ``eigk``: the PDE suites read the fits.
 
+    Of ``family``, ``omega-extract`` reads the Lbar fit's diagnostics, the
+    commutator norms and the top operator against the identity;
+    ``omega-eigk`` (through ``eigk``) the operators, their norms and the
+    joint diagonalisation; ``omega-compare`` Omega_{L-1} and the basis
+    labels.  The family computes each joint diagnostic on its first read,
+    so one store computes it at most once, and only if a suite reads it.
+
     ``seconds`` maps each artifact built so far to its build time, which
     excludes the artifacts it reads.
     """

@@ -1,5 +1,6 @@
 import dataclasses
 from functools import cache
+from itertools import permutations
 from math import comb
 
 import numpy as np
@@ -52,6 +53,24 @@ def cfg3():
 @pytest.fixture
 def cfg2():
     return SpectralConfig.random_instance(2, 1, seed=7)
+
+
+# -- the symmetric basis as sums over permutations, kept as the reference ----------
+
+def reference_basis_tensors(basis) -> np.ndarray:
+    """The 0/1 coefficient tensor of every m_mu of ``basis``, set to 1 at
+    each distinct permutation of its label."""
+    out = np.zeros((basis.dim,) + (basis.degree_bound + 1,) * basis.nvars)
+    for k, label in enumerate(basis.labels):
+        for perm in set(permutations(label)):
+            out[(k,) + perm] = 1.0
+    return out
+
+
+def reference_embed(basis, vecs) -> np.ndarray:
+    """Symmetric-basis coefficients -> full tensors, as one contraction with
+    the reference tensors."""
+    return np.tensordot(vecs, reference_basis_tensors(basis), axes=(-1, 0))
 
 
 # -- one-eigenpair reads, kept as the reference ------------------------------------

@@ -4,6 +4,7 @@ made it."""
 
 import itertools
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from bpl.functional import (
     lambda_bar_coefficients,
     spectrum,
 )
+from bpl.omega import OmegaFamily
+from bpl.suites import run_checks
 
 from conftest import eigenpair_rows
 
@@ -79,6 +82,51 @@ def grid_products(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", counting)
     return seen
+
+
+#: the cached joint diagnostics of an Omega family, each behind its public reads
+DIAGNOSTICS = ("commutator_norms", "_top_against_identity", "_joint_diagonalization")
+
+
+@pytest.fixture
+def diagnostics(monkeypatch):
+    """The name of every Omega family diagnostic computed, in call order,
+    and ``"eig"`` for every ``np.linalg.eig`` call."""
+    seen = []
+    for name in DIAGNOSTICS:
+        def counting(family, name=name, compute=getattr(OmegaFamily, name).func):
+            seen.append(name)
+            return compute(family)
+
+        prop = cached_property(counting)
+        prop.__set_name__(OmegaFamily, name)
+        monkeypatch.setattr(OmegaFamily, name, prop)
+    eig = np.linalg.eig
+
+    def counting_eig(*args, **kwargs):
+        seen.append("eig")
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    return seen
+
+
+@pytest.mark.parametrize("suite,computed", [
+    ("omega-compare", []),
+    ("omega-extract", ["commutator_norms", "_top_against_identity"]),
+    ("omega-eigk", ["_joint_diagonalization"]),
+])
+def test_omega_suites_compute_only_the_diagnostics_they_read(suite, computed, diagnostics):
+    cfg = SpectralConfig.random_instance(4, 2, seed=2)
+    run_checks(suite, cfg)
+    assert [name for name in diagnostics if name != "eig"] == computed
+    if suite != "omega-eigk":  # the sector spectrum diagonalises too
+        assert "eig" not in diagnostics
+
+
+def test_all_computes_each_diagnostic_once(diagnostics):
+    run_checks("all", SpectralConfig.random_instance(4, 2, seed=2))
+    assert sorted(name for name in diagnostics if name != "eig") == sorted(DIAGNOSTICS)
 
 
 def test_extract_zbar_builds_each_node_once(builds):

@@ -20,14 +20,15 @@ from bpl.functional import (
     spectrum,
 )
 from bpl import blockbuild, suites
-from bpl.omega import (SymmetricBasis, build_lbar, check_eigk, extract_omegas, lbar_action,
-                        lbar_grid_action)
+from bpl.omega import (MAX_TENSOR_DIM, SymmetricBasis, build_lbar, check_eigk, extract_omegas,
+                        lbar_action, lbar_grid_action)
 from bpl.polyengine import (GridFit, MultiPoly, derivative_tensor, eval_tensors, fit_grid,
                             grid_points, tensor_interpolate)
 from bpl.suites import Artifacts, run_checks
 from bpl.ybcore import transfer
 
-from conftest import draw_complex, eigenpair_rows, reference_eigenvalue, scalar_fz_coefficients
+from conftest import (bits, draw_complex, eigenpair_rows, reference_basis_tensors, reference_embed,
+                      reference_eigenvalue, scalar_fz_coefficients)
 
 
 # -- the former column-by-column assembly, kept as the reference ----------------
@@ -141,6 +142,26 @@ def test_grid_assembly_peak_stays_below_the_point_form(build, bound):
     assert peak <= bound
 
 
+def test_lbar_fit_lets_go_of_its_images():
+    # tracemalloc peak at (6, 4) seed 0: 48.86 MB; 67.14 MB while build_lbar
+    # held the images through the projection of their fit
+    cfg = SpectralConfig.random_instance(6, 4, seed=0)
+    tracemalloc.start()
+    try:
+        build_lbar(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50.0e6
+
+
+def _pipeline_bases(nvars):
+    """The bases of every Omega family and closed-form operator in
+    ``nvars`` variables up to L = 12: degree bound L - 1, L^nvars within
+    the tensor cap."""
+    return [SymmetricBasis(nvars, L - 1) for L in range(1, 13) if L**nvars <= MAX_TENSOR_DIM]
+
+
 class TestSymmetricBasis:
     def test_dimensions(self):
         assert SymmetricBasis(1, 2).dim == 3
@@ -166,6 +187,23 @@ class TestSymmetricBasis:
 
         for bound in range(7):
             assert SymmetricBasis(nvars, bound).labels == reference(bound)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_tensors_equal_the_permutation_sums(self, nvars):
+        for basis in _pipeline_bases(nvars):
+            ref = reference_basis_tensors(basis)
+            assert basis.tensors.dtype == ref.dtype and basis.tensors.shape == ref.shape
+            assert basis.tensors.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_embed_equals_the_contraction_bit_for_bit(self, nvars, rng):
+        # each entry of the contraction is one product x * 1 plus exact
+        # zeros (a zero coefficient may differ in its sign, which no norm reads)
+        for basis in _pipeline_bases(nvars):
+            vecs = draw_complex(rng, (3, basis.dim))
+            got, ref = basis.embed(vecs), reference_embed(basis, vecs)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
     def test_embed_project_round_trip(self, rng):
         basis = SymmetricBasis(2, 3)
@@ -319,6 +357,17 @@ class TestOmegaFamily:
         family = extract_omegas(cfg)
         assert family.delta_table.shape == (family.basis.dim, cfg.L + 1)
         assert family.joint_defect < 1e-8
+
+    def test_diagnostics_do_not_depend_on_read_order(self):
+        cfg = SpectralConfig.random_instance(4, 2, seed=5)
+        # the joint diagonalisation read before the commutators, then after
+        first, second = extract_omegas(cfg), extract_omegas(cfg)
+        joint_first = (first.delta_table, first.joint_defect)
+        comms = [first.commutator_norms, second.commutator_norms]
+        joint_second = (second.delta_table, second.joint_defect)
+        assert bits(joint_first[0]) == bits(joint_second[0])
+        assert joint_first[1].hex() == joint_second[1].hex()
+        assert comms[0].tobytes() == comms[1].tobytes()
 
 
 class TestJointSpectralProblems:
