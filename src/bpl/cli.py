@@ -84,7 +84,8 @@ def load_config(path: str | None, overrides: dict) -> SpectralConfig:
     """Build the problem instance from an optional JSON file plus CLI flags.
 
     Flags override file values.  Parameters not pinned by either source are
-    drawn from the seed, except ``tol`` (default 1e-9), the degeneracy
+    drawn from the seed (the seeded instance is drawn only if gamma or mu
+    is left unpinned), except ``tol`` (default 1e-9), the degeneracy
     threshold of ``SpectralConfig``, which gates no check.  A mu list of the
     wrong length is rejected with the field named.  A lattice beyond the
     dense capacity cap is rejected before anything is drawn; the remaining
@@ -118,21 +119,20 @@ def load_config(path: str | None, overrides: dict) -> SpectralConfig:
         raise ConfigError("tol", f"must be a number, got {tol!r}")
     check_dense_length(L)
 
-    drawn = SpectralConfig.random_instance(L, n, seed, tol=float(tol))
-
-    if overrides.get("gamma") is not None:
-        gamma = overrides["gamma"]
-    elif "gamma" in data:
+    gamma = overrides.get("gamma")
+    if gamma is None and "gamma" in data:
         gamma = _complex_from_json(data["gamma"], "gamma")
-    else:
-        gamma = drawn.gamma
 
+    mu = None
     if "mu" in data:
         if not isinstance(data["mu"], list) or len(data["mu"]) != L:
             raise ConfigError("mu", f"must be a list of exactly L={L} entries")
         mu = tuple(_complex_from_json(v, "mu") for v in data["mu"])
-    else:
-        mu = drawn.mu
+
+    if gamma is None or mu is None:
+        drawn = SpectralConfig.random_instance(L, n, seed, tol=float(tol))
+        gamma = drawn.gamma if gamma is None else gamma
+        mu = drawn.mu if mu is None else mu
 
     return SpectralConfig(L=L, n=n, gamma=gamma, mu=mu, tol=float(tol), seed=seed)
 

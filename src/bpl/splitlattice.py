@@ -20,12 +20,21 @@ row is the left half's index, is held as one (2^h, c, 2^(L-h)) array, and
 
     M_ab X = sum_g M_left[a, g] X M_right[g, b]^T
 
-is two pairs of matrix products with no copy in between: the array as
-(2^h c, 2^(L-h)) times M_right[g, b]^T, then M_left[a, g] times the result
-as (2^h, c 2^(L-h)).  At L = 9 that is about 49k multiply-adds per vector,
-as much as one product with the operator's sector blocks, and the halves
-hold 4 (16^2 + 32^2) = 5,120 entries where the sector blocks of A, B and D
-hold 140,998.
+is three matrix products with no copy in between: the array as
+(2^h c, 2^(L-h)) times M_right[0, b]^T and times M_right[1, b]^T, the two
+results stacked as the rows of one (2^(h+1), c 2^(L-h)) matrix, then
+[M_left[a, 0] | M_left[a, 1]] times that matrix, which sums over g inside
+the product.  At L = 9 that is about 49k multiply-adds per vector, as much
+as one product with the operator's sector blocks, and the halves hold
+4 (16^2 + 32^2) = 5,120 entries where the sector blocks of A, B and D hold
+140,998.
+
+Every product writes into buffers its caller passes.  One call of
+``off_relation_residuals`` allocates a single workspace, sized for its
+widest draw, and every draw and the operator agreement run in slices of
+it; only each draw's halves are allocated per draw.  At L = 9, n = 3 the
+workspace is two (16, 36, 32) stack buffers and a scratch buffer of twice
+their size, 1.2 MB.
 """
 
 from __future__ import annotations
@@ -70,15 +79,24 @@ class SplitMonodromy(NamedTuple):
     left: np.ndarray
     right: np.ndarray
 
-    def apply(self, row: int, a: int, b: int, w: np.ndarray) -> np.ndarray:
-        """M_ab of rapidity ``row`` on the split block ``w``, (2^h, c,
-        2^(L-h)): A is (0, 0), B (0, 1), C (1, 0) and D (1, 1)."""
-        left, right = self.left[row], self.right[row]
+    def apply(self, row: int, a: int, b: int, w: np.ndarray, outs, scratch: np.ndarray):
+        """M_ab of rapidity ``row`` (A is (0, 0), B (0, 1), C (1, 0), D
+        (1, 1)) on the C-contiguous split block ``w``, its columns written
+        into the blocks of ``outs`` in turn, each a column range of a
+        C-contiguous block; ``scratch`` holds the right products, 2 w.size
+        entries (module docstring)."""
         rows, cols, width = w.shape
-        flat = np.ascontiguousarray(w).reshape(rows * cols, width)
-        out = left[a, 0] @ (flat @ right[0, b].T).reshape(rows, cols * width)
-        out += left[a, 1] @ (flat @ right[1, b].T).reshape(rows, cols * width)
-        return out.reshape(rows, cols, width)
+        flat = w.reshape(rows * cols, width)
+        right = scratch[: 2 * w.size].reshape(2, rows * cols, width)
+        for g in (0, 1):
+            np.matmul(flat, self.right[row, g, b].T, out=right[g])
+        right = right.reshape(2 * rows, cols * width)
+        left = self.left[row, a].transpose(1, 0, 2).reshape(rows, 2 * rows)
+        start = 0
+        for out in outs:
+            stop = start + out.shape[1] * width
+            np.matmul(left, right[:, start:stop], out=out.reshape(rows, -1))
+            start = stop
 
 
 def split_monodromies(wa: np.ndarray, wb: np.ndarray, c: complex) -> SplitMonodromy:
@@ -88,25 +106,25 @@ def split_monodromies(wa: np.ndarray, wb: np.ndarray, c: complex) -> SplitMonodr
     return SplitMonodromy(_half(wa[:, :h], wb[:, :h], c), _half(wa[:, h:], wb[:, h:], c))
 
 
-def full_space(probes: list[np.ndarray], top: int) -> np.ndarray:
-    """The (2^L, c) block holding ``probes[k]`` (one (C(L, k), c) block per
-    sector k = 0..L) in the rows of sector k for k <= top, zero elsewhere."""
-    L = len(probes) - 1
-    out = np.zeros((2**L, probes[0].shape[1]), dtype=complex)
-    for k in range(top + 1):
-        out[sector_indices(L, k)] = probes[k]
+def _blocks(buf: np.ndarray, rows: int, width: int, *cols: int) -> list[np.ndarray]:
+    """Consecutive (rows, c, width) blocks of the flat ``buf``, c in ``cols``."""
+    out, start = [], 0
+    for c in cols:
+        out.append(buf[start : start + rows * c * width].reshape(rows, c, width))
+        start += rows * c * width
     return out
 
 
-def to_split(v: np.ndarray) -> np.ndarray:
-    """A (2^L, c) block of full-space vectors as a split block."""
-    L = len(v).bit_length() - 1
-    return np.ascontiguousarray(v.reshape(2 ** (L // 2), -1, v.shape[1]).transpose(0, 2, 1))
-
-
-def from_split(w: np.ndarray) -> np.ndarray:
-    """A split block as (2^L, c) full-space vectors."""
-    return w.transpose(0, 2, 1).reshape(-1, w.shape[1])
+def _scatter(sectors, out: np.ndarray) -> np.ndarray:
+    """The split block ``out`` set to the (C(L, k), c) rows ``block`` in
+    sector k for each (k, block) of ``sectors``, zero elsewhere."""
+    rows, _, width = out.shape
+    L = (rows * width).bit_length() - 1
+    out.fill(0)
+    for k, block in sectors:
+        high, low = np.divmod(sector_indices(L, k), width)
+        out[high, :, low] = block
+    return out
 
 
 def _relative(left: np.ndarray, right: np.ndarray) -> float:
@@ -115,59 +133,106 @@ def _relative(left: np.ndarray, right: np.ndarray) -> float:
                  / max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300))
 
 
-def operator_agreement(m: MonodromyEntries, split: SplitMonodromy, probes) -> float:
+def operator_agreement(m: MonodromyEntries, split: SplitMonodromy, probes, work) -> float:
     """The relative max-norm gap between the sector-block products of A, B
     and D of the built monodromy ``m`` on ``probes`` (one block per source
     sector) and the split products of row 0 of ``split`` on the same
-    vectors, the worst of the three operators."""
-    L = len(probes) - 1
-    v = full_space(probes, L)
-    w = to_split(v)
+    vectors, the worst of the three operators, in the workspace ``work``."""
+    rows, width, p = split.left.shape[-1], split.right.shape[-1], probes[0].shape[1]
+    [v], [got], [built] = (_blocks(buf, rows, width, p) for buf in work)
+    _scatter(enumerate(probes), v)
     worst = 0.0
     for blocks, a, b in ((m.a, 0, 0), (m.b, 0, 1), (m.d, 1, 1)):
-        built = np.zeros_like(v)
-        for k, blk in enumerate(blocks):
-            if blk.size:
-                built[sector_indices(L, k + b - a)] = blk @ probes[k]
-        worst = max(worst, _relative(from_split(split.apply(0, a, b, w)), built))
+        split.apply(0, a, b, v, [got], work[2])
+        _scatter(((k + b - a, blk @ probes[k]) for k, blk in enumerate(blocks) if blk.size), built)
+        worst = max(worst, _relative(got, built))
     return worst
 
 
-def off_relation_residuals(split: SplitMonodromy, lams: list[complex], factors,
-                           v: np.ndarray) -> list[float]:
-    """The A-line, D-line and transfer-identity residuals of one draw
-    ``lams`` = (lam0, lam_1, ..., lam_n), row i of ``split`` holding lams[i],
-    with the coefficients ``factors`` = (MA0, MD0, MA, MD) of
-    ``ybcore.exchange_m_factors``, on the split probe block ``v``.
+def _draw_residuals(split: SplitMonodromy, factors, probes, work) -> list[float]:
+    """The A-line, D-line and transfer-identity residuals of one draw (lam0,
+    lam_1, ..., lam_n), row i of ``split`` holding lam_i, with the
+    coefficients ``factors`` = (MA0, MD0, MA, MD) of
+    ``ybcore.exchange_m_factors``, on the probes of sectors k <= L - n.
 
-    Every side is a sum of B-chains times A or D, applied to v one operator
-    at a time, right to left.  The A and D lines share their chains:
-    B(lam_1) ... B(lam_n) takes [v | A(lam0) v | D(lam0) v], and each
-    B(lam0) prod_{t != i} B(lam_t) takes [A(lam_i) v | D(lam_i) v], so both
-    sides are formed as [A line | D line] and their columns sum to the
-    transfer identity.
+    The A and D lines share their B-chains, applied one B at a time, right
+    to left: B(lam_1) ... B(lam_n) takes [v | A(lam0) v | D(lam0) v], and
+    each B(lam0) prod_{t != i} B(lam_t) takes [A(lam_i) v | D(lam_i) v].
+    At step j the chains dropping i < n - j take lam_{n-j}, like the plain
+    chain, and the others the next factor to the left, so the columns are
+    kept as two C-contiguous blocks, a head and a tail; each step moves the
+    head's last group to the front of the next tail.
     """
-    n, p = len(lams) - 1, v.shape[1]
-    ma0, md0, ma, md = factors
+    stacks, scratch = work[:2], work[2]
+    L, p = len(probes) - 1, probes[0].shape[1]
+    n, rows, width = len(split.left) - 1, split.left.shape[-1], split.right.shape[-1]
+    cols = (3 + 2 * n) * p
     op = split.apply
-    both = lambda i, w: np.concatenate([op(i, 0, 0, w), op(i, 1, 1, w)], axis=1)
-    # the chains' columns side by side: the plain chain's, then the chain
-    # dropping lam_i for i = 1..n.  Read right to left, the chains dropping
-    # i < n - j still take lam_{n-j} at step j, like the plain chain, and
-    # the others take the next factor to the left (lam0 last), so each step
-    # is one product for a prefix of the columns and one for the rest
-    stack = np.concatenate([v, both(0, v)] + [both(i, v) for i in range(1, n + 1)], axis=1)
-    for j in range(n):
-        cut = (3 + 2 * (n - 1 - j)) * p
-        stack = np.concatenate([op(n - j, 0, 1, stack[:, :cut]),
-                                op(n - 1 - j, 0, 1, stack[:, cut:])], axis=1)
-    # the coefficients of each term, one per column of [A line | D line]
-    m0 = np.repeat([ma0, md0], p)[:, None]
-    m = np.repeat(np.stack([ma, md], axis=-1), p, axis=-1)[..., None]
-    lhs = both(0, stack[:, :p])
-    rhs = m0 * stack[:, p : 3 * p]
+
+    def both(i, w, out):
+        op(i, 0, 0, w, [out[:, :p]], scratch)
+        op(i, 1, 1, w, [out[:, p:]], scratch)
+
+    # the head holds v and [A v | D v] at lam0 .. lam_{n-1}, the tail at lam_n
+    [v] = _blocks(stacks[1], rows, width, p)
+    _scatter(((k, probes[k]) for k in range(L - n + 1)), v)
+    head, tail = _blocks(stacks[0], rows, width, cols - 2 * p, 2 * p)
+    head[:, :p] = v
     for i in range(n):
-        rhs = rhs - m[i] * stack[:, (3 + 2 * i) * p : (5 + 2 * i) * p]
+        both(i, v, head[:, (1 + 2 * i) * p : (3 + 2 * i) * p])
+    both(n, v, tail)
+    for j in range(n):
+        cut = cols - 2 * (j + 1) * p
+        head, tail = _blocks(stacks[j % 2], rows, width, cut, cols - cut)
+        new_head, new_tail = _blocks(stacks[1 - j % 2], rows, width,
+                                     cut - 2 * p, cols - cut + 2 * p)
+        op(n - j, 0, 1, head, [new_head, new_tail[:, : 2 * p]], scratch)
+        op(n - 1 - j, 0, 1, tail, [new_tail[:, 2 * p :]], scratch)
+    # the plain chain on v, then the chains on [A v | D v], lam0's first
+    chain, terms = _blocks(stacks[n % 2], rows, width, p, cols - p)
+    [lhs] = _blocks(stacks[1 - n % 2], rows, width, 2 * p)
+    both(0, chain, lhs)
+    # the coefficients of each term, one per column of [A line | D line]
+    ma0, md0, ma, md = factors
+    terms = terms.reshape(rows, n + 1, 2 * p, width)
+    rhs, term = _blocks(scratch, rows, width, 2 * p, 2 * p)
+    np.multiply(np.repeat([ma0, md0], p)[:, None], terms[:, 0], out=rhs)
+    m = np.repeat(np.stack([ma, md], axis=-1), p, axis=-1)[..., None]
+    for i in range(n):
+        rhs -= np.multiply(m[i], terms[:, 1 + i], out=term)
     sides = ((lhs[:, :p], rhs[:, :p]), (lhs[:, p:], rhs[:, p:]),
              (lhs[:, :p] + lhs[:, p:], rhs[:, :p] + rhs[:, p:]))
     return [_relative(left, right) for left, right in sides]
+
+
+def off_relation_residuals(build, weights, c: complex, factors,
+                           probes) -> tuple[float, float, float, float]:
+    """The worst A-line, D-line and transfer-identity residuals over the
+    draws, and the agreement of the block build ``build()`` at the first
+    draw's lam0.  ``weights`` holds each draw's site weights a and b, two
+    (n + 1, L) arrays, every site sharing ``c``; ``factors`` each draw's
+    coefficients, and ``probes`` one (C(L, k), p) block per sector k.
+
+    Each draw's halves are dropped before the next draw's are built, and
+    the block build before the draws run; the workspace is allocated after
+    both, for the widest draw that runs, and sliced for narrower ones.
+    """
+    L, p = len(probes) - 1, probes[0].shape[1]
+    rows, width = 2 ** (L // 2), 2 ** (L - L // 2)
+    widest = max((len(wa) for wa, _ in weights if len(wa) <= L + 1), default=0)
+    size = rows * width * p * (1 + 2 * widest)
+    m = build()
+    split = split_monodromies(*weights[0], c)
+    buf = np.empty(4 * size, dtype=complex)
+    work = (buf[:size], buf[size : 2 * size], buf[2 * size :])
+    agreement = operator_agreement(m, split, probes, work)
+    del m
+    worst = [0.0, 0.0, 0.0]
+    for k, ((wa, wb), f) in enumerate(zip(weights, factors)):
+        # a chain of more than L raising operators is zero, and so is every side
+        if len(wa) <= L + 1:
+            if k:
+                split = split_monodromies(wa, wb, c)
+            worst = [max(w, r) for w, r in zip(worst, _draw_residuals(split, f, probes, work))]
+        split = None
+    return (*worst, agreement)

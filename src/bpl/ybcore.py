@@ -361,13 +361,17 @@ def check_off_relations(draws, cfg: SpectralConfig) -> OffRelationResiduals:
 
     The sides are formed on the whole quantum space, sectors k <= L - n
     holding their probes and the others zero, with the monodromy applied
-    through the two halves of the lattice (``splitlattice``), built per draw
-    for its rapidities alone; no sector block is built for them.  The
-    block build the pipeline reads is tied in by ``operator_agreement``:
-    the relative max-norm gap between the sector-block products of A, B and
-    D, built once at the first draw's lam0, and the split products, on the
-    probes of every sector.  Raises on coincident rapidities, which make the
-    coefficients singular, before anything is built.
+    through the two halves of the lattice, built per draw for its
+    rapidities alone from site weights evaluated once for every draw; no
+    sector block is built for them.  ``splitlattice.off_relation_residuals``
+    runs the draws in one workspace allocated per call, each application of
+    an operator two right products and one left product into it.  The block
+    build the pipeline reads is tied in by ``operator_agreement``: the
+    relative max-norm gap between the sector-block products of A, B and D,
+    built once at the first draw's lam0, and the split products of that
+    draw's halves, on the probes of every sector.  Raises on coincident
+    rapidities, which make the coefficients singular, before anything is
+    built.
     """
     draws = [[complex(l) for l in draw] for draw in draws]
     factors = [[f[0] for f in exchange_m_factors([lam0], [lams], cfg.gamma)]
@@ -377,25 +381,11 @@ def check_off_relations(draws, cfg: SpectralConfig) -> OffRelationResiduals:
     rng = cfg.rng("off-probes")
     probes = [rng.standard_normal((comb(cfg.L, k), _OFF_PROBES))
               + 1j * rng.standard_normal((comb(cfg.L, k), _OFF_PROBES)) for k in range(cfg.L + 1)]
-    lam0 = draws[0][0]
-    agreement = splitlattice.operator_agreement(monodromy(lam0, cfg, ops="abd"),
-                                                _split([lam0], cfg), probes)
-    worst = [0.0, 0.0, 0.0]
-    for draw, f in zip(draws, factors):
-        if len(draw) - 1 > cfg.L:
-            # a chain of more than L raising operators is zero, and so is every side
-            continue
-        v = splitlattice.to_split(splitlattice.full_space(probes, cfg.L - len(draw) + 1))
-        residuals = splitlattice.off_relation_residuals(_split(draw, cfg), draw, f, v)
-        worst = [max(w, r) for w, r in zip(worst, residuals)]
-    return OffRelationResiduals(*worst, agreement)
-
-
-def _split(lams: list[complex], cfg: SpectralConfig) -> splitlattice.SplitMonodromy:
-    """The split monodromies at ``lams``, one row each."""
-    lams = np.array(lams, dtype=complex)
-    _require_finite(lams)
-    return splitlattice.split_monodromies(*_weights(lams, cfg))
+    wa, wb, c = _weights(np.array([l for draw in draws for l in draw]), cfg)
+    edges = np.cumsum([len(draw) for draw in draws])[:-1]
+    return OffRelationResiduals(*splitlattice.off_relation_residuals(
+        lambda: monodromy(draws[0][0], cfg, ops="abd"),
+        list(zip(np.split(wa, edges), np.split(wb, edges))), c, factors, probes))
 
 
 # -- spectra -----------------------------------------------------------------------

@@ -95,6 +95,32 @@ def test_boolean_numbers_are_rejected_with_the_field_named(data, field, tmp_path
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+def test_seeded_instance_is_drawn_only_for_unpinned_fields(tmp_path, monkeypatch):
+    # a file pinning gamma and mu, as the benchmark writes it, draws nothing
+    # and loads the instance it was written from; one pinning neither loads
+    # the seeded instance itself
+    ref = SpectralConfig.random_instance(5, 2, seed=7)
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(json.dumps({
+        "L": 5, "n": 2, "seed": 7, "gamma": {"re": ref.gamma.real, "im": ref.gamma.imag},
+        "mu": [{"re": m.real, "im": m.imag} for m in ref.mu]}))
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"L": 5, "n": 2, "seed": 7}))
+    calls = []
+    original = SpectralConfig.random_instance.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralConfig, "random_instance", classmethod(counted))
+    assert cli.load_config(str(pinned), {}) == ref and calls == []
+    assert cli.load_config(str(bare), {}) == ref and len(calls) == 1
+    # a flag pinning gamma still draws mu from the seed
+    cfg = cli.load_config(str(bare), {"gamma": 0.3 + 0.2j})
+    assert cfg.gamma == 0.3 + 0.2j and cfg.mu == ref.mu and len(calls) == 2
+
+
 def test_margin_is_decades_of_headroom_and_null_at_zero_residual():
     checks = [CheckRecord("passes", 1e-12, 1e-9, True, 0.0),
               CheckRecord("fails", 1e-7, 1e-9, False, 0.0),

@@ -649,19 +649,41 @@ class TestOffRelations:
         assert got.operator_agreement.hex() == alone[0].operator_agreement.hex()
 
 
+def to_split(v):
+    """A (2^L, c) block of full-space vectors as a C-contiguous split block,
+    (2^(L // 2), c, 2^(L - L // 2))."""
+    L = len(v).bit_length() - 1
+    return np.ascontiguousarray(v.reshape(2 ** (L // 2), -1, v.shape[1]).transpose(0, 2, 1))
+
+
+def from_split(w):
+    """A split block as (2^L, c) full-space vectors."""
+    return w.transpose(0, 2, 1).reshape(-1, w.shape[1])
+
+
+def split_at(lams, cfg):
+    """The split monodromies at ``lams``, one row each."""
+    return bpl.splitlattice.split_monodromies(*bpl.ybcore._weights(np.array(lams, complex), cfg))
+
+
 class TestSplitLattice:
-    @pytest.mark.parametrize("L", range(1, 8))
+    @pytest.mark.parametrize("L", range(1, 10))
     def test_every_operator_equals_the_kronecker_reference(self, L, rng):
         # each M_ab applied to the identity, against the dense Kronecker
-        # build; at L = 1 the left half has no site
+        # build; at L = 1 the left half has no site.  Every product reuses
+        # one output block and one scratch buffer, both first filled with
+        # NaN, and writes its columns in two blocks of that output
         cfg = SpectralConfig.random_instance(L, 0, seed=L)
-        eye = bpl.splitlattice.to_split(np.eye(2**L, dtype=complex))
+        eye = to_split(np.eye(2**L, dtype=complex))
+        out = np.full(eye.shape, np.nan, dtype=complex)
+        scratch = np.full(2 * eye.size, np.nan, dtype=complex)
+        cut = 2**L // 3
         for lam in (draw_complex(rng), draw_complex(rng), 0.0):
-            split = bpl.ybcore._split([lam], cfg)
+            split = split_at([lam], cfg)
             assert split.left.shape[-1] == 2 ** (L // 2)
             for (a, b), ref in zip([(0, 0), (0, 1), (1, 0), (1, 1)], kron_monodromy(lam, cfg)):
-                got = bpl.splitlattice.from_split(split.apply(0, a, b, eye))
-                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+                split.apply(0, a, b, eye, [out[:, :cut], out[:, cut:]], scratch)
+                assert np.max(np.abs(from_split(out) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_wrong_half_fails_the_operator_agreement(self, monkeypatch):
         # the right half's sites in reverse order, the weights a and b
@@ -701,6 +723,24 @@ class TestSplitLattice:
             assert field.hex() == max(values).hex()
         assert got.operator_agreement.hex() == alone[0].operator_agreement.hex()
 
+    def test_mixed_widths_share_one_workspace(self, rng):
+        # widths 1 .. L + 2 in one call: the workspace is sized for the
+        # widest draw that runs (L + 1) and sliced for each narrower one, and
+        # the first draw, too wide to run, still gives the agreement.  Both
+        # forms read up to 6e-13 at n = L (two measures of the same
+        # roundoff, as in test_matches_two_pass_reference), so they agree to
+        # 1e-12 here
+        cfg = SpectralConfig.random_instance(6, 2, seed=5)
+        draws = [random_draws(rng, 1, width)[0] for width in (8, 3, 1, 7, 5, 2, 4, 6)]
+        got = check_off_relations(draws, cfg)
+        alone = [check_off_relations([draw], cfg) for draw in draws]
+        for field, values in zip(got[:3], zip(*alone)):
+            assert field.hex() == max(values).hex()
+        assert got.operator_agreement.hex() == alone[0].operator_agreement.hex()
+        refs = [two_pass_off_relations(d[0], d[1:], cfg) for d in draws]
+        assert max(got) < 1e-11 and np.max(refs) < 1e-11
+        assert np.max(np.abs(np.subtract(got, np.max(refs, axis=0)))) <= 1e-12
+
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_one_site_matches_the_two_pass_reference(self, width, rng):
         # n = 0, n = L and n > L on the lattice whose left half is empty
@@ -727,6 +767,26 @@ class TestSplitLattice:
         finally:
             tracemalloc.stop()
         assert peak <= 10_952_288
+
+    def test_draws_add_no_memory_to_one_call(self):
+        # every draw runs in one workspace, and each draw's halves are
+        # dropped before the next draw's are built, so the suite's ten draws
+        # at L = 9, n = 3 peak within 64 KB of its first draw alone, and no
+        # higher than the form that allocated per product (3,938,520 B on
+        # numpy 2.4, x86_64; the bound leaves 70 KB for other builds)
+        cfg = SpectralConfig.random_instance(9, 3, seed=0)
+        draws = _draws(cfg, "off", 10, width=4)
+        peaks = []
+        for batch in (draws[:1], draws):
+            check_off_relations(batch, cfg)  # compiled plans and index caches
+            tracemalloc.start()
+            try:
+                check_off_relations(batch, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
+        assert peaks[1] <= 4_010_000
 
     @pytest.mark.parametrize("L", range(17))
     def test_sector_indices_equal_the_loop_over_states(self, L):
