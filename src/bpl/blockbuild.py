@@ -61,8 +61,7 @@ Three things keep a build to what its caller reads:
   nothing; ``MonodromyEntries.row`` reads one rapidity's blocks, or a
   sub-batch, from them.  ``ybcore.monodromies`` yields the rows of its
   batches, which it bounds by ``BATCH_ENTRIES``, and ``rtt_residuals``
-  reads a chunk of ``ybcore.check_rtt``'s draws whole, one stacked product
-  for every draw.
+  reads a chunk of ``ybcore.check_rtt``'s draws shift by shift.
 * **The operators.**  A plan builds the operators its caller names and
   returns ``()`` for the others.  Each operator has its own write at the
   last site, so only the named ones run there.  A and B read only A and
@@ -351,74 +350,78 @@ def build_batch(wa: np.ndarray, wb: np.ndarray, c: complex, plan: _Plan) -> Mono
 
 # -- the RTT relation on sector blocks ------------------------------------------
 
-#: Per shift s, the auxiliary entries (row 2i + k, column 2j + l) of
-#: M(u) (x) M(v) whose operator M_ij(u) M_kl(v) moves the down-spin count by
-#: s = (j + l) - (i + k).
+#: Per shift s, the auxiliary cells (2i + k, 2j + l) of M(u) (x) M(v) whose
+#: M_ij(u) M_kl(v) moves the down-spin count by s = (j + l) - (i + k)
 _AUX_PAIRS = {s: tuple((c, d) for c in range(4) for d in range(4)
                        if (d // 2 + d % 2) - (c // 2 + c % 2) == s) for s in range(-2, 3)}
 
 
+@cache
+def _rtt_layout(L: int, s: int):
+    """Shift s on L sites: entries per pair, products, and the entry of R
+    (16: 0) weighing pair p at index[a, side, d, p], as int8: cached
+    int64 blocks raised verify_L9n3's peak RSS by 0.2 MB."""
+    products = []
+    dims = [comb(L, q + s) * comb(L, q) if q + s >= 0 else 0 for q in range(L + 1)]
+    ends = np.cumsum(dims).tolist()
+    index = np.full((4, 2, 4, len(_AUX_PAIRS[s])), 16, dtype=np.int8)
+    for p, (c, d) in enumerate(_AUX_PAIRS[s]):
+        (i, k), (j, l) = divmod(c, 2), divmod(d, 2)
+        index[:, 0, d, p] = 4 * np.arange(4) + c
+        index[c, 1, :, p] = 4 * d + np.arange(4)
+        products += [(p, slice(ends[q] - dims[q], ends[q]), 2 * i + j, q + l - k, 2 * k + l, q)
+                     for q in range(L + 1) if dims[q] and 0 <= q + l - k <= L]
+    return ends[-1], products, index
+
+
 def rtt_entries(L: int) -> int:
-    """Entries one draw of ``rtt_residuals`` is counted as holding: four
-    times the 16 auxiliary entries of the largest sector block, for the
-    left side, a row of the right side and its terms, the copies numpy
-    buffers of their broadcast operands, and the draw's share of the build.
-    The traced peaks (numpy 2.4) come to about 1,900 entries a draw at
-    L = 4 and 6,300 at L = 5, against 2,304 and 6,400 counted."""
-    return 4 * 16 * comb(L, L // 2) ** 2
+    """Entries a draw of ``rtt_residuals`` holds for an R without zeros:
+    the build and shift 1, or shift 0, and 384.  Traced (numpy 2.4) 1,770
+    at L = 4 and 6,230 at L = 5; 1,440 and 5,040 for the six-vertex R."""
+    c0, c1 = comb(2 * L, L), comb(2 * L, L + 1)
+    return max(24 * c0, 4 * c0 + 24 * c1) + 384
 
 
-def rtt_residuals(mx: MonodromyEntries, my: MonodromyEntries, r: np.ndarray) -> np.ndarray:
-    """The residual of R [M(x) (x) M(y)] = [M(y) (x) M(x)] R for each draw
-    of a batch, max |lhs - rhs| / max(|lhs|, |rhs|) over every entry of
-    both sides, from the stacked monodromies ``mx`` and ``my`` (full
-    builds) at its x and y rapidities and its R matrices ``r``
-    (batch, 4, 4).
+def rtt_residuals(m: MonodromyEntries, r: np.ndarray) -> np.ndarray:
+    """Per draw max |lhs - rhs| / max(|lhs|, |rhs|) over every entry of
+    R [M(x) (x) M(y)] = [M(y) (x) M(x)] R, from full builds ``m`` (x, y of
+    a draw in adjacent rows) and R matrices ``r``.
 
-    M(x) (x) M(y) has one quantum-space operator per pair of auxiliary
-    entries, M_ij(x) M_kl(y) at auxiliary row 2i + k and column 2j + l,
-    which moves the down-spin count by s = (j + l) - (i + k); R mixes those
-    operators with every entry of R.  So both sides are formed one sector
-    block at a time, source sector q to q + s, as (batch, 4, 4, rows, cols)
-    arrays of their auxiliary entries: every sector product is one stacked
-    matmul over the draws, and every R term ``r * P``, in the same operand
-    order on both sides, so x = y reads exactly 0.  The left side R P is
-    formed whole, then the right side Q R, Q = M(y) (x) M(x), one auxiliary
-    row at a time, each row subtracted from the left side in place once its
-    modulus is read.  Each draw's figure reads only its own rows, so it
-    does not depend on the batch.
+    Per shift, a (side, draw, pair, entry) buffer holds both sides'
+    products; row a of a side is one matmul with it, of R[a, c] at (d, (c,
+    d)) on the left, R[d, d'] at (d', (a, d)) on the right: alike on both
+    sides, so x = y reads 0.  Cells no non-zero entry of R reaches are zero
+    and skipped.  Shift 0 runs after the build (handed over) is freed.
     """
-    L = len(mx.a) - 1
-    num, scale = np.zeros(len(r)), np.full(len(r), 1e-300)
-    # R[a, c] for every a, broadcast over a block, and R[c, b] for every b
-    left = [r[:, :, c, None, None] for c in range(4)]
-    right = [r[:, c, :, None, None] for c in range(4)]
+    L, draws = len(m.a) - 1, len(r)
+    ops = list(m)
+    del m
 
-    def product(u, v, row, col, q):
-        """M_ij(u) M_kl(v) on source sector q, (i, k) = divmod(row, 2) and
-        (j, l) = divmod(col, 2), with a unit axis for the auxiliary
-        entries R mixes in."""
-        (i, k), (j, l) = divmod(row, 2), divmod(col, 2)
-        return (u[2 * i + j][q + l - k] @ v[2 * k + l][q])[:, None]
+    def pair(op, k):
+        """Block k of operator op as (side, draw, rows, cols): x, then y."""
+        return ops[op][k].reshape(draws, 2, *ops[op][k].shape[1:]).swapaxes(0, 1)
 
-    def modulus(blocks):
-        return np.max(np.abs(blocks), axis=tuple(range(1, blocks.ndim)))
+    weights = np.append(r.reshape(draws, 16), np.zeros((draws, 1)), 1)
+    nonzero = np.append(np.any(r != 0, axis=0), False)
 
-    for q in range(L + 1):
-        for s in range(max(-2, -q), min(2, L - q) + 1):
-            # the pairs whose intermediate sector exists; the others are zero
-            pairs = [(c, d) for c, d in _AUX_PAIRS[s] if 0 <= q + d % 2 - c % 2 <= L]
-            lhs = np.zeros((len(r), 4, 4, comb(L, q + s), comb(L, q)), dtype=complex)
-            for c, d in pairs:
-                lhs[:, :, d] += left[c] * product(mx, my, c, d, q)
-            scale = np.maximum(scale, modulus(lhs))
-            for a in range(4):
-                rhs = None
-                for d in (d for c, d in pairs if c == a):
-                    term = right[d] * product(my, mx, a, d, q)
-                    rhs = term if rhs is None else np.add(rhs, term, out=rhs)
-                if rhs is not None:
-                    scale = np.maximum(scale, modulus(rhs))
-                    lhs[:, a] -= rhs
-            num = np.maximum(num, modulus(lhs))
-    return num / scale
+    def shift(s):  # per draw max |lhs|, |rhs|, |lhs - rhs|
+        size, products, index = _rtt_layout(L, s)
+        pairs = np.zeros((2, draws, index.shape[-1], size), dtype=complex)
+        for p, span, u, mid, v, q in products:
+            out = pairs[:, :, p, span].reshape(2, draws, -1, comb(L, q))
+            np.matmul(pair(u, mid), pair(v, q)[::-1], out=out)
+        if s == 0:
+            del ops[:]
+        live = nonzero[index].any(axis=(1, 3))
+        tops = np.zeros((4, 3, draws))
+        for row, cells, top in zip(index, live, tops):
+            if cells.any():
+                o = np.matmul(weights[:, row[:, cells]].swapaxes(0, 1), pairs)
+                top[:2] = np.max(np.abs(o), axis=(2, 3))
+                np.subtract(o[0], o[1], out=o[0])
+                top[2] = np.max(np.abs(o[0]), axis=(1, 2))
+                del o
+        return tops.max(axis=0)
+
+    tops = np.max([shift(s) for s in (2, -2, 1, -1, 0) if abs(s) <= L], axis=0)
+    return tops[2] / np.maximum(tops[:2].max(axis=0), 1e-300)

@@ -213,10 +213,9 @@ def check_rtt(x, y, cfg: SpectralConfig) -> float:
 
     The monodromies of a chunk of draws (``blockbuild.chunks`` of
     ``blockbuild.rtt_entries``) come from one build, x and y of each draw
-    in adjacent rows, and ``blockbuild.rtt_residuals`` reads them as
-    stacked views of its buffers: both sides one sector block at a time,
-    every sector product one stacked matmul over the draws and every entry
-    of R(x-y) mixed in.
+    in adjacent rows, and ``blockbuild.rtt_residuals`` reads them a shift
+    at a time: every sector's products in one buffer for both sides and
+    all draws, then one mixing with R(x-y) per auxiliary row.
     """
     x, y = (np.ravel(v).astype(complex) for v in np.broadcast_arrays(x, y))
     _require_finite(x, y)
@@ -224,8 +223,8 @@ def check_rtt(x, y, cfg: SpectralConfig) -> float:
     _, build = _builder(np.stack([x, y], axis=1).ravel(), cfg, None, "abcd")
     worst = 0.0
     for draws in blockbuild.chunks(len(x), blockbuild.rtt_entries(cfg.L)):
-        m = build(slice(2 * draws.start, 2 * draws.stop))
-        residuals = blockbuild.rtt_residuals(m.row(slice(0, None, 2)), m.row(slice(1, None, 2)),
+        # handed over, so that rtt_residuals frees it before shift 0
+        residuals = blockbuild.rtt_residuals(build(slice(2 * draws.start, 2 * draws.stop)),
                                              r[draws])
         worst = max(worst, float(np.max(residuals)))
     return worst

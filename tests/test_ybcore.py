@@ -509,11 +509,63 @@ class TestRtt:
 
     def test_suite_draws_cross_a_chunk_boundary(self):
         cfg = SpectralConfig.random_instance(4, 2, seed=0)
-        assert bpl.blockbuild.chunks(20, bpl.blockbuild.rtt_entries(4)) == [slice(0, 14),
-                                                                          slice(14, 20)]
+        assert bpl.blockbuild.chunks(20, bpl.blockbuild.rtt_entries(4)) == [slice(0, 15),
+                                                                          slice(15, 20)]
         x, y = _draws(cfg, "rtt", 20, width=2).T
         alone = max(check_rtt(a, b, cfg) for a, b in zip(x, y))
         assert check_rtt(x, y, cfg).hex() == alone.hex()
+
+    def test_suite_draws_on_five_sites_match_the_dense_form(self):
+        # the draws of verify-rtt on a larger instance, in chunks of five
+        cfg = _on_sites(SpectralConfig.random_instance(9, 3, seed=0), 5, 0)
+        assert [c.stop - c.start for c in bpl.blockbuild.chunks(20, bpl.blockbuild.rtt_entries(5))] \
+            == [5, 5, 5, 5]
+        x, y = _draws(cfg, "rtt", 20, width=2).T
+        alone = [check_rtt(a, b, cfg) for a, b in zip(x, y)]
+        for a, b, one in zip(x, y, alone):
+            assert abs(one - dense_rtt(a, b, cfg)) <= 1e-15
+        assert check_rtt(x, y, cfg).hex() == max(alone).hex()
+
+    def test_zeros_of_one_draws_r_skip_no_cell_of_the_others(self, cfg3, rng, monkeypatch):
+        # a charge-breaking entry that vanishes at x = y: a batch opening with
+        # x = y must still reach the cells it breaks in the other draws
+        right = bpl.ybcore.r_matrix
+
+        def breaking(x, gamma):
+            r = right(x, gamma).copy()
+            r[..., 0, 3] = 0.3 * np.sinh(x)
+            return r
+
+        monkeypatch.setattr(bpl.ybcore, "r_matrix", breaking)
+        x, y = draw_complex(rng, (2, 4))
+        y[0] = x[0]
+        alone = max(check_rtt(a, b, cfg3) for a, b in zip(x, y))
+        assert alone > 1e-3
+        assert check_rtt(x, y, cfg3).hex() == alone.hex()
+
+    @pytest.mark.parametrize("L", range(1, 6))
+    def test_reversed_r_argument_fails(self, L, rng, monkeypatch):
+        cfg = SpectralConfig.random_instance(L, 0, seed=L)
+        right = bpl.ybcore.r_matrix
+        monkeypatch.setattr(bpl.ybcore, "r_matrix", lambda x, gamma: right(-np.asarray(x), gamma))
+        x, y = draw_complex(rng, (2, 3))
+        assert check_rtt(x, y, cfg) > 1e-3
+
+    @pytest.mark.parametrize("L", range(1, 6))
+    def test_r_matrix_without_zeros_matches_the_dense_form(self, L, rng, monkeypatch):
+        # every auxiliary cell of both sides is reached, none is skipped
+        cfg = SpectralConfig.random_instance(L, 0, seed=L)
+        right = bpl.ybcore.r_matrix
+
+        def full(x, gamma):
+            return right(x, gamma) + 0.1 + 0.2j
+
+        x, y = draw_complex(rng, (2, 3))
+        monkeypatch.setattr(bpl.ybcore, "r_matrix", full)
+        alone = [check_rtt(a, b, cfg) for a, b in zip(x, y)]
+        for a, b, one in zip(x, y, alone):
+            assert one == pytest.approx(dense_rtt(a, b, cfg, full), rel=1e-12)
+        assert check_rtt(x, y, cfg).hex() == max(alone).hex()
 
     @pytest.mark.parametrize("L", range(1, 6))
     def test_arrays_of_draws_match_the_dense_einsum_form(self, L, rng):
