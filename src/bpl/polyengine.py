@@ -9,7 +9,7 @@ tensor grid of per-axis node sets by ``eval_grid``, one Vandermonde mode
 product per axis.  ``fit_grid`` is the one fit from tensor-grid samples,
 the inverse of ``eval_grid``: every interpolated quantity of the pipeline
 comes back from it as a ``GridFit``, with its condition number and one
-holdout per entry.
+holdout per entry, each node set's geometry computed once per process.
 ``PdeSpec`` is the one description of the order-(L-1) linear PDE that the
 closed form, its first-order reduction and the domain-wall equation share;
 it evaluates coefficients, terms and residuals over point batches.
@@ -18,6 +18,7 @@ it evaluates coefficients, terms and residuals over point batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Callable
 
@@ -129,21 +130,13 @@ def derivative_tensor(coeffs: np.ndarray, axis: int, order: int = 1) -> np.ndarr
     of the axis is kept and the vacated top coefficients are zero."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    c = coeffs
-    m = c.shape[axis] - 1
+    c = np.moveaxis(coeffs, axis, 0)
+    factors = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
     for _ in range(order):
         shifted = np.zeros_like(c)
-        if m >= 1:
-            idx_src = [slice(None)] * c.ndim
-            idx_dst = [slice(None)] * c.ndim
-            idx_src[axis] = slice(1, m + 1)
-            idx_dst[axis] = slice(0, m)
-            factors = np.arange(1, m + 1).reshape(
-                [-1 if ax == axis else 1 for ax in range(c.ndim)]
-            )
-            shifted[tuple(idx_dst)] = c[tuple(idx_src)] * factors
+        shifted[:-1] = c[1:] * factors
         c = shifted
-    return c
+    return np.moveaxis(c, 0, axis)
 
 
 # -- the order-(L-1) linear PDE ---------------------------------------------------
@@ -244,10 +237,22 @@ def vandermonde(nodes: np.ndarray, degree: int) -> np.ndarray:
     return np.vander(np.asarray(nodes, dtype=complex), degree + 1, increasing=True)
 
 
+@lru_cache(maxsize=32)
+def _geometry(key: bytes) -> tuple[np.ndarray, float]:
+    """(read-only inverse, condition number) of the square Vandermonde
+    matrix on the nodes with complex128 bytes ``key``, once per process."""
+    nodes = np.frombuffer(key, dtype=complex)
+    if len(set(np.round(nodes, 14))) != len(nodes):
+        raise ValueError("interpolation nodes collide; regrid")
+    v = vandermonde(nodes, len(nodes) - 1)
+    inverse = np.linalg.inv(v)
+    inverse.flags.writeable = False
+    return inverse, float(np.linalg.cond(v))
+
+
 def grid_condition(nodes: np.ndarray) -> float:
-    """Condition number of the square Vandermonde system on these nodes."""
-    nodes = np.asarray(nodes, dtype=complex)
-    return float(np.linalg.cond(vandermonde(nodes, len(nodes) - 1)))
+    """2-norm condition of the Vandermonde system on these nodes, cached."""
+    return _geometry(np.asarray(nodes, dtype=complex).tobytes())[1]
 
 
 def tensor_interpolate(values: np.ndarray, node_sets) -> np.ndarray:
@@ -259,28 +264,30 @@ def tensor_interpolate(values: np.ndarray, node_sets) -> np.ndarray:
     Vandermonde matrix, the inverse of ``eval_grid``.  The node sets of the
     pipeline are at most 13 long and their 2-norm condition is at most 53
     (``grid_condition``), so the inverse loses nothing a solve would keep.
-    The entries of the first batch axis are interpolated in
-    ``blockbuild.chunks`` of their values, which bounds the copy each axis
-    makes.
+    Both come from ``_geometry``, which holds the last 32 node sets (an
+    instance fits on at most 14).  The entries of the first batch axis are
+    interpolated in ``blockbuild.chunks`` of their values, which bounds the
+    copy each axis makes.
     """
-    node_sets = [np.asarray(g, dtype=complex) for g in node_sets]
     values = np.asarray(values, dtype=complex)
     batch = values.ndim - len(node_sets)
     if batch < 0:
         raise ValueError("more node sets than value axes")
-    for nodes in node_sets:
-        if len(set(np.round(nodes, 14))) != len(nodes):
-            raise ValueError("interpolation nodes collide; regrid")
-    inverses = [np.linalg.inv(vandermonde(nodes, len(nodes) - 1)) for nodes in node_sets]
+    inverses = [_geometry(np.asarray(g, dtype=complex).tobytes())[0] for g in node_sets]
+
+    def solve(part):
+        for k, inverse in enumerate(inverses):
+            part = _mode_product(part, inverse, batch + k)
+        return part
+
     parts = blockbuild.chunks(len(values), prod(values.shape[1:]))
     if batch == 0 or len(parts) <= 1:
         # the products' own output, not copied into a result buffer: the copy
-        # raised spectral_L7n2's peak RSS by 0.16 MB (Omega's images fit one
-        # chunk there)
-        return _interpolate_axes(values, inverses, batch)
+        # raised spectral_L7n2's peak RSS by 0.16 MB
+        return solve(values)
     out = np.empty_like(values)
     for part in parts:
-        out[part] = _interpolate_axes(values[part], inverses, batch)
+        out[part] = solve(values[part])
     return out
 
 
@@ -298,23 +305,14 @@ class GridFit:
 def fit_grid(values: np.ndarray, x_grids, held_x, held_values) -> GridFit:
     """Fit one function per leading entry of ``values`` on the grid of
     ``x_grids`` in one solve, and validate each at ``held_x`` against
-    ``held_values``, on a C-ordered copy of that entry alone, as
-    ``eval_tensors`` reads it (a strided entry rounds differently)."""
+    ``held_values`` by one stacked (N, 1, K) @ (K, 1) product, which rounds
+    as each entry's own; ``np.hypot`` rounds as ``abs`` of one value, where
+    ``np.abs`` of an array does not."""
     coeffs = tensor_interpolate(values, x_grids)
     condition = max((grid_condition(xg) for xg in x_grids), default=1.0)
     held = box_monomials(np.asarray(held_x, dtype=complex)[None, :], coeffs.shape[1:]).T
-    holdouts = np.empty(len(coeffs))
-    for i, (entry, direct) in enumerate(zip(coeffs, held_values)):
-        entry = np.array(entry, order="C")
-        fitted = entry.reshape(len(held)) @ held
-        holdouts[i] = abs(direct - fitted[0]) / max(abs(direct), np.abs(entry).max(), 1e-300)
-    return GridFit(coeffs, condition, holdouts)
-
-
-def _interpolate_axes(values: np.ndarray, inverses, batch: int) -> np.ndarray:
-    """Each inverse Vandermonde matrix of ``inverses`` applied along its
-    value axis, the axes after the first ``batch``."""
-    out = values
-    for k, inverse in enumerate(inverses):
-        out = _mode_product(out, inverse, batch + k)
-    return out
+    flat = coeffs.reshape(len(coeffs), 1, len(held))
+    direct = np.asarray(held_values, dtype=complex)
+    error = direct - (flat @ held)[:, 0, 0]
+    scale = np.maximum(np.hypot(direct.real, direct.imag), np.abs(flat).max(axis=(1, 2)))
+    return GridFit(coeffs, condition, np.hypot(error.real, error.imag) / np.maximum(scale, 1e-300))

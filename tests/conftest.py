@@ -10,7 +10,8 @@ from bpl.blockbuild import _SHIFTS, _SITE_TERMS, _ascending_orders
 from bpl.config import SINGULARITY_GUARD, SpectralConfig, random_complex
 from bpl.errors import CoincidentRapiditiesError
 from bpl.functional import FnSampler, b_table, circle_grid, spectral_grids
-from bpl.polyengine import MultiPoly, grid_condition, grid_points, tensor_interpolate
+from bpl.polyengine import (MultiPoly, box_monomials, grid_condition, grid_points,
+                            tensor_interpolate)
 from bpl.ybcore import max_abs, monodromies, transfer, weight_a, weight_b, weight_c
 
 #: the 4x4 swap P of two C^2 factors
@@ -262,6 +263,19 @@ def reference_interpolate(values, node_sets):
         moved = np.moveaxis(out, batch + k, 0)
         solved = np.linalg.solve(v, moved.reshape(len(v), -1))
         out = np.moveaxis(solved.reshape(moved.shape), 0, batch + k)
+    return out
+
+
+def reference_holdouts(coeffs, held_x, held_values) -> np.ndarray:
+    """The holdouts of ``polyengine.fit_grid``, one entry at a time: each
+    entry of ``coeffs`` as a C-ordered copy, one vector-matrix product with
+    the monomials at ``held_x``, and Python's ``abs`` of each complex value."""
+    held = box_monomials(np.asarray(held_x, dtype=complex)[None, :], coeffs.shape[1:]).T
+    out = np.empty(len(coeffs))
+    for i, (entry, direct) in enumerate(zip(coeffs, held_values)):
+        entry = np.array(entry, order="C")
+        fitted = entry.reshape(len(held)) @ held
+        out[i] = abs(direct - fitted[0]) / max(abs(direct), np.abs(entry).max(), 1e-300)
     return out
 
 

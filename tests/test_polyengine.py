@@ -6,21 +6,26 @@ from math import factorial
 import numpy as np
 import pytest
 
-from bpl import blockbuild
-from bpl.dwbc import MAX_PARTITION_L
-from bpl.functional import circle_grid, spectral_grids
+from bpl import blockbuild, polyengine
+from bpl.config import SpectralConfig
+from bpl.dwbc import MAX_PARTITION_L, extract_zbar
+from bpl.functional import circle_grid, extract_fbars, lambda_bar_coefficients, spectral_grids
+from bpl.omega import build_lbar
 from bpl.polyengine import (
     MultiPoly,
     PdeSpec,
     derivative_tensor,
     eval_grid,
     eval_tensors,
+    fit_grid,
     grid_condition,
     grid_points,
     tensor_interpolate,
+    vandermonde,
 )
+from bpl.ybcore import spectrum
 
-from conftest import draw_complex, reference_interpolate
+from conftest import draw_complex, reference_holdouts, reference_interpolate
 
 
 def random_poly(rng, nvars, m):
@@ -117,6 +122,12 @@ class TestDerivative:
         d = derivative_tensor(coeffs, 2, order=2)
         for k in range(3):
             assert np.array_equal(d[k], derivative_tensor(coeffs[k], 1, order=2))
+
+    def test_negative_axis_counts_from_the_end(self, rng):
+        coeffs = draw_complex(rng, (3, 4, 5))
+        for axis in range(3):
+            assert np.array_equal(derivative_tensor(coeffs, axis - 3, order=2),
+                                  derivative_tensor(coeffs, axis, order=2))
 
     def test_taylor_series_realises_substitution(self, rng):
         # on the bounded space, sum_k (alpha - z_i)^k / k! d^k/dz_i^k p is p
@@ -262,10 +273,122 @@ class TestInterpolation:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_colliding_nodes_rejected(self):
-        with pytest.raises(ValueError, match="regrid"):
-            tensor_interpolate(np.zeros(3, dtype=complex), [np.array([1.0, 1.0, 2.0])])
+        # a failed check is not cached: every call with the nodes raises
+        for _ in range(2):
+            with pytest.raises(ValueError, match="regrid"):
+                tensor_interpolate(np.zeros(3, dtype=complex), [np.array([1.0, 1.0, 2.0])])
 
     def test_condition_number_reported(self):
         assert grid_condition(np.exp(2j * np.pi * np.arange(5) / 5)) == pytest.approx(
             1.0, abs=1e-9
         )
+
+
+def pipeline_node_sets(L):
+    """Every node set ``test_inverse_products_match_the_solve_reference``
+    fits on at L: the spectral x and x0 nodes at n = 2, then the Zbar nodes."""
+    node_sets = spectral_node_sets(L, 2)
+    if L <= MAX_PARTITION_L:
+        node_sets += [np.exp(2 * circle_grid(L, slot=i, nslots=L)) for i in range(L)]
+        node_sets.append(np.exp(2 * circle_grid(L + 1, slot=L, nslots=L + 1)))
+    return node_sets
+
+
+class TestGeometryCache:
+    def test_cached_geometry_equals_a_fresh_inverse_and_condition(self):
+        for nodes in pipeline_node_sets(4) + pipeline_node_sets(7):
+            v = vandermonde(nodes, len(nodes) - 1)
+            inverse, condition = polyengine._geometry(nodes.tobytes())
+            assert inverse.tobytes() == np.linalg.inv(v).tobytes()
+            assert grid_condition(nodes).hex() == condition.hex()
+            assert condition.hex() == float(np.linalg.cond(v)).hex()
+
+    def test_cached_inverse_is_read_only(self):
+        nodes = spectral_node_sets(4, 2)[0]
+        tensor_interpolate(np.ones(len(nodes), dtype=complex), [nodes])
+        inverse = polyengine._geometry(nodes.tobytes())[0]
+        with pytest.raises(ValueError, match="read-only"):
+            inverse[0, 0] = 0.0
+
+    def test_cache_stays_within_its_bound(self):
+        bound = polyengine._geometry.cache_info().maxsize
+        assert bound is not None
+        polyengine._geometry.cache_clear()
+        distinct = set()
+        for L in range(1, 13):
+            for nodes in pipeline_node_sets(L):
+                tensor_interpolate(np.ones(len(nodes), dtype=complex), [nodes])
+                distinct.add(nodes.tobytes())
+                assert polyengine._geometry.cache_info().currsize <= bound
+        # more node sets than the bound, so the oldest were evicted
+        assert len(distinct) > bound
+        assert polyengine._geometry.cache_info().currsize == bound
+
+    @pytest.mark.parametrize("L,n", [(4, 2), (7, 2)])
+    def test_cold_and_warm_cache_give_the_same_fits(self, L, n):
+        cfg = SpectralConfig.random_instance(L, n, seed=0)
+        eigs = spectrum(cfg, n)
+
+        def fits():
+            fields = lambda fit: [fit.coeffs, fit.grid_condition, fit.holdouts]
+            lbar = build_lbar(cfg)
+            out = (fields(extract_fbars(cfg, n, eigs.lefts))
+                   + fields(lambda_bar_coefficients(eigs, cfg))
+                   + [lbar.coefficient_matrices, lbar.polynomiality_residual,
+                      lbar.symmetry_defect, lbar.grid_condition])
+            if L <= MAX_PARTITION_L:
+                zbar = extract_zbar(cfg)
+                out += fields(zbar.fit) + [zbar.symmetry_defect, zbar.top_coefficient]
+            return [np.asarray(x).tobytes() for x in out]
+
+        polyengine._geometry.cache_clear()
+        cold = fits()
+        misses = polyengine._geometry.cache_info().misses
+        assert misses > 0
+        assert fits() == cold
+        assert polyengine._geometry.cache_info().misses == misses
+
+
+class TestFitGridHoldouts:
+    @staticmethod
+    def fit(rng, values, grids):
+        held_x = draw_complex(rng, len(grids))
+        held_values = draw_complex(rng, len(values))
+        fit = fit_grid(values, grids, held_x, held_values)
+        return fit, reference_holdouts(fit.coeffs, held_x, held_values)
+
+    @pytest.mark.parametrize("axes", range(5))
+    def test_equal_the_per_entry_loop_bit_for_bit(self, axes, rng):
+        for count in range(1, 31):
+            sizes = rng.integers(1, 6 if axes < 4 else 4, axes)
+            grids = [draw_complex(rng, int(m)) + np.arange(m) for m in sizes]
+            values = draw_complex(rng, (count,) + tuple(int(m) for m in sizes))
+            fit, ref = self.fit(rng, values, grids)
+            assert [h.hex() for h in fit.holdouts] == [h.hex() for h in ref]
+
+    def test_strided_values_and_held_values(self, rng):
+        # an entry axis that is not the outermost, and held values read
+        # from a column of the same array, as the Lambda_bar fit passes them
+        grids = [draw_complex(rng, 5) + np.arange(5), draw_complex(rng, 4) + np.arange(4)]
+        base = draw_complex(rng, (5, 12, 4))
+        values = np.moveaxis(base, 1, 0)
+        assert not values.flags.c_contiguous
+        held_x = draw_complex(rng, 2)
+        fit = fit_grid(values, grids, held_x, base[0, :, 0])
+        ref = reference_holdouts(fit.coeffs, held_x, base[0, :, 0])
+        assert [h.hex() for h in fit.holdouts] == [h.hex() for h in ref]
+        columns = draw_complex(rng, (9, 6))
+        fit = fit_grid(columns[:, :-1], [grids[0]], held_x[:1], columns[:, -1])
+        ref = reference_holdouts(fit.coeffs, held_x[:1], columns[:, -1])
+        assert [h.hex() for h in fit.holdouts] == [h.hex() for h in ref]
+
+    def test_lbar_and_zbar_shapes(self, rng):
+        # Lbar at L = 7, n = 2: 28 basis images on the 8 x0 nodes and two
+        # 7-node x axes; Zbar at L = 4: one entry on four 4-node axes
+        *x_grids, x0s = spectral_node_sets(7, 2)
+        zgrids = [np.exp(2 * circle_grid(4, slot=i, nslots=4)) for i in range(4)]
+        for count, grids in ((28, [x0s] + x_grids), (1, zgrids)):
+            values = draw_complex(rng, (count,) + tuple(len(g) for g in grids))
+            fit, ref = self.fit(rng, values, grids)
+            assert fit.coeffs.shape == values.shape
+            assert [h.hex() for h in fit.holdouts] == [h.hex() for h in ref]
